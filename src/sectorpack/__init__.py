@@ -21,6 +21,7 @@ from .codec import PairingScheme, decode, encode, make_scheme, stream
 from .errors import (
     CongruenceViolation,
     DegenerateDual,
+    InvalidEnvironment,
     NegativeImage,
     NonIntegralOffset,
     NonIntegralStep,

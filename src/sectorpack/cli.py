@@ -103,6 +103,8 @@ def cmd_verify(args) -> int:
     poly = _poly_arg(args.poly)
     try:
         report = prefix_check(s, poly, args.prefix)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     except SectorPackError as exc:
         print(f"cannot verify: {exc}", file=sys.stderr)
         return 1
@@ -144,14 +146,21 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _search_params(args) -> SearchParams:
+    try:
+        return SearchParams(
+            prefix_n=args.prefix,
+            max_k=args.max_k,
+            offset_range=args.offset_range,
+            raw_grid_bound=args.raw,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_search(args) -> int:
     s = _sector_arg(args.sector)
-    params = SearchParams(
-        prefix_n=args.prefix,
-        max_k=args.max_k,
-        offset_range=args.offset_range,
-        raw_grid_bound=args.raw,
-    )
+    params = _search_params(args)
     results = search(s, params)
     print(f"S({s}): {len(results)} polynomial(s) verified to N={args.prefix}")
     for poly in results:
@@ -160,12 +169,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = SearchParams(
-        prefix_n=args.prefix,
-        max_k=args.max_k,
-        offset_range=args.offset_range,
-        raw_grid_bound=args.raw,
-    )
+    params = _search_params(args)
     report = sweep(args.max_n, args.max_m, params, workers=args.workers)
     sys.stdout.write(report.to_csv())
     return 0 if report.ok else 1

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .classify import classify
-from .errors import NonTerminatingShape
+from .errors import InvalidEnvironment, NonTerminatingShape
 from .polynomials import QuadPoly, stanton_quadratic
 from .sectors import LatticePoint, Sector, mod_inverse, sector
 
@@ -95,6 +95,12 @@ class SearchParams:
     max_k: int = 6
     offset_range: int = 10
     raw_grid_bound: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("prefix_n", "offset_range", "raw_grid_bound"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +241,10 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
     Failures are reported deterministically: non-integrality first (with
     the first bad probe point), then the first duplicated value in scan
     order, then the first negative value, then the smallest missing one.
+    A negative n_max is a usage error (ValueError).
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if not p.is_integer_valued():
         witness = next(pt for pt in _PROBE_POINTS if p.eval(pt).denominator != 1)
         return PrefixReport(
@@ -575,43 +584,86 @@ def _sort_key(s: Sector, p: QuadPoly) -> tuple:
     return (abs(delta), 0 if delta > 0 else 1, p.f, p.coefficients())
 
 
+# Depth of the cheap first filter pass; _search_detail says why it drops
+# nothing the full-depth pass would keep.
+_PREFILTER_N = 8
+
+
+def _filter_two_pass(
+    filter_fn, where, candidates: Iterable[tuple[int, int]], params: SearchParams
+) -> list[tuple[int, int, int]]:
+    """Run filter_fn at depth _PREFILTER_N, then at params.prefix_n on the
+    first pass's survivors.  Returns the full-depth (d2, e2, f) triples."""
+    if params.prefix_n > _PREFILTER_N:
+        first = filter_fn(where, candidates, _PREFILTER_N, params.offset_range)
+        candidates = [(d2, e2) for d2, e2, _ in first]
+    return filter_fn(where, candidates, params.prefix_n, params.offset_range)
+
+
 def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:
-    """(all survivors, raw-stage survivors), each certified by prefix_check."""
+    """(all survivors, raw-stage survivors), each certified by prefix_check.
+
+    Every stage filters in two passes (_filter_two_pass): depth
+    _PREFILTER_N first, then depth params.prefix_n on what is left.  The
+    first pass is a necessary condition of the second, so the result is
+    the same as one full-depth pass.  With values scaled by 2n (2 for
+    columns):
+
+    * vmin starts at 0, and a line the shallower pass cuts off early has
+      every value above its hi = scale * _PREFILTER_N > 0, so vmin and
+      the forced offset f = -vmin / scale are the same at both depths;
+    * every scaled value of an integer-valued candidate is a multiple of
+      the scale;
+    * the window [vmin, vmin + _PREFILTER_N * scale] lies inside both the
+      shallow pass's [lo, hi] and the full-depth window, so both passes
+      see the same values there, and a candidate that attains each of
+      them exactly once at full depth does so in the first pass too.
+
+    prefix_n stays the evidence depth: every survivor is certified by
+    prefix_check to params.prefix_n.  prefix_check is deterministic, so a
+    raw-stage survivor with the coefficients of an already checked
+    structured survivor reuses that verdict instead of checking again.
+    """
     found: dict[tuple, QuadPoly] = {}
     raw_found: list[QuadPoly] = []
+    verdicts: dict[tuple, bool] = {}
+
+    def certified(p: QuadPoly) -> bool:
+        key = p.coefficients()
+        if key not in verdicts:
+            verdicts[key] = prefix_check(s, p, params.prefix_n).ok
+        if verdicts[key]:
+            found[key] = p
+        return verdicts[key]
 
     if s.m == 1:
-        triples = _filter_column_candidates(
+        triples = _filter_two_pass(
+            _filter_column_candidates,
             s.n,
             _integral_candidates(s.n, params.raw_grid_bound),
-            params.prefix_n,
-            params.offset_range,
+            params,
         )
         a = Fraction(s.n, 2)
         for d2, e, f in triples:
             p = QuadPoly(a, 0, 0, Fraction(d2, 2), Fraction(e), Fraction(f))
-            if prefix_check(s, p, params.prefix_n).ok:
-                found[p.coefficients()] = p
+            if certified(p):
                 raw_found.append(p)
     else:
-        structured = _filter_stair_candidates(
-            s, _structured_candidates(s, params.max_k), params.prefix_n, params.offset_range
+        structured = _filter_two_pass(
+            _filter_stair_candidates, s, _structured_candidates(s, params.max_k), params
         )
         for d2, e2, f in structured:
-            p = _poly_from_scaled(s, d2, e2, f)
-            if prefix_check(s, p, params.prefix_n).ok:
-                found[p.coefficients()] = p
+            certified(_poly_from_scaled(s, d2, e2, f))
         if params.raw_grid_bound > 0:
-            raw = _filter_stair_candidates(
+            raw = _filter_two_pass(
+                _filter_stair_candidates,
                 s,
                 _raw_candidates(s, params.raw_grid_bound),
-                params.prefix_n,
-                params.offset_range,
+                params,
             )
             for d2, e2, f in raw:
                 p = _poly_from_scaled(s, d2, e2, f)
-                if prefix_check(s, p, params.prefix_n).ok:
-                    found[p.coefficients()] = p
+                if certified(p):
                     raw_found.append(p)
 
     ordered = sorted(found.values(), key=lambda p: _sort_key(s, p))
@@ -627,6 +679,13 @@ def search(s: Sector, params: SearchParams) -> list[QuadPoly]:
     enabled) sweeps the full (d, e) grid with only the homogeneous part
     pinned.  Integral sectors sweep the analogous column grid.  Survivors
     are certified with prefix_check before being returned.
+
+    Each stage filters first at the small depth _PREFILTER_N (8), then at
+    params.prefix_n on the survivors.  Packing to depth prefix_n implies
+    packing to depth 8 with the same forced offset, so the cheap pass
+    rejects nothing the full pass would keep and the result equals a
+    single full-depth pass.  Depth 8 is only a cheap first reject: every
+    returned polynomial is "verified to prefix_n".
     """
     return _search_detail(s, params)[0]
 
@@ -686,7 +745,12 @@ def _resolve_workers(requested: Optional[int]) -> int:
     cap = os.environ.get("SECTORPACK_THREADS")
     workers = requested if requested is not None else (os.cpu_count() or 1)
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise InvalidEnvironment(
+                f"SECTORPACK_THREADS must be an integer, got {cap!r}"
+            ) from None
     return max(1, workers)
 
 

@@ -7,6 +7,7 @@ criteria 4 and 6, so it runs once in a module-scoped fixture.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -36,6 +37,10 @@ ASC, DESC = Direction.ASCENDING, Direction.DESCENDING
 
 SWEEP_PARAMS = SearchParams(prefix_n=300, max_k=6, offset_range=10, raw_grid_bound=40)
 SWEEP_LIMIT = 30
+# sha256 of survivor_listing() for the 30x30 sweep, recorded with the
+# single-pass search filter.  It pins the searched and raw-stage survivors
+# coefficient by coefficient and in order; the sweep CSV pins only counts.
+SWEEP_SURVIVORS_SHA256 = "ee82e3c2db8ab0cdbc82718099e38e9481ebe9e849d69b3044a869c47a3f8400"
 
 
 def report(criterion: int, label: str) -> None:
@@ -101,6 +106,23 @@ def test_criterion_03_sweep_completeness(sweep_run):
             assert k <= 3, (row.n, row.m, poly.to_string())
     assert elapsed < 600, f"sweep took {elapsed:.1f}s, budget 600s"
     report(3, f"30x30 sweep, {expected_rows} sectors, zero mismatches, {elapsed:.1f}s")
+
+
+def survivor_listing(result) -> str:
+    """One line per row: n,m|searched polys|raw-stage survivors."""
+    lines = []
+    for row in result.rows:
+        searched = ";".join(p.to_string() for p in row.searched)
+        raw = ";".join(p.to_string() for p in row.raw_survivors)
+        lines.append(f"{row.n},{row.m}|{searched}|{raw}")
+    return "\n".join(lines) + "\n"
+
+
+def test_criterion_03_survivors_pinned(sweep_run):
+    result, _ = sweep_run
+    digest = hashlib.sha256(survivor_listing(result).encode()).hexdigest()
+    assert digest == SWEEP_SURVIVORS_SHA256
+    report(3, "30x30 searched and raw survivors identical coefficient by coefficient")
 
 
 def test_criterion_04_raw_survivors_satisfy_necessary_form(sweep_run):

@@ -134,6 +134,33 @@ class TestSearchSweepCmds:
         assert out.strip().split("\n")[1] == "1,1,2,2,true"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "8/5", "--poly", "4 -4 1 -1 1 0", "--prefix", "-1"],
+            ["search", "8/5", "--prefix", "-1"],
+            ["search", "8/5", "--offset-range", "-1"],
+            ["search", "8/5", "--raw", "-1"],
+            ["sweep", "--max-n", "3", "--max-m", "3", "--prefix", "-1"],
+            ["sweep", "--max-n", "3", "--max-m", "3", "--offset-range", "-1"],
+            ["sweep", "--max-n", "3", "--max-m", "3", "--raw", "-1"],
+        ],
+    )
+    def test_negative_depth_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_bad_thread_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SECTORPACK_THREADS", "abc")
+        code, out, err = run(capsys, "sweep", "--max-n", "3", "--max-m", "3")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: SECTORPACK_THREADS must be an integer, got 'abc'"
+
+
 class TestOtherCmds:
     def test_construct(self, capsys):
         code, out, _ = run(capsys, "construct", "36/25", "--k", "2", "--json")

@@ -3,14 +3,18 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorpack import (
     Direction,
+    InvalidEnvironment,
     LatticePoint,
     NonTerminatingShape,
     PrefixStatus,
     QuadPoly,
     SearchParams,
+    Sector,
     classify,
     enumerate_upto,
     kstair_property_check,
@@ -23,7 +27,16 @@ from sectorpack import (
     stanton_check,
     sweep,
 )
-from sectorpack.verify import _sweep_row
+from sectorpack.verify import (
+    _PREFILTER_N,
+    _filter_column_candidates,
+    _filter_stair_candidates,
+    _filter_two_pass,
+    _integral_candidates,
+    _raw_candidates,
+    _search_detail,
+    _sweep_row,
+)
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P127 = QuadPoly.from_string("6 -6 3/2 -8 11/2 2")
@@ -125,6 +138,10 @@ class TestPrefixCheck:
         assert "ok" in prefix_check(sector(8, 5), P_PLUS, 5).describe()
         assert "missing" in prefix_check(sector(8, 5), P_PLUS.with_offset(2), 5).describe()
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            prefix_check(sector(8, 5), P_PLUS, -1)
+
 
 class TestKStairPropertyCheck:
     def test_constructed_polys(self):
@@ -172,7 +189,6 @@ class TestSearch:
     def test_raw_survivors_match_coefficient_families(self):
         # anything the raw grid finds has the forced (d, e) pair
         from sectorpack import kstair_extract
-        from sectorpack.verify import _search_detail
 
         for n, m in [(8, 5), (12, 7), (36, 25), (4, 9)]:
             s = sector(n, m)
@@ -202,6 +218,92 @@ class TestSearch:
             s = sector(n, m)
             for p in search(s, PARAMS):
                 assert kstair_extract(s, p).k <= 3
+
+
+class TestSearchParams:
+    @pytest.mark.parametrize("field", ["prefix_n", "offset_range", "raw_grid_bound"])
+    def test_negative_rejected(self, field):
+        assert getattr(SearchParams(**{field: 0}), field) == 0
+        with pytest.raises(ValueError, match=field):
+            SearchParams(**{field: -1})
+
+
+def _grid(s: Sector, bound: int) -> list[tuple[int, int]]:
+    if s.m == 1:
+        return list(_integral_candidates(s.n, bound))
+    return list(_raw_candidates(s, bound))
+
+
+def _one_pass(s: Sector, candidates, params: SearchParams):
+    if s.m == 1:
+        return _filter_column_candidates(s.n, candidates, params.prefix_n, params.offset_range)
+    return _filter_stair_candidates(s, candidates, params.prefix_n, params.offset_range)
+
+
+def _two_pass(s: Sector, candidates, params: SearchParams):
+    if s.m == 1:
+        return _filter_two_pass(_filter_column_candidates, s.n, candidates, params)
+    return _filter_two_pass(_filter_stair_candidates, s, candidates, params)
+
+
+# (n, m) pairs with a nonempty raw grid: m == 1, or n divides (m-1)**2.
+GRID_SECTORS = [
+    (n, m)
+    for n in range(1, 21)
+    for m in range(1, 21)
+    if math.gcd(n, m) == 1 and (m == 1 or (m - 1) ** 2 % n == 0)
+]
+
+
+class TestTwoPassFilter:
+    @pytest.mark.parametrize(
+        "n,m", [(8, 5), (12, 7), (36, 25), (48, 37), (16, 9), (3, 1), (6, 1)]
+    )
+    def test_equals_one_full_depth_pass(self, n, m):
+        s = sector(n, m)
+        grid = _grid(s, PARAMS.raw_grid_bound)
+        one = _one_pass(s, grid, PARAMS)
+        assert one
+        assert _two_pass(s, grid, PARAMS) == one
+
+    @given(
+        st.sampled_from(GRID_SECTORS),
+        st.integers(0, 300),
+        st.integers(0, 10),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_equals_one_pass_on_random_subsets(self, nm, prefix_n, offset_range, rng):
+        s = sector(*nm)
+        grid = _grid(s, 20)
+        subset = [c for c in grid if rng.random() < 0.5]
+        params = SearchParams(prefix_n, 6, offset_range, 20)
+        assert _two_pass(s, subset, params) == _one_pass(s, subset, params)
+
+    def test_shallow_prefix_runs_one_pass(self):
+        # below the prefilter depth the first pass would be the stricter one
+        s = sector(8, 5)
+        grid = _grid(s, 40)
+        params = SearchParams(2, 6, 10, 40)
+        shallow = _one_pass(s, grid, params)
+        deeper = _one_pass(s, grid, SearchParams(_PREFILTER_N, 6, 10, 40))
+        assert len(shallow) > len(deeper)
+        assert _two_pass(s, grid, params) == shallow
+
+    def test_prefix_check_once_per_survivor(self, monkeypatch):
+        import sectorpack.verify as verify_mod
+
+        calls = []
+        real = verify_mod.prefix_check
+
+        def counting(s, p, n_max):
+            calls.append(p.coefficients())
+            return real(s, p, n_max)
+
+        monkeypatch.setattr(verify_mod, "prefix_check", counting)
+        ordered, raw = _search_detail(sector(12, 7), PARAMS)
+        assert len(ordered) == 4 and len(raw) == 4
+        assert sorted(calls) == sorted(p.coefficients() for p in ordered)
 
 
 class TestSweep:
@@ -256,3 +358,7 @@ class TestSweep:
         capped = sweep(4, 4, SearchParams(150, 5, 8, 0))
         monkeypatch.delenv("SECTORPACK_THREADS")
         assert capped == sweep(4, 4, SearchParams(150, 5, 8, 0), workers=1)
+        for bad in ("abc", "2.5", "1e3"):
+            monkeypatch.setenv("SECTORPACK_THREADS", bad)
+            with pytest.raises(InvalidEnvironment, match="SECTORPACK_THREADS"):
+                _resolve_workers(None)
