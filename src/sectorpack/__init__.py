@@ -64,18 +64,16 @@ from .sectors import (
     t_dual,
     w_reduce,
 )
+from .sweep import SweepReport, SweepRow, sweep
 from .verify import (
     PrefixReport,
     PrefixStatus,
     SearchParams,
-    SweepReport,
-    SweepRow,
     enumerate_upto,
     kstair_property_check,
     prefix_check,
     rectangle_points,
     search,
-    sweep,
 )
 
 __version__ = "0.1.0"

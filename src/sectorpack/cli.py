@@ -17,7 +17,8 @@ from .errors import SectorPackError
 from .polynomials import Direction, QuadPoly, construct
 from .render import RenderSpec, render
 from .sectors import LatticePoint, parse_sector, t_dual, w_reduce
-from .verify import SearchParams, prefix_check, search, sweep
+from .sweep import sweep
+from .verify import SearchParams, prefix_check, search
 
 
 class UsageError(Exception):
@@ -77,6 +78,8 @@ def cmd_construct(args) -> int:
     direction = Direction.ASCENDING if args.direction == "asc" else Direction.DESCENDING
     try:
         poly, form = construct(s, args.k, direction)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     except SectorPackError as exc:
         print(f"cannot construct: {exc}", file=sys.stderr)
         return 1
@@ -115,6 +118,8 @@ def cmd_verify(args) -> int:
 def _scheme_from_args(args):
     s = _sector_arg(args.sector)
     poly = _poly_arg(args.poly)
+    if args.verify_n < 0:
+        raise UsageError("--verify-n must be nonnegative")
     try:
         return make_scheme(s, poly, args.verify_n)
     except (ValueError, SectorPackError) as exc:
@@ -210,9 +215,8 @@ def cmd_render(args) -> int:
     )
     try:
         sys.stdout.write(render(spec))
-    except (ValueError, SectorPackError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return 0
 
 

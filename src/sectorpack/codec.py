@@ -15,13 +15,14 @@ S(n/(n+2-m)) and carry the point back through the duality map.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import PointOutsideSector, SectorPackError
 from .polynomials import Direction, KStairForm, QuadPoly, kstair_extract
-from .sectors import LatticeMap, LatticePoint, Sector, mod_inverse, t_dual
+from .sectors import LatticeMap, LatticePoint, Sector, t_dual
 from .verify import prefix_check
 
 MIN_VERIFY_N = 500
@@ -38,8 +39,10 @@ class PairingScheme:
     not a proof.
 
     Schemes are logically immutable: decode only appends to a monotone
-    cumulative-count cache, so concurrent encode/decode calls stay
-    consistent.  stream cursors are local to each call.
+    cumulative-count cache, and only under the scheme's lock, so encode,
+    decode and stream may be called from many threads at once and give the
+    same results as one thread.  Reads of an already grown cache take no
+    lock.  stream cursors are local to each call.
     """
 
     sector: Sector
@@ -51,20 +54,16 @@ class PairingScheme:
     _from_dual: Optional[LatticeMap] = field(default=None, repr=False)
     _class_of_residue: tuple[int, ...] = field(default=(), repr=False)
     _cum: list[list[int]] = field(default_factory=list, repr=False)
-    # staircase geometry and scaled coefficients, cached so encode and
-    # decode stay arithmetic-only
-    _geom: tuple[int, ...] = field(default=(), repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    # scaled coefficients, cached so encode stays arithmetic-only
     _scaled: tuple[int, ...] = field(default=(), repr=False)
 
-    def _first_stair_raw(self, c: int) -> tuple[int, int]:
-        n, m, l, u, v, r = self._geom
-        z = 0 if v == 1 else (-c * r) % v
-        return ((m - 1) * z + c * l) // n, z
+    def __getstate__(self) -> dict:
+        # a lock cannot be pickled; each copy gets its own
+        return {k: v for k, v in self.__dict__.items() if k != "_lock"}
 
-    def _stair_count_raw(self, c: int) -> int:
-        n, m, l, u, v, r = self._geom
-        x0, _ = self._first_stair_raw(c)
-        return (m * c * l - n * x0) * l // (n * (m - 1)) + 1
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _lock=threading.Lock())
 
     def encode(self, p: LatticePoint) -> int:
         x, y = p
@@ -81,18 +80,19 @@ class PairingScheme:
         if self.form.direction is Direction.DESCENDING:
             return self._from_dual.apply(self._dual.decode(value))
         k = self.form.k
+        lines = self.sector.lines
         c0 = self._class_of_residue[value % k]
         t = (value - self.first_stair_values[c0]) // k
         cum = self._cum[c0]
-        while not cum or cum[-1] <= t:
-            c_next = c0 + k * len(cum)
-            cum.append((cum[-1] if cum else 0) + self._stair_count_raw(c_next))
+        if not cum or cum[-1] <= t:
+            with self._lock:
+                while not cum or cum[-1] <= t:
+                    c_next = c0 + k * len(cum)
+                    cum.append((cum[-1] if cum else 0) + lines.line(c_next)[2])
         idx = bisect_right(cum, t)
-        c = c0 + k * idx
         t_in = t - (cum[idx - 1] if idx else 0)
-        n, m, l, u, v, r = self._geom
-        x0, z = self._first_stair_raw(c)
-        return LatticePoint(x0 + t_in * u, z + t_in * v)
+        x0, z, _ = lines.line(c0 + k * idx)
+        return LatticePoint(x0 + t_in * lines.u, z + t_in * lines.v)
 
     def stream(self, count: int) -> list[LatticePoint]:
         """Points in value order 0..count-1, via incremental per-class cursors."""
@@ -102,11 +102,12 @@ class PairingScheme:
             carry = self._from_dual
             return [carry.apply(p) for p in self._dual.stream(count)]
         k = self.form.k
-        dx, dy = self.sector.stair_step()
+        lines = self.sector.lines
+        dx, dy = lines.u, lines.v
         cursors = {}
         for c0 in range(k):
-            first = self.sector.first_stair(c0)
-            cursors[c0] = [c0, 0, self.sector.stair_count(c0), first.x, first.y]
+            x0, z, cnt = lines.line(c0)
+            cursors[c0] = [c0, 0, cnt, x0, z]
         out = []
         for value in range(count):
             cur = cursors[self._class_of_residue[value % k]]
@@ -115,8 +116,8 @@ class PairingScheme:
             t += 1
             if t == cnt:
                 c += k
-                first = self.sector.first_stair(c)
-                cur[:] = [c, 0, self.sector.stair_count(c), first.x, first.y]
+                x0, z, cnt = lines.line(c)
+                cur[:] = [c, 0, cnt, x0, z]
             else:
                 cur[1] = t
         return out
@@ -146,16 +147,12 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
         raise ValueError(f"not a packing polynomial on S({s}): {report.describe()}")
     form = kstair_extract(s, p)
     values = tuple(p.eval_int(s.first_stair(c)) for c in range(form.k))
-    l = s.l
-    u, v = (s.m - 1) // l, s.n // l
-    r = 0 if v == 1 else mod_inverse(u, v)
     scheme = PairingScheme(
         sector=s,
         poly=p,
         form=form,
         first_stair_values=values,
         verified_n=verify_to,
-        _geom=(s.n, s.m, l, u, v, r),
         _scaled=(2 * s.n, int(2 * s.n * p.d), int(2 * s.n * p.e), int(2 * s.n * p.f)),
     )
     if form.direction is Direction.ASCENDING:

@@ -193,8 +193,7 @@ def stanton_check(s: Sector, p: QuadPoly) -> bool:
 
 def _residue(s: Sector, direction: Direction) -> tuple[int, int]:
     """(residue class of k mod n/l, n/l) for the given direction."""
-    u = (s.m - 1) // s.l
-    v = s.n // s.l
+    u, v = s.lines.u, s.lines.v
     res = u % v if direction is Direction.ASCENDING else (-u) % v
     return res, v
 
@@ -209,8 +208,7 @@ def kstair_extract(s: Sector, p: QuadPoly) -> KStairForm:
         raise ValueError("stair extraction needs m >= 2")
     if not stanton_check(s, p):
         raise ValueError("polynomial does not have the forced homogeneous part")
-    u = (s.m - 1) // s.l
-    v = s.n // s.l
+    u, v = s.lines.u, s.lines.v
     delta = p.d * u + p.e * v
     if delta == 0:
         raise ZeroStep("stair difference is zero")

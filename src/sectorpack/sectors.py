@@ -1,10 +1,12 @@
 """Sector geometry: rational sectors, staircases, and lattice-preserving maps.
 
 The sector S(n/m) is the plane region {(x, y) : x, y >= 0 and m*y <= n*x}.
-Its lattice points decompose into "staircases": for m >= 2, staircase c is
-the set of lattice points on the line (m-1)*y = n*x - c*l, where
-l = gcd(n, m-1).  Consecutive points on a staircase differ by the fixed
-step ((m-1)/l, n/l).
+Its lattice points decompose into one family of parallel lines: line c is
+the set of lattice points on (m-1)*y = n*x - c*l, where l = gcd(n, m-1)
+(l = n when m == 1).  Consecutive points on a line differ by the fixed step
+(u, v) = ((m-1)/l, n/l).  For m >= 2 the lines are the "staircases"; on the
+integral sectors S(n) (m == 1) they are the columns x = c, the same family
+with u = 0, v = 1.  LineFamily holds the geometry of every line in O(1).
 
 Everything here is exact integer / reduced-rational arithmetic.  Boundary
 membership (m*y == n*x) must be decided exactly, so no floating point is
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -82,6 +85,11 @@ class Sector:
     def contains(self, p: LatticePoint) -> bool:
         return p.x >= 0 and p.y >= 0 and p.y * self.m <= p.x * self.n
 
+    @cached_property
+    def lines(self) -> LineFamily:
+        """The sector's line family (staircases, or columns when m == 1)."""
+        return LineFamily(self)
+
     def _need_staircases(self) -> None:
         if self.m < 2:
             raise ValueError("staircases are undefined on integral sectors (m must be >= 2)")
@@ -96,41 +104,28 @@ class Sector:
     def first_stair(self, c: int) -> LatticePoint:
         """Minimal-x lattice point with y >= 0 on the staircase-c line.
 
-        With r the inverse of (m-1)/l mod n/l, the point is
-        ((m-1)*z/n + c*l/n, z) for z = (-c*r) mod (n/l).  Whenever n
-        divides (m-1)**2 this point lies in the sector; in general it may
-        sit above the boundary ray.
+        Whenever n divides (m-1)**2 this point lies in the sector; in
+        general it may sit above the boundary ray.
         """
         self._need_staircases()
-        u = (self.m - 1) // self.l
-        v = self.n // self.l
-        z = 0 if v == 1 else (-c * mod_inverse(u, v)) % v
-        x = ((self.m - 1) * z + c * self.l) // self.n
-        return LatticePoint(x, z)
+        x0, z, _ = self.lines.line(c)
+        return LatticePoint(x0, z)
 
     def stair_count(self, c: int) -> int:
         """Number of lattice points on staircase c inside the sector.
 
-        Boundary points (m*y == n*x) count.  The bound comes from
-        m*y <= n*x, which on the staircase line reads x <= m*c*l/n.
+        Boundary points (m*y == n*x) count.
         """
         self._need_staircases()
-        x0 = self.first_stair(c).x
-        count = (self.m * c * self.l - self.n * x0) * self.l // (self.n * (self.m - 1)) + 1
-        return max(count, 0)
+        return self.lines.line(c)[2]
 
     def stair_step(self) -> tuple[int, int]:
         self._need_staircases()
-        return ((self.m - 1) // self.l, self.n // self.l)
+        return (self.lines.u, self.lines.v)
 
     def stairs(self, c: int) -> list[LatticePoint]:
         """All stairs on staircase c inside the sector, by ascending x."""
-        first = self.first_stair(c)
-        dx, dy = self.stair_step()
-        return [
-            LatticePoint(first.x + t * dx, first.y + t * dy)
-            for t in range(self.stair_count(c))
-        ]
+        return self.staircase(c).points()
 
     def staircase(self, c: int) -> Staircase:
         return Staircase(
@@ -140,6 +135,34 @@ class Sector:
             first=self.first_stair(c),
             count=self.stair_count(c),
         )
+
+
+class LineFamily:
+    """The lines (m-1)*y = n*x - c*l of a sector, c = 0, 1, 2, ...
+
+    ``(u, v)`` is the step between consecutive points on a line and ``r``
+    the inverse of u mod v.
+    """
+
+    __slots__ = ("n", "m", "l", "u", "v", "r")
+
+    def __init__(self, s: Sector):
+        self.n, self.m, self.l = s.n, s.m, s.l
+        self.u, self.v = (s.m - 1) // s.l, s.n // s.l
+        self.r = mod_inverse(self.u, self.v)
+
+    def line(self, c: int) -> tuple[int, int, int]:
+        """(x0, z, count) of line c.
+
+        (x0, z) is its lattice point with the least y >= 0: z = (-c*r) mod v
+        and x0 = ((m-1)*z + c*l)/n.  Its points (x0 + t*u, z + t*v) lie in
+        the sector while m*y <= n*x, that is t*v <= n*x0 - m*z (since
+        m*v - n*u = v), so count = (n*x0 - m*z)//v + 1.
+        """
+        z = (-c * self.r) % self.v
+        x0 = ((self.m - 1) * z + c * self.l) // self.n
+        count = (self.n * x0 - self.m * z) // self.v + 1
+        return x0, z, count if count > 0 else 0
 
 
 @dataclass(frozen=True)

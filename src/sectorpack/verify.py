@@ -1,13 +1,15 @@
 """Independent truth source: bounded enumeration and exhaustive search.
 
-Nothing in this module trusts the classification theorems.  A candidate
-polynomial is accepted only if its values on the sector's lattice points
-form exactly the prefix {0..N}, each attained once, with no negative
-value anywhere — established by walking the staircase decomposition.
+Nothing in this module trusts the classification theorems, and it does
+not import them.  A candidate polynomial is accepted only if its values on
+the sector's lattice points form exactly the prefix {0..N}, each attained
+once, with no negative value anywhere — established by walking the
+sector's line family (staircases, or columns on integral sectors).  The
+oracle and the search filter share one walk in scaled integers.
 
 Enumeration terminates because the homogeneous part is constant on each
-staircase and grows quadratically with the staircase index: past an
-explicit vertex bound, every staircase's minimum value exceeds N.
+line and grows quadratically with the line index: past an explicit vertex
+bound, every line's minimum value exceeds N.
 
 A prefix_check pass means "verified to N", never "proved"; the theorems
 carry the mathematical guarantee, this module carries the evidence.
@@ -16,17 +18,15 @@ carry the mathematical guarantee, this module carries the evidence.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional
 
-from .classify import classify
-from .errors import InvalidEnvironment, NonTerminatingShape
+from .errors import NonTerminatingShape
 from .polynomials import QuadPoly, stanton_quadratic
-from .sectors import LatticePoint, Sector, mod_inverse, sector
+from .sectors import LatticePoint, Sector
 
 __all__ = [
     "PrefixStatus",
@@ -37,9 +37,6 @@ __all__ = [
     "kstair_property_check",
     "rectangle_points",
     "search",
-    "sweep",
-    "SweepRow",
-    "SweepReport",
 ]
 
 
@@ -104,112 +101,147 @@ class SearchParams:
 
 
 # ---------------------------------------------------------------------------
-# Staircase / column enumeration
+# Line-family walk
 # ---------------------------------------------------------------------------
 
 
-def _family_kind(s: Sector, p: QuadPoly) -> str:
-    """Check that the homogeneous part is constant along one line family.
+def _check_family(s: Sector, p: QuadPoly) -> None:
+    """Check that the homogeneous part is constant along the line family.
 
-    m >= 2: p2 must be a positive multiple of (n*x - (m-1)*y)**2, which is
-    constant on staircases.  m == 1: p2 must be a*x**2, constant on
-    columns.  Anything else admits no finite sweep bound.
+    p2 must be a positive multiple of (n*x - (m-1)*y)**2, which is constant
+    on every line (for m == 1: a*x**2, constant on columns).  Anything else
+    admits no finite sweep bound.
     """
     n, m = s.n, s.m
-    if m >= 2:
-        if (
-            p.a > 0
-            and p.b == Fraction(-2 * (m - 1)) * p.a / n
-            and p.c2 == p.a * (m - 1) ** 2 / (n * n)
-        ):
-            return "stairs"
-    elif p.a > 0 and p.b == 0 and p.c2 == 0:
-        return "columns"
-    raise NonTerminatingShape(
-        f"homogeneous part of {p} is not constant along the line family of S({s})"
-    )
+    if not (
+        p.a > 0
+        and p.b == Fraction(-2 * (m - 1)) * p.a / n
+        and p.c2 == p.a * (m - 1) ** 2 / (n * n)
+    ):
+        raise NonTerminatingShape(
+            f"homogeneous part of {p} is not constant along the line family of S({s})"
+        )
+
+
+class _LineTable:
+    """Lazily grown rows (x0, z, count, Q*(c*l)**2 + F) of a sector's line
+    family, shared by every walk of one call.
+
+    A walk reads the scaled value Q*(c*l)**2 + A*x + B*y + F: on line c the
+    homogeneous part is Q*(c*l)**2, so the value is base(c) + t*step with
+    step = A*u + B*v.
+    """
+
+    def __init__(self, s: Sector, Q: int, F: int):
+        self.lines = s.lines
+        self.Q, self.F = Q, F
+        self.rows: list[tuple[int, int, int, int]] = []
+
+    def grow(self, c: int) -> None:
+        line, Q, F, l = self.lines.line, self.Q, self.F, self.lines.l
+        for cc in range(len(self.rows), c + 1):
+            self.rows.append((*line(cc), Q * (cc * l) ** 2 + F))
+
+    def point(self, c: int, t: int) -> LatticePoint:
+        x0, z = self.rows[c][:2]
+        return LatticePoint(x0 + t * self.lines.u, z + t * self.lines.v)
+
+    def walk(
+        self, A: int, B: int, unit: int, lo: int, hi: int
+    ) -> tuple[list, list[tuple[int, int]], int, Optional[tuple[int, int]]]:
+        """Walk the lines, collecting the values in [lo, hi].
+
+        Every scaled value must be a multiple of ``unit``; values, lo, hi
+        and vmin are all in units of ``unit``, and a line whose scaled base
+        or step is not a multiple is a ValueError.
+
+        Returns (ranges, spans, vmin, negative): ranges[i] holds the
+        window's values on one line in scan order (c, then t ascending) and
+        spans[i] is that line's (c, first t); vmin is the minimum of 0 and
+        every line's values; negative is the first (c, t) with value < 0.
+
+        On line c every sector point has c*l/n <= x <= m*c*l/n and
+        0 <= y <= c*l, so each value there is at least
+        Q*(c*l)**2 + F + min(A, A*m)*c*l/n + min(B, 0)*c*l, a convex
+        quadratic in c that increases past its vertex.  The walk stops at
+        the first line past (an upper estimate of) that vertex where this
+        bound exceeds hi: every value on every later line exceeds hi.
+        """
+        lines, rows, Q = self.lines, self.rows, self.Q
+        n, l = lines.n, lines.l
+        step, rem = divmod(A * lines.u + B * lines.v, unit)
+        if rem:
+            raise ValueError("stair step is not an integer; polynomial is not integer-valued")
+        a_lo = A if A >= 0 else A * lines.m
+        b_lo = B if B < 0 else 0
+        vertex = (-a_lo // n - b_lo) // (2 * Q * l) + 2
+        hi_scaled = hi * unit
+
+        ranges: list = []
+        spans: list[tuple[int, int]] = []
+        vmin = 0
+        negative: Optional[tuple[int, int]] = None
+        c = 0
+        while True:
+            if c >= len(rows):
+                self.grow(c + 64)
+            x0, z, cnt, q = rows[c]
+            if c > vertex and q + (a_lo * c * l) // n + b_lo * c * l > hi_scaled:
+                break
+            if cnt > 0:
+                base, rem = divmod(q + A * x0 + B * z, unit)
+                if rem:
+                    raise ValueError(
+                        f"value on line {c} is not an integer; polynomial is not integer-valued"
+                    )
+                last = base + step * (cnt - 1)
+                line_min = base if step >= 0 else last
+                if line_min < vmin:
+                    vmin = line_min
+                    if negative is None:
+                        negative = (c, 0 if step >= 0 or base < 0 else base // -step + 1)
+                if step > 0:
+                    t_lo = 0 if base >= lo else -((base - lo) // step)
+                    t_hi = cnt - 1 if last <= hi else (hi - base) // step
+                    if t_lo <= t_hi:
+                        spans.append((c, t_lo))
+                        ranges.append(range(base + t_lo * step, base + t_hi * step + 1, step))
+                elif step < 0:
+                    t_lo = 0 if base <= hi else -((hi - base) // -step)
+                    t_hi = cnt - 1 if last >= lo else (base - lo) // -step
+                    if t_lo <= t_hi:
+                        spans.append((c, t_lo))
+                        ranges.append(range(base + t_lo * step, base + t_hi * step - 1, step))
+                elif lo <= base <= hi:
+                    spans.append((c, 0))
+                    ranges.append([base] * cnt)
+            c += 1
+        return ranges, spans, vmin, negative
 
 
 def _value_sweep(
-    s: Sector, p: QuadPoly, lo: int, hi: int
-) -> tuple[list[tuple[int, int, int]], int, Optional[LatticePoint]]:
-    """Walk the line family of S(n/m) collecting values in [lo, hi].
+    s: Sector, p: QuadPoly, n_max: int
+) -> tuple[list[tuple[int, int, int]], Optional[LatticePoint]]:
+    """Walk the line family of S(n/m) collecting the values in [0, n_max].
 
-    Returns (items, vmin, negative_witness) where items are (value, x, y)
-    triples in scan order, vmin is the minimum value over every swept
-    line, and negative_witness is the first point seen with value < 0.
-    The polynomial must be integer-valued and shape-checked.
+    The polynomial is scaled by D, the lcm of the denominators of a/n**2,
+    d, e and f, so the walk runs in integers.  Returns (items,
+    negative_witness): (value, x, y) triples in scan order (see
+    _LineTable.walk) and the first point seen with value < 0.  The
+    polynomial must be integer-valued; a line or step that is not is a
+    ValueError.
     """
-    kind = _family_kind(s, p)
-    n, m = s.n, s.m
-    d, e, f = p.d, p.e, p.f
-
-    if kind == "stairs":
-        l = s.l
-        u, v = (m - 1) // l, n // l
-        r = 0 if v == 1 else mod_inverse(u, v)
-        lam = p.a / (n * n)
-        delta_fr = d * u + e * v
-        quad = lam * l * l
-        lin = min(Fraction(0), d) * Fraction(m * l, n) + min(Fraction(0), e) * l
-    else:
-        u, v = 0, 1
-        delta_fr = e
-        quad = p.a
-        lin = d + min(Fraction(0), e) * n
-
-    if delta_fr.denominator != 1:
-        raise ValueError("stair step is not an integer; polynomial is not integer-valued")
-    delta = delta_fr.numerator
-    vertex = max(Fraction(0), -lin / (2 * quad))
-
+    _check_family(s, p)
+    lam = p.a / (s.n * s.n)
+    D = math.lcm(lam.denominator, p.d.denominator, p.e.denominator, p.f.denominator)
+    table = _LineTable(s, int(lam * D), int(p.f * D))
+    ranges, spans, _, negative = table.walk(int(p.d * D), int(p.e * D), D, 0, n_max)
+    u, v = s.lines.u, s.lines.v
     items: list[tuple[int, int, int]] = []
-    vmin: Optional[int] = None
-    negative: Optional[LatticePoint] = None
-
-    c = 0
-    while True:
-        if c > vertex and quad * c * c + lin * c + f > hi:
-            break
-        if kind == "stairs":
-            z = 0 if v == 1 else (-c * r) % v
-            x0 = ((m - 1) * z + c * l) // n
-            cnt = (m * c * l - n * x0) * l // (n * (m - 1)) + 1
-            base_fr = lam * (c * l) ** 2 + d * x0 + e * z + f
-        else:
-            z, x0 = 0, c
-            cnt = n * c + 1
-            base_fr = p.a * c * c + d * c + f
-        if cnt > 0:
-            if base_fr.denominator != 1:
-                raise ValueError(
-                    f"value at staircase {c} is {base_fr}; polynomial is not integer-valued"
-                )
-            base = base_fr.numerator
-            last = base + delta * (cnt - 1)
-            line_min = min(base, last)
-            if vmin is None or line_min < vmin:
-                vmin = line_min
-            if negative is None and line_min < 0:
-                if delta >= 0 or base < 0:
-                    t_neg = 0
-                else:
-                    t_neg = base // (-delta) + 1
-                negative = LatticePoint(x0 + t_neg * u, z + t_neg * v)
-            if delta > 0:
-                t_lo = 0 if base >= lo else -((base - lo) // delta)
-                t_hi = cnt - 1 if last <= hi else (hi - base) // delta
-            elif delta < 0:
-                step = -delta
-                t_lo = 0 if base <= hi else -((hi - base) // step)
-                t_hi = cnt - 1 if last >= lo else (base - lo) // step
-            else:
-                t_lo, t_hi = (0, cnt - 1) if lo <= base <= hi else (1, 0)
-            for t in range(t_lo, t_hi + 1):
-                items.append((base + t * delta, x0 + t * u, z + t * v))
-        c += 1
-
-    return items, (0 if vmin is None else vmin), negative
+    for (c, t), values in zip(spans, ranges):
+        x, y = table.point(c, t)
+        items += [(value, x + i * u, y + i * v) for i, value in enumerate(values)]
+    return items, None if negative is None else table.point(*negative)
 
 
 def enumerate_upto(
@@ -220,7 +252,7 @@ def enumerate_upto(
         raise ValueError("n_max must be nonnegative")
     if not p.is_integer_valued():
         raise ValueError("polynomial is not integer-valued")
-    items, _, _ = _value_sweep(s, p, 0, n_max)
+    items, _ = _value_sweep(s, p, n_max)
     items.sort()
     return [(LatticePoint(x, y), value) for value, x, y in items]
 
@@ -250,20 +282,21 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
         return PrefixReport(
             PrefixStatus.NON_INTEGER_VALUE, checked_upto=n_max, points=0, point=witness
         )
-    items, _, negative = _value_sweep(s, p, 0, n_max)
-    first_at: dict[int, tuple[int, int]] = {}
-    for value, x, y in items:
-        if value in first_at:
-            ox, oy = first_at[value]
-            return PrefixReport(
-                PrefixStatus.DUPLICATE,
-                checked_upto=n_max,
-                points=len(items),
-                value=value,
-                point=LatticePoint(ox, oy),
-                point2=LatticePoint(x, y),
-            )
-        first_at[value] = (x, y)
+    # The window is built and indexed in full before any check, so a
+    # failing polynomial costs about as much as a packing one.
+    items, negative = _value_sweep(s, p, n_max)
+    first_at = {item[0]: item for item in reversed(items)}  # first point wins
+    if len(first_at) < len(items):
+        # the scan reaches a value's second point here
+        second = next(item for item in items if first_at[item[0]] is not item)
+        return PrefixReport(
+            PrefixStatus.DUPLICATE,
+            checked_upto=n_max,
+            points=len(items),
+            value=second[0],
+            point=LatticePoint(*first_at[second[0]][1:]),
+            point2=LatticePoint(*second[1:]),
+        )
     if negative is not None:
         return PrefixReport(
             PrefixStatus.NEGATIVE_VALUE,
@@ -272,14 +305,12 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
             value=p.eval_int(negative),
             point=negative,
         )
-    for value in range(n_max + 1):
-        if value not in first_at:
-            return PrefixReport(
-                PrefixStatus.MISSING_VALUE,
-                checked_upto=n_max,
-                points=len(items),
-                value=value,
-            )
+    # distinct values in [0, n_max]: one is missing iff there are fewer
+    if len(items) <= n_max:
+        missing = next(value for value in range(n_max + 1) if value not in first_at)
+        return PrefixReport(
+            PrefixStatus.MISSING_VALUE, checked_upto=n_max, points=len(items), value=missing
+        )
     return PrefixReport(PrefixStatus.OK, checked_upto=n_max, points=len(items))
 
 
@@ -317,44 +348,20 @@ def rectangle_points(s: Sector, x_max: int) -> list[LatticePoint]:
 # ---------------------------------------------------------------------------
 #
 # Search candidates share the forced homogeneous part, so a candidate is
-# just an integer pair (d2, e2) with d = d2/2 and e = e2/(2n) (for m == 1,
-# e itself is an integer).  The filter below works with values scaled by
-# 2n, all in exact integer arithmetic:
+# just an integer pair (d2, e2) with d = d2/2 and e = e2/(2n).  The filter
+# below walks values scaled by 2n, all in exact integer arithmetic:
 #
 #   P0(x, y) = (n*x - (m-1)*y)**2 + n*d2*x + e2*y       (f left out)
 #
-# On staircase c the value is base(c) + t*step, so each staircase meets
-# the value window [lo, hi] in a t-interval, collected as a range object.
-# A packing polynomial must attain minimum value exactly 0, which forces
+# On line c the value is base(c) + t*step, so each line meets the value
+# window in a t-interval, collected as a range object.  A packing
+# polynomial must attain minimum value exactly 0, which forces
 # f = -min(P0)/(2n); sweeping f over [-offset_range, offset_range] is
 # therefore equivalent to checking that single forced offset, which is
 # what the filter does.
 
 
-class _StairTables:
-    """Lazily grown per-staircase geometry shared by all candidates."""
-
-    def __init__(self, s: Sector):
-        self.n, self.m, self.l = s.n, s.m, s.l
-        self.u, self.v = (s.m - 1) // s.l, s.n // s.l
-        self.r = 0 if self.v == 1 else mod_inverse(self.u, self.v)
-        self.z: list[int] = []
-        self.x0: list[int] = []
-        self.cnt: list[int] = []
-        self.q2: list[int] = []
-
-    def grow(self, c: int) -> None:
-        n, m, l = self.n, self.m, self.l
-        for cc in range(len(self.z), c + 1):
-            z = 0 if self.v == 1 else (-cc * self.r) % self.v
-            x0 = ((m - 1) * z + cc * l) // n
-            self.z.append(z)
-            self.x0.append(x0)
-            self.cnt.append((m * cc * l - n * x0) * l // (n * (m - 1)) + 1)
-            self.q2.append((cc * l) ** 2)
-
-
-def _filter_stair_candidates(
+def _filter_candidates(
     s: Sector,
     candidates: Iterable[tuple[int, int]],
     prefix_n: int,
@@ -365,11 +372,10 @@ def _filter_stair_candidates(
     Returns (d2, e2, f) triples.  Every candidate must correspond to an
     integer-valued polynomial with the forced homogeneous part.
     """
-    tables = _StairTables(s)
-    n, m, l = tables.n, tables.m, tables.l
-    u, v = tables.u, tables.v
+    table = _LineTable(s, 1, 0)
+    n, m = s.n, s.m
+    u, v = s.lines.u, s.lines.v
     scale = 2 * n
-    hi = scale * prefix_n
     lo = -scale * offset_range
     need = prefix_n + 1
     survivors = []
@@ -377,8 +383,7 @@ def _filter_stair_candidates(
     for d2, e2 in candidates:
         A = n * d2
         B = e2
-        step = A * u + B * v
-        if step == 0:
+        if A * u + B * v == 0:
             continue
 
         # Cheap rejection: the x-axis and the boundary ray are in the
@@ -391,133 +396,21 @@ def _filter_stair_candidates(
         if any(n * n * t * t + bslope * t < lo for t in (1, tv, tv + 1)):
             continue
 
-        a_neg = A if A < 0 else 0
-        b_neg = B if B < 0 else 0
-        vertex = (-(a_neg * m) // n - b_neg) // (2 * l) + 2
-
-        values: list[int] = []
-        vmin = 0
-        c = 0
-        while True:
-            if c > vertex and c * c * l * l + (a_neg * m * c * l) // n + b_neg * c * l > hi:
-                break
-            if c >= len(tables.z):
-                tables.grow(c + 64)
-            cnt = tables.cnt[c]
-            if cnt > 0:
-                base = tables.q2[c] + A * tables.x0[c] + B * tables.z[c]
-                last = base + step * (cnt - 1)
-                line_min = base if step > 0 else last
-                if line_min < vmin:
-                    vmin = line_min
-                if step > 0:
-                    t_lo = 0 if base >= lo else -((base - lo) // step)
-                    t_hi = cnt - 1 if last <= hi else (hi - base) // step
-                    if t_lo <= t_hi:
-                        values.extend(
-                            range(base + t_lo * step, base + t_hi * step + 1, step)
-                        )
-                else:
-                    down = -step
-                    t_lo = 0 if base <= hi else -((hi - base) // down)
-                    t_hi = cnt - 1 if last >= lo else (base - lo) // down
-                    if t_lo <= t_hi:
-                        values.extend(
-                            range(base - t_lo * down, base - t_hi * down - 1, -down)
-                        )
-            c += 1
-
-        if vmin < lo or len(values) < need:
-            continue
-        f, rem = divmod(-vmin, scale)
-        if rem or f > offset_range:
+        ranges, _, vmin, _ = table.walk(A, B, scale, -offset_range, prefix_n)
+        if vmin < -offset_range or sum(map(len, ranges)) < need:
             continue
         seen = bytearray(need)
         count = 0
-        ok = True
-        for value in values:
-            idx = (value - vmin) // scale
+        for value in chain.from_iterable(ranges):
+            idx = value - vmin
             if idx < need:
                 if seen[idx]:
-                    ok = False
                     break
                 seen[idx] = 1
                 count += 1
-        if ok and count == need:
-            survivors.append((d2, e2, f))
-
-    return survivors
-
-
-def _filter_column_candidates(
-    n: int,
-    candidates: Iterable[tuple[int, int]],
-    prefix_n: int,
-    offset_range: int,
-) -> list[tuple[int, int, int]]:
-    """Integral-sector analog of the staircase filter; e is an integer."""
-    hi = 2 * prefix_n
-    lo = -2 * offset_range
-    need = prefix_n + 1
-    survivors = []
-
-    for d2, e in candidates:
-        step = 2 * e
-        if step == 0:
-            continue
-        xv = max(1, -d2 // (2 * n))
-        if any(n * x * x + d2 * x < lo for x in (1, xv, xv + 1)):
-            continue
-        bslope = d2 + 2 * e * n
-        tv = max(1, -bslope // (2 * n))
-        if any(n * t * t + bslope * t < lo for t in (1, tv, tv + 1)):
-            continue
-
-        e_neg = step if step < 0 else 0
-        vertex = (-d2 - e_neg * n) // (2 * n) + 2
-        values: list[int] = []
-        vmin = 0
-        c = 0
-        while True:
-            if c > vertex and n * c * c + d2 * c + e_neg * n * c > hi:
-                break
-            base = n * c * c + d2 * c
-            cnt = n * c + 1
-            last = base + step * (cnt - 1)
-            line_min = base if step > 0 else last
-            if line_min < vmin:
-                vmin = line_min
-            if step > 0:
-                t_lo = 0 if base >= lo else -((base - lo) // step)
-                t_hi = cnt - 1 if last <= hi else (hi - base) // step
-                if t_lo <= t_hi:
-                    values.extend(range(base + t_lo * step, base + t_hi * step + 1, step))
-            else:
-                down = -step
-                t_lo = 0 if base <= hi else -((hi - base) // down)
-                t_hi = cnt - 1 if last >= lo else (base - lo) // down
-                if t_lo <= t_hi:
-                    values.extend(range(base - t_lo * down, base - t_hi * down - 1, -down))
-            c += 1
-
-        if vmin < lo or len(values) < need:
-            continue
-        f, rem = divmod(-vmin, 2)
-        if rem or f > offset_range:
-            continue
-        seen = bytearray(need)
-        count = 0
-        ok = True
-        for value in values:
-            idx = (value - vmin) // 2
-            if idx < need:
-                if seen[idx]:
-                    ok = False
-                    break
-                seen[idx] = 1
-                count += 1
-        if ok and count == need:
-            survivors.append((d2, e, f))
+        else:
+            if count == need:
+                survivors.append((d2, e2, -vmin))
 
     return survivors
 
@@ -525,16 +418,15 @@ def _filter_column_candidates(
 def _structured_candidates(s: Sector, max_k: int) -> list[tuple[int, int]]:
     """The (d2, e2) pairs of the stair coefficient families, both
     directions, for every k <= max_k in the right residue class."""
-    from .polynomials import Direction, necessary_coefficients
+    from .polynomials import Direction, _residue, necessary_coefficients
 
-    n, m, l = s.n, s.m, s.l
+    n, m = s.n, s.m
     if (m - 1) ** 2 % n != 0:
         return []
     a, b, c2 = stanton_quadratic(s)
-    u, v = (m - 1) // l, n // l
     out = []
     for direction in (Direction.ASCENDING, Direction.DESCENDING):
-        res = u % v if direction is Direction.ASCENDING else (-u) % v
+        res, v = _residue(s, direction)
         for k in range(1, max_k + 1):
             if k % v != res:
                 continue
@@ -560,14 +452,15 @@ def _raw_candidates(s: Sector, bound: int) -> Iterable[tuple[int, int]]:
 
 
 def _integral_candidates(n: int, bound: int) -> Iterable[tuple[int, int]]:
-    """Integral-sector grid.  The effective d-bound is raised to n+2 so
-    the classical family always lies inside the grid."""
+    """Integral-sector (d2, e2) grid with integer e = e2/(2n).  The
+    effective d-bound is raised to n+2 so the classical family always lies
+    inside the grid."""
     d_bound = max(bound, n + 2)
     e_bound = max(d_bound // 2, 3)
     d_start = -d_bound + ((n - (-d_bound)) % 2)
     for d2 in range(d_start, d_bound + 1, 2):
         for e in range(-e_bound, e_bound + 1):
-            yield (d2, e)
+            yield (d2, 2 * n * e)
 
 
 def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
@@ -576,11 +469,7 @@ def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
 
 
 def _sort_key(s: Sector, p: QuadPoly) -> tuple:
-    if s.m >= 2:
-        u, v = (s.m - 1) // s.l, s.n // s.l
-        delta = p.d * u + p.e * v
-    else:
-        delta = p.e
+    delta = p.d * s.lines.u + p.e * s.lines.v
     return (abs(delta), 0 if delta > 0 else 1, p.f, p.coefficients())
 
 
@@ -590,14 +479,14 @@ _PREFILTER_N = 8
 
 
 def _filter_two_pass(
-    filter_fn, where, candidates: Iterable[tuple[int, int]], params: SearchParams
+    s: Sector, candidates: Iterable[tuple[int, int]], params: SearchParams
 ) -> list[tuple[int, int, int]]:
-    """Run filter_fn at depth _PREFILTER_N, then at params.prefix_n on the
-    first pass's survivors.  Returns the full-depth (d2, e2, f) triples."""
+    """Filter at depth _PREFILTER_N, then at params.prefix_n on the first
+    pass's survivors.  Returns the full-depth (d2, e2, f) triples."""
     if params.prefix_n > _PREFILTER_N:
-        first = filter_fn(where, candidates, _PREFILTER_N, params.offset_range)
+        first = _filter_candidates(s, candidates, _PREFILTER_N, params.offset_range)
         candidates = [(d2, e2) for d2, e2, _ in first]
-    return filter_fn(where, candidates, params.prefix_n, params.offset_range)
+    return _filter_candidates(s, candidates, params.prefix_n, params.offset_range)
 
 
 def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:
@@ -606,23 +495,23 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
     Every stage filters in two passes (_filter_two_pass): depth
     _PREFILTER_N first, then depth params.prefix_n on what is left.  The
     first pass is a necessary condition of the second, so the result is
-    the same as one full-depth pass.  With values scaled by 2n (2 for
-    columns):
+    the same as one full-depth pass.  In the filter's integer values
+    (P0 over 2n, the polynomial without its offset):
 
     * vmin starts at 0, and a line the shallower pass cuts off early has
-      every value above its hi = scale * _PREFILTER_N > 0, so vmin and
-      the forced offset f = -vmin / scale are the same at both depths;
-    * every scaled value of an integer-valued candidate is a multiple of
-      the scale;
-    * the window [vmin, vmin + _PREFILTER_N * scale] lies inside both the
-      shallow pass's [lo, hi] and the full-depth window, so both passes
-      see the same values there, and a candidate that attains each of
-      them exactly once at full depth does so in the first pass too.
+      every value above its hi = _PREFILTER_N >= 0, so vmin and the forced
+      offset f = -vmin are the same at both depths;
+    * the window [vmin, vmin + _PREFILTER_N] lies inside both the shallow
+      pass's [lo, hi] and the full-depth window, so both passes see the
+      same values there, and a candidate that attains each of them exactly
+      once at full depth does so in the first pass too.
 
     prefix_n stays the evidence depth: every survivor is certified by
     prefix_check to params.prefix_n.  prefix_check is deterministic, so a
     raw-stage survivor with the coefficients of an already checked
     structured survivor reuses that verdict instead of checking again.
+    Integral sectors have no structured stage; their raw stage is the
+    column grid, which runs even when raw_grid_bound is 0.
     """
     found: dict[tuple, QuadPoly] = {}
     raw_found: list[QuadPoly] = []
@@ -637,34 +526,16 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
         return verdicts[key]
 
     if s.m == 1:
-        triples = _filter_two_pass(
-            _filter_column_candidates,
-            s.n,
-            _integral_candidates(s.n, params.raw_grid_bound),
-            params,
-        )
-        a = Fraction(s.n, 2)
-        for d2, e, f in triples:
-            p = QuadPoly(a, 0, 0, Fraction(d2, 2), Fraction(e), Fraction(f))
-            if certified(p):
-                raw_found.append(p)
+        structured, raw = [], _integral_candidates(s.n, params.raw_grid_bound)
     else:
-        structured = _filter_two_pass(
-            _filter_stair_candidates, s, _structured_candidates(s, params.max_k), params
-        )
-        for d2, e2, f in structured:
-            certified(_poly_from_scaled(s, d2, e2, f))
-        if params.raw_grid_bound > 0:
-            raw = _filter_two_pass(
-                _filter_stair_candidates,
-                s,
-                _raw_candidates(s, params.raw_grid_bound),
-                params,
-            )
-            for d2, e2, f in raw:
-                p = _poly_from_scaled(s, d2, e2, f)
-                if certified(p):
-                    raw_found.append(p)
+        structured = _structured_candidates(s, params.max_k)
+        raw = _raw_candidates(s, params.raw_grid_bound) if params.raw_grid_bound > 0 else []
+    for d2, e2, f in _filter_two_pass(s, structured, params):
+        certified(_poly_from_scaled(s, d2, e2, f))
+    for d2, e2, f in _filter_two_pass(s, raw, params):
+        p = _poly_from_scaled(s, d2, e2, f)
+        if certified(p):
+            raw_found.append(p)
 
     ordered = sorted(found.values(), key=lambda p: _sort_key(s, p))
     raw_found.sort(key=lambda p: _sort_key(s, p))
@@ -688,95 +559,3 @@ def search(s: Sector, params: SearchParams) -> list[QuadPoly]:
     returned polynomial is "verified to prefix_n".
     """
     return _search_detail(s, params)[0]
-
-
-# ---------------------------------------------------------------------------
-# Sweep
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    m: int
-    classified: tuple[QuadPoly, ...]
-    searched: tuple[QuadPoly, ...]
-    raw_survivors: tuple[QuadPoly, ...]
-    match: bool
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(row.match for row in self.rows)
-
-    def mismatches(self) -> list[SweepRow]:
-        return [row for row in self.rows if not row.match]
-
-    def to_csv(self) -> str:
-        lines = ["n,m,classified_count,search_count,match"]
-        for row in self.rows:
-            lines.append(
-                f"{row.n},{row.m},{len(row.classified)},{len(row.searched)},"
-                f"{'true' if row.match else 'false'}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def _sweep_row(task: tuple[int, int, SearchParams]) -> SweepRow:
-    n, m, params = task
-    classified = classify(n, m).polynomials()
-    searched, raw_found = _search_detail(sector(n, m), params)
-    match = {p.coefficients() for p in classified} == {p.coefficients() for p in searched}
-    return SweepRow(
-        n=n,
-        m=m,
-        classified=tuple(classified),
-        searched=tuple(searched),
-        raw_survivors=tuple(raw_found),
-        match=match,
-    )
-
-
-def _resolve_workers(requested: Optional[int]) -> int:
-    cap = os.environ.get("SECTORPACK_THREADS")
-    workers = requested if requested is not None else (os.cpu_count() or 1)
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise InvalidEnvironment(
-                f"SECTORPACK_THREADS must be an integer, got {cap!r}"
-            ) from None
-    return max(1, workers)
-
-
-def sweep(
-    max_n: int,
-    max_m: int,
-    params: Optional[SearchParams] = None,
-    workers: Optional[int] = None,
-) -> SweepReport:
-    """Compare search against classify on every coprime (n, m) in range.
-
-    Rows are ordered by (n, m) regardless of how many workers evaluate
-    them; SECTORPACK_THREADS caps the worker count.
-    """
-    params = params or SearchParams()
-    tasks = [
-        (n, m, params)
-        for n in range(1, max_n + 1)
-        for m in range(1, max_m + 1)
-        if math.gcd(n, m) == 1
-    ]
-    workers = _resolve_workers(workers)
-    if workers == 1 or len(tasks) < 4:
-        rows = [_sweep_row(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=8))
-    rows.sort(key=lambda row: (row.n, row.m))
-    return SweepReport(rows=tuple(rows))

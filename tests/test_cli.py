@@ -153,6 +153,22 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "8/5", "--k", "0"],
+            ["construct", "8/5", "--k", "-2"],
+            ["render", "8/5", "--poly", "4 -4 1 -1 1 0", "--max-x", "-1"],
+            ["render", "8/5", "--poly", "4 -4 1 -1 1 0", "--max-x", "201"],
+            ["decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--verify-n", "-5", "--value", "3"],
+        ],
+    )
+    def test_bad_argument_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_bad_thread_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SECTORPACK_THREADS", "abc")
         code, out, err = run(capsys, "sweep", "--max-n", "3", "--max-m", "3")

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 
 from sectorpack import (
@@ -148,3 +153,50 @@ class TestOtherSectors:
         assert desc_49.form.direction is Direction.DESCENDING
         with pytest.raises(ValueError):
             make_scheme(sector(4, 9), desc_49.poly, 500)
+
+
+class TestCopies:
+    def test_pickle_round_trip(self, fig3_scheme):
+        copy = pickle.loads(pickle.dumps(fig3_scheme))
+        assert copy == fig3_scheme
+        assert copy._lock is not fig3_scheme._lock
+        assert [copy.decode(v) for v in range(500)] == stream(fig3_scheme, 500)
+
+
+class TestThreads:
+    def test_concurrent_cold_decodes(self):
+        # Four threads decode large values on fresh schemes at once, so they
+        # grow the same cumulative-count cache together; a tiny switch
+        # interval makes them interleave inside the growth loop.
+        rng = random.Random(1)
+        failures = []
+
+        def work(scheme, values):
+            for value in values:
+                try:
+                    point = scheme.decode(value)
+                    if scheme.encode(point) != value:
+                        failures.append((value, point))
+                except Exception as exc:  # a bad point may fall outside the sector
+                    failures.append((value, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                scheme = make_scheme(sector(8, 5), P_PLUS, 500)
+                threads = [
+                    threading.Thread(
+                        target=work,
+                        args=(scheme, [rng.randrange(10**9) for _ in range(200)]),
+                    )
+                    for _ in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []

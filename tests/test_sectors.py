@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sectorpack import (
@@ -322,3 +322,27 @@ def test_staircase_index_consistency(nm, x, y):
     c = s.staircase_index(p)
     assert c >= 0
     assert p in s.stairs(c)
+
+
+@given(st.sampled_from(coprime_pairs(60)), st.integers(0, 200))
+@example((4, 1), 7)
+@example((1, 1), 0)
+@example((60, 1), 200)
+@settings(max_examples=300, derandomize=True)
+def test_line_family_matches_scan(nm, c):
+    # Scan y upward for the lattice points of line (m-1)*y = n*x - c*l; a
+    # sector point on it has y <= c*l, and the first one has y < n/l.
+    s = sector(*nm)
+    n, m, l = s.n, s.m, s.l
+    on_line = [
+        LatticePoint(((m - 1) * y + c * l) // n, y)
+        for y in range(c * l + n)
+        if ((m - 1) * y + c * l) % n == 0
+    ]
+    inside = [p for p in on_line if s.contains(p)]
+    x0, z, count = s.lines.line(c)
+    assert (x0, z) == on_line[0]
+    assert count == len(inside)
+    assert inside == on_line[:count]
+    if m == 1:
+        assert (x0, z, count) == (c, 0, n * c + 1)

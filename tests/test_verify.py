@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,15 +30,14 @@ from sectorpack import (
     stanton_check,
     sweep,
 )
+from sectorpack.sweep import _resolve_workers, _sweep_row
 from sectorpack.verify import (
     _PREFILTER_N,
-    _filter_column_candidates,
-    _filter_stair_candidates,
+    _filter_candidates,
     _filter_two_pass,
     _integral_candidates,
     _raw_candidates,
     _search_detail,
-    _sweep_row,
 )
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
@@ -102,6 +104,32 @@ class TestEnumerate:
             enumerate_upto(sector(8, 5), QuadPoly.from_string("0 0 0 1 1 0"), 10)
 
 
+@given(
+    st.sampled_from(
+        [(n, m) for n in range(1, 13) for m in range(1, 13) if math.gcd(n, m) == 1]
+    ),
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+    st.integers(-5, 5),
+    st.integers(0, 200),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_walk_matches_rectangle_scan(nm, d, e, f, n_max):
+    # (n*x - (m-1)*y)**2 + d*x + e*y + f: integer-valued, constant up to a
+    # linear term on every line, with both signs of d and e
+    n, m = nm
+    s = sector(n, m)
+    p = QuadPoly(n * n, -2 * n * (m - 1), (m - 1) ** 2, d, e, f)
+    x_max = 40
+    got = {(pt, value) for pt, value in enumerate_upto(s, p, n_max) if pt.x <= x_max}
+    want = set()
+    for pt in rectangle_points(s, x_max):
+        value = (n * pt.x - (m - 1) * pt.y) ** 2 + d * pt.x + e * pt.y + f
+        if 0 <= value <= n_max:
+            want.add((pt, value))
+    assert got == want
+
+
 class TestPrefixCheck:
     def test_ok(self):
         report = prefix_check(sector(8, 5), P_PLUS, 22)
@@ -141,6 +169,57 @@ class TestPrefixCheck:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             prefix_check(sector(8, 5), P_PLUS, -1)
+
+
+# sha256 of near_miss_listing(), recorded with the code from before the
+# line-family kernel: the oracle's verdicts and witnesses are unchanged.
+NEAR_MISS_DIGEST = "f7b8406f8ca6d3865c369728be901b0c7afa934b2573c796c8bd328a7cde89e5"
+
+
+def near_miss_listing() -> list[str]:
+    """describe() of every classified polynomial on coprime n, m <= 20 and
+    of its +-1 moves of d, e and f, at N = 1000.  The moves give
+    duplicates (including zero steps), negative values and missing values
+    on stairs, descending stairs and columns."""
+    lines = []
+    for n in range(1, 21):
+        for m in range(1, 21):
+            if math.gcd(n, m) != 1:
+                continue
+            s = sector(n, m)
+            for p0 in classify(n, m).polynomials():
+                polys = [p0]
+                for name in ("d", "e", "f"):
+                    for delta in (1, -1):
+                        coeffs = dict(zip(("a", "b", "c2", "d", "e", "f"), p0.coefficients()))
+                        coeffs[name] += delta
+                        polys.append(QuadPoly(**coeffs))
+                for p in polys:
+                    lines.append(f"{s} {p.to_string()} {prefix_check(s, p, 1000).describe()}")
+    return lines
+
+
+class TestOracleDigest:
+    def test_near_miss_reports_pinned(self):
+        listing = near_miss_listing()
+        assert len(listing) == 1526
+        kinds = {line.split(" ", 7)[7].split(" ")[0] for line in listing}
+        assert kinds == {"ok:", "value", "negative", "missing"}
+        assert hashlib.sha256("\n".join(listing).encode()).hexdigest() == NEAR_MISS_DIGEST
+
+
+def test_verify_imports_neither_classify_nor_sweep():
+    # the oracle must not lean on the classification it checks
+    import sectorpack.verify as verify_mod
+
+    tree = ast.parse(Path(verify_mod.__file__).read_text())
+    parts = set()  # every dotted component of every import, lazy ones too
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            parts.update((getattr(node, "module", None) or "").split("."))
+            parts.update(part for alias in node.names for part in alias.name.split("."))
+    assert "polynomials" in parts
+    assert not parts & {"classify", "sweep"}
 
 
 class TestKStairPropertyCheck:
@@ -235,15 +314,11 @@ def _grid(s: Sector, bound: int) -> list[tuple[int, int]]:
 
 
 def _one_pass(s: Sector, candidates, params: SearchParams):
-    if s.m == 1:
-        return _filter_column_candidates(s.n, candidates, params.prefix_n, params.offset_range)
-    return _filter_stair_candidates(s, candidates, params.prefix_n, params.offset_range)
+    return _filter_candidates(s, candidates, params.prefix_n, params.offset_range)
 
 
 def _two_pass(s: Sector, candidates, params: SearchParams):
-    if s.m == 1:
-        return _filter_two_pass(_filter_column_candidates, s.n, candidates, params)
-    return _filter_two_pass(_filter_stair_candidates, s, candidates, params)
+    return _filter_two_pass(s, candidates, params)
 
 
 # (n, m) pairs with a nonempty raw grid: m == 1, or n divides (m-1)**2.
@@ -346,8 +421,6 @@ class TestSweep:
         assert all(math.gcd(n, m) == 1 for n, m in keys)
 
     def test_thread_cap_env(self, monkeypatch):
-        from sectorpack.verify import _resolve_workers
-
         monkeypatch.setenv("SECTORPACK_THREADS", "1")
         assert _resolve_workers(None) == 1
         assert _resolve_workers(8) == 1
