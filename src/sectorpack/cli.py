@@ -175,7 +175,10 @@ def cmd_search(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _search_params(args)
-    report = sweep(args.max_n, args.max_m, params, workers=args.workers)
+    try:
+        report = sweep(args.max_n, args.max_m, params, workers=args.workers)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     sys.stdout.write(report.to_csv())
     return 0 if report.ok else 1
 

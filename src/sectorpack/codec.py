@@ -3,11 +3,12 @@
 A scheme wraps a stair packing polynomial on a sector with m >= 2 and
 provides constant-time encode, value-to-point decode, and an in-order
 point stream.  Decoding an ascending scheme uses the residue-class
-structure: staircases with index congruent to c mod k carry exactly the
-values first_stair_value(c) + k*N, in staircase-then-step order.  The
-per-class cumulative stair counts are cached lazily and binary searched,
-so decode costs O(log) staircase lookups after an amortized O(sqrt(v))
-table extension.
+structure: staircases with index congruent to c0 mod k carry exactly the
+values first_stair_value(c0) + k*N, in staircase-then-step order.  Within
+a class the stair counts grow by k*l every v staircases, so the cumulative
+count is a quadratic in the period index plus a v-entry table, and decode
+inverts it in closed form with one isqrt: O(1) big-integer operations and
+no state that grows with the value.
 
 Descending schemes decode through the dual ascending scheme on
 S(n/(n+2-m)) and carry the point back through the duality map.
@@ -15,20 +16,19 @@ S(n/(n+2-m)) and carry the point back through the duality map.
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Optional
 
 from .errors import PointOutsideSector, SectorPackError
 from .polynomials import Direction, KStairForm, QuadPoly, kstair_extract
-from .sectors import LatticeMap, LatticePoint, Sector, t_dual
+from .sectors import LatticeMap, LatticePoint, LineFamily, Sector, t_dual
 from .verify import prefix_check
 
 MIN_VERIFY_N = 500
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairingScheme:
     """An encode/decode pair backed by a prefix-verified packing polynomial.
 
@@ -38,11 +38,11 @@ class PairingScheme:
     prefix check performed at construction — the verification horizon,
     not a proof.
 
-    Schemes are logically immutable: decode only appends to a monotone
-    cumulative-count cache, and only under the scheme's lock, so encode,
-    decode and stream may be called from many threads at once and give the
-    same results as one thread.  Reads of an already grown cache take no
-    lock.  stream cursors are local to each call.
+    Schemes are immutable: make_scheme builds every table decode reads, one
+    period of v stair counts per residue class, so encode, decode and
+    stream hold no shared mutable state and may be called from many threads
+    at once, and schemes pickle and copy like any frozen dataclass.  stream
+    cursors are local to each call.
     """
 
     sector: Sector
@@ -53,17 +53,14 @@ class PairingScheme:
     _dual: Optional["PairingScheme"] = field(default=None, repr=False)
     _from_dual: Optional[LatticeMap] = field(default=None, repr=False)
     _class_of_residue: tuple[int, ...] = field(default=(), repr=False)
-    _cum: list[list[int]] = field(default_factory=list, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    # per value residue, over the staircases c0 + k*j of its class for one
+    # period j < v: (pref, xs, zs), pref[j] the stairs on the first j of
+    # them, (xs[j], zs[j]) the first stair of staircase j
+    _classes: tuple[tuple[tuple[int, ...], ...], ...] = field(default=(), repr=False)
+    # (k, v, k*l, v*k*l, u), the constants decode reads
+    _steps: tuple[int, ...] = field(default=(), repr=False)
     # scaled coefficients, cached so encode stays arithmetic-only
     _scaled: tuple[int, ...] = field(default=(), repr=False)
-
-    def __getstate__(self) -> dict:
-        # a lock cannot be pickled; each copy gets its own
-        return {k: v for k, v in self.__dict__.items() if k != "_lock"}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _lock=threading.Lock())
 
     def encode(self, p: LatticePoint) -> int:
         x, y = p
@@ -74,31 +71,46 @@ class PairingScheme:
         return ((n * x - (m - 1) * y) ** 2 + a_s * x + b_s * y + c_s) // two_n
 
     def decode(self, value: int) -> LatticePoint:
-        """The unique sector point with encode(point) == value."""
+        """The unique sector point with encode(point) == value.
+
+        value = k*t + residue is stair t of its class, counted along
+        staircases c0 + k*j.  Their counts (c*l - z)//v + 1 repeat with
+        period P = v, plus k*l per period, so the stairs before staircase
+        j = q*P + r number C(j) = q*T + P*k*l*q*(q-1)/2 + pref[r] + q*r*k*l,
+        T = pref[P].  The last q with C(q*P) <= t takes one isqrt; r comes
+        from a binary search of the P-entry table.
+        """
         if value < 0:
             raise ValueError("values are nonnegative")
-        if self.form.direction is Direction.DESCENDING:
+        if self._dual is not None:
             return self._from_dual.apply(self._dual.decode(value))
-        k = self.form.k
-        lines = self.sector.lines
-        c0 = self._class_of_residue[value % k]
-        t = (value - self.first_stair_values[c0]) // k
-        cum = self._cum[c0]
-        if not cum or cum[-1] <= t:
-            with self._lock:
-                while not cum or cum[-1] <= t:
-                    c_next = c0 + k * len(cum)
-                    cum.append((cum[-1] if cum else 0) + lines.line(c_next)[2])
-        idx = bisect_right(cum, t)
-        t_in = t - (cum[idx - 1] if idx else 0)
-        x0, z, _ = lines.line(c0 + k * idx)
-        return LatticePoint(x0 + t_in * lines.u, z + t_in * lines.v)
+        k, v, grow, a, u = self._steps
+        t, residue = divmod(value, k)
+        pref, xs, zs = self._classes[residue]
+        # 2*C(q*P) = (a*q + b)*q with a = P*k*l, so C(q*P) <= t exactly when
+        # (2*a*q + b)**2 <= b*b + 8*a*t; 2*a*q + b is an integer, so that is
+        # |2*a*q + b| <= isqrt(...), and the floored quotient is the last q
+        b = 2 * pref[-1] - a
+        q = (isqrt(b * b + 8 * a * t) - b) // (2 * a)
+        t -= (a * q + b) * q // 2
+        # the last r < P with pref[r] + q*r*k*l <= t
+        grow *= q
+        r, hi = 0, v
+        while hi - r > 1:
+            mid = (r + hi) // 2
+            if pref[mid] + grow * mid <= t:
+                r = mid
+            else:
+                hi = mid
+        t -= pref[r] + grow * r
+        # a period later a staircase has the same z and k more x (P*l = n)
+        return LatticePoint(xs[r] + q * k + t * u, zs[r] + t * v)
 
     def stream(self, count: int) -> list[LatticePoint]:
         """Points in value order 0..count-1, via incremental per-class cursors."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if self.form.direction is Direction.DESCENDING:
+        if self._dual is not None:
             carry = self._from_dual
             return [carry.apply(p) for p in self._dual.stream(count)]
         k = self.form.k
@@ -147,27 +159,22 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
         raise ValueError(f"not a packing polynomial on S({s}): {report.describe()}")
     form = kstair_extract(s, p)
     values = tuple(p.eval_int(s.first_stair(c)) for c in range(form.k))
-    scheme = PairingScheme(
-        sector=s,
-        poly=p,
-        form=form,
-        first_stair_values=values,
-        verified_n=verify_to,
-        _scaled=(2 * s.n, int(2 * s.n * p.d), int(2 * s.n * p.e), int(2 * s.n * p.f)),
-    )
+    lookup = classes = steps = ()
+    dual = from_dual = None
     if form.direction is Direction.ASCENDING:
         if sorted(values) != list(range(form.k)):
             raise ValueError(
                 f"first-stair values {values} are not a permutation of 0..{form.k - 1}"
             )
-        lookup = [0] * form.k
-        for c, value in enumerate(values):
-            lookup[value] = c
-        scheme._class_of_residue = tuple(lookup)
-        scheme._cum = [[] for _ in range(form.k)]
+        # residue i of the values belongs to the class whose first stair is i
+        lookup = tuple(sorted(range(form.k), key=values.__getitem__))
+        lines = s.lines
+        classes = tuple(_class_table(lines, form.k, c0) for c0 in lookup)
+        grow = form.k * lines.l
+        steps = (form.k, lines.v, grow, lines.v * grow, lines.u)
     else:
         try:
-            dual_sector, to_dual = t_dual(s)
+            dual_sector, _ = t_dual(s)
         except SectorPackError as exc:
             raise ValueError(
                 f"descending schemes on S({s}) are unsupported: {exc}"
@@ -177,10 +184,31 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
                 f"descending schemes on S({s}) are unsupported: dual sector is integral"
             )
         from_dual = t_dual(dual_sector)[1]  # the inverse duality map
-        dual_poly = p.compose(from_dual)
-        scheme._dual = make_scheme(dual_sector, dual_poly, verify_to)
-        scheme._from_dual = from_dual
-    return scheme
+        dual = make_scheme(dual_sector, p.compose(from_dual), verify_to)
+    return PairingScheme(
+        sector=s,
+        poly=p,
+        form=form,
+        first_stair_values=values,
+        verified_n=verify_to,
+        _scaled=(2 * s.n, int(2 * s.n * p.d), int(2 * s.n * p.e), int(2 * s.n * p.f)),
+        _dual=dual,
+        _from_dual=from_dual,
+        _class_of_residue=lookup,
+        _classes=classes,
+        _steps=steps,
+    )
+
+
+def _class_table(lines: LineFamily, k: int, c0: int) -> tuple[tuple[int, ...], ...]:
+    """(pref, xs, zs) of staircases c0 + k*j over one period j < v."""
+    pref, xs, zs = [0], [], []
+    for j in range(lines.v):
+        x0, z, count = lines.line(c0 + k * j)
+        pref.append(pref[-1] + count)
+        xs.append(x0)
+        zs.append(z)
+    return tuple(pref), tuple(xs), tuple(zs)
 
 
 def encode(scheme: PairingScheme, p: LatticePoint) -> int:

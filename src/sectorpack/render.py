@@ -80,7 +80,6 @@ def _render_svg(spec: RenderSpec) -> str:
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     # Boundary ray m*y = n*x, clipped at the grid edge.
-    bx = min(spec.max_x, y_max * s.m / s.n) if s.n else spec.max_x
     if y_max * s.m <= spec.max_x * s.n:
         bx, by = y_max * s.m / s.n, y_max
     else:

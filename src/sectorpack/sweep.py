@@ -89,8 +89,11 @@ def sweep(
     """Compare search against classify on every coprime (n, m) in range.
 
     Rows are ordered by (n, m) regardless of how many workers evaluate
-    them; SECTORPACK_THREADS caps the worker count.
+    them; SECTORPACK_THREADS caps the worker count.  A zero bound gives
+    an empty report; a negative one raises ValueError.
     """
+    if max_n < 0 or max_m < 0:
+        raise ValueError(f"max_n and max_m must be nonnegative, got {max_n} and {max_m}")
     params = params or SearchParams()
     tasks = [
         (n, m, params)

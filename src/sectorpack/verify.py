@@ -94,7 +94,7 @@ class SearchParams:
     raw_grid_bound: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("prefix_n", "offset_range", "raw_grid_bound"):
+        for name in ("prefix_n", "max_k", "offset_range", "raw_grid_bound"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")

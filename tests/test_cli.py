@@ -101,6 +101,17 @@ class TestCodecCmds:
         )
         assert out.strip() == "4"
 
+    def test_decode_huge_value(self, capsys):
+        value = str(10**20 + 7)
+        code, out, _ = run(
+            capsys, "decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--value", value
+        )
+        assert code == 0
+        code, again, _ = run(
+            capsys, "encode", "8/5", "--poly", "4 -4 1 -1 1 0", "--point", out.strip()
+        )
+        assert (code, again.strip()) == (0, value)
+
     def test_non_packing_scheme_exits_1(self, capsys):
         code, _, err = run(
             capsys, "encode", "8/5", "--poly", "4 -4 1 -1 1 3", "--point", "0,0"
@@ -145,6 +156,10 @@ class TestUsageErrors:
             ["sweep", "--max-n", "3", "--max-m", "3", "--prefix", "-1"],
             ["sweep", "--max-n", "3", "--max-m", "3", "--offset-range", "-1"],
             ["sweep", "--max-n", "3", "--max-m", "3", "--raw", "-1"],
+            ["search", "8/5", "--max-k", "-1"],
+            ["sweep", "--max-n", "3", "--max-m", "3", "--max-k", "-1"],
+            ["sweep", "--max-n", "-2", "--max-m", "3"],
+            ["sweep", "--max-n", "3", "--max-m", "-1"],
         ],
     )
     def test_negative_depth_exits_2(self, capsys, argv):
@@ -168,6 +183,13 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_zero_bounds_are_valid(self, capsys):
+        code, out, _ = run(capsys, "search", "8/5", "--max-k", "0")
+        assert (code, out) == (0, "S(8/5): 0 polynomial(s) verified to N=300\n")
+        for max_n, max_m in (("0", "3"), ("3", "0"), ("0", "0")):
+            code, out, _ = run(capsys, "sweep", "--max-n", max_n, "--max-m", max_m)
+            assert (code, out) == (0, "n,m,classified_count,search_count,match\n")
 
     def test_bad_thread_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("SECTORPACK_THREADS", "abc")
@@ -251,3 +273,101 @@ class TestContracts:
                         "--prefix", "400",
                     )
                     assert code == 0, (n, m, entry["poly"])
+
+
+POLY = "4 -4 1 -1 1 0"
+BAD_SECTORS = ["", "x", "8/", "/5", "8/0", "0/5", "-8/5", "8/-5", "6/4", "8/5/3", "1.5/2"]
+BAD_POLYS = ["", "1 2 3", "a b c d e f", "1 2 3 4 5 6 7", "1/0 0 0 0 0 0", "nan 0 0 0 0 0"]
+BAD_POINTS = ["", "1", "1,2,3", "a,b", "-1,0", "0,-1", "1.5,2"]
+NON_INTEGERS = ["x", "1.5", "1e3", ""]
+
+
+def _usage_grid():
+    """(argv) lists that are usage errors: exit 2."""
+    for bad in BAD_SECTORS:
+        yield ["classify", bad]
+        yield ["construct", bad, "--k", "1"]
+        yield ["verify", bad, "--poly", POLY]
+        yield ["encode", bad, "--poly", POLY, "--point", "1,1"]
+        yield ["decode", bad, "--poly", POLY, "--value", "3"]
+        yield ["search", bad, "--prefix", "20"]
+        yield ["reduce", bad]
+        yield ["dual", bad]
+        yield ["render", bad, "--poly", POLY, "--max-x", "3"]
+    for bad in BAD_POLYS:
+        yield ["verify", "8/5", "--poly", bad]
+        yield ["encode", "8/5", "--poly", bad, "--point", "1,1"]
+        yield ["decode", "8/5", "--poly", bad, "--value", "3"]
+        yield ["render", "8/5", "--poly", bad, "--max-x", "3"]
+    for bad in BAD_POINTS:
+        yield ["encode", "8/5", "--poly", POLY, "--point", bad]
+    int_options = [
+        ["construct", "8/5", "--k"],
+        ["verify", "8/5", "--poly", POLY, "--prefix"],
+        ["decode", "8/5", "--poly", POLY, "--value"],
+        ["decode", "8/5", "--poly", POLY, "--value", "1", "--verify-n"],
+        ["search", "8/5", "--prefix"],
+        ["search", "8/5", "--max-k"],
+        ["search", "8/5", "--offset-range"],
+        ["search", "8/5", "--raw"],
+        ["sweep", "--max-m", "2", "--max-n"],
+        ["sweep", "--max-n", "2", "--max-m"],
+        ["sweep", "--max-n", "2", "--max-m", "2", "--prefix"],
+        ["render", "8/5", "--poly", POLY, "--max-x"],
+    ]
+    for prefix in int_options:
+        for bad in ["-1", "-" + "9" * 20, *NON_INTEGERS]:
+            yield [*prefix, bad]
+    yield from [
+        [], ["nosuch"], ["classify"], ["construct", "8/5"], ["verify", "8/5"],
+        ["encode", "8/5", "--poly", POLY], ["encode", "8/5", "--point", "1,1"],
+        ["decode", "8/5", "--poly", POLY], ["decode", "8/5", "--value", "1"],
+        ["search"], ["sweep"], ["sweep", "--max-n", "2"], ["reduce"], ["dual"],
+        ["render", "8/5", "--poly", POLY], ["render", "8/5", "--max-x", "3"],
+        ["construct", "8/5", "--k", "1", "--direction", "up"],
+        ["render", "8/5", "--poly", POLY, "--max-x", "3", "--format", "png"],
+    ]
+
+
+# a refused scheme or a failed check: exit 1
+REFUSED = [
+    ["verify", "8/5", "--poly", "4 -4 1 -1 1 3", "--prefix", "20"],
+    ["verify", "8/5", "--poly", "4 -4 1 -1 1 1/2", "--prefix", "20"],
+    ["verify", "8/5", "--poly", "1 0 0 0 1 0"],
+    ["verify", "3/1", "--poly", POLY],
+    ["encode", "8/5", "--poly", "4 -4 1 -1 1 3", "--point", "1,1"],
+    ["encode", "8/5", "--poly", "1.5 0 0 0 0 0", "--point", "1,1"],
+    ["encode", "8/5", "--poly", POLY, "--point", "1,2"],
+    ["encode", "3/1", "--poly", POLY, "--point", "1,1"],
+    ["decode", "8/5", "--poly", "0 0 0 0 0 0", "--value", "3"],
+    ["decode", "4/9", "--poly", "2 -4 2 0 0 0", "--value", "1"],
+    ["construct", "8/5", "--k", "3"],
+    ["dual", "3/1"],
+    ["dual", "7/3"],
+]
+
+
+class TestFuzz:
+    """No traceback on bad input, and the documented exit code."""
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return code, out, err
+
+    @pytest.mark.parametrize("argv", list(_usage_grid()), ids=repr)
+    def test_usage_error_exits_2(self, capsys, argv):
+        code, out, err = self._run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", REFUSED, ids=repr)
+    def test_refusal_exits_1(self, capsys, argv):
+        code, _, err = self._run(capsys, argv)
+        assert code == 1

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import math
 import pickle
 import random
 import sys
 import threading
+from copy import deepcopy
 
 import pytest
 
@@ -155,19 +158,72 @@ class TestOtherSectors:
             make_scheme(sector(4, 9), desc_49.poly, 500)
 
 
+class TestClosedForm:
+    def test_decode_matches_stream_on_grid(self):
+        # every classified stair polynomial on coprime n, m <= 40 that
+        # make_scheme accepts; it refuses only descending ones whose dual
+        # is not a staircase sector
+        checked = 0
+        for n in range(1, 41):
+            for m in range(2, 41):
+                if math.gcd(n, m) != 1:
+                    continue
+                for entry in classify(n, m).entries:
+                    try:
+                        scheme = make_scheme(sector(n, m), entry.poly, 500)
+                    except ValueError:
+                        assert entry.form.direction is Direction.DESCENDING
+                        continue
+                    points = scheme.stream(500)
+                    assert [scheme.decode(v) for v in range(500)] == points, (n, m, entry.poly)
+                    checked += 1
+        assert checked == 241
+
+    def test_big_values_round_trip(self, fig1_scheme, fig1_desc_scheme, fig3_scheme):
+        # encode is injective on the sector, so contains + re-encode pins the point
+        rng = random.Random(5)
+        schemes = [fig1_scheme, fig1_desc_scheme, fig3_scheme,
+                   make_scheme(sector(36, 25), classify(36, 25).entries[0].poly, 500)]
+        for scheme in schemes:
+            for _ in range(300):
+                value = rng.randrange(10 ** rng.randint(1, 100))
+                point = scheme.decode(value)
+                assert scheme.sector.contains(point)
+                assert scheme.encode(point) == value
+
+    def test_staircase_ends_far_out(self, fig1_scheme, fig3_scheme):
+        # the first and last stair of far staircases sit where a rounded
+        # root or a wrong table entry would land one staircase off
+        rng = random.Random(6)
+        for scheme in (fig1_scheme, fig3_scheme):
+            lines = scheme.sector.lines
+            for _ in range(300):
+                c = rng.randrange(10 ** rng.randint(1, 60))
+                x0, z, count = lines.line(c)
+                if count == 0:
+                    continue
+                for t in (0, count - 1):
+                    point = LatticePoint(x0 + t * lines.u, z + t * lines.v)
+                    assert scheme.decode(scheme.encode(point)) == point
+
+
 class TestCopies:
     def test_pickle_round_trip(self, fig3_scheme):
         copy = pickle.loads(pickle.dumps(fig3_scheme))
         assert copy == fig3_scheme
-        assert copy._lock is not fig3_scheme._lock
+        assert deepcopy(fig3_scheme) == fig3_scheme
         assert [copy.decode(v) for v in range(500)] == stream(fig3_scheme, 500)
+
+    def test_frozen(self, fig1_desc_scheme):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fig1_desc_scheme.verified_n = 0
 
 
 class TestThreads:
     def test_concurrent_cold_decodes(self):
-        # Four threads decode large values on fresh schemes at once, so they
-        # grow the same cumulative-count cache together; a tiny switch
-        # interval makes them interleave inside the growth loop.
+        # Four threads decode large values on one fresh scheme at once, with
+        # a tiny switch interval so they interleave inside decode; a scheme
+        # holds nothing that changes after construction.
         rng = random.Random(1)
         failures = []
 
