@@ -14,6 +14,7 @@ from .polynomials import QuadPoly
 from .sectors import LatticePoint, Sector
 
 MAX_TEXT_X = 200
+MAX_TEXT_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,9 @@ def render(spec: RenderSpec) -> str:
     if spec.format == "text":
         if spec.max_x > MAX_TEXT_X:
             raise ValueError(f"text mode is capped at max_x = {MAX_TEXT_X}")
+        cells = (spec.max_x + 1) * (spec.max_x * spec.sector.n // spec.sector.m + 1)
+        if cells > MAX_TEXT_CELLS:
+            raise ValueError(f"text mode is capped at {MAX_TEXT_CELLS} cells, this grid has {cells}")
         return _render_text(spec)
     if spec.format == "svg":
         return _render_svg(spec)

@@ -77,7 +77,7 @@ def _resolve_workers(requested: Optional[int]) -> int:
             raise InvalidEnvironment(
                 f"SECTORPACK_THREADS must be an integer, got {cap!r}"
             ) from None
-    return max(1, workers)
+    return workers
 
 
 def sweep(
@@ -90,10 +90,13 @@ def sweep(
 
     Rows are ordered by (n, m) regardless of how many workers evaluate
     them; SECTORPACK_THREADS caps the worker count.  A zero bound gives
-    an empty report; a negative one raises ValueError.
+    an empty report; a negative one raises ValueError, and so does a
+    worker count below 1 (None means one worker per CPU).
     """
     if max_n < 0 or max_m < 0:
         raise ValueError(f"max_n and max_m must be nonnegative, got {max_n} and {max_m}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     params = params or SearchParams()
     tasks = [
         (n, m, params)

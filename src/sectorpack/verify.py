@@ -160,21 +160,21 @@ class _LineTable:
         spans[i] is that line's (c, first t); vmin is the minimum of 0 and
         every line's values; negative is the first (c, t) with value < 0.
 
-        On line c every sector point has c*l/n <= x <= m*c*l/n and
-        0 <= y <= c*l, so each value there is at least
-        Q*(c*l)**2 + F + min(A, A*m)*c*l/n + min(B, 0)*c*l, a convex
-        quadratic in c that increases past its vertex.  The walk stops at
-        the first line past (an upper estimate of) that vertex where this
-        bound exceeds hi: every value on every later line exceeds hi.
+        On line c the sector's points lie on the segment from (c*l/n, 0)
+        to (m*c*l/n, c*l), and the linear A*x + B*y is least at an end, so
+        each value there is at least Q*(c*l)**2 + F + k_lo*c*l/n with
+        k_lo = min(A, A*m + B*n): a convex quadratic in c that increases
+        past its vertex.  The walk stops at the first line past (an upper
+        estimate of) that vertex where this bound exceeds hi: every value
+        on every later line exceeds hi.
         """
         lines, rows, Q = self.lines, self.rows, self.Q
         n, l = lines.n, lines.l
         step, rem = divmod(A * lines.u + B * lines.v, unit)
         if rem:
             raise ValueError("stair step is not an integer; polynomial is not integer-valued")
-        a_lo = A if A >= 0 else A * lines.m
-        b_lo = B if B < 0 else 0
-        vertex = (-a_lo // n - b_lo) // (2 * Q * l) + 2
+        k_lo = min(A, A * lines.m + B * n)
+        vertex = (-k_lo // n) // (2 * Q * l) + 2
         hi_scaled = hi * unit
 
         ranges: list = []
@@ -186,7 +186,7 @@ class _LineTable:
             if c >= len(rows):
                 self.grow(c + 64)
             x0, z, cnt, q = rows[c]
-            if c > vertex and q + (a_lo * c * l) // n + b_lo * c * l > hi_scaled:
+            if c > vertex and q + (k_lo * c * l) // n > hi_scaled:
                 break
             if cnt > 0:
                 base, rem = divmod(q + A * x0 + B * z, unit)
@@ -361,6 +361,13 @@ def rectangle_points(s: Sector, x_max: int) -> list[LatticePoint]:
 # what the filter does.
 
 
+def _edge_threshold(n: int, lo: int) -> int:
+    """The least S with n*n*t*t + S*t >= lo (lo <= 0) for every integer t >= 1:
+    the largest ceil((lo - n*n*t*t)/t), where lo/t - n*n*t is concave in t
+    and peaks at t = sqrt(-lo)/n."""
+    return max(-((n * n * t * t - lo) // t) for t in range(1, math.isqrt(-lo) // n + 2))
+
+
 def _filter_candidates(
     s: Sector,
     candidates: Iterable[tuple[int, int]],
@@ -379,21 +386,14 @@ def _filter_candidates(
     lo = -scale * offset_range
     need = prefix_n + 1
     survivors = []
+    # Cheap rejection: on the x-axis points (t, 0) and the ray points
+    # (m*t, n*t) the value is n*n*t*t + S*t with S = A or A*m + B*n, and a
+    # value below lo there cannot be rescued by any offset.
+    s_min = _edge_threshold(n, lo)
 
     for d2, e2 in candidates:
-        A = n * d2
-        B = e2
-        if A * u + B * v == 0:
-            continue
-
-        # Cheap rejection: the x-axis and the boundary ray are in the
-        # sector; a value below lo there cannot be rescued by any offset.
-        xv = max(1, -d2 // (2 * n))
-        if any(n * n * x * x + A * x < lo for x in (1, xv, xv + 1)):
-            continue
-        bslope = A * m + B * n
-        tv = max(1, -bslope // (2 * n * n))
-        if any(n * n * t * t + bslope * t < lo for t in (1, tv, tv + 1)):
+        A, B = n * d2, e2
+        if A * u + B * v == 0 or A < s_min or A * m + B * n < s_min:
             continue
 
         ranges, _, vmin, _ = table.walk(A, B, scale, -offset_range, prefix_n)

@@ -41,6 +41,10 @@ SWEEP_LIMIT = 30
 # single-pass search filter.  It pins the searched and raw-stage survivors
 # coefficient by coefficient and in order; the sweep CSV pins only counts.
 SWEEP_SURVIVORS_SHA256 = "ee82e3c2db8ab0cdbc82718099e38e9481ebe9e849d69b3044a869c47a3f8400"
+# sha256 of depth8_listing(), recorded with the three-point edge probes and
+# the line-stop bound that bounded x and y apart.  It pins every raw-grid
+# candidate that passes the depth-8 filter, certified or not.
+DEPTH8_SURVIVORS_SHA256 = "ce774dbd632930f823b62707f555f82e189189470e9fe483a02e73e9bf9878b9"
 
 
 def report(criterion: int, label: str) -> None:
@@ -123,6 +127,29 @@ def test_criterion_03_survivors_pinned(sweep_run):
     digest = hashlib.sha256(survivor_listing(result).encode()).hexdigest()
     assert digest == SWEEP_SURVIVORS_SHA256
     report(3, "30x30 searched and raw survivors identical coefficient by coefficient")
+
+
+def depth8_listing() -> str:
+    """One n,m,d2,e2,f line per depth-8 filter survivor of each sector's
+    raw stage (bound 40; the column grid when m == 1)."""
+    from sectorpack.verify import _filter_candidates, _integral_candidates, _raw_candidates
+
+    lines = []
+    for n in range(1, SWEEP_LIMIT + 1):
+        for m in range(1, SWEEP_LIMIT + 1):
+            if math.gcd(n, m) != 1:
+                continue
+            s = sector(n, m)
+            grid = _integral_candidates(n, 40) if m == 1 else _raw_candidates(s, 40)
+            for d2, e2, f in _filter_candidates(s, grid, 8, SWEEP_PARAMS.offset_range):
+                lines.append(f"{n},{m},{d2},{e2},{f}")
+    return "\n".join(lines) + "\n"
+
+
+def test_criterion_03_depth8_survivors_pinned():
+    digest = hashlib.sha256(depth8_listing().encode()).hexdigest()
+    assert digest == DEPTH8_SURVIVORS_SHA256
+    report(3, "30x30 raw-grid depth-8 filter survivors identical coefficient by coefficient")
 
 
 def test_criterion_04_raw_survivors_satisfy_necessary_form(sweep_run):

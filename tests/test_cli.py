@@ -175,6 +175,8 @@ class TestUsageErrors:
             ["construct", "8/5", "--k", "-2"],
             ["render", "8/5", "--poly", "4 -4 1 -1 1 0", "--max-x", "-1"],
             ["render", "8/5", "--poly", "4 -4 1 -1 1 0", "--max-x", "201"],
+            ["render", "99999999999999999999/2", "--poly", "4 -4 1 -1 1 0", "--max-x", "3"],
+            ["sweep", "--max-n", "2", "--max-m", "2", "--workers", "0"],
             ["decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--verify-n", "-5", "--value", "3"],
         ],
     )
@@ -314,6 +316,7 @@ def _usage_grid():
         ["sweep", "--max-n", "2", "--max-m"],
         ["sweep", "--max-n", "2", "--max-m", "2", "--prefix"],
         ["render", "8/5", "--poly", POLY, "--max-x"],
+        ["sweep", "--max-n", "2", "--max-m", "2", "--workers"],
     ]
     for prefix in int_options:
         for bad in ["-1", "-" + "9" * 20, *NON_INTEGERS]:
@@ -326,6 +329,8 @@ def _usage_grid():
         ["render", "8/5", "--poly", POLY], ["render", "8/5", "--max-x", "3"],
         ["construct", "8/5", "--k", "1", "--direction", "up"],
         ["render", "8/5", "--poly", POLY, "--max-x", "3", "--format", "png"],
+        ["render", "9" * 20 + "/2", "--poly", POLY, "--max-x", "3"],
+        ["sweep", "--max-n", "2", "--max-m", "2", "--workers", "0"],
     ]
 
 

@@ -55,6 +55,11 @@ class TestTextRender:
             render(RenderSpec(sector(8, 5), P_PLUS, max_x=201))
         with pytest.raises(ValueError):
             render(RenderSpec(sector(8, 5), P_PLUS, max_x=-1))
+        # the row count grows with n/m: the cell cap applies before any row
+        with pytest.raises(ValueError, match="cells"):
+            render(RenderSpec(sector(3, 1), P_PLUS, max_x=200))
+        with pytest.raises(ValueError, match="cells"):
+            render(RenderSpec(sector(10**20 - 1, 2), P_PLUS, max_x=3))
         with pytest.raises(ValueError):
             render(RenderSpec(sector(8, 5), P_PLUS, max_x=3, format="png"))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
@@ -33,6 +34,8 @@ from sectorpack import (
 from sectorpack.sweep import _resolve_workers, _sweep_row
 from sectorpack.verify import (
     _PREFILTER_N,
+    _LineTable,
+    _edge_threshold,
     _filter_candidates,
     _filter_two_pass,
     _integral_candidates,
@@ -128,6 +131,80 @@ def test_walk_matches_rectangle_scan(nm, d, e, f, n_max):
         if 0 <= value <= n_max:
             want.add((pt, value))
     assert got == want
+
+
+class _ReadLog(list):
+    """Line rows that remember the last line a walk read: its stop line."""
+
+    last = -1
+
+    def __getitem__(self, c):
+        self.last = max(self.last, c)
+        return super().__getitem__(c)
+
+
+@given(
+    st.sampled_from(
+        [(n, m) for n in range(1, 61) for m in range(1, 61) if math.gcd(n, m) == 1]
+    ),
+    st.integers(-500, 500),
+    st.integers(-500, 500),
+    st.integers(1, 10),
+    st.integers(-300, 300),
+    st.integers(-300, 0),
+    st.integers(0, 300),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
+    s = sector(*nm)
+    lines = s.lines
+    n, l = lines.n, lines.l
+    table = _LineTable(s, Q, F)
+    table.rows = rows = _ReadLog()
+    table.walk(A, B, 1, lo, hi)
+    stop = rows.last
+    # every value on the stop line and the 50 lines past it exceeds hi; the
+    # value is linear in t along a line, so its minimum is at an end
+    for c in range(stop, stop + 51):
+        x0, z, count = lines.line(c)
+        if count:
+            ends = [(x0, z), (x0 + (count - 1) * lines.u, z + (count - 1) * lines.v)]
+            assert min(Q * (c * l) ** 2 + F + A * x + B * y for x, y in ends) > hi
+    # the bound Q*(c*l)**2 + F + min(A, A*m)*c*l/n + min(B, 0)*c*l, which
+    # takes x and y apart, never stops earlier
+    a_lo, b_lo = min(A, A * s.m), min(B, 0)
+    vertex = (-a_lo // n - b_lo) // (2 * Q * l) + 2
+    old_stop = next(
+        c
+        for c in itertools.count(vertex + 1)
+        if Q * (c * l) ** 2 + F + (a_lo * c * l) // n + b_lo * c * l > hi
+    )
+    assert stop <= old_stop
+
+
+def _probe_rejects(n: int, lo: int, S: int) -> bool:
+    """The edge probe the threshold replaced: n*n*t*t + S*t < lo at t = 1
+    or at the integers around the real minimiser -S/(2*n*n)."""
+    tv = max(1, -S // (2 * n * n))
+    return any(n * n * t * t + S * t < lo for t in (1, tv, tv + 1))
+
+
+class TestEdgeThreshold:
+    def test_equals_probe_near_threshold(self):
+        # every n <= 40 and offset_range 0..12, every S within n*n of it
+        for n in range(1, 41):
+            for offset_range in range(13):
+                lo = -2 * n * offset_range
+                s_min = _edge_threshold(n, lo)
+                for S in range(s_min - n * n, s_min + n * n + 1):
+                    assert _probe_rejects(n, lo, S) == (S < s_min), (n, offset_range, S)
+
+    @given(st.integers(1, 40), st.integers(0, 12), st.integers(-50, 50), st.data())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_equals_probe(self, n, offset_range, k, data):
+        lo = -2 * n * offset_range
+        S = data.draw(st.integers(k * n * n - n * n, k * n * n))
+        assert _probe_rejects(n, lo, S) == (S < _edge_threshold(n, lo))
 
 
 class TestPrefixCheck:
@@ -413,6 +490,11 @@ class TestSweep:
         assert lines[0] == "n,m,classified_count,search_count,match"
         assert lines[1] == "1,1,2,2,true"
         assert all(line.endswith("true") for line in lines[1:])
+
+    @pytest.mark.parametrize("workers", [0, -1, -(10**20)])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep(2, 2, workers=workers)
 
     def test_rows_sorted(self):
         report = sweep(4, 4, SearchParams(150, 5, 8, 0), workers=1)
