@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ZeroStep
 from .polynomials import Direction, KStairForm, QuadPoly, construct, kstair_extract
 from .sectors import LatticeMap, Quadrant, Sector, sector, w_reduce
 
@@ -130,18 +129,6 @@ def admissible_ks(n: int, m: int) -> set[tuple[int, Direction]]:
     return pairs
 
 
-def _integral_form(p: QuadPoly) -> KStairForm:
-    """Stair metadata for an integral-sector polynomial, reading columns
-    x = const as the staircases: the per-column step is e."""
-    if p.e == 0:
-        raise ZeroStep("integral-sector polynomial is constant along columns")
-    k = abs(p.e)
-    if k.denominator != 1 or p.f.denominator != 1:
-        raise ValueError("integral-sector entry must have integer step and offset")
-    direction = Direction.ASCENDING if p.e > 0 else Direction.DESCENDING
-    return KStairForm(k.numerator, direction, 0, p.f.numerator)
-
-
 # Integral sectors with extra polynomials: n -> (staircase sector m, k).
 _INTEGRAL_EXTRAS = {3: (10, 3), 4: (9, 2)}
 
@@ -167,8 +154,8 @@ def _dedup(entries: list[Entry]) -> tuple[Entry, ...]:
 def _classify_integral(s: Sector) -> list[Entry]:
     f_n, g_n = nathanson_polys(s.n)
     entries = [
-        Entry(f_n, _integral_form(f_n), Provenance.NATHANSON_F),
-        Entry(g_n, _integral_form(g_n), Provenance.NATHANSON_G),
+        Entry(f_n, kstair_extract(s, f_n), Provenance.NATHANSON_F),
+        Entry(g_n, kstair_extract(s, g_n), Provenance.NATHANSON_G),
     ]
     if s.n in _INTEGRAL_EXTRAS:
         m_special, k = _INTEGRAL_EXTRAS[s.n]
@@ -178,16 +165,16 @@ def _classify_integral(s: Sector) -> list[Entry]:
         back = shear.inverse()                  # back  : I(s) -> I(special)
         asc_here = asc_poly.compose(back)
         entries.append(
-            Entry(asc_here, _integral_form(asc_here), Provenance.TRANSPORTED, back)
+            Entry(asc_here, kstair_extract(s, asc_here), Provenance.TRANSPORTED, back)
         )
         # The descending partner comes from the sector's order-2 automorphism
-        # (x, y) -> (x, n*x - y); the dual route is degenerate here.
+        # (x, y) -> (x, n*x - y), so its transport chain stays on S(n).
         flip = LatticeMap(1, 0, s.n, -1, source=s, target=s)
         desc_here = asc_here.compose(flip)
         entries.append(
             Entry(
                 desc_here,
-                _integral_form(desc_here),
+                kstair_extract(s, desc_here),
                 Provenance.TRANSPORTED,
                 back.compose(flip),
             )

@@ -1,17 +1,19 @@
 """Verified packing polynomials as pairing functions.
 
-A scheme wraps a stair packing polynomial on a sector with m >= 2 and
-provides constant-time encode, value-to-point decode, and an in-order
-point stream.  Decoding an ascending scheme uses the residue-class
-structure: staircases with index congruent to c0 mod k carry exactly the
-values first_stair_value(c0) + k*N, in staircase-then-step order.  Within
-a class the stair counts grow by k*l every v staircases, so the cumulative
-count is a quadratic in the period index plus a v-entry table, and decode
-inverts it in closed form with one isqrt: O(1) big-integer operations and
-no state that grows with the value.
+A scheme wraps a stair packing polynomial on any sector S(n/m), integral
+ones included, and provides constant-time encode, value-to-point decode,
+and an in-order point stream.  Decoding an ascending scheme uses the
+residue-class structure: staircases with index congruent to c0 mod k carry
+exactly the values first_stair_value(c0) + k*N, in staircase-then-step
+order.  Within a class the stair counts grow by k*l every v staircases, so
+the cumulative count is a quadratic in the period index plus a v-entry
+table, and decode inverts it in closed form with one isqrt: O(1)
+big-integer operations and no state that grows with the value.
 
 Descending schemes decode through the dual ascending scheme on
-S(n/(n+2-m)) and carry the point back through the duality map.
+S(n/(n+2-m)) (S(n/(n+1)) for an integral sector) and carry the point back
+through the duality map; a descending polynomial whose sector has no dual
+(t_dual raises DegenerateDual) is refused.
 """
 
 from __future__ import annotations
@@ -151,8 +153,6 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
     Runs prefix_check to depth max(verify_to, 500) first and refuses
     polynomials that fail it.
     """
-    if s.m < 2:
-        raise ValueError("pairing schemes need a staircase sector (m >= 2)")
     verify_to = max(verify_to, MIN_VERIFY_N)
     report = prefix_check(s, p, verify_to)
     if not report.ok:
@@ -179,10 +179,6 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
             raise ValueError(
                 f"descending schemes on S({s}) are unsupported: {exc}"
             ) from exc
-        if dual_sector.m < 2:
-            raise ValueError(
-                f"descending schemes on S({s}) are unsupported: dual sector is integral"
-            )
         from_dual = t_dual(dual_sector)[1]  # the inverse duality map
         dual = make_scheme(dual_sector, p.compose(from_dual), verify_to)
     return PairingScheme(

@@ -1,12 +1,13 @@
 """Bivariate quadratics with exact rational coefficients.
 
-A candidate packing polynomial on a sector S(n/m) with m >= 2 always has
-homogeneous part (n/2)*(x - (m-1)*y/n)**2; its values are then constant
-along each staircase line up to a linear term, which is what makes both
-classification and enumeration tractable.  This module holds the
-representation, the stair-form bookkeeping, and the constructive side:
-the unique linear coefficients a k-stair packing polynomial can have, and
-the offset that makes the first k staircases carry the values 0..k-1.
+A candidate packing polynomial on a sector S(n/m) always has homogeneous
+part (n/2)*(x - (m-1)*y/n)**2, which is (n/2)*x**2 on an integral sector
+S(n); its values are then constant along each staircase line up to a
+linear term, which is what makes both classification and enumeration
+tractable.  This module holds the representation, the stair-form
+bookkeeping, and the constructive side: the unique linear coefficients a
+k-stair packing polynomial can have, and the offset that makes the first k
+staircases carry the values 0..k-1.
 """
 
 from __future__ import annotations
@@ -204,8 +205,6 @@ def kstair_extract(s: Sector, p: QuadPoly) -> KStairForm:
     The stair-to-stair difference is d*(m-1)/l + e*n/l, constant on every
     staircase because the homogeneous part is.
     """
-    if s.m < 2:
-        raise ValueError("stair extraction needs m >= 2")
     if not stanton_check(s, p):
         raise ValueError("polynomial does not have the forced homogeneous part")
     u, v = s.lines.u, s.lines.v
@@ -236,8 +235,6 @@ def necessary_coefficients(
     k required to be congruent to (m-1)/l mod n/l; descending mirrors the
     signs and the residue class.
     """
-    if s.m < 2:
-        raise ValueError("stair coefficients need m >= 2")
     if (s.m - 1) ** 2 % s.n != 0:
         raise NotAdmissible(f"{s.n} does not divide ({s.m}-1)^2")
     if k < 1:

@@ -28,14 +28,16 @@ class RenderSpec:
 
 
 def render(spec: RenderSpec) -> str:
+    """Render the labeled grid; both formats are capped at MAX_TEXT_CELLS
+    grid cells and text mode also at max_x = MAX_TEXT_X."""
     if spec.max_x < 0:
         raise ValueError("max_x must be nonnegative")
+    if spec.format == "text" and spec.max_x > MAX_TEXT_X:
+        raise ValueError(f"text mode is capped at max_x = {MAX_TEXT_X}")
+    cells = (spec.max_x + 1) * (spec.max_x * spec.sector.n // spec.sector.m + 1)
+    if cells > MAX_TEXT_CELLS:
+        raise ValueError(f"rendering is capped at {MAX_TEXT_CELLS} cells, this grid has {cells}")
     if spec.format == "text":
-        if spec.max_x > MAX_TEXT_X:
-            raise ValueError(f"text mode is capped at max_x = {MAX_TEXT_X}")
-        cells = (spec.max_x + 1) * (spec.max_x * spec.sector.n // spec.sector.m + 1)
-        if cells > MAX_TEXT_CELLS:
-            raise ValueError(f"text mode is capped at {MAX_TEXT_CELLS} cells, this grid has {cells}")
         return _render_text(spec)
     if spec.format == "svg":
         return _render_svg(spec)

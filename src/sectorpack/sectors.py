@@ -1,12 +1,12 @@
 """Sector geometry: rational sectors, staircases, and lattice-preserving maps.
 
 The sector S(n/m) is the plane region {(x, y) : x, y >= 0 and m*y <= n*x}.
-Its lattice points decompose into one family of parallel lines: line c is
-the set of lattice points on (m-1)*y = n*x - c*l, where l = gcd(n, m-1)
-(l = n when m == 1).  Consecutive points on a line differ by the fixed step
-(u, v) = ((m-1)/l, n/l).  For m >= 2 the lines are the "staircases"; on the
-integral sectors S(n) (m == 1) they are the columns x = c, the same family
-with u = 0, v = 1.  LineFamily holds the geometry of every line in O(1).
+Its lattice points decompose into one family of parallel lines, the
+"staircases": line c is the set of lattice points on (m-1)*y = n*x - c*l,
+where l = gcd(n, m-1).  Consecutive points on a line differ by the fixed
+step (u, v) = ((m-1)/l, n/l).  On the integral sectors S(n) = S(n/1),
+l = gcd(n, 0) = n and the staircases are the columns x = c, with u = 0 and
+v = 1.  LineFamily holds the geometry of every line in O(1).
 
 Everything here is exact integer / reduced-rational arithmetic.  Boundary
 membership (m*y == n*x) must be decided exactly, so no floating point is
@@ -66,9 +66,8 @@ def mod_inverse(a: int, modulus: int) -> int:
 class Sector:
     """The sector S(n/m) with n, m coprime positive integers.
 
-    ``l`` is gcd(n, m-1); for m == 1 we take l = n (the gcd(n, 0)
-    convention).  Staircase operations require m >= 2, since the staircase
-    slope n/(m-1) is undefined on integral sectors.
+    ``l`` is gcd(n, m-1), which is n on an integral sector (m = 1), whose
+    staircases are its columns.
     """
 
     n: int
@@ -87,27 +86,21 @@ class Sector:
 
     @cached_property
     def lines(self) -> LineFamily:
-        """The sector's line family (staircases, or columns when m == 1)."""
+        """The sector's line family, its staircases."""
         return LineFamily(self)
-
-    def _need_staircases(self) -> None:
-        if self.m < 2:
-            raise ValueError("staircases are undefined on integral sectors (m must be >= 2)")
 
     def staircase_index(self, p: LatticePoint) -> int:
         """Index c of the staircase through p: c = (n*x - (m-1)*y) / l."""
-        self._need_staircases()
         if not self.contains(p):
             raise PointOutsideSector(f"{tuple(p)} is not in S({self})")
         return (p.x * self.n - p.y * (self.m - 1)) // self.l
 
     def first_stair(self, c: int) -> LatticePoint:
-        """Minimal-x lattice point with y >= 0 on the staircase-c line.
+        """The lattice point with the least y >= 0 on the staircase-c line.
 
         Whenever n divides (m-1)**2 this point lies in the sector; in
         general it may sit above the boundary ray.
         """
-        self._need_staircases()
         x0, z, _ = self.lines.line(c)
         return LatticePoint(x0, z)
 
@@ -116,11 +109,9 @@ class Sector:
 
         Boundary points (m*y == n*x) count.
         """
-        self._need_staircases()
         return self.lines.line(c)[2]
 
     def stair_step(self) -> tuple[int, int]:
-        self._need_staircases()
         return (self.lines.u, self.lines.v)
 
     def stairs(self, c: int) -> list[LatticePoint]:
@@ -206,8 +197,7 @@ def sector(n: int, m: int) -> Sector:
         raise ValueError("sector parameters must be positive")
     if math.gcd(n, m) != 1:
         raise NotCoprime(f"gcd({n}, {m}) != 1")
-    l = n if m == 1 else math.gcd(n, m - 1)
-    return Sector(n=n, m=m, l=l)
+    return Sector(n=n, m=m, l=math.gcd(n, m - 1))
 
 
 def parse_sector(text: str) -> Sector:
@@ -336,12 +326,11 @@ def w_reduce(s: Sector) -> tuple[Region, LatticeMap]:
 def t_dual(s: Sector) -> tuple[Sector, LatticeMap]:
     """The determinant -1 duality map from S(n/m) onto S(n/(n+2-m)).
 
-    Requires m >= 2 and n | (m-1)**2, which makes (1 - m'*m)/n an integer.
-    Swaps ascending and descending stair polynomials between the two
-    sectors; applying it twice on a self-dual sector is the identity.
+    Requires n | (m-1)**2, which makes (1 - m'*m)/n an integer.  Swaps
+    ascending and descending stair polynomials between the two sectors;
+    applying it twice on a self-dual sector is the identity.  An integral
+    sector S(n) maps to S(n/(n+1)), and S(n/(n+1)) back onto S(n).
     """
-    if s.m < 2:
-        raise NotAdmissible("T-duality is undefined on integral sectors")
     if (s.m - 1) ** 2 % s.n != 0:
         raise NotAdmissible(f"{s.n} does not divide ({s.m}-1)^2")
     m_dual = s.n + 2 - s.m

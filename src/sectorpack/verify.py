@@ -4,8 +4,9 @@ Nothing in this module trusts the classification theorems, and it does
 not import them.  A candidate polynomial is accepted only if its values on
 the sector's lattice points form exactly the prefix {0..N}, each attained
 once, with no negative value anywhere — established by walking the
-sector's line family (staircases, or columns on integral sectors).  The
-oracle and the search filter share one walk in scaled integers.
+sector's line family (its staircases, which are the columns on integral
+sectors).  The oracle and the search filter share one walk in scaled
+integers.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -109,7 +110,7 @@ def _check_family(s: Sector, p: QuadPoly) -> None:
     """Check that the homogeneous part is constant along the line family.
 
     p2 must be a positive multiple of (n*x - (m-1)*y)**2, which is constant
-    on every line (for m == 1: a*x**2, constant on columns).  Anything else
+    on every line (a*x**2 on an integral sector).  Anything else
     admits no finite sweep bound.
     """
     n, m = s.n, s.m
@@ -451,18 +452,6 @@ def _raw_candidates(s: Sector, bound: int) -> Iterable[tuple[int, int]]:
             yield (d2, e2)
 
 
-def _integral_candidates(n: int, bound: int) -> Iterable[tuple[int, int]]:
-    """Integral-sector (d2, e2) grid with integer e = e2/(2n).  The
-    effective d-bound is raised to n+2 so the classical family always lies
-    inside the grid."""
-    d_bound = max(bound, n + 2)
-    e_bound = max(d_bound // 2, 3)
-    d_start = -d_bound + ((n - (-d_bound)) % 2)
-    for d2 in range(d_start, d_bound + 1, 2):
-        for e in range(-e_bound, e_bound + 1):
-            yield (d2, 2 * n * e)
-
-
 def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
     a, b, c2 = stanton_quadratic(s)
     return QuadPoly(a, b, c2, Fraction(d2, 2), Fraction(e2, 2 * s.n), Fraction(f))
@@ -510,8 +499,6 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
     prefix_check to params.prefix_n.  prefix_check is deterministic, so a
     raw-stage survivor with the coefficients of an already checked
     structured survivor reuses that verdict instead of checking again.
-    Integral sectors have no structured stage; their raw stage is the
-    column grid, which runs even when raw_grid_bound is 0.
     """
     found: dict[tuple, QuadPoly] = {}
     raw_found: list[QuadPoly] = []
@@ -525,11 +512,8 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
             found[key] = p
         return verdicts[key]
 
-    if s.m == 1:
-        structured, raw = [], _integral_candidates(s.n, params.raw_grid_bound)
-    else:
-        structured = _structured_candidates(s, params.max_k)
-        raw = _raw_candidates(s, params.raw_grid_bound) if params.raw_grid_bound > 0 else []
+    structured = _structured_candidates(s, params.max_k)
+    raw = _raw_candidates(s, params.raw_grid_bound) if params.raw_grid_bound > 0 else []
     for d2, e2, f in _filter_two_pass(s, structured, params):
         certified(_poly_from_scaled(s, d2, e2, f))
     for d2, e2, f in _filter_two_pass(s, raw, params):
@@ -545,10 +529,10 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
 def search(s: Sector, params: SearchParams) -> list[QuadPoly]:
     """Rediscover every packing polynomial on S(n/m) by brute force.
 
-    For m >= 2 the structured stage runs the stair coefficient families
-    for every admissible-residue k <= max_k, and the raw stage (if
-    enabled) sweeps the full (d, e) grid with only the homogeneous part
-    pinned.  Integral sectors sweep the analogous column grid.  Survivors
+    The structured stage runs the stair coefficient families for every
+    admissible-residue k <= max_k, and the raw stage (if enabled) sweeps
+    the full (d, e) grid with only the homogeneous part pinned.  Integral
+    sectors are no exception: their staircases are the columns.  Survivors
     are certified with prefix_check before being returned.
 
     Each stage filters first at the small depth _PREFILTER_N (8), then at

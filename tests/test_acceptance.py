@@ -106,7 +106,7 @@ def test_criterion_03_sweep_completeness(sweep_run):
     for row in result.rows:
         s = sector(row.n, row.m)
         for poly in row.searched:
-            k = kstair_extract(s, poly).k if row.m >= 2 else abs(int(poly.e))
+            k = kstair_extract(s, poly).k
             assert k <= 3, (row.n, row.m, poly.to_string())
     assert elapsed < 600, f"sweep took {elapsed:.1f}s, budget 600s"
     report(3, f"30x30 sweep, {expected_rows} sectors, zero mismatches, {elapsed:.1f}s")
@@ -131,8 +131,8 @@ def test_criterion_03_survivors_pinned(sweep_run):
 
 def depth8_listing() -> str:
     """One n,m,d2,e2,f line per depth-8 filter survivor of each sector's
-    raw stage (bound 40; the column grid when m == 1)."""
-    from sectorpack.verify import _filter_candidates, _integral_candidates, _raw_candidates
+    raw stage (bound 40)."""
+    from sectorpack.verify import _filter_candidates, _raw_candidates
 
     lines = []
     for n in range(1, SWEEP_LIMIT + 1):
@@ -140,7 +140,7 @@ def depth8_listing() -> str:
             if math.gcd(n, m) != 1:
                 continue
             s = sector(n, m)
-            grid = _integral_candidates(n, 40) if m == 1 else _raw_candidates(s, 40)
+            grid = _raw_candidates(s, 40)
             for d2, e2, f in _filter_candidates(s, grid, 8, SWEEP_PARAMS.offset_range):
                 lines.append(f"{n},{m},{d2},{e2},{f}")
     return "\n".join(lines) + "\n"
@@ -162,9 +162,8 @@ def test_criterion_04_raw_survivors_satisfy_necessary_form(sweep_run):
         for poly in row.raw_survivors:
             assert stanton_check(s, poly), (row.n, row.m, poly.to_string())
             assert (row.m - 1) ** 2 % row.n == 0
-            if row.m >= 2:
-                form = kstair_extract(s, poly)
-                assert (poly.d, poly.e) == necessary_coefficients(s, form.k, form.direction)
+            form = kstair_extract(s, poly)
+            assert (poly.d, poly.e) == necessary_coefficients(s, form.k, form.direction)
             survivors += 1
     assert survivors > 0
     report(4, f"{survivors} raw-grid survivors all carry the forced coefficients")

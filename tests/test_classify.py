@@ -173,8 +173,7 @@ class TestClassify:
             for entry in classify(n, m).entries:
                 report = prefix_check(s, entry.poly, 500)
                 assert report.ok, (n, m, entry.poly.to_string(), report.describe())
-                if m >= 2:
-                    assert stanton_check(s, entry.poly)
+                assert stanton_check(s, entry.poly)
                 assert entry.poly.is_integer_valued()
 
     def test_k_bound(self):
@@ -223,8 +222,8 @@ class TestClassify:
 
     def test_forms_match_extraction(self):
         for n, m in coprime_pairs(15):
-            if m < 2:
-                continue
             s = sector(n, m)
             for entry in classify(n, m).entries:
                 assert kstair_extract(s, entry.poly) == entry.form, (n, m)
+                if m == 1:
+                    assert entry.form.q == entry.form.k, n

@@ -126,6 +126,24 @@ class TestSearchSweepCmds:
         assert code == 0
         assert "4 polynomial(s)" in out
 
+    def test_search_integral(self, capsys):
+        # the k = 2 and k = 3 extras on S(4) and S(3) need no raw grid
+        for n in ("3", "4"):
+            code, out, _ = run(capsys, "search", n)
+            assert code == 0
+            assert "4 polynomial(s)" in out
+        code, out, _ = run(capsys, "search", "4", "--max-k", "1")
+        assert code == 0
+        assert "2 polynomial(s)" in out
+
+    def test_sweep_without_raw_grid(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--max-n", "6", "--max-m", "6", "--raw", "0", "--workers", "1"
+        )
+        assert code == 0
+        assert "false" not in out
+        assert "3,1,4,4,true" in out and "4,1,4,4,true" in out
+
     def test_sweep_ok(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--max-n", "4", "--max-m", "4", "--prefix", "200",
@@ -230,6 +248,14 @@ class TestOtherCmds:
             "source": "8/5", "target": "8/5",
         }
 
+    def test_dual_integral(self, capsys):
+        code, out, _ = run(capsys, "dual", "3/1", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "target": "3/4",
+            "map": {"a11": 4, "a12": -1, "a21": 3, "a22": -1, "source": "3/1", "target": "3/4"},
+        }
+
     def test_dual_inadmissible_exits_1(self, capsys):
         code, _, err = run(capsys, "dual", "7/3")
         assert code == 1
@@ -330,6 +356,7 @@ def _usage_grid():
         ["construct", "8/5", "--k", "1", "--direction", "up"],
         ["render", "8/5", "--poly", POLY, "--max-x", "3", "--format", "png"],
         ["render", "9" * 20 + "/2", "--poly", POLY, "--max-x", "3"],
+        ["render", "9" * 20 + "/2", "--poly", POLY, "--max-x", "3", "--format", "svg"],
         ["sweep", "--max-n", "2", "--max-m", "2", "--workers", "0"],
     ]
 
@@ -347,7 +374,6 @@ REFUSED = [
     ["decode", "8/5", "--poly", "0 0 0 0 0 0", "--value", "3"],
     ["decode", "4/9", "--poly", "2 -4 2 0 0 0", "--value", "1"],
     ["construct", "8/5", "--k", "3"],
-    ["dual", "3/1"],
     ["dual", "7/3"],
 ]
 

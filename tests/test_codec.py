@@ -11,6 +11,7 @@ from copy import deepcopy
 import pytest
 
 from sectorpack import (
+    DegenerateDual,
     Direction,
     LatticePoint,
     PointOutsideSector,
@@ -59,9 +60,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_scheme(sector(8, 5), P_PLUS.with_offset(3), 500)
 
-    def test_rejects_integral_sector(self):
-        with pytest.raises(ValueError):
-            make_scheme(sector(4, 1), QuadPoly.from_string("2 0 0 -1 1 0"), 500)
+    def test_integral_sector_round_trip(self):
+        # every S(4) entry: k = 1 and the k = 2 extras, both directions; the
+        # descending ones decode through the dual S(4/5)
+        s = sector(4, 1)
+        for entry in classify(4, 1).entries:
+            scheme = make_scheme(s, entry.poly, 500)
+            assert scheme.form == entry.form
+            points = scheme.stream(3000)
+            assert [scheme.decode(v) for v in range(3000)] == points
+            assert [scheme.encode(p) for p in points] == list(range(3000))
+            for value in (10**12, 10**30 + 7):
+                assert scheme.encode(scheme.decode(value)) == value
 
     def test_json(self, fig3_scheme):
         assert fig3_scheme.to_json_dict() == {
@@ -160,24 +170,25 @@ class TestOtherSectors:
 
 class TestClosedForm:
     def test_decode_matches_stream_on_grid(self):
-        # every classified stair polynomial on coprime n, m <= 40 that
-        # make_scheme accepts; it refuses only descending ones whose dual
-        # is not a staircase sector
-        checked = 0
+        # every classified polynomial on coprime n, m <= 40 that make_scheme
+        # accepts; it refuses only descending ones whose sector has no dual
+        checked = refused = 0
         for n in range(1, 41):
-            for m in range(2, 41):
+            for m in range(1, 41):
                 if math.gcd(n, m) != 1:
                     continue
                 for entry in classify(n, m).entries:
                     try:
                         scheme = make_scheme(sector(n, m), entry.poly, 500)
-                    except ValueError:
+                    except ValueError as exc:
                         assert entry.form.direction is Direction.DESCENDING
+                        assert isinstance(exc.__cause__, DegenerateDual)
+                        refused += 1
                         continue
                     points = scheme.stream(500)
                     assert [scheme.decode(v) for v in range(500)] == points, (n, m, entry.poly)
                     checked += 1
-        assert checked == 241
+        assert (checked, refused) == (366, 156)
 
     def test_big_values_round_trip(self, fig1_scheme, fig1_desc_scheme, fig3_scheme):
         # encode is injective on the sector, so contains + re-encode pins the point

@@ -22,6 +22,7 @@ from sectorpack import (
     construct,
     determine_offset,
     kstair_extract,
+    nathanson_polys,
     necessary_coefficients,
     sector,
     stanton_check,
@@ -132,11 +133,16 @@ class TestKStairExtract:
         assert (f2.k, f2.direction) == (1, Direction.DESCENDING)
         f3 = kstair_extract(sector(12, 7), P127)
         assert (f3.k, f3.direction, f3.q, f3.offset_f) == (3, Direction.ASCENDING, 1, 2)
+        # on S(n) the staircases are the columns: the step is e, and q = k
+        f4 = kstair_extract(sector(4, 1), QuadPoly.from_string("2 0 0 5 -2 1"))
+        assert (f4.k, f4.direction, f4.q, f4.offset_f) == (2, Direction.DESCENDING, 2, 1)
 
     def test_zero_step(self):
         p = QuadPoly.from_string("4 -4 1 2 -1 0")  # step = 2*1 + (-1)*2 = 0
         with pytest.raises(ZeroStep):
             kstair_extract(sector(8, 5), p)
+        with pytest.raises(ZeroStep):
+            kstair_extract(sector(4, 1), QuadPoly.from_string("2 0 0 1 0 0"))
 
     def test_non_integral_offset(self):
         p = QuadPoly.from_string("4 -4 1 -1 1 1/2")
@@ -157,6 +163,13 @@ class TestNecessaryCoefficients:
         )
         assert necessary_coefficients(sector(36, 25), 2, Direction.ASCENDING) == (-11, 8)
         assert necessary_coefficients(sector(8, 5), 1, Direction.DESCENDING) == (3, -2)
+        # S(n): every k is admissible mod n/l = 1, d = 1 -+ k*n/2 and e = +-k
+        assert necessary_coefficients(sector(4, 1), 2, Direction.ASCENDING) == (-3, 2)
+        assert necessary_coefficients(sector(4, 1), 2, Direction.DESCENDING) == (5, -2)
+        assert necessary_coefficients(sector(3, 1), 3, Direction.ASCENDING) == (
+            Fraction(-7, 2),
+            3,
+        )
 
     def test_congruence_violation(self):
         with pytest.raises(CongruenceViolation):
@@ -222,6 +235,14 @@ class TestConstruct:
         p, _ = construct(sector(75, 46), 3, Direction.ASCENDING)
         assert p == QuadPoly.from_string("75/2 -45 27/2 -43/2 27/2 2")
         assert p.is_integer_valued()
+
+    def test_integral_nathanson_pair(self):
+        # k = 1 on S(n) builds Nathanson's f_n and g_n; desc goes through S(n/(n+1))
+        for n in range(1, 13):
+            s = sector(n, 1)
+            f_n, g_n = nathanson_polys(n)
+            assert construct(s, 1, Direction.ASCENDING)[0] == f_n, n
+            assert construct(s, 1, Direction.DESCENDING)[0] == g_n, n
 
     def test_error_propagation(self):
         with pytest.raises(CongruenceViolation):

@@ -60,6 +60,11 @@ class TestTextRender:
             render(RenderSpec(sector(3, 1), P_PLUS, max_x=200))
         with pytest.raises(ValueError, match="cells"):
             render(RenderSpec(sector(10**20 - 1, 2), P_PLUS, max_x=3))
+        # one cell cap covers both formats
+        with pytest.raises(ValueError, match="cells"):
+            render(RenderSpec(sector(8, 5), P_PLUS, max_x=250, format="svg"))
+        with pytest.raises(ValueError, match="cells"):
+            render(RenderSpec(sector(10**20 - 1, 2), P_PLUS, max_x=3, format="svg"))
         with pytest.raises(ValueError):
             render(RenderSpec(sector(8, 5), P_PLUS, max_x=3, format="png"))
 
@@ -86,7 +91,8 @@ class TestSvgRender:
         assert out.count("<line") >= 2
 
     def test_svg_beyond_text_cap(self):
-        out = render(RenderSpec(sector(8, 5), P_PLUS, max_x=250, format="svg"))
+        # past MAX_TEXT_X = 200, inside the cell cap (241 * 385 cells)
+        out = render(RenderSpec(sector(8, 5), P_PLUS, max_x=240, format="svg"))
         assert "</svg>" in out
 
     def test_color_flag(self):

@@ -110,11 +110,16 @@ class TestStaircases:
         with pytest.raises(PointOutsideSector):
             sector(8, 5).staircase_index(LatticePoint(1, 2))
 
-    def test_staircase_needs_m_at_least_two(self):
-        with pytest.raises(ValueError):
-            sector(4, 1).staircase_index(LatticePoint(1, 1))
-        with pytest.raises(ValueError):
-            sector(4, 1).first_stair(0)
+    def test_integral_staircases_are_columns(self):
+        for n in (1, 2, 4, 7):
+            s = sector(n, 1)
+            assert s.stair_step() == (0, 1)
+            for c in range(12):
+                assert s.first_stair(c) == LatticePoint(c, 0)
+                assert s.stair_count(c) == n * c + 1
+                assert s.stairs(c) == [LatticePoint(c, y) for y in range(n * c + 1)]
+            for p in sector_points(s, 12):
+                assert s.staircase_index(p) == p.x
 
     def test_first_stair_examples(self):
         assert sector(12, 7).first_stair(1) == LatticePoint(1, 1)
@@ -259,10 +264,21 @@ class TestTDuality:
     def test_errors(self):
         with pytest.raises(NotAdmissible):
             t_dual(sector(7, 3))  # 7 does not divide 4
-        with pytest.raises(NotAdmissible):
-            t_dual(sector(4, 1))  # integral sector
         with pytest.raises(DegenerateDual):
             t_dual(sector(4, 9))  # n + 2 - m < 1
+
+    def test_integral_sector_dual(self):
+        # S(4/1) and S(4/5) are dual to one another; the two maps are inverse
+        s = sector(4, 1)
+        dual, t = t_dual(s)
+        assert dual == sector(4, 5)
+        assert (t.a11, t.a12, t.a21, t.a22, t.det) == (5, -1, 4, -1, -1)
+        back_sector, back = t_dual(dual)
+        assert back_sector == s
+        assert back.compose(t).is_identity()
+        for p in sector_points(s, 40):
+            assert dual.contains(t.apply(p))
+            assert back.apply(t.apply(p)) == p
 
     def test_apply_map_example(self):
         _, t = t_dual(sector(8, 5))
@@ -313,8 +329,6 @@ class TestLatticeMap:
 @settings(max_examples=300, derandomize=True)
 def test_staircase_index_consistency(nm, x, y):
     n, m = nm
-    if m < 2:
-        return
     s = sector(n, m)
     p = LatticePoint(x, y)
     if not s.contains(p):

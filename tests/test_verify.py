@@ -38,7 +38,6 @@ from sectorpack.verify import (
     _edge_threshold,
     _filter_candidates,
     _filter_two_pass,
-    _integral_candidates,
     _raw_candidates,
     _search_detail,
 )
@@ -366,6 +365,12 @@ class TestSearch:
         found = search(sector(5, 1), PARAMS)
         f5, g5 = nathanson_polys(5)
         assert found == [f5, g5]
+        # the default search has no raw grid: the structured stage alone
+        # must find the k = 2 and k = 3 extras on S(4) and S(3)
+        for n in range(1, 13):
+            found = search(sector(n, 1), SearchParams())
+            expected = classify(n, 1).polynomials()
+            assert {p.coefficients() for p in found} == {p.coefficients() for p in expected}, n
 
     def test_no_high_k(self):
         from sectorpack import kstair_extract
@@ -385,8 +390,6 @@ class TestSearchParams:
 
 
 def _grid(s: Sector, bound: int) -> list[tuple[int, int]]:
-    if s.m == 1:
-        return list(_integral_candidates(s.n, bound))
     return list(_raw_candidates(s, bound))
 
 
@@ -398,12 +401,12 @@ def _two_pass(s: Sector, candidates, params: SearchParams):
     return _filter_two_pass(s, candidates, params)
 
 
-# (n, m) pairs with a nonempty raw grid: m == 1, or n divides (m-1)**2.
+# (n, m) pairs with a nonempty raw grid: n divides (m-1)**2, so every m = 1.
 GRID_SECTORS = [
     (n, m)
     for n in range(1, 21)
     for m in range(1, 21)
-    if math.gcd(n, m) == 1 and (m == 1 or (m - 1) ** 2 % n == 0)
+    if math.gcd(n, m) == 1 and (m - 1) ** 2 % n == 0
 ]
 
 
