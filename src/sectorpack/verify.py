@@ -220,29 +220,39 @@ class _LineTable:
         return ranges, spans, vmin, negative
 
 
-def _value_sweep(
+def _walk_window(
     s: Sector, p: QuadPoly, n_max: int
-) -> tuple[list[tuple[int, int, int]], Optional[LatticePoint]]:
-    """Walk the line family of S(n/m) collecting the values in [0, n_max].
+) -> tuple[_LineTable, list, list[tuple[int, int]], Optional[LatticePoint]]:
+    """Walk the line family of S(n/m) for the values in [0, n_max].
 
     The polynomial is scaled by D, the lcm of the denominators of a/n**2,
-    d, e and f, so the walk runs in integers.  Returns (items,
-    negative_witness): (value, x, y) triples in scan order (see
-    _LineTable.walk) and the first point seen with value < 0.  The
-    polynomial must be integer-valued; a line or step that is not is a
-    ValueError.
+    d, e and f, so the walk runs in integers.  Returns (table, ranges,
+    spans, negative_witness): the line table, the walk's per-line value
+    ranges and their (c, first t) spans (see _LineTable.walk), and the
+    first point seen with value < 0.  The polynomial must be
+    integer-valued; a line or step that is not is a ValueError.
     """
     _check_family(s, p)
     lam = p.a / (s.n * s.n)
     D = math.lcm(lam.denominator, p.d.denominator, p.e.denominator, p.f.denominator)
     table = _LineTable(s, int(lam * D), int(p.f * D))
     ranges, spans, _, negative = table.walk(int(p.d * D), int(p.e * D), D, 0, n_max)
+    return table, ranges, spans, None if negative is None else table.point(*negative)
+
+
+def _value_sweep(
+    s: Sector, p: QuadPoly, n_max: int
+) -> tuple[list[tuple[int, int, int]], Optional[LatticePoint]]:
+    """The window of _walk_window as (value, x, y) triples in scan order,
+    with the negative witness; enumerate_upto sorts them.  prefix_check
+    reads the ranges directly and builds no triples."""
+    table, ranges, spans, negative = _walk_window(s, p, n_max)
     u, v = s.lines.u, s.lines.v
     items: list[tuple[int, int, int]] = []
     for (c, t), values in zip(spans, ranges):
         x, y = table.point(c, t)
         items += [(value, x + i * u, y + i * v) for i, value in enumerate(values)]
-    return items, None if negative is None else table.point(*negative)
+    return items, negative
 
 
 def enumerate_upto(
@@ -268,6 +278,45 @@ _PROBE_POINTS = [
 ]
 
 
+def _slots(values) -> tuple[slice, int]:
+    """The ascending slice of a window bytearray that a line's values
+    mark, and its length.
+
+    A descending range is marked through its ascending reverse: sliced as
+    given, a range whose last value is 0 has stop -1, which a slice reads
+    as "from the end".  A step-0 line (a list of one repeated value)
+    marks one slot.
+    """
+    if isinstance(values, list):
+        return slice(values[0], values[0] + 1, 1), 1
+    if values.step < 0:
+        values = values[::-1]
+    return slice(values.start, values.stop, values.step), len(values)
+
+
+def _first_repeat(ranges: list, n_max: int) -> tuple[int, int, int]:
+    """(value, i, j): the first item in scan order whose value an earlier
+    item holds, at ranges[i][j].  Some value must repeat.
+
+    Marks the ranges in scan order and stops at the first one that hits a
+    marked slot.  A range with a nonzero step holds distinct values, so
+    its first hit in scan order is the repeat: the smallest hit value on
+    an ascending range, the largest on a descending one.
+    """
+    seen = bytearray(n_max + 1)
+    for i, values in enumerate(ranges):
+        slots, width = _slots(values)
+        hits = seen[slots]
+        j = hits.rfind(1) if values[0] > values[-1] else hits.find(1)
+        if j >= 0:
+            value = slots.start + j * slots.step
+            return value, i, values.index(value)
+        if len(values) > width:  # a step-0 line repeats its own value
+            return values[0], i, 1
+        seen[slots] = b"\x01" * width
+    raise AssertionError("no value repeats")
+
+
 def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
     """Is p a bijection from the sector's lattice points onto {0..n_max}?
 
@@ -283,36 +332,46 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
         return PrefixReport(
             PrefixStatus.NON_INTEGER_VALUE, checked_upto=n_max, points=0, point=witness
         )
-    # The window is built and indexed in full before any check, so a
-    # failing polynomial costs about as much as a packing one.
-    items, negative = _value_sweep(s, p, n_max)
-    first_at = {item[0]: item for item in reversed(items)}  # first point wins
-    if len(first_at) < len(items):
-        # the scan reaches a value's second point here
-        second = next(item for item in items if first_at[item[0]] is not item)
+    # Each line's window values are one range, marked into a bytearray of
+    # n_max + 1 slots by one slice assignment, so no per-value object is
+    # built: a call costs the walk, one pass over the lines and C-speed
+    # byte counts.  The values are distinct iff the marked slots number as
+    # many as the values.  Only a duplicate pays for a second marking
+    # pass, which stops at the first line that repeats a value, and then
+    # for a search of the lines for its first holder.
+    table, ranges, spans, negative = _walk_window(s, p, n_max)
+    seen = bytearray(n_max + 1)
+    total = 0
+    for values in ranges:
+        slots, width = _slots(values)
+        seen[slots] = b"\x01" * width
+        total += len(values)
+    if seen.count(1) < total:
+        value, i, j = _first_repeat(ranges, n_max)
+        first = next(k for k, values in enumerate(ranges) if value in values)
+        (c, t), (c0, t0) = spans[i], spans[first]
         return PrefixReport(
             PrefixStatus.DUPLICATE,
             checked_upto=n_max,
-            points=len(items),
-            value=second[0],
-            point=LatticePoint(*first_at[second[0]][1:]),
-            point2=LatticePoint(*second[1:]),
+            points=total,
+            value=value,
+            point=table.point(c0, t0 + ranges[first].index(value)),
+            point2=table.point(c, t + j),
         )
     if negative is not None:
         return PrefixReport(
             PrefixStatus.NEGATIVE_VALUE,
             checked_upto=n_max,
-            points=len(items),
+            points=total,
             value=p.eval_int(negative),
             point=negative,
         )
     # distinct values in [0, n_max]: one is missing iff there are fewer
-    if len(items) <= n_max:
-        missing = next(value for value in range(n_max + 1) if value not in first_at)
+    if total <= n_max:
         return PrefixReport(
-            PrefixStatus.MISSING_VALUE, checked_upto=n_max, points=len(items), value=missing
+            PrefixStatus.MISSING_VALUE, checked_upto=n_max, points=total, value=seen.find(0)
         )
-    return PrefixReport(PrefixStatus.OK, checked_upto=n_max, points=len(items))
+    return PrefixReport(PrefixStatus.OK, checked_upto=n_max, points=total)
 
 
 def kstair_property_check(s: Sector, p: QuadPoly, c_max: int) -> bool:

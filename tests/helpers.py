@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sectorpack import LatticePoint, QuadPoly, Sector
+from sectorpack import LatticePoint, PrefixReport, PrefixStatus, QuadPoly, Sector
+from sectorpack.verify import _value_sweep
 
 
 def first_stair_scan(s: Sector, c: int) -> LatticePoint:
@@ -45,3 +46,35 @@ def eval_raw(p: QuadPoly, x: int, y: int) -> Fraction:
     return (
         p.a * x * x + p.b * x * y + p.c2 * y * y + p.d * x + p.e * y + p.f
     )
+
+
+def prefix_report_reference(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
+    """prefix_check's verdict for an integer-valued p, from a dict over every
+    (value, x, y) item of the window: the first duplicated item in scan
+    order, then the first negative point, then the smallest missing value."""
+    items, negative = _value_sweep(s, p, n_max)
+    first_at = {item[0]: item for item in reversed(items)}  # first point wins
+    if len(first_at) < len(items):
+        second = next(item for item in items if first_at[item[0]] is not item)
+        return PrefixReport(
+            PrefixStatus.DUPLICATE,
+            checked_upto=n_max,
+            points=len(items),
+            value=second[0],
+            point=LatticePoint(*first_at[second[0]][1:]),
+            point2=LatticePoint(*second[1:]),
+        )
+    if negative is not None:
+        return PrefixReport(
+            PrefixStatus.NEGATIVE_VALUE,
+            checked_upto=n_max,
+            points=len(items),
+            value=p.eval_int(negative),
+            point=negative,
+        )
+    if len(items) <= n_max:
+        missing = next(value for value in range(n_max + 1) if value not in first_at)
+        return PrefixReport(
+            PrefixStatus.MISSING_VALUE, checked_upto=n_max, points=len(items), value=missing
+        )
+    return PrefixReport(PrefixStatus.OK, checked_upto=n_max, points=len(items))

@@ -40,7 +40,10 @@ from sectorpack.verify import (
     _filter_two_pass,
     _raw_candidates,
     _search_detail,
+    _walk_window,
 )
+
+from helpers import prefix_report_reference
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P127 = QuadPoly.from_string("6 -6 3/2 -8 11/2 2")
@@ -108,7 +111,7 @@ class TestEnumerate:
 
 @given(
     st.sampled_from(
-        [(n, m) for n in range(1, 13) for m in range(1, 13) if math.gcd(n, m) == 1]
+        [(n, m) for n in range(1, 61) for m in range(1, 61) if math.gcd(n, m) == 1]
     ),
     st.integers(-30, 30),
     st.integers(-30, 30),
@@ -123,13 +126,65 @@ def test_walk_matches_rectangle_scan(nm, d, e, f, n_max):
     s = sector(n, m)
     p = QuadPoly(n * n, -2 * n * (m - 1), (m - 1) ** 2, d, e, f)
     x_max = 40
-    got = {(pt, value) for pt, value in enumerate_upto(s, p, n_max) if pt.x <= x_max}
+    listing = enumerate_upto(s, p, n_max)
+    got = {(pt, value) for pt, value in listing if pt.x <= x_max}
     want = set()
     for pt in rectangle_points(s, x_max):
         value = (n * pt.x - (m - 1) * pt.y) ** 2 + d * pt.x + e * pt.y + f
         if 0 <= value <= n_max:
             want.add((pt, value))
     assert got == want
+    report = prefix_check(s, p, n_max)
+    assert report.points == len(listing)
+    if report.ok:
+        assert [value for _, value in listing] == list(range(n_max + 1))
+
+
+COPRIME_24 = [(n, m) for n in range(1, 25) for m in range(1, 25) if math.gcd(n, m) == 1]
+
+
+@given(
+    st.sampled_from(COPRIME_24),
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+    st.integers(-5, 5),
+    st.sampled_from([None] * 4 + [-2, -1, 1]),
+    st.integers(0, 300),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_prefix_check_matches_reference(nm, d, e, f, zero_step, n_max):
+    # the family of test_walk_matches_rectangle_scan, both signs of the
+    # step, m = 1 among the sectors; a drawn zero_step = k forces
+    # (d, e) = k*(v, -u), so d*u + e*v = 0 and every line has step 0
+    n, m = nm
+    s = sector(n, m)
+    if zero_step is not None:
+        d, e = zero_step * s.lines.v, -zero_step * s.lines.u
+    p = QuadPoly(n * n, -2 * n * (m - 1), (m - 1) ** 2, d, e, f)
+    assert prefix_check(s, p, n_max) == prefix_report_reference(s, p, n_max)
+
+
+CLASSIFIED_24 = [
+    (n, m, p) for n, m in COPRIME_24 for p in classify(n, m).polynomials()
+]
+
+
+@given(
+    st.sampled_from(CLASSIFIED_24),
+    st.sampled_from("def"),
+    st.integers(-2, 2),
+    st.integers(0, 300),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prefix_check_matches_reference_near_classified(entry, name, delta, n_max):
+    # classified polynomials and their integer moves of d, e or f: the
+    # fractional coefficients the integer family above never has
+    n, m, p0 = entry
+    s = sector(n, m)
+    coeffs = dict(zip(("a", "b", "c2", "d", "e", "f"), p0.coefficients()))
+    coeffs[name] += delta
+    p = QuadPoly(**coeffs)
+    assert prefix_check(s, p, n_max) == prefix_report_reference(s, p, n_max)
 
 
 class _ReadLog(list):
@@ -245,6 +300,61 @@ class TestPrefixCheck:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             prefix_check(sector(8, 5), P_PLUS, -1)
+
+    def test_descending_line_ending_at_zero(self):
+        # sliced as given, range(18, -1, -3) marks nothing: stop -1 reads
+        # as "from the end"
+        s, p = sector(12, 7), QuadPoly.from_string("6 -6 3/2 10 -13/2 2")
+        assert range(18, -1, -3) in _walk_window(s, p, 20)[1]
+        report = prefix_check(s, p, 20)
+        assert report.ok and report.points == 21
+        assert report == prefix_report_reference(s, p, 20)
+
+    def test_zero_step_line_repeats_itself(self):
+        # the column x = 1 of S(3) takes value 1 at all four of its points
+        s, p = sector(3, 1), QuadPoly(9, 0, 0, -8, 0, 0)
+        report = prefix_check(s, p, 10)
+        assert report.status is PrefixStatus.DUPLICATE and report.points == 5
+        assert (report.value, report.point, report.point2) == (
+            1,
+            LatticePoint(1, 0),
+            LatticePoint(1, 1),
+        )
+        assert report == prefix_report_reference(s, p, 10)
+
+    def test_depth_zero(self):
+        s = sector(8, 5)
+        cases = [
+            (P_PLUS, "ok: values 0..0 each attained exactly once (1 points)", 1),
+            (P_PLUS.with_offset(1), "missing value 0 (checked up to 0)", 0),
+            (P_PLUS.with_offset(-1), "negative value -1 at (0, 0)", 1),
+            (
+                QuadPoly.from_string("4 -4 1 -1 -1 0"),
+                "value 0 attained at both (0, 0) and (2, 2)",
+                5,
+            ),
+        ]
+        for p, line, points in cases:
+            report = prefix_check(s, p, 0)
+            assert (report.describe(), report.points) == (line, points)
+            assert report == prefix_report_reference(s, p, 0)
+
+    def test_duplicate_first_held_on_earlier_line(self):
+        # on S(8/5) value 0 is first held on line 0 at (0, 0), then on line 2
+        s = sector(8, 5)
+        report = prefix_check(s, QuadPoly.from_string("4 -4 1 -1 -1 0"), 22)
+        assert (report.point, report.point2) == (LatticePoint(0, 0), LatticePoint(2, 2))
+        # column 2 of S(3) descends 27, 22, ..., 2 and meets 7 and 2 from
+        # column 1; in scan order 7, the larger, repeats first
+        s, p = sector(3, 1), QuadPoly(9, 0, 0, -2, -5, 0)
+        report = prefix_check(s, p, 30)
+        assert report.status is PrefixStatus.DUPLICATE
+        assert (report.value, report.point, report.point2) == (
+            7,
+            LatticePoint(1, 0),
+            LatticePoint(2, 5),
+        )
+        assert report == prefix_report_reference(s, p, 30)
 
 
 # sha256 of near_miss_listing(), recorded with the code from before the
