@@ -2,29 +2,28 @@
 
 A scheme wraps a stair packing polynomial on any sector S(n/m), integral
 ones included, and provides constant-time encode, value-to-point decode,
-and an in-order point stream.  Decoding an ascending scheme uses the
-residue-class structure: staircases with index congruent to c0 mod k carry
-exactly the values first_stair_value(c0) + k*N, in staircase-then-step
-order.  Within a class the stair counts grow by k*l every v staircases, so
-the cumulative count is a quadratic in the period index plus a v-entry
-table, and decode inverts it in closed form with one isqrt: O(1)
-big-integer operations and no state that grows with the value.
-
-Descending schemes decode through the dual ascending scheme on
-S(n/(n+2-m)) (S(n/(n+1)) for an integral sector) and carry the point back
-through the duality map; a descending polynomial whose sector has no dual
-(t_dual raises DegenerateDual) is refused.
+and an in-order point stream.  Along each staircase the values rise by k
+from its start stair: the first stair of an ascending polynomial, the last
+stair of a descending one, whose staircases are read backwards.  Decoding
+uses the residue-class structure: staircases with index congruent to c0
+mod k carry exactly the values start_value(c0) + k*N, in
+staircase-then-step order.  Within a class the stair counts grow by k*l
+every v staircases, so the cumulative count is a quadratic in the period
+index plus a v-entry table, and decode inverts it in closed form with one
+isqrt: O(1) big-integer operations and no state that grows with the value.
+Both directions run the same code; they differ only in the start stairs,
+steps and period shift that make_scheme tabulates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Optional
+from typing import Callable
 
-from .errors import PointOutsideSector, SectorPackError
+from .errors import PointOutsideSector
 from .polynomials import Direction, KStairForm, QuadPoly, kstair_extract
-from .sectors import LatticeMap, LatticePoint, LineFamily, Sector, t_dual
+from .sectors import LatticePoint, Sector
 from .verify import prefix_check
 
 MIN_VERIFY_N = 500
@@ -36,9 +35,9 @@ class PairingScheme:
 
     ``first_stair_values`` holds the polynomial's values at the first
     stairs of staircases 0..k-1; for an ascending scheme these are a
-    permutation of {0..k-1}.  ``verified_n`` records the depth of the
-    prefix check performed at construction — the verification horizon,
-    not a proof.
+    permutation of {0..k-1}, as the values at the last stairs are for a
+    descending one.  ``verified_n`` records the depth of the prefix check
+    performed at construction — the verification horizon, not a proof.
 
     Schemes are immutable: make_scheme builds every table decode reads, one
     period of v stair counts per residue class, so encode, decode and
@@ -52,14 +51,13 @@ class PairingScheme:
     form: KStairForm
     first_stair_values: tuple[int, ...]
     verified_n: int
-    _dual: Optional["PairingScheme"] = field(default=None, repr=False)
-    _from_dual: Optional[LatticeMap] = field(default=None, repr=False)
-    _class_of_residue: tuple[int, ...] = field(default=(), repr=False)
-    # per value residue, over the staircases c0 + k*j of its class for one
-    # period j < v: (pref, xs, zs), pref[j] the stairs on the first j of
-    # them, (xs[j], zs[j]) the first stair of staircase j
+    # per value residue i, over the staircases c0 + k*j of the class whose
+    # start stairs carry i mod k, for one period j < v: (pref, xs, zs),
+    # pref[j] the stairs on the first j of them, (xs[j], zs[j]) the start
+    # stair of staircase j
     _classes: tuple[tuple[tuple[int, ...], ...], ...] = field(default=(), repr=False)
-    # (k, v, k*l, v*k*l, u), the constants decode reads
+    # (k, v, k*l, v*k*l, dx, dy, px, py): (dx, dy) the step to the next
+    # stair in value order, (px, py) the shift of a start stair one period on
     _steps: tuple[int, ...] = field(default=(), repr=False)
     # scaled coefficients, cached so encode stays arithmetic-only
     _scaled: tuple[int, ...] = field(default=(), repr=False)
@@ -84,9 +82,7 @@ class PairingScheme:
         """
         if value < 0:
             raise ValueError("values are nonnegative")
-        if self._dual is not None:
-            return self._from_dual.apply(self._dual.decode(value))
-        k, v, grow, a, u = self._steps
+        k, v, grow, a, dx, dy, px, py = self._steps
         t, residue = divmod(value, k)
         pref, xs, zs = self._classes[residue]
         # 2*C(q*P) = (a*q + b)*q with a = P*k*l, so C(q*P) <= t exactly when
@@ -105,35 +101,30 @@ class PairingScheme:
             else:
                 hi = mid
         t -= pref[r] + grow * r
-        # a period later a staircase has the same z and k more x (P*l = n)
-        return LatticePoint(xs[r] + q * k + t * u, zs[r] + t * v)
+        return LatticePoint(xs[r] + q * px + t * dx, zs[r] + q * py + t * dy)
 
     def stream(self, count: int) -> list[LatticePoint]:
         """Points in value order 0..count-1, via incremental per-class cursors."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if self._dual is not None:
-            carry = self._from_dual
-            return [carry.apply(p) for p in self._dual.stream(count)]
-        k = self.form.k
-        lines = self.sector.lines
-        dx, dy = lines.u, lines.v
-        cursors = {}
-        for c0 in range(k):
-            x0, z, cnt = lines.line(c0)
-            cursors[c0] = [c0, 0, cnt, x0, z]
+        k, v, grow, _, dx, dy, px, py = self._steps
+        classes = self._classes
+        # per value residue: [staircase j of its class, stair t on it, its
+        # stair count, its start stair]
+        cursors = [[0, 0, pref[1], xs[0], zs[0]] for pref, xs, zs in classes]
         out = []
         for value in range(count):
-            cur = cursors[self._class_of_residue[value % k]]
-            c, t, cnt, fx, fy = cur
-            out.append(LatticePoint(fx + t * dx, fy + t * dy))
+            cur = cursors[value % k]
+            j, t, cnt, x, y = cur
+            out.append(LatticePoint(x + t * dx, y + t * dy))
             t += 1
-            if t == cnt:
-                c += k
-                x0, z, cnt = lines.line(c)
-                cur[:] = [c, 0, cnt, x0, z]
-            else:
+            if t < cnt:
                 cur[1] = t
+                continue
+            # on to staircase j + 1 = q*v + r of the class
+            q, r = divmod(j + 1, v)
+            pref, xs, zs = classes[value % k]
+            cur[:] = j + 1, 0, pref[r + 1] - pref[r] + q * grow, xs[r] + q * px, zs[r] + q * py
         return out
 
     def to_json_dict(self) -> dict:
@@ -158,51 +149,40 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
     if not report.ok:
         raise ValueError(f"not a packing polynomial on S({s}): {report.describe()}")
     form = kstair_extract(s, p)
-    values = tuple(p.eval_int(s.first_stair(c)) for c in range(form.k))
-    lookup = classes = steps = ()
-    dual = from_dual = None
+    k, lines = form.k, s.lines
+    values = firsts = tuple(p.eval_int(s.first_stair(c)) for c in range(k))
     if form.direction is Direction.ASCENDING:
-        if sorted(values) != list(range(form.k)):
-            raise ValueError(
-                f"first-stair values {values} are not a permutation of 0..{form.k - 1}"
-            )
-        # residue i of the values belongs to the class whose first stair is i
-        lookup = tuple(sorted(range(form.k), key=values.__getitem__))
-        lines = s.lines
-        classes = tuple(_class_table(lines, form.k, c0) for c0 in lookup)
-        grow = form.k * lines.l
-        steps = (form.k, lines.v, grow, lines.v * grow, lines.u)
+        # a period (k*v staircases, v*l = n) later: the same z, k more x
+        start, step, period = s.first_stair, (lines.u, lines.v), (k, 0)
     else:
-        try:
-            dual_sector, _ = t_dual(s)
-        except SectorPackError as exc:
-            raise ValueError(
-                f"descending schemes on S({s}) are unsupported: {exc}"
-            ) from exc
-        from_dual = t_dual(dual_sector)[1]  # the inverse duality map
-        dual = make_scheme(dual_sector, p.compose(from_dual), verify_to)
+        # the first stair's period shift plus k*l more steps (u, v)
+        start, step, period = s.last_stair, (-lines.u, -lines.v), (k * s.m, k * s.n)
+        values = tuple(p.eval_int(start(c)) for c in range(k))
+    if sorted(values) != list(range(k)):
+        raise ValueError(f"start-stair values {values} are not a permutation of 0..{k - 1}")
+    grow = k * lines.l
     return PairingScheme(
         sector=s,
         poly=p,
         form=form,
-        first_stair_values=values,
+        first_stair_values=firsts,
         verified_n=verify_to,
         _scaled=(2 * s.n, int(2 * s.n * p.d), int(2 * s.n * p.e), int(2 * s.n * p.f)),
-        _dual=dual,
-        _from_dual=from_dual,
-        _class_of_residue=lookup,
-        _classes=classes,
-        _steps=steps,
+        # residue i of the values belongs to the class whose start stair is i
+        _classes=tuple(_class_table(s, start, k, values.index(i)) for i in range(k)),
+        _steps=(k, lines.v, grow, lines.v * grow, *step, *period),
     )
 
 
-def _class_table(lines: LineFamily, k: int, c0: int) -> tuple[tuple[int, ...], ...]:
+def _class_table(
+    s: Sector, start: Callable[[int], LatticePoint], k: int, c0: int
+) -> tuple[tuple[int, ...], ...]:
     """(pref, xs, zs) of staircases c0 + k*j over one period j < v."""
     pref, xs, zs = [0], [], []
-    for j in range(lines.v):
-        x0, z, count = lines.line(c0 + k * j)
-        pref.append(pref[-1] + count)
-        xs.append(x0)
+    for c in range(c0, c0 + k * s.lines.v, k):
+        pref.append(pref[-1] + s.stair_count(c))
+        x, z = start(c)
+        xs.append(x)
         zs.append(z)
     return tuple(pref), tuple(xs), tuple(zs)
 

@@ -24,7 +24,7 @@ from .errors import (
     NotConsecutive,
     ZeroStep,
 )
-from .sectors import LatticeMap, LatticePoint, Sector, t_dual
+from .sectors import LatticeMap, LatticePoint, Sector
 
 
 class Direction(enum.Enum):
@@ -255,51 +255,38 @@ def necessary_coefficients(
 
 
 def determine_offset(s: Sector, p0: QuadPoly, k: int) -> int:
-    """Offset f completing an ascending stair form into a packing polynomial.
+    """Offset f completing a stair form into a packing polynomial.
 
-    Evaluates p0 (which must carry f = 0) at the first stairs of
-    staircases 0..k-1.  Those k values must be distinct consecutive
-    integers; then f = -min(values) places them exactly onto {0..k-1}.
+    Evaluates p0 (which must carry f = 0) at the start stairs of
+    staircases 0..k-1, where each staircase takes its least value: the
+    first stair when p0's stair step d*u + e*v is positive, the last when
+    it is negative.  Those k values must be distinct consecutive integers;
+    then f = -min(values) places them exactly onto {0..k-1}.
     """
-    values = [p0.eval(s.first_stair(c)) for c in range(k)]
+    lines = s.lines
+    start = s.last_stair if p0.d * lines.u + p0.e * lines.v < 0 else s.first_stair
+    values = [p0.eval(start(c)) for c in range(k)]
     if any(w.denominator != 1 for w in values):
-        raise NotConsecutive(f"first-stair values {values} are not all integers")
+        raise NotConsecutive(f"start-stair values {values} are not all integers")
     ints = sorted(w.numerator for w in values)
     if len(set(ints)) != k or ints[-1] - ints[0] != k - 1:
-        raise NotConsecutive(f"first-stair values {ints} are not {k} consecutive integers")
+        raise NotConsecutive(f"start-stair values {ints} are not {k} consecutive integers")
     return -ints[0]
 
 
 def construct(s: Sector, k: int, direction: Direction) -> tuple[QuadPoly, KStairForm]:
     """Build the k-stair packing polynomial on S(n/m) in the given direction.
 
-    Ascending polynomials are assembled directly: forced homogeneous part,
-    the unique (d, e), then the offset from the first k staircases.
-    Descending ones are built as the ascending polynomial on the dual
-    sector S(n/(n+2-m)) composed with the duality map; the resulting
-    coefficients always agree with the descending closed form.
+    Forced homogeneous part, the unique (d, e) for the direction, then the
+    offset from the start stairs of the first k staircases.
     """
-    if direction is Direction.DESCENDING:
-        dual, mapping = t_dual(s)
-        asc_poly, asc_form = construct(dual, k, Direction.ASCENDING)
-        poly = asc_poly.compose(mapping)
-        expected = necessary_coefficients(s, k, Direction.DESCENDING)
-        if (poly.d, poly.e) != expected:
-            raise AssertionError(
-                f"dual transport produced {(poly.d, poly.e)}, expected {expected}"
-            )
-        res, v = _residue(s, Direction.DESCENDING)
-        form = KStairForm(k, Direction.DESCENDING, (k - res) // v, asc_form.offset_f)
-        return poly, form
-
-    d, e = necessary_coefficients(s, k, Direction.ASCENDING)
-    a, b, c2 = stanton_quadratic(s)
-    p0 = QuadPoly(a, b, c2, d, e, Fraction(0))
+    d, e = necessary_coefficients(s, k, direction)
+    p0 = QuadPoly(*stanton_quadratic(s), d, e, Fraction(0))
     f = determine_offset(s, p0, k)
     poly = p0.with_offset(f)
     if not poly.is_integer_valued():
         # The consecutive-value test passed by accident of the probe points;
         # a non-integral polynomial still cannot pack.
         raise NotConsecutive(f"no integer-valued {k}-stair completion on S({s})")
-    res, v = _residue(s, Direction.ASCENDING)
-    return poly, KStairForm(k, Direction.ASCENDING, (k - res) // v, f)
+    res, v = _residue(s, direction)
+    return poly, KStairForm(k, direction, (k - res) // v, f)

@@ -4,7 +4,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from sectorpack import LatticePoint, PrefixReport, PrefixStatus, QuadPoly, Sector
+from sectorpack import (
+    Direction,
+    KStairForm,
+    LatticePoint,
+    PrefixReport,
+    PrefixStatus,
+    QuadPoly,
+    Sector,
+    construct,
+    t_dual,
+)
 from sectorpack.verify import _value_sweep
 
 
@@ -78,3 +88,16 @@ def prefix_report_reference(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
             PrefixStatus.MISSING_VALUE, checked_upto=n_max, points=len(items), value=missing
         )
     return PrefixReport(PrefixStatus.OK, checked_upto=n_max, points=len(items))
+
+
+def construct_via_dual(s: Sector, k: int) -> tuple[QuadPoly, KStairForm]:
+    """The descending k-stair polynomial on S(n/m) built the long way: the
+    ascending one on the dual sector S(n/(n+2-m)) composed with the duality
+    map, keeping the dual's offset.  Raises whatever t_dual or the
+    ascending construct raises."""
+    dual, mapping = t_dual(s)
+    asc_poly, asc_form = construct(dual, k, Direction.ASCENDING)
+    v = s.lines.v
+    res = (-s.lines.u) % v  # the descending residue class of k mod n/l
+    form = KStairForm(k, Direction.DESCENDING, (k - res) // v, asc_form.offset_f)
+    return asc_poly.compose(mapping), form

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -24,6 +26,10 @@ from sectorpack import (
 )
 
 ASC, DESC = Direction.ASCENDING, Direction.DESCENDING
+# sha256 of classification_listing(60), recorded when descending polynomials
+# were still built on the dual sector.  It pins every entry on the coprime
+# n, m <= 60 grid: coefficients, forms, provenance and transport chains.
+CLASSIFY_SHA256 = "54debedde00433b011b781d35194acad7803f5cb381cbd574ad9d07cc0039a4a"
 
 
 def coprime_pairs(limit):
@@ -33,6 +39,19 @@ def coprime_pairs(limit):
         for m in range(1, limit + 1)
         if math.gcd(n, m) == 1
     ]
+
+
+def classification_listing(limit):
+    """One sorted-key JSON line of classify(n, m) per coprime pair, n outer."""
+    return "".join(
+        json.dumps(classify(n, m).to_json_dict(), sort_keys=True) + "\n"
+        for n, m in coprime_pairs(limit)
+    )
+
+
+def test_classification_pinned():
+    digest = hashlib.sha256(classification_listing(60).encode("utf-8")).hexdigest()
+    assert digest == CLASSIFY_SHA256
 
 
 class TestAdmissibleKs:

@@ -112,6 +112,14 @@ class TestCodecCmds:
         )
         assert (code, again.strip()) == (0, value)
 
+    def test_descending_without_dual(self, capsys):
+        # S(4/9) has no dual sector; its descending k = 1 scheme codes in place
+        poly, value = "2 -8 8 3 -7 0", str(10**20)
+        code, out, _ = run(capsys, "decode", "4/9", "--poly", poly, "--value", value)
+        assert (code, out.strip()) == (0, "57107344060,25018138124")
+        code, out, _ = run(capsys, "encode", "4/9", "--poly", poly, "--point", out.strip())
+        assert (code, out.strip()) == (0, value)
+
     def test_non_packing_scheme_exits_1(self, capsys):
         code, _, err = run(
             capsys, "encode", "8/5", "--poly", "4 -4 1 -1 1 3", "--point", "0,0"
@@ -230,6 +238,17 @@ class TestOtherCmds:
     def test_construct_impossible_exits_1(self, capsys):
         code, _, err = run(capsys, "construct", "8/5", "--k", "3")
         assert code == 1
+        code, _, err = run(capsys, "construct", "4/9", "--k", "3", "--direction", "desc")
+        assert code == 1
+        assert "cannot construct" in err
+
+    def test_construct_descending_without_dual(self, capsys):
+        code, out, _ = run(
+            capsys, "construct", "4/9", "--k", "2", "--direction", "desc", "--json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["poly"], data["direction"], data["f"]) == ("2 -8 8 5 -12 1", "desc", 1)
 
     def test_reduce(self, capsys):
         code, out, _ = run(capsys, "reduce", "4/9", "--json")

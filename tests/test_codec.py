@@ -11,12 +11,12 @@ from copy import deepcopy
 import pytest
 
 from sectorpack import (
-    DegenerateDual,
     Direction,
     LatticePoint,
     PointOutsideSector,
     QuadPoly,
     classify,
+    enumerate_upto,
     make_scheme,
     sector,
 )
@@ -25,6 +25,17 @@ from sectorpack.codec import decode, encode, stream
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P_MINUS = QuadPoly.from_string("4 -4 1 3 -2 0")
 P127 = QuadPoly.from_string("6 -6 3/2 -8 11/2 2")
+
+
+def assert_round_trips(scheme, count=3000):
+    """stream, decode and encode agree on the values below count, and far
+    values decode to points that encode back (encode refuses points outside
+    the sector)."""
+    points = scheme.stream(count)
+    assert [scheme.decode(v) for v in range(count)] == points
+    assert [scheme.encode(p) for p in points] == list(range(count))
+    for value in (10**12, 10**30 + 7):
+        assert scheme.encode(scheme.decode(value)) == value
 
 
 @pytest.fixture(scope="module")
@@ -61,17 +72,12 @@ class TestConstruction:
             make_scheme(sector(8, 5), P_PLUS.with_offset(3), 500)
 
     def test_integral_sector_round_trip(self):
-        # every S(4) entry: k = 1 and the k = 2 extras, both directions; the
-        # descending ones decode through the dual S(4/5)
+        # every S(4) entry: k = 1 and the k = 2 extras, both directions
         s = sector(4, 1)
         for entry in classify(4, 1).entries:
             scheme = make_scheme(s, entry.poly, 500)
             assert scheme.form == entry.form
-            points = scheme.stream(3000)
-            assert [scheme.decode(v) for v in range(3000)] == points
-            assert [scheme.encode(p) for p in points] == list(range(3000))
-            for value in (10**12, 10**30 + 7):
-                assert scheme.encode(scheme.decode(value)) == value
+            assert_round_trips(scheme)
 
     def test_json(self, fig3_scheme):
         assert fig3_scheme.to_json_dict() == {
@@ -151,44 +157,44 @@ class TestStream:
 
 class TestOtherSectors:
     def test_classified_polys_code(self):
-        # ascending entries everywhere; descending ones wherever the dual
-        # is itself a staircase sector (always the case for slope > 1)
+        # every entry in both directions, slope < 1 sectors included
         for n, m in [(12, 7), (36, 25), (36, 13), (4, 9), (2, 3), (1, 2), (48, 37)]:
             for entry in classify(n, m).entries:
-                if entry.form.direction is Direction.DESCENDING and n <= m:
-                    continue
                 scheme = make_scheme(sector(n, m), entry.poly, 500)
                 for value in range(200):
                     assert scheme.encode(scheme.decode(value)) == value
 
-    def test_descending_needs_staircase_dual(self):
-        desc_49 = classify(4, 9).entries[1]
-        assert desc_49.form.direction is Direction.DESCENDING
-        with pytest.raises(ValueError):
-            make_scheme(sector(4, 9), desc_49.poly, 500)
+    def test_descending_without_dual(self):
+        # S(4/9) has no dual sector (n + 2 - m < 1); its descending entries
+        # code on their own staircases, read from the last stair down
+        desc = [e for e in classify(4, 9).entries if e.form.direction is Direction.DESCENDING]
+        assert [e.form.k for e in desc] == [1, 2]
+        for entry in desc:
+            assert_round_trips(make_scheme(sector(4, 9), entry.poly, 500))
 
 
 class TestClosedForm:
     def test_decode_matches_stream_on_grid(self):
-        # every classified polynomial on coprime n, m <= 40 that make_scheme
-        # accepts; it refuses only descending ones whose sector has no dual
+        # every classified polynomial on coprime n, m <= 40, both directions:
+        # the stream is the enumerate_upto order and decode agrees with it
         checked = refused = 0
         for n in range(1, 41):
             for m in range(1, 41):
                 if math.gcd(n, m) != 1:
                     continue
+                s = sector(n, m)
                 for entry in classify(n, m).entries:
                     try:
-                        scheme = make_scheme(sector(n, m), entry.poly, 500)
-                    except ValueError as exc:
-                        assert entry.form.direction is Direction.DESCENDING
-                        assert isinstance(exc.__cause__, DegenerateDual)
+                        scheme = make_scheme(s, entry.poly, 500)
+                    except ValueError:
                         refused += 1
                         continue
                     points = scheme.stream(500)
+                    assert [pt for pt, _ in enumerate_upto(s, entry.poly, 499)] == points, (
+                        n, m, entry.poly)
                     assert [scheme.decode(v) for v in range(500)] == points, (n, m, entry.poly)
                     checked += 1
-        assert (checked, refused) == (366, 156)
+        assert (checked, refused) == (522, 0)
 
     def test_big_values_round_trip(self, fig1_scheme, fig1_desc_scheme, fig3_scheme):
         # encode is injective on the sector, so contains + re-encode pins the point

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,20 +18,23 @@ from sectorpack import (
     NotAdmissible,
     NotConsecutive,
     QuadPoly,
+    SectorPackError,
     ZeroStep,
     cantor_polys,
+    classify,
     construct,
     determine_offset,
     kstair_extract,
     nathanson_polys,
     necessary_coefficients,
+    prefix_check,
     sector,
     stanton_check,
     stanton_quadratic,
     t_dual,
     transport,
 )
-from helpers import eval_raw
+from helpers import construct_via_dual, eval_raw
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P_MINUS = QuadPoly.from_string("4 -4 1 3 -2 0")
@@ -196,6 +200,15 @@ class TestDetermineOffset:
         p0 = QuadPoly(*stanton_quadratic(s), -11, 8, 0)
         assert determine_offset(s, p0, 2) == 1
 
+    def test_descending_reads_last_stairs(self):
+        # a negative stair step d*u + e*v makes the last stair of each
+        # staircase its start; the first stairs of S(12/7) carry 0, 5, 16
+        s = sector(12, 7)
+        d, e = necessary_coefficients(s, 3, Direction.DESCENDING)
+        assert determine_offset(s, QuadPoly(*stanton_quadratic(s), d, e, 0), 3) == 2
+        s = sector(4, 9)
+        assert determine_offset(s, QuadPoly(*stanton_quadratic(s), 5, -12, 0), 2) == 1
+
     def test_not_consecutive(self):
         s = sector(8, 5)
         d, e = necessary_coefficients(s, 3, Direction.ASCENDING)
@@ -237,7 +250,7 @@ class TestConstruct:
         assert p.is_integer_valued()
 
     def test_integral_nathanson_pair(self):
-        # k = 1 on S(n) builds Nathanson's f_n and g_n; desc goes through S(n/(n+1))
+        # k = 1 on S(n) builds Nathanson's f_n and g_n; g_n starts each column at its top
         for n in range(1, 13):
             s = sector(n, 1)
             f_n, g_n = nathanson_polys(n)
@@ -249,10 +262,36 @@ class TestConstruct:
             construct(sector(8, 5), 2, Direction.ASCENDING)
         with pytest.raises(NotConsecutive):
             construct(sector(8, 5), 3, Direction.ASCENDING)
-        with pytest.raises(DegenerateDual):
-            construct(sector(4, 9), 2, Direction.DESCENDING)
+        # S(4/9) has no dual sector, yet its descending k = 2 polynomial
+        # builds in place and is the classified one
+        desc_2 = next(e for e in classify(4, 9).entries if e.form.k == 2 and
+                      e.form.direction is Direction.DESCENDING)
+        assert desc_2.poly == QuadPoly.from_string("2 -8 8 5 -12 1")
+        assert construct(sector(4, 9), 2, Direction.DESCENDING) == (desc_2.poly, desc_2.form)
         with pytest.raises(NotAdmissible):
             construct(sector(7, 3), 1, Direction.ASCENDING)
+
+    def test_descending_matches_dual_route(self):
+        # the direct descending build against the ascending polynomial on the
+        # dual sector carried back; where the sector has no dual, whatever is
+        # built must pack and be classified
+        built_without_dual = 0
+        for n in range(1, 61):
+            for m in range(1, 61):
+                if gcd(n, m) != 1:
+                    continue
+                s = sector(n, m)
+                for k in range(1, 7):
+                    want = _outcome(construct_via_dual, s, k)
+                    got = _outcome(construct, s, k, Direction.DESCENDING)
+                    if want is not DegenerateDual:
+                        assert got == want, (n, m, k)
+                    elif isinstance(got, tuple):
+                        poly, form = got
+                        assert prefix_check(s, poly, 500).ok, (n, m, k)
+                        assert (poly, form) in [(e.poly, e.form) for e in classify(n, m).entries]
+                        built_without_dual += 1
+        assert built_without_dual == 271
 
     def test_extract_roundtrips_construction(self):
         for n, m, k, direction in [
@@ -289,6 +328,14 @@ class TestConstruct:
                 here = {p.eval_int(q) % k for q in s.stairs(c)}
                 there = {p.eval_int(q) % k for q in s.stairs(c + k)}
                 assert len(here) == 1 and here == there
+
+
+def _outcome(build, *args):
+    """build(*args), or the type of the SectorPackError it raises."""
+    try:
+        return build(*args)
+    except SectorPackError as exc:
+        return type(exc)
 
 
 class TestTransport:
