@@ -54,7 +54,6 @@ from .sectors import (
     Quadrant,
     Rational,
     Sector,
-    Staircase,
     apply_map,
     gcd,
     identity_map,

@@ -128,16 +128,9 @@ class Sector:
 
     def stairs(self, c: int) -> list[LatticePoint]:
         """All stairs on staircase c inside the sector, by ascending x."""
-        return self.staircase(c).points()
-
-    def staircase(self, c: int) -> Staircase:
-        return Staircase(
-            sector=self,
-            c=c,
-            step=self.stair_step(),
-            first=self.first_stair(c),
-            count=self.stair_count(c),
-        )
+        lines = self.lines
+        x0, z, count = lines.line(c)
+        return [LatticePoint(x0 + t * lines.u, z + t * lines.v) for t in range(count)]
 
 
 class LineFamily:
@@ -185,22 +178,6 @@ class Quadrant:
 QUADRANT = Quadrant()
 
 Region = Union[Sector, Quadrant]
-
-
-@dataclass(frozen=True)
-class Staircase:
-    sector: Sector
-    c: int
-    step: tuple[int, int]
-    first: LatticePoint
-    count: int
-
-    def points(self) -> list[LatticePoint]:
-        dx, dy = self.step
-        return [
-            LatticePoint(self.first.x + t * dx, self.first.y + t * dy)
-            for t in range(self.count)
-        ]
 
 
 def sector(n: int, m: int) -> Sector:

@@ -26,7 +26,13 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .errors import NonTerminatingShape
-from .polynomials import QuadPoly, stanton_quadratic
+from .polynomials import (
+    Direction,
+    QuadPoly,
+    _residue,
+    necessary_coefficients,
+    stanton_quadratic,
+)
 from .sectors import LatticePoint, Sector
 
 __all__ = [
@@ -478,8 +484,6 @@ def _filter_candidates(
 def _structured_candidates(s: Sector, max_k: int) -> list[tuple[int, int]]:
     """The (d2, e2) pairs of the stair coefficient families, both
     directions, for every k <= max_k in the right residue class."""
-    from .polynomials import Direction, _residue, necessary_coefficients
-
     n, m = s.n, s.m
     if (m - 1) ** 2 % n != 0:
         return []
@@ -521,84 +525,55 @@ def _sort_key(s: Sector, p: QuadPoly) -> tuple:
     return (abs(delta), 0 if delta > 0 else 1, p.f, p.coefficients())
 
 
-# Depth of the cheap first filter pass; _search_detail says why it drops
-# nothing the full-depth pass would keep.
+# Depth of the filter's screen; _search_detail says why certifying its
+# survivors with prefix_check keeps exactly what a full-depth filter would.
 _PREFILTER_N = 8
 
 
-def _filter_two_pass(
-    s: Sector, candidates: Iterable[tuple[int, int]], params: SearchParams
-) -> list[tuple[int, int, int]]:
-    """Filter at depth _PREFILTER_N, then at params.prefix_n on the first
-    pass's survivors.  Returns the full-depth (d2, e2, f) triples."""
-    if params.prefix_n > _PREFILTER_N:
-        first = _filter_candidates(s, candidates, _PREFILTER_N, params.offset_range)
-        candidates = [(d2, e2) for d2, e2, _ in first]
-    return _filter_candidates(s, candidates, params.prefix_n, params.offset_range)
-
-
 def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:
-    """(all survivors, raw-stage survivors), each certified by prefix_check.
+    """(all survivors, raw-grid survivors), each certified by prefix_check.
 
-    Every stage filters in two passes (_filter_two_pass): depth
-    _PREFILTER_N first, then depth params.prefix_n on what is left.  The
-    first pass is a necessary condition of the second, so the result is
-    the same as one full-depth pass.  In the filter's integer values
-    (P0 over 2n, the polynomial without its offset):
-
-    * vmin starts at 0, and a line the shallower pass cuts off early has
-      every value above its hi = _PREFILTER_N >= 0, so vmin and the forced
-      offset f = -vmin are the same at both depths;
-    * the window [vmin, vmin + _PREFILTER_N] lies inside both the shallow
-      pass's [lo, hi] and the full-depth window, so both passes see the
-      same values there, and a candidate that attains each of them exactly
-      once at full depth does so in the first pass too.
-
-    prefix_n stays the evidence depth: every survivor is certified by
-    prefix_check to params.prefix_n.  prefix_check is deterministic, so a
-    raw-stage survivor with the coefficients of an already checked
-    structured survivor reuses that verdict instead of checking again.
+    The candidates are the structured pairs and the raw grid in one dict
+    keyed by (d2, e2), whose value says whether the pair is in the raw
+    grid; a pair in both is screened and certified once.  One
+    _filter_candidates pass screens them at depth
+    min(prefix_n, _PREFILTER_N), and prefix_check certifies each survivor
+    once at prefix_n with the screen's forced offset.  The result is that
+    of one full-depth filter pass.  In the filter's integer values (P0
+    over 2n, the polynomial without its offset), a line the screen cuts
+    off early has every value above its hi >= 0, so vmin, and with it the
+    forced offset f = -vmin, is the same at every depth.  A survivor
+    attains vmin, so with that f it is integer-valued with least value 0,
+    and "the full-depth filter keeps it" is exactly "prefix_check at
+    prefix_n is OK": each of 0..prefix_n is attained exactly once.
     """
-    found: dict[tuple, QuadPoly] = {}
+    candidates = dict.fromkeys(_structured_candidates(s, params.max_k), False)
+    if params.raw_grid_bound > 0:
+        candidates.update(dict.fromkeys(_raw_candidates(s, params.raw_grid_bound), True))
+    depth = min(params.prefix_n, _PREFILTER_N)
+    found: list[QuadPoly] = []
     raw_found: list[QuadPoly] = []
-    verdicts: dict[tuple, bool] = {}
-
-    def certified(p: QuadPoly) -> bool:
-        key = p.coefficients()
-        if key not in verdicts:
-            verdicts[key] = prefix_check(s, p, params.prefix_n).ok
-        if verdicts[key]:
-            found[key] = p
-        return verdicts[key]
-
-    structured = _structured_candidates(s, params.max_k)
-    raw = _raw_candidates(s, params.raw_grid_bound) if params.raw_grid_bound > 0 else []
-    for d2, e2, f in _filter_two_pass(s, structured, params):
-        certified(_poly_from_scaled(s, d2, e2, f))
-    for d2, e2, f in _filter_two_pass(s, raw, params):
+    for d2, e2, f in _filter_candidates(s, candidates, depth, params.offset_range):
         p = _poly_from_scaled(s, d2, e2, f)
-        if certified(p):
-            raw_found.append(p)
-
-    ordered = sorted(found.values(), key=lambda p: _sort_key(s, p))
+        if prefix_check(s, p, params.prefix_n).ok:
+            found.append(p)
+            if candidates[d2, e2]:
+                raw_found.append(p)
+    found.sort(key=lambda p: _sort_key(s, p))
     raw_found.sort(key=lambda p: _sort_key(s, p))
-    return ordered, raw_found
+    return found, raw_found
 
 
 def search(s: Sector, params: SearchParams) -> list[QuadPoly]:
     """Rediscover every packing polynomial on S(n/m) by brute force.
 
-    The structured stage runs the stair coefficient families for every
-    admissible-residue k <= max_k, and the raw stage (if enabled) sweeps
-    the full (d, e) grid with only the homogeneous part pinned.  Integral
-    sectors are no exception: their staircases are the columns.  Survivors
-    are certified with prefix_check before being returned.
-
-    Each stage filters first at the small depth _PREFILTER_N (8), then at
-    params.prefix_n on the survivors.  Packing to depth prefix_n implies
-    packing to depth 8 with the same forced offset, so the cheap pass
-    rejects nothing the full pass would keep and the result equals a
-    single full-depth pass.  Depth 8 is only a cheap first reject: every
-    returned polynomial is "verified to prefix_n".
+    The candidates are the stair coefficient families for every
+    admissible-residue k <= max_k and, if enabled, the raw (d, e) grid
+    with only the homogeneous part pinned.  Integral sectors are no
+    exception: their staircases are the columns.  One filter pass at the
+    small depth _PREFILTER_N (8, or prefix_n if less) screens them, and
+    prefix_check certifies each survivor once, so every returned
+    polynomial is "verified to prefix_n".  Depth 8 is only a cheap
+    reject: the result equals a single filter pass at prefix_n.
     """
     return _search_detail(s, params)[0]

@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorpack import (
     Direction,
@@ -12,6 +14,8 @@ from sectorpack import (
     NotCoprime,
     Provenance,
     QuadPoly,
+    Quadrant,
+    SectorPackError,
     admissible_ks,
     cantor_polys,
     classify,
@@ -246,3 +250,27 @@ class TestClassify:
                 assert kstair_extract(s, entry.poly) == entry.form, (n, m)
                 if m == 1:
                     assert entry.form.q == entry.form.k, n
+
+
+# Coprime n, m <= 40 with at least one classified polynomial.
+CLASSIFIED_PAIRS = [(n, m) for n, m in coprime_pairs(40) if classify(n, m).entries]
+
+
+class TestTransportKeepsPacking:
+    @given(st.sampled_from(CLASSIFIED_PAIRS))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_reduced_and_dual_sectors(self, nm):
+        # p packs S(n/m); p o M^-1 must pack the image of S(n/m) under M
+        s = sector(*nm)
+        maps = [w_reduce(s)]
+        try:
+            maps.append(t_dual(s))
+        except SectorPackError:
+            pass  # no dual sector
+        for target, mapping in maps:
+            if isinstance(target, Quadrant):
+                continue
+            for entry in classify(*nm).entries:
+                carried = transport(entry.poly, mapping.inverse())
+                report = prefix_check(target, carried, 300)
+                assert report.ok, (nm, str(target), entry.poly.to_string(), report.describe())

@@ -200,12 +200,12 @@ class TestStaircases:
             # disjointness comes with the indexing; check the union covers
             assert sum(len(v) for v in by_c.values()) == len(points)
 
-    def test_staircase_record(self):
-        st_ = sector(8, 5).staircase(2)
-        assert st_.first == LatticePoint(1, 0)
-        assert st_.step == (1, 2)
-        assert st_.count == 5
-        assert st_.points() == sector(8, 5).stairs(2)
+    def test_staircase_accessors(self):
+        s = sector(8, 5)
+        assert s.first_stair(2) == LatticePoint(1, 0)
+        assert s.stair_step() == (1, 2)
+        assert s.stair_count(2) == 5
+        assert s.stairs(2) == [LatticePoint(1 + t, 2 * t) for t in range(5)]
 
 
 class TestWReduction:

@@ -4,7 +4,9 @@ import ast
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,9 +39,10 @@ from sectorpack.verify import (
     _LineTable,
     _edge_threshold,
     _filter_candidates,
-    _filter_two_pass,
+    _poly_from_scaled,
     _raw_candidates,
     _search_detail,
+    _structured_candidates,
     _walk_window,
 )
 
@@ -504,14 +507,30 @@ def _grid(s: Sector, bound: int) -> list[tuple[int, int]]:
 
 
 def _one_pass(s: Sector, candidates, params: SearchParams):
-    return _filter_candidates(s, candidates, params.prefix_n, params.offset_range)
+    """The reference: one _filter_candidates pass at full depth, as polys."""
+    triples = _filter_candidates(s, candidates, params.prefix_n, params.offset_range)
+    return sorted(_poly_from_scaled(s, *t).coefficients() for t in triples)
 
 
-def _two_pass(s: Sector, candidates, params: SearchParams):
-    return _filter_two_pass(s, candidates, params)
+def _screened(s: Sector, candidates, params: SearchParams):
+    """The search's own screen-then-certify pipeline run on ``candidates``,
+    fed in once as the structured pairs and once as the raw grid."""
+    import sectorpack.verify as verify_mod
+
+    results = []
+    with mock.patch.object(verify_mod, "_structured_candidates", lambda *_: candidates):
+        found, raw = _search_detail(s, replace(params, raw_grid_bound=0))
+    assert raw == []
+    results.append(found)
+    with mock.patch.object(verify_mod, "_structured_candidates", lambda *_: []), \
+            mock.patch.object(verify_mod, "_raw_candidates", lambda *_: candidates):
+        found, raw = _search_detail(s, replace(params, raw_grid_bound=1))
+    assert raw == found
+    results.append(found)
+    return [sorted(p.coefficients() for p in found) for found in results]
 
 
-# (n, m) pairs with a nonempty raw grid: n divides (m-1)**2, so every m = 1.
+# (n, m) pairs with a nonempty raw grid: n divides (m-1)**2.
 GRID_SECTORS = [
     (n, m)
     for n in range(1, 21)
@@ -520,7 +539,7 @@ GRID_SECTORS = [
 ]
 
 
-class TestTwoPassFilter:
+class TestScreenThenCertify:
     @pytest.mark.parametrize(
         "n,m", [(8, 5), (12, 7), (36, 25), (48, 37), (16, 9), (3, 1), (6, 1)]
     )
@@ -529,7 +548,7 @@ class TestTwoPassFilter:
         grid = _grid(s, PARAMS.raw_grid_bound)
         one = _one_pass(s, grid, PARAMS)
         assert one
-        assert _two_pass(s, grid, PARAMS) == one
+        assert _screened(s, grid, PARAMS) == [one, one]
 
     @given(
         st.sampled_from(GRID_SECTORS),
@@ -543,20 +562,41 @@ class TestTwoPassFilter:
         grid = _grid(s, 20)
         subset = [c for c in grid if rng.random() < 0.5]
         params = SearchParams(prefix_n, 6, offset_range, 20)
-        assert _two_pass(s, subset, params) == _one_pass(s, subset, params)
+        one = _one_pass(s, subset, params)
+        assert _screened(s, subset, params) == [one, one]
 
-    def test_shallow_prefix_runs_one_pass(self):
-        # below the prefilter depth the first pass would be the stricter one
+    def test_shallow_prefix_screens_at_prefix(self):
+        # below the screen depth a depth-8 screen would be the stricter one
         s = sector(8, 5)
         grid = _grid(s, 40)
         params = SearchParams(2, 6, 10, 40)
         shallow = _one_pass(s, grid, params)
-        deeper = _one_pass(s, grid, SearchParams(_PREFILTER_N, 6, 10, 40))
+        deeper = _one_pass(s, grid, replace(params, prefix_n=_PREFILTER_N))
         assert len(shallow) > len(deeper)
-        assert _two_pass(s, grid, params) == shallow
+        assert _screened(s, grid, params) == [shallow, shallow]
+
+    def test_one_screen_per_search(self, monkeypatch):
+        import sectorpack.verify as verify_mod
+
+        depths = []
+        real = verify_mod._filter_candidates
+
+        def recording(s, candidates, prefix_n, offset_range):
+            depths.append(prefix_n)
+            return real(s, candidates, prefix_n, offset_range)
+
+        monkeypatch.setattr(verify_mod, "_filter_candidates", recording)
+        for prefix_n in (0, 5, 8, 300):
+            depths.clear()
+            _search_detail(sector(8, 5), replace(PARAMS, prefix_n=prefix_n))
+            assert depths == [min(prefix_n, _PREFILTER_N)]
 
     def test_prefix_check_once_per_survivor(self, monkeypatch):
         import sectorpack.verify as verify_mod
+
+        s = sector(8, 5)
+        structured = set(_structured_candidates(s, PARAMS.max_k))
+        assert structured & set(_grid(s, PARAMS.raw_grid_bound))
 
         calls = []
         real = verify_mod.prefix_check
@@ -566,9 +606,10 @@ class TestTwoPassFilter:
             return real(s, p, n_max)
 
         monkeypatch.setattr(verify_mod, "prefix_check", counting)
-        ordered, raw = _search_detail(sector(12, 7), PARAMS)
-        assert len(ordered) == 4 and len(raw) == 4
-        assert sorted(calls) == sorted(p.coefficients() for p in ordered)
+        ordered, raw = _search_detail(s, PARAMS)
+        assert len(ordered) == 2 and raw == ordered
+        assert len(calls) == len(set(calls))
+        assert {p.coefficients() for p in ordered} <= set(calls)
 
 
 class TestSweep:
