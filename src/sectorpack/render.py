@@ -2,8 +2,9 @@
 
 Text mode prints the grid rows from y_max down to 0; every in-sector
 cell shows the polynomial's value there and every other cell shows a
-dot.  SVG mode draws labeled dots, the boundary ray m*y = n*x, and (for
-m >= 2) the staircase guide lines.
+dot.  SVG mode draws labeled dots, the boundary ray m*y = n*x, and the
+guide lines of the sector's line family (its staircases, the columns on
+S(n)).
 """
 
 from __future__ import annotations
@@ -94,21 +95,20 @@ def _render_svg(spec: RenderSpec) -> str:
         f'<line x1="{sx(0):.1f}" y1="{sy(0):.1f}" x2="{sx(bx):.1f}" y2="{sy(by):.1f}" '
         f'stroke="{spec.color}" stroke-width="1.5"/>'
     )
-    # Staircase guide lines (m-1)*y = n*x - c*l across the viewport.
-    if s.m >= 2:
-        c_hi = (s.n * spec.max_x) // s.l
-        for c in range(c_hi + 1):
-            # endpoints where the staircase line meets y = 0 and y = y_max
-            x_at0 = c * s.l / s.n
-            x_atmax = (y_max * (s.m - 1) + c * s.l) / s.n
-            if x_at0 > spec.max_x:
-                break
-            parts.append(
-                f'<line x1="{sx(x_at0):.1f}" y1="{sy(0):.1f}" '
-                f'x2="{sx(min(x_atmax, spec.max_x)):.1f}" '
-                f'y2="{sy(min(y_max, (s.n * spec.max_x - c * s.l) / (s.m - 1))):.1f}" '
-                f'stroke="#bbbbbb" stroke-width="0.5"/>'
-            )
+    # Line-family guide lines (m-1)*y = n*x - c*l across the viewport: from
+    # y = 0 up to y = y_max, or to x = max_x where the line leaves the grid
+    # there first.  On S(n) they are the columns x = c.
+    for c in range((s.n * spec.max_x) // s.l + 1):
+        room = s.n * spec.max_x - c * s.l
+        if (s.m - 1) * y_max <= room:
+            x2, y2 = (y_max * (s.m - 1) + c * s.l) / s.n, y_max
+        else:
+            x2, y2 = spec.max_x, room / (s.m - 1)
+        parts.append(
+            f'<line x1="{sx(c * s.l / s.n):.1f}" y1="{sy(0):.1f}" '
+            f'x2="{sx(x2):.1f}" y2="{sy(y2):.1f}" '
+            f'stroke="#bbbbbb" stroke-width="0.5"/>'
+        )
     for x in range(spec.max_x + 1):
         for y in range(y_max + 1):
             pt = LatticePoint(x, y)

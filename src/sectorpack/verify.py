@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Optional
 
 from .errors import NonTerminatingShape
@@ -434,6 +434,54 @@ def _edge_threshold(n: int, lo: int) -> int:
     return max(-((n * n * t * t - lo) // t) for t in range(1, math.isqrt(-lo) // n + 2))
 
 
+class _PairScreen:
+    """The per-pair tests of both search screens, at depth prefix_n.
+
+    ``window`` walks a pair and ``packs`` decides it from the walk; the
+    grid screen also reads the window's size between the two.
+    """
+
+    def __init__(self, s: Sector, prefix_n: int, offset_range: int):
+        self.table = _LineTable(s, 1, 0)
+        self.n, self.m = s.n, s.m
+        self.u, self.v = s.lines.u, s.lines.v
+        self.prefix_n, self.offset_range = prefix_n, offset_range
+        # Cheap rejection: on the x-axis points (t, 0) and the ray points
+        # (m*t, n*t) the scaled value is n*n*t*t + S*t with S = A or
+        # A*m + B*n, and a value below -2n*offset_range there cannot be
+        # rescued by any offset.
+        self.s_min = _edge_threshold(s.n, -2 * s.n * offset_range)
+
+    def window(self, d2: int, e2: int) -> Optional[tuple[list, int]]:
+        """(ranges, vmin): the pair's values in [-offset_range, prefix_n]
+        as the walk's per-line ranges, and its least value (or 0).  None
+        if the pair is negative: a value below -offset_range, which no
+        offset in range lifts to 0."""
+        n = self.n
+        A, B = n * d2, e2
+        if A < self.s_min or A * self.m + B * n < self.s_min:
+            return None
+        ranges, _, vmin, _ = self.table.walk(A, B, 2 * n, -self.offset_range, self.prefix_n)
+        return None if vmin < -self.offset_range else (ranges, vmin)
+
+    def packs(self, d2: int, e2: int, ranges: list, vmin: int) -> bool:
+        """Does the window hold each of vmin..vmin + prefix_n exactly
+        once?  A pair whose step along the lines is 0 is never kept."""
+        if self.n * d2 * self.u + e2 * self.v == 0:
+            return False
+        need = self.prefix_n + 1
+        seen = bytearray(need)
+        count = 0
+        for value in chain.from_iterable(ranges):
+            idx = value - vmin
+            if idx < need:
+                if seen[idx]:
+                    return False
+                seen[idx] = 1
+                count += 1
+        return count == need
+
+
 def _filter_candidates(
     s: Sector,
     candidates: Iterable[tuple[int, int]],
@@ -442,42 +490,54 @@ def _filter_candidates(
 ) -> list[tuple[int, int, int]]:
     """Keep the (d2, e2) pairs that pack to depth prefix_n for some offset.
 
-    Returns (d2, e2, f) triples.  Every candidate must correspond to an
-    integer-valued polynomial with the forced homogeneous part.
+    Returns (d2, e2, f) triples in candidate order, f the forced offset.
+    Every candidate must correspond to an integer-valued polynomial with
+    the forced homogeneous part.  The search screens with it only the
+    structured pairs outside the raw grid; on the grid, _screen_grid
+    keeps the same pairs in the same order.
     """
-    table = _LineTable(s, 1, 0)
-    n, m = s.n, s.m
-    u, v = s.lines.u, s.lines.v
-    scale = 2 * n
-    lo = -scale * offset_range
+    screen = _PairScreen(s, prefix_n, offset_range)
+    survivors = []
+    for d2, e2 in candidates:
+        window = screen.window(d2, e2)
+        if window is not None and screen.packs(d2, e2, *window):
+            survivors.append((d2, e2, -window[1]))
+    return survivors
+
+
+def _screen_grid(
+    s: Sector, bound: int, prefix_n: int, offset_range: int
+) -> list[tuple[int, int, int]]:
+    """_filter_candidates over the raw grid of ``bound``, row by row.
+
+    P0 grows with d2 (x >= 0) and with e2 (y >= 0).  So "negative" is a
+    down-set of the grid, and so is "at least prefix_n + 1 values <=
+    prefix_n", which on a pair that is not negative is the window's size.
+    On a row d2 the pairs that pass both tests form one e2 interval, the
+    band, and both its ends fall as d2 rises.  ``top`` bounds the band's
+    upper end from above on this row and every later one.  Each row is
+    scanned down from ``top``: a pair with too few values lowers ``top``
+    for good, and the pairs below it down to the first negative one are
+    the band, the only pairs tested for a zero step and distinct values.
+    The screen thus walks at most |D| + |E| pairs outside the bands.
+    Survivors come in _raw_candidates order.
+    """
+    D, E = _grid_axes(s, bound)
+    screen = _PairScreen(s, prefix_n, offset_range)
     need = prefix_n + 1
     survivors = []
-    # Cheap rejection: on the x-axis points (t, 0) and the ray points
-    # (m*t, n*t) the value is n*n*t*t + S*t with S = A or A*m + B*n, and a
-    # value below lo there cannot be rescued by any offset.
-    s_min = _edge_threshold(n, lo)
-
-    for d2, e2 in candidates:
-        A, B = n * d2, e2
-        if A * u + B * v == 0 or A < s_min or A * m + B * n < s_min:
-            continue
-
-        ranges, _, vmin, _ = table.walk(A, B, scale, -offset_range, prefix_n)
-        if vmin < -offset_range or sum(map(len, ranges)) < need:
-            continue
-        seen = bytearray(need)
-        count = 0
-        for value in chain.from_iterable(ranges):
-            idx = value - vmin
-            if idx < need:
-                if seen[idx]:
-                    break
-                seen[idx] = 1
-                count += 1
-        else:
-            if count == need:
-                survivors.append((d2, e2, -vmin))
-
+    top = len(E) - 1
+    for d2 in D:
+        band = []
+        j = top
+        while j >= 0 and (window := screen.window(d2, E[j])) is not None:
+            ranges, vmin = window
+            if sum(map(len, ranges)) < need:
+                top = j - 1
+            elif screen.packs(d2, E[j], ranges, vmin):
+                band.append((d2, E[j], -vmin))
+            j -= 1
+        survivors += reversed(band)
     return survivors
 
 
@@ -501,18 +561,23 @@ def _structured_candidates(s: Sector, max_k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _raw_candidates(s: Sector, bound: int) -> Iterable[tuple[int, int]]:
-    """Integer-valued (d2, e2) grid with the forced homogeneous part:
-    d2 = n mod 2, e2 = -(m-1)^2 mod 2n, |d2| <= bound, |e2| <= bound*n."""
+def _grid_axes(s: Sector, bound: int) -> tuple[range, range]:
+    """The raw grid's ascending d2 and e2 axes: integer-valued pairs with
+    the forced homogeneous part, d2 = n mod 2 and e2 = -(m-1)^2 mod 2n,
+    |d2| <= bound and |e2| <= bound*n.  Both are empty when bound is 0 or
+    n does not divide (m-1)^2."""
     n, m = s.n, s.m
-    if (m - 1) ** 2 % n != 0:
-        return
+    if bound == 0 or (m - 1) ** 2 % n != 0:
+        return range(0), range(0)
     d_start = -bound + ((n - (-bound)) % 2)
     e_res = (-((m - 1) ** 2)) % (2 * n)
     e_start = -bound * n + ((e_res - (-bound * n)) % (2 * n))
-    for d2 in range(d_start, bound + 1, 2):
-        for e2 in range(e_start, bound * n + 1, 2 * n):
-            yield (d2, e2)
+    return range(d_start, bound + 1, 2), range(e_start, bound * n + 1, 2 * n)
+
+
+def _raw_candidates(s: Sector, bound: int) -> Iterable[tuple[int, int]]:
+    """The raw grid's (d2, e2) pairs, d2 then e2 ascending."""
+    return product(*_grid_axes(s, bound))
 
 
 def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
@@ -533,31 +598,36 @@ _PREFILTER_N = 8
 def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:
     """(all survivors, raw-grid survivors), each certified by prefix_check.
 
-    The candidates are the structured pairs and the raw grid in one dict
-    keyed by (d2, e2), whose value says whether the pair is in the raw
-    grid; a pair in both is screened and certified once.  One
-    _filter_candidates pass screens them at depth
-    min(prefix_n, _PREFILTER_N), and prefix_check certifies each survivor
-    once at prefix_n with the screen's forced offset.  The result is that
-    of one full-depth filter pass.  In the filter's integer values (P0
-    over 2n, the polynomial without its offset), a line the screen cuts
-    off early has every value above its hi >= 0, so vmin, and with it the
-    forced offset f = -vmin, is the same at every depth.  A survivor
+    The candidates are the raw grid and the structured pairs.  _screen_grid
+    screens the grid and _filter_candidates the structured pairs outside
+    it, both at depth min(prefix_n, _PREFILTER_N), so a pair in both is
+    screened and certified once, and a survivor is a raw-grid survivor iff
+    its pair lies on the grid's axes.  prefix_check certifies each
+    survivor once at prefix_n with the screen's forced offset.  The result
+    is that of one full-depth filter pass.  In the filter's integer values
+    (P0 over 2n, the polynomial without its offset), a line the screen
+    cuts off early has every value above its hi >= 0, so vmin, and with it
+    the forced offset f = -vmin, is the same at every depth.  A survivor
     attains vmin, so with that f it is integer-valued with least value 0,
     and "the full-depth filter keeps it" is exactly "prefix_check at
     prefix_n is OK": each of 0..prefix_n is attained exactly once.
     """
-    candidates = dict.fromkeys(_structured_candidates(s, params.max_k), False)
-    if params.raw_grid_bound > 0:
-        candidates.update(dict.fromkeys(_raw_candidates(s, params.raw_grid_bound), True))
+    D, E = _grid_axes(s, params.raw_grid_bound)
+    structured = [
+        (d2, e2)
+        for d2, e2 in dict.fromkeys(_structured_candidates(s, params.max_k))
+        if not (d2 in D and e2 in E)
+    ]
     depth = min(params.prefix_n, _PREFILTER_N)
+    screened = _screen_grid(s, params.raw_grid_bound, depth, params.offset_range)
+    screened += _filter_candidates(s, structured, depth, params.offset_range)
     found: list[QuadPoly] = []
     raw_found: list[QuadPoly] = []
-    for d2, e2, f in _filter_candidates(s, candidates, depth, params.offset_range):
+    for d2, e2, f in screened:
         p = _poly_from_scaled(s, d2, e2, f)
         if prefix_check(s, p, params.prefix_n).ok:
             found.append(p)
-            if candidates[d2, e2]:
+            if d2 in D and e2 in E:
                 raw_found.append(p)
     found.sort(key=lambda p: _sort_key(s, p))
     raw_found.sort(key=lambda p: _sort_key(s, p))
@@ -570,10 +640,11 @@ def search(s: Sector, params: SearchParams) -> list[QuadPoly]:
     The candidates are the stair coefficient families for every
     admissible-residue k <= max_k and, if enabled, the raw (d, e) grid
     with only the homogeneous part pinned.  Integral sectors are no
-    exception: their staircases are the columns.  One filter pass at the
-    small depth _PREFILTER_N (8, or prefix_n if less) screens them, and
-    prefix_check certifies each survivor once, so every returned
-    polynomial is "verified to prefix_n".  Depth 8 is only a cheap
-    reject: the result equals a single filter pass at prefix_n.
+    exception: their staircases are the columns.  A screen at the small
+    depth _PREFILTER_N (8, or prefix_n if less) keeps the pairs that pack
+    that far; it walks the raw grid row by row and only around each row's
+    passing band.  prefix_check certifies each survivor once, so every
+    returned polynomial is "verified to prefix_n".  Depth 8 is only a
+    cheap reject: the result equals a single filter pass at prefix_n.
     """
     return _search_detail(s, params)[0]

@@ -45,6 +45,12 @@ SWEEP_SURVIVORS_SHA256 = "ee82e3c2db8ab0cdbc82718099e38e9481ebe9e849d69b3044a869
 # the line-stop bound that bounded x and y apart.  It pins every raw-grid
 # candidate that passes the depth-8 filter, certified or not.
 DEPTH8_SURVIVORS_SHA256 = "ce774dbd632930f823b62707f555f82e189189470e9fe483a02e73e9bf9878b9"
+# The n, m <= 100 sweep at SWEEP_PARAMS (the CLI's `sweep --max-n 100
+# --max-m 100 --raw 40`): sha256 of its CSV and of survivor_listing(),
+# recorded with the pair-by-pair raw-grid screen.
+WIDE_LIMIT = 100
+WIDE_CSV_SHA256 = "abe1b85df770cd2a2f71aa4bcf31f4835d80cae8890f259b89ff7dc6297a325d"
+WIDE_SURVIVORS_SHA256 = "503aecbae35ad9e7aa71816ccdef2bc61eca70f151b5d202edc4dcdbf8651bed"
 
 
 def report(criterion: int, label: str) -> None:
@@ -129,27 +135,42 @@ def test_criterion_03_survivors_pinned(sweep_run):
     report(3, "30x30 searched and raw survivors identical coefficient by coefficient")
 
 
-def depth8_listing() -> str:
+def depth8_listing(screen) -> str:
     """One n,m,d2,e2,f line per depth-8 filter survivor of each sector's
-    raw stage (bound 40)."""
-    from sectorpack.verify import _filter_candidates, _raw_candidates
-
+    raw stage (bound 40), as ``screen(s, bound, depth, offset_range)``
+    keeps them."""
     lines = []
     for n in range(1, SWEEP_LIMIT + 1):
         for m in range(1, SWEEP_LIMIT + 1):
             if math.gcd(n, m) != 1:
                 continue
             s = sector(n, m)
-            grid = _raw_candidates(s, 40)
-            for d2, e2, f in _filter_candidates(s, grid, 8, SWEEP_PARAMS.offset_range):
+            for d2, e2, f in screen(s, 40, 8, SWEEP_PARAMS.offset_range):
                 lines.append(f"{n},{m},{d2},{e2},{f}")
     return "\n".join(lines) + "\n"
 
 
 def test_criterion_03_depth8_survivors_pinned():
-    digest = hashlib.sha256(depth8_listing().encode()).hexdigest()
-    assert digest == DEPTH8_SURVIVORS_SHA256
+    from sectorpack.verify import _filter_candidates, _raw_candidates, _screen_grid
+
+    def pair_by_pair(s, bound, depth, offset_range):
+        return _filter_candidates(s, _raw_candidates(s, bound), depth, offset_range)
+
+    for screen in (pair_by_pair, _screen_grid):
+        digest = hashlib.sha256(depth8_listing(screen).encode()).hexdigest()
+        assert digest == DEPTH8_SURVIVORS_SHA256, screen.__name__
     report(3, "30x30 raw-grid depth-8 filter survivors identical coefficient by coefficient")
+
+
+def test_criterion_03_wide_sweep_pinned():
+    start = time.perf_counter()
+    result = sweep(WIDE_LIMIT, WIDE_LIMIT, SWEEP_PARAMS)
+    elapsed = time.perf_counter() - start
+    assert len(result.rows) == 6087
+    assert result.mismatches() == []
+    assert hashlib.sha256(result.to_csv().encode()).hexdigest() == WIDE_CSV_SHA256
+    assert hashlib.sha256(survivor_listing(result).encode()).hexdigest() == WIDE_SURVIVORS_SHA256
+    report(3, f"100x100 sweep, 6087 sectors, zero mismatches, digests pinned, {elapsed:.1f}s")
 
 
 def test_criterion_04_raw_survivors_satisfy_necessary_form(sweep_run):

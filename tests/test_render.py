@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from sectorpack import LatticePoint, QuadPoly, RenderSpec, render, sector
@@ -104,6 +106,24 @@ class TestSvgRender:
             RenderSpec(sector(3, 1), QuadPoly.from_string("3/2 0 0 -1/2 1 0"), max_x=3, format="svg")
         )
         assert "</svg>" in out
+        # the boundary, then the columns x = 0..3 from y = 0 to y_max = 9
+        guides = [line for line in out.splitlines() if 'stroke="#bbbbbb"' in line]
+        assert out.count("<line") == 1 + len(guides) == 5
+        for x, line in enumerate(guides):
+            sx = f"{30 + 40 * x:.1f}"
+            assert f'x1="{sx}" y1="390.0" x2="{sx}" y2="30.0"' in line
+
+    @pytest.mark.parametrize(
+        "n,m,poly,max_x,digest",
+        [
+            (8, 5, P_PLUS, 6, "4e296794ef0cb93f493a5728c39935f7570a1f266fd8c7279625e10ff0a635cc"),
+            (12, 7, P127, 5, "2971e9cf797922d4d70d79917d42db1ac2456845744f3fab88d8ed7ed201e6e3"),
+        ],
+    )
+    def test_staircase_svg_pinned(self, n, m, poly, max_x, digest):
+        # sha256 recorded when only sectors with m >= 2 drew guide lines
+        out = render(RenderSpec(sector(n, m), poly, max_x=max_x, format="svg"))
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_deterministic(self):
         spec = RenderSpec(sector(12, 7), P127, max_x=5, format="svg")

@@ -37,10 +37,13 @@ from sectorpack.sweep import _resolve_workers, _sweep_row
 from sectorpack.verify import (
     _PREFILTER_N,
     _LineTable,
+    _PairScreen,
     _edge_threshold,
     _filter_candidates,
+    _grid_axes,
     _poly_from_scaled,
     _raw_candidates,
+    _screen_grid,
     _search_detail,
     _structured_candidates,
     _walk_window,
@@ -513,21 +516,25 @@ def _one_pass(s: Sector, candidates, params: SearchParams):
 
 
 def _screened(s: Sector, candidates, params: SearchParams):
-    """The search's own screen-then-certify pipeline run on ``candidates``,
-    fed in once as the structured pairs and once as the raw grid."""
+    """The search's own screen-then-certify pipeline run on ``candidates``
+    fed in as the structured pairs, with no raw grid."""
     import sectorpack.verify as verify_mod
 
-    results = []
     with mock.patch.object(verify_mod, "_structured_candidates", lambda *_: candidates):
         found, raw = _search_detail(s, replace(params, raw_grid_bound=0))
     assert raw == []
-    results.append(found)
-    with mock.patch.object(verify_mod, "_structured_candidates", lambda *_: []), \
-            mock.patch.object(verify_mod, "_raw_candidates", lambda *_: candidates):
-        found, raw = _search_detail(s, replace(params, raw_grid_bound=1))
+    return sorted(p.coefficients() for p in found)
+
+
+def _grid_searched(s: Sector, params: SearchParams):
+    """The search's pipeline on the raw grid of params.raw_grid_bound
+    alone, with no structured pairs."""
+    import sectorpack.verify as verify_mod
+
+    with mock.patch.object(verify_mod, "_structured_candidates", lambda *_: []):
+        found, raw = _search_detail(s, params)
     assert raw == found
-    results.append(found)
-    return [sorted(p.coefficients() for p in found) for found in results]
+    return sorted(p.coefficients() for p in found)
 
 
 # (n, m) pairs with a nonempty raw grid: n divides (m-1)**2.
@@ -539,6 +546,14 @@ GRID_SECTORS = [
 ]
 
 
+def _count_upto(s: Sector, d2: int, e2: int, hi: int) -> int:
+    """How many sector points have filter value P0/2n <= hi, read off two
+    walks: the first finds the least value, the second counts from it."""
+    table = _LineTable(s, 1, 0)
+    vmin = table.walk(s.n * d2, e2, 2 * s.n, 0, hi)[2]
+    return sum(map(len, table.walk(s.n * d2, e2, 2 * s.n, vmin, hi)[0]))
+
+
 class TestScreenThenCertify:
     @pytest.mark.parametrize(
         "n,m", [(8, 5), (12, 7), (36, 25), (48, 37), (16, 9), (3, 1), (6, 1)]
@@ -548,7 +563,8 @@ class TestScreenThenCertify:
         grid = _grid(s, PARAMS.raw_grid_bound)
         one = _one_pass(s, grid, PARAMS)
         assert one
-        assert _screened(s, grid, PARAMS) == [one, one]
+        assert _screened(s, grid, PARAMS) == one
+        assert _grid_searched(s, PARAMS) == one
 
     @given(
         st.sampled_from(GRID_SECTORS),
@@ -562,8 +578,69 @@ class TestScreenThenCertify:
         grid = _grid(s, 20)
         subset = [c for c in grid if rng.random() < 0.5]
         params = SearchParams(prefix_n, 6, offset_range, 20)
-        one = _one_pass(s, subset, params)
-        assert _screened(s, subset, params) == [one, one]
+        assert _screened(s, subset, params) == _one_pass(s, subset, params)
+        assert _grid_searched(s, params) == _one_pass(s, grid, params)
+
+    @given(
+        st.sampled_from(GRID_SECTORS),
+        st.integers(0, 300),
+        st.integers(0, 10),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_grid_screen_equals_pair_screen(self, nm, prefix_n, offset_range, bound):
+        s = sector(*nm)
+        assert _screen_grid(s, bound, prefix_n, offset_range) == _filter_candidates(
+            s, _raw_candidates(s, bound), prefix_n, offset_range
+        )
+
+    @given(
+        st.sampled_from(GRID_SECTORS),
+        st.integers(0, 300),
+        st.integers(0, 10),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_screen_lemma(self, nm, prefix_n, offset_range, i, j):
+        # The grid screen's premise: "negative" is a down-set of the grid,
+        # the count of values <= prefix_n never rises along either axis,
+        # and off the negative pairs it is the window's size.
+        s = sector(*nm)
+        D, E = _grid_axes(s, 40)
+        d2, e2 = D[i % len(D)], E[j % len(E)]
+        screen = _PairScreen(s, prefix_n, offset_range)
+        window = screen.window(d2, e2)
+        count = _count_upto(s, d2, e2, prefix_n)
+        if window is None:
+            assert screen.window(d2 - 2, e2) is None
+            assert screen.window(d2, e2 - 2 * s.n) is None
+        else:
+            assert sum(map(len, window[0])) == count
+        assert _count_upto(s, d2 + 2, e2, prefix_n) <= count
+        assert _count_upto(s, d2, e2 + 2 * s.n, prefix_n) <= count
+
+    def test_grid_screen_walks_band_and_boundary(self, monkeypatch):
+        s = sector(8, 5)
+        D, E = _grid_axes(s, 40)
+        need = _PREFILTER_N + 1
+        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
+        band = 0
+        for d2, e2 in _raw_candidates(s, 40):
+            window = screen.window(d2, e2)
+            band += window is not None and sum(map(len, window[0])) >= need
+        assert band
+
+        walks = []
+        real = _LineTable.walk
+
+        def counting(self, *args):
+            walks.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(_LineTable, "walk", counting)
+        _screen_grid(s, 40, _PREFILTER_N, PARAMS.offset_range)
+        assert band <= len(walks) <= len(D) + len(E) + band
 
     def test_shallow_prefix_screens_at_prefix(self):
         # below the screen depth a depth-8 screen would be the stricter one
@@ -573,23 +650,44 @@ class TestScreenThenCertify:
         shallow = _one_pass(s, grid, params)
         deeper = _one_pass(s, grid, replace(params, prefix_n=_PREFILTER_N))
         assert len(shallow) > len(deeper)
-        assert _screened(s, grid, params) == [shallow, shallow]
+        assert _screened(s, grid, params) == shallow
+        assert _grid_searched(s, params) == shallow
 
     def test_one_screen_per_search(self, monkeypatch):
         import sectorpack.verify as verify_mod
 
         depths = []
-        real = verify_mod._filter_candidates
+        real_pairs, real_grid = verify_mod._filter_candidates, verify_mod._screen_grid
 
-        def recording(s, candidates, prefix_n, offset_range):
-            depths.append(prefix_n)
-            return real(s, candidates, prefix_n, offset_range)
+        def pairs(s, candidates, prefix_n, offset_range):
+            depths.append(("pairs", prefix_n))
+            return real_pairs(s, candidates, prefix_n, offset_range)
 
-        monkeypatch.setattr(verify_mod, "_filter_candidates", recording)
+        def grid(s, bound, prefix_n, offset_range):
+            depths.append(("grid", prefix_n))
+            return real_grid(s, bound, prefix_n, offset_range)
+
+        monkeypatch.setattr(verify_mod, "_filter_candidates", pairs)
+        monkeypatch.setattr(verify_mod, "_screen_grid", grid)
         for prefix_n in (0, 5, 8, 300):
             depths.clear()
             _search_detail(sector(8, 5), replace(PARAMS, prefix_n=prefix_n))
-            assert depths == [min(prefix_n, _PREFILTER_N)]
+            depth = min(prefix_n, _PREFILTER_N)
+            assert sorted(depths) == [("grid", depth), ("pairs", depth)]
+
+    def test_sweep_walk_budget(self, monkeypatch):
+        # the serial 30x30 sweep at raw 40 ran 140,756 walks when the
+        # screen walked every grid pair
+        calls = []
+        real = _LineTable.walk
+
+        def counting(self, *args):
+            calls.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(_LineTable, "walk", counting)
+        assert sweep(30, 30, PARAMS, workers=1).ok
+        assert len(calls) <= 20_000
 
     def test_prefix_check_once_per_survivor(self, monkeypatch):
         import sectorpack.verify as verify_mod
