@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -108,6 +107,10 @@ def sweep(
     if workers == 1 or len(tasks) < 4:
         rows = [_sweep_row(task) for task in tasks]
     else:
+        # imported here: the pool's modules add about a third to the time
+        # `import sectorpack` takes
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks, chunksize=8))
     rows.sort(key=lambda row: (row.n, row.m))

@@ -1,12 +1,17 @@
 """Independent truth source: bounded enumeration and exhaustive search.
 
-Nothing in this module trusts the classification theorems, and it does
-not import them.  A candidate polynomial is accepted only if its values on
-the sector's lattice points form exactly the prefix {0..N}, each attained
-once, with no negative value anywhere — established by walking the
-sector's line family (its staircases, which are the columns on integral
-sectors).  The oracle and the search filter share one walk in scaled
-integers.
+The oracle (prefix_check, enumerate_upto) and the raw-grid search use
+none of the classification theorems, and this module does not import
+classify.  Both search stages take the forced homogeneous part from
+polynomials.stanton_quadratic.  One stage uses the construction's
+formulas: _structured_candidates proposes the (d, e) pairs of the stair
+coefficient families with polynomials.necessary_coefficients and
+_residue.  It only proposes.  A candidate from either stage is accepted
+only if its values on the sector's lattice points form exactly the prefix
+{0..N}, each attained once, with no negative value anywhere — established
+by walking the sector's line family (its staircases, which are the
+columns on integral sectors).  The oracle and the search filter share one
+walk in scaled integers.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import Iterable, Optional
 
 from .errors import NonTerminatingShape
@@ -145,9 +150,18 @@ class _LineTable:
         self.rows: list[tuple[int, int, int, int]] = []
 
     def grow(self, c: int) -> None:
-        line, Q, F, l = self.lines.line, self.Q, self.F, self.lines.l
-        for cc in range(len(self.rows), c + 1):
-            self.rows.append((*line(cc), Q * (cc * l) ** 2 + F))
+        """Append the rows up to line c, each the row of LineFamily.line:
+        z(c) = (-c*r) mod v steps by z <- (z - r) mod v from line to line."""
+        lines, rows, Q, F = self.lines, self.rows, self.Q, self.F
+        n, m, l, v, r = lines.n, lines.m, lines.l, lines.v, lines.r
+        first = len(rows)
+        z = (-first * r) % v
+        for cc in range(first, c + 1):
+            cl = cc * l
+            x0 = ((m - 1) * z + cl) // n
+            count = (n * x0 - m * z) // v + 1
+            rows.append((x0, z, count if count > 0 else 0, Q * cl * cl + F))
+            z = (z - r) % v
 
     def point(self, c: int, t: int) -> LatticePoint:
         x0, z = self.rows[c][:2]
@@ -155,17 +169,20 @@ class _LineTable:
 
     def walk(
         self, A: int, B: int, unit: int, lo: int, hi: int
-    ) -> tuple[list, list[tuple[int, int]], int, Optional[tuple[int, int]]]:
+    ) -> tuple[list[range], list[tuple[int, int, int]], int, int, Optional[tuple[int, int]]]:
         """Walk the lines, collecting the values in [lo, hi].
 
         Every scaled value must be a multiple of ``unit``; values, lo, hi
         and vmin are all in units of ``unit``, and a line whose scaled base
         or step is not a multiple is a ValueError.
 
-        Returns (ranges, spans, vmin, negative): ranges[i] holds the
+        Returns (ranges, spans, total, vmin, negative): ranges[i] holds the
         window's values on one line in scan order (c, then t ascending) and
-        spans[i] is that line's (c, first t); vmin is the minimum of 0 and
-        every line's values; negative is the first (c, t) with value < 0.
+        spans[i] is that line's (c, first t, point count); total is the
+        window's point count; vmin is the minimum of 0 and every line's
+        values; negative is the first (c, t) with value < 0.  When the step
+        is 0 a line holds one value at every point: its range holds that
+        value once and its span counts the points.
 
         On line c the sector's points lie on the segment from (c*l/n, 0)
         to (m*c*l/n, c*l), and the linear A*x + B*y is least at an end, so
@@ -173,7 +190,8 @@ class _LineTable:
         k_lo = min(A, A*m + B*n): a convex quadratic in c that increases
         past its vertex.  The walk stops at the first line past (an upper
         estimate of) that vertex where this bound exceeds hi: every value
-        on every later line exceeds hi.
+        on every later line exceeds hi.  The rows grow by about an eighth
+        as the walk reaches past them.
         """
         lines, rows, Q = self.lines, self.rows, self.Q
         n, l = lines.n, lines.l
@@ -184,14 +202,14 @@ class _LineTable:
         vertex = (-k_lo // n) // (2 * Q * l) + 2
         hi_scaled = hi * unit
 
-        ranges: list = []
-        spans: list[tuple[int, int]] = []
-        vmin = 0
+        ranges: list[range] = []
+        spans: list[tuple[int, int, int]] = []
+        total = vmin = 0
         negative: Optional[tuple[int, int]] = None
         c = 0
         while True:
             if c >= len(rows):
-                self.grow(c + 64)
+                self.grow(c + c // 8 + 8)
             x0, z, cnt, q = rows[c]
             if c > vertex and q + (k_lo * c * l) // n > hi_scaled:
                 break
@@ -207,43 +225,46 @@ class _LineTable:
                     vmin = line_min
                     if negative is None:
                         negative = (c, 0 if step >= 0 or base < 0 else base // -step + 1)
-                if step > 0:
-                    t_lo = 0 if base >= lo else -((base - lo) // step)
-                    t_hi = cnt - 1 if last <= hi else (hi - base) // step
+                if step:
+                    if step > 0:
+                        t_lo = 0 if base >= lo else -((base - lo) // step)
+                        t_hi = cnt - 1 if last <= hi else (hi - base) // step
+                    else:
+                        t_lo = 0 if base <= hi else -((hi - base) // -step)
+                        t_hi = cnt - 1 if last >= lo else (base - lo) // -step
                     if t_lo <= t_hi:
-                        spans.append((c, t_lo))
-                        ranges.append(range(base + t_lo * step, base + t_hi * step + 1, step))
-                elif step < 0:
-                    t_lo = 0 if base <= hi else -((hi - base) // -step)
-                    t_hi = cnt - 1 if last >= lo else (base - lo) // -step
-                    if t_lo <= t_hi:
-                        spans.append((c, t_lo))
-                        ranges.append(range(base + t_lo * step, base + t_hi * step - 1, step))
+                        width = t_hi - t_lo + 1
+                        start = base + t_lo * step
+                        ranges.append(range(start, start + width * step, step))
+                        spans.append((c, t_lo, width))
+                        total += width
                 elif lo <= base <= hi:
-                    spans.append((c, 0))
-                    ranges.append([base] * cnt)
+                    ranges.append(range(base, base + 1))
+                    spans.append((c, 0, cnt))
+                    total += cnt
             c += 1
-        return ranges, spans, vmin, negative
+        return ranges, spans, total, vmin, negative
 
 
 def _walk_window(
     s: Sector, p: QuadPoly, n_max: int
-) -> tuple[_LineTable, list, list[tuple[int, int]], Optional[LatticePoint]]:
+) -> tuple[_LineTable, list[range], list[tuple[int, int, int]], int, Optional[LatticePoint]]:
     """Walk the line family of S(n/m) for the values in [0, n_max].
 
     The polynomial is scaled by D, the lcm of the denominators of a/n**2,
     d, e and f, so the walk runs in integers.  Returns (table, ranges,
-    spans, negative_witness): the line table, the walk's per-line value
-    ranges and their (c, first t) spans (see _LineTable.walk), and the
-    first point seen with value < 0.  The polynomial must be
-    integer-valued; a line or step that is not is a ValueError.
+    spans, total, negative_witness): the line table, the walk's per-line
+    value ranges, their (c, first t, point count) spans and the window's
+    point count (see _LineTable.walk), and the first point seen with value
+    < 0.  The polynomial must be integer-valued; a line or step that is
+    not is a ValueError.
     """
     _check_family(s, p)
     lam = p.a / (s.n * s.n)
     D = math.lcm(lam.denominator, p.d.denominator, p.e.denominator, p.f.denominator)
     table = _LineTable(s, int(lam * D), int(p.f * D))
-    ranges, spans, _, negative = table.walk(int(p.d * D), int(p.e * D), D, 0, n_max)
-    return table, ranges, spans, None if negative is None else table.point(*negative)
+    ranges, spans, total, _, negative = table.walk(int(p.d * D), int(p.e * D), D, 0, n_max)
+    return table, ranges, spans, total, None if negative is None else table.point(*negative)
 
 
 def _value_sweep(
@@ -252,11 +273,13 @@ def _value_sweep(
     """The window of _walk_window as (value, x, y) triples in scan order,
     with the negative witness; enumerate_upto sorts them.  prefix_check
     reads the ranges directly and builds no triples."""
-    table, ranges, spans, negative = _walk_window(s, p, n_max)
+    table, ranges, spans, _, negative = _walk_window(s, p, n_max)
     u, v = s.lines.u, s.lines.v
     items: list[tuple[int, int, int]] = []
-    for (c, t), values in zip(spans, ranges):
+    for (c, t, count), values in zip(spans, ranges):
         x, y = table.point(c, t)
+        if count > len(values):  # step 0: the line's one value at each point
+            values = repeat(values[0], count)
         items += [(value, x + i * u, y + i * v) for i, value in enumerate(values)]
     return items, negative
 
@@ -284,42 +307,41 @@ _PROBE_POINTS = [
 ]
 
 
-def _slots(values) -> tuple[slice, int]:
-    """The ascending slice of a window bytearray that a line's values
-    mark, and its length.
+def _slots(values: range) -> slice:
+    """The ascending slice of a window bytearray that a line's values mark.
 
     A descending range is marked through its ascending reverse: sliced as
     given, a range whose last value is 0 has stop -1, which a slice reads
-    as "from the end".  A step-0 line (a list of one repeated value)
-    marks one slot.
+    as "from the end".
     """
-    if isinstance(values, list):
-        return slice(values[0], values[0] + 1, 1), 1
     if values.step < 0:
         values = values[::-1]
-    return slice(values.start, values.stop, values.step), len(values)
+    return slice(values.start, values.stop, values.step)
 
 
-def _first_repeat(ranges: list, n_max: int) -> tuple[int, int, int]:
+def _first_repeat(
+    ranges: list[range], spans: list[tuple[int, int, int]], n_max: int
+) -> tuple[int, int, int]:
     """(value, i, j): the first item in scan order whose value an earlier
     item holds, at ranges[i][j].  Some value must repeat.
 
     Marks the ranges in scan order and stops at the first one that hits a
-    marked slot.  A range with a nonzero step holds distinct values, so
-    its first hit in scan order is the repeat: the smallest hit value on
-    an ascending range, the largest on a descending one.
+    marked slot.  A range holds distinct values, so its first hit in scan
+    order is the repeat: the smallest hit value on an ascending range, the
+    largest on a descending one.  A step-0 line whose span counts more
+    points than its one value repeats that value at its second point.
     """
     seen = bytearray(n_max + 1)
-    for i, values in enumerate(ranges):
-        slots, width = _slots(values)
+    for i, (values, (_, _, count)) in enumerate(zip(ranges, spans)):
+        slots = _slots(values)
         hits = seen[slots]
-        j = hits.rfind(1) if values[0] > values[-1] else hits.find(1)
+        j = hits.rfind(1) if values.step < 0 else hits.find(1)
         if j >= 0:
             value = slots.start + j * slots.step
             return value, i, values.index(value)
-        if len(values) > width:  # a step-0 line repeats its own value
+        if count > len(values):  # a step-0 line repeats its own value
             return values[0], i, 1
-        seen[slots] = b"\x01" * width
+        seen[slots] = b"\x01" * len(values)
     raise AssertionError("no value repeats")
 
 
@@ -338,24 +360,30 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
         return PrefixReport(
             PrefixStatus.NON_INTEGER_VALUE, checked_upto=n_max, points=0, point=witness
         )
-    # Each line's window values are one range, marked into a bytearray of
-    # n_max + 1 slots by one slice assignment, so no per-value object is
-    # built: a call costs the walk, one pass over the lines and C-speed
-    # byte counts.  The values are distinct iff the marked slots number as
-    # many as the values.  Only a duplicate pays for a second marking
-    # pass, which stops at the first line that repeats a value, and then
-    # for a search of the lines for its first holder.
-    table, ranges, spans, negative = _walk_window(s, p, n_max)
-    seen = bytearray(n_max + 1)
-    total = 0
-    for values in ranges:
-        slots, width = _slots(values)
-        seen[slots] = b"\x01" * width
-        total += len(values)
-    if seen.count(1) < total:
-        value, i, j = _first_repeat(ranges, n_max)
+    # The walk counts the window's points, all in [0, n_max], before any is
+    # marked.  More points than the n_max + 1 slots, or than the values the
+    # ranges hold (a step-0 line holds one value at all its points), must
+    # repeat a value (pigeonhole), and the check goes straight to the
+    # witness search.  Otherwise each line's range is marked into a
+    # bytearray by one slice assignment, so no per-value object is built.
+    # With exactly n_max + 1 points the values are distinct iff no slot is
+    # left unmarked, which find(0) answers at memchr speed; with fewer, iff
+    # the marked slots number as many as the points, a full count.  Only a
+    # duplicate pays for a second marking pass, which stops at the first
+    # line that repeats a value, and then for a search of the lines for
+    # its first holder.
+    table, ranges, spans, total, negative = _walk_window(s, p, n_max)
+    need = n_max + 1
+    distinct = False
+    if total <= need and sum(map(len, ranges)) == total:
+        seen = bytearray(need)
+        for values in ranges:
+            seen[_slots(values)] = b"\x01" * len(values)
+        distinct = seen.find(0) < 0 if total == need else seen.count(1) == total
+    if not distinct:
+        value, i, j = _first_repeat(ranges, spans, n_max)
         first = next(k for k, values in enumerate(ranges) if value in values)
-        (c, t), (c0, t0) = spans[i], spans[first]
+        (c, t, _), (c0, t0, _) = spans[i], spans[first]
         return PrefixReport(
             PrefixStatus.DUPLICATE,
             checked_upto=n_max,
@@ -373,7 +401,7 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
             point=negative,
         )
     # distinct values in [0, n_max]: one is missing iff there are fewer
-    if total <= n_max:
+    if total < need:
         return PrefixReport(
             PrefixStatus.MISSING_VALUE, checked_upto=n_max, points=total, value=seen.find(0)
         )
@@ -452,23 +480,29 @@ class _PairScreen:
         # rescued by any offset.
         self.s_min = _edge_threshold(s.n, -2 * s.n * offset_range)
 
-    def window(self, d2: int, e2: int) -> Optional[tuple[list, int]]:
-        """(ranges, vmin): the pair's values in [-offset_range, prefix_n]
-        as the walk's per-line ranges, and its least value (or 0).  None
-        if the pair is negative: a value below -offset_range, which no
-        offset in range lifts to 0."""
+    def window(self, d2: int, e2: int) -> Optional[tuple[list[range], int, int]]:
+        """(ranges, total, vmin): the pair's values in [-offset_range,
+        prefix_n] as the walk's per-line ranges, their point count, and
+        the pair's least value (or 0).  None if the pair is negative: a
+        value below -offset_range, which no offset in range lifts to 0."""
         n = self.n
         A, B = n * d2, e2
         if A < self.s_min or A * self.m + B * n < self.s_min:
             return None
-        ranges, _, vmin, _ = self.table.walk(A, B, 2 * n, -self.offset_range, self.prefix_n)
-        return None if vmin < -self.offset_range else (ranges, vmin)
+        ranges, _, total, vmin, _ = self.table.walk(
+            A, B, 2 * n, -self.offset_range, self.prefix_n
+        )
+        return None if vmin < -self.offset_range else (ranges, total, vmin)
 
-    def packs(self, d2: int, e2: int, ranges: list, vmin: int) -> bool:
-        """Does the window hold each of vmin..vmin + prefix_n exactly
-        once?  A pair whose step along the lines is 0 is never kept."""
-        if self.n * d2 * self.u + e2 * self.v == 0:
-            return False
+    def steps(self, d2: int, e2: int) -> bool:
+        """Is the pair's step along the lines nonzero?  A step-0 pair is
+        never kept: it repeats a value on every line with two points, and
+        the lines grow without bound."""
+        return self.n * d2 * self.u + e2 * self.v != 0
+
+    def packs(self, ranges: list[range], vmin: int) -> bool:
+        """Does the window of a pair that steps hold each of vmin..vmin +
+        prefix_n exactly once?"""
         need = self.prefix_n + 1
         seen = bytearray(need)
         count = 0
@@ -492,16 +526,17 @@ def _filter_candidates(
 
     Returns (d2, e2, f) triples in candidate order, f the forced offset.
     Every candidate must correspond to an integer-valued polynomial with
-    the forced homogeneous part.  The search screens with it only the
-    structured pairs outside the raw grid; on the grid, _screen_grid
-    keeps the same pairs in the same order.
+    the forced homogeneous part.  A step-0 pair is dropped before its walk.
+    The search screens with it only the structured pairs outside the raw
+    grid; on the grid, _screen_grid keeps the same pairs in the same order.
     """
     screen = _PairScreen(s, prefix_n, offset_range)
     survivors = []
     for d2, e2 in candidates:
-        window = screen.window(d2, e2)
-        if window is not None and screen.packs(d2, e2, *window):
-            survivors.append((d2, e2, -window[1]))
+        if screen.steps(d2, e2) and (window := screen.window(d2, e2)) is not None:
+            ranges, _, vmin = window
+            if screen.packs(ranges, vmin):
+                survivors.append((d2, e2, -vmin))
     return survivors
 
 
@@ -520,7 +555,8 @@ def _screen_grid(
     for good, and the pairs below it down to the first negative one are
     the band, the only pairs tested for a zero step and distinct values.
     The screen thus walks at most |D| + |E| pairs outside the bands.
-    Survivors come in _raw_candidates order.
+    Survivors come in _raw_candidates order.  A step-0 pair's window
+    counts every point it holds, so it lowers ``top`` as any other does.
     """
     D, E = _grid_axes(s, bound)
     screen = _PairScreen(s, prefix_n, offset_range)
@@ -531,10 +567,10 @@ def _screen_grid(
         band = []
         j = top
         while j >= 0 and (window := screen.window(d2, E[j])) is not None:
-            ranges, vmin = window
-            if sum(map(len, ranges)) < need:
+            ranges, total, vmin = window
+            if total < need:
                 top = j - 1
-            elif screen.packs(d2, E[j], ranges, vmin):
+            elif screen.steps(d2, E[j]) and screen.packs(ranges, vmin):
                 band.append((d2, E[j], -vmin))
             j -= 1
         survivors += reversed(band)

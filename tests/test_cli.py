@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sectorpack
 from sectorpack.cli import main
 
 
@@ -11,6 +16,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_out_the_process_pool():
+    # a cold `import sectorpack`, as every CLI command pays it, loads the
+    # pool's modules only when a sweep starts one
+    src = Path(sectorpack.__file__).resolve().parent.parent
+    pool = "{'concurrent.futures.process', 'multiprocessing'}"
+    probe = f"import sys, sectorpack; print(sorted({pool} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestClassifyCmd:

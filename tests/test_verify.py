@@ -242,6 +242,40 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
     assert stop <= old_stop
 
 
+def test_line_rows_by_recurrence():
+    # grown in pieces, so each restart of the z recurrence is checked too
+    for n in range(1, 41):
+        for m in range(1, 41):
+            if math.gcd(n, m) != 1:
+                continue
+            s = sector(n, m)
+            table = _LineTable(s, 3, -7)
+            for c in (0, 9, 140, 500):
+                table.grow(c)
+            l = s.lines.l
+            want = [(*s.lines.line(c), 3 * (c * l) ** 2 - 7) for c in range(501)]
+            assert table.rows == want, (n, m)
+
+
+def test_walk_grows_rows_by_an_eighth(monkeypatch):
+    tables = []
+    real = _LineTable.walk
+
+    def logged(self, *args):
+        self.rows = _ReadLog(self.rows)
+        tables.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(_LineTable, "walk", logged)
+    for s, p in [(sector(8, 5), P_PLUS), (sector(12, 7), P127), (sector(36, 25), P3625)]:
+        for n_max in (0, 10, 1000, 10**5, 10**6):
+            tables.clear()
+            assert prefix_check(s, p, n_max).ok
+            (table,) = tables
+            stop = table.rows.last
+            assert len(table.rows) <= stop + stop // 8 + 9, (str(s), n_max)
+
+
 def _probe_rejects(n: int, lo: int, S: int) -> bool:
     """The edge probe the threshold replaced: n*n*t*t + S*t < lo at t = 1
     or at the integers around the real minimiser -S/(2*n*n)."""
@@ -327,6 +361,38 @@ class TestPrefixCheck:
             LatticePoint(1, 1),
         )
         assert report == prefix_report_reference(s, p, 10)
+
+    @pytest.mark.parametrize(
+        "n,m,text,n_max,status,points,value,point,point2",
+        [
+            # more points than the n_max + 1 values: a repeat by pigeonhole
+            (8, 5, "4 -4 1 -3 -3 0", 10, "DUPLICATE", 28, 0, (0, 0), (2, 1)),
+            # exactly n_max + 1 points, so a repeat leaves a hole
+            (3, 1, "3/2 0 0 9/2 -3 2", 10, "DUPLICATE", 11, 2, (0, 0), (1, 2)),
+            # fewer points than values, all distinct
+            (8, 5, "4 -4 1 -2 2 0", 10, "MISSING_VALUE", 10, 5, None, None),
+            # fewer points than values, one repeated
+            (8, 5, "4 -4 1 -3 3 0", 10, "DUPLICATE", 10, 1, (1, 1), (1, 0)),
+            # step-0 lines: Nathanson's polynomial on S(3) with e - 1, and a
+            # stair polynomial moved onto step 0; more points than values
+            # on the first, fewer on the second
+            (3, 1, "3/2 0 0 -1/2 0 0", 10**5, "DUPLICATE", 100492, 1, (1, 0), (1, 1)),
+            (8, 5, "4 -4 1 4 -2 0", 10**5, "DUPLICATE", 99698, 3, (1, 1), (2, 3)),
+        ],
+    )
+    def test_verdict_branches(self, n, m, text, n_max, status, points, value, point, point2):
+        s, p = sector(n, m), QuadPoly.from_string(text)
+        report = prefix_check(s, p, n_max)
+        reference = prefix_report_reference(s, p, n_max)
+        for name in ("status", "checked_upto", "points", "value", "point", "point2"):
+            assert getattr(report, name) == getattr(reference, name), name
+        assert (report.status, report.checked_upto, report.points, report.value) == (
+            PrefixStatus[status],
+            n_max,
+            points,
+            value,
+        )
+        assert (report.point, report.point2) == (point, point2)
 
     def test_depth_zero(self):
         s = sector(8, 5)
@@ -550,8 +616,8 @@ def _count_upto(s: Sector, d2: int, e2: int, hi: int) -> int:
     """How many sector points have filter value P0/2n <= hi, read off two
     walks: the first finds the least value, the second counts from it."""
     table = _LineTable(s, 1, 0)
-    vmin = table.walk(s.n * d2, e2, 2 * s.n, 0, hi)[2]
-    return sum(map(len, table.walk(s.n * d2, e2, 2 * s.n, vmin, hi)[0]))
+    vmin = table.walk(s.n * d2, e2, 2 * s.n, 0, hi)[3]
+    return table.walk(s.n * d2, e2, 2 * s.n, vmin, hi)[2]
 
 
 class TestScreenThenCertify:
@@ -616,7 +682,7 @@ class TestScreenThenCertify:
             assert screen.window(d2 - 2, e2) is None
             assert screen.window(d2, e2 - 2 * s.n) is None
         else:
-            assert sum(map(len, window[0])) == count
+            assert window[1] == count
         assert _count_upto(s, d2 + 2, e2, prefix_n) <= count
         assert _count_upto(s, d2, e2 + 2 * s.n, prefix_n) <= count
 
@@ -628,7 +694,7 @@ class TestScreenThenCertify:
         band = 0
         for d2, e2 in _raw_candidates(s, 40):
             window = screen.window(d2, e2)
-            band += window is not None and sum(map(len, window[0])) >= need
+            band += window is not None and window[1] >= need
         assert band
 
         walks = []
