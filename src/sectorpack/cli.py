@@ -12,11 +12,11 @@ import json
 import sys
 
 from .classify import classify as run_classify
-from .codec import make_scheme
+from .codec import MIN_VERIFY_N, make_scheme
 from .errors import SectorPackError
 from .polynomials import Direction, QuadPoly, construct
 from .render import RenderSpec, render
-from .sectors import LatticePoint, parse_sector, t_dual, w_reduce
+from .sectors import LatticePoint, Quadrant, parse_sector, t_dual, w_reduce
 from .sweep import sweep
 from .verify import SearchParams, prefix_check, search
 
@@ -65,7 +65,9 @@ def cmd_classify(args) -> int:
     for entry in result.entries:
         origin = entry.provenance.value
         if entry.transport is not None:
-            origin += f" (from S({entry.transport.target}))"
+            target = entry.transport.target
+            label = target if isinstance(target, Quadrant) else f"S({target})"
+            origin += f" (from {label})"
         print(
             f"  k={entry.form.k} {entry.form.direction.value:<4} f={entry.form.offset_f:<3} "
             f"{entry.poly.pretty()}   [{origin}]"
@@ -223,6 +225,15 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _add_search_args(p: argparse.ArgumentParser, raw: int) -> None:
+    """The SearchParams options, with its defaults except for --raw."""
+    defaults = SearchParams()
+    p.add_argument("--prefix", type=int, default=defaults.prefix_n)
+    p.add_argument("--max-k", type=int, default=defaults.max_k, dest="max_k")
+    p.add_argument("--offset-range", type=int, default=defaults.offset_range, dest="offset_range")
+    p.add_argument("--raw", type=int, default=raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sectorpack",
@@ -252,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} through a pairing scheme")
         p.add_argument("sector")
         p.add_argument("--poly", required=True)
-        p.add_argument("--verify-n", type=int, default=500, dest="verify_n")
+        p.add_argument("--verify-n", type=int, default=MIN_VERIFY_N, dest="verify_n")
         if name == "encode":
             p.add_argument("--point", required=True, help="x,y")
         else:
@@ -261,19 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="brute-force search for packing polynomials")
     p.add_argument("sector")
-    p.add_argument("--prefix", type=int, default=300)
-    p.add_argument("--max-k", type=int, default=6, dest="max_k")
-    p.add_argument("--offset-range", type=int, default=10, dest="offset_range")
-    p.add_argument("--raw", type=int, default=0)
+    _add_search_args(p, raw=0)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="search-vs-classify report over a range")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--max-m", type=int, required=True, dest="max_m")
-    p.add_argument("--prefix", type=int, default=300)
-    p.add_argument("--max-k", type=int, default=6, dest="max_k")
-    p.add_argument("--offset-range", type=int, default=10, dest="offset_range")
-    p.add_argument("--raw", type=int, default=40)
+    _add_search_args(p, raw=40)
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -309,6 +314,9 @@ def main(argv=None) -> int:
         return 2
     except SectorPackError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the requested size does not fit in memory", file=sys.stderr)
         return 2
 
 

@@ -2,16 +2,17 @@
 
 The oracle (prefix_check, enumerate_upto) and the raw-grid search use
 none of the classification theorems, and this module does not import
-classify.  Both search stages take the forced homogeneous part from
-polynomials.stanton_quadratic.  One stage uses the construction's
-formulas: _structured_candidates proposes the (d, e) pairs of the stair
-coefficient families with polynomials.necessary_coefficients and
-_residue.  It only proposes.  A candidate from either stage is accepted
-only if its values on the sector's lattice points form exactly the prefix
-{0..N}, each attained once, with no negative value anywhere — established
-by walking the sector's line family (its staircases, which are the
-columns on integral sectors).  The oracle and the search filter share one
-walk in scaled integers.
+classify.  Every search candidate takes the forced homogeneous part from
+polynomials.stanton_quadratic.  Only the candidate stage uses the
+construction's formulas: _structured_candidates proposes the (d, e)
+pairs of the stair coefficient families with
+polynomials.necessary_coefficients and _residue, and they join the raw
+grid as single-pair rows.  The screen and the certification use none of
+them.  A candidate is accepted only if its values on the sector's
+lattice points form exactly the prefix {0..N}, each attained once, with
+no negative value anywhere — established by walking the sector's line
+family (its staircases, which are the columns on integral sectors).  The
+oracle and the search screen share one walk in scaled integers.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -27,8 +28,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, product, repeat
-from typing import Iterable, Optional
+from itertools import chain, repeat
+from typing import Optional
 
 from .errors import NonTerminatingShape
 from .polynomials import (
@@ -463,10 +464,10 @@ def _edge_threshold(n: int, lo: int) -> int:
 
 
 class _PairScreen:
-    """The per-pair tests of both search screens, at depth prefix_n.
+    """The per-pair tests of the search screen, at depth prefix_n.
 
-    ``window`` walks a pair and ``packs`` decides it from the walk; the
-    grid screen also reads the window's size between the two.
+    ``window`` walks a pair and ``packs`` decides it from the walk;
+    _screen also reads the window's size between the two.
     """
 
     def __init__(self, s: Sector, prefix_n: int, offset_range: int):
@@ -516,114 +517,95 @@ class _PairScreen:
         return count == need
 
 
-def _filter_candidates(
+def _screen(
     s: Sector,
-    candidates: Iterable[tuple[int, int]],
+    rows: list[tuple[int, range]],
     prefix_n: int,
     offset_range: int,
 ) -> list[tuple[int, int, int]]:
-    """Keep the (d2, e2) pairs that pack to depth prefix_n for some offset.
+    """Keep the (d2, e2) pairs of ``rows`` that pack to depth prefix_n for
+    some offset, as (d2, e2, f) triples in row order, f the forced offset.
 
-    Returns (d2, e2, f) triples in candidate order, f the forced offset.
-    Every candidate must correspond to an integer-valued polynomial with
-    the forced homogeneous part.  A step-0 pair is dropped before its walk.
-    The search screens with it only the structured pairs outside the raw
-    grid; on the grid, _screen_grid keeps the same pairs in the same order.
+    ``rows`` is a d2-ascending list of (d2, ascending e2 range) on the
+    integer-valued lattice.  P0 grows with d2 (x >= 0) and with e2
+    (y >= 0) everywhere, so "negative" is a down-set of the lattice, and
+    so is "at least prefix_n + 1 values <= prefix_n", which on a pair that
+    is not negative is the window's size.  ``top`` is an e2 value: every
+    pair above it, on this row and every later one, has too few values.
+    Each row is sliced to e2 <= top and scanned down: a pair with too few
+    values lowers ``top`` for good, and the pairs below it down to the
+    first negative one, the row's band, are the only ones tested for a
+    zero step and distinct values.  On the rows of a box the screen thus
+    walks at most |D| + |E| pairs outside the bands.  A step-0 pair is
+    never kept, but its window counts every point, so it lowers ``top``
+    as any other does.
     """
-    screen = _PairScreen(s, prefix_n, offset_range)
-    survivors = []
-    for d2, e2 in candidates:
-        if screen.steps(d2, e2) and (window := screen.window(d2, e2)) is not None:
-            ranges, _, vmin = window
-            if screen.packs(ranges, vmin):
-                survivors.append((d2, e2, -vmin))
-    return survivors
-
-
-def _screen_grid(
-    s: Sector, bound: int, prefix_n: int, offset_range: int
-) -> list[tuple[int, int, int]]:
-    """_filter_candidates over the raw grid of ``bound``, row by row.
-
-    P0 grows with d2 (x >= 0) and with e2 (y >= 0).  So "negative" is a
-    down-set of the grid, and so is "at least prefix_n + 1 values <=
-    prefix_n", which on a pair that is not negative is the window's size.
-    On a row d2 the pairs that pass both tests form one e2 interval, the
-    band, and both its ends fall as d2 rises.  ``top`` bounds the band's
-    upper end from above on this row and every later one.  Each row is
-    scanned down from ``top``: a pair with too few values lowers ``top``
-    for good, and the pairs below it down to the first negative one are
-    the band, the only pairs tested for a zero step and distinct values.
-    The screen thus walks at most |D| + |E| pairs outside the bands.
-    Survivors come in _raw_candidates order.  A step-0 pair's window
-    counts every point it holds, so it lowers ``top`` as any other does.
-    """
-    D, E = _grid_axes(s, bound)
     screen = _PairScreen(s, prefix_n, offset_range)
     need = prefix_n + 1
     survivors = []
-    top = len(E) - 1
-    for d2 in D:
+    top = max((E.stop for _, E in rows), default=0)
+    for d2, E in rows:
         band = []
-        j = top
-        while j >= 0 and (window := screen.window(d2, E[j])) is not None:
+        for e2 in reversed(range(E.start, min(E.stop, top + 1), E.step)):
+            window = screen.window(d2, e2)
+            if window is None:
+                break
             ranges, total, vmin = window
             if total < need:
-                top = j - 1
-            elif screen.steps(d2, E[j]) and screen.packs(ranges, vmin):
-                band.append((d2, E[j], -vmin))
-            j -= 1
+                top = e2 - 1
+            elif screen.steps(d2, e2) and screen.packs(ranges, vmin):
+                band.append((d2, e2, -vmin))
         survivors += reversed(band)
     return survivors
 
 
-def _structured_candidates(s: Sector, max_k: int) -> list[tuple[int, int]]:
-    """The (d2, e2) pairs of the stair coefficient families, both
-    directions, for every k <= max_k in the right residue class."""
+def _lattice_residues(s: Sector) -> Optional[tuple[int, int]]:
+    """(d2 mod 2, e2 mod 2n) of the integer-valued lattice: the pairs whose
+    polynomial, with the forced homogeneous part and f = 0, has integer
+    p(1, 0) and p(0, 1).  None when n does not divide (m-1)^2, so that no
+    pair is integer-valued (2*c2 is not an integer)."""
     n, m = s.n, s.m
     if (m - 1) ** 2 % n != 0:
+        return None
+    return n % 2, -((m - 1) ** 2) % (2 * n)
+
+
+def _structured_candidates(s: Sector, max_k: int) -> list[tuple[int, int]]:
+    """The (d2, e2) pairs of the stair coefficient families, both
+    directions, for every k <= max_k in the right residue class, that lie
+    on the integer-valued lattice.  No pair repeats: d = 1 -+ k*l/2."""
+    residues = _lattice_residues(s)
+    if residues is None:
         return []
-    a, b, c2 = stanton_quadratic(s)
+    n = s.n
     out = []
     for direction in (Direction.ASCENDING, Direction.DESCENDING):
         res, v = _residue(s, direction)
-        for k in range(1, max_k + 1):
-            if k % v != res:
-                continue
+        for k in range(res or v, max_k + 1, v):
             d, e = necessary_coefficients(s, k, direction)
-            if not QuadPoly(a, b, c2, d, e, 0).is_integer_valued():
-                continue
-            out.append((int(2 * d), int(2 * n * e)))
+            d2, e2 = int(2 * d), int(2 * n * e)
+            if (d2 % 2, e2 % (2 * n)) == residues:
+                out.append((d2, e2))
     return out
 
 
 def _grid_axes(s: Sector, bound: int) -> tuple[range, range]:
-    """The raw grid's ascending d2 and e2 axes: integer-valued pairs with
-    the forced homogeneous part, d2 = n mod 2 and e2 = -(m-1)^2 mod 2n,
+    """The raw grid's ascending d2 and e2 axes: the lattice pairs with
     |d2| <= bound and |e2| <= bound*n.  Both are empty when bound is 0 or
-    n does not divide (m-1)^2."""
-    n, m = s.n, s.m
-    if bound == 0 or (m - 1) ** 2 % n != 0:
+    the lattice is."""
+    residues = _lattice_residues(s)
+    if bound == 0 or residues is None:
         return range(0), range(0)
-    d_start = -bound + ((n - (-bound)) % 2)
-    e_res = (-((m - 1) ** 2)) % (2 * n)
-    e_start = -bound * n + ((e_res - (-bound * n)) % (2 * n))
+    n = s.n
+    d_res, e_res = residues
+    d_start = -bound + (d_res + bound) % 2
+    e_start = -bound * n + (e_res + bound * n) % (2 * n)
     return range(d_start, bound + 1, 2), range(e_start, bound * n + 1, 2 * n)
-
-
-def _raw_candidates(s: Sector, bound: int) -> Iterable[tuple[int, int]]:
-    """The raw grid's (d2, e2) pairs, d2 then e2 ascending."""
-    return product(*_grid_axes(s, bound))
 
 
 def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
     a, b, c2 = stanton_quadratic(s)
     return QuadPoly(a, b, c2, Fraction(d2, 2), Fraction(e2, 2 * s.n), Fraction(f))
-
-
-def _sort_key(s: Sector, p: QuadPoly) -> tuple:
-    delta = p.d * s.lines.u + p.e * s.lines.v
-    return (abs(delta), 0 if delta > 0 else 1, p.f, p.coefficients())
 
 
 # Depth of the filter's screen; _search_detail says why certifying its
@@ -634,39 +616,50 @@ _PREFILTER_N = 8
 def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:
     """(all survivors, raw-grid survivors), each certified by prefix_check.
 
-    The candidates are the raw grid and the structured pairs.  _screen_grid
-    screens the grid and _filter_candidates the structured pairs outside
-    it, both at depth min(prefix_n, _PREFILTER_N), so a pair in both is
-    screened and certified once, and a survivor is a raw-grid survivor iff
-    its pair lies on the grid's axes.  prefix_check certifies each
-    survivor once at prefix_n with the screen's forced offset.  The result
-    is that of one full-depth filter pass.  In the filter's integer values
-    (P0 over 2n, the polynomial without its offset), a line the screen
-    cuts off early has every value above its hi >= 0, so vmin, and with it
-    the forced offset f = -vmin, is the same at every depth.  A survivor
-    attains vmin, so with that f it is integer-valued with least value 0,
-    and "the full-depth filter keeps it" is exactly "prefix_check at
-    prefix_n is OK": each of 0..prefix_n is attained exactly once.
+    The candidates form one list of rows: a row (d2, E) per d2 of the raw
+    grid, and a single-pair row for each structured pair off the grid,
+    stably sorted by d2.  _screen screens them once at depth
+    min(prefix_n, _PREFILTER_N), so a pair is screened and certified
+    once, and a survivor is a raw-grid survivor iff its pair lies on the
+    grid's axes.  prefix_check certifies each survivor once, at prefix_n
+    with the screen's forced offset, in the order of the polynomials'
+    step d*u + e*v (its size, then ascending first), f and coefficients:
+    in integers, Delta = n*d2*u + e2*v = 2n*(d*u + e*v), which is never 0
+    on a survivor, then f, d2 and e2.
+
+    The result is that of one full-depth filter pass.  In the filter's
+    integer values (P0 over 2n, the polynomial without its offset), a
+    line the screen cuts off early has every value above its hi >= 0, so
+    vmin, and with it the forced offset f = -vmin, is the same at every
+    depth.  A survivor attains vmin, so with that f it is integer-valued
+    with least value 0, and "the full-depth filter keeps it" is exactly
+    "prefix_check at prefix_n is OK": each of 0..prefix_n is attained
+    exactly once.
     """
     D, E = _grid_axes(s, params.raw_grid_bound)
-    structured = [
-        (d2, e2)
-        for d2, e2 in dict.fromkeys(_structured_candidates(s, params.max_k))
+    rows = [(d2, E) for d2 in D]
+    rows += [
+        (d2, range(e2, e2 + 1))
+        for d2, e2 in _structured_candidates(s, params.max_k)
         if not (d2 in D and e2 in E)
     ]
+    rows.sort(key=lambda row: row[0])
     depth = min(params.prefix_n, _PREFILTER_N)
-    screened = _screen_grid(s, params.raw_grid_bound, depth, params.offset_range)
-    screened += _filter_candidates(s, structured, depth, params.offset_range)
+    n, u, v = s.n, s.lines.u, s.lines.v
+
+    def order(triple: tuple[int, int, int]) -> tuple[int, bool, int, int, int]:
+        d2, e2, f = triple
+        delta = n * d2 * u + e2 * v
+        return abs(delta), delta < 0, f, d2, e2
+
     found: list[QuadPoly] = []
     raw_found: list[QuadPoly] = []
-    for d2, e2, f in screened:
+    for d2, e2, f in sorted(_screen(s, rows, depth, params.offset_range), key=order):
         p = _poly_from_scaled(s, d2, e2, f)
         if prefix_check(s, p, params.prefix_n).ok:
             found.append(p)
             if d2 in D and e2 in E:
                 raw_found.append(p)
-    found.sort(key=lambda p: _sort_key(s, p))
-    raw_found.sort(key=lambda p: _sort_key(s, p))
     return found, raw_found
 
 
@@ -676,11 +669,11 @@ def search(s: Sector, params: SearchParams) -> list[QuadPoly]:
     The candidates are the stair coefficient families for every
     admissible-residue k <= max_k and, if enabled, the raw (d, e) grid
     with only the homogeneous part pinned.  Integral sectors are no
-    exception: their staircases are the columns.  A screen at the small
-    depth _PREFILTER_N (8, or prefix_n if less) keeps the pairs that pack
-    that far; it walks the raw grid row by row and only around each row's
-    passing band.  prefix_check certifies each survivor once, so every
-    returned polynomial is "verified to prefix_n".  Depth 8 is only a
-    cheap reject: the result equals a single filter pass at prefix_n.
+    exception: their staircases are the columns.  Both join one list of
+    integer rows, which one screen at the small depth _PREFILTER_N (8, or
+    prefix_n if less) walks only around each row's passing band.
+    prefix_check certifies each survivor once, so every returned
+    polynomial is "verified to prefix_n".  Depth 8 is only a cheap
+    reject: the result equals a single filter pass at prefix_n.
     """
     return _search_detail(s, params)[0]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from typing import Iterable
 
 from sectorpack import (
     Direction,
@@ -15,7 +17,7 @@ from sectorpack import (
     construct,
     t_dual,
 )
-from sectorpack.verify import _value_sweep
+from sectorpack.verify import _PairScreen, _grid_axes, _value_sweep
 
 
 def first_stair_scan(s: Sector, c: int) -> LatticePoint:
@@ -101,3 +103,35 @@ def construct_via_dual(s: Sector, k: int) -> tuple[QuadPoly, KStairForm]:
     res = (-s.lines.u) % v  # the descending residue class of k mod n/l
     form = KStairForm(k, Direction.DESCENDING, (k - res) // v, asc_form.offset_f)
     return asc_poly.compose(mapping), form
+
+
+def filter_candidates(
+    s: Sector,
+    candidates: Iterable[tuple[int, int]],
+    prefix_n: int,
+    offset_range: int,
+) -> list[tuple[int, int, int]]:
+    """The search screen pair by pair: keep the (d2, e2) pairs that pack to
+    depth prefix_n for some offset, as (d2, e2, f) triples in candidate
+    order, f the forced offset.  Every pair is tested on its own, with no
+    band and no shared bound, and a step-0 pair is dropped before its walk.
+    Every candidate must lie on the integer-valued lattice."""
+    screen = _PairScreen(s, prefix_n, offset_range)
+    survivors = []
+    for d2, e2 in candidates:
+        if screen.steps(d2, e2) and (window := screen.window(d2, e2)) is not None:
+            ranges, _, vmin = window
+            if screen.packs(ranges, vmin):
+                survivors.append((d2, e2, -vmin))
+    return survivors
+
+
+def box_rows(s: Sector, bound: int) -> list[tuple[int, range]]:
+    """The raw grid of ``bound`` as _screen rows: one (d2, E) per d2."""
+    D, E = _grid_axes(s, bound)
+    return [(d2, E) for d2 in D]
+
+
+def raw_candidates(s: Sector, bound: int) -> list[tuple[int, int]]:
+    """The raw grid's (d2, e2) pairs, d2 then e2 ascending."""
+    return list(product(*_grid_axes(s, bound)))

@@ -31,7 +31,7 @@ from sectorpack import (
     transport,
     w_reduce,
 )
-from helpers import first_stair_scan
+from helpers import box_rows, filter_candidates, first_stair_scan, raw_candidates
 
 ASC, DESC = Direction.ASCENDING, Direction.DESCENDING
 
@@ -151,12 +151,15 @@ def depth8_listing(screen) -> str:
 
 
 def test_criterion_03_depth8_survivors_pinned():
-    from sectorpack.verify import _filter_candidates, _raw_candidates, _screen_grid
+    from sectorpack.verify import _screen
 
     def pair_by_pair(s, bound, depth, offset_range):
-        return _filter_candidates(s, _raw_candidates(s, bound), depth, offset_range)
+        return filter_candidates(s, raw_candidates(s, bound), depth, offset_range)
 
-    for screen in (pair_by_pair, _screen_grid):
+    def box_screen(s, bound, depth, offset_range):
+        return _screen(s, box_rows(s, bound), depth, offset_range)
+
+    for screen in (pair_by_pair, box_screen):
         digest = hashlib.sha256(depth8_listing(screen).encode()).hexdigest()
         assert digest == DEPTH8_SURVIVORS_SHA256, screen.__name__
     report(3, "30x30 raw-grid depth-8 filter survivors identical coefficient by coefficient")

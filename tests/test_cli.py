@@ -59,6 +59,17 @@ class TestClassifyCmd:
         assert code == 2
         assert err
 
+    def test_transport_labels(self, capsys):
+        # S(1/m) reduces to the quadrant, which is not a sector S(...)
+        code, out, _ = run(capsys, "classify", "1/30")
+        assert code == 0
+        assert "[cantor-f (from quadrant)]" in out and "[cantor-g (from quadrant)]" in out
+        assert "S(quadrant)" not in out
+        code, out, _ = run(capsys, "classify", "8/13")
+        assert code == 0
+        assert "[stair-ascending (from S(8/5))]" in out
+        assert "[stair-descending (from S(8/5))]" in out
+
     def test_malformed_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "6/0x")
         assert code == 2
@@ -92,6 +103,19 @@ class TestVerifyCmd:
         code, _, err = run(capsys, "verify", "8/5", "--poly", "1 0 0 0 1 0")
         assert code == 1
         assert "cannot verify" in err
+
+    def test_prefix_too_large_for_memory_exits_2(self, capsys, monkeypatch):
+        import sectorpack.cli as cli
+
+        def out_of_memory(s, p, n_max):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "prefix_check", out_of_memory)
+        code, out, err = run(
+            capsys, "verify", "8/5", "--poly", "4 -4 1 -1 1 0", "--prefix", "99999999999"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the requested size does not fit in memory\n"
 
 
 class TestCodecCmds:
@@ -165,6 +189,29 @@ class TestSearchSweepCmds:
         code, out, _ = run(capsys, "search", "4", "--max-k", "1")
         assert code == 0
         assert "2 polynomial(s)" in out
+
+    def test_search_finds_stair_pair_off_the_grid(self, capsys):
+        # (d2, e2) = (3, -41) lies outside the bound-40 box of S(1/14): only
+        # its single-pair stair row can find it
+        code, out, _ = run(capsys, "search", "1/14", "--raw", "40")
+        assert code == 0
+        assert "  1/2 -13 169/2 3/2 -41/2 0" in out.splitlines()
+
+    def test_search_defaults(self):
+        from sectorpack import SearchParams
+        from sectorpack.cli import build_parser
+        from sectorpack.codec import MIN_VERIFY_N
+
+        parser = build_parser()
+        defaults = SearchParams()
+        for argv, raw in ((["search", "8/5"], 0), (["sweep", "--max-n", "1", "--max-m", "1"], 40)):
+            args = parser.parse_args(argv)
+            assert (args.prefix, args.max_k, args.offset_range, args.raw) == (
+                defaults.prefix_n, defaults.max_k, defaults.offset_range, raw
+            )
+        for command in (["encode", "--point", "0,0"], ["decode", "--value", "0"]):
+            args = parser.parse_args([command[0], "8/5", "--poly", "4 -4 1 -1 1 0", *command[1:]])
+            assert args.verify_n == MIN_VERIFY_N
 
     def test_sweep_without_raw_grid(self, capsys):
         code, out, _ = run(

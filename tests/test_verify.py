@@ -39,17 +39,21 @@ from sectorpack.verify import (
     _LineTable,
     _PairScreen,
     _edge_threshold,
-    _filter_candidates,
     _grid_axes,
+    _lattice_residues,
     _poly_from_scaled,
-    _raw_candidates,
-    _screen_grid,
+    _screen,
     _search_detail,
     _structured_candidates,
     _walk_window,
 )
 
-from helpers import prefix_report_reference
+from helpers import (
+    box_rows,
+    filter_candidates,
+    prefix_report_reference,
+    raw_candidates,
+)
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P127 = QuadPoly.from_string("6 -6 3/2 -8 11/2 2")
@@ -571,13 +575,9 @@ class TestSearchParams:
             SearchParams(**{field: -1})
 
 
-def _grid(s: Sector, bound: int) -> list[tuple[int, int]]:
-    return list(_raw_candidates(s, bound))
-
-
 def _one_pass(s: Sector, candidates, params: SearchParams):
-    """The reference: one _filter_candidates pass at full depth, as polys."""
-    triples = _filter_candidates(s, candidates, params.prefix_n, params.offset_range)
+    """The reference: one filter_candidates pass at full depth, as polys."""
+    triples = filter_candidates(s, candidates, params.prefix_n, params.offset_range)
     return sorted(_poly_from_scaled(s, *t).coefficients() for t in triples)
 
 
@@ -626,7 +626,7 @@ class TestScreenThenCertify:
     )
     def test_equals_one_full_depth_pass(self, n, m):
         s = sector(n, m)
-        grid = _grid(s, PARAMS.raw_grid_bound)
+        grid = raw_candidates(s, PARAMS.raw_grid_bound)
         one = _one_pass(s, grid, PARAMS)
         assert one
         assert _screened(s, grid, PARAMS) == one
@@ -641,7 +641,7 @@ class TestScreenThenCertify:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_equals_one_pass_on_random_subsets(self, nm, prefix_n, offset_range, rng):
         s = sector(*nm)
-        grid = _grid(s, 20)
+        grid = raw_candidates(s, 20)
         subset = [c for c in grid if rng.random() < 0.5]
         params = SearchParams(prefix_n, 6, offset_range, 20)
         assert _screened(s, subset, params) == _one_pass(s, subset, params)
@@ -652,12 +652,29 @@ class TestScreenThenCertify:
         st.integers(0, 300),
         st.integers(0, 10),
         st.integers(0, 40),
+        st.lists(
+            st.tuples(st.integers(-35, 35), st.integers(-60, 60), st.integers(1, 3)),
+            max_size=12,
+        ),
     )
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_grid_screen_equals_pair_screen(self, nm, prefix_n, offset_range, bound):
+    def test_screen_equals_pair_screen(self, nm, prefix_n, offset_range, bound, extra):
+        # The box rows of a bound plus lattice rows off the box, below,
+        # inside and above its d2 range, stably sorted by d2: the screen
+        # keeps what the pair-by-pair reference keeps, in row order.
         s = sector(*nm)
-        assert _screen_grid(s, bound, prefix_n, offset_range) == _filter_candidates(
-            s, _raw_candidates(s, bound), prefix_n, offset_range
+        D, E = _grid_axes(s, bound)
+        d_res, e_res = _lattice_residues(s)
+        rows = box_rows(s, bound)
+        for i, j, length in extra:
+            d2, e2 = d_res + 2 * i, e_res + 2 * s.n * j
+            row = range(e2, e2 + 2 * s.n * length, 2 * s.n)
+            if not (d2 in D and any(e in E for e in row)):
+                rows.append((d2, row))
+        rows.sort(key=lambda row: row[0])
+        pairs = [(d2, e2) for d2, row in rows for e2 in row]
+        assert _screen(s, rows, prefix_n, offset_range) == filter_candidates(
+            s, pairs, prefix_n, offset_range
         )
 
     @given(
@@ -692,7 +709,7 @@ class TestScreenThenCertify:
         need = _PREFILTER_N + 1
         screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
         band = 0
-        for d2, e2 in _raw_candidates(s, 40):
+        for d2, e2 in raw_candidates(s, 40):
             window = screen.window(d2, e2)
             band += window is not None and window[1] >= need
         assert band
@@ -705,13 +722,13 @@ class TestScreenThenCertify:
             return real(self, *args)
 
         monkeypatch.setattr(_LineTable, "walk", counting)
-        _screen_grid(s, 40, _PREFILTER_N, PARAMS.offset_range)
+        _screen(s, box_rows(s, 40), _PREFILTER_N, PARAMS.offset_range)
         assert band <= len(walks) <= len(D) + len(E) + band
 
     def test_shallow_prefix_screens_at_prefix(self):
         # below the screen depth a depth-8 screen would be the stricter one
         s = sector(8, 5)
-        grid = _grid(s, 40)
+        grid = raw_candidates(s, 40)
         params = SearchParams(2, 6, 10, 40)
         shallow = _one_pass(s, grid, params)
         deeper = _one_pass(s, grid, replace(params, prefix_n=_PREFILTER_N))
@@ -723,23 +740,17 @@ class TestScreenThenCertify:
         import sectorpack.verify as verify_mod
 
         depths = []
-        real_pairs, real_grid = verify_mod._filter_candidates, verify_mod._screen_grid
+        real = verify_mod._screen
 
-        def pairs(s, candidates, prefix_n, offset_range):
-            depths.append(("pairs", prefix_n))
-            return real_pairs(s, candidates, prefix_n, offset_range)
+        def screen(s, rows, prefix_n, offset_range):
+            depths.append(prefix_n)
+            return real(s, rows, prefix_n, offset_range)
 
-        def grid(s, bound, prefix_n, offset_range):
-            depths.append(("grid", prefix_n))
-            return real_grid(s, bound, prefix_n, offset_range)
-
-        monkeypatch.setattr(verify_mod, "_filter_candidates", pairs)
-        monkeypatch.setattr(verify_mod, "_screen_grid", grid)
+        monkeypatch.setattr(verify_mod, "_screen", screen)
         for prefix_n in (0, 5, 8, 300):
             depths.clear()
             _search_detail(sector(8, 5), replace(PARAMS, prefix_n=prefix_n))
-            depth = min(prefix_n, _PREFILTER_N)
-            assert sorted(depths) == [("grid", depth), ("pairs", depth)]
+            assert depths == [min(prefix_n, _PREFILTER_N)]
 
     def test_sweep_walk_budget(self, monkeypatch):
         # the serial 30x30 sweep at raw 40 ran 140,756 walks when the
@@ -755,12 +766,53 @@ class TestScreenThenCertify:
         assert sweep(30, 30, PARAMS, workers=1).ok
         assert len(calls) <= 20_000
 
+    def test_structured_pairs_are_the_integer_valued_ones(self, monkeypatch):
+        # the lattice test keeps exactly the pairs whose polynomial is
+        # integer-valued, with no QuadPoly built
+        import sectorpack.verify as verify_mod
+        from sectorpack.polynomials import _residue, stanton_quadratic
+
+        def reference(s, max_k):
+            if (s.m - 1) ** 2 % s.n:
+                return []
+            out = []
+            for direction in (Direction.ASCENDING, Direction.DESCENDING):
+                res, v = _residue(s, direction)
+                for k in range(res or v, max_k + 1, v):
+                    d, e = necessary_coefficients(s, k, direction)
+                    if QuadPoly(*stanton_quadratic(s), d, e, 0).is_integer_valued():
+                        out.append((int(2 * d), int(2 * s.n * e)))
+            return out
+
+        cases = [
+            (sector(n, m), reference(sector(n, m), 12))
+            for n in range(1, 41)
+            for m in range(1, 41)
+            if math.gcd(n, m) == 1
+        ]
+        assert sum(map(len, (pairs for _, pairs in cases))) > 500
+        monkeypatch.setattr(verify_mod, "QuadPoly", None)
+        for s, pairs in cases:
+            assert _structured_candidates(s, 12) == pairs, s
+
+    def test_survivors_in_fraction_order(self):
+        # the integer sort key orders the polynomials by their step d*u + e*v
+        # (size, then ascending first), then f, then coefficients
+        def fraction_key(s, p):
+            delta = p.d * s.lines.u + p.e * s.lines.v
+            return abs(delta), 0 if delta > 0 else 1, p.f, p.coefficients()
+
+        for nm in GRID_SECTORS:
+            s = sector(*nm)
+            for polys in _search_detail(s, PARAMS):
+                assert polys == sorted(polys, key=lambda p: fraction_key(s, p)), nm
+
     def test_prefix_check_once_per_survivor(self, monkeypatch):
         import sectorpack.verify as verify_mod
 
         s = sector(8, 5)
         structured = set(_structured_candidates(s, PARAMS.max_k))
-        assert structured & set(_grid(s, PARAMS.raw_grid_bound))
+        assert structured & set(raw_candidates(s, PARAMS.raw_grid_bound))
 
         calls = []
         real = verify_mod.prefix_check
