@@ -25,6 +25,7 @@ carry the mathematical guarantee, this module carries the evidence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -308,41 +309,80 @@ _PROBE_POINTS = [
 ]
 
 
-def _slots(values: range) -> slice:
-    """The ascending slice of a window bytearray that a line's values mark.
+def _first_gap(ranges: list[range], n_max: int) -> Optional[int]:
+    """The least value in [0, n_max] that no range holds (n_max + 1 if
+    each is held), or None if two ranges share a value.
 
-    A descending range is marked through its ascending reverse: sliced as
-    given, a range whose last value is 0 has stop -1, which a slice reads
-    as "from the end".
+    The ranges share the walk's one step k, so each is an interval of
+    one residue class mod |k| (a step-0 line's one value is range(b, b +
+    1), so a step-0 walk has the one class mod 1).  Sorted by (residue,
+    least value), the ranges are disjoint iff each starts past the end of
+    the one before it in its class.  A class r first misses r, r + |k|,
+    ... at the first of these its sorted ranges skip, and a class that no
+    range touches misses r itself; the smallest missing value is the
+    least of these.
     """
-    if values.step < 0:
-        values = values[::-1]
-    return slice(values.start, values.stop, values.step)
+    if not ranges:
+        return 0
+    mod = abs(ranges[0].step)
+    if ranges[0].step > 0:
+        bounds = sorted([(values.start % mod, values.start, values[-1]) for values in ranges])
+    else:
+        bounds = sorted([(values[-1] % mod, values[-1], values.start) for values in ranges])
+    gap = n_max + 1
+    cls, nxt = -1, gap  # the class being read, and the next value it must hold
+    for r, lo, hi in bounds:
+        if r != cls:
+            # class cls misses nxt, and each class skipped misses its residue
+            gap = min(gap, nxt, cls + 1) if r > cls + 1 else min(gap, nxt)
+            cls, nxt = r, r
+        if lo < nxt:
+            return None
+        if lo > nxt:
+            gap = min(gap, nxt)
+        nxt = hi + mod
+    return min(gap, nxt, cls + 1) if cls + 1 < mod else min(gap, nxt)
 
 
 def _first_repeat(
-    ranges: list[range], spans: list[tuple[int, int, int]], n_max: int
-) -> tuple[int, int, int]:
-    """(value, i, j): the first item in scan order whose value an earlier
-    item holds, at ranges[i][j].  Some value must repeat.
+    ranges: list[range], spans: list[tuple[int, int, int]]
+) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(value, (i0, j0), (i, j)): the first item in scan order whose value
+    an earlier item holds is ranges[i][j], and the value's first holder
+    is ranges[i0][j0].  Some value must repeat.
 
-    Marks the ranges in scan order and stops at the first one that hits a
-    marked slot.  A range holds distinct values, so its first hit in scan
-    order is the repeat: the smallest hit value on an ascending range, the
-    largest on a descending one.  A step-0 line whose span counts more
-    points than its one value repeats that value at its second point.
+    Reads the ranges in scan order, keeping those read so far sorted by
+    least value in one list per residue class mod the step (see
+    _first_gap); they are disjoint until the first line that overlaps
+    one of them, so bisect finds the overlapped ranges of that line.
+    The line's values are distinct and run in scan order, so its first
+    repeat is the smallest value it shares on an ascending line (shared
+    with the leftmost range it overlaps) and the largest on a descending
+    one (the rightmost).  The earlier ranges being disjoint, that range
+    is the value's only, so first, holder.  A step-0 line whose span
+    counts more points than its one value repeats that value at its
+    second point, unless an earlier line holds it.
     """
-    seen = bytearray(n_max + 1)
+    mod = abs(ranges[0].step)
+    descending = ranges[0].step < 0
+    classes: dict[int, tuple[list[int], list[int], list[int]]] = {}
     for i, (values, (_, _, count)) in enumerate(zip(ranges, spans)):
-        slots = _slots(values)
-        hits = seen[slots]
-        j = hits.rfind(1) if values.step < 0 else hits.find(1)
-        if j >= 0:
-            value = slots.start + j * slots.step
-            return value, i, values.index(value)
+        lo, hi = (values[-1], values.start) if descending else (values.start, values[-1])
+        lows, highs, holders = classes.setdefault(lo % mod, ([], [], []))
+        k = bisect_left(highs, lo)  # the first range read that ends at lo or past it
+        if k < len(lows) and lows[k] <= hi:
+            if descending:
+                k = bisect_right(lows, hi) - 1
+                value = min(hi, highs[k])
+            else:
+                value = max(lo, lows[k])
+            first = ranges[holders[k]]
+            return value, (holders[k], first.index(value)), (i, values.index(value))
         if count > len(values):  # a step-0 line repeats its own value
-            return values[0], i, 1
-        seen[slots] = b"\x01" * len(values)
+            return values[0], (i, 0), (i, 1)
+        lows.insert(k, lo)
+        highs.insert(k, hi)
+        holders.insert(k, i)
     raise AssertionError("no value repeats")
 
 
@@ -361,36 +401,30 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
         return PrefixReport(
             PrefixStatus.NON_INTEGER_VALUE, checked_upto=n_max, points=0, point=witness
         )
-    # The walk counts the window's points, all in [0, n_max], before any is
-    # marked.  More points than the n_max + 1 slots, or than the values the
-    # ranges hold (a step-0 line holds one value at all its points), must
-    # repeat a value (pigeonhole), and the check goes straight to the
-    # witness search.  Otherwise each line's range is marked into a
-    # bytearray by one slice assignment, so no per-value object is built.
-    # With exactly n_max + 1 points the values are distinct iff no slot is
-    # left unmarked, which find(0) answers at memchr speed; with fewer, iff
-    # the marked slots number as many as the points, a full count.  Only a
-    # duplicate pays for a second marking pass, which stops at the first
-    # line that repeats a value, and then for a search of the lines for
-    # its first holder.
+    # The walk yields the window's values as one range per line, all with
+    # one step, and counts the window's points.  More points than the
+    # n_max + 1 values, or than the values the ranges hold (a step-0 line
+    # holds one value at all its points), must repeat a value
+    # (pigeonhole).  Otherwise _first_gap sorts the L ranges by residue
+    # class and least value and reads both distinctness and the smallest
+    # missing value off them.  A duplicate then pays for one more pass
+    # over the ranges in scan order, which stops at the first line that
+    # repeats a value.  Each pass costs O(L log L) time and O(L) memory;
+    # on a sector L grows about as sqrt(n_max), and nothing is sized by
+    # n_max itself.
     table, ranges, spans, total, negative = _walk_window(s, p, n_max)
-    need = n_max + 1
-    distinct = False
-    if total <= need and sum(map(len, ranges)) == total:
-        seen = bytearray(need)
-        for values in ranges:
-            seen[_slots(values)] = b"\x01" * len(values)
-        distinct = seen.find(0) < 0 if total == need else seen.count(1) == total
-    if not distinct:
-        value, i, j = _first_repeat(ranges, spans, n_max)
-        first = next(k for k, values in enumerate(ranges) if value in values)
-        (c, t, _), (c0, t0, _) = spans[i], spans[first]
+    gap = None
+    if total <= n_max + 1 and sum(map(len, ranges)) == total:
+        gap = _first_gap(ranges, n_max)
+    if gap is None:
+        value, (i0, j0), (i, j) = _first_repeat(ranges, spans)
+        (c0, t0, _), (c, t, _) = spans[i0], spans[i]
         return PrefixReport(
             PrefixStatus.DUPLICATE,
             checked_upto=n_max,
             points=total,
             value=value,
-            point=table.point(c0, t0 + ranges[first].index(value)),
+            point=table.point(c0, t0 + j0),
             point2=table.point(c, t + j),
         )
     if negative is not None:
@@ -401,10 +435,9 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
             value=p.eval_int(negative),
             point=negative,
         )
-    # distinct values in [0, n_max]: one is missing iff there are fewer
-    if total < need:
+    if gap <= n_max:
         return PrefixReport(
-            PrefixStatus.MISSING_VALUE, checked_upto=n_max, points=total, value=seen.find(0)
+            PrefixStatus.MISSING_VALUE, checked_upto=n_max, points=total, value=gap
         )
     return PrefixReport(PrefixStatus.OK, checked_upto=n_max, points=total)
 

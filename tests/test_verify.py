@@ -4,6 +4,7 @@ import ast
 import hashlib
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -17,6 +18,7 @@ from sectorpack import (
     InvalidEnvironment,
     LatticePoint,
     NonTerminatingShape,
+    PrefixReport,
     PrefixStatus,
     QuadPoly,
     SearchParams,
@@ -170,6 +172,24 @@ def test_prefix_check_matches_reference(nm, d, e, f, zero_step, n_max):
     s = sector(n, m)
     if zero_step is not None:
         d, e = zero_step * s.lines.v, -zero_step * s.lines.u
+    p = QuadPoly(n * n, -2 * n * (m - 1), (m - 1) ** 2, d, e, f)
+    assert prefix_check(s, p, n_max) == prefix_report_reference(s, p, n_max)
+
+
+@given(
+    st.sampled_from(COPRIME_24),
+    st.integers(-400, 400),
+    st.integers(-400, 400),
+    st.integers(-5, 5),
+    st.integers(0, 300),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prefix_check_matches_reference_large_step(nm, d, e, f, n_max):
+    # |step| = |d*u + e*v| mostly exceeds the number of lines in the
+    # window, so most residue classes mod the step hold no value and the
+    # lines hold few values each
+    n, m = nm
+    s = sector(n, m)
     p = QuadPoly(n * n, -2 * n * (m - 1), (m - 1) ** 2, d, e, f)
     assert prefix_check(s, p, n_max) == prefix_report_reference(s, p, n_max)
 
@@ -346,8 +366,7 @@ class TestPrefixCheck:
             prefix_check(sector(8, 5), P_PLUS, -1)
 
     def test_descending_line_ending_at_zero(self):
-        # sliced as given, range(18, -1, -3) marks nothing: stop -1 reads
-        # as "from the end"
+        # the range of a descending line whose last value is 0 has stop -1
         s, p = sector(12, 7), QuadPoly.from_string("6 -6 3/2 10 -13/2 2")
         assert range(18, -1, -3) in _walk_window(s, p, 20)[1]
         report = prefix_check(s, p, 20)
@@ -382,6 +401,24 @@ class TestPrefixCheck:
             # on the first, fewer on the second
             (3, 1, "3/2 0 0 -1/2 0 0", 10**5, "DUPLICATE", 100492, 1, (1, 0), (1, 1)),
             (8, 5, "4 -4 1 4 -2 0", 10**5, "DUPLICATE", 99698, 3, (1, 1), (2, 3)),
+            # step -3: no line touches residue 1, so 1 is missing, below
+            # the gap at 2 of residue 2 and at 12 of residue 0
+            (3, 2, "9 -6 1 0 -1 0", 40, "MISSING_VALUE", 10, 1, None, None),
+            # step 2, both residues touched: residue 0 holds 0 and 6 but
+            # not 2
+            (5, 2, "25 -10 1 -12 2 0", 60, "MISSING_VALUE", 11, 2, None, None),
+            # step -16: line 5 holds 18, 2 and line 6 holds 34, 18, 2; in
+            # scan order 18 repeats first, not the smaller 2
+            (3, 2, "9 -6 1 -1 -5 0", 40, "DUPLICATE", 13, 18, (2, 1), (3, 3)),
+            # step 0: line 3 holds line 0's value 0 at both its points, so
+            # its first point repeats 0, not its second
+            (3, 2, "9 -6 1 -9 3 0", 40, "DUPLICATE", 14, 0, (0, 0), (1, 0)),
+            # a line that meets two earlier ones: ascending, line 2 (4..12)
+            # first repeats 4, the least value of line 1 (2, 4, 6) it
+            # shares, not 8 of line 0; descending, line 2 (1, 0) first
+            # repeats 1 of line 0, not 0 of line 1
+            (2, 5, "4 -16 16 -10 22 8", 20, "DUPLICATE", 13, 4, (3, 1), (2, 0)),
+            (1, 1, "1 0 0 -2 -1 1", 5, "DUPLICATE", 9, 1, (0, 0), (2, 0)),
         ],
     )
     def test_verdict_branches(self, n, m, text, n_max, status, points, value, point, point2):
@@ -414,6 +451,34 @@ class TestPrefixCheck:
             report = prefix_check(s, p, 0)
             assert (report.describe(), report.points) == (line, points)
             assert report == prefix_report_reference(s, p, 0)
+
+    def test_memory_not_sized_by_depth(self):
+        # the verdicts read the walk's per-line ranges: at N = 10**7 the
+        # peak stays far below one byte per value (10 MB)
+        s, n_max, origin = sector(8, 5), 10**7, LatticePoint(0, 0)
+        cases = [
+            ("4 -4 1 -1 1 0", PrefixReport(PrefixStatus.OK, n_max, n_max + 1)),
+            ("4 -4 1 -1 1 1", PrefixReport(PrefixStatus.MISSING_VALUE, n_max, n_max, 0)),
+            (
+                "4 -4 1 -1 1 -1",
+                PrefixReport(PrefixStatus.NEGATIVE_VALUE, n_max, n_max + 1, -1, origin),
+            ),
+            (
+                "4 -4 1 -3 1 0",
+                PrefixReport(
+                    PrefixStatus.DUPLICATE, n_max, 10009487, 0, origin, LatticePoint(2, 2)
+                ),
+            ),
+        ]
+        for text, want in cases:
+            tracemalloc.start()
+            try:
+                report = prefix_check(s, QuadPoly.from_string(text), n_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report == want, text
+            assert peak < 4_000_000, (text, peak)
 
     def test_duplicate_first_held_on_earlier_line(self):
         # on S(8/5) value 0 is first held on line 0 at (0, 0), then on line 2
