@@ -244,14 +244,15 @@ def necessary_coefficients(
         raise CongruenceViolation(
             f"k={k} is not congruent to {res} mod {v} for {direction.value}"
         )
-    n, m, l = s.n, s.m, s.l
-    if direction is Direction.ASCENDING:
-        d = 1 - Fraction(k * l, 2)
-        e = Fraction(2 * (1 - m) + k * l * (m + 1), 2 * n)
-    else:
-        d = 1 + Fraction(k * l, 2)
-        e = Fraction(2 * (1 - m) - k * l * (m + 1), 2 * n)
-    return d, e
+    d2, e2 = _stair_pair(s, k, direction)
+    return Fraction(d2, 2), Fraction(e2, 2 * s.n)
+
+
+def _stair_pair(s: Sector, k: int, direction: Direction) -> tuple[int, int]:
+    """(2*d, 2*n*e) of necessary_coefficients, in integers, with neither
+    the admissibility nor the residue check."""
+    kl = k * s.l if direction is Direction.ASCENDING else -k * s.l
+    return 2 - kl, 2 * (1 - s.m) + kl * (s.m + 1)
 
 
 def determine_offset(s: Sector, p0: QuadPoly, k: int) -> int:

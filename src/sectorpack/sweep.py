@@ -91,6 +91,12 @@ def sweep(
     them; SECTORPACK_THREADS caps the worker count.  A zero bound gives
     an empty report; a negative one raises ValueError, and so does a
     worker count below 1 (None means one worker per CPU).
+
+    One worker, or fewer than 4 sectors, run in this process.  Otherwise
+    a process pool takes the sectors in chunks of ceil(sectors / (4 *
+    workers)), the size multiprocessing.Pool.map picks by default, and
+    starts no more workers than there are chunks: the pool forks every
+    worker at its first submit, wanted or not.
     """
     if max_n < 0 or max_m < 0:
         raise ValueError(f"max_n and max_m must be nonnegative, got {max_n} and {max_m}")
@@ -111,7 +117,9 @@ def sweep(
         # `import sectorpack` takes
         from concurrent.futures import ProcessPoolExecutor
 
+        chunksize = -(-len(tasks) // (4 * workers))
+        workers = min(workers, -(-len(tasks) // chunksize))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=8))
+            rows = list(pool.map(_sweep_row, tasks, chunksize=chunksize))
     rows.sort(key=lambda row: (row.n, row.m))
     return SweepReport(rows=tuple(rows))

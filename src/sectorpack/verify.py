@@ -5,14 +5,16 @@ none of the classification theorems, and this module does not import
 classify.  Every search candidate takes the forced homogeneous part from
 polynomials.stanton_quadratic.  Only the candidate stage uses the
 construction's formulas: _structured_candidates proposes the (d, e)
-pairs of the stair coefficient families with
-polynomials.necessary_coefficients and _residue, and they join the raw
-grid as single-pair rows.  The screen and the certification use none of
-them.  A candidate is accepted only if its values on the sector's
-lattice points form exactly the prefix {0..N}, each attained once, with
-no negative value anywhere — established by walking the sector's line
+pairs of the stair coefficient families, in integers, with
+polynomials._stair_pair and _residue, and they join the raw grid as
+single-pair rows.  The screen and the certification use none of them.
+A candidate is accepted only if its values on the sector's lattice
+points form exactly the prefix {0..N}, each attained once, with no
+negative value anywhere — established by walking the sector's line
 family (its staircases, which are the columns on integral sectors).  The
-oracle and the search screen share one walk in scaled integers.
+oracle and the search share one walk in scaled integers and one
+verdict, _prefix_verdict: prefix_check reads it on a table of its own,
+the search on its screen's table.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -37,7 +39,7 @@ from .polynomials import (
     Direction,
     QuadPoly,
     _residue,
-    necessary_coefficients,
+    _stair_pair,
     stanton_quadratic,
 )
 from .sectors import LatticePoint, Sector
@@ -138,23 +140,24 @@ def _check_family(s: Sector, p: QuadPoly) -> None:
 
 
 class _LineTable:
-    """Lazily grown rows (x0, z, count, Q*(c*l)**2 + F) of a sector's line
-    family, shared by every walk of one call.
+    """Lazily grown rows (x0, z, count, Q*(c*l)**2) of a sector's line
+    family, shared by every walk of one call, or of one search.
 
     A walk reads the scaled value Q*(c*l)**2 + A*x + B*y + F: on line c the
     homogeneous part is Q*(c*l)**2, so the value is base(c) + t*step with
-    step = A*u + B*v.
+    step = A*u + B*v.  The rows hold no linear part and no offset, so one
+    table serves every (A, B, F) with the same Q.
     """
 
-    def __init__(self, s: Sector, Q: int, F: int):
+    def __init__(self, s: Sector, Q: int):
         self.lines = s.lines
-        self.Q, self.F = Q, F
+        self.Q = Q
         self.rows: list[tuple[int, int, int, int]] = []
 
     def grow(self, c: int) -> None:
         """Append the rows up to line c, each the row of LineFamily.line:
         z(c) = (-c*r) mod v steps by z <- (z - r) mod v from line to line."""
-        lines, rows, Q, F = self.lines, self.rows, self.Q, self.F
+        lines, rows, Q = self.lines, self.rows, self.Q
         n, m, l, v, r = lines.n, lines.m, lines.l, lines.v, lines.r
         first = len(rows)
         z = (-first * r) % v
@@ -162,7 +165,7 @@ class _LineTable:
             cl = cc * l
             x0 = ((m - 1) * z + cl) // n
             count = (n * x0 - m * z) // v + 1
-            rows.append((x0, z, count if count > 0 else 0, Q * cl * cl + F))
+            rows.append((x0, z, count if count > 0 else 0, Q * cl * cl))
             z = (z - r) % v
 
     def point(self, c: int, t: int) -> LatticePoint:
@@ -170,13 +173,14 @@ class _LineTable:
         return LatticePoint(x0 + t * self.lines.u, z + t * self.lines.v)
 
     def walk(
-        self, A: int, B: int, unit: int, lo: int, hi: int
+        self, A: int, B: int, F: int, unit: int, lo: int, hi: int
     ) -> tuple[list[range], list[tuple[int, int, int]], int, int, Optional[tuple[int, int]]]:
-        """Walk the lines, collecting the values in [lo, hi].
+        """Walk the lines for (A, B, F), collecting the values in [lo, hi].
 
-        Every scaled value must be a multiple of ``unit``; values, lo, hi
-        and vmin are all in units of ``unit``, and a line whose scaled base
-        or step is not a multiple is a ValueError.
+        Every scaled value Q*(c*l)**2 + A*x + B*y + F must be a multiple
+        of ``unit``; values, lo, hi and vmin are all in units of ``unit``,
+        and a line whose scaled base or step is not a multiple is a
+        ValueError.
 
         Returns (ranges, spans, total, vmin, negative): ranges[i] holds the
         window's values on one line in scan order (c, then t ascending) and
@@ -202,7 +206,7 @@ class _LineTable:
             raise ValueError("stair step is not an integer; polynomial is not integer-valued")
         k_lo = min(A, A * lines.m + B * n)
         vertex = (-k_lo // n) // (2 * Q * l) + 2
-        hi_scaled = hi * unit
+        hi_scaled = hi * unit - F
 
         ranges: list[range] = []
         spans: list[tuple[int, int, int]] = []
@@ -216,7 +220,7 @@ class _LineTable:
             if c > vertex and q + (k_lo * c * l) // n > hi_scaled:
                 break
             if cnt > 0:
-                base, rem = divmod(q + A * x0 + B * z, unit)
+                base, rem = divmod(q + F + A * x0 + B * z, unit)
                 if rem:
                     raise ValueError(
                         f"value on line {c} is not an integer; polynomial is not integer-valued"
@@ -248,34 +252,29 @@ class _LineTable:
         return ranges, spans, total, vmin, negative
 
 
-def _walk_window(
-    s: Sector, p: QuadPoly, n_max: int
-) -> tuple[_LineTable, list[range], list[tuple[int, int, int]], int, Optional[LatticePoint]]:
-    """Walk the line family of S(n/m) for the values in [0, n_max].
-
-    The polynomial is scaled by D, the lcm of the denominators of a/n**2,
-    d, e and f, so the walk runs in integers.  Returns (table, ranges,
-    spans, total, negative_witness): the line table, the walk's per-line
-    value ranges, their (c, first t, point count) spans and the window's
-    point count (see _LineTable.walk), and the first point seen with value
-    < 0.  The polynomial must be integer-valued; a line or step that is
-    not is a ValueError.
-    """
+def _scaled(s: Sector, p: QuadPoly) -> tuple[_LineTable, int, int, int, int]:
+    """(table, A, B, F, D): p scaled by D, the lcm of the denominators of
+    a/n**2, d, e and f, so that a walk of the table with (A, B, F, D) runs
+    in integers.  p's homogeneous part must be constant along the line
+    family (NonTerminatingShape otherwise)."""
     _check_family(s, p)
     lam = p.a / (s.n * s.n)
     D = math.lcm(lam.denominator, p.d.denominator, p.e.denominator, p.f.denominator)
-    table = _LineTable(s, int(lam * D), int(p.f * D))
-    ranges, spans, total, _, negative = table.walk(int(p.d * D), int(p.e * D), D, 0, n_max)
-    return table, ranges, spans, total, None if negative is None else table.point(*negative)
+    return _LineTable(s, int(lam * D)), int(p.d * D), int(p.e * D), int(p.f * D), D
 
 
 def _value_sweep(
     s: Sector, p: QuadPoly, n_max: int
 ) -> tuple[list[tuple[int, int, int]], Optional[LatticePoint]]:
-    """The window of _walk_window as (value, x, y) triples in scan order,
-    with the negative witness; enumerate_upto sorts them.  prefix_check
-    reads the ranges directly and builds no triples."""
-    table, ranges, spans, _, negative = _walk_window(s, p, n_max)
+    """The window [0, n_max] of the walk as (value, x, y) triples in scan
+    order, with the first point seen with value < 0; enumerate_upto sorts
+    them.  prefix_check reads the walk's ranges directly and builds no
+    triples.  p must be integer-valued; a line or step that is not is a
+    ValueError."""
+    table, A, B, F, D = _scaled(s, p)
+    ranges, spans, _, _, negative = table.walk(A, B, F, D, 0, n_max)
+    if negative is not None:
+        negative = table.point(*negative)
     u, v = s.lines.u, s.lines.v
     items: list[tuple[int, int, int]] = []
     for (c, t, count), values in zip(spans, ranges):
@@ -401,18 +400,29 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
         return PrefixReport(
             PrefixStatus.NON_INTEGER_VALUE, checked_upto=n_max, points=0, point=witness
         )
-    # The walk yields the window's values as one range per line, all with
-    # one step, and counts the window's points.  More points than the
-    # n_max + 1 values, or than the values the ranges hold (a step-0 line
-    # holds one value at all its points), must repeat a value
-    # (pigeonhole).  Otherwise _first_gap sorts the L ranges by residue
-    # class and least value and reads both distinctness and the smallest
-    # missing value off them.  A duplicate then pays for one more pass
-    # over the ranges in scan order, which stops at the first line that
-    # repeats a value.  Each pass costs O(L log L) time and O(L) memory;
-    # on a sector L grows about as sqrt(n_max), and nothing is sized by
-    # n_max itself.
-    table, ranges, spans, total, negative = _walk_window(s, p, n_max)
+    return _prefix_verdict(*_scaled(s, p), n_max)
+
+
+def _prefix_verdict(
+    table: _LineTable, A: int, B: int, F: int, unit: int, n_max: int
+) -> PrefixReport:
+    """prefix_check's verdict after its probe, for the integer-valued
+    polynomial whose scaled value on ``table``'s rows is Q*(c*l)**2 + A*x +
+    B*y + F, in units of ``unit``; prefix_check and the search's
+    certification both read their verdicts here.
+
+    The walk yields the window's values as one range per line, all with
+    one step, and counts the window's points.  More points than the n_max
+    + 1 values, or than the values the ranges hold (a step-0 line holds
+    one value at all its points), must repeat a value (pigeonhole).
+    Otherwise _first_gap sorts the L ranges by residue class and least
+    value and reads both distinctness and the smallest missing value off
+    them.  A duplicate then pays for one more pass over the ranges in scan
+    order, which stops at the first line that repeats a value.  Each pass
+    costs O(L log L) time and O(L) memory; on a sector L grows about as
+    sqrt(n_max), and nothing is sized by n_max itself.
+    """
+    ranges, spans, total, _, negative = table.walk(A, B, F, unit, 0, n_max)
     gap = None
     if total <= n_max + 1 and sum(map(len, ranges)) == total:
         gap = _first_gap(ranges, n_max)
@@ -428,12 +438,13 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
             point2=table.point(c, t + j),
         )
     if negative is not None:
+        point = table.point(*negative)
         return PrefixReport(
             PrefixStatus.NEGATIVE_VALUE,
             checked_upto=n_max,
             points=total,
-            value=p.eval_int(negative),
-            point=negative,
+            value=(table.rows[negative[0]][3] + F + A * point.x + B * point.y) // unit,
+            point=point,
         )
     if gap <= n_max:
         return PrefixReport(
@@ -504,7 +515,7 @@ class _PairScreen:
     """
 
     def __init__(self, s: Sector, prefix_n: int, offset_range: int):
-        self.table = _LineTable(s, 1, 0)
+        self.table = _LineTable(s, 1)
         self.n, self.m = s.n, s.m
         self.u, self.v = s.lines.u, s.lines.v
         self.prefix_n, self.offset_range = prefix_n, offset_range
@@ -524,7 +535,7 @@ class _PairScreen:
         if A < self.s_min or A * self.m + B * n < self.s_min:
             return None
         ranges, _, total, vmin, _ = self.table.walk(
-            A, B, 2 * n, -self.offset_range, self.prefix_n
+            A, B, 0, 2 * n, -self.offset_range, self.prefix_n
         )
         return None if vmin < -self.offset_range else (ranges, total, vmin)
 
@@ -550,14 +561,10 @@ class _PairScreen:
         return count == need
 
 
-def _screen(
-    s: Sector,
-    rows: list[tuple[int, range]],
-    prefix_n: int,
-    offset_range: int,
-) -> list[tuple[int, int, int]]:
-    """Keep the (d2, e2) pairs of ``rows`` that pack to depth prefix_n for
-    some offset, as (d2, e2, f) triples in row order, f the forced offset.
+def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[int, int, int]]:
+    """Keep the (d2, e2) pairs of ``rows`` that pack to the screen's depth
+    prefix_n for some offset, as (d2, e2, f) triples in row order, f the
+    forced offset.
 
     ``rows`` is a d2-ascending list of (d2, ascending e2 range) on the
     integer-valued lattice.  P0 grows with d2 (x >= 0) and with e2
@@ -573,8 +580,7 @@ def _screen(
     never kept, but its window counts every point, so it lowers ``top``
     as any other does.
     """
-    screen = _PairScreen(s, prefix_n, offset_range)
-    need = prefix_n + 1
+    need = screen.prefix_n + 1
     survivors = []
     top = max((E.stop for _, E in rows), default=0)
     for d2, E in rows:
@@ -615,8 +621,7 @@ def _structured_candidates(s: Sector, max_k: int) -> list[tuple[int, int]]:
     for direction in (Direction.ASCENDING, Direction.DESCENDING):
         res, v = _residue(s, direction)
         for k in range(res or v, max_k + 1, v):
-            d, e = necessary_coefficients(s, k, direction)
-            d2, e2 = int(2 * d), int(2 * n * e)
+            d2, e2 = _stair_pair(s, k, direction)
             if (d2 % 2, e2 % (2 * n)) == residues:
                 out.append((d2, e2))
     return out
@@ -642,23 +647,33 @@ def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
 
 
 # Depth of the filter's screen; _search_detail says why certifying its
-# survivors with prefix_check keeps exactly what a full-depth filter would.
+# survivors at prefix_n keeps exactly what a full-depth filter would.
 _PREFILTER_N = 8
 
 
 def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:
-    """(all survivors, raw-grid survivors), each certified by prefix_check.
+    """(all survivors, raw-grid survivors), each certified to prefix_n.
 
     The candidates form one list of rows: a row (d2, E) per d2 of the raw
     grid, and a single-pair row for each structured pair off the grid,
     stably sorted by d2.  _screen screens them once at depth
     min(prefix_n, _PREFILTER_N), so a pair is screened and certified
     once, and a survivor is a raw-grid survivor iff its pair lies on the
-    grid's axes.  prefix_check certifies each survivor once, at prefix_n
-    with the screen's forced offset, in the order of the polynomials'
-    step d*u + e*v (its size, then ascending first), f and coefficients:
-    in integers, Delta = n*d2*u + e2*v = 2n*(d*u + e*v), which is never 0
-    on a survivor, then f, d2 and e2.
+    grid's axes.  Each survivor is certified once, at prefix_n with the
+    screen's forced offset, in the order of the polynomials' step d*u +
+    e*v (its size, then ascending first), f and coefficients: in
+    integers, Delta = n*d2*u + e2*v = 2n*(d*u + e*v), which is never 0 on
+    a survivor, then f, d2 and e2.  Only a survivor that certifies
+    becomes a QuadPoly.
+
+    The certification is prefix_check's verdict, read by _prefix_verdict
+    on the screen's own line table, whose rows the screen has grown.  A
+    survivor lies on the integer-valued lattice, so prefix_check's probe
+    passes, and its homogeneous part is the forced one, so
+    _check_family passes.  Its lambda = a/n**2 = 1/(2n), d = d2/2 and e =
+    e2/(2n) have denominators dividing 2n, and f is an integer, so
+    prefix_check's own scale D is exactly 2n: its walk reads Q = 1 (the
+    screen table's), (A, B, F) = (n*d2, e2, 2n*f) and unit 2n, as here.
 
     The result is that of one full-depth filter pass.  In the filter's
     integer values (P0 over 2n, the polynomial without its offset), a
@@ -677,7 +692,7 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
         if not (d2 in D and e2 in E)
     ]
     rows.sort(key=lambda row: row[0])
-    depth = min(params.prefix_n, _PREFILTER_N)
+    screen = _PairScreen(s, min(params.prefix_n, _PREFILTER_N), params.offset_range)
     n, u, v = s.n, s.lines.u, s.lines.v
 
     def order(triple: tuple[int, int, int]) -> tuple[int, bool, int, int, int]:
@@ -687,9 +702,9 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
 
     found: list[QuadPoly] = []
     raw_found: list[QuadPoly] = []
-    for d2, e2, f in sorted(_screen(s, rows, depth, params.offset_range), key=order):
-        p = _poly_from_scaled(s, d2, e2, f)
-        if prefix_check(s, p, params.prefix_n).ok:
+    for d2, e2, f in sorted(_screen(screen, rows), key=order):
+        if _prefix_verdict(screen.table, n * d2, e2, 2 * n * f, 2 * n, params.prefix_n).ok:
+            p = _poly_from_scaled(s, d2, e2, f)
             found.append(p)
             if d2 in D and e2 in E:
                 raw_found.append(p)
@@ -704,9 +719,10 @@ def search(s: Sector, params: SearchParams) -> list[QuadPoly]:
     with only the homogeneous part pinned.  Integral sectors are no
     exception: their staircases are the columns.  Both join one list of
     integer rows, which one screen at the small depth _PREFILTER_N (8, or
-    prefix_n if less) walks only around each row's passing band.
-    prefix_check certifies each survivor once, so every returned
-    polynomial is "verified to prefix_n".  Depth 8 is only a cheap
-    reject: the result equals a single filter pass at prefix_n.
+    prefix_n if less) walks only around each row's passing band.  Each
+    survivor gets prefix_check's verdict once, read in integers on the
+    screen's line table, so every returned polynomial is "verified to
+    prefix_n".  Depth 8 is only a cheap reject: the result equals a
+    single filter pass at prefix_n.
     """
     return _search_detail(s, params)[0]

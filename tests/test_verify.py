@@ -44,10 +44,11 @@ from sectorpack.verify import (
     _grid_axes,
     _lattice_residues,
     _poly_from_scaled,
+    _prefix_verdict,
+    _scaled,
     _screen,
     _search_detail,
     _structured_candidates,
-    _walk_window,
 )
 
 from helpers import (
@@ -243,9 +244,9 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
     s = sector(*nm)
     lines = s.lines
     n, l = lines.n, lines.l
-    table = _LineTable(s, Q, F)
+    table = _LineTable(s, Q)
     table.rows = rows = _ReadLog()
-    table.walk(A, B, 1, lo, hi)
+    table.walk(A, B, F, 1, lo, hi)
     stop = rows.last
     # every value on the stop line and the 50 lines past it exceeds hi; the
     # value is linear in t along a line, so its minimum is at an end
@@ -255,12 +256,12 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
             ends = [(x0, z), (x0 + (count - 1) * lines.u, z + (count - 1) * lines.v)]
             assert min(Q * (c * l) ** 2 + F + A * x + B * y for x, y in ends) > hi
     # the bound Q*(c*l)**2 + F + min(A, A*m)*c*l/n + min(B, 0)*c*l, which
-    # takes x and y apart, never stops earlier
+    # takes x and y apart, never stops earlier; lines start at 0
     a_lo, b_lo = min(A, A * s.m), min(B, 0)
     vertex = (-a_lo // n - b_lo) // (2 * Q * l) + 2
     old_stop = next(
         c
-        for c in itertools.count(vertex + 1)
+        for c in itertools.count(max(vertex + 1, 0))
         if Q * (c * l) ** 2 + F + (a_lo * c * l) // n + b_lo * c * l > hi
     )
     assert stop <= old_stop
@@ -273,11 +274,11 @@ def test_line_rows_by_recurrence():
             if math.gcd(n, m) != 1:
                 continue
             s = sector(n, m)
-            table = _LineTable(s, 3, -7)
+            table = _LineTable(s, 3)
             for c in (0, 9, 140, 500):
                 table.grow(c)
             l = s.lines.l
-            want = [(*s.lines.line(c), 3 * (c * l) ** 2 - 7) for c in range(501)]
+            want = [(*s.lines.line(c), 3 * (c * l) ** 2) for c in range(501)]
             assert table.rows == want, (n, m)
 
 
@@ -368,7 +369,8 @@ class TestPrefixCheck:
     def test_descending_line_ending_at_zero(self):
         # the range of a descending line whose last value is 0 has stop -1
         s, p = sector(12, 7), QuadPoly.from_string("6 -6 3/2 10 -13/2 2")
-        assert range(18, -1, -3) in _walk_window(s, p, 20)[1]
+        table, A, B, F, D = _scaled(s, p)
+        assert range(18, -1, -3) in table.walk(A, B, F, D, 0, 20)[0]
         report = prefix_check(s, p, 20)
         assert report.ok and report.points == 21
         assert report == prefix_report_reference(s, p, 20)
@@ -680,9 +682,9 @@ GRID_SECTORS = [
 def _count_upto(s: Sector, d2: int, e2: int, hi: int) -> int:
     """How many sector points have filter value P0/2n <= hi, read off two
     walks: the first finds the least value, the second counts from it."""
-    table = _LineTable(s, 1, 0)
-    vmin = table.walk(s.n * d2, e2, 2 * s.n, 0, hi)[3]
-    return table.walk(s.n * d2, e2, 2 * s.n, vmin, hi)[2]
+    table = _LineTable(s, 1)
+    vmin = table.walk(s.n * d2, e2, 0, 2 * s.n, 0, hi)[3]
+    return table.walk(s.n * d2, e2, 0, 2 * s.n, vmin, hi)[2]
 
 
 class TestScreenThenCertify:
@@ -738,7 +740,7 @@ class TestScreenThenCertify:
                 rows.append((d2, row))
         rows.sort(key=lambda row: row[0])
         pairs = [(d2, e2) for d2, row in rows for e2 in row]
-        assert _screen(s, rows, prefix_n, offset_range) == filter_candidates(
+        assert _screen(_PairScreen(s, prefix_n, offset_range), rows) == filter_candidates(
             s, pairs, prefix_n, offset_range
         )
 
@@ -787,7 +789,7 @@ class TestScreenThenCertify:
             return real(self, *args)
 
         monkeypatch.setattr(_LineTable, "walk", counting)
-        _screen(s, box_rows(s, 40), _PREFILTER_N, PARAMS.offset_range)
+        _screen(_PairScreen(s, _PREFILTER_N, PARAMS.offset_range), box_rows(s, 40))
         assert band <= len(walks) <= len(D) + len(E) + band
 
     def test_shallow_prefix_screens_at_prefix(self):
@@ -807,9 +809,9 @@ class TestScreenThenCertify:
         depths = []
         real = verify_mod._screen
 
-        def screen(s, rows, prefix_n, offset_range):
-            depths.append(prefix_n)
-            return real(s, rows, prefix_n, offset_range)
+        def screen(pair_screen, rows):
+            depths.append(pair_screen.prefix_n)
+            return real(pair_screen, rows)
 
         monkeypatch.setattr(verify_mod, "_screen", screen)
         for prefix_n in (0, 5, 8, 300):
@@ -872,25 +874,108 @@ class TestScreenThenCertify:
             for polys in _search_detail(s, PARAMS):
                 assert polys == sorted(polys, key=lambda p: fraction_key(s, p)), nm
 
-    def test_prefix_check_once_per_survivor(self, monkeypatch):
+    @pytest.mark.parametrize("nm,rejected", [((8, 5), 0), ((10, 1), 2)])
+    def test_certified_once_per_survivor(self, nm, rejected, monkeypatch):
+        # one verdict per screened triple, none twice, all on the screen's
+        # table, failing ones included: the search never calls prefix_check
         import sectorpack.verify as verify_mod
 
-        s = sector(8, 5)
+        s = sector(*nm)
+        n = s.n
         structured = set(_structured_candidates(s, PARAMS.max_k))
         assert structured & set(raw_candidates(s, PARAMS.raw_grid_bound))
 
-        calls = []
-        real = verify_mod.prefix_check
+        screened, calls = [], []
+        real_screen, real_verdict = verify_mod._screen, verify_mod._prefix_verdict
 
-        def counting(s, p, n_max):
-            calls.append(p.coefficients())
-            return real(s, p, n_max)
+        def screen(pair_screen, rows):
+            screened.append((pair_screen.table, real_screen(pair_screen, rows)))
+            return screened[-1][1]
 
-        monkeypatch.setattr(verify_mod, "prefix_check", counting)
+        def verdict(table, A, B, F, unit, n_max):
+            calls.append((table, (A, B, F, unit), n_max))
+            return real_verdict(table, A, B, F, unit, n_max)
+
+        def no_prefix_check(*args):
+            raise AssertionError("the search called prefix_check")
+
+        monkeypatch.setattr(verify_mod, "_screen", screen)
+        monkeypatch.setattr(verify_mod, "_prefix_verdict", verdict)
+        monkeypatch.setattr(verify_mod, "prefix_check", no_prefix_check)
         ordered, raw = _search_detail(s, PARAMS)
         assert len(ordered) == 2 and raw == ordered
-        assert len(calls) == len(set(calls))
-        assert {p.coefficients() for p in ordered} <= set(calls)
+        ((table, triples),) = screened
+        assert all(called is table and n_max == PARAMS.prefix_n for called, _, n_max in calls)
+        scaled = [args for _, args, _ in calls]
+        assert len(scaled) == len(set(scaled))
+        assert sorted(scaled) == sorted((n * d2, e2, 2 * n * f, 2 * n) for d2, e2, f in triples)
+        assert len(triples) - len(ordered) == rejected
+
+    @given(
+        st.sampled_from(
+            [
+                (n, m)
+                for n in range(1, 41)
+                for m in range(1, 41)
+                if math.gcd(n, m) == 1 and (m - 1) ** 2 % n == 0
+            ]
+        ),
+        st.sampled_from([0, 1, 5, 8, 9, 20, 300]),
+        st.integers(0, 10),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_certification_is_prefix_check(self, nm, prefix_n, offset_range, raw):
+        # Every triple the search screens gets, from _prefix_verdict on the
+        # screen's table, prefix_check's report on its polynomial, field by
+        # field; the search keeps exactly those that pass.  Sectors off
+        # the integer-valued lattice screen nothing and are not drawn.
+        import sectorpack.verify as verify_mod
+
+        s = sector(*nm)
+        n = s.n
+        screened = []
+        real = verify_mod._screen
+
+        def screen(pair_screen, rows):
+            screened.append((pair_screen.table, real(pair_screen, rows)))
+            return screened[-1][1]
+
+        with mock.patch.object(verify_mod, "_screen", screen):
+            found, _ = _search_detail(s, SearchParams(prefix_n, 6, offset_range, raw))
+        ((table, triples),) = screened
+        passing = set()
+        for d2, e2, f in triples:
+            p = _poly_from_scaled(s, d2, e2, f)
+            report = prefix_check(s, p, prefix_n)
+            assert _prefix_verdict(table, n * d2, e2, 2 * n * f, 2 * n, prefix_n) == report
+            if report.ok:
+                passing.add(p.coefficients())
+        assert len(found) == len(passing)
+        assert {p.coefficients() for p in found} == passing
+
+    @pytest.mark.parametrize(
+        "nm,triple,want",
+        [
+            # 434 triples pass the 30x30 raw-40 screen and 359 certify
+            (
+                (10, 1),
+                (-28, 40, 9),
+                PrefixReport(
+                    PrefixStatus.DUPLICATE, 300, 337, 9, LatticePoint(0, 0), LatticePoint(2, 4)
+                ),
+            ),
+            ((18, 7), (-8, 72, 0), PrefixReport(PrefixStatus.MISSING_VALUE, 300, 296, 10)),
+        ],
+    )
+    def test_certification_rejects_screened_triple(self, nm, triple, want):
+        s = sector(*nm)
+        n = s.n
+        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
+        assert triple in _screen(screen, box_rows(s, PARAMS.raw_grid_bound))
+        d2, e2, f = triple
+        assert _prefix_verdict(screen.table, n * d2, e2, 2 * n * f, 2 * n, 300) == want
+        assert prefix_check(s, _poly_from_scaled(s, d2, e2, f), 300) == want
 
 
 class TestSweep:
@@ -936,6 +1021,40 @@ class TestSweep:
         keys = [(r.n, r.m) for r in report.rows]
         assert keys == sorted(keys)
         assert all(math.gcd(n, m) == 1 for n, m in keys)
+
+    def test_pool_chunks_and_workers(self, monkeypatch):
+        # chunks of ceil(sectors / (4 * workers)), and never more workers
+        # than chunks: the fake pool records both and starts no process
+        import concurrent.futures
+        import os
+
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append([max_workers])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                pools[-1].append(chunksize)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.delenv("SECTORPACK_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        params = SearchParams(150, 5, 8, 0)
+        # 7 sectors on 64 CPUs: 7 chunks of one sector, so 7 workers
+        assert sweep(3, 3, params) == sweep(3, 3, params, workers=1)
+        assert pools == [[7, 1]]
+        pools.clear()
+        # 555 sectors on 2 workers: 8 chunks of 70
+        assert len(sweep(30, 30, params, workers=2).rows) == 555
+        assert pools == [[2, 70]]
 
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("SECTORPACK_THREADS", "1")
