@@ -4,20 +4,23 @@ A scheme wraps a stair packing polynomial on any sector S(n/m), integral
 ones included, and provides constant-time encode, value-to-point decode,
 and an in-order point stream.  Along each staircase the values rise by k
 from its start stair: the first stair of an ascending polynomial, the last
-stair of a descending one, whose staircases are read backwards.  Decoding
-uses the residue-class structure: staircases with index congruent to c0
-mod k carry exactly the values start_value(c0) + k*N, in
+stair of a descending one, whose staircases are read backwards.  Both
+decode and stream use the residue-class structure: staircases with index
+congruent to c0 mod k carry exactly the values start_value(c0) + k*N, in
 staircase-then-step order.  Within a class the stair counts grow by k*l
 every v staircases, so the cumulative count is a quadratic in the period
 index plus a v-entry table, and decode inverts it in closed form with one
 isqrt: O(1) big-integer operations and no state that grows with the value.
-Both directions run the same code; they differ only in the start stairs,
-steps and period shift that make_scheme tabulates.
+stream builds each class's values a staircase at a time, as one run of
+points start + t*step, and interleaves the k class lists.  Both directions
+run the same code; they differ only in the start stairs, steps and period
+shift that make_scheme tabulates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import isqrt
 from typing import Callable
 
@@ -27,6 +30,10 @@ from .sectors import LatticePoint, Sector
 from .verify import prefix_check
 
 MIN_VERIFY_N = 500
+
+# _point((x, y)) builds exactly what LatticePoint(x, y) builds, without the
+# NamedTuple's Python-level __new__
+_point = partial(tuple.__new__, LatticePoint)
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ class PairingScheme:
     period of v stair counts per residue class, so encode, decode and
     stream hold no shared mutable state and may be called from many threads
     at once, and schemes pickle and copy like any frozen dataclass.  stream
-    cursors are local to each call.
+    builds its lists in each call's locals.
     """
 
     sector: Sector
@@ -59,16 +66,15 @@ class PairingScheme:
     # (k, v, k*l, v*k*l, dx, dy, px, py): (dx, dy) the step to the next
     # stair in value order, (px, py) the shift of a start stair one period on
     _steps: tuple[int, ...] = field(default=(), repr=False)
-    # scaled coefficients, cached so encode stays arithmetic-only
+    # (n, m, m - 1, 2n, 2n*d, 2n*e, 2n*f), cached so encode reads one tuple
     _scaled: tuple[int, ...] = field(default=(), repr=False)
 
     def encode(self, p: LatticePoint) -> int:
         x, y = p
-        n, m = self.sector.n, self.sector.m
+        n, m, m1, two_n, a_s, b_s, c_s = self._scaled
         if x < 0 or y < 0 or y * m > x * n:
             raise PointOutsideSector(f"{tuple(p)} is not in S({self.sector})")
-        two_n, a_s, b_s, c_s = self._scaled
-        return ((n * x - (m - 1) * y) ** 2 + a_s * x + b_s * y + c_s) // two_n
+        return ((n * x - m1 * y) ** 2 + a_s * x + b_s * y + c_s) // two_n
 
     def decode(self, value: int) -> LatticePoint:
         """The unique sector point with encode(point) == value.
@@ -101,31 +107,45 @@ class PairingScheme:
             else:
                 hi = mid
         t -= pref[r] + grow * r
-        return LatticePoint(xs[r] + q * px + t * dx, zs[r] + q * py + t * dy)
+        return _point((xs[r] + q * px + t * dx, zs[r] + q * py + t * dy))
 
     def stream(self, count: int) -> list[LatticePoint]:
-        """Points in value order 0..count-1, via incremental per-class cursors."""
+        """Points in value order 0..count-1: each residue class's points
+        from _class_points, interleaved into out[i::k]."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        k, v, grow, _, dx, dy, px, py = self._steps
-        classes = self._classes
-        # per value residue: [staircase j of its class, stair t on it, its
-        # stair count, its start stair]
-        cursors = [[0, 0, pref[1], xs[0], zs[0]] for pref, xs, zs in classes]
-        out = []
-        for value in range(count):
-            cur = cursors[value % k]
-            j, t, cnt, x, y = cur
-            out.append(LatticePoint(x + t * dx, y + t * dy))
-            t += 1
-            if t < cnt:
-                cur[1] = t
-                continue
-            # on to staircase j + 1 = q*v + r of the class
-            q, r = divmod(j + 1, v)
-            pref, xs, zs = classes[value % k]
-            cur[:] = j + 1, 0, pref[r + 1] - pref[r] + q * grow, xs[r] + q * px, zs[r] + q * py
+        k = self._steps[0]
+        if k == 1:
+            return self._class_points(0, count)
+        out = [None] * count
+        for i in range(k):
+            out[i::k] = self._class_points(i, len(range(i, count, k)))
         return out
+
+    def _class_points(self, residue: int, count: int) -> list[LatticePoint]:
+        """The first count points of a value residue class, in value order.
+
+        The class's staircases j = q*v + r laid end to end, each a run of
+        pref[r+1] - pref[r] + q*k*l points (xs[r] + q*px, zs[r] + q*py) +
+        t*(dx, dy), the last run cut to the points still wanted.
+        """
+        _, v, grow, _, dx, dy, px, py = self._steps
+        pref, xs, zs = self._classes[residue]
+        points: list[LatticePoint] = []
+        extend = points.extend
+        q = 0
+        while count:
+            for r in range(v):
+                cnt = min(pref[r + 1] - pref[r] + q * grow, count)
+                x, y = xs[r] + q * px, zs[r] + q * py
+                # an integral sector's staircases are columns: dx = 0
+                run_xs = range(x, x + cnt * dx, dx) if dx else [x] * cnt
+                extend(map(_point, zip(run_xs, range(y, y + cnt * dy, dy))))
+                count -= cnt
+                if not count:
+                    break
+            q += 1
+        return points
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,7 +187,8 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
         form=form,
         first_stair_values=firsts,
         verified_n=verify_to,
-        _scaled=(2 * s.n, int(2 * s.n * p.d), int(2 * s.n * p.e), int(2 * s.n * p.f)),
+        _scaled=(s.n, s.m, s.m - 1, 2 * s.n,
+                 int(2 * s.n * p.d), int(2 * s.n * p.e), int(2 * s.n * p.f)),
         # residue i of the values belongs to the class whose start stair is i
         _classes=tuple(_class_table(s, start, k, values.index(i)) for i in range(k)),
         _steps=(k, lines.v, grow, lines.v * grow, *step, *period),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     CongruenceViolation,
@@ -93,16 +94,24 @@ class QuadPoly:
         return all(coeff.denominator == 1 for coeff in binomial)
 
     def compose(self, mapping: LatticeMap) -> "QuadPoly":
-        """The polynomial p(M(x, y)) — exact coefficient composition."""
+        """The polynomial p(M(x, y)) — exact coefficient composition.
+
+        The composition runs in integers on the coefficients scaled by the
+        lcm of their denominators, and each new coefficient is built once,
+        as one reduced Fraction over that lcm.
+        """
         a11, a12, a21, a22 = mapping.a11, mapping.a12, mapping.a21, mapping.a22
+        coeffs = (self.a, self.b, self.c2, self.d, self.e)
+        den = lcm(*(c.denominator for c in coeffs))
+        a, b, c2, d, e = (c.numerator * (den // c.denominator) for c in coeffs)
         return QuadPoly(
-            a=self.a * a11 * a11 + self.b * a11 * a21 + self.c2 * a21 * a21,
-            b=2 * self.a * a11 * a12
-            + self.b * (a11 * a22 + a12 * a21)
-            + 2 * self.c2 * a21 * a22,
-            c2=self.a * a12 * a12 + self.b * a12 * a22 + self.c2 * a22 * a22,
-            d=self.d * a11 + self.e * a21,
-            e=self.d * a12 + self.e * a22,
+            a=Fraction(a * a11 * a11 + b * a11 * a21 + c2 * a21 * a21, den),
+            b=Fraction(
+                2 * a * a11 * a12 + b * (a11 * a22 + a12 * a21) + 2 * c2 * a21 * a22, den
+            ),
+            c2=Fraction(a * a12 * a12 + b * a12 * a22 + c2 * a22 * a22, den),
+            d=Fraction(d * a11 + e * a21, den),
+            e=Fraction(d * a12 + e * a22, den),
             f=self.f,
         )
 

@@ -51,11 +51,17 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
+def _key(p: QuadPoly) -> tuple[tuple[int, int], ...]:
+    """p's coefficients as (numerator, denominator) pairs: equal exactly
+    when the reduced Fractions are, and hashed without Fraction.__hash__."""
+    return tuple((c.numerator, c.denominator) for c in p.coefficients())
+
+
 def _sweep_row(task: tuple[int, int, SearchParams]) -> SweepRow:
     n, m, params = task
     classified = classify(n, m).polynomials()
     searched, raw_found = _search_detail(sector(n, m), params)
-    match = {p.coefficients() for p in classified} == {p.coefficients() for p in searched}
+    match = {_key(p) for p in classified} == {_key(p) for p in searched}
     return SweepRow(
         n=n,
         m=m,

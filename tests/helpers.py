@@ -9,6 +9,7 @@ from typing import Iterable
 from sectorpack import (
     Direction,
     KStairForm,
+    LatticeMap,
     LatticePoint,
     PrefixReport,
     PrefixStatus,
@@ -57,6 +58,19 @@ def eval_raw(p: QuadPoly, x: int, y: int) -> Fraction:
     """Independent evaluation, written out long-hand."""
     return (
         p.a * x * x + p.b * x * y + p.c2 * y * y + p.d * x + p.e * y + p.f
+    )
+
+
+def compose_reference(p: QuadPoly, mapping: LatticeMap) -> QuadPoly:
+    """p(M(x, y)) by Fraction arithmetic on each coefficient, term by term."""
+    a11, a12, a21, a22 = mapping.a11, mapping.a12, mapping.a21, mapping.a22
+    return QuadPoly(
+        a=p.a * a11 * a11 + p.b * a11 * a21 + p.c2 * a21 * a21,
+        b=2 * p.a * a11 * a12 + p.b * (a11 * a22 + a12 * a21) + 2 * p.c2 * a21 * a22,
+        c2=p.a * a12 * a12 + p.b * a12 * a22 + p.c2 * a22 * a22,
+        d=p.d * a11 + p.e * a21,
+        e=p.d * a12 + p.e * a22,
+        f=p.f,
     )
 
 

@@ -25,6 +25,7 @@ from sectorpack.codec import decode, encode, stream
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P_MINUS = QuadPoly.from_string("4 -4 1 3 -2 0")
 P127 = QuadPoly.from_string("6 -6 3/2 -8 11/2 2")
+P_S3 = QuadPoly.from_string("3/2 0 0 -1/2 1 0")
 
 
 def assert_round_trips(scheme, count=3000):
@@ -148,6 +149,39 @@ class TestStream:
         for scheme in (fig1_scheme, fig3_scheme, fig1_desc_scheme):
             got = stream(scheme, 500)
             assert got == [scheme.decode(v) for v in range(500)]
+
+    # (n, m, k, direction): k = 1, 2 and 3 in both directions, negative
+    # steps on the descending ones, and the columns (dx = 0) of S(3)
+    RUN_SCHEMES = [
+        (8, 5, 1, "asc"), (8, 5, 1, "desc"), (12, 7, 3, "asc"), (12, 7, 3, "desc"),
+        (36, 25, 2, "asc"), (48, 37, 1, "desc"), (4, 9, 2, "desc"),
+        (3, 1, 1, "asc"), (3, 1, 1, "desc"), (3, 1, 3, "asc"), (3, 1, 3, "desc"),
+    ]
+
+    @pytest.mark.parametrize("n, m, k, direction", RUN_SCHEMES)
+    def test_every_prefix(self, n, m, k, direction):
+        # every count ends some run somewhere in some class, so the prefixes
+        # cover each cut run and each interleave of the k class lists
+        (entry,) = [e for e in classify(n, m).entries
+                    if (e.form.k, e.form.direction.value) == (k, direction)]
+        scheme = make_scheme(sector(n, m), entry.poly, 500)
+        assert scheme.form.k == k
+        full = scheme.stream(400)
+        assert full == [scheme.decode(v) for v in range(400)]
+        for count in range(401):
+            assert scheme.stream(count) == full[:count]
+
+    def test_point_type(self, fig1_scheme, fig3_scheme):
+        for scheme in (fig1_scheme, fig3_scheme, make_scheme(sector(3, 1), P_S3, 500)):
+            for pt in scheme.stream(50) + [scheme.decode(v) for v in (0, 7, 10**20)]:
+                assert type(pt) is LatticePoint
+                assert (pt.x, pt.y) == tuple(pt)
+
+    def test_empty_and_negative(self, fig1_scheme, fig3_scheme):
+        for scheme in (fig1_scheme, fig3_scheme):
+            assert scheme.stream(0) == []
+            with pytest.raises(ValueError):
+                scheme.stream(-1)
 
     def test_points_distinct_and_valued_in_order(self, fig3_scheme):
         pts = stream(fig3_scheme, 800)

@@ -34,7 +34,7 @@ from sectorpack import (
     t_dual,
     transport,
 )
-from helpers import construct_via_dual, eval_raw
+from helpers import compose_reference, construct_via_dual, eval_raw
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P_MINUS = QuadPoly.from_string("4 -4 1 3 -2 0")
@@ -381,3 +381,22 @@ class TestTransport:
             m = m.compose(shear)
         p = QuadPoly(*(Fraction(c, 2) for c in coeffs))
         assert transport(transport(p, m), m.inverse()) == p
+
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 60)),
+            min_size=6,
+            max_size=6,
+        ),
+        st.tuples(*(st.integers(-50, 50) for _ in range(4))),
+    )
+    @settings(max_examples=400, derandomize=True)
+    def test_compose_matches_reference(self, coeffs, entries):
+        # the integer composition builds the same reduced Fractions as
+        # coefficient-by-coefficient Fraction arithmetic
+        s = sector(1, 1)
+        p = QuadPoly(*coeffs)
+        mapping = LatticeMap(*entries, source=s, target=s)
+        got = p.compose(mapping)
+        assert got == compose_reference(p, mapping)
+        assert all(type(c) is Fraction for c in got.coefficients())
