@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .polynomials import Direction, KStairForm, QuadPoly, construct, kstair_extract
+from .polynomials import Direction, KStairForm, QuadPoly, _exact_key, construct, kstair_extract
 from .sectors import LatticeMap, Quadrant, Sector, sector, w_reduce
 
 
@@ -143,7 +143,7 @@ def _dedup(entries: list[Entry]) -> tuple[Entry, ...]:
     seen = set()
     out = []
     for entry in sorted(entries, key=_entry_key):
-        key = entry.poly.coefficients()
+        key = _exact_key(entry.poly)
         if key in seen:
             continue
         seen.add(key)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classify import classify as run_classify
@@ -18,7 +19,7 @@ from .polynomials import Direction, QuadPoly, construct
 from .render import RenderSpec, render
 from .sectors import LatticePoint, Quadrant, parse_sector, t_dual, w_reduce
 from .sweep import sweep
-from .verify import SearchParams, prefix_check, search
+from .verify import SearchParams, _walk_lines, prefix_check, search
 
 
 class UsageError(Exception):
@@ -103,10 +104,31 @@ def cmd_construct(args) -> int:
     return 0
 
 
+# prefix_check holds about 600 bytes per line it walks: 19.1 MB for the
+# 31,624 lines of 8/5 "4 -4 1 -1 1 0" at depth 10**9.
+_BYTES_PER_LINE = 600
+
+
+def _check_depth(s, poly: QuadPoly, n_max: int) -> None:
+    """Refuse a depth whose walk would hold more than physical memory."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    lines = _walk_lines(s, poly, n_max)
+    if lines * _BYTES_PER_LINE > memory:
+        raise UsageError(
+            f"--prefix {n_max} would walk {lines} lines, about "
+            f"{lines * _BYTES_PER_LINE / 1e9:.3g} GB; this machine has {memory / 1e9:.3g} GB"
+        )
+
+
 def cmd_verify(args) -> int:
     s = _sector_arg(args.sector)
     poly = _poly_arg(args.poly)
     try:
+        if poly.is_integer_valued():
+            _check_depth(s, poly, args.prefix)
         report = prefix_check(s, poly, args.prefix)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

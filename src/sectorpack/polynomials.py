@@ -173,6 +173,12 @@ class QuadPoly:
         return self.to_string()
 
 
+def _exact_key(p: QuadPoly) -> tuple[tuple[int, int], ...]:
+    """p's coefficients as (numerator, denominator) pairs: equal exactly
+    when the reduced Fractions are, and hashed without Fraction.__hash__."""
+    return tuple((c.numerator, c.denominator) for c in p.coefficients())
+
+
 @dataclass(frozen=True)
 class KStairForm:
     """Stair metadata of a polynomial: |step| k, direction, and the residue

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .classify import classify
 from .errors import InvalidEnvironment
-from .polynomials import QuadPoly
+from .polynomials import QuadPoly, _exact_key
 from .sectors import sector
 from .verify import SearchParams, _search_detail
 
@@ -51,17 +51,11 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _key(p: QuadPoly) -> tuple[tuple[int, int], ...]:
-    """p's coefficients as (numerator, denominator) pairs: equal exactly
-    when the reduced Fractions are, and hashed without Fraction.__hash__."""
-    return tuple((c.numerator, c.denominator) for c in p.coefficients())
-
-
 def _sweep_row(task: tuple[int, int, SearchParams]) -> SweepRow:
     n, m, params = task
     classified = classify(n, m).polynomials()
     searched, raw_found = _search_detail(sector(n, m), params)
-    match = {_key(p) for p in classified} == {_key(p) for p in searched}
+    match = {_exact_key(p) for p in classified} == {_exact_key(p) for p in searched}
     return SweepRow(
         n=n,
         m=m,

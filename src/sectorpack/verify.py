@@ -12,9 +12,14 @@ A candidate is accepted only if its values on the sector's lattice
 points form exactly the prefix {0..N}, each attained once, with no
 negative value anywhere — established by walking the sector's line
 family (its staircases, which are the columns on integral sectors).  The
-oracle and the search share one walk in scaled integers and one
-verdict, _prefix_verdict: prefix_check reads it on a table of its own,
-the search on its screen's table.
+oracle and the search's certification share one walk in scaled integers
+and one verdict, _prefix_verdict: prefix_check reads it on a table of its
+own, the search on its screen's table.  The screen reads the same lines
+without a walk per pair.  A candidate's scaled values are linear in its
+integer pair (d2, e2), so on the lattice every pair's line base is one
+reference pair's base, a whole number found by one exact division per
+line per sector, plus integer multiples of the line's first point: the
+screen's values are the walk's, in integers, with no rounding.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -171,6 +176,29 @@ class _LineTable:
     def point(self, c: int, t: int) -> LatticePoint:
         x0, z = self.rows[c][:2]
         return LatticePoint(x0 + t * self.lines.u, z + t * self.lines.v)
+
+    def stop(self, k_lo: int, F: int, unit: int, hi: int) -> int:
+        """The line at which walk(A, B, F, unit, lo, hi) stops, for k_lo =
+        min(A, A*m + B*n): the first c >= 0 past the vertex with
+        Q*(c*l)**2 + (k_lo*c*l)//n > hi*unit - F, with no line read.
+
+        That bound is (a*c*c + b*c)//n with a = Q*n*l*l and b = k_lo*l, so
+        it exceeds H = hi*unit - F iff a*c*c + b*c >= n*(H + 1).  From the
+        first line past the vertex on, a*(2c + 1) + b > 0, so the left side
+        strictly increases in c, and the answer is the least c there at
+        or past the root of a*c*c + b*c = n*(H + 1).  isqrt gives the root
+        to within a line or two; the steps after it make the result exact.
+        """
+        n, l, Q = self.lines.n, self.lines.l, self.Q
+        first = max(0, (-k_lo // n) // (2 * Q * l) + 3)
+        a, b, need = Q * n * l * l, k_lo * l, n * (hi * unit - F + 1)
+        disc = b * b + 4 * a * need
+        c = max(first, (math.isqrt(disc) - b) // (2 * a) if disc > 0 else 0)
+        while c > first and a * (c - 1) * (c - 1) + b * (c - 1) >= need:
+            c -= 1
+        while a * c * c + b * c < need:
+            c += 1
+        return c
 
     def walk(
         self, A: int, B: int, F: int, unit: int, lo: int, hi: int
@@ -403,6 +431,15 @@ def prefix_check(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
     return _prefix_verdict(*_scaled(s, p), n_max)
 
 
+def _walk_lines(s: Sector, p: QuadPoly, n_max: int) -> int:
+    """How many lines prefix_check(s, p, n_max) walks past its probe,
+    read off _LineTable.stop with no line built.  p's homogeneous part
+    must be constant along the line family (NonTerminatingShape
+    otherwise)."""
+    table, A, B, F, D = _scaled(s, p)
+    return table.stop(min(A, A * s.m + B * s.n), F, D, n_max)
+
+
 def _prefix_verdict(
     table: _LineTable, A: int, B: int, F: int, unit: int, n_max: int
 ) -> PrefixReport:
@@ -508,10 +545,12 @@ def _edge_threshold(n: int, lo: int) -> int:
 
 
 class _PairScreen:
-    """The per-pair tests of the search screen, at depth prefix_n.
+    """The search screen's state for one sector, at depth prefix_n.
 
-    ``window`` walks a pair and ``packs`` decides it from the walk;
-    _screen also reads the window's size between the two.
+    It holds the line table, the base table of one reference lattice pair
+    with the stop line of each k_lo met (see _screen), and ``packs``, the
+    test on a pair's window.  ``walked`` and ``band`` count the pairs
+    _screen walks and those in its bands.
     """
 
     def __init__(self, s: Sector, prefix_n: int, offset_range: int):
@@ -524,26 +563,47 @@ class _PairScreen:
         # A*m + B*n, and a value below -2n*offset_range there cannot be
         # rescued by any offset.
         self.s_min = _edge_threshold(s.n, -2 * s.n * offset_range)
+        # The reference pair is the lattice's residue pair (None off it).
+        self.ref = _lattice_residues(s)
+        if self.ref is not None:
+            d_ref, e_ref = self.ref
+            self.step_ref, rem = divmod(s.n * d_ref * self.u + e_ref * self.v, 2 * s.n)
+            if rem:
+                raise ValueError("stair step is not an integer; polynomial is not integer-valued")
+        self.bases: list[tuple[int, int, int, int]] = []  # (K, x0, z, count) per line
+        self.stops: dict[int, int] = {}  # k_lo -> its stop line
+        self.walked = self.band = 0
 
-    def window(self, d2: int, e2: int) -> Optional[tuple[list[range], int, int]]:
-        """(ranges, total, vmin): the pair's values in [-offset_range,
-        prefix_n] as the walk's per-line ranges, their point count, and
-        the pair's least value (or 0).  None if the pair is negative: a
-        value below -offset_range, which no offset in range lifts to 0."""
-        n = self.n
-        A, B = n * d2, e2
-        if A < self.s_min or A * self.m + B * n < self.s_min:
-            return None
-        ranges, _, total, vmin, _ = self.table.walk(
-            A, B, 0, 2 * n, -self.offset_range, self.prefix_n
-        )
-        return None if vmin < -self.offset_range else (ranges, total, vmin)
+    def stop_line(self, k_lo: int) -> int:
+        """The stop line of k_lo (see _LineTable.stop); the base table
+        holds every line below it."""
+        stop = self.stops[k_lo] = self.table.stop(k_lo, 0, 2 * self.n, self.prefix_n)
+        if stop > len(self.bases):
+            self._read_to(stop)
+        return stop
 
-    def steps(self, d2: int, e2: int) -> bool:
-        """Is the pair's step along the lines nonzero?  A step-0 pair is
-        never kept: it repeats a value on every line with two points, and
-        the lines grow without bound."""
-        return self.n * d2 * self.u + e2 * self.v != 0
+    def _read_to(self, stop: int) -> None:
+        """Add the base K of each line below ``stop``: the scaled value
+        Q*(c*l)**2 + n*d_ref*x0 + e_ref*z at the line's first point, over
+        2n, which must be an integer.
+
+        On the lattice no line is empty: n | (m-1)**2 makes v = n/l divide
+        l, and line c's first point (x0, z), z < v, lies in the sector iff
+        z <= c*l, which holds for c = 0 (z = 0) and for every c >= 1.
+        """
+        table, n = self.table, self.n
+        if len(table.rows) < stop:
+            table.grow(stop - 1)
+        d_ref, e_ref = self.ref
+        A = n * d_ref
+        for c in range(len(self.bases), stop):
+            x0, z, count, q = table.rows[c]
+            K, rem = divmod(q + A * x0 + e_ref * z, 2 * n)
+            if rem:
+                raise ValueError(
+                    f"value on line {c} is not an integer; polynomial is not integer-valued"
+                )
+            self.bases.append((K, x0, z, count))
 
     def packs(self, ranges: list[range], vmin: int) -> bool:
         """Does the window of a pair that steps hold each of vmin..vmin +
@@ -567,33 +627,98 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     forced offset.
 
     ``rows`` is a d2-ascending list of (d2, ascending e2 range) on the
-    integer-valued lattice.  P0 grows with d2 (x >= 0) and with e2
-    (y >= 0) everywhere, so "negative" is a down-set of the lattice, and
-    so is "at least prefix_n + 1 values <= prefix_n", which on a pair that
-    is not negative is the window's size.  ``top`` is an e2 value: every
-    pair above it, on this row and every later one, has too few values.
-    Each row is sliced to e2 <= top and scanned down: a pair with too few
+    integer-valued lattice, each range stepping by 2n; a row off it is a
+    ValueError.  P0 grows with d2 (x >= 0) and with e2 (y >= 0)
+    everywhere, so "negative" is a down-set of the lattice, and so is "at
+    least prefix_n + 1 values <= prefix_n", which on a pair that is not
+    negative is the window's size.  ``top`` is an e2 value: every pair
+    above it, on this row and every later one, has too few values.  Each
+    row is sliced to e2 <= top and scanned down: a pair with too few
     values lowers ``top`` for good, and the pairs below it down to the
     first negative one, the row's band, are the only ones tested for a
     zero step and distinct values.  On the rows of a box the screen thus
     walks at most |D| + |E| pairs outside the bands.  A step-0 pair is
     never kept, but its window counts every point, so it lowers ``top``
     as any other does.
+
+    Each pair reads the lines and values that _LineTable.walk(n*d2, e2,
+    0, 2n, -offset_range, prefix_n) would, but off one base table per
+    sector, with no call per pair.  Every lattice pair is d2 = d_ref +
+    2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref), the
+    lattice's residues, and P0 is linear in (d2, e2): P0 moves by 2n*i*x
+    + 2n*j*y.  So in units of 2n, line c's base (its value at (x0(c),
+    z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref + i*u +
+    j*v.  Only K(c), the reference pair's base, needs a division by 2n,
+    checked exact once per line per sector; the rest is integer products
+    and sums, so every value is exactly the walk's.  The walk's stop line
+    depends on the pair only through k_lo = min(A, A*m + B*n), so each
+    k_lo's count of lines is computed once, in closed form
+    (_LineTable.stop).  A line whose least value is below -offset_range
+    ends the pair's walk, which is then negative.
     """
-    need = screen.prefix_n + 1
+    n, m, u, v = screen.n, screen.m, screen.u, screen.v
+    unit = 2 * n
+    lo, hi = -screen.offset_range, screen.prefix_n
+    need = hi + 1
+    s_min, bases, stops = screen.s_min, screen.bases, screen.stops
     survivors = []
     top = max((E.stop for _, E in rows), default=0)
+    d_ref, e_ref = screen.ref or (0, 0)
     for d2, E in rows:
+        i, d_off = divmod(d2 - d_ref, 2)
+        if screen.ref is None or d_off or (E.start - e_ref) % unit or len(E) > 1 and E.step != unit:
+            raise ValueError(f"row ({d2}, {E}) is off the integer-valued lattice")
+        A = n * d2
+        row_step = screen.step_ref + i * u
         band = []
+        walked = banded = 0
         for e2 in reversed(range(E.start, min(E.stop, top + 1), E.step)):
-            window = screen.window(d2, e2)
-            if window is None:
+            S = A * m + e2 * n
+            if A < s_min or S < s_min:
                 break
-            ranges, total, vmin = window
+            walked += 1
+            j = (e2 - e_ref) // unit
+            step = row_step + j * v
+            ranges = []
+            total = vmin = 0
+            k_lo = A if A < S else S
+            stop = stops.get(k_lo)
+            if stop is None:
+                stop = screen.stop_line(k_lo)
+            for K, x0, z, count in bases[:stop]:
+                base = K + i * x0 + j * z
+                line_min = base if step >= 0 else base + step * (count - 1)
+                if line_min < vmin:
+                    vmin = line_min
+                    if vmin < lo:
+                        break
+                if line_min > hi:
+                    continue
+                # every value is at least lo, so the window holds those <= hi
+                if step > 0:
+                    width = (hi - base) // step + 1
+                    if width > count:
+                        width = count
+                    ranges.append(range(base, base + width * step, step))
+                elif step < 0:
+                    skip = 0 if base <= hi else -((hi - base) // -step)
+                    width = count - skip
+                    start = base + skip * step
+                    ranges.append(range(start, start + width * step, step))
+                else:
+                    width = count
+                    ranges.append(range(base, base + 1))
+                total += width
+            if vmin < lo:
+                break
             if total < need:
                 top = e2 - 1
-            elif screen.steps(d2, e2) and screen.packs(ranges, vmin):
-                band.append((d2, e2, -vmin))
+            else:
+                banded += 1
+                if step and screen.packs(ranges, vmin):
+                    band.append((d2, e2, -vmin))
+        screen.walked += walked
+        screen.band += banded
         survivors += reversed(band)
     return survivors
 

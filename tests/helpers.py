@@ -133,11 +133,29 @@ def filter_candidates(
     screen = _PairScreen(s, prefix_n, offset_range)
     survivors = []
     for d2, e2 in candidates:
-        if screen.steps(d2, e2) and (window := screen.window(d2, e2)) is not None:
+        if s.n * d2 * s.lines.u + e2 * s.lines.v == 0:
+            continue
+        if (window := pair_window(screen, d2, e2)) is not None:
             ranges, _, vmin = window
             if screen.packs(ranges, vmin):
                 survivors.append((d2, e2, -vmin))
     return survivors
+
+
+def pair_window(screen: _PairScreen, d2: int, e2: int):
+    """(ranges, total, vmin): the pair's values in [-offset_range,
+    prefix_n] as one _LineTable.walk of its own yields them, their point
+    count, and the pair's least value (or 0).  None if the pair is
+    negative: a value below -offset_range, or an edge below the screen's
+    s_min, which no offset in range lifts to 0."""
+    n = screen.n
+    A, B = n * d2, e2
+    if A < screen.s_min or A * screen.m + B * n < screen.s_min:
+        return None
+    ranges, _, total, vmin, _ = screen.table.walk(
+        A, B, 0, 2 * n, -screen.offset_range, screen.prefix_n
+    )
+    return None if vmin < -screen.offset_range else (ranges, total, vmin)
 
 
 def box_rows(s: Sector, bound: int) -> list[tuple[int, range]]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,18 @@ class TestVerifyCmd:
         code, _, err = run(capsys, "verify", "8/5", "--poly", "1 0 0 0 1 0")
         assert code == 1
         assert "cannot verify" in err
+
+    def test_depth_past_memory_exits_2_before_any_walk(self, capsys):
+        # depth 10**20 walks about 10**10 lines: the estimate refuses it
+        # at once, where the walk would run for hours
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "8/5", "--poly", "4 -4 1 -1 1 0", "--prefix", str(10**20)
+        )
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --prefix 100000000000000000000 would walk 10000000001 lines")
+        assert err.count("\n") == 1
 
     def test_prefix_too_large_for_memory_exits_2(self, capsys, monkeypatch):
         import sectorpack.cli as cli

@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sectorpack import (
@@ -54,6 +54,7 @@ from sectorpack.verify import (
 from helpers import (
     box_rows,
     filter_candidates,
+    pair_window,
     prefix_report_reference,
     raw_candidates,
 )
@@ -265,6 +266,31 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
         if Q * (c * l) ** 2 + F + (a_lo * c * l) // n + b_lo * c * l > hi
     )
     assert stop <= old_stop
+
+
+@given(
+    st.sampled_from(
+        [(n, m) for n in range(1, 61) for m in range(1, 61) if math.gcd(n, m) == 1]
+    ),
+    st.integers(-500, 500),
+    st.integers(-500, 500),
+    st.integers(1, 10),
+    st.integers(-300, 300),
+    st.integers(1, 12),
+    st.integers(-300, 300),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_stop_is_the_walks_stop_line(nm, A, B, Q, F, unit, hi):
+    # the closed form reads no line and names the line the walk stops at;
+    # Q, A, B and F are scaled by the unit so that every line is whole
+    s = sector(*nm)
+    table = _LineTable(s, Q * unit)
+    A, B, F = A * unit, B * unit, F * unit
+    stop = table.stop(min(A, A * s.m + B * s.n), F, unit, hi)
+    assert table.rows == []
+    table.rows = rows = _ReadLog()
+    table.walk(A, B, F, unit, -abs(hi), hi)
+    assert rows.last == stop
 
 
 def test_line_rows_by_recurrence():
@@ -760,37 +786,95 @@ class TestScreenThenCertify:
         D, E = _grid_axes(s, 40)
         d2, e2 = D[i % len(D)], E[j % len(E)]
         screen = _PairScreen(s, prefix_n, offset_range)
-        window = screen.window(d2, e2)
+        window = pair_window(screen, d2, e2)
         count = _count_upto(s, d2, e2, prefix_n)
         if window is None:
-            assert screen.window(d2 - 2, e2) is None
-            assert screen.window(d2, e2 - 2 * s.n) is None
+            assert pair_window(screen, d2 - 2, e2) is None
+            assert pair_window(screen, d2, e2 - 2 * s.n) is None
         else:
             assert window[1] == count
         assert _count_upto(s, d2 + 2, e2, prefix_n) <= count
         assert _count_upto(s, d2, e2 + 2 * s.n, prefix_n) <= count
 
-    def test_grid_screen_walks_band_and_boundary(self, monkeypatch):
+    @given(
+        st.sampled_from(
+            [
+                (n, m)
+                for n in range(1, 31)
+                for m in range(1, 31)
+                if math.gcd(n, m) == 1 and (m - 1) ** 2 % n == 0
+            ]
+        ),
+        st.integers(-40, 40),
+        st.integers(-40, 40),
+        st.integers(0, 2000),
+    )
+    @example((8, 5), 1, 0, 50)  # step 1
+    @example((8, 5), -1, 0, 50)  # step -1
+    @example((8, 5), 2, -1, 50)  # step 0
+    @example((3, 1), 0, -1, 50)  # a column family, step -1
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_base_table_is_the_walk(self, nm, i, j, hi):
+        # integral sectors (m = 1) included: line c's base K(c) + i*x0(c) +
+        # j*z(c) and the step step_ref + i*u + j*v are those the walk of
+        # the lattice pair (d_ref + 2i, e_ref + 2n*j) reads, line by line
+        s = sector(*nm)
+        n, u, v = s.n, s.lines.u, s.lines.v
+        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
+        d_ref, e_ref = screen.ref
+        d2, e2 = d_ref + 2 * i, e_ref + 2 * n * j
+        ranges, spans, *_ = screen.table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
+        step = screen.step_ref + i * u + j * v
+        assert step == (n * d2 * u + e2 * v) // (2 * n)
+        if spans:
+            screen._read_to(spans[-1][0] + 1)
+        # on the lattice no line is empty
+        assert all(count for *_, count in screen.bases)
+        for values, (c, t, _) in zip(ranges, spans):
+            K, x0, z, count = screen.bases[c]
+            assert (x0, z, count) == screen.table.rows[c][:3]
+            base = K + i * x0 + j * z
+            if step:
+                assert values == range(values.start, values.stop, step)
+                assert values.start == base + t * step
+            else:
+                assert values == range(base, base + 1)
+
+    @pytest.mark.parametrize(
+        "nm,row",
+        [
+            ((8, 5), (1, range(0, 1))),  # d2 off the lattice
+            ((8, 5), (0, range(8, 9))),  # e2 off the lattice
+            ((8, 5), (0, range(0, 32, 8))),  # E steps by n, not 2n
+            ((10, 1), (0, range(-40, 41, 10))),
+            ((3, 2), (0, range(0, 1))),  # no integer-valued lattice at all
+        ],
+    )
+    def test_row_off_the_lattice_is_a_value_error(self, nm, row):
+        s = sector(*nm)
+        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
+        with pytest.raises(ValueError, match="off the integer-valued lattice"):
+            _screen(screen, [row])
+        # a lattice row of one pair steps by 1 and is screened
+        if screen.ref is not None:
+            d_res, e_res = screen.ref
+            _screen(screen, [(d_res, range(e_res, e_res + 1))])
+
+    def test_grid_screen_walks_band_and_boundary(self):
         s = sector(8, 5)
         D, E = _grid_axes(s, 40)
         need = _PREFILTER_N + 1
         screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
         band = 0
         for d2, e2 in raw_candidates(s, 40):
-            window = screen.window(d2, e2)
+            window = pair_window(screen, d2, e2)
             band += window is not None and window[1] >= need
         assert band
 
-        walks = []
-        real = _LineTable.walk
-
-        def counting(self, *args):
-            walks.append(args)
-            return real(self, *args)
-
-        monkeypatch.setattr(_LineTable, "walk", counting)
-        _screen(_PairScreen(s, _PREFILTER_N, PARAMS.offset_range), box_rows(s, 40))
-        assert band <= len(walks) <= len(D) + len(E) + band
+        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
+        _screen(screen, box_rows(s, 40))
+        assert screen.band == band
+        assert band <= screen.walked <= len(D) + len(E) + band
 
     def test_shallow_prefix_screens_at_prefix(self):
         # below the screen depth a depth-8 screen would be the stricter one
@@ -820,18 +904,20 @@ class TestScreenThenCertify:
             assert depths == [min(prefix_n, _PREFILTER_N)]
 
     def test_sweep_walk_budget(self, monkeypatch):
-        # the serial 30x30 sweep at raw 40 ran 140,756 walks when the
+        # the serial 30x30 sweep at raw 40 walked 140,756 pairs when the
         # screen walked every grid pair
-        calls = []
-        real = _LineTable.walk
+        import sectorpack.verify as verify_mod
 
-        def counting(self, *args):
-            calls.append(1)
-            return real(self, *args)
+        screens = []
+        real = verify_mod._screen
 
-        monkeypatch.setattr(_LineTable, "walk", counting)
+        def counting(screen, rows):
+            screens.append(screen)
+            return real(screen, rows)
+
+        monkeypatch.setattr(verify_mod, "_screen", counting)
         assert sweep(30, 30, PARAMS, workers=1).ok
-        assert len(calls) <= 20_000
+        assert sum(screen.walked for screen in screens) <= 20_000
 
     def test_structured_pairs_are_the_integer_valued_ones(self, monkeypatch):
         # the lattice test keeps exactly the pairs whose polynomial is
