@@ -40,11 +40,8 @@ _point = partial(tuple.__new__, LatticePoint)
 class PairingScheme:
     """An encode/decode pair backed by a prefix-verified packing polynomial.
 
-    ``first_stair_values`` holds the polynomial's values at the first
-    stairs of staircases 0..k-1; for an ascending scheme these are a
-    permutation of {0..k-1}, as the values at the last stairs are for a
-    descending one.  ``verified_n`` records the depth of the prefix check
-    performed at construction — the verification horizon, not a proof.
+    ``verified_n`` records the depth of the prefix check performed at
+    construction — the verification horizon, not a proof.
 
     Schemes are immutable: make_scheme builds every table decode reads, one
     period of v stair counts per residue class, so encode, decode and
@@ -56,7 +53,6 @@ class PairingScheme:
     sector: Sector
     poly: QuadPoly
     form: KStairForm
-    first_stair_values: tuple[int, ...]
     verified_n: int
     # per value residue i, over the staircases c0 + k*j of the class whose
     # start stairs carry i mod k, for one period j < v: (pref, xs, zs),
@@ -170,14 +166,13 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
         raise ValueError(f"not a packing polynomial on S({s}): {report.describe()}")
     form = kstair_extract(s, p)
     k, lines = form.k, s.lines
-    values = firsts = tuple(p.eval_int(s.first_stair(c)) for c in range(k))
     if form.direction is Direction.ASCENDING:
         # a period (k*v staircases, v*l = n) later: the same z, k more x
         start, step, period = s.first_stair, (lines.u, lines.v), (k, 0)
     else:
         # the first stair's period shift plus k*l more steps (u, v)
         start, step, period = s.last_stair, (-lines.u, -lines.v), (k * s.m, k * s.n)
-        values = tuple(p.eval_int(start(c)) for c in range(k))
+    values = tuple(p.eval_int(start(c)) for c in range(k))
     if sorted(values) != list(range(k)):
         raise ValueError(f"start-stair values {values} are not a permutation of 0..{k - 1}")
     grow = k * lines.l
@@ -185,7 +180,6 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
         sector=s,
         poly=p,
         form=form,
-        first_stair_values=firsts,
         verified_n=verify_to,
         _scaled=(s.n, s.m, s.m - 1, 2 * s.n,
                  int(2 * s.n * p.d), int(2 * s.n * p.e), int(2 * s.n * p.f)),

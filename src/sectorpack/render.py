@@ -9,6 +9,7 @@ S(n)).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .polynomials import QuadPoly
@@ -16,6 +17,8 @@ from .sectors import LatticePoint, Sector
 
 MAX_TEXT_X = 200
 MAX_TEXT_CELLS = 100_000
+# the colors render copies into SVG attributes: #rgb, #rrggbb or a name
+_COLOR = re.compile(r"#(?:[0-9A-Fa-f]{3}){1,2}|[A-Za-z]+")
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,8 @@ class RenderSpec:
 def render(spec: RenderSpec) -> str:
     """Render the labeled grid; both formats are capped at MAX_TEXT_CELLS
     grid cells and text mode also at max_x = MAX_TEXT_X."""
+    if not _COLOR.fullmatch(spec.color):
+        raise ValueError(f"color must be #rgb, #rrggbb or an ASCII name, not {spec.color!r}")
     if spec.max_x < 0:
         raise ValueError("max_x must be nonnegative")
     if spec.format == "text" and spec.max_x > MAX_TEXT_X:

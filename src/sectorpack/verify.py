@@ -23,7 +23,8 @@ screen's values are the walk's, in integers, with no rounding.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
-bound, every line's minimum value exceeds N.
+bound, every line's minimum value exceeds N.  _LineTable.stop names the
+first such line in closed form, and every walk ends there.
 
 A prefix_check pass means "verified to N", never "proved"; the theorems
 carry the mathematical guarantee, this module carries the evidence.
@@ -159,14 +160,15 @@ class _LineTable:
         self.Q = Q
         self.rows: list[tuple[int, int, int, int]] = []
 
-    def grow(self, c: int) -> None:
-        """Append the rows up to line c, each the row of LineFamily.line:
+    def grow(self, stop: int) -> None:
+        """Append the rows of the lines below ``stop`` that the table lacks
+        (none once it reaches ``stop``), each the row of LineFamily.line:
         z(c) = (-c*r) mod v steps by z <- (z - r) mod v from line to line."""
         lines, rows, Q = self.lines, self.rows, self.Q
         n, m, l, v, r = lines.n, lines.m, lines.l, lines.v, lines.r
         first = len(rows)
         z = (-first * r) % v
-        for cc in range(first, c + 1):
+        for cc in range(first, stop):
             cl = cc * l
             x0 = ((m - 1) * z + cl) // n
             count = (n * x0 - m * z) // v + 1
@@ -178,7 +180,7 @@ class _LineTable:
         return LatticePoint(x0 + t * self.lines.u, z + t * self.lines.v)
 
     def stop(self, k_lo: int, F: int, unit: int, hi: int) -> int:
-        """The line at which walk(A, B, F, unit, lo, hi) stops, for k_lo =
+        """The number of lines walk(A, B, F, unit, lo, hi) reads, for k_lo =
         min(A, A*m + B*n): the first c >= 0 past the vertex with
         Q*(c*l)**2 + (k_lo*c*l)//n > hi*unit - F, with no line read.
 
@@ -222,31 +224,23 @@ class _LineTable:
         to (m*c*l/n, c*l), and the linear A*x + B*y is least at an end, so
         each value there is at least Q*(c*l)**2 + F + k_lo*c*l/n with
         k_lo = min(A, A*m + B*n): a convex quadratic in c that increases
-        past its vertex.  The walk stops at the first line past (an upper
-        estimate of) that vertex where this bound exceeds hi: every value
-        on every later line exceeds hi.  The rows grow by about an eighth
-        as the walk reaches past them.
+        past its vertex.  The walk reads the lines below stop(k_lo, F, unit,
+        hi), the first line past the vertex where this bound exceeds hi:
+        every value on it and on every later line exceeds hi.  The rows
+        grow to that line once, before the walk.
         """
-        lines, rows, Q = self.lines, self.rows, self.Q
-        n, l = lines.n, lines.l
+        lines = self.lines
         step, rem = divmod(A * lines.u + B * lines.v, unit)
         if rem:
             raise ValueError("stair step is not an integer; polynomial is not integer-valued")
-        k_lo = min(A, A * lines.m + B * n)
-        vertex = (-k_lo // n) // (2 * Q * l) + 2
-        hi_scaled = hi * unit - F
+        stop = self.stop(min(A, A * lines.m + B * lines.n), F, unit, hi)
+        self.grow(stop)
 
         ranges: list[range] = []
         spans: list[tuple[int, int, int]] = []
         total = vmin = 0
         negative: Optional[tuple[int, int]] = None
-        c = 0
-        while True:
-            if c >= len(rows):
-                self.grow(c + c // 8 + 8)
-            x0, z, cnt, q = rows[c]
-            if c > vertex and q + (k_lo * c * l) // n > hi_scaled:
-                break
+        for c, (x0, z, cnt, q) in enumerate(self.rows[:stop]):
             if cnt > 0:
                 base, rem = divmod(q + F + A * x0 + B * z, unit)
                 if rem:
@@ -276,7 +270,6 @@ class _LineTable:
                     ranges.append(range(base, base + 1))
                     spans.append((c, 0, cnt))
                     total += cnt
-            c += 1
         return ranges, spans, total, vmin, negative
 
 
@@ -592,8 +585,7 @@ class _PairScreen:
         z <= c*l, which holds for c = 0 (z = 0) and for every c >= 1.
         """
         table, n = self.table, self.n
-        if len(table.rows) < stop:
-            table.grow(stop - 1)
+        table.grow(stop)
         d_ref, e_ref = self.ref
         A = n * d_ref
         for c in range(len(self.bases), stop):

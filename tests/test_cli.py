@@ -284,6 +284,8 @@ class TestUsageErrors:
             ["render", "8/5", "--poly", "4 -4 1 -1 1 0", "--max-x", "-1"],
             ["render", "8/5", "--poly", "4 -4 1 -1 1 0", "--max-x", "201"],
             ["render", "99999999999999999999/2", "--poly", "4 -4 1 -1 1 0", "--max-x", "3"],
+            ["render", "8/5", "--poly", "4 -4 1 -1 1 0", "--max-x", "3", "--format", "svg",
+             "--color", '"><script>'],
             ["sweep", "--max-n", "2", "--max-m", "2", "--workers", "0"],
             ["decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--verify-n", "-5", "--value", "3"],
         ],

@@ -57,12 +57,14 @@ def fig3_scheme():
 class TestConstruction:
     def test_metadata(self, fig1_scheme):
         assert fig1_scheme.form.k == 1
-        assert fig1_scheme.first_stair_values == (0,)
+        assert fig1_scheme.encode(fig1_scheme.sector.first_stair(0)) == 0
         assert fig1_scheme.verified_n == 500
 
     def test_first_stair_values_permutation(self, fig3_scheme):
-        assert sorted(fig3_scheme.first_stair_values) == [0, 1, 2]
-        assert fig3_scheme.first_stair_values == (2, 1, 0)
+        s = fig3_scheme.sector
+        values = tuple(fig3_scheme.encode(s.first_stair(c)) for c in range(3))
+        assert sorted(values) == [0, 1, 2]
+        assert values == (2, 1, 0)
 
     def test_verify_floor_is_enforced(self):
         scheme = make_scheme(sector(8, 5), P_PLUS, 10)
@@ -128,10 +130,11 @@ class TestEncodeDecode:
         # the staircase class c mod k sweeps out exactly first_value + k*N
         k = fig3_scheme.form.k
         s = fig3_scheme.sector
+        firsts = [fig3_scheme.encode(s.first_stair(c)) for c in range(k)]
         for value in range(10_000):
             pt = fig3_scheme.decode(value)
             c0 = s.staircase_index(pt) % k
-            assert value % k == fig3_scheme.first_stair_values[c0] % k
+            assert value % k == firsts[c0] % k
 
 
 class TestStream:

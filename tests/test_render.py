@@ -101,6 +101,19 @@ class TestSvgRender:
         out = render(RenderSpec(sector(8, 5), P_PLUS, max_x=2, format="svg", color="#aa0000"))
         assert "#aa0000" in out
 
+    def test_color_is_checked(self):
+        # the color lands in stroke= and fill= attributes unescaped, so
+        # only #rgb, #rrggbb and ASCII names pass, in either format
+        for color in ("#abc", "#AA00ff", "red", "DarkSlateGray"):
+            out = render(RenderSpec(sector(8, 5), P_PLUS, max_x=2, format="svg", color=color))
+            assert f'fill="{color}"' in out
+        bad = ['"><script>', "#abcd", "#12345g", "red;", "r\u00e9d", "", "#abc\n", "rgb(0,0,0)"]
+        for color in bad:
+            for fmt in ("svg", "text"):
+                spec = RenderSpec(sector(8, 5), P_PLUS, max_x=2, format=fmt, color=color)
+                with pytest.raises(ValueError, match="color"):
+                    render(spec)
+
     def test_integral_sector(self):
         out = render(
             RenderSpec(sector(3, 1), QuadPoly.from_string("3/2 0 0 -1/2 1 0"), max_x=3, format="svg")

@@ -219,14 +219,17 @@ def test_prefix_check_matches_reference_near_classified(entry, name, delta, n_ma
     assert prefix_check(s, p, n_max) == prefix_report_reference(s, p, n_max)
 
 
-class _ReadLog(list):
-    """Line rows that remember the last line a walk read: its stop line."""
-
-    last = -1
-
-    def __getitem__(self, c):
-        self.last = max(self.last, c)
-        return super().__getitem__(c)
+def _stop_by_scan(s, Q, k_lo, F, unit, hi):
+    """The stop line found line by line: the first c >= 0 past the vertex
+    estimate (-k_lo//n)//(2*Q*l) + 2 whose bound Q*(c*l)**2 +
+    (k_lo*c*l)//n exceeds hi*unit - F."""
+    n, l = s.lines.n, s.lines.l
+    vertex = (-k_lo // n) // (2 * Q * l) + 2
+    return next(
+        c
+        for c in itertools.count(max(vertex + 1, 0))
+        if Q * (c * l) ** 2 + (k_lo * c * l) // n > hi * unit - F
+    )
 
 
 @given(
@@ -246,9 +249,26 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
     lines = s.lines
     n, l = lines.n, lines.l
     table = _LineTable(s, Q)
-    table.rows = rows = _ReadLog()
-    table.walk(A, B, F, 1, lo, hi)
-    stop = rows.last
+    k_lo = min(A, A * s.m + B * n)
+    stop = table.stop(k_lo, F, 1, hi)
+    assert stop == _stop_by_scan(s, Q, k_lo, F, 1, hi)
+    # the walk reads exactly the lines below stop, and on them it finds
+    # every value in [lo, hi], in scan order
+    ranges, spans, _, _, _ = table.walk(A, B, F, 1, lo, hi)
+    assert len(table.rows) == stop
+    got = [
+        (c, value)
+        for (c, _, count), r in zip(spans, ranges)
+        for value in (r if len(r) == count else [r[0]] * count)
+    ]
+    want = []
+    for c in range(stop):
+        x0, z, count = lines.line(c)
+        for t in range(count):
+            value = Q * (c * l) ** 2 + F + A * (x0 + t * lines.u) + B * (z + t * lines.v)
+            if lo <= value <= hi:
+                want.append((c, value))
+    assert got == want
     # every value on the stop line and the 50 lines past it exceeds hi; the
     # value is linear in t along a line, so its minimum is at an end
     for c in range(stop, stop + 51):
@@ -281,50 +301,45 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_stop_is_the_walks_stop_line(nm, A, B, Q, F, unit, hi):
-    # the closed form reads no line and names the line the walk stops at;
-    # Q, A, B and F are scaled by the unit so that every line is whole
+    # the closed form reads no line and names the line a line-by-line scan
+    # stops at; Q, A, B and F are scaled by the unit so that every line is
+    # whole
     s = sector(*nm)
     table = _LineTable(s, Q * unit)
     A, B, F = A * unit, B * unit, F * unit
-    stop = table.stop(min(A, A * s.m + B * s.n), F, unit, hi)
+    k_lo = min(A, A * s.m + B * s.n)
+    stop = table.stop(k_lo, F, unit, hi)
     assert table.rows == []
-    table.rows = rows = _ReadLog()
-    table.walk(A, B, F, unit, -abs(hi), hi)
-    assert rows.last == stop
+    assert stop == _stop_by_scan(s, Q * unit, k_lo, F, unit, hi)
 
 
 def test_line_rows_by_recurrence():
-    # grown in pieces, so each restart of the z recurrence is checked too
+    # grown in pieces, so each restart of the z recurrence is checked too;
+    # a stop the rows already reach adds none
     for n in range(1, 41):
         for m in range(1, 41):
             if math.gcd(n, m) != 1:
                 continue
             s = sector(n, m)
             table = _LineTable(s, 3)
-            for c in (0, 9, 140, 500):
-                table.grow(c)
+            for stop in (1, 10, 141, 50, 501):
+                table.grow(stop)
             l = s.lines.l
             want = [(*s.lines.line(c), 3 * (c * l) ** 2) for c in range(501)]
             assert table.rows == want, (n, m)
 
 
-def test_walk_grows_rows_by_an_eighth(monkeypatch):
-    tables = []
-    real = _LineTable.walk
-
-    def logged(self, *args):
-        self.rows = _ReadLog(self.rows)
-        tables.append(self)
-        return real(self, *args)
-
-    monkeypatch.setattr(_LineTable, "walk", logged)
+def test_walk_grows_rows_to_its_stop_line():
+    # a walk on a fresh table builds exactly the rows of the lines it
+    # reads; a shallower walk on the same table builds none
     for s, p in [(sector(8, 5), P_PLUS), (sector(12, 7), P127), (sector(36, 25), P3625)]:
         for n_max in (0, 10, 1000, 10**5, 10**6):
-            tables.clear()
-            assert prefix_check(s, p, n_max).ok
-            (table,) = tables
-            stop = table.rows.last
-            assert len(table.rows) <= stop + stop // 8 + 9, (str(s), n_max)
+            table, A, B, F, D = _scaled(s, p)
+            stop = table.stop(min(A, A * s.m + B * s.n), F, D, n_max)
+            table.walk(A, B, F, D, 0, n_max)
+            assert len(table.rows) == stop, (str(s), n_max)
+            table.walk(A, B, F, D, 0, n_max // 2)
+            assert len(table.rows) == stop, (str(s), n_max)
 
 
 def _probe_rejects(n: int, lo: int, S: int) -> bool:
