@@ -12,14 +12,10 @@ import json
 import os
 import sys
 
-from .classify import classify as run_classify
-from .codec import MIN_VERIFY_N, make_scheme
 from .errors import SectorPackError
-from .polynomials import Direction, QuadPoly, construct
-from .render import RenderSpec, render
-from .sectors import LatticePoint, Quadrant, parse_sector, t_dual, w_reduce
-from .sweep import sweep
-from .verify import SearchParams, _walk_lines, prefix_check, search
+
+# Each command imports the modules it runs when it runs, so building the
+# parser loads none of them and `reduce` never compiles the oracle.
 
 
 class UsageError(Exception):
@@ -27,20 +23,26 @@ class UsageError(Exception):
 
 
 def _sector_arg(text: str):
+    from .sectors import parse_sector
+
     try:
         return parse_sector(text)
     except (ValueError, SectorPackError) as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _poly_arg(text: str) -> QuadPoly:
+def _poly_arg(text: str):
+    from .polynomials import QuadPoly
+
     try:
         return QuadPoly.from_string(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _point_arg(text: str) -> LatticePoint:
+def _point_arg(text: str):
+    from .sectors import LatticePoint
+
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"cannot parse point {text!r}; expected x,y")
@@ -54,8 +56,11 @@ def _point_arg(text: str) -> LatticePoint:
 
 
 def cmd_classify(args) -> int:
+    from .classify import classify
+    from .sectors import Quadrant
+
     s = _sector_arg(args.sector)
-    result = run_classify(s.n, s.m)
+    result = classify(s.n, s.m)
     if args.json:
         print(json.dumps(result.to_json_dict()))
         return 0
@@ -77,6 +82,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .polynomials import Direction, construct
+
     s = _sector_arg(args.sector)
     direction = Direction.ASCENDING if args.direction == "asc" else Direction.DESCENDING
     try:
@@ -109,8 +116,10 @@ def cmd_construct(args) -> int:
 _BYTES_PER_LINE = 600
 
 
-def _check_depth(s, poly: QuadPoly, n_max: int) -> None:
+def _check_depth(s, poly, n_max: int) -> None:
     """Refuse a depth whose walk would hold more than physical memory."""
+    from .verify import _walk_lines
+
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -124,6 +133,8 @@ def _check_depth(s, poly: QuadPoly, n_max: int) -> None:
 
 
 def cmd_verify(args) -> int:
+    from .verify import prefix_check
+
     s = _sector_arg(args.sector)
     poly = _poly_arg(args.poly)
     try:
@@ -140,12 +151,15 @@ def cmd_verify(args) -> int:
 
 
 def _scheme_from_args(args):
+    from .codec import MIN_VERIFY_N, make_scheme
+
     s = _sector_arg(args.sector)
     poly = _poly_arg(args.poly)
-    if args.verify_n < 0:
+    verify_n = MIN_VERIFY_N if args.verify_n is None else args.verify_n
+    if verify_n < 0:
         raise UsageError("--verify-n must be nonnegative")
     try:
-        return make_scheme(s, poly, args.verify_n)
+        return make_scheme(s, poly, verify_n)
     except (ValueError, SectorPackError) as exc:
         print(f"cannot build scheme: {exc}", file=sys.stderr)
         return None
@@ -175,29 +189,37 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _search_params(args) -> SearchParams:
+def _search_params(args):
+    """SearchParams from the options given; its own defaults fill the rest."""
+    from .verify import SearchParams
+
+    given = {
+        "prefix_n": args.prefix,
+        "max_k": args.max_k,
+        "offset_range": args.offset_range,
+        "raw_grid_bound": args.raw,
+    }
     try:
-        return SearchParams(
-            prefix_n=args.prefix,
-            max_k=args.max_k,
-            offset_range=args.offset_range,
-            raw_grid_bound=args.raw,
-        )
+        return SearchParams(**{key: value for key, value in given.items() if value is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def cmd_search(args) -> int:
+    from .verify import search
+
     s = _sector_arg(args.sector)
     params = _search_params(args)
     results = search(s, params)
-    print(f"S({s}): {len(results)} polynomial(s) verified to N={args.prefix}")
+    print(f"S({s}): {len(results)} polynomial(s) verified to N={params.prefix_n}")
     for poly in results:
         print(f"  {poly.to_string()}")
     return 0
 
 
 def cmd_sweep(args) -> int:
+    from .sweep import sweep
+
     params = _search_params(args)
     try:
         report = sweep(args.max_n, args.max_m, params, workers=args.workers)
@@ -208,6 +230,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .sectors import w_reduce
+
     s = _sector_arg(args.sector)
     target, mapping = w_reduce(s)
     if args.json:
@@ -218,6 +242,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .sectors import t_dual
+
     s = _sector_arg(args.sector)
     try:
         target, mapping = t_dual(s)
@@ -232,6 +258,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import RenderSpec, render
+
     spec = RenderSpec(
         sector=_sector_arg(args.sector),
         poly=_poly_arg(args.poly),
@@ -248,11 +276,11 @@ def cmd_render(args) -> int:
 
 
 def _add_search_args(p: argparse.ArgumentParser, raw: int) -> None:
-    """The SearchParams options, with its defaults except for --raw."""
-    defaults = SearchParams()
-    p.add_argument("--prefix", type=int, default=defaults.prefix_n)
-    p.add_argument("--max-k", type=int, default=defaults.max_k, dest="max_k")
-    p.add_argument("--offset-range", type=int, default=defaults.offset_range, dest="offset_range")
+    """The SearchParams options; an option left out takes SearchParams'
+    default when the command runs, except --raw."""
+    p.add_argument("--prefix", type=int)
+    p.add_argument("--max-k", type=int, dest="max_k")
+    p.add_argument("--offset-range", type=int, dest="offset_range")
     p.add_argument("--raw", type=int, default=raw)
 
 
@@ -285,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} through a pairing scheme")
         p.add_argument("sector")
         p.add_argument("--poly", required=True)
-        p.add_argument("--verify-n", type=int, default=MIN_VERIFY_N, dest="verify_n")
+        # left out: codec.MIN_VERIFY_N, read when the command runs
+        p.add_argument("--verify-n", type=int, dest="verify_n")
         if name == "encode":
             p.add_argument("--point", required=True, help="x,y")
         else:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from typing import Iterable
 
+import sectorpack
 from sectorpack import (
     Direction,
     KStairForm,
@@ -19,6 +24,21 @@ from sectorpack import (
     t_dual,
 )
 from sectorpack.verify import _PairScreen, _grid_axes, _value_sweep
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout's
+    sectorpack; return its stdout, failing on a nonzero exit."""
+    src = Path(sectorpack.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    return result.stdout
 
 
 def first_stair_scan(s: Sector, c: int) -> LatticePoint:

@@ -1,15 +1,11 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import sectorpack
+from helpers import run_fresh
 from sectorpack.cli import main
 
 
@@ -19,21 +15,40 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_leaves_out_the_process_pool():
-    # a cold `import sectorpack`, as every CLI command pays it, loads the
-    # pool's modules only when a sweep starts one
-    src = Path(sectorpack.__file__).resolve().parent.parent
-    pool = "{'concurrent.futures.process', 'multiprocessing'}"
-    probe = f"import sys, sectorpack; print(sorted({pool} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
+def loaded_after(code: str) -> set:
+    """The sectorpack submodules and pool modules that a fresh interpreter
+    holds after running code."""
+    report = (
+        "import sys; print(*(m for m in sys.modules if m.startswith('sectorpack.')"
+        " or m in ('concurrent.futures.process', 'multiprocessing')))"
     )
-    assert result.stdout.strip() == "[]"
+    return set(run_fresh(f"{code}\n{report}").splitlines()[-1].split())
+
+
+def test_import_leaves_out_the_process_pool():
+    # a cold `import sectorpack`, as every CLI command pays it, loads no
+    # module of the package, and so not the pool's modules either
+    assert loaded_after("import sectorpack") == set()
+
+
+NO_CLASSIFY = ("classify", "render", "sweep")
+NO_ORACLE = ("verify", "codec", "classify", "render", "sweep")
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        pytest.param(["decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--value", "1000"], NO_CLASSIFY, id="decode"),
+        pytest.param(["encode", "8/5", "--poly", "4 -4 1 -1 1 0", "--point", "4,5"], NO_CLASSIFY, id="encode"),
+        pytest.param(["verify", "8/5", "--poly", "4 -4 1 -1 1 0"], NO_CLASSIFY, id="verify"),
+        pytest.param(["reduce", "3/7"], NO_ORACLE, id="reduce"),
+        pytest.param(["dual", "8/5"], NO_ORACLE, id="dual"),
+    ],
+)
+def test_command_imports_only_what_it_runs(argv, absent):
+    loaded = loaded_after(f"from sectorpack.cli import main\nassert main({argv!r}) == 0")
+    assert "sectorpack.cli" in loaded
+    assert not loaded & {f"sectorpack.{name}" for name in absent}
 
 
 class TestClassifyCmd:
@@ -118,12 +133,12 @@ class TestVerifyCmd:
         assert err.count("\n") == 1
 
     def test_prefix_too_large_for_memory_exits_2(self, capsys, monkeypatch):
-        import sectorpack.cli as cli
+        import sectorpack.verify
 
         def out_of_memory(s, p, n_max):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "prefix_check", out_of_memory)
+        monkeypatch.setattr(sectorpack.verify, "prefix_check", out_of_memory)
         code, out, err = run(
             capsys, "verify", "8/5", "--poly", "4 -4 1 -1 1 0", "--prefix", "99999999999"
         )
@@ -210,21 +225,34 @@ class TestSearchSweepCmds:
         assert code == 0
         assert "  1/2 -13 169/2 3/2 -41/2 0" in out.splitlines()
 
-    def test_search_defaults(self):
-        from sectorpack import SearchParams
-        from sectorpack.cli import build_parser
-        from sectorpack.codec import MIN_VERIFY_N
+    def test_search_defaults(self, capsys, monkeypatch):
+        # options left out take SearchParams' defaults and codec.MIN_VERIFY_N
+        # when the command runs; --raw is the CLI's own, 0 for search and
+        # 40 for sweep
+        from dataclasses import replace
+        from importlib import import_module
 
-        parser = build_parser()
-        defaults = SearchParams()
-        for argv, raw in ((["search", "8/5"], 0), (["sweep", "--max-n", "1", "--max-m", "1"], 40)):
-            args = parser.parse_args(argv)
-            assert (args.prefix, args.max_k, args.offset_range, args.raw) == (
-                defaults.prefix_n, defaults.max_k, defaults.offset_range, raw
-            )
-        for command in (["encode", "--point", "0,0"], ["decode", "--value", "0"]):
-            args = parser.parse_args([command[0], "8/5", "--poly", "4 -4 1 -1 1 0", *command[1:]])
-            assert args.verify_n == MIN_VERIFY_N
+        codec, sweep, verify = (import_module(f"sectorpack.{m}") for m in ("codec", "sweep", "verify"))
+        used = []
+        make_scheme = codec.make_scheme
+        monkeypatch.setattr(verify, "search", lambda s, params: used.append(params) or [])
+        monkeypatch.setattr(
+            sweep, "sweep", lambda n, m, params, workers: used.append(params) or sweep.SweepReport(())
+        )
+        monkeypatch.setattr(
+            codec, "make_scheme", lambda s, p, verify_n: used.append(verify_n) or make_scheme(s, p, verify_n)
+        )
+        assert run(capsys, "search", "8/5")[0] == 0
+        assert run(capsys, "sweep", "--max-n", "1", "--max-m", "1")[0] == 0
+        assert run(capsys, "encode", "8/5", "--poly", "4 -4 1 -1 1 0", "--point", "0,0")[:2] == (0, "0\n")
+        assert run(capsys, "decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--value", "0")[:2] == (0, "0,0\n")
+        defaults = verify.SearchParams()
+        assert used == [
+            replace(defaults, raw_grid_bound=0),
+            replace(defaults, raw_grid_bound=40),
+            codec.MIN_VERIFY_N,
+            codec.MIN_VERIFY_N,
+        ]
 
     def test_sweep_without_raw_grid(self, capsys):
         code, out, _ = run(
