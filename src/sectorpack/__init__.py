@@ -28,11 +28,10 @@ _EXPORTS = {
         "classify",
         "nathanson_polys",
     ),
-    "codec": ("PairingScheme", "decode", "encode", "make_scheme", "stream"),
+    "codec": ("PairingScheme", "make_scheme"),
     "errors": (
         "CongruenceViolation",
         "DegenerateDual",
-        "InvalidEnvironment",
         "NegativeImage",
         "NonIntegralOffset",
         "NonIntegralStep",
@@ -55,7 +54,6 @@ _EXPORTS = {
         "necessary_coefficients",
         "stanton_check",
         "stanton_quadratic",
-        "transport",
     ),
     "render": ("RenderSpec", "render"),
     "sectors": (
@@ -63,10 +61,7 @@ _EXPORTS = {
         "LatticeMap",
         "LatticePoint",
         "Quadrant",
-        "Rational",
         "Sector",
-        "apply_map",
-        "gcd",
         "identity_map",
         "mod_inverse",
         "parse_sector",

@@ -116,8 +116,9 @@ def cmd_construct(args) -> int:
 _BYTES_PER_LINE = 600
 
 
-def _check_depth(s, poly, n_max: int) -> None:
-    """Refuse a depth whose walk would hold more than physical memory."""
+def _check_depth(s, poly, n_max: int, option: str) -> None:
+    """Refuse a depth, given as ``option``, whose walk would hold more than
+    physical memory."""
     from .verify import _walk_lines
 
     try:
@@ -127,7 +128,7 @@ def _check_depth(s, poly, n_max: int) -> None:
     lines = _walk_lines(s, poly, n_max)
     if lines * _BYTES_PER_LINE > memory:
         raise UsageError(
-            f"--prefix {n_max} would walk {lines} lines, about "
+            f"{option} {n_max} would walk {lines} lines, about "
             f"{lines * _BYTES_PER_LINE / 1e9:.3g} GB; this machine has {memory / 1e9:.3g} GB"
         )
 
@@ -139,7 +140,7 @@ def cmd_verify(args) -> int:
     poly = _poly_arg(args.poly)
     try:
         if poly.is_integer_valued():
-            _check_depth(s, poly, args.prefix)
+            _check_depth(s, poly, args.prefix, "--prefix")
         report = prefix_check(s, poly, args.prefix)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -159,6 +160,8 @@ def _scheme_from_args(args):
     if verify_n < 0:
         raise UsageError("--verify-n must be nonnegative")
     try:
+        if poly.is_integer_valued():
+            _check_depth(s, poly, max(verify_n, MIN_VERIFY_N), "--verify-n")
         return make_scheme(s, poly, verify_n)
     except (ValueError, SectorPackError) as exc:
         print(f"cannot build scheme: {exc}", file=sys.stderr)

@@ -200,15 +200,3 @@ def _class_table(
         xs.append(x)
         zs.append(z)
     return tuple(pref), tuple(xs), tuple(zs)
-
-
-def encode(scheme: PairingScheme, p: LatticePoint) -> int:
-    return scheme.encode(p)
-
-
-def decode(scheme: PairingScheme, value: int) -> LatticePoint:
-    return scheme.decode(value)
-
-
-def stream(scheme: PairingScheme, count: int) -> list[LatticePoint]:
-    return scheme.stream(count)

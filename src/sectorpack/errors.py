@@ -51,7 +51,3 @@ class NotConsecutive(SectorPackError):
 
 class NonTerminatingShape(SectorPackError):
     """Polynomial shape admits no finite enumeration bound."""
-
-
-class InvalidEnvironment(SectorPackError):
-    """An environment variable the package reads has a malformed value."""

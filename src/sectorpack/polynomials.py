@@ -132,10 +132,6 @@ class QuadPoly:
         names = ("a", "b", "c2", "d", "e", "f")
         return {name: str(c) for name, c in zip(names, self.coefficients())}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QuadPoly":
-        return cls(*(Fraction(data[name]) for name in ("a", "b", "c2", "d", "e", "f")))
-
     def pretty(self) -> str:
         """Human-readable form like ``4x^2 - 4xy + y^2 - x + y``."""
         terms = []
@@ -188,10 +184,6 @@ class KStairForm:
     direction: Direction
     q: int
     offset_f: int
-
-
-def transport(p: QuadPoly, mapping: LatticeMap) -> QuadPoly:
-    return p.compose(mapping)
 
 
 def stanton_quadratic(s: Sector) -> tuple[Fraction, Fraction, Fraction]:
@@ -277,17 +269,30 @@ def determine_offset(s: Sector, p0: QuadPoly, k: int) -> int:
     staircases 0..k-1, where each staircase takes its least value: the
     first stair when p0's stair step d*u + e*v is positive, the last when
     it is negative.  Those k values must be distinct consecutive integers;
-    then f = -min(values) places them exactly onto {0..k-1}.
+    then f = -min(values) places them exactly onto {0..k-1}.  The values
+    are read one staircase at a time, and the first that is not an
+    integer, repeats one before it or spreads them over more than k
+    integers ends the search.
     """
     lines = s.lines
     start = s.last_stair if p0.d * lines.u + p0.e * lines.v < 0 else s.first_stair
-    values = [p0.eval(start(c)) for c in range(k)]
-    if any(w.denominator != 1 for w in values):
-        raise NotConsecutive(f"start-stair values {values} are not all integers")
-    ints = sorted(w.numerator for w in values)
-    if len(set(ints)) != k or ints[-1] - ints[0] != k - 1:
-        raise NotConsecutive(f"start-stair values {ints} are not {k} consecutive integers")
-    return -ints[0]
+    seen: set[int] = set()
+    low = high = 0
+    for c in range(k):
+        w = p0.eval(start(c))
+        if w.denominator != 1:
+            raise NotConsecutive(f"start-stair value {w} of staircase {c} is not an integer")
+        w = w.numerator
+        if w in seen:
+            raise NotConsecutive(f"staircase {c} repeats start-stair value {w}")
+        seen.add(w)
+        low, high = (w, w) if c == 0 else (min(low, w), max(high, w))
+        if high - low > k - 1:
+            raise NotConsecutive(
+                f"start-stair value {w} of staircase {c} spreads the values over "
+                f"{low}..{high}, more than {k} consecutive integers"
+            )
+    return -low
 
 
 def construct(s: Sector, k: int, direction: Direction) -> tuple[QuadPoly, KStairForm]:

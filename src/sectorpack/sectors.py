@@ -30,21 +30,10 @@ from .errors import (
     PointOutsideSector,
 )
 
-# All coefficient arithmetic rides on reduced rationals; the stdlib type
-# already enforces gcd(|num|, den) = 1 and den >= 1.
-Rational = Fraction
-
 
 class LatticePoint(NamedTuple):
     x: int
     y: int
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers, not both zero."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    return math.gcd(a, b)
 
 
 def mod_inverse(a: int, modulus: int) -> int:
@@ -122,9 +111,6 @@ class Sector:
         Boundary points (m*y == n*x) count.
         """
         return self.lines.line(c)[2]
-
-    def stair_step(self) -> tuple[int, int]:
-        return (self.lines.u, self.lines.v)
 
     def stairs(self, c: int) -> list[LatticePoint]:
         """All stairs on staircase c inside the sector, by ascending x."""
@@ -268,27 +254,9 @@ class LatticeMap:
             "target": str(self.target),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LatticeMap":
-        def region(text: str) -> Region:
-            return QUADRANT if text == "quadrant" else parse_sector(text)
-
-        return cls(
-            a11=int(data["a11"]),
-            a12=int(data["a12"]),
-            a21=int(data["a21"]),
-            a22=int(data["a22"]),
-            source=region(data["source"]),
-            target=region(data["target"]),
-        )
-
 
 def identity_map(s: Region) -> LatticeMap:
     return LatticeMap(1, 0, 0, 1, source=s, target=s)
-
-
-def apply_map(mapping: LatticeMap, p: LatticePoint) -> LatticePoint:
-    return mapping.apply(p)
 
 
 def w_reduce(s: Sector) -> tuple[Region, LatticeMap]:

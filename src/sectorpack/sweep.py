@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classify import classify
-from .errors import InvalidEnvironment
 from .polynomials import QuadPoly, _exact_key
 from .sectors import sector
 from .verify import SearchParams, _search_detail
@@ -66,19 +65,6 @@ def _sweep_row(task: tuple[int, int, SearchParams]) -> SweepRow:
     )
 
 
-def _resolve_workers(requested: Optional[int]) -> int:
-    cap = os.environ.get("SECTORPACK_THREADS")
-    workers = requested if requested is not None else (os.cpu_count() or 1)
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise InvalidEnvironment(
-                f"SECTORPACK_THREADS must be an integer, got {cap!r}"
-            ) from None
-    return workers
-
-
 def sweep(
     max_n: int,
     max_m: int,
@@ -88,9 +74,9 @@ def sweep(
     """Compare search against classify on every coprime (n, m) in range.
 
     Rows are ordered by (n, m) regardless of how many workers evaluate
-    them; SECTORPACK_THREADS caps the worker count.  A zero bound gives
-    an empty report; a negative one raises ValueError, and so does a
-    worker count below 1 (None means one worker per CPU).
+    them.  A zero bound gives an empty report; a negative one raises
+    ValueError, and so does a worker count below 1 (None means one worker
+    per CPU).
 
     One worker, or fewer than 4 sectors, run in this process.  Otherwise
     a process pool takes the sectors in chunks of ceil(sectors / (4 *
@@ -109,7 +95,7 @@ def sweep(
         for m in range(1, max_m + 1)
         if math.gcd(n, m) == 1
     ]
-    workers = _resolve_workers(workers)
+    workers = workers if workers is not None else (os.cpu_count() or 1)
     if workers == 1 or len(tasks) < 4:
         rows = [_sweep_row(task) for task in tasks]
     else:

@@ -28,7 +28,6 @@ from sectorpack import (
     stanton_check,
     sweep,
     t_dual,
-    transport,
     w_reduce,
 )
 from helpers import box_rows, filter_candidates, first_stair_scan, raw_candidates
@@ -229,7 +228,7 @@ def test_criterion_06_duality_transport(sweep_run):
         }
         assert set(desc_here) == set(asc_dual), (n, m)
         for k, poly in desc_here.items():
-            assert transport(asc_dual[k], t) == poly, (n, m, k)
+            assert asc_dual[k].compose(t) == poly, (n, m, k)
             checked += 1
     assert checked > 0
     report(6, f"{checked} descending entries equal their dual transports exactly")
@@ -287,6 +286,6 @@ def test_criterion_10_shear_equivalence():
         entries = classify(n, m).entries
         assert entries
         for e in entries:
-            carried = transport(e.poly, back)
+            carried = e.poly.compose(back)
             assert prefix_check(integral, carried, 2000).ok, (n, m, e.poly.to_string())
     report(10, "S(4/9) and S(3/10) classifications pack S(4) and S(3) after shearing")

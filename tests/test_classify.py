@@ -25,7 +25,6 @@ from sectorpack import (
     sector,
     stanton_check,
     t_dual,
-    transport,
     w_reduce,
 )
 
@@ -110,7 +109,7 @@ class TestClassicalFamilies:
             f_n, g_n = nathanson_polys(n)
             s = sector(n, 1)
             flip = LatticeMap(1, 0, n, -1, source=s, target=s)
-            assert transport(f_n, flip) == g_n
+            assert f_n.compose(flip) == g_n
 
 
 class TestClassify:
@@ -139,7 +138,7 @@ class TestClassify:
         base = classify(4, 1)
         s = sector(4, 9)
         _, w = w_reduce(s)
-        pulled = sorted(transport(e.poly, w).coefficients() for e in base.entries)
+        pulled = sorted(e.poly.compose(w).coefficients() for e in base.entries)
         assert sorted(e.poly.coefficients() for e in result.entries) == pulled
         assert all(e.transport is not None for e in result.entries)
 
@@ -174,8 +173,8 @@ class TestClassify:
         s = sector(1, 3)
         _, w = w_reduce(s)
         cf, cg = cantor_polys()
-        assert result.entries[0].poly == transport(cf, w)
-        assert result.entries[1].poly == transport(cg, w)
+        assert result.entries[0].poly == cf.compose(w)
+        assert result.entries[1].poly == cg.compose(w)
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
@@ -219,7 +218,7 @@ class TestClassify:
                 if e.form.direction is ASC
             }
             for k, poly in desc_here.items():
-                assert transport(asc_dual[k], t) == poly, (n, m, k)
+                assert asc_dual[k].compose(t) == poly, (n, m, k)
 
     def test_transport_chain_is_single_matrix(self):
         # pulled-back entries expose one composed map; applying it lands in
@@ -271,6 +270,6 @@ class TestTransportKeepsPacking:
             if isinstance(target, Quadrant):
                 continue
             for entry in classify(*nm).entries:
-                carried = transport(entry.poly, mapping.inverse())
+                carried = entry.poly.compose(mapping.inverse())
                 report = prefix_check(target, carried, 300)
                 assert report.ok, (nm, str(target), entry.poly.to_string(), report.describe())

@@ -120,16 +120,27 @@ class TestVerifyCmd:
         assert code == 1
         assert "cannot verify" in err
 
-    def test_depth_past_memory_exits_2_before_any_walk(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--prefix"],
+            ["encode", "--point", "4,5", "--verify-n"],
+            ["decode", "--value", "5", "--verify-n"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_depth_past_memory_exits_2_before_any_walk(self, capsys, argv):
         # depth 10**20 walks about 10**10 lines: the estimate refuses it
-        # at once, where the walk would run for hours
+        # at once, where the walk would run for hours; encode and decode
+        # check the depth of their scheme's prefix check the same way
+        command, *rest = argv
         start = time.perf_counter()
         code, out, err = run(
-            capsys, "verify", "8/5", "--poly", "4 -4 1 -1 1 0", "--prefix", str(10**20)
+            capsys, command, "8/5", "--poly", "4 -4 1 -1 1 0", *rest, str(10**20)
         )
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
-        assert err.startswith("error: --prefix 100000000000000000000 would walk 10000000001 lines")
+        assert err.startswith(f"error: {rest[-1]} 100000000000000000000 would walk 10000000001 lines")
         assert err.count("\n") == 1
 
     def test_prefix_too_large_for_memory_exits_2(self, capsys, monkeypatch):
@@ -331,13 +342,6 @@ class TestUsageErrors:
             code, out, _ = run(capsys, "sweep", "--max-n", max_n, "--max-m", max_m)
             assert (code, out) == (0, "n,m,classified_count,search_count,match\n")
 
-    def test_bad_thread_cap_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SECTORPACK_THREADS", "abc")
-        code, out, err = run(capsys, "sweep", "--max-n", "3", "--max-m", "3")
-        assert code == 2
-        assert out == ""
-        assert err.strip() == "error: SECTORPACK_THREADS must be an integer, got 'abc'"
-
 
 class TestOtherCmds:
     def test_construct(self, capsys):
@@ -353,6 +357,16 @@ class TestOtherCmds:
         code, _, err = run(capsys, "construct", "4/9", "--k", "3", "--direction", "desc")
         assert code == 1
         assert "cannot construct" in err
+
+    def test_construct_large_k_fails_fast(self, capsys):
+        # the start-stair values of 8/5 spread past k - 1 by staircase 2, so
+        # construct reads three of the k staircases and names only the last
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "8/5", "--k", "100001")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("cannot construct: start-stair value -199997 of staircase 2")
+        assert err.count("\n") == 1 and len(err) < 1000
 
     def test_construct_descending_without_dual(self, capsys):
         code, out, _ = run(

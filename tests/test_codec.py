@@ -20,7 +20,6 @@ from sectorpack import (
     make_scheme,
     sector,
 )
-from sectorpack.codec import decode, encode, stream
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P_MINUS = QuadPoly.from_string("4 -4 1 3 -2 0")
@@ -95,17 +94,17 @@ class TestConstruction:
 
 class TestEncodeDecode:
     def test_examples(self, fig1_scheme, fig3_scheme):
-        assert encode(fig1_scheme, LatticePoint(4, 5)) == 10
-        assert decode(fig1_scheme, 10) == LatticePoint(4, 5)
-        assert encode(fig1_scheme, LatticePoint(0, 0)) == 0
-        assert decode(fig1_scheme, 0) == LatticePoint(0, 0)
-        assert encode(fig3_scheme, LatticePoint(2, 3)) == 4
-        assert decode(fig3_scheme, 4) == LatticePoint(2, 3)
-        assert decode(fig3_scheme, 2) == LatticePoint(0, 0)  # value f
+        assert fig1_scheme.encode(LatticePoint(4, 5)) == 10
+        assert fig1_scheme.decode(10) == LatticePoint(4, 5)
+        assert fig1_scheme.encode(LatticePoint(0, 0)) == 0
+        assert fig1_scheme.decode(0) == LatticePoint(0, 0)
+        assert fig3_scheme.encode(LatticePoint(2, 3)) == 4
+        assert fig3_scheme.decode(4) == LatticePoint(2, 3)
+        assert fig3_scheme.decode(2) == LatticePoint(0, 0)  # value f
 
     def test_outside_sector(self, fig1_scheme):
         with pytest.raises(PointOutsideSector):
-            encode(fig1_scheme, LatticePoint(1, 2))
+            fig1_scheme.encode(LatticePoint(1, 2))
 
     def test_roundtrip_points(self, fig1_scheme, fig3_scheme, fig1_desc_scheme):
         for scheme in (fig1_scheme, fig3_scheme, fig1_desc_scheme):
@@ -122,7 +121,7 @@ class TestEncodeDecode:
 
     def test_descending_decode(self, fig1_desc_scheme):
         assert fig1_desc_scheme.form.direction is Direction.DESCENDING
-        assert decode(fig1_desc_scheme, 0) == LatticePoint(0, 0)
+        assert fig1_desc_scheme.decode(0) == LatticePoint(0, 0)
         # last stair of staircase 1 carries value 1 for the descending twin
         assert fig1_desc_scheme.encode(LatticePoint(2, 3)) == 1
 
@@ -139,18 +138,18 @@ class TestEncodeDecode:
 
 class TestStream:
     def test_examples(self, fig1_scheme, fig3_scheme):
-        assert [tuple(p) for p in stream(fig1_scheme, 4)] == [
+        assert [tuple(p) for p in fig1_scheme.stream(4)] == [
             (0, 0),
             (1, 1),
             (2, 3),
             (1, 0),
         ]
-        assert [tuple(p) for p in stream(fig1_scheme, 1)] == [(0, 0)]
-        assert [tuple(p) for p in stream(fig3_scheme, 3)] == [(1, 0), (1, 1), (0, 0)]
+        assert [tuple(p) for p in fig1_scheme.stream(1)] == [(0, 0)]
+        assert [tuple(p) for p in fig3_scheme.stream(3)] == [(1, 0), (1, 1), (0, 0)]
 
     def test_matches_decode(self, fig1_scheme, fig3_scheme, fig1_desc_scheme):
         for scheme in (fig1_scheme, fig3_scheme, fig1_desc_scheme):
-            got = stream(scheme, 500)
+            got = scheme.stream(500)
             assert got == [scheme.decode(v) for v in range(500)]
 
     # (n, m, k, direction): k = 1, 2 and 3 in both directions, negative
@@ -187,7 +186,7 @@ class TestStream:
                 scheme.stream(-1)
 
     def test_points_distinct_and_valued_in_order(self, fig3_scheme):
-        pts = stream(fig3_scheme, 800)
+        pts = fig3_scheme.stream(800)
         assert len(set(pts)) == len(pts)
         assert [fig3_scheme.encode(p) for p in pts] == list(range(800))
 
@@ -266,7 +265,7 @@ class TestCopies:
         copy = pickle.loads(pickle.dumps(fig3_scheme))
         assert copy == fig3_scheme
         assert deepcopy(fig3_scheme) == fig3_scheme
-        assert [copy.decode(v) for v in range(500)] == stream(fig3_scheme, 500)
+        assert [copy.decode(v) for v in range(500)] == fig3_scheme.stream(500)
 
     def test_frozen(self, fig1_desc_scheme):
         with pytest.raises(dataclasses.FrozenInstanceError):

