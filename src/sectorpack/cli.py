@@ -111,9 +111,11 @@ def cmd_construct(args) -> int:
     return 0
 
 
-# prefix_check holds about 600 bytes per line it walks: 19.1 MB for the
-# 31,624 lines of 8/5 "4 -4 1 -1 1 0" at depth 10**9.
-_BYTES_PER_LINE = 600
+# prefix_check holds up to about 350 bytes per line it walks: a tracemalloc
+# peak of 9.0 MB for the 31,624 lines of 8/5 "4 -4 1 -1 1 0" at depth 10**9,
+# and 11.1 MB for 8/5 "4 -4 1 -1 3 0", a duplicate, which sorts its lines
+# into scan order.
+_BYTES_PER_LINE = 350
 
 
 def _check_depth(s, poly, n_max: int, option: str) -> None:

@@ -14,12 +14,16 @@ negative value anywhere — established by walking the sector's line
 family (its staircases, which are the columns on integral sectors).  The
 oracle and the search's certification share one walk in scaled integers
 and one verdict, _prefix_verdict: prefix_check reads it on a table of its
-own, the search on its screen's table.  The screen reads the same lines
-without a walk per pair.  A candidate's scaled values are linear in its
-integer pair (d2, e2), so on the lattice every pair's line base is one
-reference pair's base, a whole number found by one exact division per
-line per sector, plus integer multiples of the line's first point: the
-screen's values are the walk's, in integers, with no rounding.
+own, the search on its screen's table.  The walk reads the lines a class
+mod the period v at a time: line c + v is line c shifted by one x and l
+points, so along a class each line's base is the previous one's plus an
+increment that grows by a constant, whole numbers checked exactly once
+per class.  The screen reads the same lines without a walk per pair.  A
+candidate's scaled values are linear in its integer pair (d2, e2), so on
+the lattice every pair's line base is one reference pair's base, read
+class by class as the walk reads its own, plus integer multiples of the
+line's first point: the screen's values are the walk's, in integers,
+with no rounding.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -37,8 +41,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, repeat
-from typing import Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from .errors import NonTerminatingShape
 from .polynomials import (
@@ -146,38 +151,60 @@ def _check_family(s: Sector, p: QuadPoly) -> None:
 
 
 class _LineTable:
-    """Lazily grown rows (x0, z, count, Q*(c*l)**2) of a sector's line
-    family, shared by every walk of one call, or of one search.
+    """A sector's line family and the Q of a scaled homogeneous part,
+    shared by every walk of one call, or of one search.
 
     A walk reads the scaled value Q*(c*l)**2 + A*x + B*y + F: on line c the
     homogeneous part is Q*(c*l)**2, so the value is base(c) + t*step with
-    step = A*u + B*v.  The rows hold no linear part and no offset, so one
-    table serves every (A, B, F) with the same Q.
+    step = A*u + B*v.  The table holds no linear part and no offset, so one
+    table serves every (A, B, F) with the same Q.  It stores no line: the
+    lines come a class at a time, each shifted from its first line by
+    whole periods (see classes).
     """
 
     def __init__(self, s: Sector, Q: int):
         self.lines = s.lines
         self.Q = Q
-        self.rows: list[tuple[int, int, int, int]] = []
-
-    def grow(self, stop: int) -> None:
-        """Append the rows of the lines below ``stop`` that the table lacks
-        (none once it reaches ``stop``), each the row of LineFamily.line:
-        z(c) = (-c*r) mod v steps by z <- (z - r) mod v from line to line."""
-        lines, rows, Q = self.lines, self.rows, self.Q
-        n, m, l, v, r = lines.n, lines.m, lines.l, lines.v, lines.r
-        first = len(rows)
-        z = (-first * r) % v
-        for cc in range(first, stop):
-            cl = cc * l
-            x0 = ((m - 1) * z + cl) // n
-            count = (n * x0 - m * z) // v + 1
-            rows.append((x0, z, count if count > 0 else 0, Q * cl * cl))
-            z = (z - r) % v
 
     def point(self, c: int, t: int) -> LatticePoint:
-        x0, z = self.rows[c][:2]
+        x0, z, _ = self.lines.line(c)
         return LatticePoint(x0 + t * self.lines.u, z + t * self.lines.v)
+
+    def classes(
+        self, A: int, B: int, F: int, unit: int, start: int, stop: int
+    ) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+        """(c, x0, z, count, base, delta, dd) for each class of lines c' = c
+        mod v, start <= c' < stop, that has a point: (x0, z, count) is
+        LineFamily.line(c) of its first such line c, and base that line's
+        scaled value Q*(c*l)**2 + A*x0 + B*z + F over ``unit``.
+
+        Line c + v has the same z, x0 + 1 and count + l (v*l = n), so its
+        base is base + delta, and each period adds dd to delta: delta =
+        (Q*l*l*v*(2c + v) + A)/unit and dd = 2*Q*l*l*v*v/unit.  A class's
+        empty lines come first, as its count grows.  Every base of the
+        class below stop is a whole number iff base is, delta is when line
+        c + v is below stop, and dd is when c + 2v is; a line whose base
+        is not is a ValueError.
+        """
+        lines = self.lines
+        l, v = lines.l, lines.v
+        q = self.Q * l * l
+        dd, dd_rem = divmod(2 * q * v * v, unit)
+        for c in range(start, min(start + v, stop)):
+            x0, z, count = lines.line(c)
+            while not count and c < stop:
+                c += v
+                x0, z, count = lines.line(c)
+            if c >= stop:
+                continue
+            base, rem = divmod(q * c * c + A * x0 + B * z + F, unit)
+            delta, delta_rem = divmod(q * v * (2 * c + v) + A, unit)
+            bad = c if rem else c + v if delta_rem else c + 2 * v if dd_rem else stop
+            if bad < stop:
+                raise ValueError(
+                    f"value on line {bad} is not an integer; polynomial is not integer-valued"
+                )
+            yield c, x0, z, count, base, delta, dd
 
     def stop(self, k_lo: int, F: int, unit: int, hi: int) -> int:
         """The number of lines walk(A, B, F, unit, lo, hi) reads, for k_lo =
@@ -204,7 +231,14 @@ class _LineTable:
 
     def walk(
         self, A: int, B: int, F: int, unit: int, lo: int, hi: int
-    ) -> tuple[list[range], list[tuple[int, int, int]], int, int, Optional[tuple[int, int]]]:
+    ) -> tuple[
+        list[tuple[int, int, int]],
+        list[tuple[int, int, int]],
+        int,
+        int,
+        int,
+        Optional[tuple[int, int, int]],
+    ]:
         """Walk the lines for (A, B, F), collecting the values in [lo, hi].
 
         Every scaled value Q*(c*l)**2 + A*x + B*y + F must be a multiple
@@ -212,13 +246,17 @@ class _LineTable:
         and a line whose scaled base or step is not a multiple is a
         ValueError.
 
-        Returns (ranges, spans, total, vmin, negative): ranges[i] holds the
-        window's values on one line in scan order (c, then t ascending) and
-        spans[i] is that line's (c, first t, point count); total is the
+        Returns (bounds, spans, step, total, vmin, negative), with one
+        bound and one span per line that meets the window, class by class
+        (see classes), so not in scan order.  bounds[i] is (least % mod,
+        least, greatest) of the line's window values, mod = |step| (1 if
+        the step is 0), and spans[i] is the line's (c, first t, point
+        count); step is the values' step along every line.  total is the
         window's point count; vmin is the minimum of 0 and every line's
-        values; negative is the first (c, t) with value < 0.  When the step
-        is 0 a line holds one value at every point: its range holds that
-        value once and its span counts the points.
+        values; negative is (c, t, value) of the first point in scan order
+        (c, then t ascending) with value < 0.  When the step is 0 a line
+        holds one value at every point: its bound holds that value and its
+        span counts the points.
 
         On line c the sector's points lie on the segment from (c*l/n, 0)
         to (m*c*l/n, c*l), and the linear A*x + B*y is least at an end, so
@@ -226,51 +264,49 @@ class _LineTable:
         k_lo = min(A, A*m + B*n): a convex quadratic in c that increases
         past its vertex.  The walk reads the lines below stop(k_lo, F, unit,
         hi), the first line past the vertex where this bound exceeds hi:
-        every value on it and on every later line exceeds hi.  The rows
-        grow to that line once, before the walk.
+        every value on it and on every later line exceeds hi.
         """
         lines = self.lines
         step, rem = divmod(A * lines.u + B * lines.v, unit)
         if rem:
             raise ValueError("stair step is not an integer; polynomial is not integer-valued")
         stop = self.stop(min(A, A * lines.m + B * lines.n), F, unit, hi)
-        self.grow(stop)
-
-        ranges: list[range] = []
+        l, v = lines.l, lines.v
+        mod = abs(step) or 1
+        bounds: list[tuple[int, int, int]] = []
         spans: list[tuple[int, int, int]] = []
         total = vmin = 0
-        negative: Optional[tuple[int, int]] = None
-        for c, (x0, z, cnt, q) in enumerate(self.rows[:stop]):
-            if cnt > 0:
-                base, rem = divmod(q + F + A * x0 + B * z, unit)
-                if rem:
-                    raise ValueError(
-                        f"value on line {c} is not an integer; polynomial is not integer-valued"
-                    )
-                last = base + step * (cnt - 1)
+        negative: Optional[tuple[int, int, int]] = None
+        for c, _, _, count, base, delta, dd in self.classes(A, B, F, unit, 0, stop):
+            for c in range(c, stop, v):
+                last = base + step * (count - 1)
                 line_min = base if step >= 0 else last
-                if line_min < vmin:
-                    vmin = line_min
-                    if negative is None:
-                        negative = (c, 0 if step >= 0 or base < 0 else base // -step + 1)
+                if line_min < 0:
+                    vmin = min(vmin, line_min)
+                    if negative is None or c < negative[0]:
+                        t = 0 if step >= 0 or base < 0 else base // -step + 1
+                        negative = (c, t, base + t * step)
                 if step:
                     if step > 0:
                         t_lo = 0 if base >= lo else -((base - lo) // step)
-                        t_hi = cnt - 1 if last <= hi else (hi - base) // step
+                        t_hi = count - 1 if last <= hi else (hi - base) // step
                     else:
                         t_lo = 0 if base <= hi else -((hi - base) // -step)
-                        t_hi = cnt - 1 if last >= lo else (base - lo) // -step
+                        t_hi = count - 1 if last >= lo else (base - lo) // -step
                     if t_lo <= t_hi:
-                        width = t_hi - t_lo + 1
-                        start = base + t_lo * step
-                        ranges.append(range(start, start + width * step, step))
-                        spans.append((c, t_lo, width))
-                        total += width
+                        first = base + t_lo * step
+                        end = base + t_hi * step
+                        bounds.append((first % mod, first, end) if step > 0 else (end % mod, end, first))
+                        spans.append((c, t_lo, t_hi - t_lo + 1))
+                        total += t_hi - t_lo + 1
                 elif lo <= base <= hi:
-                    ranges.append(range(base, base + 1))
-                    spans.append((c, 0, cnt))
-                    total += cnt
-        return ranges, spans, total, vmin, negative
+                    bounds.append((0, base, base))
+                    spans.append((c, 0, count))
+                    total += count
+                count += l
+                base += delta
+                delta += dd
+        return bounds, spans, step, total, vmin, negative
 
 
 def _scaled(s: Sector, p: QuadPoly) -> tuple[_LineTable, int, int, int, int]:
@@ -284,28 +320,6 @@ def _scaled(s: Sector, p: QuadPoly) -> tuple[_LineTable, int, int, int, int]:
     return _LineTable(s, int(lam * D)), int(p.d * D), int(p.e * D), int(p.f * D), D
 
 
-def _value_sweep(
-    s: Sector, p: QuadPoly, n_max: int
-) -> tuple[list[tuple[int, int, int]], Optional[LatticePoint]]:
-    """The window [0, n_max] of the walk as (value, x, y) triples in scan
-    order, with the first point seen with value < 0; enumerate_upto sorts
-    them.  prefix_check reads the walk's ranges directly and builds no
-    triples.  p must be integer-valued; a line or step that is not is a
-    ValueError."""
-    table, A, B, F, D = _scaled(s, p)
-    ranges, spans, _, _, negative = table.walk(A, B, F, D, 0, n_max)
-    if negative is not None:
-        negative = table.point(*negative)
-    u, v = s.lines.u, s.lines.v
-    items: list[tuple[int, int, int]] = []
-    for (c, t, count), values in zip(spans, ranges):
-        x, y = table.point(c, t)
-        if count > len(values):  # step 0: the line's one value at each point
-            values = repeat(values[0], count)
-        items += [(value, x + i * u, y + i * v) for i, value in enumerate(values)]
-    return items, negative
-
-
 def enumerate_upto(
     s: Sector, p: QuadPoly, n_max: int
 ) -> list[tuple[LatticePoint, int]]:
@@ -314,7 +328,14 @@ def enumerate_upto(
         raise ValueError("n_max must be nonnegative")
     if not p.is_integer_valued():
         raise ValueError("polynomial is not integer-valued")
-    items, _ = _value_sweep(s, p, n_max)
+    table, A, B, F, D = _scaled(s, p)
+    bounds, spans, step, *_ = table.walk(A, B, F, D, 0, n_max)
+    u, v = s.lines.u, s.lines.v
+    items: list[tuple[int, int, int]] = []
+    for (c, t, count), (_, least, greatest) in zip(spans, bounds):
+        x, y = table.point(c, t)
+        start = least if step >= 0 else greatest
+        items += [(start + i * step, x + i * u, y + i * v) for i in range(count)]
     items.sort()
     return [(LatticePoint(x, y), value) for value, x, y in items]
 
@@ -329,29 +350,22 @@ _PROBE_POINTS = [
 ]
 
 
-def _first_gap(ranges: list[range], n_max: int) -> Optional[int]:
-    """The least value in [0, n_max] that no range holds (n_max + 1 if
-    each is held), or None if two ranges share a value.
+def _first_gap(bounds: list[tuple[int, int, int]], mod: int, n_max: int) -> Optional[int]:
+    """The least value in [0, n_max] that no line's bound holds (n_max + 1
+    if each is held), or None if two lines share a value.
 
-    The ranges share the walk's one step k, so each is an interval of
-    one residue class mod |k| (a step-0 line's one value is range(b, b +
-    1), so a step-0 walk has the one class mod 1).  Sorted by (residue,
-    least value), the ranges are disjoint iff each starts past the end of
-    the one before it in its class.  A class r first misses r, r + |k|,
-    ... at the first of these its sorted ranges skip, and a class that no
-    range touches misses r itself; the smallest missing value is the
-    least of these.
+    The lines' values share the walk's one step k, so each line's window
+    values, a bound (least % mod, least, greatest) of _LineTable.walk, are
+    an interval of one residue class mod |k| (mod 1 for a step-0 walk,
+    whose lines hold one value each).  Sorted, the lines are disjoint iff
+    each starts past the end of the one before it in its class.  A class
+    r first misses r, r + |k|, ... at the first of these its sorted lines
+    skip, and a class that no line touches misses r itself; the smallest
+    missing value is the least of these.
     """
-    if not ranges:
-        return 0
-    mod = abs(ranges[0].step)
-    if ranges[0].step > 0:
-        bounds = sorted([(values.start % mod, values.start, values[-1]) for values in ranges])
-    else:
-        bounds = sorted([(values[-1] % mod, values[-1], values.start) for values in ranges])
     gap = n_max + 1
     cls, nxt = -1, gap  # the class being read, and the next value it must hold
-    for r, lo, hi in bounds:
+    for r, lo, hi in sorted(bounds):
         if r != cls:
             # class cls misses nxt, and each class skipped misses its residue
             gap = min(gap, nxt, cls + 1) if r > cls + 1 else min(gap, nxt)
@@ -365,44 +379,45 @@ def _first_gap(ranges: list[range], n_max: int) -> Optional[int]:
 
 
 def _first_repeat(
-    ranges: list[range], spans: list[tuple[int, int, int]]
+    bounds: list[tuple[int, int, int]], spans: list[tuple[int, int, int]], step: int
 ) -> tuple[int, tuple[int, int], tuple[int, int]]:
-    """(value, (i0, j0), (i, j)): the first item in scan order whose value
-    an earlier item holds is ranges[i][j], and the value's first holder
-    is ranges[i0][j0].  Some value must repeat.
+    """(value, (c0, t0), (c, t)) for the lines of a walk: the first point
+    in scan order (c, then t ascending) whose value an earlier point holds
+    is t on line c, and the value's first holder is t0 on line c0.  Some
+    value must repeat.
 
-    Reads the ranges in scan order, keeping those read so far sorted by
-    least value in one list per residue class mod the step (see
-    _first_gap); they are disjoint until the first line that overlaps
-    one of them, so bisect finds the overlapped ranges of that line.
-    The line's values are distinct and run in scan order, so its first
-    repeat is the smallest value it shares on an ascending line (shared
-    with the leftmost range it overlaps) and the largest on a descending
-    one (the rightmost).  The earlier ranges being disjoint, that range
-    is the value's only, so first, holder.  A step-0 line whose span
-    counts more points than its one value repeats that value at its
-    second point, unless an earlier line holds it.
+    Reads the lines in scan order, the spans sorted by c, keeping those
+    read so far sorted by least value in one list per residue class mod
+    the step (see _first_gap); they are disjoint until the first line
+    that overlaps one of them, so bisect finds the overlapped lines of
+    that line.  The line's values are distinct and run in scan order, so
+    its first repeat is the smallest value it shares on an ascending line
+    (shared with the leftmost line it overlaps) and the largest on a
+    descending one (the rightmost).  The earlier lines being disjoint,
+    that line is the value's only, so first, holder.  A step-0 line whose
+    span counts more than one point repeats its value at its second
+    point, unless an earlier line holds it.
     """
-    mod = abs(ranges[0].step)
-    descending = ranges[0].step < 0
-    classes: dict[int, tuple[list[int], list[int], list[int]]] = {}
-    for i, (values, (_, _, count)) in enumerate(zip(ranges, spans)):
-        lo, hi = (values[-1], values.start) if descending else (values.start, values[-1])
-        lows, highs, holders = classes.setdefault(lo % mod, ([], [], []))
-        k = bisect_left(highs, lo)  # the first range read that ends at lo or past it
+    classes: dict[int, tuple[list[int], list[int], list[tuple[int, int, int]]]] = {}
+    for (c, t, count), (r, lo, hi) in sorted(zip(spans, bounds), key=itemgetter(0)):
+        start = hi if step < 0 else lo  # the value at t
+        lows, highs, holders = classes.setdefault(r, ([], [], []))
+        k = bisect_left(highs, lo)  # the first line read that ends at lo or past it
         if k < len(lows) and lows[k] <= hi:
-            if descending:
+            if step < 0:
                 k = bisect_right(lows, hi) - 1
                 value = min(hi, highs[k])
             else:
                 value = max(lo, lows[k])
-            first = ranges[holders[k]]
-            return value, (holders[k], first.index(value)), (i, values.index(value))
-        if count > len(values):  # a step-0 line repeats its own value
-            return values[0], (i, 0), (i, 1)
+            c0, t0, start0 = holders[k]
+            if step:
+                t0, t = t0 + (value - start0) // step, t + (value - start) // step
+            return value, (c0, t0), (c, t)
+        if count > 1 and not step:  # a step-0 line repeats its own value
+            return lo, (c, t), (c, t + 1)
         lows.insert(k, lo)
         highs.insert(k, hi)
-        holders.insert(k, i)
+        holders.insert(k, (c, t, start))
     raise AssertionError("no value repeats")
 
 
@@ -437,44 +452,43 @@ def _prefix_verdict(
     table: _LineTable, A: int, B: int, F: int, unit: int, n_max: int
 ) -> PrefixReport:
     """prefix_check's verdict after its probe, for the integer-valued
-    polynomial whose scaled value on ``table``'s rows is Q*(c*l)**2 + A*x +
-    B*y + F, in units of ``unit``; prefix_check and the search's
+    polynomial whose scaled value on ``table``'s lines is Q*(c*l)**2 + A*x
+    + B*y + F, in units of ``unit``; prefix_check and the search's
     certification both read their verdicts here.
 
-    The walk yields the window's values as one range per line, all with
-    one step, and counts the window's points.  More points than the n_max
-    + 1 values, or than the values the ranges hold (a step-0 line holds
-    one value at all its points), must repeat a value (pigeonhole).
-    Otherwise _first_gap sorts the L ranges by residue class and least
-    value and reads both distinctness and the smallest missing value off
-    them.  A duplicate then pays for one more pass over the ranges in scan
-    order, which stops at the first line that repeats a value.  Each pass
-    costs O(L log L) time and O(L) memory; on a sector L grows about as
-    sqrt(n_max), and nothing is sized by n_max itself.
+    The walk yields the window's values as one bound (residue, least,
+    greatest) per line, all lines with one step, and counts the window's
+    points.  More points than the n_max + 1 values, or than the values
+    the lines hold (a step-0 line holds one value at all its points),
+    must repeat a value (pigeonhole).  Otherwise _first_gap sorts the L
+    bounds and reads both distinctness and the smallest missing value off
+    them.  A duplicate then pays for sorting the lines into scan order
+    and one pass, which stops at the first line that repeats a value.
+    Each pass costs O(L log L) time and O(L) memory; on a sector L grows
+    about as sqrt(n_max), and nothing is sized by n_max itself.
     """
-    ranges, spans, total, _, negative = table.walk(A, B, F, unit, 0, n_max)
+    bounds, spans, step, total, _, negative = table.walk(A, B, F, unit, 0, n_max)
     gap = None
-    if total <= n_max + 1 and sum(map(len, ranges)) == total:
-        gap = _first_gap(ranges, n_max)
+    if total <= n_max + 1 and (step or len(spans) == total):
+        gap = _first_gap(bounds, abs(step) or 1, n_max)
     if gap is None:
-        value, (i0, j0), (i, j) = _first_repeat(ranges, spans)
-        (c0, t0, _), (c, t, _) = spans[i0], spans[i]
+        value, first, second = _first_repeat(bounds, spans, step)
         return PrefixReport(
             PrefixStatus.DUPLICATE,
             checked_upto=n_max,
             points=total,
             value=value,
-            point=table.point(c0, t0 + j0),
-            point2=table.point(c, t + j),
+            point=table.point(*first),
+            point2=table.point(*second),
         )
     if negative is not None:
-        point = table.point(*negative)
+        c, t, value = negative
         return PrefixReport(
             PrefixStatus.NEGATIVE_VALUE,
             checked_upto=n_max,
             points=total,
-            value=(table.rows[negative[0]][3] + F + A * point.x + B * point.y) // unit,
-            point=point,
+            value=value,
+            point=table.point(c, t),
         )
     if gap <= n_max:
         return PrefixReport(
@@ -576,26 +590,29 @@ class _PairScreen:
         return stop
 
     def _read_to(self, stop: int) -> None:
-        """Add the base K of each line below ``stop``: the scaled value
-        Q*(c*l)**2 + n*d_ref*x0 + e_ref*z at the line's first point, over
-        2n, which must be an integer.
+        """Add (K, x0, z, count) for each line below ``stop``, K the base
+        of the reference pair: the scaled value Q*(c*l)**2 + n*d_ref*x0 +
+        e_ref*z at the line's first point, over 2n, which must be an
+        integer.  The lines come a class at a time off
+        _LineTable.classes, each shifted by whole periods.
 
         On the lattice no line is empty: n | (m-1)**2 makes v = n/l divide
         l, and line c's first point (x0, z), z < v, lies in the sector iff
         z <= c*l, which holds for c = 0 (z = 0) and for every c >= 1.
         """
-        table, n = self.table, self.n
-        table.grow(stop)
+        bases, first = self.bases, len(self.bases)
+        bases += [(0, 0, 0, 0)] * (stop - first)
+        l, v = self.table.lines.l, self.v
         d_ref, e_ref = self.ref
-        A = n * d_ref
-        for c in range(len(self.bases), stop):
-            x0, z, count, q = table.rows[c]
-            K, rem = divmod(q + A * x0 + e_ref * z, 2 * n)
-            if rem:
-                raise ValueError(
-                    f"value on line {c} is not an integer; polynomial is not integer-valued"
-                )
-            self.bases.append((K, x0, z, count))
+        for c, x0, z, count, K, delta, dd in self.table.classes(
+            self.n * d_ref, e_ref, 0, 2 * self.n, first, stop
+        ):
+            for c in range(c, stop, v):
+                bases[c] = (K, x0, z, count)
+                x0 += 1
+                count += l
+                K += delta
+                delta += dd
 
     def packs(self, ranges: list[range], vmin: int) -> bool:
         """Does the window of a pair that steps hold each of vmin..vmin +
@@ -641,8 +658,8 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     + 2n*j*y.  So in units of 2n, line c's base (its value at (x0(c),
     z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref + i*u +
     j*v.  Only K(c), the reference pair's base, needs a division by 2n,
-    checked exact once per line per sector; the rest is integer products
-    and sums, so every value is exactly the walk's.  The walk's stop line
+    read exactly per line class per sector (see _read_to); the rest is
+    integer products and sums, so every value is exactly the walk's.  The walk's stop line
     depends on the pair only through k_lo = min(A, A*m + B*n), so each
     k_lo's count of lines is computed once, in closed form
     (_LineTable.stop).  A line whose least value is below -offset_range
@@ -784,7 +801,7 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
     becomes a QuadPoly.
 
     The certification is prefix_check's verdict, read by _prefix_verdict
-    on the screen's own line table, whose rows the screen has grown.  A
+    on the screen's own line table, the one whose stop lines it read.  A
     survivor lies on the integer-valued lattice, so prefix_check's probe
     passes, and its homogeneous part is the forced one, so
     _check_family passes.  Its lambda = a/n**2 = 1/(2n), d = d2/2 and e =

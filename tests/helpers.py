@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -23,7 +25,7 @@ from sectorpack import (
     construct,
     t_dual,
 )
-from sectorpack.verify import _PairScreen, _grid_axes, _value_sweep
+from sectorpack.verify import _PairScreen, _grid_axes
 
 
 def run_fresh(code: str) -> str:
@@ -95,10 +97,51 @@ def compose_reference(p: QuadPoly, mapping: LatticeMap) -> QuadPoly:
 
 
 def prefix_report_reference(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
-    """prefix_check's verdict for an integer-valued p, from a dict over every
-    (value, x, y) item of the window: the first duplicated item in scan
-    order, then the first negative point, then the smallest missing value."""
-    items, negative = _value_sweep(s, p, n_max)
+    """prefix_check's verdict for an integer-valued p whose homogeneous part
+    is lam*(n*x - (m-1)*y)**2, lam > 0, built point by point off
+    LineFamily.line: the points of lines c = 0, 1, ... with values in [0,
+    n_max], in scan order (c, then t ascending), and the first point with
+    a value below 0.  The homogeneous part is constant on a line, so p is
+    monotone along it, and bisect finds where a line's values enter and
+    leave [0, n_max] by evaluating p at single points.  On line c every
+    value is at least lam*(c*l)**2 + f + c*l*min(d, d*m + e*n)/n, a convex
+    quadratic in c; the scan ends at the first line past its vertex where
+    this bound exceeds n_max.  The verdict: the first duplicated point in
+    scan order, then the first negative point, then the smallest missing
+    value."""
+    n, m, lines = s.n, s.m, s.lines
+    lam = p.a / (n * n)
+    assert lam > 0 and p.b == -2 * n * (m - 1) * lam and p.c2 == (m - 1) ** 2 * lam
+    # the bound on line c is quad*c*c + slope*c + f
+    quad, slope = lam * lines.l**2, lines.l * min(p.d, p.d * m + p.e * n) / n
+    scale = math.lcm(*(coeff.denominator for coeff in p.coefficients()))
+    a, b, c2, d, e, f = (int(coeff * scale) for coeff in p.coefficients())
+    items: list[tuple[int, LatticePoint]] = []
+    negative = None
+    c = 0
+    while 2 * quad * c <= -slope or quad * c * c + slope * c + p.f <= n_max:
+        x0, z, count = lines.line(c)
+
+        def point(t: int) -> LatticePoint:
+            return LatticePoint(x0 + t * lines.u, z + t * lines.v)
+
+        def value(t: int) -> int:
+            x, y = point(t)
+            scaled = a * x * x + b * x * y + c2 * y * y + d * x + e * y + f
+            assert scaled % scale == 0
+            return scaled // scale
+
+        ts = range(count)
+        if count < 2 or value(1) >= value(0):
+            first, end = bisect_left(ts, 0, key=value), bisect_right(ts, n_max, key=value)
+            below = 0 if count and value(0) < 0 else count
+        else:
+            first = bisect_left(ts, -n_max, key=lambda t: -value(t))
+            end = below = bisect_right(ts, 0, key=lambda t: -value(t))
+        if negative is None and below < count:
+            negative = (value(below), point(below))
+        items += [(value(t), point(t)) for t in range(first, end)]
+        c += 1
     first_at = {item[0]: item for item in reversed(items)}  # first point wins
     if len(first_at) < len(items):
         second = next(item for item in items if first_at[item[0]] is not item)
@@ -107,16 +150,16 @@ def prefix_report_reference(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
             checked_upto=n_max,
             points=len(items),
             value=second[0],
-            point=LatticePoint(*first_at[second[0]][1:]),
-            point2=LatticePoint(*second[1:]),
+            point=first_at[second[0]][1],
+            point2=second[1],
         )
     if negative is not None:
         return PrefixReport(
             PrefixStatus.NEGATIVE_VALUE,
             checked_upto=n_max,
             points=len(items),
-            value=p.eval_int(negative),
-            point=negative,
+            value=negative[0],
+            point=negative[1],
         )
     if len(items) <= n_max:
         missing = next(value for value in range(n_max + 1) if value not in first_at)
@@ -172,9 +215,14 @@ def pair_window(screen: _PairScreen, d2: int, e2: int):
     A, B = n * d2, e2
     if A < screen.s_min or A * screen.m + B * n < screen.s_min:
         return None
-    ranges, _, total, vmin, _ = screen.table.walk(
+    bounds, _, step, total, vmin, _ = screen.table.walk(
         A, B, 0, 2 * n, -screen.offset_range, screen.prefix_n
     )
+    # each line's window values from its least to its greatest, or back
+    ranges = [
+        range(lo, hi + 1, step) if step > 0 else range(hi, lo - 1, step or -1)
+        for _, lo, hi in bounds
+    ]
     return None if vmin < -screen.offset_range else (ranges, total, vmin)
 
 

@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -218,6 +220,58 @@ def test_prefix_check_matches_reference_near_classified(entry, name, delta, n_ma
     assert prefix_check(s, p, n_max) == prefix_report_reference(s, p, n_max)
 
 
+LATTICE_60 = [
+    (n, m)
+    for n in range(1, 61)
+    for m in range(1, 61)
+    if math.gcd(n, m) == 1 and (m - 1) ** 2 % n == 0
+]
+
+
+@given(
+    st.sampled_from(LATTICE_60),
+    st.integers(-1, 12),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+    st.integers(-3, 3),
+    st.sampled_from("def"),
+    st.sampled_from([0, -2, -1, 1, 2]),
+    st.booleans(),
+    st.integers(0, 2000),
+)
+@example((8, 5), -1, -3, 0, 0, "f", 0, False, 500)  # step -3
+@example((8, 5), -1, 2, 0, 0, "f", 0, True, 500)  # step 0
+@example((3, 1), -1, 1, -1, 0, "f", 0, False, 500)  # m = 1, step -1
+@example((3, 1), -1, 1, 0, 0, "f", 0, True, 500)  # m = 1, step 0
+@example((3, 1), 0, 0, 0, 0, "d", 1, False, 2000)  # m = 1, a packing one's d + 1
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_prefix_check_matches_reference_on_lattice(
+    nm, pick, i, j, f, name, delta, zero_step, n_max
+):
+    # polynomials with the forced homogeneous part and a pair (d2, e2) on
+    # the integer-valued lattice: a classified one's (pick >= 0) or the
+    # lattice pair (i, j) with offset f, or a pair of step 0; then d, e or
+    # f moved by delta, a near-miss unless delta is 0
+    s = sector(*nm)
+    n, l, u = s.n, s.lines.l, s.lines.u
+    d_res, e_res = _lattice_residues(s)
+    polys = classify(*nm).polynomials()
+    d2, e2 = d_res + 2 * i, e_res + 2 * n * j
+    if pick >= 0 and polys:
+        p0 = polys[pick % len(polys)]
+        d2, e2, f = int(2 * p0.d), int(2 * n * p0.e), int(p0.f)
+    elif zero_step:
+        # n*d2*u + e2*v = 0 with e2 = -l*u*d2; such d2 repeat mod 2n
+        zeros = [d for d in range(d_res, d_res + 2 * n, 2) if (l * u * d + e_res) % (2 * n) == 0]
+        if zeros:
+            d2 = zeros[0] + 2 * n * i
+            e2 = -l * u * d2
+    move = {"d": (2 * delta, 0, 0), "e": (0, 2 * n * delta, 0), "f": (0, 0, delta)}[name]
+    p = _poly_from_scaled(s, d2 + move[0], e2 + move[1], f + move[2])
+    assert p.is_integer_valued()
+    assert prefix_check(s, p, n_max) == prefix_report_reference(s, p, n_max)
+
+
 def _stop_by_scan(s, Q, k_lo, F, unit, hi):
     """The stop line found line by line: the first c >= 0 past the vertex
     estimate (-k_lo//n)//(2*Q*l) + 2 whose bound Q*(c*l)**2 +
@@ -252,22 +306,34 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
     stop = table.stop(k_lo, F, 1, hi)
     assert stop == _stop_by_scan(s, Q, k_lo, F, 1, hi)
     # the walk reads exactly the lines below stop, and on them it finds
-    # every value in [lo, hi], in scan order
-    ranges, spans, _, _, _ = table.walk(A, B, F, 1, lo, hi)
-    assert len(table.rows) == stop
-    got = [
-        (c, value)
-        for (c, _, count), r in zip(spans, ranges)
-        for value in (r if len(r) == count else [r[0]] * count)
-    ]
+    # every value in [lo, hi] at its point: in scan order once its lines
+    # are stably sorted by c, each line's values in t order
+    bounds, spans, step, total, _, _ = table.walk(A, B, F, 1, lo, hi)
+    assert step == A * lines.u + B * lines.v
+    mod = abs(step) or 1
+    got = []
+    for (c, t, count), (r, least, greatest) in sorted(
+        zip(spans, bounds), key=lambda line: line[0][0]
+    ):
+        assert r == least % mod and least <= greatest
+        start = least if step >= 0 else greatest
+        got += [(c, t + i, start + i * step) for i in range(count)]
+        assert got[-1][2] == (greatest if step >= 0 else least)
+    # the value is linear in t along a line, so bisect over the line's
+    # points finds where its values enter and leave [lo, hi]
     want = []
     for c in range(stop):
         x0, z, count = lines.line(c)
-        for t in range(count):
-            value = Q * (c * l) ** 2 + F + A * (x0 + t * lines.u) + B * (z + t * lines.v)
-            if lo <= value <= hi:
-                want.append((c, value))
-    assert got == want
+
+        def value(t: int) -> int:
+            return Q * (c * l) ** 2 + F + A * (x0 + t * lines.u) + B * (z + t * lines.v)
+
+        sign = 1 if count < 2 or value(1) >= value(0) else -1
+        ts = range(count)
+        first = bisect_left(ts, min(sign * lo, sign * hi), key=lambda t: sign * value(t))
+        end = bisect_right(ts, max(sign * lo, sign * hi), key=lambda t: sign * value(t))
+        want += [(c, t, value(t)) for t in range(first, end)]
+    assert got == want and total == len(want)
     # every value on the stop line and the 50 lines past it exceeds hi; the
     # value is linear in t along a line, so its minimum is at an end
     for c in range(stop, stop + 51):
@@ -308,37 +374,62 @@ def test_stop_is_the_walks_stop_line(nm, A, B, Q, F, unit, hi):
     A, B, F = A * unit, B * unit, F * unit
     k_lo = min(A, A * s.m + B * s.n)
     stop = table.stop(k_lo, F, unit, hi)
-    assert table.rows == []
     assert stop == _stop_by_scan(s, Q * unit, k_lo, F, unit, hi)
 
 
-def test_line_rows_by_recurrence():
-    # grown in pieces, so each restart of the z recurrence is checked too;
-    # a stop the rows already reach adds none
+def test_period_shift():
+    # line c + v has the same z, one more x0 and l more points than line
+    # c; a line with no point gains at most l
     for n in range(1, 41):
         for m in range(1, 41):
             if math.gcd(n, m) != 1:
                 continue
-            s = sector(n, m)
-            table = _LineTable(s, 3)
-            for stop in (1, 10, 141, 50, 501):
-                table.grow(stop)
-            l = s.lines.l
-            want = [(*s.lines.line(c), 3 * (c * l) ** 2) for c in range(501)]
-            assert table.rows == want, (n, m)
+            lines = sector(n, m).lines
+            l, v = lines.l, lines.v
+            for c in range(501):
+                x0, z, count = lines.line(c)
+                x1, z1, count1 = lines.line(c + v)
+                assert (x1, z1, max(count1 - l, 0)) == (x0 + 1, z, count), (n, m, c)
 
 
-def test_walk_grows_rows_to_its_stop_line():
-    # a walk on a fresh table builds exactly the rows of the lines it
-    # reads; a shallower walk on the same table builds none
-    for s, p in [(sector(8, 5), P_PLUS), (sector(12, 7), P127), (sector(36, 25), P3625)]:
-        for n_max in (0, 10, 1000, 10**5, 10**6):
-            table, A, B, F, D = _scaled(s, p)
-            stop = table.stop(min(A, A * s.m + B * s.n), F, D, n_max)
-            table.walk(A, B, F, D, 0, n_max)
-            assert len(table.rows) == stop, (str(s), n_max)
-            table.walk(A, B, F, D, 0, n_max // 2)
-            assert len(table.rows) == stop, (str(s), n_max)
+@given(
+    st.sampled_from(
+        [(n, m) for n in range(1, 61) for m in range(1, 61) if math.gcd(n, m) == 1]
+    ),
+    st.integers(-500, 500),
+    st.integers(-500, 500),
+    st.integers(1, 10),
+    st.integers(-300, 300),
+    st.integers(1, 12),
+    st.integers(0, 100),
+    st.integers(0, 300),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_classes_shift_exact_bases(nm, A, B, Q, F, unit, start, stop):
+    # each class's first line with a point is LineFamily.line's, and its
+    # whole bases shifted by delta and dd are every such line's base;
+    # a ValueError comes exactly when one of them is not whole
+    s = sector(*nm)
+    lines = s.lines
+    l, v = lines.l, lines.v
+    table = _LineTable(s, Q)
+    want = {}
+    for c in range(start, stop):
+        x0, z, count = lines.line(c)
+        if count:
+            want[c] = Fraction(Q * (c * l) ** 2 + A * x0 + B * z + F, unit), x0, z, count
+    if any(base.denominator != 1 for base, *_ in want.values()):
+        with pytest.raises(ValueError, match="not an integer"):
+            list(table.classes(A, B, F, unit, start, stop))
+        return
+    got = {}
+    for c, x0, z, count, base, delta, dd in table.classes(A, B, F, unit, start, stop):
+        assert (x0, z, count) == lines.line(c) and count
+        assert all(not lines.line(c0)[2] for c0 in range(c - v, start - 1, -v))
+        for c in range(c, stop, v):
+            got[c] = base, x0, z, count
+            x0, count, base, delta = x0 + 1, count + l, base + delta, delta + dd
+    assert got == want
 
 
 def _probe_rejects(n: int, lo: int, S: int) -> bool:
@@ -410,7 +501,8 @@ class TestPrefixCheck:
         # the range of a descending line whose last value is 0 has stop -1
         s, p = sector(12, 7), QuadPoly.from_string("6 -6 3/2 10 -13/2 2")
         table, A, B, F, D = _scaled(s, p)
-        assert range(18, -1, -3) in table.walk(A, B, F, D, 0, 20)[0]
+        bounds, _, step, *_ = table.walk(A, B, F, D, 0, 20)
+        assert step == -3 and (0, 0, 18) in bounds
         report = prefix_check(s, p, 20)
         assert report.ok and report.points == 21
         assert report == prefix_report_reference(s, p, 20)
@@ -495,7 +587,7 @@ class TestPrefixCheck:
             assert report == prefix_report_reference(s, p, 0)
 
     def test_memory_not_sized_by_depth(self):
-        # the verdicts read the walk's per-line ranges: at N = 10**7 the
+        # the verdicts read the walk's per-line bounds: at N = 10**7 the
         # peak stays far below one byte per value (10 MB)
         s, n_max, origin = sector(8, 5), 10**7, LatticePoint(0, 0)
         cases = [
@@ -723,8 +815,8 @@ def _count_upto(s: Sector, d2: int, e2: int, hi: int) -> int:
     """How many sector points have filter value P0/2n <= hi, read off two
     walks: the first finds the least value, the second counts from it."""
     table = _LineTable(s, 1)
-    vmin = table.walk(s.n * d2, e2, 0, 2 * s.n, 0, hi)[3]
-    return table.walk(s.n * d2, e2, 0, 2 * s.n, vmin, hi)[2]
+    vmin = table.walk(s.n * d2, e2, 0, 2 * s.n, 0, hi)[4]
+    return table.walk(s.n * d2, e2, 0, 2 * s.n, vmin, hi)[3]
 
 
 class TestScreenThenCertify:
@@ -837,22 +929,18 @@ class TestScreenThenCertify:
         screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
         d_ref, e_ref = screen.ref
         d2, e2 = d_ref + 2 * i, e_ref + 2 * n * j
-        ranges, spans, *_ = screen.table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
-        step = screen.step_ref + i * u + j * v
-        assert step == (n * d2 * u + e2 * v) // (2 * n)
+        bounds, spans, step, *_ = screen.table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
+        assert step == screen.step_ref + i * u + j * v
         if spans:
-            screen._read_to(spans[-1][0] + 1)
+            screen._read_to(max(c for c, _, _ in spans) + 1)
         # on the lattice no line is empty
         assert all(count for *_, count in screen.bases)
-        for values, (c, t, _) in zip(ranges, spans):
+        for (c, t, _), (_, least, greatest) in zip(spans, bounds):
             K, x0, z, count = screen.bases[c]
-            assert (x0, z, count) == screen.table.rows[c][:3]
+            assert (x0, z, count) == s.lines.line(c)
             base = K + i * x0 + j * z
-            if step:
-                assert values == range(values.start, values.stop, step)
-                assert values.start == base + t * step
-            else:
-                assert values == range(base, base + 1)
+            assert (greatest if step < 0 else least) == base + t * step
+            assert step or least == greatest
 
     @pytest.mark.parametrize(
         "nm,row",
