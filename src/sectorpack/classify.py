@@ -160,25 +160,17 @@ def _classify_integral(s: Sector) -> list[Entry]:
     if s.n in _INTEGRAL_EXTRAS:
         m_special, k = _INTEGRAL_EXTRAS[s.n]
         special = sector(s.n, m_special)
-        asc_poly, _ = construct(special, k, Direction.ASCENDING)
+        asc_poly, asc_form = construct(special, k, Direction.ASCENDING)
         _, shear = w_reduce(special)            # shear : I(special) -> I(s)
         back = shear.inverse()                  # back  : I(s) -> I(special)
-        asc_here = asc_poly.compose(back)
-        entries.append(
-            Entry(asc_here, kstair_extract(s, asc_here), Provenance.TRANSPORTED, back)
-        )
+        asc_here = asc_poly.compose(back)       # a shear keeps the stair form
+        entries.append(Entry(asc_here, asc_form, Provenance.TRANSPORTED, back))
         # The descending partner comes from the sector's order-2 automorphism
         # (x, y) -> (x, n*x - y), so its transport chain stays on S(n).
         flip = LatticeMap(1, 0, s.n, -1, source=s, target=s)
         desc_here = asc_here.compose(flip)
-        entries.append(
-            Entry(
-                desc_here,
-                kstair_extract(s, desc_here),
-                Provenance.TRANSPORTED,
-                back.compose(flip),
-            )
-        )
+        entries.append(Entry(desc_here, kstair_extract(s, desc_here), Provenance.TRANSPORTED,
+                             back.compose(flip)))
     return entries
 
 
@@ -205,18 +197,16 @@ def classify(n: int, m: int) -> Classification:
     else:
         target, shear = w_reduce(s)
         if isinstance(target, Quadrant):
-            cf, cg = cantor_polys()
+            cf, cg = (poly.compose(shear) for poly in cantor_polys())
             entries = [
-                Entry(cf.compose(shear), kstair_extract(s, cf.compose(shear)), Provenance.CANTOR_F, shear),
-                Entry(cg.compose(shear), kstair_extract(s, cg.compose(shear)), Provenance.CANTOR_G, shear),
+                Entry(cf, kstair_extract(s, cf), Provenance.CANTOR_F, shear),
+                Entry(cg, kstair_extract(s, cg), Provenance.CANTOR_G, shear),
             ]
         else:
-            base = classify(target.n, target.m)
-            entries = []
-            for entry in base.entries:
-                poly = entry.poly.compose(shear)
-                chain = entry.transport.compose(shear) if entry.transport else shear
-                entries.append(
-                    Entry(poly, kstair_extract(s, poly), entry.provenance, chain)
-                )
+            # a shear keeps l, v, u mod v and the stair step, so each entry keeps its form
+            entries = [
+                Entry(entry.poly.compose(shear), entry.form, entry.provenance,
+                      entry.transport.compose(shear) if entry.transport else shear)
+                for entry in classify(target.n, target.m).entries
+            ]
     return Classification(sector=s, entries=_dedup(entries))

@@ -13,8 +13,9 @@ index plus a v-entry table, and decode inverts it in closed form with one
 isqrt: O(1) big-integer operations and no state that grows with the value.
 stream builds each class's values a staircase at a time, as one run of
 points start + t*step, and interleaves the k class lists.  Both directions
-run the same code; they differ only in the start stairs, steps and period
-shift that make_scheme tabulates.
+run the same code; they differ only in the start stairs, read by
+polynomials._start_stairs, the steps, and the period shift, which
+make_scheme takes from the start stairs of staircases 0 and k*v.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from math import isqrt
-from typing import Callable
 
-from .errors import PointOutsideSector
-from .polynomials import Direction, KStairForm, QuadPoly, kstair_extract
+from .errors import NotConsecutive, PointOutsideSector
+from .polynomials import Direction, KStairForm, QuadPoly, _start_stairs, _start_values, kstair_extract
 from .sectors import LatticePoint, Sector
 from .verify import prefix_check
 
@@ -158,7 +158,7 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
     """Wrap a packing polynomial as a pairing scheme.
 
     Runs prefix_check to depth max(verify_to, 500) first and refuses
-    polynomials that fail it.
+    polynomials that fail it or whose k start stairs miss 0..k-1.
     """
     verify_to = max(verify_to, MIN_VERIFY_N)
     report = prefix_check(s, p, verify_to)
@@ -166,37 +166,34 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
         raise ValueError(f"not a packing polynomial on S({s}): {report.describe()}")
     form = kstair_extract(s, p)
     k, lines = form.k, s.lines
-    if form.direction is Direction.ASCENDING:
-        # a period (k*v staircases, v*l = n) later: the same z, k more x
-        start, step, period = s.first_stair, (lines.u, lines.v), (k, 0)
-    else:
-        # the first stair's period shift plus k*l more steps (u, v)
-        start, step, period = s.last_stair, (-lines.u, -lines.v), (k * s.m, k * s.n)
-    values = tuple(p.eval_int(start(c)) for c in range(k))
-    if sorted(values) != list(range(k)):
-        raise ValueError(f"start-stair values {values} are not a permutation of 0..{k - 1}")
+    try:
+        starts = _start_values(s, p.d, p.e, p.f, k)
+    except NotConsecutive as exc:
+        raise ValueError(f"not a packing polynomial on S({s}): {exc}") from exc
+    if min(starts) != 0:
+        raise ValueError(f"start-stair values {min(starts)}..{max(starts)} are not 0..{k - 1}")
+    A, B, F = (int(2 * s.n * coeff) for coeff in (p.d, p.e, p.f))
+    # one period (k*v staircases) on, every start stair moves as staircase 0's
+    (x0, y0, *_), (x1, y1, *_) = _start_stairs(s, A, B, F, 2 * s.n, (0, k * lines.v))
+    step = (lines.u, lines.v) if form.direction is Direction.ASCENDING else (-lines.u, -lines.v)
     grow = k * lines.l
     return PairingScheme(
         sector=s,
         poly=p,
         form=form,
         verified_n=verify_to,
-        _scaled=(s.n, s.m, s.m - 1, 2 * s.n,
-                 int(2 * s.n * p.d), int(2 * s.n * p.e), int(2 * s.n * p.f)),
+        _scaled=(s.n, s.m, s.m - 1, 2 * s.n, A, B, F),
         # residue i of the values belongs to the class whose start stair is i
-        _classes=tuple(_class_table(s, start, k, values.index(i)) for i in range(k)),
-        _steps=(k, lines.v, grow, lines.v * grow, *step, *period),
+        _classes=tuple(_class_table(s, A, B, F, k, starts[i]) for i in range(k)),
+        _steps=(k, lines.v, grow, lines.v * grow, *step, x1 - x0, y1 - y0),
     )
 
 
-def _class_table(
-    s: Sector, start: Callable[[int], LatticePoint], k: int, c0: int
-) -> tuple[tuple[int, ...], ...]:
+def _class_table(s: Sector, A: int, B: int, F: int, k: int, c0: int) -> tuple[tuple[int, ...], ...]:
     """(pref, xs, zs) of staircases c0 + k*j over one period j < v."""
     pref, xs, zs = [0], [], []
-    for c in range(c0, c0 + k * s.lines.v, k):
-        pref.append(pref[-1] + s.stair_count(c))
-        x, z = start(c)
+    for x, z, count, _, _ in _start_stairs(s, A, B, F, 2 * s.n, range(c0, c0 + k * s.lines.v, k)):
+        pref.append(pref[-1] + count)
         xs.append(x)
         zs.append(z)
     return tuple(pref), tuple(xs), tuple(zs)

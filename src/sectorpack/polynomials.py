@@ -6,8 +6,9 @@ S(n); its values are then constant along each staircase line up to a
 linear term, which is what makes both classification and enumeration
 tractable.  This module holds the representation, the stair-form
 bookkeeping, and the constructive side: the unique linear coefficients a
-k-stair packing polynomial can have, and the offset that makes the first k
-staircases carry the values 0..k-1.
+k-stair packing polynomial can have, and the offset that makes the start
+stairs of the first k staircases carry 0..k-1.  _start_stairs reads every
+start stair, its stair count and its value in integers, for the codec too.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Iterable, Iterator
 
 from .errors import (
     CongruenceViolation,
@@ -114,9 +116,6 @@ class QuadPoly:
             e=Fraction(d * a12 + e * a22, den),
             f=self.f,
         )
-
-    def with_offset(self, f: int | Fraction) -> "QuadPoly":
-        return QuadPoly(self.a, self.b, self.c2, self.d, self.e, Fraction(f))
 
     def to_string(self) -> str:
         return " ".join(str(c) for c in self.coefficients())
@@ -262,10 +261,53 @@ def _stair_pair(s: Sector, k: int, direction: Direction) -> tuple[int, int]:
     return 2 - kl, 2 * (1 - s.m) + kl * (s.m + 1)
 
 
+def _start_stairs(s: Sector, A: int, B: int, F: int, unit: int, cs: Iterable[int]) -> Iterator:
+    """(x, y, count, w, rem) of each staircase c in cs, in integers, for
+    the forced homogeneous part, (c*l)**2/(2n) on staircase c, plus
+    (A*x + B*y + F)/unit, unit a multiple of 2n.  (x, y) is the start
+    stair, where the staircase's values are least: the first stair, or the
+    last (ValueError if none) when the stair step A*u + B*v is negative.
+    count is the stair count, and the value there is w + rem/unit."""
+    lines, Q = s.lines, unit // (2 * s.n)
+    u, v, l = lines.u, lines.v, lines.l
+    last = A * u + B * v < 0
+    for c in cs:
+        x, y, count = lines.line(c)
+        if last:
+            if not count:
+                raise ValueError(f"staircase {c} has no point in S({s})")
+            x, y = x + (count - 1) * u, y + (count - 1) * v
+        w, rem = divmod(Q * (c * l) ** 2 + A * x + B * y + F, unit)
+        yield x, y, count, w, rem
+
+
+def _start_values(s: Sector, d: Fraction, e: Fraction, f: Fraction, k: int) -> dict[int, int]:
+    """determine_offset's check on the linear part d*x + e*y + f: the
+    start-stair values of staircases 0..k-1, as {value: staircase}."""
+    unit = 2 * s.n * lcm(d.denominator, e.denominator, f.denominator)
+    A, B, F = (coeff.numerator * (unit // coeff.denominator) for coeff in (d, e, f))
+    seen: dict[int, int] = {}
+    low = high = 0
+    for c, (*_, w, rem) in enumerate(_start_stairs(s, A, B, F, unit, range(k))):
+        if rem:
+            value = Fraction(w * unit + rem, unit)
+            raise NotConsecutive(f"start-stair value {value} of staircase {c} is not an integer")
+        if w in seen:
+            raise NotConsecutive(f"staircase {c} repeats start-stair value {w}")
+        seen[w] = c
+        low, high = (w, w) if c == 0 else (min(low, w), max(high, w))
+        if high - low > k - 1:
+            raise NotConsecutive(
+                f"start-stair value {w} of staircase {c} spreads the values over "
+                f"{low}..{high}, more than {k} consecutive integers"
+            )
+    return seen
+
+
 def determine_offset(s: Sector, p0: QuadPoly, k: int) -> int:
     """Offset f completing a stair form into a packing polynomial.
 
-    Evaluates p0 (which must carry f = 0) at the start stairs of
+    Evaluates p0 (forced homogeneous part, f = 0) at the start stairs of
     staircases 0..k-1, where each staircase takes its least value: the
     first stair when p0's stair step d*u + e*v is positive, the last when
     it is negative.  Those k values must be distinct consecutive integers;
@@ -274,25 +316,9 @@ def determine_offset(s: Sector, p0: QuadPoly, k: int) -> int:
     integer, repeats one before it or spreads them over more than k
     integers ends the search.
     """
-    lines = s.lines
-    start = s.last_stair if p0.d * lines.u + p0.e * lines.v < 0 else s.first_stair
-    seen: set[int] = set()
-    low = high = 0
-    for c in range(k):
-        w = p0.eval(start(c))
-        if w.denominator != 1:
-            raise NotConsecutive(f"start-stair value {w} of staircase {c} is not an integer")
-        w = w.numerator
-        if w in seen:
-            raise NotConsecutive(f"staircase {c} repeats start-stair value {w}")
-        seen.add(w)
-        low, high = (w, w) if c == 0 else (min(low, w), max(high, w))
-        if high - low > k - 1:
-            raise NotConsecutive(
-                f"start-stair value {w} of staircase {c} spreads the values over "
-                f"{low}..{high}, more than {k} consecutive integers"
-            )
-    return -low
+    if (p0.a, p0.b, p0.c2) != stanton_quadratic(s):
+        raise ValueError("polynomial does not have the forced homogeneous part")
+    return -min(_start_values(s, p0.d, p0.e, p0.f, k), default=0)
 
 
 def construct(s: Sector, k: int, direction: Direction) -> tuple[QuadPoly, KStairForm]:
@@ -302,9 +328,8 @@ def construct(s: Sector, k: int, direction: Direction) -> tuple[QuadPoly, KStair
     offset from the start stairs of the first k staircases.
     """
     d, e = necessary_coefficients(s, k, direction)
-    p0 = QuadPoly(*stanton_quadratic(s), d, e, Fraction(0))
-    f = determine_offset(s, p0, k)
-    poly = p0.with_offset(f)
+    f = -min(_start_values(s, d, e, Fraction(0), k))
+    poly = QuadPoly(*stanton_quadratic(s), d, e, f)
     if not poly.is_integer_valued():
         # The consecutive-value test passed by accident of the probe points;
         # a non-integral polynomial still cannot pack.

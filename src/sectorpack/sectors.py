@@ -93,18 +93,6 @@ class Sector:
         x0, z, _ = self.lines.line(c)
         return LatticePoint(x0, z)
 
-    def last_stair(self, c: int) -> LatticePoint:
-        """The point with the greatest y on staircase c inside the sector.
-
-        A descending stair polynomial takes its least value on staircase c
-        here, as an ascending one does at the first stair.
-        """
-        lines = self.lines
-        x0, z, count = lines.line(c)
-        if count == 0:
-            raise ValueError(f"staircase {c} has no point in S({self})")
-        return LatticePoint(x0 + (count - 1) * lines.u, z + (count - 1) * lines.v)
-
     def stair_count(self, c: int) -> int:
         """Number of lattice points on staircase c inside the sector.
 

@@ -18,6 +18,7 @@ from sectorpack import (
     KStairForm,
     LatticeMap,
     LatticePoint,
+    NotConsecutive,
     PrefixReport,
     PrefixStatus,
     QuadPoly,
@@ -70,6 +71,43 @@ def stairs_scan(s: Sector, c: int, x_max: int) -> list[LatticePoint]:
         for p in sector_points(s, x_max)
         if (s.m - 1) * p.y == s.n * p.x - c * s.l
     ]
+
+
+def start_value_scan(s: Sector, p: QuadPoly, c: int) -> Fraction:
+    """p at the start stair of staircase c, found by scan: of the sector's
+    points on the staircase, the one with the least y, or the greatest when
+    p's stair step d*(m-1) + e*n is negative.  An empty staircase starts at
+    its first point with y >= 0 when the step is not negative, and has no
+    start (ValueError) when it is.  Every sector point on staircase c has
+    n*x <= m*c*l, which bounds the scan."""
+    stairs = stairs_scan(s, c, s.m * c * s.l // s.n)
+    if p.d * (s.m - 1) + p.e * s.n < 0:
+        if not stairs:
+            raise ValueError(f"staircase {c} has no point in S({s})")
+        return p.eval(max(stairs, key=lambda q: q.y))
+    return p.eval(min(stairs, key=lambda q: q.y) if stairs else first_stair_scan(s, c))
+
+
+def offset_reference(s: Sector, p0: QuadPoly, k: int) -> int:
+    """determine_offset with Fraction values from start_value_scan: each of
+    staircases 0..k-1 in turn must start at an integer that repeats no
+    earlier one and keeps them within k consecutive integers, or it raises
+    determine_offset's NotConsecutive message."""
+    values: list[Fraction] = []
+    for c in range(k):
+        w = start_value_scan(s, p0, c)
+        if w.denominator != 1:
+            raise NotConsecutive(f"start-stair value {w} of staircase {c} is not an integer")
+        if w in values:
+            raise NotConsecutive(f"staircase {c} repeats start-stair value {w}")
+        values.append(w)
+        low, high = min(values), max(values)
+        if high - low > k - 1:
+            raise NotConsecutive(
+                f"start-stair value {w} of staircase {c} spreads the values over "
+                f"{low}..{high}, more than {k} consecutive integers"
+            )
+    return -min(values, default=0)
 
 
 def values_by_rectangle(s: Sector, p: QuadPoly, x_max: int) -> dict[LatticePoint, Fraction]:

@@ -243,7 +243,9 @@ class TestClassify:
         assert all(e["transport"] is not None for e in reduced["entries"])
 
     def test_forms_match_extraction(self):
-        for n, m in coprime_pairs(15):
+        # every form classify carries, through shears too, is the one read
+        # off its polynomial, q included
+        for n, m in coprime_pairs(60):
             s = sector(n, m)
             for entry in classify(n, m).entries:
                 assert kstair_extract(s, entry.poly) == entry.form, (n, m)

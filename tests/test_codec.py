@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 import pickle
 import random
@@ -14,11 +15,15 @@ from sectorpack import (
     Direction,
     LatticePoint,
     PointOutsideSector,
+    PrefixReport,
+    PrefixStatus,
     QuadPoly,
     classify,
     enumerate_upto,
     make_scheme,
+    necessary_coefficients,
     sector,
+    stanton_quadratic,
 )
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
@@ -71,7 +76,21 @@ class TestConstruction:
 
     def test_rejects_non_packing(self):
         with pytest.raises(ValueError):
-            make_scheme(sector(8, 5), P_PLUS.with_offset(3), 500)
+            make_scheme(sector(8, 5), dataclasses.replace(P_PLUS, f=3), 500)
+
+    def test_rejects_start_values_off_zero(self, monkeypatch):
+        # past the prefix check, the start stairs of staircases 0..k-1 must
+        # carry 0..k-1; a stub prefix check lets through polynomials whose
+        # start values begin at 3, or repeat (k = 3 on S(8/5))
+        codec = importlib.import_module("sectorpack.codec")
+        ok = PrefixReport(PrefixStatus.OK, checked_upto=500, points=501)
+        monkeypatch.setattr(codec, "prefix_check", lambda s, p, n: ok)
+        s = sector(8, 5)
+        with pytest.raises(ValueError, match=r"^start-stair values 3\.\.3 are not 0\.\.0$"):
+            make_scheme(s, dataclasses.replace(P_PLUS, f=3), 500)
+        d, e = necessary_coefficients(s, 3, Direction.ASCENDING)
+        with pytest.raises(ValueError, match="staircase 1 repeats start-stair value 0"):
+            make_scheme(s, QuadPoly(*stanton_quadratic(s), d, e, 0), 500)
 
     def test_integral_sector_round_trip(self):
         # every S(4) entry: k = 1 and the k = 2 extras, both directions

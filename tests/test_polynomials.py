@@ -33,11 +33,13 @@ from sectorpack import (
     stanton_quadratic,
     t_dual,
 )
-from helpers import compose_reference, construct_via_dual, eval_raw
+from sectorpack.polynomials import _stair_pair, _start_stairs
+from helpers import compose_reference, construct_via_dual, eval_raw, offset_reference, stairs_scan
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P_MINUS = QuadPoly.from_string("4 -4 1 3 -2 0")
 P127 = QuadPoly.from_string("6 -6 3/2 -8 11/2 2")
+COPRIME_40 = [(n, m) for n in range(1, 41) for m in range(1, 41) if gcd(n, m) == 1]
 
 
 class TestEval:
@@ -228,6 +230,55 @@ class TestDetermineOffset:
             determine_offset(s, p0, k)
         assert len(str(info.value)) < 200
 
+    def test_descending_empty_staircase(self):
+        # 7 does not divide 4, so staircase 1 of S(7/3) misses the sector: a
+        # negative stair step gives it no last stair to start from
+        s = sector(7, 3)
+        assert s.stair_count(1) == 0
+        with pytest.raises(ValueError, match=r"^staircase 1 has no point in S\(7/3\)$"):
+            determine_offset(s, QuadPoly(*stanton_quadratic(s), 1, -1, 0), 3)
+
+    def test_requires_forced_part(self):
+        with pytest.raises(ValueError, match="forced homogeneous part"):
+            determine_offset(sector(8, 5), QuadPoly(1, 0, 0, -1, 1, 0), 1)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_scan_reference(self, data):
+        # forced-part p0 near the stair pair of a k' <= 12 in either
+        # direction, moved by a small rational (off the lattice too): the
+        # outcome, an offset or an error and its message, is the scan's;
+        # k = 0 reads no staircase and gives offset 0
+        n, m = data.draw(st.sampled_from(COPRIME_40))
+        s = sector(n, m)
+        k = data.draw(st.integers(0, 12))
+        near = data.draw(st.one_of(st.just(k), st.integers(1, 12)))
+        d2, e2 = _stair_pair(s, near, data.draw(st.sampled_from(Direction)))
+        moves = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=2 * n))
+        d = Fraction(d2, 2) + data.draw(moves)
+        e = Fraction(e2, 2 * n) + data.draw(moves)
+        p0 = QuadPoly(*stanton_quadratic(s), d, e, 0)
+        assert _result(determine_offset, s, p0, k) == _result(offset_reference, s, p0, k)
+
+
+class TestStartStairs:
+    def test_start_stairs_match_line_scan(self):
+        # the first stair for a positive stair step A*u + B*v, the last for a
+        # negative one; S(4/9) and S(1/7) have slope < 1, S(3) is integral
+        assert next(_start_stairs(sector(8, 5), -1, -2, 0, 16, [2]))[:3] == (5, 8, 5)
+        cs = range(0, 41, 3)
+        for n, m in [(8, 5), (12, 7), (36, 25), (4, 9), (1, 7), (3, 1)]:
+            s = sector(n, m)
+            u, v = s.lines.u, s.lines.v
+            for sign, pick in ((1, min), (-1, max)):
+                A, B = sign * u, sign * v
+                for c, (x, y, count, w, rem) in zip(cs, _start_stairs(s, A, B, 0, 2 * n, cs)):
+                    scanned = stairs_scan(s, c, m * c * s.l // n)
+                    assert count == len(scanned), (n, m, c)
+                    assert (x, y) == pick(scanned, key=lambda q: q.y), (n, m, c, sign)
+                    value = Fraction((n * x - (m - 1) * y) ** 2 + A * x + B * y, 2 * n)
+                    assert (w, Fraction(rem, 2 * n)) == (value // 1, value % 1)
+
 
 class TestConstruct:
     def test_fig1_pair(self):
@@ -340,6 +391,14 @@ class TestConstruct:
                 here = {p.eval_int(q) % k for q in s.stairs(c)}
                 there = {p.eval_int(q) % k for q in s.stairs(c + k)}
                 assert len(here) == 1 and here == there
+
+
+def _result(build, *args):
+    """build(*args), or the type and message of the error it raises."""
+    try:
+        return build(*args)
+    except (SectorPackError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def _outcome(build, *args):

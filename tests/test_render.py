@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,7 @@ class TestTextRender:
         assert rows[y_max - 0][0] == "0"
 
     def test_single_cell(self):
-        out = render(RenderSpec(sector(8, 5), P_PLUS.with_offset(7), max_x=0))
+        out = render(RenderSpec(sector(8, 5), replace(P_PLUS, f=7), max_x=0))
         assert out.strip() == "7"
 
     def test_fig3_cells(self):

@@ -126,24 +126,6 @@ class TestStaircases:
             for c in range(0, 201, 7):
                 assert s.first_stair(c) == first_stair_scan(s, c), (n, m, c)
 
-    def test_last_stair_matches_line_scan(self):
-        # the stair with the greatest y, where a descending polynomial's
-        # staircase starts; S(4/9) and S(1/7) have slope < 1, S(3) is integral
-        assert sector(8, 5).last_stair(2) == LatticePoint(5, 8)
-        for n, m in [(8, 5), (12, 7), (36, 25), (4, 9), (1, 7), (3, 1)]:
-            s = sector(n, m)
-            for c in range(0, 41, 3):
-                last = s.last_stair(c)
-                # the scan reaches the next point on the line, had it been inside
-                scanned = stairs_scan(s, c, last.x + s.lines.u)
-                assert last == max(scanned, key=lambda p: p.y), (n, m, c)
-
-    def test_last_stair_of_empty_line(self):
-        s = sector(7, 3)  # 7 does not divide 4, so some lines miss the sector
-        assert s.stair_count(1) == 0
-        with pytest.raises(ValueError):
-            s.last_stair(1)
-
     def test_stair_count_examples(self):
         assert sector(8, 5).stair_count(2) == 5
         assert sector(36, 25).stair_count(2) == 8

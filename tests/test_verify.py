@@ -463,7 +463,7 @@ class TestPrefixCheck:
         assert report.ok and report.points == 23
 
     def test_missing_value(self):
-        report = prefix_check(sector(8, 5), P_PLUS.with_offset(1), 22)
+        report = prefix_check(sector(8, 5), replace(P_PLUS, f=1), 22)
         assert report.status is PrefixStatus.MISSING_VALUE and report.value == 0
 
     def test_duplicate(self):
@@ -474,7 +474,7 @@ class TestPrefixCheck:
         assert {tuple(report.point), tuple(report.point2)} == {(0, 0), (2, 2)}
 
     def test_negative_value(self):
-        report = prefix_check(sector(8, 5), P_PLUS.with_offset(-1), 22)
+        report = prefix_check(sector(8, 5), replace(P_PLUS, f=-1), 22)
         assert report.status is PrefixStatus.NEGATIVE_VALUE
         assert report.value == -1 and tuple(report.point) == (0, 0)
 
@@ -491,7 +491,7 @@ class TestPrefixCheck:
 
     def test_describe_lines(self):
         assert "ok" in prefix_check(sector(8, 5), P_PLUS, 5).describe()
-        assert "missing" in prefix_check(sector(8, 5), P_PLUS.with_offset(2), 5).describe()
+        assert "missing" in prefix_check(sector(8, 5), replace(P_PLUS, f=2), 5).describe()
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -573,8 +573,8 @@ class TestPrefixCheck:
         s = sector(8, 5)
         cases = [
             (P_PLUS, "ok: values 0..0 each attained exactly once (1 points)", 1),
-            (P_PLUS.with_offset(1), "missing value 0 (checked up to 0)", 0),
-            (P_PLUS.with_offset(-1), "negative value -1 at (0, 0)", 1),
+            (replace(P_PLUS, f=1), "missing value 0 (checked up to 0)", 0),
+            (replace(P_PLUS, f=-1), "negative value -1 at (0, 0)", 1),
             (
                 QuadPoly.from_string("4 -4 1 -1 -1 0"),
                 "value 0 attained at both (0, 0) and (2, 2)",
