@@ -75,7 +75,6 @@ _EXPORTS = {
         "PrefixStatus",
         "SearchParams",
         "enumerate_upto",
-        "kstair_property_check",
         "prefix_check",
         "rectangle_points",
         "search",

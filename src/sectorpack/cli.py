@@ -118,9 +118,9 @@ def cmd_construct(args) -> int:
 _BYTES_PER_LINE = 350
 
 
-def _check_depth(s, poly, n_max: int, option: str) -> None:
-    """Refuse a depth, given as ``option``, whose walk would hold more than
-    physical memory."""
+def _check_depth(s, poly, n_max: int) -> None:
+    """Refuse a --prefix depth whose walk would hold more than physical
+    memory."""
     from .verify import _walk_lines
 
     try:
@@ -130,7 +130,7 @@ def _check_depth(s, poly, n_max: int, option: str) -> None:
     lines = _walk_lines(s, poly, n_max)
     if lines * _BYTES_PER_LINE > memory:
         raise UsageError(
-            f"{option} {n_max} would walk {lines} lines, about "
+            f"--prefix {n_max} would walk {lines} lines, about "
             f"{lines * _BYTES_PER_LINE / 1e9:.3g} GB; this machine has {memory / 1e9:.3g} GB"
         )
 
@@ -142,7 +142,7 @@ def cmd_verify(args) -> int:
     poly = _poly_arg(args.poly)
     try:
         if poly.is_integer_valued():
-            _check_depth(s, poly, args.prefix, "--prefix")
+            _check_depth(s, poly, args.prefix)
         report = prefix_check(s, poly, args.prefix)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -154,17 +154,12 @@ def cmd_verify(args) -> int:
 
 
 def _scheme_from_args(args):
-    from .codec import MIN_VERIFY_N, make_scheme
+    from .codec import make_scheme
 
     s = _sector_arg(args.sector)
     poly = _poly_arg(args.poly)
-    verify_n = MIN_VERIFY_N if args.verify_n is None else args.verify_n
-    if verify_n < 0:
-        raise UsageError("--verify-n must be nonnegative")
     try:
-        if poly.is_integer_valued():
-            _check_depth(s, poly, max(verify_n, MIN_VERIFY_N), "--verify-n")
-        return make_scheme(s, poly, verify_n)
+        return make_scheme(s, poly)
     except (ValueError, SectorPackError) as exc:
         print(f"cannot build scheme: {exc}", file=sys.stderr)
         return None
@@ -234,16 +229,20 @@ def cmd_sweep(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_reduce(args) -> int:
-    from .sectors import w_reduce
-
-    s = _sector_arg(args.sector)
-    target, mapping = w_reduce(s)
+def _print_map(args, s, target, mapping) -> int:
+    """The reduce and dual output: the target sector and the lattice map."""
     if args.json:
         print(json.dumps({"target": str(target), "map": mapping.to_json_dict()}))
     else:
         print(f"S({s}) -> S({target}) via {json.dumps(mapping.to_json_dict())}")
     return 0
+
+
+def cmd_reduce(args) -> int:
+    from .sectors import w_reduce
+
+    s = _sector_arg(args.sector)
+    return _print_map(args, s, *w_reduce(s))
 
 
 def cmd_dual(args) -> int:
@@ -255,11 +254,7 @@ def cmd_dual(args) -> int:
     except SectorPackError as exc:
         print(f"no dual: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps({"target": str(target), "map": mapping.to_json_dict()}))
-    else:
-        print(f"S({s}) -> S({target}) via {json.dumps(mapping.to_json_dict())}")
-    return 0
+    return _print_map(args, s, target, mapping)
 
 
 def cmd_render(args) -> int:
@@ -318,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} through a pairing scheme")
         p.add_argument("sector")
         p.add_argument("--poly", required=True)
-        # left out: codec.MIN_VERIFY_N, read when the command runs
-        p.add_argument("--verify-n", type=int, dest="verify_n")
         if name == "encode":
             p.add_argument("--point", required=True, help="x,y")
         else:
@@ -365,10 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SectorPackError as exc:
+    except (UsageError, SectorPackError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

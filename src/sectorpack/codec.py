@@ -29,7 +29,7 @@ from .polynomials import Direction, KStairForm, QuadPoly, _start_stairs, _start_
 from .sectors import LatticePoint, Sector
 from .verify import prefix_check
 
-MIN_VERIFY_N = 500
+VERIFY_N = 500
 
 # _point((x, y)) builds exactly what LatticePoint(x, y) builds, without the
 # NamedTuple's Python-level __new__
@@ -41,7 +41,7 @@ class PairingScheme:
     """An encode/decode pair backed by a prefix-verified packing polynomial.
 
     ``verified_n`` records the depth of the prefix check performed at
-    construction — the verification horizon, not a proof.
+    construction, VERIFY_N — the verification horizon, not a proof.
 
     Schemes are immutable: make_scheme builds every table decode reads, one
     period of v stair counts per residue class, so encode, decode and
@@ -154,14 +154,13 @@ class PairingScheme:
         }
 
 
-def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> PairingScheme:
+def make_scheme(s: Sector, p: QuadPoly) -> PairingScheme:
     """Wrap a packing polynomial as a pairing scheme.
 
-    Runs prefix_check to depth max(verify_to, 500) first and refuses
-    polynomials that fail it or whose k start stairs miss 0..k-1.
+    Runs prefix_check to depth VERIFY_N first and refuses polynomials that
+    fail it or whose k start stairs miss 0..k-1.
     """
-    verify_to = max(verify_to, MIN_VERIFY_N)
-    report = prefix_check(s, p, verify_to)
+    report = prefix_check(s, p, VERIFY_N)
     if not report.ok:
         raise ValueError(f"not a packing polynomial on S({s}): {report.describe()}")
     form = kstair_extract(s, p)
@@ -181,7 +180,7 @@ def make_scheme(s: Sector, p: QuadPoly, verify_to: int = MIN_VERIFY_N) -> Pairin
         sector=s,
         poly=p,
         form=form,
-        verified_n=verify_to,
+        verified_n=VERIFY_N,
         _scaled=(s.n, s.m, s.m - 1, 2 * s.n, A, B, F),
         # residue i of the values belongs to the class whose start stair is i
         _classes=tuple(_class_table(s, A, B, F, k, starts[i]) for i in range(k)),

@@ -100,12 +100,6 @@ class Sector:
         """
         return self.lines.line(c)[2]
 
-    def stairs(self, c: int) -> list[LatticePoint]:
-        """All stairs on staircase c inside the sector, by ascending x."""
-        lines = self.lines
-        x0, z, count = lines.line(c)
-        return [LatticePoint(x0 + t * lines.u, z + t * lines.v) for t in range(count)]
-
 
 class LineFamily:
     """The lines (m-1)*y = n*x - c*l of a sector, c = 0, 1, 2, ...

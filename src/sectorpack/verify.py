@@ -61,7 +61,6 @@ __all__ = [
     "SearchParams",
     "enumerate_upto",
     "prefix_check",
-    "kstair_property_check",
     "rectangle_points",
     "search",
 ]
@@ -495,25 +494,6 @@ def _prefix_verdict(
             PrefixStatus.MISSING_VALUE, checked_upto=n_max, points=total, value=gap
         )
     return PrefixReport(PrefixStatus.OK, checked_upto=n_max, points=total)
-
-
-def kstair_property_check(s: Sector, p: QuadPoly, c_max: int) -> bool:
-    """Directly verify that consecutive stairs differ by one constant +-k.
-
-    Evaluates p at every pair of consecutive stairs on staircases
-    0..c_max; true iff all differences agree and are a nonzero integer.
-    """
-    diffs = set()
-    for c in range(c_max + 1):
-        stairs = s.stairs(c)
-        for first, second in zip(stairs, stairs[1:]):
-            diffs.add(p.eval(second) - p.eval(first))
-            if len(diffs) > 1:
-                return False
-    if not diffs:
-        return True
-    diff = diffs.pop()
-    return diff != 0 and diff.denominator == 1
 
 
 def rectangle_points(s: Sector, x_max: int) -> list[LatticePoint]:

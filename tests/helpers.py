@@ -46,11 +46,15 @@ def run_fresh(code: str) -> str:
 
 def first_stair_scan(s: Sector, c: int) -> LatticePoint:
     """Scan x = 0, 1, 2, ... for the first lattice point with y >= 0 on the
-    staircase-c line (m-1)*y = n*x - c*l."""
+    staircase-c line (m-1)*y = n*x - c*l.  On an integral sector (m = 1)
+    the line is the column x = c, whose first point is (c, 0)."""
     x = 0
     while True:
         num = s.n * x - c * s.l
-        if num >= 0 and num % (s.m - 1) == 0:
+        if s.m == 1:
+            if num == 0:
+                return LatticePoint(x, 0)
+        elif num >= 0 and num % (s.m - 1) == 0:
             return LatticePoint(x, num // (s.m - 1))
         x += 1
 
@@ -64,13 +68,36 @@ def sector_points(s: Sector, x_max: int) -> list[LatticePoint]:
     ]
 
 
-def stairs_scan(s: Sector, c: int, x_max: int) -> list[LatticePoint]:
-    """Sector points on staircase c with x <= x_max, found by raw scan."""
-    return [
-        p
-        for p in sector_points(s, x_max)
-        if (s.m - 1) * p.y == s.n * p.x - c * s.l
-    ]
+def stairs_scan(s: Sector, c: int, x_max: int | None = None) -> list[LatticePoint]:
+    """Sector points on staircase c, the line (m-1)*y = n*x - c*l, with
+    x <= x_max, by ascending x then y: each column x scanned for the y on
+    the line, or for every y of the column x = c when m = 1.  A sector
+    point on staircase c has c*l = n*x - (m-1)*y >= n*x/m, so the default
+    x_max = m*c*l//n takes the whole staircase."""
+    n, m, l = s.n, s.m, s.l
+    if x_max is None:
+        x_max = m * c * l // n
+    points = []
+    for x in range(x_max + 1):
+        top = n * x // m  # the column's highest sector point
+        if m == 1:
+            if n * x == c * l:
+                points += [LatticePoint(x, y) for y in range(top + 1)]
+        else:
+            y, rest = divmod(n * x - c * l, m - 1)
+            if rest == 0 and 0 <= y <= top:
+                points.append(LatticePoint(x, y))
+    return points
+
+
+def stair_steps_scan(s: Sector, p: QuadPoly, c_max: int) -> set[Fraction]:
+    """Every p(b) - p(a), in Fraction, over consecutive points a, b of
+    stairs_scan on staircases 0..c_max."""
+    steps = set()
+    for c in range(c_max + 1):
+        values = [p.eval(q) for q in stairs_scan(s, c)]
+        steps.update(b - a for a, b in zip(values, values[1:]))
+    return steps
 
 
 def start_value_scan(s: Sector, p: QuadPoly, c: int) -> Fraction:
@@ -78,9 +105,8 @@ def start_value_scan(s: Sector, p: QuadPoly, c: int) -> Fraction:
     points on the staircase, the one with the least y, or the greatest when
     p's stair step d*(m-1) + e*n is negative.  An empty staircase starts at
     its first point with y >= 0 when the step is not negative, and has no
-    start (ValueError) when it is.  Every sector point on staircase c has
-    n*x <= m*c*l, which bounds the scan."""
-    stairs = stairs_scan(s, c, s.m * c * s.l // s.n)
+    start (ValueError) when it is."""
+    stairs = stairs_scan(s, c)
     if p.d * (s.m - 1) + p.e * s.n < 0:
         if not stairs:
             raise ValueError(f"staircase {c} has no point in S({s})")

@@ -261,8 +261,8 @@ def test_criterion_08_first_stair_oracle():
 def test_criterion_09_codec_round_trip():
     start = time.perf_counter()
     schemes = [
-        make_scheme(sector(8, 5), QuadPoly.from_string("4 -4 1 -1 1 0"), 500),
-        make_scheme(sector(12, 7), QuadPoly.from_string("6 -6 3/2 -8 11/2 2"), 500),
+        make_scheme(sector(8, 5), QuadPoly.from_string("4 -4 1 -1 1 0")),
+        make_scheme(sector(12, 7), QuadPoly.from_string("6 -6 3/2 -8 11/2 2")),
     ]
     for scheme in schemes:
         s = scheme.sector

@@ -120,27 +120,16 @@ class TestVerifyCmd:
         assert code == 1
         assert "cannot verify" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--prefix"],
-            ["encode", "--point", "4,5", "--verify-n"],
-            ["decode", "--value", "5", "--verify-n"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_depth_past_memory_exits_2_before_any_walk(self, capsys, argv):
+    def test_depth_past_memory_exits_2_before_any_walk(self, capsys):
         # depth 10**20 walks about 10**10 lines: the estimate refuses it
-        # at once, where the walk would run for hours; encode and decode
-        # check the depth of their scheme's prefix check the same way
-        command, *rest = argv
+        # at once, where the walk would run for hours
         start = time.perf_counter()
         code, out, err = run(
-            capsys, command, "8/5", "--poly", "4 -4 1 -1 1 0", *rest, str(10**20)
+            capsys, "verify", "8/5", "--poly", "4 -4 1 -1 1 0", "--prefix", str(10**20)
         )
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {rest[-1]} 100000000000000000000 would walk 10000000001 lines")
+        assert err.startswith("error: --prefix 100000000000000000000 would walk 10000000001 lines")
         assert err.count("\n") == 1
 
     def test_prefix_too_large_for_memory_exits_2(self, capsys, monkeypatch):
@@ -205,6 +194,15 @@ class TestCodecCmds:
         code, out, _ = run(capsys, "encode", "4/9", "--poly", poly, "--point", out.strip())
         assert (code, out.strip()) == (0, value)
 
+    def test_repeat_refused_at_the_fixed_depth(self, capsys):
+        # the scheme's prefix check, at depth 500, finds the repeated value
+        assert run(capsys, "decode", "8/5", "--poly", "4 -4 1 -1 3 0", "--value", "5") == (
+            1,
+            "",
+            "cannot build scheme: not a packing polynomial on S(8/5): "
+            "value 3 attained at both (1, 1) and (1, 0)\n",
+        )
+
     def test_non_packing_scheme_exits_1(self, capsys):
         code, _, err = run(
             capsys, "encode", "8/5", "--poly", "4 -4 1 -1 1 3", "--point", "0,0"
@@ -237,33 +235,21 @@ class TestSearchSweepCmds:
         assert "  1/2 -13 169/2 3/2 -41/2 0" in out.splitlines()
 
     def test_search_defaults(self, capsys, monkeypatch):
-        # options left out take SearchParams' defaults and codec.MIN_VERIFY_N
-        # when the command runs; --raw is the CLI's own, 0 for search and
-        # 40 for sweep
+        # options left out take SearchParams' defaults when the command
+        # runs; --raw is the CLI's own, 0 for search and 40 for sweep
         from dataclasses import replace
         from importlib import import_module
 
-        codec, sweep, verify = (import_module(f"sectorpack.{m}") for m in ("codec", "sweep", "verify"))
+        sweep, verify = (import_module(f"sectorpack.{m}") for m in ("sweep", "verify"))
         used = []
-        make_scheme = codec.make_scheme
         monkeypatch.setattr(verify, "search", lambda s, params: used.append(params) or [])
         monkeypatch.setattr(
             sweep, "sweep", lambda n, m, params, workers: used.append(params) or sweep.SweepReport(())
         )
-        monkeypatch.setattr(
-            codec, "make_scheme", lambda s, p, verify_n: used.append(verify_n) or make_scheme(s, p, verify_n)
-        )
         assert run(capsys, "search", "8/5")[0] == 0
         assert run(capsys, "sweep", "--max-n", "1", "--max-m", "1")[0] == 0
-        assert run(capsys, "encode", "8/5", "--poly", "4 -4 1 -1 1 0", "--point", "0,0")[:2] == (0, "0\n")
-        assert run(capsys, "decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--value", "0")[:2] == (0, "0,0\n")
         defaults = verify.SearchParams()
-        assert used == [
-            replace(defaults, raw_grid_bound=0),
-            replace(defaults, raw_grid_bound=40),
-            codec.MIN_VERIFY_N,
-            codec.MIN_VERIFY_N,
-        ]
+        assert used == [replace(defaults, raw_grid_bound=0), replace(defaults, raw_grid_bound=40)]
 
     def test_sweep_without_raw_grid(self, capsys):
         code, out, _ = run(
@@ -326,7 +312,6 @@ class TestUsageErrors:
             ["render", "8/5", "--poly", "4 -4 1 -1 1 0", "--max-x", "3", "--format", "svg",
              "--color", '"><script>'],
             ["sweep", "--max-n", "2", "--max-m", "2", "--workers", "0"],
-            ["decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--verify-n", "-5", "--value", "3"],
         ],
     )
     def test_bad_argument_exits_2(self, capsys, argv):
@@ -334,6 +319,14 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, option", [("encode", "--point=4,5"), ("decode", "--value=5")])
+    def test_verify_depth_is_not_an_option(self, capsys, command, option):
+        # a scheme's prefix check runs at the one depth codec.VERIFY_N
+        with pytest.raises(SystemExit) as exc:
+            main([command, "8/5", "--poly", "4 -4 1 -1 1 0", option, "--verify-n", "600"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --verify-n 600" in capsys.readouterr().err
 
     def test_zero_bounds_are_valid(self, capsys):
         code, out, _ = run(capsys, "search", "8/5", "--max-k", "0")
@@ -404,6 +397,24 @@ class TestOtherCmds:
     def test_dual_inadmissible_exits_1(self, capsys):
         code, _, err = run(capsys, "dual", "7/3")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["reduce", "4/9"], 'S(4/9) -> S(4/1) via {"a11": 1, "a12": -2, "a21": 0, "a22": 1, '
+             '"source": "4/9", "target": "4/1"}'),
+            (["reduce", "1/3"], 'S(1/3) -> S(quadrant) via {"a11": 1, "a12": -3, "a21": 0, "a22": 1, '
+             '"source": "1/3", "target": "quadrant"}'),
+            (["reduce", "1/3", "--json"], '{"target": "quadrant", "map": {"a11": 1, "a12": -3, '
+             '"a21": 0, "a22": 1, "source": "1/3", "target": "quadrant"}}'),
+            (["dual", "8/5"], 'S(8/5) -> S(8/5) via {"a11": 5, "a12": -3, "a21": 8, "a22": -5, '
+             '"source": "8/5", "target": "8/5"}'),
+        ],
+        ids=" ".join,
+    )
+    def test_map_output(self, capsys, argv, line):
+        # reduce and dual print the target and the lattice map alike
+        assert run(capsys, *argv) == (0, line + "\n", "")
 
     def test_render_text(self, capsys):
         code, out, _ = run(
@@ -478,7 +489,6 @@ def _usage_grid():
         ["construct", "8/5", "--k"],
         ["verify", "8/5", "--poly", POLY, "--prefix"],
         ["decode", "8/5", "--poly", POLY, "--value"],
-        ["decode", "8/5", "--poly", POLY, "--value", "1", "--verify-n"],
         ["search", "8/5", "--prefix"],
         ["search", "8/5", "--max-k"],
         ["search", "8/5", "--offset-range"],

@@ -45,17 +45,17 @@ def assert_round_trips(scheme, count=3000):
 
 @pytest.fixture(scope="module")
 def fig1_scheme():
-    return make_scheme(sector(8, 5), P_PLUS, 500)
+    return make_scheme(sector(8, 5), P_PLUS)
 
 
 @pytest.fixture(scope="module")
 def fig1_desc_scheme():
-    return make_scheme(sector(8, 5), P_MINUS, 500)
+    return make_scheme(sector(8, 5), P_MINUS)
 
 
 @pytest.fixture(scope="module")
 def fig3_scheme():
-    return make_scheme(sector(12, 7), P127, 500)
+    return make_scheme(sector(12, 7), P127)
 
 
 class TestConstruction:
@@ -70,13 +70,20 @@ class TestConstruction:
         assert sorted(values) == [0, 1, 2]
         assert values == (2, 1, 0)
 
-    def test_verify_floor_is_enforced(self):
-        scheme = make_scheme(sector(8, 5), P_PLUS, 10)
-        assert scheme.verified_n == 500
+    def test_verify_depth_is_fixed(self, monkeypatch):
+        # every scheme is prefix-checked at the one depth VERIFY_N = 500
+        codec = importlib.import_module("sectorpack.codec")
+        depths = []
+        check = codec.prefix_check
+        monkeypatch.setattr(codec, "prefix_check", lambda s, p, n: depths.append(n) or check(s, p, n))
+        assert make_scheme(sector(8, 5), P_PLUS).verified_n == codec.VERIFY_N == 500
+        assert depths == [500]
+        with pytest.raises(TypeError):
+            make_scheme(sector(8, 5), P_PLUS, 10)
 
     def test_rejects_non_packing(self):
         with pytest.raises(ValueError):
-            make_scheme(sector(8, 5), dataclasses.replace(P_PLUS, f=3), 500)
+            make_scheme(sector(8, 5), dataclasses.replace(P_PLUS, f=3))
 
     def test_rejects_start_values_off_zero(self, monkeypatch):
         # past the prefix check, the start stairs of staircases 0..k-1 must
@@ -87,16 +94,16 @@ class TestConstruction:
         monkeypatch.setattr(codec, "prefix_check", lambda s, p, n: ok)
         s = sector(8, 5)
         with pytest.raises(ValueError, match=r"^start-stair values 3\.\.3 are not 0\.\.0$"):
-            make_scheme(s, dataclasses.replace(P_PLUS, f=3), 500)
+            make_scheme(s, dataclasses.replace(P_PLUS, f=3))
         d, e = necessary_coefficients(s, 3, Direction.ASCENDING)
         with pytest.raises(ValueError, match="staircase 1 repeats start-stair value 0"):
-            make_scheme(s, QuadPoly(*stanton_quadratic(s), d, e, 0), 500)
+            make_scheme(s, QuadPoly(*stanton_quadratic(s), d, e, 0))
 
     def test_integral_sector_round_trip(self):
         # every S(4) entry: k = 1 and the k = 2 extras, both directions
         s = sector(4, 1)
         for entry in classify(4, 1).entries:
-            scheme = make_scheme(s, entry.poly, 500)
+            scheme = make_scheme(s, entry.poly)
             assert scheme.form == entry.form
             assert_round_trips(scheme)
 
@@ -185,7 +192,7 @@ class TestStream:
         # cover each cut run and each interleave of the k class lists
         (entry,) = [e for e in classify(n, m).entries
                     if (e.form.k, e.form.direction.value) == (k, direction)]
-        scheme = make_scheme(sector(n, m), entry.poly, 500)
+        scheme = make_scheme(sector(n, m), entry.poly)
         assert scheme.form.k == k
         full = scheme.stream(400)
         assert full == [scheme.decode(v) for v in range(400)]
@@ -193,7 +200,7 @@ class TestStream:
             assert scheme.stream(count) == full[:count]
 
     def test_point_type(self, fig1_scheme, fig3_scheme):
-        for scheme in (fig1_scheme, fig3_scheme, make_scheme(sector(3, 1), P_S3, 500)):
+        for scheme in (fig1_scheme, fig3_scheme, make_scheme(sector(3, 1), P_S3)):
             for pt in scheme.stream(50) + [scheme.decode(v) for v in (0, 7, 10**20)]:
                 assert type(pt) is LatticePoint
                 assert (pt.x, pt.y) == tuple(pt)
@@ -215,7 +222,7 @@ class TestOtherSectors:
         # every entry in both directions, slope < 1 sectors included
         for n, m in [(12, 7), (36, 25), (36, 13), (4, 9), (2, 3), (1, 2), (48, 37)]:
             for entry in classify(n, m).entries:
-                scheme = make_scheme(sector(n, m), entry.poly, 500)
+                scheme = make_scheme(sector(n, m), entry.poly)
                 for value in range(200):
                     assert scheme.encode(scheme.decode(value)) == value
 
@@ -225,7 +232,7 @@ class TestOtherSectors:
         desc = [e for e in classify(4, 9).entries if e.form.direction is Direction.DESCENDING]
         assert [e.form.k for e in desc] == [1, 2]
         for entry in desc:
-            assert_round_trips(make_scheme(sector(4, 9), entry.poly, 500))
+            assert_round_trips(make_scheme(sector(4, 9), entry.poly))
 
 
 class TestClosedForm:
@@ -240,7 +247,7 @@ class TestClosedForm:
                 s = sector(n, m)
                 for entry in classify(n, m).entries:
                     try:
-                        scheme = make_scheme(s, entry.poly, 500)
+                        scheme = make_scheme(s, entry.poly)
                     except ValueError:
                         refused += 1
                         continue
@@ -255,7 +262,7 @@ class TestClosedForm:
         # encode is injective on the sector, so contains + re-encode pins the point
         rng = random.Random(5)
         schemes = [fig1_scheme, fig1_desc_scheme, fig3_scheme,
-                   make_scheme(sector(36, 25), classify(36, 25).entries[0].poly, 500)]
+                   make_scheme(sector(36, 25), classify(36, 25).entries[0].poly)]
         for scheme in schemes:
             for _ in range(300):
                 value = rng.randrange(10 ** rng.randint(1, 100))
@@ -312,7 +319,7 @@ class TestThreads:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                scheme = make_scheme(sector(8, 5), P_PLUS, 500)
+                scheme = make_scheme(sector(8, 5), P_PLUS)
                 threads = [
                     threading.Thread(
                         target=work,

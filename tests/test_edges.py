@@ -11,7 +11,6 @@ from sectorpack import (
     SearchParams,
     admissible_ks,
     classify,
-    kstair_property_check,
     prefix_check,
     search,
     sector,
@@ -89,16 +88,6 @@ class TestBeyondSweepWitnesses:
             assert sorted(p.coefficients() for p in found) == sorted(
                 e.poly.coefficients() for e in classify(n, m).entries
             )
-
-
-class TestPropertyCheckCorners:
-    def test_vacuous_range_is_true(self):
-        # staircase 0 alone has a single stair: no pairs to compare
-        s = sector(8, 5)
-        assert kstair_property_check(s, QuadPoly.from_string("4 -4 1 -1 1 0"), 0)
-
-
-from sectorpack import kstair_property_check  # noqa: E402  (used above)
 
 
 class TestCliEdges:

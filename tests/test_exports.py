@@ -1,4 +1,4 @@
-"""The package's public names: 55 names, one per operation, each loaded
+"""The package's public names: 54 names, one per operation, each loaded
 from its module on first use."""
 
 from __future__ import annotations
@@ -32,23 +32,24 @@ EXPORTS = {
     ),
     "sweep": ("SweepReport", "SweepRow", "sweep"),
     "verify": (
-        "PrefixReport", "PrefixStatus", "SearchParams", "enumerate_upto", "kstair_property_check",
-        "prefix_check", "rectangle_points", "search",
+        "PrefixReport", "PrefixStatus", "SearchParams", "enumerate_upto", "prefix_check",
+        "rectangle_points", "search",
     ),
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 # names that only restated another call (QuadPoly.compose, LatticeMap.apply,
-# the PairingScheme methods, math.gcd, fractions.Fraction) or reported the
-# SECTORPACK_THREADS cap
+# the PairingScheme methods, math.gcd, fractions.Fraction), reported the
+# SECTORPACK_THREADS cap, or sampled the stair step kstair_extract decides
 REMOVED = (
-    "InvalidEnvironment", "Rational", "apply_map", "decode", "encode", "gcd", "stream", "transport",
+    "InvalidEnvironment", "Rational", "apply_map", "decode", "encode", "gcd",
+    "kstair_property_check", "stream", "transport",
 )
 
 
-def test_all_is_the_55_names():
-    assert len(NAMES) == len(set(NAMES)) == 55
+def test_all_is_the_54_names():
+    assert len(NAMES) == len(set(NAMES)) == 54
     assert sorted(sectorpack.__all__) == sorted(NAMES)
     assert sectorpack.__version__ == "0.1.0"
 
@@ -64,6 +65,12 @@ def test_each_name_is_its_modules_object(module):
 def test_removed_name_is_an_attribute_error(name):
     with pytest.raises(AttributeError, match=repr(name)):
         getattr(sectorpack, name)
+
+
+def test_sector_stairs_is_gone():
+    # tests list a staircase's stairs by scan (helpers.stairs_scan)
+    with pytest.raises(AttributeError, match="'stairs'"):
+        sectorpack.sector(8, 5).stairs
 
 
 def test_codec_has_only_the_scheme_methods():

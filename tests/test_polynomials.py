@@ -273,7 +273,7 @@ class TestStartStairs:
             for sign, pick in ((1, min), (-1, max)):
                 A, B = sign * u, sign * v
                 for c, (x, y, count, w, rem) in zip(cs, _start_stairs(s, A, B, 0, 2 * n, cs)):
-                    scanned = stairs_scan(s, c, m * c * s.l // n)
+                    scanned = stairs_scan(s, c)
                     assert count == len(scanned), (n, m, c)
                     assert (x, y) == pick(scanned, key=lambda q: q.y), (n, m, c, sign)
                     value = Fraction((n * x - (m - 1) * y) ** 2 + A * x + B * y, 2 * n)
@@ -378,7 +378,7 @@ class TestConstruct:
             s = sector(n, m)
             p, _ = construct(s, k, Direction.ASCENDING)
             for c in range(101):
-                pts = s.stairs(c)
+                pts = stairs_scan(s, c)
                 for a, b in zip(pts, pts[1:]):
                     assert p.eval(b) - p.eval(a) == k
 
@@ -388,8 +388,8 @@ class TestConstruct:
             s = sector(n, m)
             p, _ = construct(s, k, Direction.ASCENDING)
             for c in range(101):
-                here = {p.eval_int(q) % k for q in s.stairs(c)}
-                there = {p.eval_int(q) % k for q in s.stairs(c + k)}
+                here = {p.eval_int(q) % k for q in stairs_scan(s, c)}
+                there = {p.eval_int(q) % k for q in stairs_scan(s, c + k)}
                 assert len(here) == 1 and here == there
 
 

@@ -111,7 +111,7 @@ class TestStaircases:
             for c in range(12):
                 assert s.first_stair(c) == LatticePoint(c, 0)
                 assert s.stair_count(c) == n * c + 1
-                assert s.stairs(c) == [LatticePoint(c, y) for y in range(n * c + 1)]
+                assert stairs_scan(s, c) == [LatticePoint(c, y) for y in range(n * c + 1)]
             for p in sector_points(s, 12):
                 assert s.staircase_index(p) == p.x
 
@@ -121,7 +121,8 @@ class TestStaircases:
         assert sector(8, 5).first_stair(0) == LatticePoint(0, 0)
 
     def test_first_stair_matches_line_scan(self):
-        for n, m in [(8, 5), (12, 7), (36, 25), (7, 3), (25, 6), (4, 9), (1, 7)]:
+        integral = [(1, 1), (3, 1), (4, 1)]
+        for n, m in [(8, 5), (12, 7), (36, 25), (7, 3), (25, 6), (4, 9), (1, 7), *integral]:
             s = sector(n, m)
             for c in range(0, 201, 7):
                 assert s.first_stair(c) == first_stair_scan(s, c), (n, m, c)
@@ -132,30 +133,35 @@ class TestStaircases:
         assert sector(12, 7).stair_count(0) == 1
 
     def test_stairs_examples(self):
-        assert sector(8, 5).stairs(1) == [LatticePoint(1, 1), LatticePoint(2, 3)]
-        assert sector(12, 7).stairs(1) == [
-            LatticePoint(1, 1),
-            LatticePoint(2, 3),
-            LatticePoint(3, 5),
-        ]
-        assert sector(8, 5).stairs(0) == [LatticePoint(0, 0)]
+        # a staircase's stairs are its first stair and stair_count - 1 steps
+        # (u, v) on; staircase 1 of S(8/5) and S(12/7), staircase 0 of S(8/5)
+        for (n, m), c, stairs in [
+            ((8, 5), 1, [(1, 1), (2, 3)]),
+            ((12, 7), 1, [(1, 1), (2, 3), (3, 5)]),
+            ((8, 5), 0, [(0, 0)]),
+        ]:
+            s = sector(n, m)
+            assert stairs_scan(s, c) == [LatticePoint(*q) for q in stairs]
+            assert (s.first_stair(c), s.stair_count(c)) == (stairs[0], len(stairs))
 
     def test_stairs_match_scan_and_count(self):
-        for n, m in [(8, 5), (12, 7), (36, 25), (2, 3), (7, 3)]:
+        # LineFamily.line's (x0, z, count) and step (u, v) give exactly the
+        # scanned stairs, on an empty staircase too (S(2/3) and S(7/3))
+        for n, m in [(8, 5), (12, 7), (36, 25), (2, 3), (7, 3), (3, 1)]:
             s = sector(n, m)
+            u, v = s.lines.u, s.lines.v
             for c in range(40):
-                listed = s.stairs(c)
+                x0, z, count = s.lines.line(c)
+                listed = [LatticePoint(x0 + t * u, z + t * v) for t in range(count)]
+                assert listed == stairs_scan(s, c), (n, m, c)
                 assert len(listed) == s.stair_count(c)
-                x_max = max((p.x for p in listed), default=10) + 2 * s.lines.u
-                assert listed == stairs_scan(s, c, x_max)[: len(listed)]
-                assert listed == stairs_scan(s, c, max(p.x for p in listed) if listed else 0)
 
     def test_consecutive_stairs_differ_by_step(self):
         for n, m in [(8, 5), (12, 7), (36, 25)]:
             s = sector(n, m)
             dx, dy = s.lines.u, s.lines.v
             for c in range(30):
-                pts = s.stairs(c)
+                pts = stairs_scan(s, c)
                 for a, b in zip(pts, pts[1:]):
                     assert (b.x - a.x, b.y - a.y) == (dx, dy)
 
@@ -167,7 +173,7 @@ class TestStaircases:
             seen = {}
             for p in points:
                 c = s.staircase_index(p)
-                assert p in s.stairs(c), (n, m, p)
+                assert p in stairs_scan(s, c, p.x), (n, m, p)
                 assert p not in seen or seen[p] == c
                 seen[p] = c
             by_c: dict[int, set] = {}
@@ -181,7 +187,7 @@ class TestStaircases:
         assert s.first_stair(2) == LatticePoint(1, 0)
         assert (s.lines.u, s.lines.v) == (1, 2)
         assert s.stair_count(2) == 5
-        assert s.stairs(2) == [LatticePoint(1 + t, 2 * t) for t in range(5)]
+        assert stairs_scan(s, 2) == [LatticePoint(1 + t, 2 * t) for t in range(5)]
 
 
 class TestWReduction:
@@ -327,7 +333,7 @@ def test_staircase_index_consistency(nm, x, y):
         return
     c = s.staircase_index(p)
     assert c >= 0
-    assert p in s.stairs(c)
+    assert p in stairs_scan(s, c, p.x)
 
 
 @given(st.sampled_from(coprime_pairs(60)), st.integers(0, 200))

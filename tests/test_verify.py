@@ -24,9 +24,10 @@ from sectorpack import (
     QuadPoly,
     SearchParams,
     Sector,
+    ZeroStep,
     classify,
     enumerate_upto,
-    kstair_property_check,
+    kstair_extract,
     nathanson_polys,
     necessary_coefficients,
     prefix_check,
@@ -34,6 +35,7 @@ from sectorpack import (
     search,
     sector,
     stanton_check,
+    stanton_quadratic,
     sweep,
 )
 from sectorpack.sweep import _sweep_row
@@ -58,6 +60,7 @@ from helpers import (
     pair_window,
     prefix_report_reference,
     raw_candidates,
+    stair_steps_scan,
 )
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
@@ -683,24 +686,58 @@ def test_verify_imports_neither_classify_nor_sweep():
     assert not parts & {"classify", "sweep"}
 
 
-class TestKStairPropertyCheck:
-    def test_constructed_polys(self):
-        assert kstair_property_check(sector(8, 5), P_PLUS, 50)
-        assert kstair_property_check(sector(12, 7), P127, 50)
+def signed_step(s: Sector, p: QuadPoly) -> int:
+    """The stair step kstair_extract reports for p: +k ascending, -k descending."""
+    form = kstair_extract(s, p)
+    return form.k if form.direction is Direction.ASCENDING else -form.k
+
+
+class TestStairSteps:
+    """Consecutive stairs on staircases 0..12, found by scan, differ by the
+    one step kstair_extract decides exactly."""
+
+    def test_classified_entries(self):
+        entries = [
+            (sector(n, m), entry.poly)
+            for n, m in itertools.product(range(1, 13), repeat=2)
+            if math.gcd(n, m) == 1
+            for entry in classify(n, m).entries
+        ]
+        assert len(entries) == 110
+        for s, p in entries:
+            assert stair_steps_scan(s, p, 12) == {signed_step(s, p)}, (str(s), p.to_string())
+
+    @given(
+        st.sampled_from([(n, m) for n, m in itertools.product(range(1, 13), repeat=2) if math.gcd(n, m) == 1]),
+        st.fractions(-20, 20, max_denominator=6),
+        st.fractions(-20, 20, max_denominator=6),
+        st.integers(-5, 5),
+    )
+    @settings(max_examples=80, derandomize=True)
+    def test_forced_part_gives_one_step(self, nm, d, e, f):
+        # the forced homogeneous part is constant on a staircase, so every
+        # step is d*u + e*v; staircase v holds l + 1 >= 2 stairs
+        s = sector(*nm)
+        p = QuadPoly(*stanton_quadratic(s), d, e, f)
+        assert stair_steps_scan(s, p, s.lines.v) == {d * s.lines.u + e * s.lines.v}
 
     def test_constant_nonunit_step(self):
-        # d=1, e=1 gives constant step 3: still a valid stair structure
-        assert kstair_property_check(sector(8, 5), QuadPoly.from_string("4 -4 1 1 1 0"), 50)
+        # d = 1, e = 1 on S(8/5): the step d*u + e*v = 3 on every staircase
+        p = QuadPoly.from_string("4 -4 1 1 1 0")
+        assert stair_steps_scan(sector(8, 5), p, 12) == {signed_step(sector(8, 5), p)} == {3}
 
     def test_broken_quadratic_part(self):
-        assert not kstair_property_check(
-            sector(8, 5), QuadPoly.from_string("4 -4 2 -1 1 0"), 50
-        )
+        # c2 = 2 is not the forced homogeneous part: the steps vary
+        p = QuadPoly.from_string("4 -4 2 -1 1 0")
+        assert len(stair_steps_scan(sector(8, 5), p, 12)) > 1
+        with pytest.raises(ValueError, match="forced homogeneous part"):
+            kstair_extract(sector(8, 5), p)
 
-    def test_zero_step_fails(self):
-        assert not kstair_property_check(
-            sector(8, 5), QuadPoly.from_string("4 -4 1 2 -1 0"), 50
-        )
+    def test_zero_step(self):
+        p = QuadPoly.from_string("4 -4 1 2 -1 0")
+        assert stair_steps_scan(sector(8, 5), p, 12) == {0}
+        with pytest.raises(ZeroStep):
+            kstair_extract(sector(8, 5), p)
 
 
 class TestSearch:
@@ -715,8 +752,6 @@ class TestSearch:
         found = search(sector(12, 7), PARAMS)
         assert len(found) == 4
         s = sector(12, 7)
-        from sectorpack import kstair_extract
-
         ks = sorted({kstair_extract(s, p).k for p in found})
         assert ks == [1, 3]
 
@@ -724,12 +759,10 @@ class TestSearch:
         for n, m in [(8, 5), (12, 7), (36, 25), (48, 37)]:
             s = sector(n, m)
             for p in search(s, SearchParams(300, 6, 10, 0)):
-                assert kstair_property_check(s, p, 50), (n, m, p.to_string())
+                assert stair_steps_scan(s, p, 12) == {signed_step(s, p)}, (n, m, p.to_string())
 
     def test_raw_survivors_match_coefficient_families(self):
         # anything the raw grid finds has the forced (d, e) pair
-        from sectorpack import kstair_extract
-
         for n, m in [(8, 5), (12, 7), (36, 25), (4, 9)]:
             s = sector(n, m)
             _, raw = _search_detail(s, PARAMS)
@@ -758,8 +791,6 @@ class TestSearch:
             assert {p.coefficients() for p in found} == {p.coefficients() for p in expected}, n
 
     def test_no_high_k(self):
-        from sectorpack import kstair_extract
-
         for n, m in [(8, 5), (12, 7), (36, 25), (16, 9), (25, 6)]:
             s = sector(n, m)
             for p in search(s, PARAMS):
@@ -1025,7 +1056,7 @@ class TestScreenThenCertify:
         # the lattice test keeps exactly the pairs whose polynomial is
         # integer-valued, with no QuadPoly built
         import sectorpack.verify as verify_mod
-        from sectorpack.polynomials import _residue, stanton_quadratic
+        from sectorpack.polynomials import _residue
 
         def reference(s, max_k):
             if (s.m - 1) ** 2 % s.n:
