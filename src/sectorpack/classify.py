@@ -180,6 +180,18 @@ def classify(n: int, m: int) -> Classification:
     Entries are deterministic: sorted by stair count, ascending before
     descending, and deduplicated by coefficient tuple.
     """
+    return _classify(n, m, {})
+
+
+def _classify(n: int, m: int, known: dict[tuple[int, int], Classification]) -> Classification:
+    """classify(n, m), read from ``known`` under (n, m) if it is there
+    and stored there if not.  A slope < 1 sector reads its reduced
+    target's classification the same way, so callers that share one dict
+    classify each sector once.
+    """
+    result = known.get((n, m))
+    if result is not None:
+        return result
     s = sector(n, m)
     entries: list[Entry]
     if m == 1:
@@ -203,10 +215,12 @@ def classify(n: int, m: int) -> Classification:
                 Entry(cg, kstair_extract(s, cg), Provenance.CANTOR_G, shear),
             ]
         else:
+            reduced = _classify(target.n, target.m, known)
             # a shear keeps l, v, u mod v and the stair step, so each entry keeps its form
             entries = [
                 Entry(entry.poly.compose(shear), entry.form, entry.provenance,
                       entry.transport.compose(shear) if entry.transport else shear)
-                for entry in classify(target.n, target.m).entries
+                for entry in reduced.entries
             ]
-    return Classification(sector=s, entries=_dedup(entries))
+    known[(n, m)] = result = Classification(sector=s, entries=_dedup(entries))
+    return result

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .classify import classify
+from .classify import Classification, _classify
 from .polynomials import QuadPoly, _exact_key
 from .sectors import sector
 from .verify import SearchParams, _search_detail
@@ -50,19 +50,31 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_row(task: tuple[int, int, SearchParams]) -> SweepRow:
-    n, m, params = task
-    classified = classify(n, m).polynomials()
-    searched, raw_found = _search_detail(sector(n, m), params)
-    match = {_exact_key(p) for p in classified} == {_exact_key(p) for p in searched}
-    return SweepRow(
-        n=n,
-        m=m,
-        classified=tuple(classified),
-        searched=tuple(searched),
-        raw_survivors=tuple(raw_found),
-        match=match,
-    )
+def _sweep_rows(tasks: list[tuple[int, int, SearchParams]]) -> list[SweepRow]:
+    """The rows of one chunk of (n, m, params) tasks, in task order.
+
+    The chunk's sectors share one dict of classifications, so a slope < 1
+    sector reads its reduced target's when the chunk has already
+    classified it.
+    """
+    known: dict[tuple[int, int], Classification] = {}
+    rows = []
+    for n, m, params in tasks:
+        classified = _classify(n, m, known).polynomials()
+        own = {_exact_key(p): p for p in classified}
+        found, raw_found = _search_detail(sector(n, m), params)
+        keys = [_exact_key(p) for p in found]
+        # classify's own object wherever the search found the same
+        # polynomial, so that a pooled row pickles each polynomial once
+        rows.append(SweepRow(
+            n=n,
+            m=m,
+            classified=tuple(classified),
+            searched=tuple(own.get(key, p) for key, p in zip(keys, found)),
+            raw_survivors=tuple(own.get(_exact_key(p), p) for p in raw_found),
+            match=set(own) == set(keys),
+        ))
+    return rows
 
 
 def sweep(
@@ -78,11 +90,14 @@ def sweep(
     ValueError, and so does a worker count below 1 (None means one worker
     per CPU).
 
-    One worker, or fewer than 4 sectors, run in this process.  Otherwise
-    a process pool takes the sectors in chunks of ceil(sectors / (4 *
-    workers)), the size multiprocessing.Pool.map picks by default, and
-    starts no more workers than there are chunks: the pool forks every
-    worker at its first submit, wanted or not.
+    One worker, or fewer than 4 sectors, run in this process as one
+    chunk.  Otherwise the sectors, in (n, m) order, are cut into chunks
+    of ceil(sectors / (4 * workers)), the size multiprocessing.Pool.map
+    picks by default, and a process pool maps _sweep_rows over them,
+    starting no more workers than there are chunks: the pool forks every
+    worker at its first submit, wanted or not.  The sectors of one chunk
+    share one dict of classifications, so a slope < 1 sector whose
+    reduced target falls in its chunk does not classify the target again.
     """
     if max_n < 0 or max_m < 0:
         raise ValueError(f"max_n and max_m must be nonnegative, got {max_n} and {max_m}")
@@ -97,15 +112,15 @@ def sweep(
     ]
     workers = workers if workers is not None else (os.cpu_count() or 1)
     if workers == 1 or len(tasks) < 4:
-        rows = [_sweep_row(task) for task in tasks]
+        rows = _sweep_rows(tasks)
     else:
         # imported here: the pool's modules add about a third to the time
         # `import sectorpack` takes
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = -(-len(tasks) // (4 * workers))
-        workers = min(workers, -(-len(tasks) // chunksize))
+        size = -(-len(tasks) // (4 * workers))
+        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        workers = min(workers, len(chunks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks, chunksize=chunksize))
-    rows.sort(key=lambda row: (row.n, row.m))
+            rows = [row for chunk in pool.map(_sweep_rows, chunks) for row in chunk]
     return SweepReport(rows=tuple(rows))

@@ -41,7 +41,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -517,7 +516,7 @@ def rectangle_points(s: Sector, x_max: int) -> list[LatticePoint]:
 #   P0(x, y) = (n*x - (m-1)*y)**2 + n*d2*x + e2*y       (f left out)
 #
 # On line c the value is base(c) + t*step, so each line meets the value
-# window in a t-interval, collected as a range object.  A packing
+# window in a t-interval, kept as its least value and its width.  A packing
 # polynomial must attain minimum value exactly 0, which forces
 # f = -min(P0)/(2n); sweeping f over [-offset_range, offset_range] is
 # therefore equivalent to checking that single forced offset, which is
@@ -534,10 +533,9 @@ def _edge_threshold(n: int, lo: int) -> int:
 class _PairScreen:
     """The search screen's state for one sector, at depth prefix_n.
 
-    It holds the line table, the base table of one reference lattice pair
-    with the stop line of each k_lo met (see _screen), and ``packs``, the
-    test on a pair's window.  ``walked`` and ``band`` count the pairs
-    _screen walks and those in its bands.
+    It holds the line table and the base table of one reference lattice
+    pair with the stop line of each k_lo met (see _screen).  ``walked``
+    and ``band`` count the pairs _screen walks and those in its bands.
     """
 
     def __init__(self, s: Sector, prefix_n: int, offset_range: int):
@@ -594,21 +592,6 @@ class _PairScreen:
                 K += delta
                 delta += dd
 
-    def packs(self, ranges: list[range], vmin: int) -> bool:
-        """Does the window of a pair that steps hold each of vmin..vmin +
-        prefix_n exactly once?"""
-        need = self.prefix_n + 1
-        seen = bytearray(need)
-        count = 0
-        for value in chain.from_iterable(ranges):
-            idx = value - vmin
-            if idx < need:
-                if seen[idx]:
-                    return False
-                seen[idx] = 1
-                count += 1
-        return count == need
-
 
 def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[int, int, int]]:
     """Keep the (d2, e2) pairs of ``rows`` that pack to the screen's depth
@@ -639,16 +622,27 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref + i*u +
     j*v.  Only K(c), the reference pair's base, needs a division by 2n,
     read exactly per line class per sector (see _read_to); the rest is
-    integer products and sums, so every value is exactly the walk's.  The walk's stop line
-    depends on the pair only through k_lo = min(A, A*m + B*n), so each
-    k_lo's count of lines is computed once, in closed form
-    (_LineTable.stop).  A line whose least value is below -offset_range
-    ends the pair's walk, which is then negative.
+    integer products and sums, so every value is exactly the walk's.  The
+    walk's stop line depends on the pair only through k_lo = min(A, A*m
+    + B*n), so each k_lo's count of lines is computed once, in closed
+    form (_LineTable.stop).  A line whose least value is below
+    -offset_range ends the pair's walk, which is then negative.
+
+    The step's sign is decided once per pair, and each sign has a line
+    loop of its own.  A line's least value is its base on an ascending
+    line and its last value on a descending one, and its window is the
+    ``width`` values least, least + |step|, ... that are at most
+    prefix_n; a step-0 line holds one value and counts every point.  A
+    band pair that steps packs iff marking each window value below vmin +
+    prefix_n + 1 as bit value - vmin sets all prefix_n + 1 bits with
+    exactly prefix_n + 1 marks: a value marked twice would leave a bit
+    unset.
     """
     n, m, u, v = screen.n, screen.m, screen.u, screen.v
     unit = 2 * n
     lo, hi = -screen.offset_range, screen.prefix_n
     need = hi + 1
+    full = (1 << need) - 1
     s_min, bases, stops = screen.s_min, screen.bases, screen.stops
     survivors = []
     top = max((E.stop for _, E in rows), default=0)
@@ -668,43 +662,66 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
             walked += 1
             j = (e2 - e_ref) // unit
             step = row_step + j * v
-            ranges = []
-            total = vmin = 0
             k_lo = A if A < S else S
             stop = stops.get(k_lo)
             if stop is None:
                 stop = screen.stop_line(k_lo)
-            for K, x0, z, count in bases[:stop]:
-                base = K + i * x0 + j * z
-                line_min = base if step >= 0 else base + step * (count - 1)
-                if line_min < vmin:
-                    vmin = line_min
-                    if vmin < lo:
-                        break
-                if line_min > hi:
-                    continue
-                # every value is at least lo, so the window holds those <= hi
-                if step > 0:
-                    width = (hi - base) // step + 1
-                    if width > count:
-                        width = count
-                    ranges.append(range(base, base + width * step, step))
-                elif step < 0:
-                    skip = 0 if base <= hi else -((hi - base) // -step)
-                    width = count - skip
-                    start = base + skip * step
-                    ranges.append(range(start, start + width * step, step))
-                else:
-                    width = count
-                    ranges.append(range(base, base + 1))
-                total += width
+            window = []  # (least, width) per line that meets the window
+            total = vmin = 0
+            gap = step if step >= 0 else -step
+            if step > 0:
+                for K, x0, z, count in bases[:stop]:
+                    least = K + i * x0 + j * z
+                    if least < vmin:
+                        vmin = least
+                        if vmin < lo:
+                            break
+                    if least <= hi:
+                        width = (hi - least) // gap + 1
+                        if width > count:
+                            width = count
+                        window.append((least, width))
+                        total += width
+            elif step < 0:
+                for K, x0, z, count in bases[:stop]:
+                    least = K + i * x0 + j * z + step * (count - 1)
+                    if least < vmin:
+                        vmin = least
+                        if vmin < lo:
+                            break
+                    if least <= hi:
+                        width = (hi - least) // gap + 1
+                        if width > count:
+                            width = count
+                        window.append((least, width))
+                        total += width
+            else:
+                for K, x0, z, count in bases[:stop]:
+                    value = K + i * x0 + j * z
+                    if value < vmin:
+                        vmin = value
+                        if vmin < lo:
+                            break
+                    if value <= hi:
+                        total += count
             if vmin < lo:
                 break
             if total < need:
                 top = e2 - 1
-            else:
-                banded += 1
-                if step and screen.packs(ranges, vmin):
+                continue
+            banded += 1
+            if step:
+                seen = marked = 0
+                for least, width in window:
+                    first = least - vmin
+                    if first < need:
+                        w = (need - 1 - first) // gap + 1
+                        if w > width:
+                            w = width
+                        marked += w
+                        # bits first, first + gap, ..., first + (w - 1)*gap
+                        seen |= ((1 << gap * w) - 1) // ((1 << gap) - 1) << first
+                if seen == full and marked == need:
                     band.append((d2, e2, -vmin))
         screen.walked += walked
         screen.band += banded
@@ -770,7 +787,8 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
 
     The candidates form one list of rows: a row (d2, E) per d2 of the raw
     grid, and a single-pair row for each structured pair off the grid,
-    stably sorted by d2.  _screen screens them once at depth
+    stably sorted by d2; a sector with no integer-valued lattice has none
+    and builds no screen.  _screen screens them once at depth
     min(prefix_n, _PREFILTER_N), so a pair is screened and certified
     once, and a survivor is a raw-grid survivor iff its pair lies on the
     grid's axes.  Each survivor is certified once, at prefix_n with the
@@ -805,6 +823,8 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
         for d2, e2 in _structured_candidates(s, params.max_k)
         if not (d2 in D and e2 in E)
     ]
+    if not rows:  # no integer-valued lattice, or nothing on it to screen
+        return [], []
     rows.sort(key=lambda row: row[0])
     screen = _PairScreen(s, min(params.prefix_n, _PREFILTER_N), params.offset_range)
     n, u, v = s.n, s.lines.u, s.lines.v

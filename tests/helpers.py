@@ -8,7 +8,7 @@ import subprocess
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterable
 
@@ -264,9 +264,25 @@ def filter_candidates(
             continue
         if (window := pair_window(screen, d2, e2)) is not None:
             ranges, _, vmin = window
-            if screen.packs(ranges, vmin):
+            if window_packs(ranges, vmin, prefix_n):
                 survivors.append((d2, e2, -vmin))
     return survivors
+
+
+def window_packs(ranges: list[range], vmin: int, prefix_n: int) -> bool:
+    """Does a window whose lines hold the values of ``ranges``, least
+    value vmin, hold each of vmin..vmin + prefix_n exactly once?"""
+    need = prefix_n + 1
+    seen = bytearray(need)
+    count = 0
+    for value in chain.from_iterable(ranges):
+        idx = value - vmin
+        if idx < need:
+            if seen[idx]:
+                return False
+            seen[idx] = 1
+            count += 1
+    return count == need
 
 
 def pair_window(screen: _PairScreen, d2: int, e2: int):

@@ -6,7 +6,7 @@ import itertools
 import math
 import tracemalloc
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -38,7 +38,7 @@ from sectorpack import (
     stanton_quadratic,
     sweep,
 )
-from sectorpack.sweep import _sweep_row
+from sectorpack.sweep import SweepRow, _sweep_rows
 from sectorpack.verify import (
     _PREFILTER_N,
     _LineTable,
@@ -1038,7 +1038,8 @@ class TestScreenThenCertify:
 
     def test_sweep_walk_budget(self, monkeypatch):
         # the serial 30x30 sweep at raw 40 walked 140,756 pairs when the
-        # screen walked every grid pair
+        # screen walked every grid pair; it walks exactly 14,444, 8,197 of
+        # them in bands, whatever the line loops look like
         import sectorpack.verify as verify_mod
 
         screens = []
@@ -1051,6 +1052,8 @@ class TestScreenThenCertify:
         monkeypatch.setattr(verify_mod, "_screen", counting)
         assert sweep(30, 30, PARAMS, workers=1).ok
         assert sum(screen.walked for screen in screens) <= 20_000
+        assert sum(screen.walked for screen in screens) == 14_444
+        assert sum(screen.band for screen in screens) == 8_197
 
     def test_structured_pairs_are_the_integer_valued_ones(self, monkeypatch):
         # the lattice test keeps exactly the pairs whose polynomial is
@@ -1199,7 +1202,7 @@ class TestScreenThenCertify:
 
 class TestSweep:
     def test_single_sector_row(self):
-        row = _sweep_row((8, 5, PARAMS))
+        (row,) = _sweep_rows([(8, 5, PARAMS)])
         assert row.match
         assert len(row.classified) == 2 and len(row.searched) == 2
 
@@ -1259,17 +1262,66 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize):
-                pools[-1].append(chunksize)
-                return map(fn, tasks)
+            def map(self, fn, chunks):
+                pools[-1].append([len(chunk) for chunk in chunks])
+                return map(fn, chunks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         params = SearchParams(150, 5, 8, 0)
         # 7 sectors on 64 CPUs: 7 chunks of one sector, so 7 workers
         assert sweep(3, 3, params) == sweep(3, 3, params, workers=1)
-        assert pools == [[7, 1]]
+        assert pools == [[7, [1] * 7]]
         pools.clear()
-        # 555 sectors on 2 workers: 8 chunks of 70
+        # 555 sectors on 2 workers: 8 chunks of 70, the last one short
         assert len(sweep(30, 30, params, workers=2).rows) == 555
-        assert pools == [[2, 70]]
+        assert pools == [[2, [70] * 7 + [65]]]
+
+    def test_sweep_classifies_each_sector_once(self, monkeypatch):
+        # a serial sweep is one chunk, so each of its 555 sectors is
+        # classified once, also where it is a slope < 1 sector's reduced
+        # target
+        import importlib
+
+        # the package's `classify` and `sweep` are the functions, not the modules
+        classify_mod = importlib.import_module("sectorpack.classify")
+        sweep_mod = importlib.import_module("sectorpack.sweep")
+
+        computed = []
+        real = classify_mod._classify
+
+        def counting(n, m, known):
+            if (n, m) not in known:
+                computed.append((n, m))
+            return real(n, m, known)
+
+        monkeypatch.setattr(classify_mod, "_classify", counting)
+        monkeypatch.setattr(sweep_mod, "_classify", counting)
+        report = sweep(30, 30, SearchParams(150, 5, 8, 0), workers=1)
+        assert len(report.rows) == len(computed) == len(set(computed)) == 555
+        for row in report.rows:
+            assert tuple(classify(row.n, row.m).polynomials()) == row.classified
+
+    @pytest.mark.parametrize("params", [SearchParams(), PARAMS], ids=["raw0", "raw40"])
+    def test_pooled_rows_match_serial_field_by_field(self, params):
+        # the pool cuts these 20x40 sectors into 8 chunks, and some slope < 1
+        # sectors fall in another chunk than their reduced target, which
+        # each chunk then classifies on its own
+        tasks = [(n, m) for n in range(1, 21) for m in range(1, 41) if math.gcd(n, m) == 1]
+        size = -(-len(tasks) // 8)
+        chunk = {nm: i // size for i, nm in enumerate(tasks)}
+        assert any(
+            m > n and m % n and chunk[(n, m)] != chunk[(n, m % n)] for n, m in tasks
+        )
+        serial = sweep(20, 40, params, workers=1).rows
+        pooled = sweep(20, 40, params, workers=2).rows
+        assert len(pooled) == len(serial) == len(tasks)
+        for a, b in zip(pooled, serial):
+            for field in fields(SweepRow):
+                assert getattr(a, field.name) == getattr(b, field.name), (a.n, a.m, field.name)
+        # searched and raw survivors are classify's own objects where the
+        # polynomials agree, so pickling a pooled row writes each once
+        for row in pooled:
+            for p in row.searched + row.raw_survivors:
+                assert all(q is p for q in row.classified if q == p)
+        assert any(row.raw_survivors for row in pooled) is (params is PARAMS)
