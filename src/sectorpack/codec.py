@@ -7,26 +7,48 @@ from its start stair: the first stair of an ascending polynomial, the last
 stair of a descending one, whose staircases are read backwards.  Both
 decode and stream use the residue-class structure: staircases with index
 congruent to c0 mod k carry exactly the values start_value(c0) + k*N, in
-staircase-then-step order.  Within a class the stair counts grow by k*l
-every v staircases, so the cumulative count is a quadratic in the period
-index plus a v-entry table, and decode inverts it in closed form with one
-isqrt: O(1) big-integer operations and no state that grows with the value.
-stream builds each class's values a staircase at a time, as one run of
-points start + t*step, and interleaves the k class lists.  Both directions
-run the same code; they differ only in the start stairs, read by
-polynomials._start_stairs, the steps, and the period shift, which
-make_scheme takes from the start stairs of staircases 0 and k*v.
+staircase-then-step order, so value k*t + i is stair t of the class whose
+start value is i.  The stair counts of a class have a closed form, and a
+scheme holds three integers per class:
+
+1. n | (m-1)**2 makes v = n/l divide l (l = gcd(n, m-1), u = (m-1)/l, v |
+   l*u*u and gcd(u, v) = 1).  Let L = l/v >= 1.  Staircase c holds
+   (c*l - z)//v + 1 stairs (LineFamily.line, z = (-c*r) mod v < v and r =
+   u^-1 mod v), and since v | c*l that is c*L + [z == 0] = c*L + [v | c].
+2. kstair_extract forces k = +-u (mod v), and u is a unit mod v, so
+   gcd(k, v) = 1.  Along the class c0 + k*j exactly one staircase in every
+   v has v | c, at j = j0 = -c0*k^-1 (mod v).
+3. So the stairs before staircase j of the class number
+   C(j) = sum of (c0 + k*i)*L + [i = j0 mod v] over i < j
+        = (a*j + b)*j/2 + (j + h)//v,
+   with a = L*k, b = L*(2*c0 - k) and h = v - 1 - j0.  decode takes the
+   last j whose quadratic part P(j) = (a*j + b)*j/2 is at most t, j =
+   (isqrt(b*b + 8*a*t) - b)//(2a).  C(j) >= P(j), so the staircase of
+   stair t is j or before; if C(j) > t it is j - 1, never earlier: the
+   correction (j - 1 + h)//v is at most j - 1 (h < v), and P(j) - P(j - 1)
+   = a*(j - 1) + L*c0 >= j - 1, so C(j - 1) <= P(j) <= t.  Stair s of
+   staircase c is then (x0 + s*u, z + s*v), with z and x0 = ((m-1)*z +
+   c*l)/n those of LineFamily.line, inlined; a descending scheme reads
+   stair count - 1 - s.
+4. make_scheme keeps (c0, b, h) per residue.  stream reads each
+   staircase's start stair and count off polynomials._start_stairs over c0,
+   c0 + k, c0 + 2k, ..., as one run of points start + t*step, and
+   interleaves the k class lists.
+
+Both directions run the same code; they differ only in the start stairs
+and the sign of the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count as count_from
 from math import isqrt
 
 from .errors import NotConsecutive, PointOutsideSector
 from .polynomials import Direction, KStairForm, QuadPoly, _start_stairs, _start_values, kstair_extract
-from .sectors import LatticePoint, Sector
+from .sectors import LatticePoint, Sector, mod_inverse
 from .verify import prefix_check
 
 VERIFY_N = 500
@@ -43,24 +65,22 @@ class PairingScheme:
     ``verified_n`` records the depth of the prefix check performed at
     construction, VERIFY_N — the verification horizon, not a proof.
 
-    Schemes are immutable: make_scheme builds every table decode reads, one
-    period of v stair counts per residue class, so encode, decode and
-    stream hold no shared mutable state and may be called from many threads
-    at once, and schemes pickle and copy like any frozen dataclass.  stream
-    builds its lists in each call's locals.
+    Schemes are immutable: make_scheme computes the O(k) integers decode
+    reads, so encode, decode and stream hold no shared mutable state and
+    may be called from many threads at once, and schemes pickle and copy
+    like any frozen dataclass.  stream builds its lists in each call's
+    locals.
     """
 
     sector: Sector
     poly: QuadPoly
     form: KStairForm
     verified_n: int
-    # per value residue i, over the staircases c0 + k*j of the class whose
-    # start stairs carry i mod k, for one period j < v: (pref, xs, zs),
-    # pref[j] the stairs on the first j of them, (xs[j], zs[j]) the start
-    # stair of staircase j
-    _classes: tuple[tuple[tuple[int, ...], ...], ...] = field(default=(), repr=False)
-    # (k, v, k*l, v*k*l, dx, dy, px, py): (dx, dy) the step to the next
-    # stair in value order, (px, py) the shift of a start stair one period on
+    # per value residue i, (c0, b, h) of the class of staircases c0 + k*j
+    # whose start stairs carry i mod k (see the module docstring)
+    _classes: tuple[tuple[int, int, int], ...] = field(default=(), repr=False)
+    # (k, a, L, l, n, m - 1, u, v, r, desc): a = L*k, r = u^-1 mod v, and
+    # desc whether values run from a staircase's last stair down
     _steps: tuple[int, ...] = field(default=(), repr=False)
     # (n, m, m - 1, 2n, 2n*d, 2n*e, 2n*f), cached so encode reads one tuple
     _scaled: tuple[int, ...] = field(default=(), repr=False)
@@ -76,34 +96,29 @@ class PairingScheme:
         """The unique sector point with encode(point) == value.
 
         value = k*t + residue is stair t of its class, counted along
-        staircases c0 + k*j.  Their counts (c*l - z)//v + 1 repeat with
-        period P = v, plus k*l per period, so the stairs before staircase
-        j = q*P + r number C(j) = q*T + P*k*l*q*(q-1)/2 + pref[r] + q*r*k*l,
-        T = pref[P].  The last q with C(q*P) <= t takes one isqrt; r comes
-        from a binary search of the P-entry table.
+        staircases c0 + k*j, of which the first j hold C(j) = (a*j + b)*j/2
+        + (j + h)//v stairs.  One isqrt finds the last j whose quadratic
+        part is at most t, and one step back corrects it when C(j) > t
+        (proof in the module docstring).
         """
         if value < 0:
             raise ValueError("values are nonnegative")
-        k, v, grow, a, dx, dy, px, py = self._steps
+        k, a, L, l, n, m1, u, v, r, desc = self._steps
         t, residue = divmod(value, k)
-        pref, xs, zs = self._classes[residue]
-        # 2*C(q*P) = (a*q + b)*q with a = P*k*l, so C(q*P) <= t exactly when
-        # (2*a*q + b)**2 <= b*b + 8*a*t; 2*a*q + b is an integer, so that is
-        # |2*a*q + b| <= isqrt(...), and the floored quotient is the last q
-        b = 2 * pref[-1] - a
-        q = (isqrt(b * b + 8 * a * t) - b) // (2 * a)
-        t -= (a * q + b) * q // 2
-        # the last r < P with pref[r] + q*r*k*l <= t
-        grow *= q
-        r, hi = 0, v
-        while hi - r > 1:
-            mid = (r + hi) // 2
-            if pref[mid] + grow * mid <= t:
-                r = mid
-            else:
-                hi = mid
-        t -= pref[r] + grow * r
-        return _point((xs[r] + q * px + t * dx, zs[r] + q * py + t * dy))
+        c0, b, h = self._classes[residue]
+        # (a*j + b)*j/2 <= t exactly when (2*a*j + b)**2 <= b*b + 8*a*t;
+        # 2*a*j + b is an integer, so that is |2*a*j + b| <= isqrt(...), and
+        # the floored quotient is the last such j
+        j = (isqrt(b * b + 8 * a * t) - b) // (2 * a)
+        t -= (a * j + b) * j // 2 + (j + h) // v
+        c = c0 + k * j
+        if t < 0:
+            c -= k
+            t += c * L + (c % v == 0)
+        z = -c * r % v
+        if desc:
+            t = c * L + (not z) - 1 - t
+        return _point(((m1 * z + c * l) // n + t * u, z + t * v))
 
     def stream(self, count: int) -> list[LatticePoint]:
         """Points in value order 0..count-1: each residue class's points
@@ -119,28 +134,23 @@ class PairingScheme:
         return out
 
     def _class_points(self, residue: int, count: int) -> list[LatticePoint]:
-        """The first count points of a value residue class, in value order.
-
-        The class's staircases j = q*v + r laid end to end, each a run of
-        pref[r+1] - pref[r] + q*k*l points (xs[r] + q*px, zs[r] + q*py) +
-        t*(dx, dy), the last run cut to the points still wanted.
-        """
-        _, v, grow, _, dx, dy, px, py = self._steps
-        pref, xs, zs = self._classes[residue]
+        """The first count points of a value residue class, in value order:
+        its staircases c0, c0 + k, ... laid end to end, each a run of its
+        stair count of points from its start stair, the last run cut to the
+        points still wanted."""
+        k, *_, u, v, _, desc = self._steps
+        dx, dy = (-u, -v) if desc else (u, v)
+        _, _, _, two_n, A, B, F = self._scaled
+        stairs = _start_stairs(self.sector, A, B, F, two_n, count_from(self._classes[residue][0], k))
         points: list[LatticePoint] = []
         extend = points.extend
-        q = 0
         while count:
-            for r in range(v):
-                cnt = min(pref[r + 1] - pref[r] + q * grow, count)
-                x, y = xs[r] + q * px, zs[r] + q * py
-                # an integral sector's staircases are columns: dx = 0
-                run_xs = range(x, x + cnt * dx, dx) if dx else [x] * cnt
-                extend(map(_point, zip(run_xs, range(y, y + cnt * dy, dy))))
-                count -= cnt
-                if not count:
-                    break
-            q += 1
+            x, y, cnt, _, _ = next(stairs)
+            cnt = min(cnt, count)
+            # an integral sector's staircases are columns: dx = 0
+            run_xs = range(x, x + cnt * dx, dx) if dx else [x] * cnt
+            extend(map(_point, zip(run_xs, range(y, y + cnt * dy, dy))))
+            count -= cnt
         return points
 
     def to_json_dict(self) -> dict:
@@ -172,27 +182,18 @@ def make_scheme(s: Sector, p: QuadPoly) -> PairingScheme:
     if min(starts) != 0:
         raise ValueError(f"start-stair values {min(starts)}..{max(starts)} are not 0..{k - 1}")
     A, B, F = (int(2 * s.n * coeff) for coeff in (p.d, p.e, p.f))
-    # one period (k*v staircases) on, every start stair moves as staircase 0's
-    (x0, y0, *_), (x1, y1, *_) = _start_stairs(s, A, B, F, 2 * s.n, (0, k * lines.v))
-    step = (lines.u, lines.v) if form.direction is Direction.ASCENDING else (-lines.u, -lines.v)
-    grow = k * lines.l
+    l, v = lines.l, lines.v
+    L, k_inv = l // v, mod_inverse(k, v)
     return PairingScheme(
         sector=s,
         poly=p,
         form=form,
         verified_n=VERIFY_N,
         _scaled=(s.n, s.m, s.m - 1, 2 * s.n, A, B, F),
-        # residue i of the values belongs to the class whose start stair is i
-        _classes=tuple(_class_table(s, A, B, F, k, starts[i]) for i in range(k)),
-        _steps=(k, lines.v, grow, lines.v * grow, *step, x1 - x0, y1 - y0),
+        # residue i of the values belongs to the class whose start stair is
+        # c0 = starts[i]; v | c on its staircase j0 = -c0/k mod v
+        _classes=tuple((c0, L * (2 * c0 - k), v - 1 - (-c0 * k_inv) % v)
+                       for c0 in map(starts.get, range(k))),
+        _steps=(k, L * k, L, l, s.n, s.m - 1, lines.u, v, lines.r,
+                form.direction is Direction.DESCENDING),
     )
-
-
-def _class_table(s: Sector, A: int, B: int, F: int, k: int, c0: int) -> tuple[tuple[int, ...], ...]:
-    """(pref, xs, zs) of staircases c0 + k*j over one period j < v."""
-    pref, xs, zs = [0], [], []
-    for x, z, count, _, _ in _start_stairs(s, A, B, F, 2 * s.n, range(c0, c0 + k * s.lines.v, k)):
-        pref.append(pref[-1] + count)
-        xs.append(x)
-        zs.append(z)
-    return tuple(pref), tuple(xs), tuple(zs)

@@ -8,7 +8,8 @@ tractable.  This module holds the representation, the stair-form
 bookkeeping, and the constructive side: the unique linear coefficients a
 k-stair packing polynomial can have, and the offset that makes the start
 stairs of the first k staircases carry 0..k-1.  _start_stairs reads every
-start stair, its stair count and its value in integers, for the codec too.
+start stair, its stair count and its value in integers; the codec's stream
+reads its runs off it too.
 """
 
 from __future__ import annotations
@@ -267,7 +268,9 @@ def _start_stairs(s: Sector, A: int, B: int, F: int, unit: int, cs: Iterable[int
     (A*x + B*y + F)/unit, unit a multiple of 2n.  (x, y) is the start
     stair, where the staircase's values are least: the first stair, or the
     last (ValueError if none) when the stair step A*u + B*v is negative.
-    count is the stair count, and the value there is w + rem/unit."""
+    count is the stair count, and the value there is w + rem/unit.
+    _start_values reads staircases 0..k-1; the codec's stream reads each
+    residue class's staircases c0, c0 + k, ... as they are needed."""
     lines, Q = s.lines, unit // (2 * s.n)
     u, v, l = lines.u, lines.v, lines.l
     last = A * u + B * v < 0

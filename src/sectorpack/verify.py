@@ -533,7 +533,7 @@ def _edge_threshold(n: int, lo: int) -> int:
 class _PairScreen:
     """The search screen's state for one sector, at depth prefix_n.
 
-    It holds the line table and the base table of one reference lattice
+    It holds the line table and the base tables of one reference lattice
     pair with the stop line of each k_lo met (see _screen).  ``walked``
     and ``band`` count the pairs _screen walks and those in its bands.
     """
@@ -555,38 +555,45 @@ class _PairScreen:
             self.step_ref, rem = divmod(s.n * d_ref * self.u + e_ref * self.v, 2 * s.n)
             if rem:
                 raise ValueError("stair step is not an integer; polynomial is not integer-valued")
-        self.bases: list[tuple[int, int, int, int]] = []  # (K, x0, z, count) per line
+        # (K, x, y, count) per line at its first and at its last point
+        self.firsts: list[tuple[int, int, int, int]] = []
+        self.lasts: list[tuple[int, int, int, int]] = []
         self.stops: dict[int, int] = {}  # k_lo -> its stop line
         self.walked = self.band = 0
 
     def stop_line(self, k_lo: int) -> int:
-        """The stop line of k_lo (see _LineTable.stop); the base table
-        holds every line below it."""
+        """The stop line of k_lo (see _LineTable.stop); the base tables
+        hold every line below it."""
         stop = self.stops[k_lo] = self.table.stop(k_lo, 0, 2 * self.n, self.prefix_n)
-        if stop > len(self.bases):
+        if stop > len(self.firsts):
             self._read_to(stop)
         return stop
 
     def _read_to(self, stop: int) -> None:
-        """Add (K, x0, z, count) for each line below ``stop``, K the base
-        of the reference pair: the scaled value Q*(c*l)**2 + n*d_ref*x0 +
-        e_ref*z at the line's first point, over 2n, which must be an
-        integer.  The lines come a class at a time off
-        _LineTable.classes, each shifted by whole periods.
+        """Add (K, x0, z, count) to ``firsts`` for each line below
+        ``stop``, K the base of the reference pair: the scaled value
+        Q*(c*l)**2 + n*d_ref*x0 + e_ref*z at the line's first point, over
+        2n, which must be an integer.  The lines come a class at a time off
+        _LineTable.classes, each shifted by whole periods.  ``lasts`` gets
+        the same at the line's last point, t = count - 1 steps on: (K +
+        step_ref*t, x0 + u*t, z + v*t, count).
 
         On the lattice no line is empty: n | (m-1)**2 makes v = n/l divide
         l, and line c's first point (x0, z), z < v, lies in the sector iff
         z <= c*l, which holds for c = 0 (z = 0) and for every c >= 1.
         """
-        bases, first = self.bases, len(self.bases)
-        bases += [(0, 0, 0, 0)] * (stop - first)
-        l, v = self.table.lines.l, self.v
+        firsts, lasts, first = self.firsts, self.lasts, len(self.firsts)
+        firsts += [(0, 0, 0, 0)] * (stop - first)
+        lasts += [(0, 0, 0, 0)] * (stop - first)
+        l, u, v, step_ref = self.table.lines.l, self.u, self.v, self.step_ref
         d_ref, e_ref = self.ref
         for c, x0, z, count, K, delta, dd in self.table.classes(
             self.n * d_ref, e_ref, 0, 2 * self.n, first, stop
         ):
             for c in range(c, stop, v):
-                bases[c] = (K, x0, z, count)
+                firsts[c] = (K, x0, z, count)
+                t = count - 1
+                lasts[c] = (K + step_ref * t, x0 + u * t, z + v * t, count)
                 x0 += 1
                 count += l
                 K += delta
@@ -614,7 +621,7 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     as any other does.
 
     Each pair reads the lines and values that _LineTable.walk(n*d2, e2,
-    0, 2n, -offset_range, prefix_n) would, but off one base table per
+    0, 2n, -offset_range, prefix_n) would, but off the base tables of one
     sector, with no call per pair.  Every lattice pair is d2 = d_ref +
     2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref), the
     lattice's residues, and P0 is linear in (d2, e2): P0 moves by 2n*i*x
@@ -628,22 +635,22 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     form (_LineTable.stop).  A line whose least value is below
     -offset_range ends the pair's walk, which is then negative.
 
-    The step's sign is decided once per pair, and each sign has a line
-    loop of its own.  A line's least value is its base on an ascending
-    line and its last value on a descending one, and its window is the
-    ``width`` values least, least + |step|, ... that are at most
-    prefix_n; a step-0 line holds one value and counts every point.  A
-    band pair that steps packs iff marking each window value below vmin +
-    prefix_n + 1 as bit value - vmin sets all prefix_n + 1 bits with
-    exactly prefix_n + 1 marks: a value marked twice would leave a bit
-    unset.
+    A line's least value is its base on an ascending line and its last
+    value on a descending one, read the same way off ``lasts``, so one
+    loop serves both signs of the step; a step-0 pair has a loop of its
+    own.  A line's window is the ``width`` values least, least + |step|,
+    ... that are at most prefix_n; a step-0 line holds one value and
+    counts every point.  A band pair that steps packs iff marking each
+    window value below vmin + prefix_n + 1 as bit value - vmin sets all
+    prefix_n + 1 bits with exactly prefix_n + 1 marks: a value marked
+    twice would leave a bit unset.
     """
     n, m, u, v = screen.n, screen.m, screen.u, screen.v
     unit = 2 * n
     lo, hi = -screen.offset_range, screen.prefix_n
     need = hi + 1
     full = (1 << need) - 1
-    s_min, bases, stops = screen.s_min, screen.bases, screen.stops
+    s_min, firsts, lasts, stops = screen.s_min, screen.firsts, screen.lasts, screen.stops
     survivors = []
     top = max((E.stop for _, E in rows), default=0)
     d_ref, e_ref = screen.ref or (0, 0)
@@ -669,22 +676,9 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
             window = []  # (least, width) per line that meets the window
             total = vmin = 0
             gap = step if step >= 0 else -step
-            if step > 0:
-                for K, x0, z, count in bases[:stop]:
-                    least = K + i * x0 + j * z
-                    if least < vmin:
-                        vmin = least
-                        if vmin < lo:
-                            break
-                    if least <= hi:
-                        width = (hi - least) // gap + 1
-                        if width > count:
-                            width = count
-                        window.append((least, width))
-                        total += width
-            elif step < 0:
-                for K, x0, z, count in bases[:stop]:
-                    least = K + i * x0 + j * z + step * (count - 1)
+            if step:
+                for K, x, y, count in (firsts if step > 0 else lasts)[:stop]:
+                    least = K + i * x + j * y
                     if least < vmin:
                         vmin = least
                         if vmin < lo:
@@ -696,7 +690,7 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
                         window.append((least, width))
                         total += width
             else:
-                for K, x0, z, count in bases[:stop]:
+                for K, x0, z, count in firsts[:stop]:
                     value = K + i * x0 + j * z
                     if value < vmin:
                         vmin = value

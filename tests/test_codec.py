@@ -270,11 +270,22 @@ class TestClosedForm:
                 assert scheme.sector.contains(point)
                 assert scheme.encode(point) == value
 
-    def test_staircase_ends_far_out(self, fig1_scheme, fig3_scheme):
+    def test_staircase_ends_far_out(self, fig1_scheme, fig1_desc_scheme, fig3_scheme):
         # the first and last stair of far staircases sit where a rounded
-        # root or a wrong table entry would land one staircase off
+        # root or a missed step back would land one staircase off; the last
+        # stair of an ascending staircase and the first of a descending one
+        # are where decode steps back, and the descending schemes read each
+        # staircase from its last stair down
         rng = random.Random(6)
-        for scheme in (fig1_scheme, fig3_scheme):
+        schemes = [fig1_scheme, fig1_desc_scheme, fig3_scheme] + [
+            make_scheme(sector(n, m), QuadPoly.from_string(poly))
+            for (n, m), poly in [((48, 37), "24 -36 27/2 7 -11/2 0"),
+                                 ((12, 7), "6 -6 3/2 10 -13/2 2"),
+                                 ((3, 1), "3/2 0 0 11/2 -3 2")]
+        ]
+        assert [(sch.form.k, sch.form.direction.value) for sch in schemes[3:]] == [
+            (1, "desc"), (3, "desc"), (3, "desc")]
+        for scheme in schemes:
             lines = scheme.sector.lines
             for _ in range(300):
                 c = rng.randrange(10 ** rng.randint(1, 60))
@@ -284,6 +295,39 @@ class TestClosedForm:
                 for t in (0, count - 1):
                     point = LatticePoint(x0 + t * lines.u, z + t * lines.v)
                     assert scheme.decode(scheme.encode(point)) == point
+
+    # coprime n, m <= 60 with n | (m-1)**2: the sectors that carry a packing
+    # polynomial, integral ones included
+    PACKING_SECTORS = [(n, m) for n in range(1, 61) for m in range(1, 61)
+                       if math.gcd(n, m) == 1 and (m - 1) ** 2 % n == 0]
+
+    def test_stair_counts_closed_form(self):
+        # v = n/l divides l, so staircase c holds c*L + [v | c] stairs, L = l/v
+        for n, m in self.PACKING_SECTORS:
+            lines = sector(n, m).lines
+            L, rem = divmod(lines.l, lines.v)
+            assert rem == 0 and L >= 1, (n, m)
+            for c in range(3 * lines.v):
+                assert lines.line(c)[2] == c * L + (c % lines.v == 0), (n, m, c)
+
+    def test_k_is_a_unit_mod_the_period(self):
+        # k = +-u mod v, so every class of staircases c0 + k*j meets v | c
+        # once per v staircases
+        for n, m in self.PACKING_SECTORS:
+            v = sector(n, m).lines.v
+            for entry in classify(n, m).entries:
+                assert math.gcd(entry.form.k, v) == 1, (n, m, entry.poly)
+
+    def test_wide_period_round_trip(self):
+        # v = 10**6: the scheme holds O(k) integers, none sized by v
+        s = sector(10**12, 10**6 + 1)
+        scheme = make_scheme(s, QuadPoly.from_string("500000000000 -1000000 1/2 -499999 1/2 0"))
+        assert s.lines.v == 10**6 and scheme.form.k == 1
+        point = scheme.decode(10**30)
+        assert point == (776122791247035, 776121377033472626905)
+        assert scheme.encode(point) == 10**30
+        assert len(pickle.dumps(scheme)) < 1024
+        assert scheme.stream(2000) == [scheme.decode(value) for value in range(2000)]
 
 
 class TestCopies:

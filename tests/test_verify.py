@@ -965,13 +965,24 @@ class TestScreenThenCertify:
         if spans:
             screen._read_to(max(c for c, _, _ in spans) + 1)
         # on the lattice no line is empty
-        assert all(count for *_, count in screen.bases)
-        for (c, t, _), (_, least, greatest) in zip(spans, bounds):
-            K, x0, z, count = screen.bases[c]
+        assert all(count for *_, count in screen.firsts)
+        assert len(screen.lasts) == len(screen.firsts)
+        for (c, t, points), (_, least, greatest) in zip(spans, bounds):
+            K, x0, z, count = screen.firsts[c]
             assert (x0, z, count) == s.lines.line(c)
             base = K + i * x0 + j * z
             assert (greatest if step < 0 else least) == base + t * step
             assert step or least == greatest
+            if step < 0:
+                # a descending line is least at its last point, which the
+                # screen reads off lasts as it reads a first point off firsts
+                K_last, x, y, count_last = screen.lasts[c]
+                assert count_last == count
+                assert (x, y) == screen.table.point(c, count - 1)
+                last = K_last + i * x + j * y
+                assert last == base + (count - 1) * step
+                if t + points == count:
+                    assert least == last
 
     @pytest.mark.parametrize(
         "nm,row",
