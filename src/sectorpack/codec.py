@@ -1,4 +1,4 @@
-"""Verified packing polynomials as pairing functions.
+"""Proved packing polynomials as pairing functions.
 
 A scheme wraps a stair packing polynomial on any sector S(n/m), integral
 ones included, and provides constant-time encode, value-to-point decode,
@@ -8,9 +8,34 @@ stair of a descending one, whose staircases are read backwards.  Both
 decode and stream use the residue-class structure: staircases with index
 congruent to c0 mod k carry exactly the values start_value(c0) + k*N, in
 staircase-then-step order, so value k*t + i is stair t of the class whose
-start value is i.  The stair counts of a class have a closed form, and a
-scheme holds three integers per class:
+start value is i.  Step 0 proves this for every polynomial make_scheme
+accepts; the stair counts of a class have a closed form, and a scheme
+holds three integers per class:
 
+0. make_scheme accepts p exactly when kstair_extract reads a form off it
+   (the forced homogeneous part, an integer step +-k with k in the
+   direction's class mod v, an integer f) and construct(s, k, direction)
+   builds p itself: (d, e) = necessary_coefficients and the offset that
+   puts the start values of staircases 0..k-1 onto 0..k-1.  Let S(c) be
+   staircase c's start-stair value and cnt(c) = c*L + [v | c] >= 1 its
+   stair count (step 1), so its values are S(c) + k*t, t < cnt(c).  With
+   x0 = (u*z + c)/v and the homogeneous part (c*l)**2/(2n) = c*c*L/2,
+   g(c) = S(c + k) - S(c) - k*cnt(c) loses its c*c and c terms and depends
+   on c only through z = -c*r mod v.  With rho = k*r mod v, z(c + k) =
+   z - rho + v*[z < rho], and
+     ascending:  g = k*(k*L/2 + (d - rho)/v + [z < rho] - [z = 0]),
+     descending: g = k*((d + rho)/v - k*L/2 - [z <= rho]).
+   The necessary coefficients make g vanish on every z: ascending, k = u
+   mod v gives rho = 1 and d = 1 - k*l/2 (rho = 0 and z = 0 when v = 1);
+   descending, k = -u mod v gives rho = v - 1 and d = 1 + k*l/2 (again
+   rho = 0 when v = 1).  So S(c + k) = S(c) + k*cnt(c) for every c: the
+   staircases c0, c0 + k, c0 + 2k, ... carry S(c0) + k*N with no gap and
+   no repeat.  Every sector point lies on exactly one staircase c >= 0,
+   and S(0..k-1) runs through 0..k-1, one per residue mod k, so p maps
+   the sector's points one to one onto the nonnegative integers.  The
+   checks cost O(k), and nothing in them grows with v.  A refusal means
+   "not proved", never "not packing"; prefix_check then runs to VERIFY_N,
+   only to name a witness.
 1. n | (m-1)**2 makes v = n/l divide l (l = gcd(n, m-1), u = (m-1)/l, v |
    l*u*u and gcd(u, v) = 1).  Let L = l/v >= 1.  Staircase c holds
    (c*l - z)//v + 1 stairs (LineFamily.line, z = (-c*r) mod v < v and r =
@@ -46,11 +71,20 @@ from functools import partial
 from itertools import count as count_from
 from math import isqrt
 
-from .errors import NotConsecutive, PointOutsideSector
-from .polynomials import Direction, KStairForm, QuadPoly, _start_stairs, _start_values, kstair_extract
+from .errors import PointOutsideSector, SectorPackError
+from .polynomials import (
+    Direction,
+    KStairForm,
+    QuadPoly,
+    _start_stairs,
+    _start_values,
+    construct,
+    kstair_extract,
+)
 from .sectors import LatticePoint, Sector, mod_inverse
-from .verify import prefix_check
 
+# the depth to which make_scheme's refusals prefix-check a polynomial to
+# name a witness
 VERIFY_N = 500
 
 # _point((x, y)) builds exactly what LatticePoint(x, y) builds, without the
@@ -60,10 +94,8 @@ _point = partial(tuple.__new__, LatticePoint)
 
 @dataclass(frozen=True)
 class PairingScheme:
-    """An encode/decode pair backed by a prefix-verified packing polynomial.
-
-    ``verified_n`` records the depth of the prefix check performed at
-    construction, VERIFY_N — the verification horizon, not a proof.
+    """An encode/decode pair backed by a packing polynomial that
+    make_scheme has proved (step 0 of the module docstring).
 
     Schemes are immutable: make_scheme computes the O(k) integers decode
     reads, so encode, decode and stream hold no shared mutable state and
@@ -75,7 +107,6 @@ class PairingScheme:
     sector: Sector
     poly: QuadPoly
     form: KStairForm
-    verified_n: int
     # per value residue i, (c0, b, h) of the class of staircases c0 + k*j
     # whose start stairs carry i mod k (see the module docstring)
     _classes: tuple[tuple[int, int, int], ...] = field(default=(), repr=False)
@@ -160,27 +191,33 @@ class PairingScheme:
             "k": self.form.k,
             "direction": self.form.direction.value,
             "f": self.form.offset_f,
-            "verified_N": self.verified_n,
         }
 
 
 def make_scheme(s: Sector, p: QuadPoly) -> PairingScheme:
     """Wrap a packing polynomial as a pairing scheme.
 
-    Runs prefix_check to depth VERIFY_N first and refuses polynomials that
-    fail it or whose k start stairs miss 0..k-1.
+    Accepts p exactly when it is construct's polynomial for the step
+    kstair_extract reads off it, which proves that p packs the whole
+    sector (step 0 of the module docstring).  A refusal is a ValueError
+    naming prefix_check's witness at depth VERIFY_N, or a fixed reason if
+    p packs to that depth; whatever prefix_check raises propagates.
     """
-    report = prefix_check(s, p, VERIFY_N)
-    if not report.ok:
-        raise ValueError(f"not a packing polynomial on S({s}): {report.describe()}")
-    form = kstair_extract(s, p)
-    k, lines = form.k, s.lines
     try:
-        starts = _start_values(s, p.d, p.e, p.f, k)
-    except NotConsecutive as exc:
-        raise ValueError(f"not a packing polynomial on S({s}): {exc}") from exc
-    if min(starts) != 0:
-        raise ValueError(f"start-stair values {min(starts)}..{max(starts)} are not 0..{k - 1}")
+        form = kstair_extract(s, p)
+        proved = construct(s, form.k, form.direction)[0] == p
+    except (ValueError, SectorPackError):
+        proved = False
+    if not proved:
+        from .verify import prefix_check
+
+        report = prefix_check(s, p, VERIFY_N)
+        reason = (f"values 0..{VERIFY_N} each attained once, but it is not the k-stair "
+                  "polynomial construct builds, so it is not proved to pack"
+                  if report.ok else report.describe())
+        raise ValueError(f"not a packing polynomial on S({s}): {reason}")
+    k, lines = form.k, s.lines
+    starts = _start_values(s, p.d, p.e, p.f, k)
     A, B, F = (int(2 * s.n * coeff) for coeff in (p.d, p.e, p.f))
     l, v = lines.l, lines.v
     L, k_inv = l // v, mod_inverse(k, v)
@@ -188,7 +225,6 @@ def make_scheme(s: Sector, p: QuadPoly) -> PairingScheme:
         sector=s,
         poly=p,
         form=form,
-        verified_n=VERIFY_N,
         _scaled=(s.n, s.m, s.m - 1, 2 * s.n, A, B, F),
         # residue i of the values belongs to the class whose start stair is
         # c0 = starts[i]; v | c on its staircase j0 = -c0/k mod v

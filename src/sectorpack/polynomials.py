@@ -328,7 +328,9 @@ def construct(s: Sector, k: int, direction: Direction) -> tuple[QuadPoly, KStair
     """Build the k-stair packing polynomial on S(n/m) in the given direction.
 
     Forced homogeneous part, the unique (d, e) for the direction, then the
-    offset from the start stairs of the first k staircases.
+    offset from the start stairs of the first k staircases.  These checks
+    prove that the result packs the whole sector (step 0 of the codec
+    docstring), and make_scheme accepts exactly the polynomials built here.
     """
     d, e = necessary_coefficients(s, k, direction)
     f = -min(_start_values(s, d, e, Fraction(0), k))

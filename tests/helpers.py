@@ -114,6 +114,16 @@ def start_value_scan(s: Sector, p: QuadPoly, c: int) -> Fraction:
     return p.eval(min(stairs, key=lambda q: q.y) if stairs else first_stair_scan(s, c))
 
 
+def chain_gaps(s: Sector, p: QuadPoly, k: int, c_max: int) -> list[Fraction]:
+    """g(c) = S(c + k) - S(c) - k*count(c) for c = 0..c_max-1, by scan:
+    S is start_value_scan's start-stair value and count the number of
+    stairs_scan points on the staircase.  A stair polynomial with step +-k
+    carries the values of staircase c0 + k onward from those of staircase
+    c0 exactly when g(c0) = 0."""
+    starts = [start_value_scan(s, p, c) for c in range(c_max + k)]
+    return [starts[c + k] - starts[c] - k * len(stairs_scan(s, c)) for c in range(c_max)]
+
+
 def offset_reference(s: Sector, p0: QuadPoly, k: int) -> int:
     """determine_offset with Fraction values from start_value_scan: each of
     staircases 0..k-1 in turn must start at an integer that repeats no

@@ -32,14 +32,15 @@ def test_import_leaves_out_the_process_pool():
 
 
 NO_CLASSIFY = ("classify", "render", "sweep")
+NO_VERIFY = ("verify", *NO_CLASSIFY)
 NO_ORACLE = ("verify", "codec", "classify", "render", "sweep")
 
 
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        pytest.param(["decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--value", "1000"], NO_CLASSIFY, id="decode"),
-        pytest.param(["encode", "8/5", "--poly", "4 -4 1 -1 1 0", "--point", "4,5"], NO_CLASSIFY, id="encode"),
+        pytest.param(["decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--value", "1000"], NO_VERIFY, id="decode"),
+        pytest.param(["encode", "8/5", "--poly", "4 -4 1 -1 1 0", "--point", "4,5"], NO_VERIFY, id="encode"),
         pytest.param(["verify", "8/5", "--poly", "4 -4 1 -1 1 0"], NO_CLASSIFY, id="verify"),
         pytest.param(["reduce", "3/7"], NO_ORACLE, id="reduce"),
         pytest.param(["dual", "8/5"], NO_ORACLE, id="dual"),
@@ -49,6 +50,15 @@ def test_command_imports_only_what_it_runs(argv, absent):
     loaded = loaded_after(f"from sectorpack.cli import main\nassert main({argv!r}) == 0")
     assert "sectorpack.cli" in loaded
     assert not loaded & {f"sectorpack.{name}" for name in absent}
+
+
+def test_refused_decode_loads_the_oracle():
+    # a scheme is proved without the oracle; only a refusal runs
+    # prefix_check, to name its witness
+    argv = ["decode", "8/5", "--poly", "4 -4 1 -1 3 0", "--value", "5"]
+    loaded = loaded_after(f"from sectorpack.cli import main\nassert main({argv!r}) == 1")
+    assert "sectorpack.verify" in loaded
+    assert not loaded & {f"sectorpack.{name}" for name in NO_CLASSIFY}
 
 
 class TestClassifyCmd:
@@ -322,7 +332,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command, option", [("encode", "--point=4,5"), ("decode", "--value=5")])
     def test_verify_depth_is_not_an_option(self, capsys, command, option):
-        # a scheme's prefix check runs at the one depth codec.VERIFY_N
+        # a scheme is proved, so encode and decode take no depth
         with pytest.raises(SystemExit) as exc:
             main([command, "8/5", "--poly", "4 -4 1 -1 1 0", option, "--verify-n", "600"])
         assert exc.value.code == 2

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import math
 import pickle
 import random
 import sys
 import threading
 from copy import deepcopy
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sectorpack.verify
+from helpers import chain_gaps, start_value_scan
 from sectorpack import (
     Direction,
     LatticePoint,
+    NotConsecutive,
     PointOutsideSector,
     PrefixReport,
     PrefixStatus,
@@ -22,9 +27,12 @@ from sectorpack import (
     enumerate_upto,
     make_scheme,
     necessary_coefficients,
+    prefix_check,
     sector,
     stanton_quadratic,
 )
+from sectorpack.codec import VERIFY_N
+from sectorpack.polynomials import _residue, _start_values
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P_MINUS = QuadPoly.from_string("4 -4 1 3 -2 0")
@@ -62,7 +70,6 @@ class TestConstruction:
     def test_metadata(self, fig1_scheme):
         assert fig1_scheme.form.k == 1
         assert fig1_scheme.encode(fig1_scheme.sector.first_stair(0)) == 0
-        assert fig1_scheme.verified_n == 500
 
     def test_first_stair_values_permutation(self, fig3_scheme):
         s = fig3_scheme.sector
@@ -70,14 +77,16 @@ class TestConstruction:
         assert sorted(values) == [0, 1, 2]
         assert values == (2, 1, 0)
 
-    def test_verify_depth_is_fixed(self, monkeypatch):
-        # every scheme is prefix-checked at the one depth VERIFY_N = 500
-        codec = importlib.import_module("sectorpack.codec")
-        depths = []
-        check = codec.prefix_check
-        monkeypatch.setattr(codec, "prefix_check", lambda s, p, n: depths.append(n) or check(s, p, n))
-        assert make_scheme(sector(8, 5), P_PLUS).verified_n == codec.VERIFY_N == 500
-        assert depths == [500]
+    def test_accept_path_runs_no_oracle(self, monkeypatch):
+        # a scheme is proved from its stair form, not prefix-checked: with
+        # an oracle that raises, every S(4) entry and P_PLUS still build
+        def no_oracle(s, p, n):
+            raise AssertionError("prefix_check ran")
+
+        monkeypatch.setattr(sectorpack.verify, "prefix_check", no_oracle)
+        for entry in classify(4, 1).entries:
+            assert make_scheme(sector(4, 1), entry.poly).form == entry.form
+        assert make_scheme(sector(8, 5), P_PLUS).form.k == 1
         with pytest.raises(TypeError):
             make_scheme(sector(8, 5), P_PLUS, 10)
 
@@ -85,19 +94,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_scheme(sector(8, 5), dataclasses.replace(P_PLUS, f=3))
 
-    def test_rejects_start_values_off_zero(self, monkeypatch):
-        # past the prefix check, the start stairs of staircases 0..k-1 must
-        # carry 0..k-1; a stub prefix check lets through polynomials whose
-        # start values begin at 3, or repeat (k = 3 on S(8/5))
-        codec = importlib.import_module("sectorpack.codec")
-        ok = PrefixReport(PrefixStatus.OK, checked_upto=500, points=501)
-        monkeypatch.setattr(codec, "prefix_check", lambda s, p, n: ok)
+    def test_refusal_names_the_prefix_witness(self):
+        # start values that begin at 3, or repeat (k = 3 on S(8/5)): neither
+        # polynomial is construct's, and each refusal reads prefix_check's
+        # verdict at depth VERIFY_N = 500
         s = sector(8, 5)
-        with pytest.raises(ValueError, match=r"^start-stair values 3\.\.3 are not 0\.\.0$"):
-            make_scheme(s, dataclasses.replace(P_PLUS, f=3))
         d, e = necessary_coefficients(s, 3, Direction.ASCENDING)
-        with pytest.raises(ValueError, match="staircase 1 repeats start-stair value 0"):
-            make_scheme(s, QuadPoly(*stanton_quadratic(s), d, e, 0))
+        for p in (dataclasses.replace(P_PLUS, f=3), QuadPoly(*stanton_quadratic(s), d, e, 0)):
+            report = prefix_check(s, p, 500)
+            assert not report.ok
+            with pytest.raises(ValueError) as info:
+                make_scheme(s, p)
+            assert str(info.value) == f"not a packing polynomial on S(8/5): {report.describe()}"
+        assert VERIFY_N == 500
+
+    def test_refusal_past_the_prefix_depth(self, monkeypatch):
+        # a polynomial that is not construct's but packs to depth VERIFY_N
+        # (none is known; a stub oracle stands in) is refused as not proved
+        ok = PrefixReport(PrefixStatus.OK, checked_upto=500, points=501)
+        monkeypatch.setattr(sectorpack.verify, "prefix_check", lambda s, p, n: ok)
+        with pytest.raises(ValueError) as info:
+            make_scheme(sector(8, 5), dataclasses.replace(P_PLUS, f=3))
+        assert str(info.value) == (
+            "not a packing polynomial on S(8/5): values 0..500 each attained once, but it is "
+            "not the k-stair polynomial construct builds, so it is not proved to pack")
 
     def test_integral_sector_round_trip(self):
         # every S(4) entry: k = 1 and the k = 2 extras, both directions
@@ -114,7 +134,6 @@ class TestConstruction:
             "k": 3,
             "direction": "asc",
             "f": 2,
-            "verified_N": 500,
         }
 
 
@@ -330,6 +349,132 @@ class TestClosedForm:
         assert scheme.stream(2000) == [scheme.decode(value) for value in range(2000)]
 
 
+COPRIME_40 = [(n, m) for n in range(1, 41) for m in range(1, 41) if math.gcd(n, m) == 1]
+
+
+def closed_form_gap(s, d, k, direction, c):
+    """g(c) = S(c + k) - S(c) - k*cnt(c) by the closed forms of step 0 of
+    the codec docstring, for the forced-part polynomial with linear
+    coefficient d and stair step +-k."""
+    lines = s.lines
+    v, L = lines.v, lines.l // lines.v
+    z, rho = -c * lines.r % v, k * lines.r % v
+    if direction is Direction.ASCENDING:
+        return k * (Fraction(k * L, 2) + (d - rho) / v + (z < rho) - (z == 0))
+    return k * ((d + rho) / v - Fraction(k * L, 2) - (z <= rho))
+
+
+def scheme_candidates(s, polys):
+    """polys and their near-misses on s: f moved by 1, and d moved by 1/2
+    with e moved to keep the stair step; on a sector with n | (m-1)**2,
+    forced-part lattice pairs with |d2| <= 2 and |e2| <= 2n and an integer
+    step, at f = 0 and around the offset that puts their start values
+    lowest at 0; and x**2, whose homogeneous part is not the forced one."""
+    half, shift = Fraction(1, 2), Fraction(s.m - 1, 2 * s.n)
+    out = [QuadPoly(1, 0, 0, 0, 0, 0)]
+    for p in polys:
+        out += [p, dataclasses.replace(p, f=p.f - 1), dataclasses.replace(p, f=p.f + 1),
+                dataclasses.replace(p, d=p.d + half, e=p.e - shift),
+                dataclasses.replace(p, d=p.d - half, e=p.e + shift)]
+    if (s.m - 1) ** 2 % s.n:
+        return out
+    forced = stanton_quadratic(s)
+    for d2 in range(-2, 3):
+        for e2 in range(-2 * s.n, 2 * s.n + 1):
+            d, e = Fraction(d2, 2), Fraction(e2, 2 * s.n)
+            step = d * s.lines.u + e * s.lines.v
+            if step == 0 or step.denominator != 1:
+                continue
+            out.append(QuadPoly(*forced, d, e, 0))
+            try:
+                f0 = -min(_start_values(s, d, e, Fraction(0), abs(step.numerator)))
+            except (NotConsecutive, ValueError):  # ValueError: an empty staircase
+                continue
+            out += [QuadPoly(*forced, d, e, f0 + df) for df in (-1, 0, 1)]
+    return out
+
+
+class TestProof:
+    def test_classified_chains_close(self):
+        # the chain argument on every classified entry, by scan: staircases
+        # 0..k-1 start at 0..k-1, and g(c) = 0 for c < 3v + k, which passes
+        # every z = -c*r mod v at least three times
+        checked = 0
+        for n, m in COPRIME_40:
+            s = sector(n, m)
+            for entry in classify(n, m).entries:
+                k = entry.form.k
+                assert {start_value_scan(s, entry.poly, c) for c in range(k)} == set(range(k))
+                assert not any(chain_gaps(s, entry.poly, k, 3 * s.lines.v + k)), (n, m, entry.poly)
+                checked += 1
+        assert checked == 522
+
+    @given(
+        st.sampled_from([(n, m) for n, m in COPRIME_40 if (m - 1) ** 2 % n == 0]),
+        st.sampled_from(Direction),
+        st.integers(1, 8),
+        st.integers(-40, 40),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_gap_closed_forms(self, nm, direction, k, d2):
+        # any forced-part polynomial with stair step +-k, k in any class
+        # mod v and d off the necessary coefficient too: the closed forms
+        # are the raw gaps
+        s = sector(*nm)
+        lines = s.lines
+        d = Fraction(d2, 2)
+        step = k if direction is Direction.ASCENDING else -k
+        p = QuadPoly(*stanton_quadratic(s), d, (step - d * lines.u) / lines.v, 0)
+        c_max = 3 * lines.v + k
+        assert chain_gaps(s, p, k, c_max) == [
+            closed_form_gap(s, d, k, direction, c) for c in range(c_max)]
+
+    def test_necessary_coefficients_close_the_chain(self):
+        # with k in the direction's class and d necessary, both closed
+        # forms vanish on every z
+        for n, m in COPRIME_40:
+            s = sector(n, m)
+            if (m - 1) ** 2 % n:
+                continue
+            v = s.lines.v
+            for direction in Direction:
+                res, _ = _residue(s, direction)
+                for k in range(res or v, 4 * v, v):
+                    d, _ = necessary_coefficients(s, k, direction)
+                    assert not any(closed_form_gap(s, d, k, direction, c) for c in range(v)), (
+                        n, m, k, direction)
+
+    def test_accepts_exactly_classified(self):
+        # coprime n, m <= 30: make_scheme accepts exactly classify's
+        # polynomials among scheme_candidates, and refuses each other one
+        # with prefix_check's verdict at VERIFY_N, or raises what
+        # prefix_check raises
+        accepted, classified = set(), set()
+        for n, m in COPRIME_40:
+            if max(n, m) > 30:
+                continue
+            s = sector(n, m)
+            polys = [entry.poly for entry in classify(n, m).entries]
+            classified.update((n, m, p) for p in polys)
+            for p in scheme_candidates(s, polys):
+                try:
+                    make_scheme(s, p)
+                except Exception as exc:
+                    got = type(exc), str(exc)
+                else:
+                    accepted.add((n, m, p))
+                    continue
+                try:
+                    report = prefix_check(s, p, VERIFY_N)
+                except Exception as exc:
+                    assert got == (type(exc), str(exc)), (n, m, p)
+                else:
+                    assert got == (ValueError, f"not a packing polynomial on S({s}): "
+                                               f"{report.describe()}"), (n, m, p)
+        assert len(classified) == 359
+        assert accepted == classified
+
+
 class TestCopies:
     def test_pickle_round_trip(self, fig3_scheme):
         copy = pickle.loads(pickle.dumps(fig3_scheme))
@@ -339,7 +484,7 @@ class TestCopies:
 
     def test_frozen(self, fig1_desc_scheme):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            fig1_desc_scheme.verified_n = 0
+            fig1_desc_scheme.poly = P_PLUS
 
 
 class TestThreads:
