@@ -14,7 +14,7 @@ from typing import Optional
 from .classify import Classification, _classify
 from .polynomials import QuadPoly, _exact_key
 from .sectors import sector
-from .verify import SearchParams, _search_detail
+from .verify import SearchParams, _search_detail, _ShearClass
 
 __all__ = ["sweep", "SweepRow", "SweepReport"]
 
@@ -55,14 +55,17 @@ def _sweep_rows(tasks: list[tuple[int, int, SearchParams]]) -> list[SweepRow]:
 
     The chunk's sectors share one dict of classifications, so a slope < 1
     sector reads its reduced target's when the chunk has already
-    classified it.
+    classified it, and one dict of search screens, so the sectors of a
+    shear class (see verify._PairScreen) screen and certify each reduced
+    pair once.
     """
     known: dict[tuple[int, int], Classification] = {}
+    screens: dict[tuple[int, int, int, int], _ShearClass] = {}
     rows = []
     for n, m, params in tasks:
         classified = _classify(n, m, known).polynomials()
         own = {_exact_key(p): p for p in classified}
-        found, raw_found = _search_detail(sector(n, m), params)
+        found, raw_found = _search_detail(sector(n, m), params, screens)
         keys = [_exact_key(p) for p in found]
         # classify's own object wherever the search found the same
         # polynomial, so that a pooled row pickles each polynomial once
@@ -97,7 +100,11 @@ def sweep(
     starting no more workers than there are chunks: the pool forks every
     worker at its first submit, wanted or not.  The sectors of one chunk
     share one dict of classifications, so a slope < 1 sector whose
-    reduced target falls in its chunk does not classify the target again.
+    reduced target falls in its chunk does not classify the target again,
+    and one dict of search screens, one per shear class: S(n/m) and
+    S(n/(m + q*n)) in one chunk screen and certify each reduced pair once
+    (see verify._PairScreen).  A chunk's rows are those its sectors give
+    searched alone, in any order, so chunking changes no row.
     """
     if max_n < 0 or max_m < 0:
         raise ValueError(f"max_n and max_m must be nonnegative, got {max_n} and {max_m}")

@@ -25,6 +25,15 @@ class by class as the walk reads its own, plus integer multiples of the
 line's first point: the screen's values are the walk's, in integers,
 with no rounding.
 
+The sectors S(n/m) that share n and m0 = (m - 1) mod n + 1 form one
+shear class.  With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the
+lattice points of S(n/m0) one to one onto those of S(n/m) and keeps
+every staircase index, so a search pair (d2, e2) takes on S(n/m) the
+values that the reduced pair (d2, e2 + q*n*d2) takes on S(n/m0), at
+every depth (_PairScreen proves it).  The screen's tables, each pair's
+screen outcome and each survivor's certification are kept once per
+class, and a sweep shares them among the sectors of a chunk.
+
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
 bound, every line's minimum value exceeds N.  _LineTable.stop names the
@@ -530,36 +539,43 @@ def _edge_threshold(n: int, lo: int) -> int:
     return max(-((n * n * t * t - lo) // t) for t in range(1, math.isqrt(-lo) // n + 2))
 
 
-class _PairScreen:
-    """The search screen's state for one sector, at depth prefix_n.
+class _ShearClass:
+    """The search screen's state for one shear class at depth prefix_n:
+    the sectors S(n/m), m = m0 + q*n for q >= 0, that share n and m0 =
+    (m - 1) mod n + 1, seen through S(n/m0) (see _PairScreen).
 
-    It holds the line table and the base tables of one reference lattice
-    pair with the stop line of each k_lo met (see _screen).  ``walked``
-    and ``band`` count the pairs _screen walks and those in its bands.
+    It holds the line table of S(n/m0) and the base tables of one
+    reference lattice pair with the stop line of each k_lo met (see
+    _screen).  ``outcomes`` maps a reduced pair, as d2 -> {j: outcome}
+    with j its offset from the reference e2 in steps of 2n, to its
+    screen outcome: _NEGATIVE, _SHORT, _UNPACKED or, for a pair that
+    packs, its forced offset f = -vmin >= 0.  ``verdicts`` maps (d2, e2,
+    f, prefix_n), the pair reduced, to whether its certification passed.
     """
 
-    def __init__(self, s: Sector, prefix_n: int, offset_range: int):
-        self.table = _LineTable(s, 1)
-        self.n, self.m = s.n, s.m
-        self.u, self.v = s.lines.u, s.lines.v
-        self.prefix_n, self.offset_range = prefix_n, offset_range
+    def __init__(self, s0: Sector, prefix_n: int, offset_range: int):
+        self.table = _LineTable(s0, 1)
+        self.n = s0.n
+        self.u, self.v = s0.lines.u, s0.lines.v
+        self.prefix_n = prefix_n
         # Cheap rejection: on the x-axis points (t, 0) and the ray points
         # (m*t, n*t) the scaled value is n*n*t*t + S*t with S = A or
         # A*m + B*n, and a value below -2n*offset_range there cannot be
         # rescued by any offset.
-        self.s_min = _edge_threshold(s.n, -2 * s.n * offset_range)
+        self.s_min = _edge_threshold(s0.n, -2 * s0.n * offset_range)
         # The reference pair is the lattice's residue pair (None off it).
-        self.ref = _lattice_residues(s)
+        self.ref = _lattice_residues(s0)
         if self.ref is not None:
             d_ref, e_ref = self.ref
-            self.step_ref, rem = divmod(s.n * d_ref * self.u + e_ref * self.v, 2 * s.n)
+            self.step_ref, rem = divmod(s0.n * d_ref * self.u + e_ref * self.v, 2 * s0.n)
             if rem:
                 raise ValueError("stair step is not an integer; polynomial is not integer-valued")
         # (K, x, y, count) per line at its first and at its last point
         self.firsts: list[tuple[int, int, int, int]] = []
         self.lasts: list[tuple[int, int, int, int]] = []
         self.stops: dict[int, int] = {}  # k_lo -> its stop line
-        self.walked = self.band = 0
+        self.outcomes: dict[int, dict[int, int]] = {}
+        self.verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def stop_line(self, k_lo: int) -> int:
         """The stop line of k_lo (see _LineTable.stop); the base tables
@@ -600,6 +616,66 @@ class _PairScreen:
                 delta += dd
 
 
+# _ShearClass.outcomes: a pair with a value below -offset_range, one with
+# too few values <= prefix_n, and a band pair that does not pack (a pair
+# that packs maps to its forced offset, which is >= 0)
+_NEGATIVE, _SHORT, _UNPACKED = -1, -2, -3
+
+
+class _PairScreen:
+    """The search screen's view of one sector S(n/m), at depth prefix_n.
+
+    Sectors with the same n and the same m0 = (m - 1) mod n + 1 form one
+    shear class, and the view screens its sector's pairs on the class's
+    shared state, a _ShearClass of S(n/m0) held in ``classes`` (a fresh
+    dict when None) under (n, m0, prefix_n, offset_range).  For n = 1 the
+    class's sector is S(1/1), where w_reduce gives the quadrant.
+
+    With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the lattice points of
+    S(n/m0) one to one onto those of S(n/m): m*y <= n*(x + q*y) iff m0*y
+    <= n*x, and with y >= 0 either makes both x and x + q*y nonnegative,
+    as m0 >= 1.  T keeps every staircase index c, since n*(x + q*y) -
+    (m-1)*y = n*x - (m0-1)*y, so it keeps the forced homogeneous part
+    (n*x - (m-1)*y)**2, the line step (u, v) = (u0 + q*v, v) and each
+    point's place t on its line.  As n*d2*(x + q*y) + e2*y = n*d2*x + (e2
+    + q*n*d2)*y, the pair (d2, e2) takes on S(n/m) exactly the values,
+    line by line and point by point, that the reduced pair (d2, e2 +
+    q*n*d2) takes on S(n/m0), at every depth.  Its step n*d2*u + e2*v
+    and both edge sums, A = n*d2 and A*m + B*n, are the reduced pair's,
+    so the s_min test and the stop line are too.  And the pair lies on
+    the sector's integer-valued lattice iff the reduced pair lies on
+    S(n/m0)'s: both need d2 - n even, and then (m-1)**2 - (m0-1)**2 =
+    2*q*n*(m0-1) + q*q*n*n is q*n*d2 mod 2n.
+
+    ``table`` is the sector's own line table, on which its survivors are
+    certified; ``walked`` and ``band`` count the pairs _screen walks for
+    this sector and those in its bands, whether or not the class had
+    screened them before.
+    """
+
+    def __init__(
+        self,
+        s: Sector,
+        prefix_n: int,
+        offset_range: int,
+        classes: Optional[dict[tuple[int, int, int, int], _ShearClass]] = None,
+    ):
+        n, m = s.n, s.m
+        m0 = (m - 1) % n + 1
+        classes = {} if classes is None else classes
+        key = (n, m0, prefix_n, offset_range)
+        shear = classes.get(key)
+        if shear is None:
+            s0 = s if m0 == m else Sector(n, m0, s.l)
+            shear = classes[key] = _ShearClass(s0, prefix_n, offset_range)
+        self.shear = shear
+        self.q = (m - m0) // n
+        self.table = _LineTable(s, 1)
+        self.n, self.m = n, m
+        self.prefix_n, self.offset_range = prefix_n, offset_range
+        self.walked = self.band = 0
+
+
 def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[int, int, int]]:
     """Keep the (d2, e2) pairs of ``rows`` that pack to the screen's depth
     prefix_n for some offset, as (d2, e2, f) triples in row order, f the
@@ -618,21 +694,26 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     zero step and distinct values.  On the rows of a box the screen thus
     walks at most |D| + |E| pairs outside the bands.  A step-0 pair is
     never kept, but its window counts every point, so it lowers ``top``
-    as any other does.
+    as any other does.  The down-set argument holds on the sector's own
+    coordinates, so rows, ``top`` and the kept triples are the sector's.
 
-    Each pair reads the lines and values that _LineTable.walk(n*d2, e2,
-    0, 2n, -offset_range, prefix_n) would, but off the base tables of one
-    sector, with no call per pair.  Every lattice pair is d2 = d_ref +
-    2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref), the
-    lattice's residues, and P0 is linear in (d2, e2): P0 moves by 2n*i*x
-    + 2n*j*y.  So in units of 2n, line c's base (its value at (x0(c),
-    z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref + i*u +
-    j*v.  Only K(c), the reference pair's base, needs a division by 2n,
-    read exactly per line class per sector (see _read_to); the rest is
-    integer products and sums, so every value is exactly the walk's.  The
-    walk's stop line depends on the pair only through k_lo = min(A, A*m
-    + B*n), so each k_lo's count of lines is computed once, in closed
-    form (_LineTable.stop).  A line whose least value is below
+    Each pair is read as its reduced pair (d2, e2 + q*n*d2) on S(n/m0),
+    whose values are the pair's (see _PairScreen), and its outcome is
+    computed once per shear class: a pair the class has met, on this
+    sector or on another, reads its outcome off ``outcomes``.  A pair
+    computed here reads the lines and values that _LineTable.walk(n*d2,
+    e2, 0, 2n, -offset_range, prefix_n) would, but off the class's base
+    tables, with no call per pair.  Every reduced lattice pair is d2 =
+    d_ref + 2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref),
+    the lattice's residues on S(n/m0), and P0 is linear in (d2, e2): P0
+    moves by 2n*i*x + 2n*j*y.  So in units of 2n, line c's base (its value
+    at (x0(c), z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref +
+    i*u + j*v.  Only K(c), the reference pair's base, needs a division by
+    2n, read exactly per line class per shear class (see _read_to); the
+    rest is integer products and sums, so every value is exactly the
+    walk's.  The walk's stop line depends on the pair only through k_lo =
+    min(A, A*m + B*n), so each k_lo's count of lines is computed once, in
+    closed form (_LineTable.stop).  A line whose least value is below
     -offset_range ends the pair's walk, which is then negative.
 
     A line's least value is its base on an ascending line and its last
@@ -645,21 +726,27 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     prefix_n + 1 bits with exactly prefix_n + 1 marks: a value marked
     twice would leave a bit unset.
     """
-    n, m, u, v = screen.n, screen.m, screen.u, screen.v
+    shear = screen.shear
+    n, m, u, v = screen.n, screen.m, shear.u, shear.v
     unit = 2 * n
     lo, hi = -screen.offset_range, screen.prefix_n
     need = hi + 1
     full = (1 << need) - 1
-    s_min, firsts, lasts, stops = screen.s_min, screen.firsts, screen.lasts, screen.stops
+    s_min, firsts, lasts, stops = shear.s_min, shear.firsts, shear.lasts, shear.stops
+    outcomes = shear.outcomes
     survivors = []
     top = max((E.stop for _, E in rows), default=0)
-    d_ref, e_ref = screen.ref or (0, 0)
+    d_ref, e_ref = shear.ref or (0, 0)
     for d2, E in rows:
         i, d_off = divmod(d2 - d_ref, 2)
-        if screen.ref is None or d_off or (E.start - e_ref) % unit or len(E) > 1 and E.step != unit:
+        e_off = screen.q * n * d2 - e_ref  # e2 + e_off is 2n*j
+        if shear.ref is None or d_off or (E.start + e_off) % unit or len(E) > 1 and E.step != unit:
             raise ValueError(f"row ({d2}, {E}) is off the integer-valued lattice")
         A = n * d2
-        row_step = screen.step_ref + i * u
+        row_step = shear.step_ref + i * u
+        memo = outcomes.get(d2)
+        if memo is None:
+            memo = outcomes[d2] = {}
         band = []
         walked = banded = 0
         for e2 in reversed(range(E.start, min(E.stop, top + 1), E.step)):
@@ -667,56 +754,67 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
             if A < s_min or S < s_min:
                 break
             walked += 1
-            j = (e2 - e_ref) // unit
-            step = row_step + j * v
-            k_lo = A if A < S else S
-            stop = stops.get(k_lo)
-            if stop is None:
-                stop = screen.stop_line(k_lo)
-            window = []  # (least, width) per line that meets the window
-            total = vmin = 0
-            gap = step if step >= 0 else -step
-            if step:
-                for K, x, y, count in (firsts if step > 0 else lasts)[:stop]:
-                    least = K + i * x + j * y
-                    if least < vmin:
-                        vmin = least
-                        if vmin < lo:
-                            break
-                    if least <= hi:
-                        width = (hi - least) // gap + 1
-                        if width > count:
-                            width = count
-                        window.append((least, width))
-                        total += width
-            else:
-                for K, x0, z, count in firsts[:stop]:
-                    value = K + i * x0 + j * z
-                    if value < vmin:
-                        vmin = value
-                        if vmin < lo:
-                            break
-                    if value <= hi:
-                        total += count
-            if vmin < lo:
+            j = (e2 + e_off) // unit
+            out = memo.get(j)
+            if out is None:
+                step = row_step + j * v
+                k_lo = A if A < S else S
+                stop = stops.get(k_lo)
+                if stop is None:
+                    stop = shear.stop_line(k_lo)
+                window = []  # (least, width) per line that meets the window
+                total = vmin = 0
+                gap = step if step >= 0 else -step
+                if step:
+                    for K, x, y, count in (firsts if step > 0 else lasts)[:stop]:
+                        least = K + i * x + j * y
+                        if least < vmin:
+                            vmin = least
+                            if vmin < lo:
+                                break
+                        if least <= hi:
+                            width = (hi - least) // gap + 1
+                            if width > count:
+                                width = count
+                            window.append((least, width))
+                            total += width
+                else:
+                    for K, x0, z, count in firsts[:stop]:
+                        value = K + i * x0 + j * z
+                        if value < vmin:
+                            vmin = value
+                            if vmin < lo:
+                                break
+                        if value <= hi:
+                            total += count
+                if vmin < lo:
+                    out = _NEGATIVE
+                elif total < need:
+                    out = _SHORT
+                else:
+                    out = _UNPACKED
+                    if step:
+                        seen = marked = 0
+                        for least, width in window:
+                            first = least - vmin
+                            if first < need:
+                                w = (need - 1 - first) // gap + 1
+                                if w > width:
+                                    w = width
+                                marked += w
+                                # bits first, first + gap, ..., first + (w - 1)*gap
+                                seen |= ((1 << gap * w) - 1) // ((1 << gap) - 1) << first
+                        if seen == full and marked == need:
+                            out = -vmin
+                memo[j] = out
+            if out == _NEGATIVE:
                 break
-            if total < need:
+            if out == _SHORT:
                 top = e2 - 1
                 continue
             banded += 1
-            if step:
-                seen = marked = 0
-                for least, width in window:
-                    first = least - vmin
-                    if first < need:
-                        w = (need - 1 - first) // gap + 1
-                        if w > width:
-                            w = width
-                        marked += w
-                        # bits first, first + gap, ..., first + (w - 1)*gap
-                        seen |= ((1 << gap * w) - 1) // ((1 << gap) - 1) << first
-                if seen == full and marked == need:
-                    band.append((d2, e2, -vmin))
+            if out >= 0:
+                band.append((d2, e2, out))
         screen.walked += walked
         screen.band += banded
         survivors += reversed(band)
@@ -776,7 +874,11 @@ def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
 _PREFILTER_N = 8
 
 
-def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:
+def _search_detail(
+    s: Sector,
+    params: SearchParams,
+    classes: Optional[dict[tuple[int, int, int, int], _ShearClass]] = None,
+) -> tuple[list[QuadPoly], list[QuadPoly]]:
     """(all survivors, raw-grid survivors), each certified to prefix_n.
 
     The candidates form one list of rows: a row (d2, E) per d2 of the raw
@@ -792,14 +894,22 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
     a survivor, then f, d2 and e2.  Only a survivor that certifies
     becomes a QuadPoly.
 
+    The screen's state is shared by the sector's shear class through
+    ``classes`` (see _PairScreen; None gives a fresh dict, so a lone
+    search shares nothing).  A survivor's verdict depends only on its
+    values on the lattice points, which are its reduced triple's (d2, e2
+    + q*n*d2, f) on S(n/m0), so the class keeps each verdict under that
+    triple and prefix_n, and a sector of the class that screens the same
+    reduced triple reads it there.
+
     The certification is prefix_check's verdict, read by _prefix_verdict
-    on the screen's own line table, the one whose stop lines it read.  A
-    survivor lies on the integer-valued lattice, so prefix_check's probe
-    passes, and its homogeneous part is the forced one, so
-    _check_family passes.  Its lambda = a/n**2 = 1/(2n), d = d2/2 and e =
-    e2/(2n) have denominators dividing 2n, and f is an integer, so
-    prefix_check's own scale D is exactly 2n: its walk reads Q = 1 (the
-    screen table's), (A, B, F) = (n*d2, e2, 2n*f) and unit 2n, as here.
+    on the sector's own line table.  A survivor lies on the
+    integer-valued lattice, so prefix_check's probe passes, and its
+    homogeneous part is the forced one, so _check_family passes.  Its
+    lambda = a/n**2 = 1/(2n), d = d2/2 and e = e2/(2n) have denominators
+    dividing 2n, and f is an integer, so prefix_check's own scale D is
+    exactly 2n: its walk reads Q = 1 (the table's), (A, B, F) = (n*d2, e2,
+    2n*f) and unit 2n, as here.
 
     The result is that of one full-depth filter pass.  In the filter's
     integer values (P0 over 2n, the polynomial without its offset), a
@@ -820,8 +930,9 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
     if not rows:  # no integer-valued lattice, or nothing on it to screen
         return [], []
     rows.sort(key=lambda row: row[0])
-    screen = _PairScreen(s, min(params.prefix_n, _PREFILTER_N), params.offset_range)
+    screen = _PairScreen(s, min(params.prefix_n, _PREFILTER_N), params.offset_range, classes)
     n, u, v = s.n, s.lines.u, s.lines.v
+    shift, verdicts = screen.q * n, screen.shear.verdicts
 
     def order(triple: tuple[int, int, int]) -> tuple[int, bool, int, int, int]:
         d2, e2, f = triple
@@ -831,7 +942,12 @@ def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], lis
     found: list[QuadPoly] = []
     raw_found: list[QuadPoly] = []
     for d2, e2, f in sorted(_screen(screen, rows), key=order):
-        if _prefix_verdict(screen.table, n * d2, e2, 2 * n * f, 2 * n, params.prefix_n).ok:
+        key = (d2, e2 + shift * d2, f, params.prefix_n)
+        ok = verdicts.get(key)
+        if ok is None:
+            verdict = _prefix_verdict(screen.table, n * d2, e2, 2 * n * f, 2 * n, params.prefix_n)
+            ok = verdicts[key] = verdict.ok
+        if ok:
             p = _poly_from_scaled(s, d2, e2, f)
             found.append(p)
             if d2 in D and e2 in E:

@@ -26,7 +26,7 @@ from sectorpack import (
     construct,
     t_dual,
 )
-from sectorpack.verify import _PairScreen, _grid_axes
+from sectorpack.verify import _grid_axes, _LineTable
 
 
 def run_fresh(code: str) -> str:
@@ -264,15 +264,15 @@ def filter_candidates(
 ) -> list[tuple[int, int, int]]:
     """The search screen pair by pair: keep the (d2, e2) pairs that pack to
     depth prefix_n for some offset, as (d2, e2, f) triples in candidate
-    order, f the forced offset.  Every pair is tested on its own, with no
-    band and no shared bound, and a step-0 pair is dropped before its walk.
-    Every candidate must lie on the integer-valued lattice."""
-    screen = _PairScreen(s, prefix_n, offset_range)
+    order, f the forced offset.  Every pair is tested on its own, on the
+    sector's own lines, with no band, no shared bound and no shear class,
+    and a step-0 pair is dropped before its walk.  Every candidate must
+    lie on the integer-valued lattice."""
     survivors = []
     for d2, e2 in candidates:
         if s.n * d2 * s.lines.u + e2 * s.lines.v == 0:
             continue
-        if (window := pair_window(screen, d2, e2)) is not None:
+        if (window := pair_window(s, d2, e2, prefix_n, offset_range)) is not None:
             ranges, _, vmin = window
             if window_packs(ranges, vmin, prefix_n):
                 survivors.append((d2, e2, -vmin))
@@ -295,25 +295,32 @@ def window_packs(ranges: list[range], vmin: int, prefix_n: int) -> bool:
     return count == need
 
 
-def pair_window(screen: _PairScreen, d2: int, e2: int):
+def edge_negative(n: int, S: int, offset_range: int) -> bool:
+    """Is n*n*t*t + S*t, the scaled value P0 at the x-axis point (t, 0)
+    (S = n*d2) or at the ray point (m*t, n*t) (S = n*d2*m + e2*n), below
+    -2n*offset_range for some t >= 1?  Only t < -S/(n*n) can make it
+    negative, so the scan ends there."""
+    return any(n * n * t * t + S * t < -2 * n * offset_range for t in range(1, -S // (n * n) + 2))
+
+
+def pair_window(s: Sector, d2: int, e2: int, prefix_n: int, offset_range: int):
     """(ranges, total, vmin): the pair's values in [-offset_range,
-    prefix_n] as one _LineTable.walk of its own yields them, their point
-    count, and the pair's least value (or 0).  None if the pair is
-    negative: a value below -offset_range, or an edge below the screen's
-    s_min, which no offset in range lifts to 0."""
-    n = screen.n
+    prefix_n] as one _LineTable.walk on the sector's own lines yields
+    them, their point count, and the pair's least value (or 0).  None if
+    the pair is negative: a value below -offset_range, found by the walk
+    or, before it, on an edge (edge_negative), which no offset in range
+    lifts to 0."""
+    n = s.n
     A, B = n * d2, e2
-    if A < screen.s_min or A * screen.m + B * n < screen.s_min:
+    if edge_negative(n, A, offset_range) or edge_negative(n, A * s.m + B * n, offset_range):
         return None
-    bounds, _, step, total, vmin, _ = screen.table.walk(
-        A, B, 0, 2 * n, -screen.offset_range, screen.prefix_n
-    )
+    bounds, _, step, total, vmin, _ = _LineTable(s, 1).walk(A, B, 0, 2 * n, -offset_range, prefix_n)
     # each line's window values from its least to its greatest, or back
     ranges = [
         range(lo, hi + 1, step) if step > 0 else range(hi, lo - 1, step or -1)
         for _, lo, hi in bounds
     ]
-    return None if vmin < -screen.offset_range else (ranges, total, vmin)
+    return None if vmin < -offset_range else (ranges, total, vmin)
 
 
 def box_rows(s: Sector, bound: int) -> list[tuple[int, range]]:

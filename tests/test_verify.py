@@ -4,6 +4,7 @@ import ast
 import hashlib
 import itertools
 import math
+import random
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from dataclasses import fields, replace
@@ -922,12 +923,11 @@ class TestScreenThenCertify:
         s = sector(*nm)
         D, E = _grid_axes(s, 40)
         d2, e2 = D[i % len(D)], E[j % len(E)]
-        screen = _PairScreen(s, prefix_n, offset_range)
-        window = pair_window(screen, d2, e2)
+        window = pair_window(s, d2, e2, prefix_n, offset_range)
         count = _count_upto(s, d2, e2, prefix_n)
         if window is None:
-            assert pair_window(screen, d2 - 2, e2) is None
-            assert pair_window(screen, d2, e2 - 2 * s.n) is None
+            assert pair_window(s, d2 - 2, e2, prefix_n, offset_range) is None
+            assert pair_window(s, d2, e2 - 2 * s.n, prefix_n, offset_range) is None
         else:
             assert window[1] == count
         assert _count_upto(s, d2 + 2, e2, prefix_n) <= count
@@ -950,35 +950,44 @@ class TestScreenThenCertify:
     @example((8, 5), -1, 0, 50)  # step -1
     @example((8, 5), 2, -1, 50)  # step 0
     @example((3, 1), 0, -1, 50)  # a column family, step -1
+    @example((4, 7), 1, 0, 50)  # sheared onto S(4/3), whose lines start at z = 0 or 1
+    @example((1, 14), 1, -1, 50)  # sheared onto S(1/1)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_base_table_is_the_walk(self, nm, i, j, hi):
         # integral sectors (m = 1) included: line c's base K(c) + i*x0(c) +
-        # j*z(c) and the step step_ref + i*u + j*v are those the walk of
-        # the lattice pair (d_ref + 2i, e_ref + 2n*j) reads, line by line
+        # j*z(c) and the step step_ref + i*u + j*v, read off the shear
+        # class's tables on S(n/m0), are those the walk of the sector's
+        # pair (d2, e2) reads on the sector's own lines, line by line, where
+        # (d2, e2 + q*n*d2) = (d_ref + 2i, e_ref + 2n*j) is the reduced
+        # lattice pair; T(x, y) = (x + q*y, y) carries each line's first
+        # and last point of S(n/m0) to the sector's
         s = sector(*nm)
-        n, u, v = s.n, s.lines.u, s.lines.v
+        n = s.n
         screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
-        d_ref, e_ref = screen.ref
-        d2, e2 = d_ref + 2 * i, e_ref + 2 * n * j
+        shear, q = screen.shear, screen.q
+        assert n * q + (s.m - 1) % n + 1 == s.m
+        d_ref, e_ref = shear.ref
+        d2 = d_ref + 2 * i
+        e2 = e_ref + 2 * n * j - q * n * d2
         bounds, spans, step, *_ = screen.table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
-        assert step == screen.step_ref + i * u + j * v
+        assert step == shear.step_ref + i * shear.u + j * shear.v
         if spans:
-            screen._read_to(max(c for c, _, _ in spans) + 1)
+            shear._read_to(max(c for c, _, _ in spans) + 1)
         # on the lattice no line is empty
-        assert all(count for *_, count in screen.firsts)
-        assert len(screen.lasts) == len(screen.firsts)
+        assert all(count for *_, count in shear.firsts)
+        assert len(shear.lasts) == len(shear.firsts)
         for (c, t, points), (_, least, greatest) in zip(spans, bounds):
-            K, x0, z, count = screen.firsts[c]
-            assert (x0, z, count) == s.lines.line(c)
+            K, x0, z, count = shear.firsts[c]
+            assert (x0 + q * z, z, count) == s.lines.line(c)
             base = K + i * x0 + j * z
             assert (greatest if step < 0 else least) == base + t * step
             assert step or least == greatest
             if step < 0:
                 # a descending line is least at its last point, which the
                 # screen reads off lasts as it reads a first point off firsts
-                K_last, x, y, count_last = screen.lasts[c]
+                K_last, x, y, count_last = shear.lasts[c]
                 assert count_last == count
-                assert (x, y) == screen.table.point(c, count - 1)
+                assert (x + q * y, y) == screen.table.point(c, count - 1)
                 last = K_last + i * x + j * y
                 assert last == base + (count - 1) * step
                 if t + points == count:
@@ -1000,18 +1009,17 @@ class TestScreenThenCertify:
         with pytest.raises(ValueError, match="off the integer-valued lattice"):
             _screen(screen, [row])
         # a lattice row of one pair steps by 1 and is screened
-        if screen.ref is not None:
-            d_res, e_res = screen.ref
+        if _lattice_residues(s) is not None:
+            d_res, e_res = _lattice_residues(s)
             _screen(screen, [(d_res, range(e_res, e_res + 1))])
 
     def test_grid_screen_walks_band_and_boundary(self):
         s = sector(8, 5)
         D, E = _grid_axes(s, 40)
         need = _PREFILTER_N + 1
-        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
         band = 0
         for d2, e2 in raw_candidates(s, 40):
-            window = pair_window(screen, d2, e2)
+            window = pair_window(s, d2, e2, _PREFILTER_N, PARAMS.offset_range)
             band += window is not None and window[1] >= need
         assert band
 
@@ -1050,7 +1058,11 @@ class TestScreenThenCertify:
     def test_sweep_walk_budget(self, monkeypatch):
         # the serial 30x30 sweep at raw 40 walked 140,756 pairs when the
         # screen walked every grid pair; it walks exactly 14,444, 8,197 of
-        # them in bands, whatever the line loops look like
+        # them in bands, whatever the line loops look like.  Its 170
+        # screened sectors fall into 49 shear classes, which compute 6,272
+        # pair outcomes and run 132 certifications; the other walked pairs
+        # and the other 302 of the 434 screened triples were a reduced pair
+        # that an earlier sector of the class had met
         import sectorpack.verify as verify_mod
 
         screens = []
@@ -1065,6 +1077,11 @@ class TestScreenThenCertify:
         assert sum(screen.walked for screen in screens) <= 20_000
         assert sum(screen.walked for screen in screens) == 14_444
         assert sum(screen.band for screen in screens) == 8_197
+        assert len(screens) == 170
+        shears = list({id(screen.shear): screen.shear for screen in screens}.values())
+        assert len(shears) == 49
+        assert sum(len(row) for shear in shears for row in shear.outcomes.values()) == 6_272
+        assert sum(len(shear.verdicts) for shear in shears) == 132
 
     def test_structured_pairs_are_the_integer_valued_ones(self, monkeypatch):
         # the lattice test keeps exactly the pairs whose polynomial is
@@ -1312,6 +1329,46 @@ class TestSweep:
         assert len(report.rows) == len(computed) == len(set(computed)) == 555
         for row in report.rows:
             assert tuple(classify(row.n, row.m).polynomials()) == row.classified
+
+    def test_rows_do_not_depend_on_class_fill_order(self):
+        # a chunk's sectors share one screen state per shear class, filled
+        # by whichever sector of the class comes first: in (n, m) order,
+        # reversed or shuffled, every row is the one that a search of its
+        # sector alone, on a fresh dict, gives
+        tasks = [(n, m, PARAMS) for n in range(1, 31) for m in range(1, 31) if math.gcd(n, m) == 1]
+        fresh = {(n, m): _sweep_rows([(n, m, params)])[0] for n, m, params in tasks}
+        shuffled = tasks[:]
+        random.Random(27).shuffle(shuffled)
+        for order in (tasks, tasks[::-1], shuffled):
+            rows = _sweep_rows(order)
+            assert rows == [fresh[(n, m)] for n, m, _ in order]
+
+    def test_stair_row_off_the_grid_on_a_shared_class(self):
+        # S(1/14) and S(1/29) are sheared onto S(1/1), not onto the
+        # quadrant that w_reduce gives for n = 1.  S(1/14)'s stair pair
+        # (3, -41) lies off its bound-40 grid, yet its reduced pair (3, -2)
+        # is on S(1/1)'s; in every order the three rows are their own
+        tasks = [(1, 14, PARAMS), (1, 29, PARAMS), (1, 1, PARAMS)]
+        fresh = [_sweep_rows([task])[0] for task in tasks]
+        assert "1/2 -13 169/2 3/2 -41/2 0" in [p.to_string() for p in fresh[0].searched]
+        for order in itertools.permutations(range(3)):
+            assert _sweep_rows([tasks[k] for k in order]) == [fresh[k] for k in order]
+        classes = {}
+        for n, m, params in tasks:
+            _search_detail(sector(n, m), params, classes)
+        assert list(classes) == [(1, 1, _PREFILTER_N, PARAMS.offset_range)]
+
+    def test_shared_classes_keep_parameters_apart(self):
+        # one dict across parameter sets: the screen depth and the offset
+        # range key each class state, and prefix_n keys each verdict, so
+        # every search is the one a fresh dict gives.  Prefix 9 keeps more
+        # on S(11/m) than prefix 300, and offset range 0 less on S(3/m)
+        classes = {}
+        for params in (PARAMS, replace(PARAMS, prefix_n=9), replace(PARAMS, offset_range=0)):
+            for nm in [(11, 1), (11, 12), (11, 23), (3, 1), (3, 4), (3, 7)]:
+                s = sector(*nm)
+                assert _search_detail(s, params, classes) == _search_detail(s, params), (nm, params)
+        assert len(classes) == 4
 
     @pytest.mark.parametrize("params", [SearchParams(), PARAMS], ids=["raw0", "raw40"])
     def test_pooled_rows_match_serial_field_by_field(self, params):
