@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .polynomials import Direction, KStairForm, QuadPoly, _exact_key, construct, kstair_extract
+from .polynomials import Direction, KStairForm, QuadPoly, construct, kstair_extract
 from .sectors import LatticeMap, Quadrant, Sector, sector, w_reduce
 
 
@@ -135,22 +135,6 @@ _INTEGRAL_EXTRAS = {3: (10, 3), 4: (9, 2)}
 _SORT_ORDER = {Direction.ASCENDING: 0, Direction.DESCENDING: 1}
 
 
-def _entry_key(entry: Entry) -> tuple:
-    return (entry.form.k, _SORT_ORDER[entry.form.direction], entry.poly.coefficients())
-
-
-def _dedup(entries: list[Entry]) -> tuple[Entry, ...]:
-    seen = set()
-    out = []
-    for entry in sorted(entries, key=_entry_key):
-        key = _exact_key(entry.poly)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(entry)
-    return tuple(out)
-
-
 def _classify_integral(s: Sector) -> list[Entry]:
     f_n, g_n = nathanson_polys(s.n)
     entries = [
@@ -178,7 +162,8 @@ def classify(n: int, m: int) -> Classification:
     """Every quadratic packing polynomial on S(n/m), with provenance.
 
     Entries are deterministic: sorted by stair count, ascending before
-    descending, and deduplicated by coefficient tuple.
+    descending.  No two entries share a (k, direction), and a stair form
+    is read off its polynomial, so no polynomial repeats.
     """
     return _classify(n, m, {})
 
@@ -198,7 +183,7 @@ def _classify(n: int, m: int, known: dict[tuple[int, int], Classification]) -> C
         entries = _classify_integral(s)
     elif n > m:
         entries = []
-        for k, direction in sorted(admissible_ks(n, m), key=lambda p: (p[0], _SORT_ORDER[p[1]])):
+        for k, direction in admissible_ks(n, m):
             poly, form = construct(s, k, direction)
             provenance = (
                 Provenance.STAIR_ASC
@@ -222,5 +207,6 @@ def _classify(n: int, m: int, known: dict[tuple[int, int], Classification]) -> C
                       entry.transport.compose(shear) if entry.transport else shear)
                 for entry in reduced.entries
             ]
-    known[(n, m)] = result = Classification(sector=s, entries=_dedup(entries))
+    entries.sort(key=lambda entry: (entry.form.k, _SORT_ORDER[entry.form.direction]))
+    known[(n, m)] = result = Classification(sector=s, entries=tuple(entries))
     return result

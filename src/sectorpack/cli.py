@@ -36,7 +36,7 @@ def _poly_arg(text: str):
 
     try:
         return QuadPoly.from_string(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 

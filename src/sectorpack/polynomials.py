@@ -42,6 +42,17 @@ class Direction(enum.Enum):
 _SUPERSCRIPT_TWO = "^2"
 
 
+def _coefficient(token: str) -> Fraction:
+    """One coefficient of QuadPoly.from_string: an integer or p/q."""
+    num, slash, den = token.partition("/")
+    parts = [num.removeprefix("-"), den] if slash else [num.removeprefix("-")]
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"coefficient {token!r} is not an integer or p/q")
+    if slash and int(den) == 0:
+        raise ValueError(f"coefficient {token!r} has a zero denominator")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
 @dataclass(frozen=True)
 class QuadPoly:
     """a*x^2 + b*x*y + c2*y^2 + d*x + e*y + f with reduced rational coefficients."""
@@ -123,10 +134,13 @@ class QuadPoly:
 
     @classmethod
     def from_string(cls, text: str) -> "QuadPoly":
+        """The polynomial whose six coefficients to_string writes: each an
+        integer or p/q, with an optional minus sign and ASCII digits only,
+        so no decimal, exponent or nan."""
         parts = text.split()
         if len(parts) != 6:
             raise ValueError(f"expected six coefficients, got {len(parts)}: {text!r}")
-        return cls(*(Fraction(p) for p in parts))
+        return cls(*(_coefficient(p) for p in parts))
 
     def to_json_dict(self) -> dict:
         names = ("a", "b", "c2", "d", "e", "f")

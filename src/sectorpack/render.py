@@ -50,7 +50,7 @@ def render(spec: RenderSpec) -> str:
     raise ValueError(f"unknown format {spec.format!r}")
 
 
-def _cells(spec: RenderSpec) -> tuple[int, list[list[str]]]:
+def _cells(spec: RenderSpec) -> list[list[str]]:
     s, p = spec.sector, spec.poly
     y_max = spec.max_x * s.n // s.m
     rows = []
@@ -62,11 +62,11 @@ def _cells(spec: RenderSpec) -> tuple[int, list[list[str]]]:
             else:
                 row.append("·")
         rows.append(row)
-    return y_max, rows
+    return rows
 
 
 def _render_text(spec: RenderSpec) -> str:
-    _, rows = _cells(spec)
+    rows = _cells(spec)
     width = max(len(cell) for row in rows for cell in row)
     return "\n".join(" ".join(cell.rjust(width) for cell in row) for row in rows) + "\n"
 

@@ -14,25 +14,26 @@ negative value anywhere — established by walking the sector's line
 family (its staircases, which are the columns on integral sectors).  The
 oracle and the search's certification share one walk in scaled integers
 and one verdict, _prefix_verdict: prefix_check reads it on a table of its
-own, the search on its screen's table.  The walk reads the lines a class
-mod the period v at a time: line c + v is line c shifted by one x and l
-points, so along a class each line's base is the previous one's plus an
-increment that grows by a constant, whole numbers checked exactly once
-per class.  The screen reads the same lines without a walk per pair.  A
-candidate's scaled values are linear in its integer pair (d2, e2), so on
-the lattice every pair's line base is one reference pair's base, read
-class by class as the walk reads its own, plus integer multiples of the
-line's first point: the screen's values are the walk's, in integers,
-with no rounding.
+own, the search on its shear class's table (below).  The walk reads the
+lines a class mod the period v at a time: line c + v is line c shifted by
+one x and l points, so along a class each line's base is the previous
+one's plus an increment that grows by a constant, whole numbers checked
+exactly once per class.  The screen reads the same lines without a walk
+per pair.  A candidate's scaled values are linear in its integer pair
+(d2, e2), so on the lattice every pair's line base is one reference
+pair's base, read class by class as the walk reads its own, plus integer
+multiples of the line's first point: the screen's values are the walk's,
+in integers, with no rounding.
 
 The sectors S(n/m) that share n and m0 = (m - 1) mod n + 1 form one
 shear class.  With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the
 lattice points of S(n/m0) one to one onto those of S(n/m) and keeps
 every staircase index, so a search pair (d2, e2) takes on S(n/m) the
 values that the reduced pair (d2, e2 + q*n*d2) takes on S(n/m0), at
-every depth (_PairScreen proves it).  The screen's tables, each pair's
-screen outcome and each survivor's certification are kept once per
-class, and a sweep shares them among the sectors of a chunk.
+every depth (_PairScreen proves it).  The screen's tables and each
+pair's outcome are kept once per class, and a sweep shares them among
+the sectors of a chunk.  A pair's outcome is final: the screen certifies
+a pair on the class's table when it finds that the pair packs.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -461,7 +462,7 @@ def _prefix_verdict(
     """prefix_check's verdict after its probe, for the integer-valued
     polynomial whose scaled value on ``table``'s lines is Q*(c*l)**2 + A*x
     + B*y + F, in units of ``unit``; prefix_check and the search's
-    certification both read their verdicts here.
+    certification both read it here.
 
     The walk yields the window's values as one bound (residue, least,
     greatest) per line, all lines with one step, and counts the window's
@@ -539,25 +540,33 @@ def _edge_threshold(n: int, lo: int) -> int:
     return max(-((n * n * t * t - lo) // t) for t in range(1, math.isqrt(-lo) // n + 2))
 
 
+# Depth of the search's screen; _screen says why certifying what it keeps
+# at prefix_n keeps exactly what a full-depth screen would.
+_PREFILTER_N = 8
+
+
 class _ShearClass:
-    """The search screen's state for one shear class at depth prefix_n:
+    """The search's state for one shear class, certifying at prefix_n:
     the sectors S(n/m), m = m0 + q*n for q >= 0, that share n and m0 =
     (m - 1) mod n + 1, seen through S(n/m0) (see _PairScreen).
 
-    It holds the line table of S(n/m0) and the base tables of one
-    reference lattice pair with the stop line of each k_lo met (see
-    _screen).  ``outcomes`` maps a reduced pair, as d2 -> {j: outcome}
-    with j its offset from the reference e2 in steps of 2n, to its
-    screen outcome: _NEGATIVE, _SHORT, _UNPACKED or, for a pair that
-    packs, its forced offset f = -vmin >= 0.  ``verdicts`` maps (d2, e2,
-    f, prefix_n), the pair reduced, to whether its certification passed.
+    It screens at ``depth`` = min(prefix_n, _PREFILTER_N).  It holds the
+    line table of S(n/m0), on which the screen reads its base tables and
+    certifies each pair that packs, and the base tables of one reference
+    lattice pair with the stop line of each k_lo met (see _screen).
+    ``outcomes`` maps a reduced pair, as d2 -> {j: outcome} with j its
+    offset from the reference e2 in steps of 2n, to its final outcome:
+    _NEGATIVE, _SHORT, _UNPACKED (a band pair that does not pack at the
+    screen depth, or that fails its certification) or, for a certified
+    pair, its forced offset f = -vmin >= 0.
     """
 
     def __init__(self, s0: Sector, prefix_n: int, offset_range: int):
         self.table = _LineTable(s0, 1)
         self.n = s0.n
         self.u, self.v = s0.lines.u, s0.lines.v
-        self.prefix_n = prefix_n
+        self.prefix_n, self.offset_range = prefix_n, offset_range
+        self.depth = min(prefix_n, _PREFILTER_N)
         # Cheap rejection: on the x-axis points (t, 0) and the ray points
         # (m*t, n*t) the scaled value is n*n*t*t + S*t with S = A or
         # A*m + B*n, and a value below -2n*offset_range there cannot be
@@ -575,12 +584,11 @@ class _ShearClass:
         self.lasts: list[tuple[int, int, int, int]] = []
         self.stops: dict[int, int] = {}  # k_lo -> its stop line
         self.outcomes: dict[int, dict[int, int]] = {}
-        self.verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def stop_line(self, k_lo: int) -> int:
         """The stop line of k_lo (see _LineTable.stop); the base tables
         hold every line below it."""
-        stop = self.stops[k_lo] = self.table.stop(k_lo, 0, 2 * self.n, self.prefix_n)
+        stop = self.stops[k_lo] = self.table.stop(k_lo, 0, 2 * self.n, self.depth)
         if stop > len(self.firsts):
             self._read_to(stop)
         return stop
@@ -617,19 +625,20 @@ class _ShearClass:
 
 
 # _ShearClass.outcomes: a pair with a value below -offset_range, one with
-# too few values <= prefix_n, and a band pair that does not pack (a pair
-# that packs maps to its forced offset, which is >= 0)
+# too few values <= the screen depth, and a band pair that does not pack or
+# fails its certification (a certified pair maps to its forced offset,
+# which is >= 0)
 _NEGATIVE, _SHORT, _UNPACKED = -1, -2, -3
 
 
 class _PairScreen:
-    """The search screen's view of one sector S(n/m), at depth prefix_n.
+    """The search's view of one sector S(n/m), certifying at prefix_n.
 
     Sectors with the same n and the same m0 = (m - 1) mod n + 1 form one
-    shear class, and the view screens its sector's pairs on the class's
-    shared state, a _ShearClass of S(n/m0) held in ``classes`` (a fresh
-    dict when None) under (n, m0, prefix_n, offset_range).  For n = 1 the
-    class's sector is S(1/1), where w_reduce gives the quadrant.
+    shear class, and the view screens and certifies its sector's pairs on
+    the class's shared state, a _ShearClass of S(n/m0) held in ``classes``
+    (a fresh dict when None) under (n, m0, prefix_n, offset_range).  For
+    n = 1 the class's sector is S(1/1), where w_reduce gives the quadrant.
 
     With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the lattice points of
     S(n/m0) one to one onto those of S(n/m): m*y <= n*(x + q*y) iff m0*y
@@ -640,17 +649,16 @@ class _PairScreen:
     point's place t on its line.  As n*d2*(x + q*y) + e2*y = n*d2*x + (e2
     + q*n*d2)*y, the pair (d2, e2) takes on S(n/m) exactly the values,
     line by line and point by point, that the reduced pair (d2, e2 +
-    q*n*d2) takes on S(n/m0), at every depth.  Its step n*d2*u + e2*v
+    q*n*d2) takes on S(n/m0), at every depth, so the two pass or fail
+    the screen and the certification together.  Its step n*d2*u + e2*v
     and both edge sums, A = n*d2 and A*m + B*n, are the reduced pair's,
     so the s_min test and the stop line are too.  And the pair lies on
     the sector's integer-valued lattice iff the reduced pair lies on
     S(n/m0)'s: both need d2 - n even, and then (m-1)**2 - (m0-1)**2 =
     2*q*n*(m0-1) + q*q*n*n is q*n*d2 mod 2n.
 
-    ``table`` is the sector's own line table, on which its survivors are
-    certified; ``walked`` and ``band`` count the pairs _screen walks for
-    this sector and those in its bands, whether or not the class had
-    screened them before.
+    ``walked`` and ``band`` count the pairs _screen walks for this sector
+    and those in its bands, whether or not the class had met them before.
     """
 
     def __init__(
@@ -670,39 +678,39 @@ class _PairScreen:
             shear = classes[key] = _ShearClass(s0, prefix_n, offset_range)
         self.shear = shear
         self.q = (m - m0) // n
-        self.table = _LineTable(s, 1)
-        self.n, self.m = n, m
-        self.prefix_n, self.offset_range = prefix_n, offset_range
+        self.m = m
         self.walked = self.band = 0
 
 
 def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[int, int, int]]:
-    """Keep the (d2, e2) pairs of ``rows`` that pack to the screen's depth
+    """Keep the (d2, e2) pairs of ``rows`` that pack to the class's
     prefix_n for some offset, as (d2, e2, f) triples in row order, f the
     forced offset.
 
     ``rows`` is a d2-ascending list of (d2, ascending e2 range) on the
     integer-valued lattice, each range stepping by 2n; a row off it is a
-    ValueError.  P0 grows with d2 (x >= 0) and with e2 (y >= 0)
-    everywhere, so "negative" is a down-set of the lattice, and so is "at
-    least prefix_n + 1 values <= prefix_n", which on a pair that is not
-    negative is the window's size.  ``top`` is an e2 value: every pair
-    above it, on this row and every later one, has too few values.  Each
-    row is sliced to e2 <= top and scanned down: a pair with too few
-    values lowers ``top`` for good, and the pairs below it down to the
-    first negative one, the row's band, are the only ones tested for a
-    zero step and distinct values.  On the rows of a box the screen thus
-    walks at most |D| + |E| pairs outside the bands.  A step-0 pair is
-    never kept, but its window counts every point, so it lowers ``top``
-    as any other does.  The down-set argument holds on the sector's own
-    coordinates, so rows, ``top`` and the kept triples are the sector's.
+    ValueError.  The rows are screened at the class's depth, min(prefix_n,
+    _PREFILTER_N), and a pair that packs there is certified at prefix_n.
+    P0 grows with d2 (x >= 0) and with e2 (y >= 0) everywhere, so
+    "negative" is a down-set of the lattice, and so is "at least depth +
+    1 values <= depth", which on a pair that is not negative is the
+    window's size.  ``top`` is an e2 value: every pair above it, on this
+    row and every later one, has too few values.  Each row is sliced to
+    e2 <= top and scanned down: a pair with too few values lowers ``top``
+    for good, and the pairs below it down to the first negative one, the
+    row's band, are the only ones tested for a zero step and distinct
+    values.  On the rows of a box the screen thus walks at most |D| + |E|
+    pairs outside the bands.  A step-0 pair is never kept, but its window
+    counts every point, so it lowers ``top`` as any other does.  The
+    down-set argument holds on the sector's own coordinates, so rows,
+    ``top`` and the kept triples are the sector's.
 
     Each pair is read as its reduced pair (d2, e2 + q*n*d2) on S(n/m0),
     whose values are the pair's (see _PairScreen), and its outcome is
     computed once per shear class: a pair the class has met, on this
     sector or on another, reads its outcome off ``outcomes``.  A pair
     computed here reads the lines and values that _LineTable.walk(n*d2,
-    e2, 0, 2n, -offset_range, prefix_n) would, but off the class's base
+    e2, 0, 2n, -offset_range, depth) would, but off the class's base
     tables, with no call per pair.  Every reduced lattice pair is d2 =
     d_ref + 2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref),
     the lattice's residues on S(n/m0), and P0 is linear in (d2, e2): P0
@@ -720,16 +728,38 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     value on a descending one, read the same way off ``lasts``, so one
     loop serves both signs of the step; a step-0 pair has a loop of its
     own.  A line's window is the ``width`` values least, least + |step|,
-    ... that are at most prefix_n; a step-0 line holds one value and
-    counts every point.  A band pair that steps packs iff marking each
-    window value below vmin + prefix_n + 1 as bit value - vmin sets all
-    prefix_n + 1 bits with exactly prefix_n + 1 marks: a value marked
-    twice would leave a bit unset.
+    ... that are at most depth; a step-0 line holds one value and counts
+    every point.  A band pair that steps packs iff marking each window
+    value below vmin + depth + 1 as bit value - vmin sets all depth + 1
+    bits with exactly depth + 1 marks: a value marked twice would leave a
+    bit unset.
+
+    A pair that packs is certified at once with prefix_check's verdict,
+    read by _prefix_verdict on the class's line table: the reduced pair
+    with f = -vmin is a polynomial on S(n/m0) whose values are the
+    pair's.  It lies on the integer-valued lattice, so prefix_check's
+    probe passes, and its homogeneous part is the forced one, so
+    _check_family passes.  Its lambda = a/n**2 = 1/(2n), d = d2/2 and e =
+    e2/(2n) have denominators dividing 2n, and f is an integer, so
+    prefix_check's own scale D is exactly 2n: its walk reads Q = 1 (the
+    table's), (A, B, F) = (n*d2, e2 + q*n*d2, 2n*f) and unit 2n, as here.
+    The verdict is kept as the pair's outcome, so each reduced pair is
+    certified once per class.
+
+    The result is that of one screen at full depth prefix_n.  In the
+    integer values P0 over 2n, a line the screen cuts off early has every
+    value above its depth >= 0, so vmin, and with it the forced offset f
+    = -vmin, is the same at every depth.  A pair that packs attains vmin,
+    so with that f it is integer-valued with least value 0, and "the
+    full-depth screen keeps it" is exactly "prefix_check at prefix_n is
+    OK": each of 0..prefix_n is attained exactly once.  A pair that the
+    screen drops, the full-depth screen drops too: with the same vmin, it
+    is negative, or misses or repeats a value below vmin + depth + 1.
     """
     shear = screen.shear
-    n, m, u, v = screen.n, screen.m, shear.u, shear.v
+    n, m, u, v = shear.n, screen.m, shear.u, shear.v
     unit = 2 * n
-    lo, hi = -screen.offset_range, screen.prefix_n
+    lo, hi, prefix_n = -shear.offset_range, shear.depth, shear.prefix_n
     need = hi + 1
     full = (1 << need) - 1
     s_min, firsts, lasts, stops = shear.s_min, shear.firsts, shear.lasts, shear.stops
@@ -805,7 +835,12 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
                                 # bits first, first + gap, ..., first + (w - 1)*gap
                                 seen |= ((1 << gap * w) - 1) // ((1 << gap) - 1) << first
                         if seen == full and marked == need:
-                            out = -vmin
+                            # the reduced pair (d2, e_ref + 2n*j), certified
+                            verdict = _prefix_verdict(
+                                shear.table, A, e_ref + unit * j, -unit * vmin, unit, prefix_n
+                            )
+                            if verdict.ok:
+                                out = -vmin
                 memo[j] = out
             if out == _NEGATIVE:
                 break
@@ -869,11 +904,6 @@ def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
     return QuadPoly(a, b, c2, Fraction(d2, 2), Fraction(e2, 2 * s.n), Fraction(f))
 
 
-# Depth of the filter's screen; _search_detail says why certifying its
-# survivors at prefix_n keeps exactly what a full-depth filter would.
-_PREFILTER_N = 8
-
-
 def _search_detail(
     s: Sector,
     params: SearchParams,
@@ -884,41 +914,16 @@ def _search_detail(
     The candidates form one list of rows: a row (d2, E) per d2 of the raw
     grid, and a single-pair row for each structured pair off the grid,
     stably sorted by d2; a sector with no integer-valued lattice has none
-    and builds no screen.  _screen screens them once at depth
-    min(prefix_n, _PREFILTER_N), so a pair is screened and certified
-    once, and a survivor is a raw-grid survivor iff its pair lies on the
-    grid's axes.  Each survivor is certified once, at prefix_n with the
-    screen's forced offset, in the order of the polynomials' step d*u +
-    e*v (its size, then ascending first), f and coefficients: in
-    integers, Delta = n*d2*u + e2*v = 2n*(d*u + e*v), which is never 0 on
-    a survivor, then f, d2 and e2.  Only a survivor that certifies
-    becomes a QuadPoly.
+    and builds no screen.  _screen screens and certifies them once, so a
+    survivor is a raw-grid survivor iff its pair lies on the grid's axes.
+    The survivors come in the order of the polynomials' step d*u + e*v
+    (its size, then ascending first), f and coefficients: in integers,
+    Delta = n*d2*u + e2*v = 2n*(d*u + e*v), which is never 0 on a
+    survivor, then f, d2 and e2.
 
     The screen's state is shared by the sector's shear class through
     ``classes`` (see _PairScreen; None gives a fresh dict, so a lone
-    search shares nothing).  A survivor's verdict depends only on its
-    values on the lattice points, which are its reduced triple's (d2, e2
-    + q*n*d2, f) on S(n/m0), so the class keeps each verdict under that
-    triple and prefix_n, and a sector of the class that screens the same
-    reduced triple reads it there.
-
-    The certification is prefix_check's verdict, read by _prefix_verdict
-    on the sector's own line table.  A survivor lies on the
-    integer-valued lattice, so prefix_check's probe passes, and its
-    homogeneous part is the forced one, so _check_family passes.  Its
-    lambda = a/n**2 = 1/(2n), d = d2/2 and e = e2/(2n) have denominators
-    dividing 2n, and f is an integer, so prefix_check's own scale D is
-    exactly 2n: its walk reads Q = 1 (the table's), (A, B, F) = (n*d2, e2,
-    2n*f) and unit 2n, as here.
-
-    The result is that of one full-depth filter pass.  In the filter's
-    integer values (P0 over 2n, the polynomial without its offset), a
-    line the screen cuts off early has every value above its hi >= 0, so
-    vmin, and with it the forced offset f = -vmin, is the same at every
-    depth.  A survivor attains vmin, so with that f it is integer-valued
-    with least value 0, and "the full-depth filter keeps it" is exactly
-    "prefix_check at prefix_n is OK": each of 0..prefix_n is attained
-    exactly once.
+    search shares nothing).
     """
     D, E = _grid_axes(s, params.raw_grid_bound)
     rows = [(d2, E) for d2 in D]
@@ -930,9 +935,8 @@ def _search_detail(
     if not rows:  # no integer-valued lattice, or nothing on it to screen
         return [], []
     rows.sort(key=lambda row: row[0])
-    screen = _PairScreen(s, min(params.prefix_n, _PREFILTER_N), params.offset_range, classes)
+    screen = _PairScreen(s, params.prefix_n, params.offset_range, classes)
     n, u, v = s.n, s.lines.u, s.lines.v
-    shift, verdicts = screen.q * n, screen.shear.verdicts
 
     def order(triple: tuple[int, int, int]) -> tuple[int, bool, int, int, int]:
         d2, e2, f = triple
@@ -942,16 +946,10 @@ def _search_detail(
     found: list[QuadPoly] = []
     raw_found: list[QuadPoly] = []
     for d2, e2, f in sorted(_screen(screen, rows), key=order):
-        key = (d2, e2 + shift * d2, f, params.prefix_n)
-        ok = verdicts.get(key)
-        if ok is None:
-            verdict = _prefix_verdict(screen.table, n * d2, e2, 2 * n * f, 2 * n, params.prefix_n)
-            ok = verdicts[key] = verdict.ok
-        if ok:
-            p = _poly_from_scaled(s, d2, e2, f)
-            found.append(p)
-            if d2 in D and e2 in E:
-                raw_found.append(p)
+        p = _poly_from_scaled(s, d2, e2, f)
+        found.append(p)
+        if d2 in D and e2 in E:
+            raw_found.append(p)
     return found, raw_found
 
 
@@ -964,9 +962,9 @@ def search(s: Sector, params: SearchParams) -> list[QuadPoly]:
     exception: their staircases are the columns.  Both join one list of
     integer rows, which one screen at the small depth _PREFILTER_N (8, or
     prefix_n if less) walks only around each row's passing band.  Each
-    survivor gets prefix_check's verdict once, read in integers on the
-    screen's line table, so every returned polynomial is "verified to
-    prefix_n".  Depth 8 is only a cheap reject: the result equals a
-    single filter pass at prefix_n.
+    pair that passes it gets prefix_check's verdict once, read in
+    integers on the screen's line table, so every returned polynomial is
+    "verified to prefix_n".  Depth 8 is only a cheap reject: the result
+    equals a single filter pass at prefix_n.
     """
     return _search_detail(s, params)[0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -70,6 +71,24 @@ class TestStringForms:
     def test_bad_field_count(self):
         with pytest.raises(ValueError):
             QuadPoly.from_string("1 2 3 4 5")
+
+    @pytest.mark.parametrize(
+        "token,why",
+        [
+            ("1.5", "is not an integer or p/q"),
+            ("1e10000000", "is not an integer or p/q"),
+            ("nan", "is not an integer or p/q"),
+            ("+1", "is not an integer or p/q"),
+            ("1/-2", "is not an integer or p/q"),
+            ("1_0", "is not an integer or p/q"),
+            ("\u00b2", "is not an integer or p/q"),
+            ("1/0", "has a zero denominator"),
+        ],
+    )
+    def test_only_the_exact_form(self, token, why):
+        # only to_string's integer and p/q tokens; the error names the token
+        with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(token))} {why}"):
+            QuadPoly.from_string(f"0 0 {token} 0 0 0")
 
     def test_json_dict(self):
         data = P127.to_json_dict()

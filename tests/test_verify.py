@@ -964,12 +964,12 @@ class TestScreenThenCertify:
         s = sector(*nm)
         n = s.n
         screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
-        shear, q = screen.shear, screen.q
+        shear, q, table = screen.shear, screen.q, _LineTable(s, 1)
         assert n * q + (s.m - 1) % n + 1 == s.m
         d_ref, e_ref = shear.ref
         d2 = d_ref + 2 * i
         e2 = e_ref + 2 * n * j - q * n * d2
-        bounds, spans, step, *_ = screen.table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
+        bounds, spans, step, *_ = table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
         assert step == shear.step_ref + i * shear.u + j * shear.v
         if spans:
             shear._read_to(max(c for c, _, _ in spans) + 1)
@@ -987,7 +987,7 @@ class TestScreenThenCertify:
                 # screen reads off lasts as it reads a first point off firsts
                 K_last, x, y, count_last = shear.lasts[c]
                 assert count_last == count
-                assert (x + q * y, y) == screen.table.point(c, count - 1)
+                assert (x + q * y, y) == table.point(c, count - 1)
                 last = K_last + i * x + j * y
                 assert last == base + (count - 1) * step
                 if t + points == count:
@@ -1046,33 +1046,39 @@ class TestScreenThenCertify:
         real = verify_mod._screen
 
         def screen(pair_screen, rows):
-            depths.append(pair_screen.prefix_n)
+            depths.append((pair_screen.shear.depth, pair_screen.shear.prefix_n))
             return real(pair_screen, rows)
 
         monkeypatch.setattr(verify_mod, "_screen", screen)
         for prefix_n in (0, 5, 8, 300):
             depths.clear()
             _search_detail(sector(8, 5), replace(PARAMS, prefix_n=prefix_n))
-            assert depths == [min(prefix_n, _PREFILTER_N)]
+            assert depths == [(min(prefix_n, _PREFILTER_N), prefix_n)]
 
     def test_sweep_walk_budget(self, monkeypatch):
         # the serial 30x30 sweep at raw 40 walked 140,756 pairs when the
         # screen walked every grid pair; it walks exactly 14,444, 8,197 of
         # them in bands, whatever the line loops look like.  Its 170
         # screened sectors fall into 49 shear classes, which compute 6,272
-        # pair outcomes and run 132 certifications; the other walked pairs
-        # and the other 302 of the 434 screened triples were a reduced pair
-        # that an earlier sector of the class had met
+        # pair outcomes and run 132 certifications, one per computed
+        # outcome that packs at depth 8; every other walked pair was a
+        # reduced pair that an earlier sector of the class had met, and
+        # read its final outcome
         import sectorpack.verify as verify_mod
 
-        screens = []
-        real = verify_mod._screen
+        screens, verdicts = [], []
+        real, real_verdict = verify_mod._screen, verify_mod._prefix_verdict
 
         def counting(screen, rows):
             screens.append(screen)
             return real(screen, rows)
 
+        def verdict(*args):
+            verdicts.append(args)
+            return real_verdict(*args)
+
         monkeypatch.setattr(verify_mod, "_screen", counting)
+        monkeypatch.setattr(verify_mod, "_prefix_verdict", verdict)
         assert sweep(30, 30, PARAMS, workers=1).ok
         assert sum(screen.walked for screen in screens) <= 20_000
         assert sum(screen.walked for screen in screens) == 14_444
@@ -1081,7 +1087,7 @@ class TestScreenThenCertify:
         shears = list({id(screen.shear): screen.shear for screen in screens}.values())
         assert len(shears) == 49
         assert sum(len(row) for shear in shears for row in shear.outcomes.values()) == 6_272
-        assert sum(len(shear.verdicts) for shear in shears) == 132
+        assert len(verdicts) == 132
 
     def test_structured_pairs_are_the_integer_valued_ones(self, monkeypatch):
         # the lattice test keeps exactly the pairs whose polynomial is
@@ -1126,21 +1132,25 @@ class TestScreenThenCertify:
 
     @pytest.mark.parametrize("nm,rejected", [((8, 5), 0), ((10, 1), 2)])
     def test_certified_once_per_survivor(self, nm, rejected, monkeypatch):
-        # one verdict per screened triple, none twice, all on the screen's
-        # table, failing ones included: the search never calls prefix_check
+        # one verdict per reduced pair that passes the depth-8 screen, none
+        # twice, all on the shear class's table, failing ones included:
+        # the search never calls prefix_check
         import sectorpack.verify as verify_mod
 
         s = sector(*nm)
         n = s.n
         structured = set(_structured_candidates(s, PARAMS.max_k))
-        assert structured & set(raw_candidates(s, PARAMS.raw_grid_bound))
+        grid = raw_candidates(s, PARAMS.raw_grid_bound)
+        assert structured & set(grid)
+        candidates = grid + sorted(structured - set(grid))
+        triples = filter_candidates(s, candidates, _PREFILTER_N, PARAMS.offset_range)
 
-        screened, calls = [], []
+        screens, calls = [], []
         real_screen, real_verdict = verify_mod._screen, verify_mod._prefix_verdict
 
         def screen(pair_screen, rows):
-            screened.append((pair_screen.table, real_screen(pair_screen, rows)))
-            return screened[-1][1]
+            screens.append(pair_screen)
+            return real_screen(pair_screen, rows)
 
         def verdict(table, A, B, F, unit, n_max):
             calls.append((table, (A, B, F, unit), n_max))
@@ -1154,11 +1164,14 @@ class TestScreenThenCertify:
         monkeypatch.setattr(verify_mod, "prefix_check", no_prefix_check)
         ordered, raw = _search_detail(s, PARAMS)
         assert len(ordered) == 2 and raw == ordered
-        ((table, triples),) = screened
+        (pair_screen,) = screens
+        table, q = pair_screen.shear.table, pair_screen.q
         assert all(called is table and n_max == PARAMS.prefix_n for called, _, n_max in calls)
         scaled = [args for _, args, _ in calls]
         assert len(scaled) == len(set(scaled))
-        assert sorted(scaled) == sorted((n * d2, e2, 2 * n * f, 2 * n) for d2, e2, f in triples)
+        assert sorted(scaled) == sorted(
+            (n * d2, e2 + q * n * d2, 2 * n * f, 2 * n) for d2, e2, f in triples
+        )
         assert len(triples) - len(ordered) == rejected
 
     @given(
@@ -1176,38 +1189,37 @@ class TestScreenThenCertify:
     )
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_certification_is_prefix_check(self, nm, prefix_n, offset_range, raw):
-        # Every triple the search screens gets, from _prefix_verdict on the
-        # screen's table, prefix_check's report on its polynomial, field by
-        # field; the search keeps exactly those that pass.  Sectors off
-        # the integer-valued lattice screen nothing and are not drawn.
-        import sectorpack.verify as verify_mod
-
+        # The triples that pass the screen's depth, pair by pair on the
+        # sector's own lines: each gets, from _prefix_verdict on its
+        # reduced triple on the shear class's table, prefix_check's
+        # verdict on its polynomial, and the search keeps exactly those
+        # that pass.  Sectors off the integer-valued lattice screen nothing
+        # and are not drawn.
         s = sector(*nm)
         n = s.n
-        screened = []
-        real = verify_mod._screen
-
-        def screen(pair_screen, rows):
-            screened.append((pair_screen.table, real(pair_screen, rows)))
-            return screened[-1][1]
-
-        with mock.patch.object(verify_mod, "_screen", screen):
-            found, _ = _search_detail(s, SearchParams(prefix_n, 6, offset_range, raw))
-        ((table, triples),) = screened
+        params = SearchParams(prefix_n, 6, offset_range, raw)
+        grid = raw_candidates(s, raw)
+        candidates = grid + sorted(set(_structured_candidates(s, 6)) - set(grid))
+        triples = filter_candidates(s, candidates, min(prefix_n, _PREFILTER_N), offset_range)
+        screen = _PairScreen(s, prefix_n, offset_range)
+        table, q = screen.shear.table, screen.q
         passing = set()
         for d2, e2, f in triples:
             p = _poly_from_scaled(s, d2, e2, f)
             report = prefix_check(s, p, prefix_n)
-            assert _prefix_verdict(table, n * d2, e2, 2 * n * f, 2 * n, prefix_n) == report
+            reduced = (n * d2, e2 + q * n * d2, 2 * n * f, 2 * n)
+            assert _prefix_verdict(table, *reduced, prefix_n).ok == report.ok
             if report.ok:
                 passing.add(p.coefficients())
+        found, _ = _search_detail(s, params)
         assert len(found) == len(passing)
         assert {p.coefficients() for p in found} == passing
 
     @pytest.mark.parametrize(
         "nm,triple,want",
         [
-            # 434 triples pass the 30x30 raw-40 screen and 359 certify
+            # 434 triples pass the 30x30 raw-40 screen at depth 8 and 359
+            # certify
             (
                 (10, 1),
                 (-28, 40, 9),
@@ -1221,10 +1233,11 @@ class TestScreenThenCertify:
     def test_certification_rejects_screened_triple(self, nm, triple, want):
         s = sector(*nm)
         n = s.n
-        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
-        assert triple in _screen(screen, box_rows(s, PARAMS.raw_grid_bound))
+        rows = box_rows(s, PARAMS.raw_grid_bound)
+        assert triple in _screen(_PairScreen(s, _PREFILTER_N, PARAMS.offset_range), rows)
+        assert triple not in _screen(_PairScreen(s, 300, PARAMS.offset_range), rows)
         d2, e2, f = triple
-        assert _prefix_verdict(screen.table, n * d2, e2, 2 * n * f, 2 * n, 300) == want
+        assert _prefix_verdict(_LineTable(s, 1), n * d2, e2, 2 * n * f, 2 * n, 300) == want
         assert prefix_check(s, _poly_from_scaled(s, d2, e2, f), 300) == want
 
 
@@ -1356,19 +1369,19 @@ class TestSweep:
         classes = {}
         for n, m, params in tasks:
             _search_detail(sector(n, m), params, classes)
-        assert list(classes) == [(1, 1, _PREFILTER_N, PARAMS.offset_range)]
+        assert list(classes) == [(1, 1, PARAMS.prefix_n, PARAMS.offset_range)]
 
     def test_shared_classes_keep_parameters_apart(self):
-        # one dict across parameter sets: the screen depth and the offset
-        # range key each class state, and prefix_n keys each verdict, so
-        # every search is the one a fresh dict gives.  Prefix 9 keeps more
+        # one dict across parameter sets: prefix_n and the offset range
+        # key each class state, so every search is the one a fresh dict
+        # gives.  Prefix 9 keeps more
         # on S(11/m) than prefix 300, and offset range 0 less on S(3/m)
         classes = {}
         for params in (PARAMS, replace(PARAMS, prefix_n=9), replace(PARAMS, offset_range=0)):
             for nm in [(11, 1), (11, 12), (11, 23), (3, 1), (3, 4), (3, 7)]:
                 s = sector(*nm)
                 assert _search_detail(s, params, classes) == _search_detail(s, params), (nm, params)
-        assert len(classes) == 4
+        assert len(classes) == 6
 
     @pytest.mark.parametrize("params", [SearchParams(), PARAMS], ids=["raw0", "raw40"])
     def test_pooled_rows_match_serial_field_by_field(self, params):
