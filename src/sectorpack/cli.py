@@ -41,15 +41,21 @@ def _poly_arg(text: str):
 
 
 def _point_arg(text: str):
+    from .polynomials import _digit_limit
     from .sectors import LatticePoint
 
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"cannot parse point {text!r}; expected x,y")
-    try:
-        x, y = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    coordinates = []
+    for name, part in zip("xy", parts):
+        try:
+            coordinates.append(int(part))
+        except ValueError as exc:
+            if 0 < sys.get_int_max_str_digits() < len(part):
+                raise UsageError(_digit_limit(f"coordinate {name}", part)) from exc
+            raise UsageError(str(exc)) from exc
+    x, y = coordinates
     if x < 0 or y < 0:
         raise UsageError("point coordinates must be nonnegative")
     return LatticePoint(x, y)
@@ -166,15 +172,22 @@ def _scheme_from_args(args):
 
 
 def cmd_encode(args) -> int:
+    from .polynomials import _digit_limit
+
     scheme = _scheme_from_args(args)
     if scheme is None:
         return 1
     point = _point_arg(args.point)
     try:
-        print(scheme.encode(point))
+        code = scheme.encode(point)
     except SectorPackError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    try:
+        text = str(code)
+    except ValueError:  # past the digit limit
+        raise UsageError(_digit_limit("the point's code")) from None
+    print(text)
     return 0
 
 

@@ -15,6 +15,7 @@ reads its runs off it too.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -42,15 +43,29 @@ class Direction(enum.Enum):
 _SUPERSCRIPT_TWO = "^2"
 
 
+def _digit_limit(what: str, token: str = "") -> str:
+    """The message for ``what``, a number longer than the digits Python
+    converts between text and int (sys.get_int_max_str_digits()).  A
+    ``token`` is named by its ends and its length, not by every digit."""
+    if token:
+        what += f" {token[:8]}...{token[-8:]} ({len(token)} characters)"
+    limit = sys.get_int_max_str_digits()
+    return f"{what} is longer than the {limit} digits Python converts between text and int"
+
+
 def _coefficient(token: str) -> Fraction:
     """One coefficient of QuadPoly.from_string: an integer or p/q."""
     num, slash, den = token.partition("/")
     parts = [num.removeprefix("-"), den] if slash else [num.removeprefix("-")]
     if not all(part.isascii() and part.isdigit() for part in parts):
         raise ValueError(f"coefficient {token!r} is not an integer or p/q")
-    if slash and int(den) == 0:
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:  # digits only, so past the digit limit
+        raise ValueError(_digit_limit("coefficient", token)) from None
+    if q == 0:
         raise ValueError(f"coefficient {token!r} has a zero denominator")
-    return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(p, q)
 
 
 @dataclass(frozen=True)

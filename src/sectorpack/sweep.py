@@ -55,10 +55,10 @@ def _sweep_rows(tasks: list[tuple[int, int, SearchParams]]) -> list[SweepRow]:
 
     The chunk's sectors share one dict of classifications, so a slope < 1
     sector reads its reduced target's when the chunk has already
-    classified it, and one dict of search states, so the sectors of a
-    shear class (see verify._PairScreen) screen each reduced pair once
-    and certify it once if it passes the screen, and every later sector
-    of the class reads the pair's final outcome.
+    classified it, and one dict of search states, one verify._ShearClass
+    per shear class, so the sectors of a class screen each reduced pair
+    once and certify it once if it passes the screen, and every later
+    sector of the class reads the pair's final outcome.
     """
     known: dict[tuple[int, int], Classification] = {}
     screens: dict[tuple[int, int, int, int], _ShearClass] = {}
@@ -104,7 +104,7 @@ def sweep(
     reduced target falls in its chunk does not classify the target again,
     and one dict of search states, one per shear class: S(n/m) and
     S(n/(m + q*n)) in one chunk screen each reduced pair once and certify
-    it once if it passes (see verify._PairScreen and verify._screen).  A
+    it once if it passes (see verify._ShearClass and verify._screen).  A
     chunk's rows are those its sectors give searched alone, in any order,
     so chunking changes no row.
     """

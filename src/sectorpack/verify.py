@@ -30,10 +30,11 @@ shear class.  With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the
 lattice points of S(n/m0) one to one onto those of S(n/m) and keeps
 every staircase index, so a search pair (d2, e2) takes on S(n/m) the
 values that the reduced pair (d2, e2 + q*n*d2) takes on S(n/m0), at
-every depth (_PairScreen proves it).  The screen's tables and each
-pair's outcome are kept once per class, and a sweep shares them among
-the sectors of a chunk.  A pair's outcome is final: the screen certifies
-a pair on the class's table when it finds that the pair packs.
+every depth (_ShearClass proves it).  The search's one state object is
+a _ShearClass: its tables, each pair's outcome and its counters are kept
+once per class, and a sweep shares them among the sectors of a chunk.
+A pair's outcome is final: the screen certifies a pair on the class's
+table when it finds that the pair packs.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -535,9 +536,12 @@ def rectangle_points(s: Sector, x_max: int) -> list[LatticePoint]:
 
 def _edge_threshold(n: int, lo: int) -> int:
     """The least S with n*n*t*t + S*t >= lo (lo <= 0) for every integer t >= 1:
-    the largest ceil((lo - n*n*t*t)/t), where lo/t - n*n*t is concave in t
-    and peaks at t = sqrt(-lo)/n."""
-    return max(-((n * n * t * t - lo) // t) for t in range(1, math.isqrt(-lo) // n + 2))
+    the largest ceil((lo - n*n*t*t)/t).  lo/t - n*n*t is concave in t and
+    peaks at t = sqrt(-lo)/n, so over the integers t >= 1 it peaks at t0 =
+    max(1, floor(sqrt(-lo)/n)) = max(1, isqrt(-lo)//n) or at t0 + 1, and
+    ceil keeps the order: two terms, whatever the offset range."""
+    t0 = max(1, math.isqrt(-lo) // n)
+    return max(-((n * n * t * t - lo) // t) for t in (t0, t0 + 1))
 
 
 # Depth of the search's screen; _screen says why certifying what it keeps
@@ -548,23 +552,43 @@ _PREFILTER_N = 8
 class _ShearClass:
     """The search's state for one shear class, certifying at prefix_n:
     the sectors S(n/m), m = m0 + q*n for q >= 0, that share n and m0 =
-    (m - 1) mod n + 1, seen through S(n/m0) (see _PairScreen).
+    (m - 1) mod n + 1, each screened and certified on S(n/m0).  For n = 1
+    the class's sector is S(1/1), where w_reduce gives the quadrant.
+    _shear_class finds a sector's class.
 
-    It screens at ``depth`` = min(prefix_n, _PREFILTER_N).  It holds the
-    line table of S(n/m0), on which the screen reads its base tables and
-    certifies each pair that packs, and the base tables of one reference
-    lattice pair with the stop line of each k_lo met (see _screen).
-    ``outcomes`` maps a reduced pair, as d2 -> {j: outcome} with j its
-    offset from the reference e2 in steps of 2n, to its final outcome:
-    _NEGATIVE, _SHORT, _UNPACKED (a band pair that does not pack at the
-    screen depth, or that fails its certification) or, for a certified
-    pair, its forced offset f = -vmin >= 0.
+    With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the lattice points of
+    S(n/m0) one to one onto those of S(n/m): m*y <= n*(x + q*y) iff m0*y
+    <= n*x, and with y >= 0 either makes both x and x + q*y nonnegative,
+    as m0 >= 1.  T keeps every staircase index c, since n*(x + q*y) -
+    (m-1)*y = n*x - (m0-1)*y, so it keeps the forced homogeneous part
+    (n*x - (m-1)*y)**2, the line step (u, v) = (u0 + q*v, v) and each
+    point's place t on its line.  As n*d2*(x + q*y) + e2*y = n*d2*x + (e2
+    + q*n*d2)*y, the pair (d2, e2) takes on S(n/m) exactly the values,
+    line by line and point by point, that the reduced pair (d2, e2 +
+    q*n*d2) takes on S(n/m0), at every depth, so the two pass or fail
+    the screen and the certification together.  Its step n*d2*u + e2*v
+    and both edge sums, A = n*d2 and A*m + B*n, are the reduced pair's,
+    so the s_min test and the stop line are too.  And the pair lies on
+    the sector's integer-valued lattice iff the reduced pair lies on
+    S(n/m0)'s: both need d2 - n even, and then (m-1)**2 - (m0-1)**2 =
+    2*q*n*(m0-1) + q*q*n*n is q*n*d2 mod 2n.
+
+    The class screens at ``depth`` = min(prefix_n, _PREFILTER_N).  It
+    holds the line table of S(n/m0), on which the screen reads its base
+    tables and certifies each pair that packs, and the base tables of one
+    reference lattice pair with the stop line of each k_lo met (see
+    _screen).  ``outcomes`` maps a reduced pair, as d2 -> {j: outcome}
+    with j its offset from the reference e2 in steps of 2n, to its final
+    outcome: _NEGATIVE, _SHORT, _UNPACKED (a band pair that does not pack
+    at the screen depth, or that fails its certification) or, for a
+    certified pair, its forced offset f = -vmin >= 0.  ``walked`` and
+    ``band`` count the pairs _screen walks, over every sector of the class
+    it screens, and those in the sectors' bands, whether or not the class
+    had met them before.
     """
 
     def __init__(self, s0: Sector, prefix_n: int, offset_range: int):
         self.table = _LineTable(s0, 1)
-        self.n = s0.n
-        self.u, self.v = s0.lines.u, s0.lines.v
         self.prefix_n, self.offset_range = prefix_n, offset_range
         self.depth = min(prefix_n, _PREFILTER_N)
         # Cheap rejection: on the x-axis points (t, 0) and the ray points
@@ -576,7 +600,7 @@ class _ShearClass:
         self.ref = _lattice_residues(s0)
         if self.ref is not None:
             d_ref, e_ref = self.ref
-            self.step_ref, rem = divmod(s0.n * d_ref * self.u + e_ref * self.v, 2 * s0.n)
+            self.step_ref, rem = divmod(s0.n * d_ref * s0.lines.u + e_ref * s0.lines.v, 2 * s0.n)
             if rem:
                 raise ValueError("stair step is not an integer; polynomial is not integer-valued")
         # (K, x, y, count) per line at its first and at its last point
@@ -584,11 +608,12 @@ class _ShearClass:
         self.lasts: list[tuple[int, int, int, int]] = []
         self.stops: dict[int, int] = {}  # k_lo -> its stop line
         self.outcomes: dict[int, dict[int, int]] = {}
+        self.walked = self.band = 0
 
     def stop_line(self, k_lo: int) -> int:
         """The stop line of k_lo (see _LineTable.stop); the base tables
         hold every line below it."""
-        stop = self.stops[k_lo] = self.table.stop(k_lo, 0, 2 * self.n, self.depth)
+        stop = self.stops[k_lo] = self.table.stop(k_lo, 0, 2 * self.table.lines.n, self.depth)
         if stop > len(self.firsts):
             self._read_to(stop)
         return stop
@@ -609,10 +634,11 @@ class _ShearClass:
         firsts, lasts, first = self.firsts, self.lasts, len(self.firsts)
         firsts += [(0, 0, 0, 0)] * (stop - first)
         lasts += [(0, 0, 0, 0)] * (stop - first)
-        l, u, v, step_ref = self.table.lines.l, self.u, self.v, self.step_ref
+        lines, step_ref = self.table.lines, self.step_ref
+        l, u, v = lines.l, lines.u, lines.v
         d_ref, e_ref = self.ref
         for c, x0, z, count, K, delta, dd in self.table.classes(
-            self.n * d_ref, e_ref, 0, 2 * self.n, first, stop
+            lines.n * d_ref, e_ref, 0, 2 * lines.n, first, stop
         ):
             for c in range(c, stop, v):
                 firsts[c] = (K, x0, z, count)
@@ -624,6 +650,25 @@ class _ShearClass:
                 delta += dd
 
 
+def _shear_class(
+    s: Sector,
+    prefix_n: int,
+    offset_range: int,
+    classes: Optional[dict[tuple[int, int, int, int], _ShearClass]] = None,
+) -> _ShearClass:
+    """The shear class of s, certifying at prefix_n: the _ShearClass of
+    S(n/m0) held in ``classes`` under (n, m0, prefix_n, offset_range),
+    built there if missing.  None gives a fresh class, shared by no other
+    sector."""
+    m0 = (s.m - 1) % s.n + 1
+    key = (s.n, m0, prefix_n, offset_range)
+    classes = {} if classes is None else classes
+    if key not in classes:
+        s0 = s if m0 == s.m else Sector(s.n, m0, s.l)
+        classes[key] = _ShearClass(s0, prefix_n, offset_range)
+    return classes[key]
+
+
 # _ShearClass.outcomes: a pair with a value below -offset_range, one with
 # too few values <= the screen depth, and a band pair that does not pack or
 # fails its certification (a certified pair maps to its forced offset,
@@ -631,92 +676,44 @@ class _ShearClass:
 _NEGATIVE, _SHORT, _UNPACKED = -1, -2, -3
 
 
-class _PairScreen:
-    """The search's view of one sector S(n/m), certifying at prefix_n.
-
-    Sectors with the same n and the same m0 = (m - 1) mod n + 1 form one
-    shear class, and the view screens and certifies its sector's pairs on
-    the class's shared state, a _ShearClass of S(n/m0) held in ``classes``
-    (a fresh dict when None) under (n, m0, prefix_n, offset_range).  For
-    n = 1 the class's sector is S(1/1), where w_reduce gives the quadrant.
-
-    With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the lattice points of
-    S(n/m0) one to one onto those of S(n/m): m*y <= n*(x + q*y) iff m0*y
-    <= n*x, and with y >= 0 either makes both x and x + q*y nonnegative,
-    as m0 >= 1.  T keeps every staircase index c, since n*(x + q*y) -
-    (m-1)*y = n*x - (m0-1)*y, so it keeps the forced homogeneous part
-    (n*x - (m-1)*y)**2, the line step (u, v) = (u0 + q*v, v) and each
-    point's place t on its line.  As n*d2*(x + q*y) + e2*y = n*d2*x + (e2
-    + q*n*d2)*y, the pair (d2, e2) takes on S(n/m) exactly the values,
-    line by line and point by point, that the reduced pair (d2, e2 +
-    q*n*d2) takes on S(n/m0), at every depth, so the two pass or fail
-    the screen and the certification together.  Its step n*d2*u + e2*v
-    and both edge sums, A = n*d2 and A*m + B*n, are the reduced pair's,
-    so the s_min test and the stop line are too.  And the pair lies on
-    the sector's integer-valued lattice iff the reduced pair lies on
-    S(n/m0)'s: both need d2 - n even, and then (m-1)**2 - (m0-1)**2 =
-    2*q*n*(m0-1) + q*q*n*n is q*n*d2 mod 2n.
-
-    ``walked`` and ``band`` count the pairs _screen walks for this sector
-    and those in its bands, whether or not the class had met them before.
-    """
-
-    def __init__(
-        self,
-        s: Sector,
-        prefix_n: int,
-        offset_range: int,
-        classes: Optional[dict[tuple[int, int, int, int], _ShearClass]] = None,
-    ):
-        n, m = s.n, s.m
-        m0 = (m - 1) % n + 1
-        classes = {} if classes is None else classes
-        key = (n, m0, prefix_n, offset_range)
-        shear = classes.get(key)
-        if shear is None:
-            s0 = s if m0 == m else Sector(n, m0, s.l)
-            shear = classes[key] = _ShearClass(s0, prefix_n, offset_range)
-        self.shear = shear
-        self.q = (m - m0) // n
-        self.m = m
-        self.walked = self.band = 0
-
-
-def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[int, int, int]]:
-    """Keep the (d2, e2) pairs of ``rows`` that pack to the class's
-    prefix_n for some offset, as (d2, e2, f) triples in row order, f the
-    forced offset.
+def _screen(
+    shear: _ShearClass, m: int, rows: list[tuple[int, range]]
+) -> list[tuple[int, int, int]]:
+    """Keep the (d2, e2) pairs of ``rows`` on S(n/m), a sector of the
+    shear class, that pack to the class's prefix_n for some offset, as
+    (d2, e2, f) triples in row order, f the forced offset.
 
     ``rows`` is a d2-ascending list of (d2, ascending e2 range) on the
-    integer-valued lattice, each range stepping by 2n; a row off it is a
-    ValueError.  The rows are screened at the class's depth, min(prefix_n,
-    _PREFILTER_N), and a pair that packs there is certified at prefix_n.
-    P0 grows with d2 (x >= 0) and with e2 (y >= 0) everywhere, so
-    "negative" is a down-set of the lattice, and so is "at least depth +
-    1 values <= depth", which on a pair that is not negative is the
-    window's size.  ``top`` is an e2 value: every pair above it, on this
-    row and every later one, has too few values.  Each row is sliced to
-    e2 <= top and scanned down: a pair with too few values lowers ``top``
-    for good, and the pairs below it down to the first negative one, the
-    row's band, are the only ones tested for a zero step and distinct
-    values.  On the rows of a box the screen thus walks at most |D| + |E|
-    pairs outside the bands.  A step-0 pair is never kept, but its window
-    counts every point, so it lowers ``top`` as any other does.  The
-    down-set argument holds on the sector's own coordinates, so rows,
-    ``top`` and the kept triples are the sector's.
+    sector's integer-valued lattice, each range stepping by 2n; a row off
+    it is a ValueError.  The rows are screened at the class's depth,
+    min(prefix_n, _PREFILTER_N), and a pair that packs there is certified
+    at prefix_n.  P0 grows with d2 (x >= 0) and
+    with e2 (y >= 0) everywhere, so "negative" is a down-set of the
+    lattice, and so is "at least depth + 1 values <= depth", which on a
+    pair that is not negative is the window's size.  ``top`` is an e2
+    value: every pair above it, on this row and every later one, has too
+    few values.  Each row is sliced to e2 <= top and scanned down: a pair
+    with too few values lowers ``top`` for good, and the pairs below it
+    down to the first negative one, the row's band, are the only ones
+    tested for a zero step and distinct values.  On the rows of a box the
+    screen thus walks at most |D| + |E| pairs outside the bands.  A step-0
+    pair is never kept, but its window counts every point, so it lowers
+    ``top`` as any other does.  The down-set argument holds on the sector's
+    own coordinates, so rows, ``top`` and the kept triples are the
+    sector's.
 
-    Each pair is read as its reduced pair (d2, e2 + q*n*d2) on S(n/m0),
-    whose values are the pair's (see _PairScreen), and its outcome is
-    computed once per shear class: a pair the class has met, on this
-    sector or on another, reads its outcome off ``outcomes``.  A pair
+    Each pair is read as its reduced pair (d2, e2 + q*n*d2) on S(n/m0), q
+    = (m - m0)/n, whose values are the pair's (see _ShearClass), and its
+    outcome is computed once per shear class: a pair the class has met, on
+    this sector or on another, reads its outcome off ``outcomes``.  A pair
     computed here reads the lines and values that _LineTable.walk(n*d2,
     e2, 0, 2n, -offset_range, depth) would, but off the class's base
     tables, with no call per pair.  Every reduced lattice pair is d2 =
     d_ref + 2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref),
     the lattice's residues on S(n/m0), and P0 is linear in (d2, e2): P0
     moves by 2n*i*x + 2n*j*y.  So in units of 2n, line c's base (its value
-    at (x0(c), z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref +
-    i*u + j*v.  Only K(c), the reference pair's base, needs a division by
+    at (x0(c), z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref
+    + i*u + j*v.  Only K(c), the reference pair's base, needs a division by
     2n, read exactly per line class per shear class (see _read_to); the
     rest is integer products and sums, so every value is exactly the
     walk's.  The walk's stop line depends on the pair only through k_lo =
@@ -756,8 +753,9 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     screen drops, the full-depth screen drops too: with the same vmin, it
     is negative, or misses or repeats a value below vmin + depth + 1.
     """
-    shear = screen.shear
-    n, m, u, v = shear.n, screen.m, shear.u, shear.v
+    lines = shear.table.lines
+    n, u, v = lines.n, lines.u, lines.v
+    q = (m - lines.m) // n  # S(n/m) = T(S(n/m0)), m0 = lines.m
     unit = 2 * n
     lo, hi, prefix_n = -shear.offset_range, shear.depth, shear.prefix_n
     need = hi + 1
@@ -769,7 +767,7 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
     d_ref, e_ref = shear.ref or (0, 0)
     for d2, E in rows:
         i, d_off = divmod(d2 - d_ref, 2)
-        e_off = screen.q * n * d2 - e_ref  # e2 + e_off is 2n*j
+        e_off = q * n * d2 - e_ref  # e2 + e_off is 2n*j
         if shear.ref is None or d_off or (E.start + e_off) % unit or len(E) > 1 and E.step != unit:
             raise ValueError(f"row ({d2}, {E}) is off the integer-valued lattice")
         A = n * d2
@@ -850,8 +848,8 @@ def _screen(screen: _PairScreen, rows: list[tuple[int, range]]) -> list[tuple[in
             banded += 1
             if out >= 0:
                 band.append((d2, e2, out))
-        screen.walked += walked
-        screen.band += banded
+        shear.walked += walked
+        shear.band += banded
         survivors += reversed(band)
     return survivors
 
@@ -921,9 +919,9 @@ def _search_detail(
     Delta = n*d2*u + e2*v = 2n*(d*u + e*v), which is never 0 on a
     survivor, then f, d2 and e2.
 
-    The screen's state is shared by the sector's shear class through
-    ``classes`` (see _PairScreen; None gives a fresh dict, so a lone
-    search shares nothing).
+    The screen's state is the sector's _ShearClass, found in ``classes``
+    by _shear_class (None gives a fresh class, so a lone search shares
+    nothing).
     """
     D, E = _grid_axes(s, params.raw_grid_bound)
     rows = [(d2, E) for d2 in D]
@@ -935,7 +933,7 @@ def _search_detail(
     if not rows:  # no integer-valued lattice, or nothing on it to screen
         return [], []
     rows.sort(key=lambda row: row[0])
-    screen = _PairScreen(s, params.prefix_n, params.offset_range, classes)
+    shear = _shear_class(s, params.prefix_n, params.offset_range, classes)
     n, u, v = s.n, s.lines.u, s.lines.v
 
     def order(triple: tuple[int, int, int]) -> tuple[int, bool, int, int, int]:
@@ -945,7 +943,7 @@ def _search_detail(
 
     found: list[QuadPoly] = []
     raw_found: list[QuadPoly] = []
-    for d2, e2, f in sorted(_screen(screen, rows), key=order):
+    for d2, e2, f in sorted(_screen(shear, s.m, rows), key=order):
         p = _poly_from_scaled(s, d2, e2, f)
         found.append(p)
         if d2 in D and e2 in E:

@@ -303,6 +303,14 @@ def edge_negative(n: int, S: int, offset_range: int) -> bool:
     return any(n * n * t * t + S * t < -2 * n * offset_range for t in range(1, -S // (n * n) + 2))
 
 
+def edge_threshold_loop(n: int, lo: int) -> int:
+    """The least S with n*n*t*t + S*t >= lo (lo <= 0) for every integer
+    t >= 1, one term per t: the largest ceil((lo - n*n*t*t)/t) over t = 1
+    .. isqrt(-lo)//n + 1, past the real peak t = sqrt(-lo)/n of the
+    concave lo/t - n*n*t."""
+    return max(-((n * n * t * t - lo) // t) for t in range(1, math.isqrt(-lo) // n + 2))
+
+
 def pair_window(s: Sector, d2: int, e2: int, prefix_n: int, offset_range: int):
     """(ranges, total, vmin): the pair's values in [-offset_range,
     prefix_n] as one _LineTable.walk on the sector's own lines yields

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import pytest
@@ -474,9 +475,19 @@ BAD_SECTORS = ["", "x", "8/", "/5", "8/0", "0/5", "-8/5", "8/-5", "6/4", "8/5/3"
 BAD_POLYS = [
     "", "1 2 3", "a b c d e f", "1 2 3 4 5 6 7", "1/0 0 0 0 0 0", "nan 0 0 0 0 0",
     "1.5 0 0 0 0 0", "1e400 0 0 0 0 0",
+    # past the 4,300 digits Python converts between text and int
+    "4 -4 1 -1 1 " + "9" * 5000, "4 -4 1 -1 1 1/" + "9" * 5000,
 ]
-BAD_POINTS = ["", "1", "1,2,3", "a,b", "-1,0", "0,-1", "1.5,2"]
+BAD_POINTS = [
+    "", "1", "1,2,3", "a,b", "-1,0", "0,-1", "1.5,2", "9" * 5000 + ",0", "0," + "9" * 5000,
+]
 NON_INTEGERS = ["x", "1.5", "1e3", ""]
+
+
+def _argv_id(argv):
+    """The test id of an argv: its repr, with each argument past 40
+    characters cut to its start and length."""
+    return repr([arg if len(arg) <= 40 else f"{arg[:12]}...({len(arg)} chars)" for arg in argv])
 
 
 def _usage_grid():
@@ -526,6 +537,8 @@ def _usage_grid():
         ["render", "9" * 20 + "/2", "--poly", POLY, "--max-x", "3"],
         ["render", "9" * 20 + "/2", "--poly", POLY, "--max-x", "3", "--format", "svg"],
         ["sweep", "--max-n", "2", "--max-m", "2", "--workers", "0"],
+        # a point whose code has more digits than Python prints
+        ["encode", "8/5", "--poly", POLY, "--point", "9" * 4000 + ",0"],
     ]
 
 
@@ -558,12 +571,33 @@ class TestFuzz:
         assert "Traceback" not in err
         return code, out, err
 
-    @pytest.mark.parametrize("argv", list(_usage_grid()), ids=repr)
+    @pytest.mark.parametrize("argv", list(_usage_grid()), ids=_argv_id)
     def test_usage_error_exits_2(self, capsys, argv):
         code, out, err = self._run(capsys, argv)
         assert code == 2
         assert out == ""
         assert "error:" in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["encode", "8/5", "--poly", POLY, "--point", "9" * 4000 + ",0"], "the point's code"),
+            (["encode", "8/5", "--poly", POLY, "--point", "9" * 5000 + ",0"], "coordinate x"),
+            (["encode", "8/5", "--poly", POLY, "--point", "0," + "9" * 5000], "coordinate y"),
+            (["verify", "8/5", "--poly", "4 -4 1 -1 1 1/" + "9" * 5000], "coefficient 1/999"),
+            (["verify", "8/5", "--poly", "4 -4 1 -1 " + "9" * 5000 + " 0"], "coefficient 999"),
+        ],
+        ids=lambda arg: arg if isinstance(arg, str) else None,
+    )
+    def test_digit_limit_names_the_number(self, capsys, argv, named):
+        # one error line that names the number and the limit, with neither
+        # all its digits nor the interpreter's advice
+        code, out, err = self._run(capsys, argv)
+        assert code == 2 and out == ""
+        (line,) = err.strip().splitlines()
+        assert line.startswith(f"error: {named}"), line
+        assert f"{sys.get_int_max_str_digits()} digits" in line
+        assert len(line) < 150 and "set_int_max_str_digits" not in line
 
     @pytest.mark.parametrize("argv", REFUSED, ids=repr)
     def test_refusal_exits_1(self, capsys, argv):

@@ -43,7 +43,6 @@ from sectorpack.sweep import SweepRow, _sweep_rows
 from sectorpack.verify import (
     _PREFILTER_N,
     _LineTable,
-    _PairScreen,
     _edge_threshold,
     _grid_axes,
     _lattice_residues,
@@ -52,11 +51,13 @@ from sectorpack.verify import (
     _scaled,
     _screen,
     _search_detail,
+    _shear_class,
     _structured_candidates,
 )
 
 from helpers import (
     box_rows,
+    edge_threshold_loop,
     filter_candidates,
     pair_window,
     prefix_report_reference,
@@ -459,6 +460,23 @@ class TestEdgeThreshold:
         lo = -2 * n * offset_range
         S = data.draw(st.integers(k * n * n - n * n, k * n * n))
         assert _probe_rejects(n, lo, S) == (S < _edge_threshold(n, lo))
+
+    def test_equals_loop_on_small_inputs(self):
+        # the two terms around the peak give the one-term-per-t maximum
+        for n in range(1, 60):
+            for lo in range(-2000, 1):
+                assert _edge_threshold(n, lo) == edge_threshold_loop(n, lo), (n, lo)
+
+    @given(
+        st.one_of(st.integers(1, 50), st.integers(1, 10**4)),
+        st.one_of(st.integers(-10**9, 0), st.integers(-10**4, 0)),
+    )
+    @example(1, -10**9)
+    @example(10**4, -10**9)
+    @example(7, 0)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equals_loop(self, n, lo):
+        assert _edge_threshold(n, lo) == edge_threshold_loop(n, lo)
 
 
 class TestPrefixCheck:
@@ -904,9 +922,8 @@ class TestScreenThenCertify:
                 rows.append((d2, row))
         rows.sort(key=lambda row: row[0])
         pairs = [(d2, e2) for d2, row in rows for e2 in row]
-        assert _screen(_PairScreen(s, prefix_n, offset_range), rows) == filter_candidates(
-            s, pairs, prefix_n, offset_range
-        )
+        shear = _shear_class(s, prefix_n, offset_range)
+        assert _screen(shear, s.m, rows) == filter_candidates(s, pairs, prefix_n, offset_range)
 
     @given(
         st.sampled_from(GRID_SECTORS),
@@ -963,14 +980,15 @@ class TestScreenThenCertify:
         # and last point of S(n/m0) to the sector's
         s = sector(*nm)
         n = s.n
-        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
-        shear, q, table = screen.shear, screen.q, _LineTable(s, 1)
-        assert n * q + (s.m - 1) % n + 1 == s.m
+        shear, table = _shear_class(s, _PREFILTER_N, PARAMS.offset_range), _LineTable(s, 1)
+        lines0 = shear.table.lines
+        q = (s.m - lines0.m) // n
+        assert n * q + (s.m - 1) % n + 1 == s.m and lines0.n == n
         d_ref, e_ref = shear.ref
         d2 = d_ref + 2 * i
         e2 = e_ref + 2 * n * j - q * n * d2
         bounds, spans, step, *_ = table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
-        assert step == shear.step_ref + i * shear.u + j * shear.v
+        assert step == shear.step_ref + i * lines0.u + j * lines0.v
         if spans:
             shear._read_to(max(c for c, _, _ in spans) + 1)
         # on the lattice no line is empty
@@ -1005,13 +1023,28 @@ class TestScreenThenCertify:
     )
     def test_row_off_the_lattice_is_a_value_error(self, nm, row):
         s = sector(*nm)
-        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
+        shear = _shear_class(s, _PREFILTER_N, PARAMS.offset_range)
         with pytest.raises(ValueError, match="off the integer-valued lattice"):
-            _screen(screen, [row])
+            _screen(shear, s.m, [row])
         # a lattice row of one pair steps by 1 and is screened
         if _lattice_residues(s) is not None:
             d_res, e_res = _lattice_residues(s)
-            _screen(screen, [(d_res, range(e_res, e_res + 1))])
+            _screen(shear, s.m, [(d_res, range(e_res, e_res + 1))])
+
+    @pytest.mark.parametrize("nm", [(8, 5), (8, 13), (1, 14)])
+    def test_shear_class_key(self, nm):
+        # one class per (n, m0, prefix_n, offset_range): S(n/m) and
+        # S(n/(m + n)) share it, another depth or offset range does not
+        n, m = nm
+        classes = {}
+        shear = _shear_class(sector(n, m), 300, 10, classes)
+        m0 = (m - 1) % n + 1
+        assert list(classes) == [(n, m0, 300, 10)] and shear.table.lines.m == m0
+        assert _shear_class(sector(n, m + n), 300, 10, classes) is shear
+        assert _shear_class(sector(n, m), 20, 10, classes) is not shear
+        assert _shear_class(sector(n, m), 300, 9, classes) is not shear
+        assert _shear_class(sector(n, m), 300, 10) is not shear
+        assert len(classes) == 3
 
     def test_grid_screen_walks_band_and_boundary(self):
         s = sector(8, 5)
@@ -1023,10 +1056,10 @@ class TestScreenThenCertify:
             band += window is not None and window[1] >= need
         assert band
 
-        screen = _PairScreen(s, _PREFILTER_N, PARAMS.offset_range)
-        _screen(screen, box_rows(s, 40))
-        assert screen.band == band
-        assert band <= screen.walked <= len(D) + len(E) + band
+        shear = _shear_class(s, _PREFILTER_N, PARAMS.offset_range)
+        _screen(shear, s.m, box_rows(s, 40))
+        assert shear.band == band
+        assert band <= shear.walked <= len(D) + len(E) + band
 
     def test_shallow_prefix_screens_at_prefix(self):
         # below the screen depth a depth-8 screen would be the stricter one
@@ -1045,9 +1078,9 @@ class TestScreenThenCertify:
         depths = []
         real = verify_mod._screen
 
-        def screen(pair_screen, rows):
-            depths.append((pair_screen.shear.depth, pair_screen.shear.prefix_n))
-            return real(pair_screen, rows)
+        def screen(shear, m, rows):
+            depths.append((shear.depth, shear.prefix_n))
+            return real(shear, m, rows)
 
         monkeypatch.setattr(verify_mod, "_screen", screen)
         for prefix_n in (0, 5, 8, 300):
@@ -1058,20 +1091,20 @@ class TestScreenThenCertify:
     def test_sweep_walk_budget(self, monkeypatch):
         # the serial 30x30 sweep at raw 40 walked 140,756 pairs when the
         # screen walked every grid pair; it walks exactly 14,444, 8,197 of
-        # them in bands, whatever the line loops look like.  Its 170
-        # screened sectors fall into 49 shear classes, which compute 6,272
-        # pair outcomes and run 132 certifications, one per computed
-        # outcome that packs at depth 8; every other walked pair was a
-        # reduced pair that an earlier sector of the class had met, and
-        # read its final outcome
+        # them in bands, whatever the line loops look like, summed over
+        # the shear classes.  Its 170 screened sectors fall into 49 shear
+        # classes, which compute 6,272 pair outcomes and run 132
+        # certifications, one per computed outcome that packs at depth 8;
+        # every other walked pair was a reduced pair that an earlier sector
+        # of the class had met, and read its final outcome
         import sectorpack.verify as verify_mod
 
         screens, verdicts = [], []
         real, real_verdict = verify_mod._screen, verify_mod._prefix_verdict
 
-        def counting(screen, rows):
-            screens.append(screen)
-            return real(screen, rows)
+        def counting(shear, m, rows):
+            screens.append(shear)
+            return real(shear, m, rows)
 
         def verdict(*args):
             verdicts.append(args)
@@ -1080,12 +1113,12 @@ class TestScreenThenCertify:
         monkeypatch.setattr(verify_mod, "_screen", counting)
         monkeypatch.setattr(verify_mod, "_prefix_verdict", verdict)
         assert sweep(30, 30, PARAMS, workers=1).ok
-        assert sum(screen.walked for screen in screens) <= 20_000
-        assert sum(screen.walked for screen in screens) == 14_444
-        assert sum(screen.band for screen in screens) == 8_197
         assert len(screens) == 170
-        shears = list({id(screen.shear): screen.shear for screen in screens}.values())
+        shears = list({id(shear): shear for shear in screens}.values())
         assert len(shears) == 49
+        assert sum(shear.walked for shear in shears) <= 20_000
+        assert sum(shear.walked for shear in shears) == 14_444
+        assert sum(shear.band for shear in shears) == 8_197
         assert sum(len(row) for shear in shears for row in shear.outcomes.values()) == 6_272
         assert len(verdicts) == 132
 
@@ -1148,9 +1181,9 @@ class TestScreenThenCertify:
         screens, calls = [], []
         real_screen, real_verdict = verify_mod._screen, verify_mod._prefix_verdict
 
-        def screen(pair_screen, rows):
-            screens.append(pair_screen)
-            return real_screen(pair_screen, rows)
+        def screen(shear, m, rows):
+            screens.append((shear, m))
+            return real_screen(shear, m, rows)
 
         def verdict(table, A, B, F, unit, n_max):
             calls.append((table, (A, B, F, unit), n_max))
@@ -1164,8 +1197,9 @@ class TestScreenThenCertify:
         monkeypatch.setattr(verify_mod, "prefix_check", no_prefix_check)
         ordered, raw = _search_detail(s, PARAMS)
         assert len(ordered) == 2 and raw == ordered
-        (pair_screen,) = screens
-        table, q = pair_screen.shear.table, pair_screen.q
+        ((shear, m),) = screens
+        table, q = shear.table, (m - shear.table.lines.m) // n
+        assert m == s.m
         assert all(called is table and n_max == PARAMS.prefix_n for called, _, n_max in calls)
         scaled = [args for _, args, _ in calls]
         assert len(scaled) == len(set(scaled))
@@ -1201,8 +1235,8 @@ class TestScreenThenCertify:
         grid = raw_candidates(s, raw)
         candidates = grid + sorted(set(_structured_candidates(s, 6)) - set(grid))
         triples = filter_candidates(s, candidates, min(prefix_n, _PREFILTER_N), offset_range)
-        screen = _PairScreen(s, prefix_n, offset_range)
-        table, q = screen.shear.table, screen.q
+        table = _shear_class(s, prefix_n, offset_range).table
+        q = (s.m - table.lines.m) // n
         passing = set()
         for d2, e2, f in triples:
             p = _poly_from_scaled(s, d2, e2, f)
@@ -1234,8 +1268,8 @@ class TestScreenThenCertify:
         s = sector(*nm)
         n = s.n
         rows = box_rows(s, PARAMS.raw_grid_bound)
-        assert triple in _screen(_PairScreen(s, _PREFILTER_N, PARAMS.offset_range), rows)
-        assert triple not in _screen(_PairScreen(s, 300, PARAMS.offset_range), rows)
+        assert triple in _screen(_shear_class(s, _PREFILTER_N, PARAMS.offset_range), s.m, rows)
+        assert triple not in _screen(_shear_class(s, 300, PARAMS.offset_range), s.m, rows)
         d2, e2, f = triple
         assert _prefix_verdict(_LineTable(s, 1), n * d2, e2, 2 * n * f, 2 * n, 300) == want
         assert prefix_check(s, _poly_from_scaled(s, d2, e2, f), 300) == want
