@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .errors import SectorPackError
+from .errors import SectorPackError, _excerpt
 
 # Each command imports the modules it runs when it runs, so building the
 # parser loads none of them and `reduce` never compiles the oracle.
@@ -20,6 +20,16 @@ from .errors import SectorPackError
 
 class UsageError(Exception):
     pass
+
+
+def _int_arg(text: str) -> int:
+    """The type of every int option: int(text).  Its error names a long
+    value by its ends and its length, where argparse's own would repeat
+    the value whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an int: {_excerpt(text)}") from None
 
 
 def _sector_arg(text: str):
@@ -46,7 +56,7 @@ def _point_arg(text: str):
 
     parts = text.split(",")
     if len(parts) != 2:
-        raise UsageError(f"cannot parse point {text!r}; expected x,y")
+        raise UsageError(f"cannot parse point {_excerpt(text)}; expected x,y")
     coordinates = []
     for name, part in zip("xy", parts):
         try:
@@ -291,10 +301,10 @@ def cmd_render(args) -> int:
 def _add_search_args(p: argparse.ArgumentParser, raw: int) -> None:
     """The SearchParams options; an option left out takes SearchParams'
     default when the command runs, except --raw."""
-    p.add_argument("--prefix", type=int)
-    p.add_argument("--max-k", type=int, dest="max_k")
-    p.add_argument("--offset-range", type=int, dest="offset_range")
-    p.add_argument("--raw", type=int, default=raw)
+    p.add_argument("--prefix", type=_int_arg)
+    p.add_argument("--max-k", type=_int_arg, dest="max_k")
+    p.add_argument("--offset-range", type=_int_arg, dest="offset_range")
+    p.add_argument("--raw", type=_int_arg, default=raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build the k-stair packing polynomial")
     p.add_argument("sector")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     p.add_argument("--direction", choices=("asc", "desc"), default="asc")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
@@ -319,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="prefix-check a polynomial on a sector")
     p.add_argument("sector")
     p.add_argument("--poly", required=True, help='six rationals "a b c2 d e f"')
-    p.add_argument("--prefix", type=int, default=500)
+    p.add_argument("--prefix", type=_int_arg, default=500)
     p.set_defaults(func=cmd_verify)
 
     for name, func in (("encode", cmd_encode), ("decode", cmd_decode)):
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "encode":
             p.add_argument("--point", required=True, help="x,y")
         else:
-            p.add_argument("--value", type=int, required=True)
+            p.add_argument("--value", type=_int_arg, required=True)
         p.set_defaults(func=func)
 
     p = sub.add_parser("search", help="brute-force search for packing polynomials")
@@ -338,10 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="search-vs-classify report over a range")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--max-m", type=int, required=True, dest="max_m")
+    p.add_argument("--max-n", type=_int_arg, required=True, dest="max_n")
+    p.add_argument("--max-m", type=_int_arg, required=True, dest="max_m")
     _add_search_args(p, raw=40)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_int_arg, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reduce", help="shear S(n/m) to its slope >= 1 representative")
@@ -357,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="labeled lattice figure (text or SVG)")
     p.add_argument("sector")
     p.add_argument("--poly", required=True)
-    p.add_argument("--max-x", type=int, required=True, dest="max_x")
+    p.add_argument("--max-x", type=_int_arg, required=True, dest="max_x")
     p.add_argument("--format", choices=("text", "svg"), default="text")
     p.add_argument("--no-labels", action="store_true", dest="no_labels")
     p.add_argument("--color", default="#000000")

@@ -1,6 +1,15 @@
 """Error types shared across the package."""
 
 
+def _excerpt(text: str) -> str:
+    """``text`` as an error message names it: repr(text) up to 40
+    characters, a longer text by its first and last eight characters and
+    its length, so that no message repeats a long argument whole."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:8]}...{text[-8:]} ({len(text)} characters)"
+
+
 class SectorPackError(Exception):
     """Base class for all domain errors raised by this package."""
 

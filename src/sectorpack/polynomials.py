@@ -28,6 +28,7 @@ from .errors import (
     NotAdmissible,
     NotConsecutive,
     ZeroStep,
+    _excerpt,
 )
 from .sectors import LatticeMap, LatticePoint, Sector
 
@@ -46,9 +47,10 @@ _SUPERSCRIPT_TWO = "^2"
 def _digit_limit(what: str, token: str = "") -> str:
     """The message for ``what``, a number longer than the digits Python
     converts between text and int (sys.get_int_max_str_digits()).  A
-    ``token`` is named by its ends and its length, not by every digit."""
+    ``token`` is named as errors._excerpt names it, by its ends and its
+    length, not by every digit."""
     if token:
-        what += f" {token[:8]}...{token[-8:]} ({len(token)} characters)"
+        what += f" {_excerpt(token)}"
     limit = sys.get_int_max_str_digits()
     return f"{what} is longer than the {limit} digits Python converts between text and int"
 
@@ -58,13 +60,13 @@ def _coefficient(token: str) -> Fraction:
     num, slash, den = token.partition("/")
     parts = [num.removeprefix("-"), den] if slash else [num.removeprefix("-")]
     if not all(part.isascii() and part.isdigit() for part in parts):
-        raise ValueError(f"coefficient {token!r} is not an integer or p/q")
+        raise ValueError(f"coefficient {_excerpt(token)} is not an integer or p/q")
     try:
         p, q = int(num), int(den) if slash else 1
     except ValueError:  # digits only, so past the digit limit
         raise ValueError(_digit_limit("coefficient", token)) from None
     if q == 0:
-        raise ValueError(f"coefficient {token!r} has a zero denominator")
+        raise ValueError(f"coefficient {_excerpt(token)} has a zero denominator")
     return Fraction(p, q)
 
 
@@ -154,7 +156,7 @@ class QuadPoly:
         so no decimal, exponent or nan."""
         parts = text.split()
         if len(parts) != 6:
-            raise ValueError(f"expected six coefficients, got {len(parts)}: {text!r}")
+            raise ValueError(f"expected six coefficients, got {len(parts)}: {_excerpt(text)}")
         return cls(*(_coefficient(p) for p in parts))
 
     def to_json_dict(self) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .errors import _excerpt
 from .polynomials import QuadPoly
 from .sectors import LatticePoint, Sector
 
@@ -35,7 +36,7 @@ def render(spec: RenderSpec) -> str:
     """Render the labeled grid; both formats are capped at MAX_TEXT_CELLS
     grid cells and text mode also at max_x = MAX_TEXT_X."""
     if not _COLOR.fullmatch(spec.color):
-        raise ValueError(f"color must be #rgb, #rrggbb or an ASCII name, not {spec.color!r}")
+        raise ValueError(f"color must be #rgb, #rrggbb or an ASCII name, not {_excerpt(spec.color)}")
     if spec.max_x < 0:
         raise ValueError("max_x must be nonnegative")
     if spec.format == "text" and spec.max_x > MAX_TEXT_X:

@@ -28,6 +28,7 @@ from .errors import (
     NotCoprime,
     NotInvertible,
     PointOutsideSector,
+    _excerpt,
 )
 
 
@@ -163,11 +164,11 @@ def parse_sector(text: str) -> Sector:
     if len(parts) == 1:
         parts = [parts[0], "1"]
     if len(parts) != 2:
-        raise ValueError(f"cannot parse sector {text!r}; expected n/m")
+        raise ValueError(f"cannot parse sector {_excerpt(text)}; expected n/m")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ValueError(f"cannot parse sector {text!r}; expected n/m") from None
+        raise ValueError(f"cannot parse sector {_excerpt(text)}; expected n/m") from None
     return sector(n, m)
 
 

@@ -18,6 +18,9 @@ from .verify import SearchParams, _search_detail, _ShearClass
 
 __all__ = ["sweep", "SweepRow", "SweepReport"]
 
+# one sector to sweep: (n, m, params)
+_Task = tuple[int, int, SearchParams]
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -50,18 +53,23 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_rows(tasks: list[tuple[int, int, SearchParams]]) -> list[SweepRow]:
-    """The rows of one chunk of (n, m, params) tasks, in task order.
+def _sweep_rows(
+    tasks: list[_Task],
+    known: Optional[dict[tuple[int, int], Classification]] = None,
+    screens: Optional[dict[tuple[int, int, int, int], _ShearClass]] = None,
+) -> list[SweepRow]:
+    """The rows of (n, m, params) tasks, in task order.
 
-    The chunk's sectors share one dict of classifications, so a slope < 1
-    sector reads its reduced target's when the chunk has already
-    classified it, and one dict of search states, one verify._ShearClass
-    per shear class, so the sectors of a class screen each reduced pair
-    once and certify it once if it passes the screen, and every later
-    sector of the class reads the pair's final outcome.
+    The tasks share ``known``, a dict of classifications, so a slope < 1
+    sector reads its reduced target's when an earlier task has already
+    classified it, and ``screens``, a dict of search states, one
+    verify._ShearClass per shear class, so the sectors of a class screen
+    each reduced pair once and certify it once if it passes the screen,
+    and every later sector of the class reads the pair's final outcome.
+    Either dict left out starts empty.
     """
-    known: dict[tuple[int, int], Classification] = {}
-    screens: dict[tuple[int, int, int, int], _ShearClass] = {}
+    known = {} if known is None else known
+    screens = {} if screens is None else screens
     rows = []
     for n, m, params in tasks:
         classified = _classify(n, m, known).polynomials()
@@ -81,6 +89,46 @@ def _sweep_rows(tasks: list[tuple[int, int, SearchParams]]) -> list[SweepRow]:
     return rows
 
 
+def _shear_classes(tasks: list[_Task]) -> list[list[_Task]]:
+    """The tasks grouped by shear class, the sectors with one n and one
+    m0 = (m - 1) mod n + 1 (verify._shear_class's key, as every task
+    shares its params), in task order within a class; the class with the
+    most tasks first, ties in order of their first task."""
+    classes: dict[tuple[int, int], list[_Task]] = {}
+    for task in tasks:
+        n, m, _ = task
+        classes.setdefault((n, (m - 1) % n + 1), []).append(task)
+    return sorted(classes.values(), key=len, reverse=True)
+
+
+def _share(classes: list[list[_Task]], counter) -> list[SweepRow]:
+    """The rows of every class this process claims.  It claims the next
+    class off ``counter``, a multiprocessing.Value that the sweep's
+    processes share, until none is left, and keeps one dict of
+    classifications and one of search states across its classes."""
+    known: dict[tuple[int, int], Classification] = {}
+    screens: dict[tuple[int, int, int, int], _ShearClass] = {}
+    rows: list[SweepRow] = []
+    while True:
+        with counter.get_lock():
+            claimed = counter.value
+            counter.value += 1
+        if claimed >= len(classes):
+            return rows
+        rows += _sweep_rows(classes[claimed], known, screens)
+
+
+def _child(classes: list[list[_Task]], counter, conn) -> None:
+    """A child process's share, sent once through ``conn``: its rows, or
+    the exception that its share raised."""
+    try:
+        result = _share(classes, counter)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
 def sweep(
     max_n: int,
     max_m: int,
@@ -94,19 +142,21 @@ def sweep(
     ValueError, and so does a worker count below 1 (None means one worker
     per CPU).
 
-    One worker, or fewer than 4 sectors, run in this process as one
-    chunk.  Otherwise the sectors, in (n, m) order, are cut into chunks
-    of ceil(sectors / (4 * workers)), the size multiprocessing.Pool.map
-    picks by default, and a process pool maps _sweep_rows over them,
-    starting no more workers than there are chunks: the pool forks every
-    worker at its first submit, wanted or not.  The sectors of one chunk
-    share one dict of classifications, so a slope < 1 sector whose
-    reduced target falls in its chunk does not classify the target again,
-    and one dict of search states, one per shear class: S(n/m) and
-    S(n/(m + q*n)) in one chunk screen each reduced pair once and certify
-    it once if it passes (see verify._ShearClass and verify._screen).  A
-    chunk's rows are those its sectors give searched alone, in any order,
-    so chunking changes no row.
+    The unit of work is a shear class: the sectors S(n/m) with one n and
+    one m0 = (m - 1) mod n + 1, which share one search state (see
+    verify._ShearClass), so no class is ever split.  The calling process
+    is one of the workers: it starts workers - 1 child processes, never
+    more than there are classes less one, and it and the children each
+    claim the next class, the class with the most sectors first, off one
+    shared counter until none is left.  Each process keeps one dict of
+    classifications and one of search states across the classes it
+    claims, and each child sends its rows back once, through its own
+    pipe; the caller sorts all rows into (n, m) order.  An exception in a
+    child's share is re-raised in the caller, and every child is joined
+    before sweep returns or raises, terminated first if it raises.  One
+    worker, one class or fewer than 4 sectors run in this process alone.
+    A row is the one its sector gives searched alone, whichever sectors
+    came before it in its process, so the split changes no row.
     """
     if max_n < 0 or max_m < 0:
         raise ValueError(f"max_n and max_m must be nonnegative, got {max_n} and {max_m}")
@@ -119,17 +169,42 @@ def sweep(
         for m in range(1, max_m + 1)
         if math.gcd(n, m) == 1
     ]
-    workers = workers if workers is not None else (os.cpu_count() or 1)
-    if workers == 1 or len(tasks) < 4:
-        rows = _sweep_rows(tasks)
-    else:
-        # imported here: the pool's modules add about a third to the time
-        # `import sectorpack` takes
-        from concurrent.futures import ProcessPoolExecutor
+    classes = _shear_classes(tasks)
+    workers = min(workers if workers is not None else (os.cpu_count() or 1), len(classes))
+    if workers <= 1 or len(tasks) < 4:
+        return SweepReport(rows=tuple(_sweep_rows(tasks)))
+    # imported here, so that only a pooled sweep loads multiprocessing and
+    # the ctypes behind its shared counter, which take several times as
+    # long to import as `import sectorpack` does
+    import multiprocessing
 
-        size = -(-len(tasks) // (4 * workers))
-        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-        workers = min(workers, len(chunks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for chunk in pool.map(_sweep_rows, chunks) for row in chunk]
+    counter = multiprocessing.Value("i", 0)
+    children, pipes = [], []
+    try:
+        for _ in range(workers - 1):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            pipes.append(receive)
+            child = multiprocessing.Process(target=_child, args=(classes, counter, send))
+            child.start()
+            send.close()
+            children.append(child)
+        rows = _share(classes, counter)
+        for receive in pipes:
+            try:
+                result = receive.recv()
+            except EOFError:  # the child died before it could send
+                raise RuntimeError("a sweep worker exited without sending its rows") from None
+            if isinstance(result, BaseException):
+                raise result
+            rows += result
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+        for receive in pipes:
+            receive.close()
+    rows.sort(key=lambda row: (row.n, row.m))
     return SweepReport(rows=tuple(rows))

@@ -32,7 +32,8 @@ every staircase index, so a search pair (d2, e2) takes on S(n/m) the
 values that the reduced pair (d2, e2 + q*n*d2) takes on S(n/m0), at
 every depth (_ShearClass proves it).  The search's one state object is
 a _ShearClass: its tables, each pair's outcome and its counters are kept
-once per class, and a sweep shares them among the sectors of a chunk.
+once per class, and a sweep shares them among all the sectors of the
+class, which one of its processes searches.
 A pair's outcome is final: the screen certifies a pair on the class's
 table when it finds that the pair packs.
 

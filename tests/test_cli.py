@@ -490,6 +490,23 @@ def _argv_id(argv):
     return repr([arg if len(arg) <= 40 else f"{arg[:12]}...({len(arg)} chars)" for arg in argv])
 
 
+# every int option, each after the arguments its command needs
+INT_OPTIONS = [
+    ["construct", "8/5", "--k"],
+    ["verify", "8/5", "--poly", POLY, "--prefix"],
+    ["decode", "8/5", "--poly", POLY, "--value"],
+    ["search", "8/5", "--prefix"],
+    ["search", "8/5", "--max-k"],
+    ["search", "8/5", "--offset-range"],
+    ["search", "8/5", "--raw"],
+    ["sweep", "--max-m", "2", "--max-n"],
+    ["sweep", "--max-n", "2", "--max-m"],
+    ["sweep", "--max-n", "2", "--max-m", "2", "--prefix"],
+    ["render", "8/5", "--poly", POLY, "--max-x"],
+    ["sweep", "--max-n", "2", "--max-m", "2", "--workers"],
+]
+
+
 def _usage_grid():
     """(argv) lists that are usage errors: exit 2."""
     for bad in BAD_SECTORS:
@@ -509,21 +526,7 @@ def _usage_grid():
         yield ["render", "8/5", "--poly", bad, "--max-x", "3"]
     for bad in BAD_POINTS:
         yield ["encode", "8/5", "--poly", POLY, "--point", bad]
-    int_options = [
-        ["construct", "8/5", "--k"],
-        ["verify", "8/5", "--poly", POLY, "--prefix"],
-        ["decode", "8/5", "--poly", POLY, "--value"],
-        ["search", "8/5", "--prefix"],
-        ["search", "8/5", "--max-k"],
-        ["search", "8/5", "--offset-range"],
-        ["search", "8/5", "--raw"],
-        ["sweep", "--max-m", "2", "--max-n"],
-        ["sweep", "--max-n", "2", "--max-m"],
-        ["sweep", "--max-n", "2", "--max-m", "2", "--prefix"],
-        ["render", "8/5", "--poly", POLY, "--max-x"],
-        ["sweep", "--max-n", "2", "--max-m", "2", "--workers"],
-    ]
-    for prefix in int_options:
+    for prefix in INT_OPTIONS:
         for bad in ["-1", "-" + "9" * 20, *NON_INTEGERS]:
             yield [*prefix, bad]
     yield from [
@@ -598,6 +601,33 @@ class TestFuzz:
         assert line.startswith(f"error: {named}"), line
         assert f"{sys.get_int_max_str_digits()} digits" in line
         assert len(line) < 150 and "set_int_max_str_digits" not in line
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([*prefix, "9" * 5000] for prefix in INT_OPTIONS),
+            ["sweep", "--max-n", "2", "--max-m", "2", "--workers", "x" * 5000],
+            ["verify", "8/5", "--poly", "4 -4 1 -1 1 0 " + "9" * 5000],
+            ["verify", "8/5", "--poly", "4 -4 1 -1 1 1." + "9" * 5000],
+            ["verify", "8/5", "--poly", "4 -4 1 -1 1 " + "9" * 4000 + "/0"],
+            ["encode", "8/5", "--poly", POLY, "--point", "1;" + "9" * 5000],
+            ["classify", "1/" + "9" * 5000],
+            ["render", "8/5", "--poly", POLY, "--max-x", "2", "--color", "#" + "9" * 5000],
+        ],
+        ids=_argv_id,
+    )
+    def test_long_argument_is_not_repeated(self, capsys, monkeypatch, argv):
+        # an int option's type, the polynomial's count, coefficient and
+        # zero-denominator messages, the point's, the sector's and the
+        # color's name a long argument by its ends and its length; at
+        # argparse's 80 columns even sweep's three usage lines and its
+        # error line stay under 300 bytes
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = self._run(capsys, argv)
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 300, err
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert "characters)" in err
 
     @pytest.mark.parametrize("argv", REFUSED, ids=repr)
     def test_refusal_exits_1(self, capsys, argv):

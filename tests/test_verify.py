@@ -4,7 +4,10 @@ import ast
 import hashlib
 import itertools
 import math
+import multiprocessing
+import os
 import random
+import time
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from dataclasses import fields, replace
@@ -39,7 +42,7 @@ from sectorpack import (
     stanton_quadratic,
     sweep,
 )
-from sectorpack.sweep import SweepRow, _sweep_rows
+from sectorpack.sweep import SweepRow, _share, _shear_classes, _sweep_rows
 from sectorpack.verify import (
     _PREFILTER_N,
     _LineTable,
@@ -70,6 +73,12 @@ P127 = QuadPoly.from_string("6 -6 3/2 -8 11/2 2")
 P3625 = QuadPoly.from_string("18 -24 8 -11 8 1")
 
 PARAMS = SearchParams(prefix_n=300, max_k=6, offset_range=10, raw_grid_bound=40)
+
+# tests that patch sweep's _sweep_rows for its children, which inherit it
+# only when they are forked
+FORKED_CHILDREN = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="needs forked children"
+)
 
 
 class TestEnumerate:
@@ -1319,43 +1328,73 @@ class TestSweep:
         assert keys == sorted(keys)
         assert all(math.gcd(n, m) == 1 for n, m in keys)
 
-    def test_pool_chunks_and_workers(self, monkeypatch):
-        # chunks of ceil(sectors / (4 * workers)), and never more workers
-        # than chunks: the fake pool records both and starts no process
-        import concurrent.futures
-        import os
+    def test_shear_classes_split_no_class(self):
+        # each task lies in exactly one class, and a class is exactly the
+        # tasks that verify._shear_class gives one search state
+        tasks = [(n, m, PARAMS) for n in range(1, 31) for m in range(1, 61) if math.gcd(n, m) == 1]
+        classes = _shear_classes(tasks)
+        grouped = sorted((n, m) for group in classes for n, m, _ in group)
+        assert grouped == [(n, m) for n, m, _ in tasks]
+        states = {}
+        for group in classes:
+            shared = {
+                id(_shear_class(sector(n, m), params.prefix_n, params.offset_range, states))
+                for n, m, params in group
+            }
+            assert len(shared) == 1
+            assert group == sorted(group, key=lambda task: task[:2])
+        # one class per n and m0 <= n coprime to n: 278 for n <= 30
+        assert len(states) == len(classes) == 278
 
-        pools = []
+    def test_classes_are_handed_out_largest_first(self, monkeypatch):
+        # the classes go largest first, ties in (n, m0) order, and the
+        # counter hands them out in that order from wherever it stands
+        import importlib
 
-        class FakePool:
-            def __init__(self, max_workers):
-                pools.append([max_workers])
+        sweep_mod = importlib.import_module("sectorpack.sweep")
+        tasks = [(n, m, PARAMS) for n in range(1, 9) for m in range(1, 9) if math.gcd(n, m) == 1]
+        classes = _shear_classes(tasks)
+        sizes = [len(group) for group in classes]
+        assert sizes == sorted(sizes, reverse=True) and sizes[:3] == [8, 4, 3]
+        claimed = []
+        monkeypatch.setattr(
+            sweep_mod, "_sweep_rows", lambda group, known, screens: claimed.append(group) or []
+        )
+        counter = multiprocessing.Value("i", 0)
+        assert _share(classes, counter) == [] and claimed == classes
+        claimed.clear()
+        counter.value = 3
+        _share(classes, counter)
+        assert claimed == classes[3:]
 
-            def __enter__(self):
-                return self
+    def test_workers_never_outnumber_classes(self, monkeypatch):
+        # workers - 1 children, and no more than there are classes less
+        # one: S(n/m), n, m <= 3, is 7 sectors in 4 classes
+        started = []
 
-            def __exit__(self, *exc):
-                return False
+        class Recording(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def map(self, fn, chunks):
-                pools[-1].append([len(chunk) for chunk in chunks])
-                return map(fn, chunks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(multiprocessing, "Process", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         params = SearchParams(150, 5, 8, 0)
-        # 7 sectors on 64 CPUs: 7 chunks of one sector, so 7 workers
-        assert sweep(3, 3, params) == sweep(3, 3, params, workers=1)
-        assert pools == [[7, [1] * 7]]
-        pools.clear()
-        # 555 sectors on 2 workers: 8 chunks of 70, the last one short
-        assert len(sweep(30, 30, params, workers=2).rows) == 555
-        assert pools == [[2, [70] * 7 + [65]]]
+        tasks = [(n, m, params) for n in range(1, 4) for m in range(1, 4) if math.gcd(n, m) == 1]
+        assert len(tasks) == 7 and len(_shear_classes(tasks)) == 4
+        serial = sweep(3, 3, params, workers=1)
+        assert started == []
+        assert sweep(3, 3, params) == serial and len(started) == 3
+        started.clear()
+        assert sweep(3, 3, params, workers=2) == serial and len(started) == 1
+        started.clear()
+        # one class: S(1/m) all shear onto S(1/1), so the caller works alone
+        assert len(sweep(1, 6, params, workers=4).rows) == 6 and started == []
 
     def test_sweep_classifies_each_sector_once(self, monkeypatch):
-        # a serial sweep is one chunk, so each of its 555 sectors is
-        # classified once, also where it is a slope < 1 sector's reduced
-        # target
+        # a serial sweep shares one dict of classifications, so each of
+        # its 555 sectors is classified once, also where it is a slope < 1
+        # sector's reduced target
         import importlib
 
         # the package's `classify` and `sweep` are the functions, not the modules
@@ -1378,8 +1417,8 @@ class TestSweep:
             assert tuple(classify(row.n, row.m).polynomials()) == row.classified
 
     def test_rows_do_not_depend_on_class_fill_order(self):
-        # a chunk's sectors share one screen state per shear class, filled
-        # by whichever sector of the class comes first: in (n, m) order,
+        # the tasks of one _sweep_rows call share one screen state per
+        # shear class, filled by whichever sector of the class comes first: in (n, m) order,
         # reversed or shuffled, every row is the one that a search of its
         # sector alone, on a fresh dict, gives
         tasks = [(n, m, PARAMS) for n in range(1, 31) for m in range(1, 31) if math.gcd(n, m) == 1]
@@ -1417,19 +1456,15 @@ class TestSweep:
                 assert _search_detail(s, params, classes) == _search_detail(s, params), (nm, params)
         assert len(classes) == 6
 
+    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("params", [SearchParams(), PARAMS], ids=["raw0", "raw40"])
-    def test_pooled_rows_match_serial_field_by_field(self, params):
-        # the pool cuts these 20x40 sectors into 8 chunks, and some slope < 1
-        # sectors fall in another chunk than their reduced target, which
-        # each chunk then classifies on its own
-        tasks = [(n, m) for n in range(1, 21) for m in range(1, 41) if math.gcd(n, m) == 1]
-        size = -(-len(tasks) // 8)
-        chunk = {nm: i // size for i, nm in enumerate(tasks)}
-        assert any(
-            m > n and m % n and chunk[(n, m)] != chunk[(n, m % n)] for n, m in tasks
-        )
-        serial = sweep(20, 40, params, workers=1).rows
-        pooled = sweep(20, 40, params, workers=2).rows
+    def test_pooled_rows_match_serial_field_by_field(self, params, workers):
+        # on 30x60 every one of the 49 shear classes with a lattice holds
+        # two or more sectors, and each process fills its classes and its
+        # classifications in its own order
+        tasks = [(n, m) for n in range(1, 31) for m in range(1, 61) if math.gcd(n, m) == 1]
+        serial = sweep(30, 60, params, workers=1).rows
+        pooled = sweep(30, 60, params, workers=workers).rows
         assert len(pooled) == len(serial) == len(tasks)
         for a, b in zip(pooled, serial):
             for field in fields(SweepRow):
@@ -1440,3 +1475,48 @@ class TestSweep:
             for p in row.searched + row.raw_survivors:
                 assert all(q is p for q in row.classified if q == p)
         assert any(row.raw_survivors for row in pooled) is (params is PARAMS)
+
+    @FORKED_CHILDREN
+    def test_child_exception_reaches_the_caller(self, monkeypatch):
+        import importlib
+
+        sweep_mod = importlib.import_module("sectorpack.sweep")
+        real, caller = sweep_mod._sweep_rows, os.getpid()
+        child_claimed = multiprocessing.Event()
+
+        def failing(tasks, known, screens):
+            if os.getpid() != caller:
+                child_claimed.set()
+                raise ValueError("raised in a child's share")
+            # the caller works on until the child has claimed a class
+            assert child_claimed.wait(30)
+            return real(tasks, known, screens)
+
+        monkeypatch.setattr(sweep_mod, "_sweep_rows", failing)
+        with pytest.raises(ValueError, match="child's share"):
+            sweep(8, 8, PARAMS, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @FORKED_CHILDREN
+    def test_no_child_outlives_sweep(self, monkeypatch):
+        # after a sweep that succeeds, and after one whose caller's share
+        # raises while its children still work: sweep terminates them
+        # rather than wait out their shares
+        import importlib
+
+        assert len(sweep(8, 8, PARAMS, workers=3).rows) == 43
+        assert multiprocessing.active_children() == []
+        sweep_mod = importlib.import_module("sectorpack.sweep")
+        caller = os.getpid()
+
+        def failing(tasks, known, screens):
+            if os.getpid() == caller:
+                raise ValueError("raised in the caller's share")
+            time.sleep(60)
+
+        monkeypatch.setattr(sweep_mod, "_sweep_rows", failing)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="caller's share"):
+            sweep(8, 8, PARAMS, workers=3)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
