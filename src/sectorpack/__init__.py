@@ -49,13 +49,13 @@ _EXPORTS = {
         "KStairForm",
         "QuadPoly",
         "construct",
-        "determine_offset",
         "kstair_extract",
         "necessary_coefficients",
         "stanton_check",
         "stanton_quadratic",
     ),
     "render": ("RenderSpec", "render"),
+    "search": ("SearchParams", "search"),
     "sectors": (
         "QUADRANT",
         "LatticeMap",
@@ -73,11 +73,9 @@ _EXPORTS = {
     "verify": (
         "PrefixReport",
         "PrefixStatus",
-        "SearchParams",
         "enumerate_upto",
         "prefix_check",
         "rectangle_points",
-        "search",
     ),
 }
 
@@ -86,8 +84,8 @@ _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_SOURCE)
 
-# Submodules reachable as package attributes; classify, render and sweep
-# are not among them, since those names are their modules' functions.
+# Submodules reachable as package attributes; classify, render, search and
+# sweep are not among them, since those names are their modules' functions.
 _SUBMODULES = frozenset(_EXPORTS) - frozenset(_SOURCE)
 
 
@@ -104,7 +102,8 @@ class _LazyPackage(types.ModuleType):
 
     def __setattr__(self, name, value):
         # Loading a submodule binds it onto its package; the submodules
-        # classify, render and sweep must not shadow their own functions.
+        # classify, render, search and sweep must not shadow their own
+        # functions.
         if name in _SOURCE and isinstance(value, types.ModuleType):
             return
         types.ModuleType.__setattr__(self, name, value)

@@ -32,6 +32,16 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an int: {_excerpt(text)}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose message for a rejected choice, the command
+    name's included, names the value as errors._excerpt does.  The usage
+    line above the message lists the choices."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {_excerpt(value)}")
+
+
 def _sector_arg(text: str):
     from .sectors import parse_sector
 
@@ -61,10 +71,12 @@ def _point_arg(text: str):
     for name, part in zip("xy", parts):
         try:
             coordinates.append(int(part))
-        except ValueError as exc:
-            if 0 < sys.get_int_max_str_digits() < len(part):
-                raise UsageError(_digit_limit(f"coordinate {name}", part)) from exc
-            raise UsageError(str(exc)) from exc
+        except ValueError:
+            digits = part.strip()
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits
+            if 0 < sys.get_int_max_str_digits() < len(digits) and digits.isdigit():
+                raise UsageError(_digit_limit(f"coordinate {name}", part)) from None
+            raise UsageError(f"coordinate {name} {_excerpt(part)} is not an integer") from None
     x, y = coordinates
     if x < 0 or y < 0:
         raise UsageError("point coordinates must be nonnegative")
@@ -214,7 +226,7 @@ def cmd_decode(args) -> int:
 
 def _search_params(args):
     """SearchParams from the options given; its own defaults fill the rest."""
-    from .verify import SearchParams
+    from .search import SearchParams
 
     given = {
         "prefix_n": args.prefix,
@@ -229,7 +241,7 @@ def _search_params(args):
 
 
 def cmd_search(args) -> int:
-    from .verify import search
+    from .search import search
 
     s = _sector_arg(args.sector)
     params = _search_params(args)
@@ -308,7 +320,7 @@ def _add_search_args(p: argparse.ArgumentParser, raw: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sectorpack",
         description="Quadratic packing polynomials on rational sectors S(n/m)",
     )

@@ -316,8 +316,15 @@ def _start_stairs(s: Sector, A: int, B: int, F: int, unit: int, cs: Iterable[int
 
 
 def _start_values(s: Sector, d: Fraction, e: Fraction, f: Fraction, k: int) -> dict[int, int]:
-    """determine_offset's check on the linear part d*x + e*y + f: the
-    start-stair values of staircases 0..k-1, as {value: staircase}."""
+    """The start-stair values of staircases 0..k-1, as {value: staircase},
+    of the polynomial with the forced homogeneous part and linear part
+    d*x + e*y + f.  Each staircase takes its least value at its start
+    stair: the first stair when the stair step d*u + e*v is positive, the
+    last when it is negative.  A packing polynomial's k values are
+    distinct consecutive integers, so -min of them is the offset that
+    places them exactly onto {0..k-1}.  The values are read one staircase
+    at a time, and the first that is not an integer, repeats one before
+    it or spreads them over more than k integers is a NotConsecutive."""
     unit = 2 * s.n * lcm(d.denominator, e.denominator, f.denominator)
     A, B, F = (coeff.numerator * (unit // coeff.denominator) for coeff in (d, e, f))
     seen: dict[int, int] = {}
@@ -336,23 +343,6 @@ def _start_values(s: Sector, d: Fraction, e: Fraction, f: Fraction, k: int) -> d
                 f"{low}..{high}, more than {k} consecutive integers"
             )
     return seen
-
-
-def determine_offset(s: Sector, p0: QuadPoly, k: int) -> int:
-    """Offset f completing a stair form into a packing polynomial.
-
-    Evaluates p0 (forced homogeneous part, f = 0) at the start stairs of
-    staircases 0..k-1, where each staircase takes its least value: the
-    first stair when p0's stair step d*u + e*v is positive, the last when
-    it is negative.  Those k values must be distinct consecutive integers;
-    then f = -min(values) places them exactly onto {0..k-1}.  The values
-    are read one staircase at a time, and the first that is not an
-    integer, repeats one before it or spreads them over more than k
-    integers ends the search.
-    """
-    if (p0.a, p0.b, p0.c2) != stanton_quadratic(s):
-        raise ValueError("polynomial does not have the forced homogeneous part")
-    return -min(_start_values(s, p0.d, p0.e, p0.f, k), default=0)
 
 
 def construct(s: Sector, k: int, direction: Direction) -> tuple[QuadPoly, KStairForm]:

@@ -1,0 +1,508 @@
+"""Exhaustive search: every packing polynomial of a sector, by brute force.
+
+The search trusts the oracle, sectorpack.verify, and none of the
+classification: it imports nothing from classify or sweep, and it uses
+none of the classification theorems.  Every candidate takes the forced
+homogeneous part from polynomials.stanton_quadratic.  Only the candidate
+stage uses the construction's formulas: _structured_candidates proposes
+the (d, e) pairs of the stair coefficient families, in integers, with
+polynomials._stair_pair and _residue, and they join the raw grid as
+single-pair rows.  The screen and the certification use none of them.
+A pair that passes the screen is certified with the oracle's own
+verdict, verify._prefix_verdict, read on its shear class's line table
+(below).  The screen reads the lines the oracle's walk reads, without a
+walk per pair.  A candidate's scaled values are linear in its integer
+pair (d2, e2), so on the lattice every pair's line base is one reference
+pair's base, read class by class as the walk reads its own, plus integer
+multiples of the line's first point: the screen's values are the walk's,
+in integers, with no rounding.
+
+The sectors S(n/m) that share n and m0 = (m - 1) mod n + 1 (_m0) form
+one shear class.  With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the
+lattice points of S(n/m0) one to one onto those of S(n/m) and keeps
+every staircase index, so a search pair (d2, e2) takes on S(n/m) the
+values that the reduced pair (d2, e2 + q*n*d2) takes on S(n/m0), at
+every depth (_ShearClass proves it).  The search's one state object is
+a _ShearClass: its tables, each pair's outcome and its counters are kept
+once per class.  _shear_class builds a fresh one; a sweep builds one per
+class, shares it among the sectors of the class and releases it after
+them.  A pair's outcome is final: the screen certifies a pair on the
+class's table when it finds that the pair packs.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+from .polynomials import Direction, QuadPoly, _residue, _stair_pair, stanton_quadratic
+from .sectors import Sector
+from .verify import _LineTable, _prefix_verdict
+
+__all__ = ["SearchParams", "search"]
+
+
+@dataclass(frozen=True)
+class SearchParams:
+    """Dials for the exhaustive search.
+
+    ``prefix_n`` is the correctness dial: 300-500 empirically separates
+    true packing polynomials from near-misses at desk scale (n, m <= 40).
+    ``raw_grid_bound`` = 0 disables the raw coefficient grid.
+    """
+
+    prefix_n: int = 300
+    max_k: int = 6
+    offset_range: int = 10
+    raw_grid_bound: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("prefix_n", "max_k", "offset_range", "raw_grid_bound"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+# Search candidates share the forced homogeneous part, so a candidate is
+# just an integer pair (d2, e2) with d = d2/2 and e = e2/(2n).  The filter
+# below walks values scaled by 2n, all in exact integer arithmetic:
+#
+#   P0(x, y) = (n*x - (m-1)*y)**2 + n*d2*x + e2*y       (f left out)
+#
+# On line c the value is base(c) + t*step, so each line meets the value
+# window in a t-interval, kept as its least value and its width.  A packing
+# polynomial must attain minimum value exactly 0, which forces
+# f = -min(P0)/(2n); sweeping f over [-offset_range, offset_range] is
+# therefore equivalent to checking that single forced offset, which is
+# what the filter does.
+
+
+def _edge_threshold(n: int, lo: int) -> int:
+    """The least S with n*n*t*t + S*t >= lo (lo <= 0) for every integer t >= 1:
+    the largest ceil((lo - n*n*t*t)/t).  lo/t - n*n*t is concave in t and
+    peaks at t = sqrt(-lo)/n, so over the integers t >= 1 it peaks at t0 =
+    max(1, floor(sqrt(-lo)/n)) = max(1, isqrt(-lo)//n) or at t0 + 1, and
+    ceil keeps the order: two terms, whatever the offset range."""
+    t0 = max(1, math.isqrt(-lo) // n)
+    return max(-((n * n * t * t - lo) // t) for t in (t0, t0 + 1))
+
+
+# Depth of the search's screen; _screen says why certifying what it keeps
+# at prefix_n keeps exactly what a full-depth screen would.
+_PREFILTER_N = 8
+
+
+class _ShearClass:
+    """The search's state for one shear class, certifying at prefix_n:
+    the sectors S(n/m), m = m0 + q*n for q >= 0, that share n and m0 =
+    (m - 1) mod n + 1, each screened and certified on S(n/m0).  For n = 1
+    the class's sector is S(1/1), where w_reduce gives the quadrant.
+    _shear_class builds one from any sector of the class.
+
+    With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the lattice points of
+    S(n/m0) one to one onto those of S(n/m): m*y <= n*(x + q*y) iff m0*y
+    <= n*x, and with y >= 0 either makes both x and x + q*y nonnegative,
+    as m0 >= 1.  T keeps every staircase index c, since n*(x + q*y) -
+    (m-1)*y = n*x - (m0-1)*y, so it keeps the forced homogeneous part
+    (n*x - (m-1)*y)**2, the line step (u, v) = (u0 + q*v, v) and each
+    point's place t on its line.  As n*d2*(x + q*y) + e2*y = n*d2*x + (e2
+    + q*n*d2)*y, the pair (d2, e2) takes on S(n/m) exactly the values,
+    line by line and point by point, that the reduced pair (d2, e2 +
+    q*n*d2) takes on S(n/m0), at every depth, so the two pass or fail
+    the screen and the certification together.  Its step n*d2*u + e2*v
+    and both edge sums, A = n*d2 and A*m + B*n, are the reduced pair's,
+    so the s_min test and the stop line are too.  And the pair lies on
+    the sector's integer-valued lattice iff the reduced pair lies on
+    S(n/m0)'s: both need d2 - n even, and then (m-1)**2 - (m0-1)**2 =
+    2*q*n*(m0-1) + q*q*n*n is q*n*d2 mod 2n.
+
+    The class screens at ``depth`` = min(prefix_n, _PREFILTER_N).  It
+    holds the line table of S(n/m0), on which the screen reads its base
+    tables and certifies each pair that packs, and the base tables of one
+    reference lattice pair with the stop line of each k_lo met (see
+    _screen).  ``outcomes`` maps a reduced pair, as d2 -> {j: outcome}
+    with j its offset from the reference e2 in steps of 2n, to its final
+    outcome: _NEGATIVE, _SHORT, _UNPACKED (a band pair that does not pack
+    at the screen depth, or that fails its certification) or, for a
+    certified pair, its forced offset f = -vmin >= 0.  ``walked`` and
+    ``band`` count the pairs _screen walks, over every sector of the class
+    it screens, and those in the sectors' bands, whether or not the class
+    had met them before.
+    """
+
+    def __init__(self, s0: Sector, prefix_n: int, offset_range: int):
+        self.table = _LineTable(s0, 1)
+        self.prefix_n, self.offset_range = prefix_n, offset_range
+        self.depth = min(prefix_n, _PREFILTER_N)
+        # Cheap rejection: on the x-axis points (t, 0) and the ray points
+        # (m*t, n*t) the scaled value is n*n*t*t + S*t with S = A or
+        # A*m + B*n, and a value below -2n*offset_range there cannot be
+        # rescued by any offset.
+        self.s_min = _edge_threshold(s0.n, -2 * s0.n * offset_range)
+        # The reference pair is the lattice's residue pair (None off it).
+        self.ref = _lattice_residues(s0)
+        if self.ref is not None:
+            d_ref, e_ref = self.ref
+            self.step_ref, rem = divmod(s0.n * d_ref * s0.lines.u + e_ref * s0.lines.v, 2 * s0.n)
+            if rem:
+                raise ValueError("stair step is not an integer; polynomial is not integer-valued")
+        # (K, x, y, count) per line at its first and at its last point
+        self.firsts: list[tuple[int, int, int, int]] = []
+        self.lasts: list[tuple[int, int, int, int]] = []
+        self.stops: dict[int, int] = {}  # k_lo -> its stop line
+        self.outcomes: dict[int, dict[int, int]] = {}
+        self.walked = self.band = 0
+
+    def stop_line(self, k_lo: int) -> int:
+        """The stop line of k_lo (see _LineTable.stop); the base tables
+        hold every line below it."""
+        stop = self.stops[k_lo] = self.table.stop(k_lo, 0, 2 * self.table.lines.n, self.depth)
+        if stop > len(self.firsts):
+            self._read_to(stop)
+        return stop
+
+    def _read_to(self, stop: int) -> None:
+        """Add (K, x0, z, count) to ``firsts`` for each line below
+        ``stop``, K the base of the reference pair: the scaled value
+        Q*(c*l)**2 + n*d_ref*x0 + e_ref*z at the line's first point, over
+        2n, which must be an integer.  The lines come a class at a time off
+        _LineTable.classes, each shifted by whole periods.  ``lasts`` gets
+        the same at the line's last point, t = count - 1 steps on: (K +
+        step_ref*t, x0 + u*t, z + v*t, count).
+
+        On the lattice no line is empty: n | (m-1)**2 makes v = n/l divide
+        l, and line c's first point (x0, z), z < v, lies in the sector iff
+        z <= c*l, which holds for c = 0 (z = 0) and for every c >= 1.
+        """
+        firsts, lasts, first = self.firsts, self.lasts, len(self.firsts)
+        firsts += [(0, 0, 0, 0)] * (stop - first)
+        lasts += [(0, 0, 0, 0)] * (stop - first)
+        lines, step_ref = self.table.lines, self.step_ref
+        l, u, v = lines.l, lines.u, lines.v
+        d_ref, e_ref = self.ref
+        for c, x0, z, count, K, delta, dd in self.table.classes(
+            lines.n * d_ref, e_ref, 0, 2 * lines.n, first, stop
+        ):
+            for c in range(c, stop, v):
+                firsts[c] = (K, x0, z, count)
+                t = count - 1
+                lasts[c] = (K + step_ref * t, x0 + u * t, z + v * t, count)
+                x0 += 1
+                count += l
+                K += delta
+                delta += dd
+
+
+def _m0(n: int, m: int) -> int:
+    """The m0 of S(n/m)'s shear class: S(n/m) and S(n/m') share a class
+    iff they share n and m0 = (m - 1) mod n + 1, and S(n/m0) is the
+    class's sector with 1 <= m0 <= n."""
+    return (m - 1) % n + 1
+
+
+def _shear_class(s: Sector, prefix_n: int, offset_range: int) -> _ShearClass:
+    """A fresh _ShearClass of s's shear class, certifying at prefix_n,
+    on S(n/m0)."""
+    m0 = _m0(s.n, s.m)
+    return _ShearClass(s if m0 == s.m else Sector(s.n, m0, s.l), prefix_n, offset_range)
+
+
+# _ShearClass.outcomes: a pair with a value below -offset_range, one with
+# too few values <= the screen depth, and a band pair that does not pack or
+# fails its certification (a certified pair maps to its forced offset,
+# which is >= 0)
+_NEGATIVE, _SHORT, _UNPACKED = -1, -2, -3
+
+
+def _screen(
+    shear: _ShearClass, m: int, rows: list[tuple[int, range]]
+) -> list[tuple[int, int, int]]:
+    """Keep the (d2, e2) pairs of ``rows`` on S(n/m), a sector of the
+    shear class, that pack to the class's prefix_n for some offset, as
+    (d2, e2, f) triples in row order, f the forced offset.
+
+    ``rows`` is a d2-ascending list of (d2, ascending e2 range) on the
+    sector's integer-valued lattice, each range stepping by 2n; a row off
+    it is a ValueError.  The rows are screened at the class's depth,
+    min(prefix_n, _PREFILTER_N), and a pair that packs there is certified
+    at prefix_n.  P0 grows with d2 (x >= 0) and
+    with e2 (y >= 0) everywhere, so "negative" is a down-set of the
+    lattice, and so is "at least depth + 1 values <= depth", which on a
+    pair that is not negative is the window's size.  ``top`` is an e2
+    value: every pair above it, on this row and every later one, has too
+    few values.  Each row is sliced to e2 <= top and scanned down: a pair
+    with too few values lowers ``top`` for good, and the pairs below it
+    down to the first negative one, the row's band, are the only ones
+    tested for a zero step and distinct values.  On the rows of a box the
+    screen thus walks at most |D| + |E| pairs outside the bands.  A step-0
+    pair is never kept, but its window counts every point, so it lowers
+    ``top`` as any other does.  The down-set argument holds on the sector's
+    own coordinates, so rows, ``top`` and the kept triples are the
+    sector's.
+
+    Each pair is read as its reduced pair (d2, e2 + q*n*d2) on S(n/m0), q
+    = (m - m0)/n, whose values are the pair's (see _ShearClass), and its
+    outcome is computed once per shear class: a pair the class has met, on
+    this sector or on another, reads its outcome off ``outcomes``.  A pair
+    computed here reads the lines and values that _LineTable.walk(n*d2,
+    e2, 0, 2n, -offset_range, depth) would, but off the class's base
+    tables, with no call per pair.  Every reduced lattice pair is d2 =
+    d_ref + 2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref),
+    the lattice's residues on S(n/m0), and P0 is linear in (d2, e2): P0
+    moves by 2n*i*x + 2n*j*y.  So in units of 2n, line c's base (its value
+    at (x0(c), z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref
+    + i*u + j*v.  Only K(c), the reference pair's base, needs a division by
+    2n, read exactly per line class per shear class (see _read_to); the
+    rest is integer products and sums, so every value is exactly the
+    walk's.  The walk's stop line depends on the pair only through k_lo =
+    min(A, A*m + B*n), so each k_lo's count of lines is computed once, in
+    closed form (_LineTable.stop).  A line whose least value is below
+    -offset_range ends the pair's walk, which is then negative.
+
+    A line's least value is its base on an ascending line and its last
+    value on a descending one, read the same way off ``lasts``, so one
+    loop serves both signs of the step; a step-0 pair has a loop of its
+    own.  A line's window is the ``width`` values least, least + |step|,
+    ... that are at most depth; a step-0 line holds one value and counts
+    every point.  A band pair that steps packs iff marking each window
+    value below vmin + depth + 1 as bit value - vmin sets all depth + 1
+    bits with exactly depth + 1 marks: a value marked twice would leave a
+    bit unset.
+
+    A pair that packs is certified at once with prefix_check's verdict,
+    read by _prefix_verdict on the class's line table: the reduced pair
+    with f = -vmin is a polynomial on S(n/m0) whose values are the
+    pair's.  It lies on the integer-valued lattice, so prefix_check's
+    probe passes, and its homogeneous part is the forced one, so
+    _check_family passes.  Its lambda = a/n**2 = 1/(2n), d = d2/2 and e =
+    e2/(2n) have denominators dividing 2n, and f is an integer, so
+    prefix_check's own scale D is exactly 2n: its walk reads Q = 1 (the
+    table's), (A, B, F) = (n*d2, e2 + q*n*d2, 2n*f) and unit 2n, as here.
+    The verdict is kept as the pair's outcome, so each reduced pair is
+    certified once per class.
+
+    The result is that of one screen at full depth prefix_n.  In the
+    integer values P0 over 2n, a line the screen cuts off early has every
+    value above its depth >= 0, so vmin, and with it the forced offset f
+    = -vmin, is the same at every depth.  A pair that packs attains vmin,
+    so with that f it is integer-valued with least value 0, and "the
+    full-depth screen keeps it" is exactly "prefix_check at prefix_n is
+    OK": each of 0..prefix_n is attained exactly once.  A pair that the
+    screen drops, the full-depth screen drops too: with the same vmin, it
+    is negative, or misses or repeats a value below vmin + depth + 1.
+    """
+    lines = shear.table.lines
+    n, u, v = lines.n, lines.u, lines.v
+    q = (m - lines.m) // n  # S(n/m) = T(S(n/m0)), m0 = lines.m
+    unit = 2 * n
+    lo, hi, prefix_n = -shear.offset_range, shear.depth, shear.prefix_n
+    need = hi + 1
+    full = (1 << need) - 1
+    s_min, firsts, lasts, stops = shear.s_min, shear.firsts, shear.lasts, shear.stops
+    outcomes = shear.outcomes
+    survivors = []
+    top = max((E.stop for _, E in rows), default=0)
+    d_ref, e_ref = shear.ref or (0, 0)
+    for d2, E in rows:
+        i, d_off = divmod(d2 - d_ref, 2)
+        e_off = q * n * d2 - e_ref  # e2 + e_off is 2n*j
+        if shear.ref is None or d_off or (E.start + e_off) % unit or len(E) > 1 and E.step != unit:
+            raise ValueError(f"row ({d2}, {E}) is off the integer-valued lattice")
+        A = n * d2
+        row_step = shear.step_ref + i * u
+        memo = outcomes.get(d2)
+        if memo is None:
+            memo = outcomes[d2] = {}
+        band = []
+        walked = banded = 0
+        for e2 in reversed(range(E.start, min(E.stop, top + 1), E.step)):
+            S = A * m + e2 * n
+            if A < s_min or S < s_min:
+                break
+            walked += 1
+            j = (e2 + e_off) // unit
+            out = memo.get(j)
+            if out is None:
+                step = row_step + j * v
+                k_lo = A if A < S else S
+                stop = stops.get(k_lo)
+                if stop is None:
+                    stop = shear.stop_line(k_lo)
+                window = []  # (least, width) per line that meets the window
+                total = vmin = 0
+                gap = step if step >= 0 else -step
+                if step:
+                    for K, x, y, count in (firsts if step > 0 else lasts)[:stop]:
+                        least = K + i * x + j * y
+                        if least < vmin:
+                            vmin = least
+                            if vmin < lo:
+                                break
+                        if least <= hi:
+                            width = (hi - least) // gap + 1
+                            if width > count:
+                                width = count
+                            window.append((least, width))
+                            total += width
+                else:
+                    for K, x0, z, count in firsts[:stop]:
+                        value = K + i * x0 + j * z
+                        if value < vmin:
+                            vmin = value
+                            if vmin < lo:
+                                break
+                        if value <= hi:
+                            total += count
+                if vmin < lo:
+                    out = _NEGATIVE
+                elif total < need:
+                    out = _SHORT
+                else:
+                    out = _UNPACKED
+                    if step:
+                        seen = marked = 0
+                        for least, width in window:
+                            first = least - vmin
+                            if first < need:
+                                w = (need - 1 - first) // gap + 1
+                                if w > width:
+                                    w = width
+                                marked += w
+                                # bits first, first + gap, ..., first + (w - 1)*gap
+                                seen |= ((1 << gap * w) - 1) // ((1 << gap) - 1) << first
+                        if seen == full and marked == need:
+                            # the reduced pair (d2, e_ref + 2n*j), certified
+                            verdict = _prefix_verdict(
+                                shear.table, A, e_ref + unit * j, -unit * vmin, unit, prefix_n
+                            )
+                            if verdict.ok:
+                                out = -vmin
+                memo[j] = out
+            if out == _NEGATIVE:
+                break
+            if out == _SHORT:
+                top = e2 - 1
+                continue
+            banded += 1
+            if out >= 0:
+                band.append((d2, e2, out))
+        shear.walked += walked
+        shear.band += banded
+        survivors += reversed(band)
+    return survivors
+
+
+def _lattice_residues(s: Sector) -> Optional[tuple[int, int]]:
+    """(d2 mod 2, e2 mod 2n) of the integer-valued lattice: the pairs whose
+    polynomial, with the forced homogeneous part and f = 0, has integer
+    p(1, 0) and p(0, 1).  None when n does not divide (m-1)^2, so that no
+    pair is integer-valued (2*c2 is not an integer)."""
+    n, m = s.n, s.m
+    if (m - 1) ** 2 % n != 0:
+        return None
+    return n % 2, -((m - 1) ** 2) % (2 * n)
+
+
+def _structured_candidates(s: Sector, max_k: int) -> list[tuple[int, int]]:
+    """The (d2, e2) pairs of the stair coefficient families, both
+    directions, for every k <= max_k in the right residue class, that lie
+    on the integer-valued lattice.  No pair repeats: d = 1 -+ k*l/2."""
+    residues = _lattice_residues(s)
+    if residues is None:
+        return []
+    n = s.n
+    out = []
+    for direction in (Direction.ASCENDING, Direction.DESCENDING):
+        res, v = _residue(s, direction)
+        for k in range(res or v, max_k + 1, v):
+            d2, e2 = _stair_pair(s, k, direction)
+            if (d2 % 2, e2 % (2 * n)) == residues:
+                out.append((d2, e2))
+    return out
+
+
+def _grid_axes(s: Sector, bound: int) -> tuple[range, range]:
+    """The raw grid's ascending d2 and e2 axes: the lattice pairs with
+    |d2| <= bound and |e2| <= bound*n.  Both are empty when bound is 0 or
+    the lattice is."""
+    residues = _lattice_residues(s)
+    if bound == 0 or residues is None:
+        return range(0), range(0)
+    n = s.n
+    d_res, e_res = residues
+    d_start = -bound + (d_res + bound) % 2
+    e_start = -bound * n + (e_res + bound * n) % (2 * n)
+    return range(d_start, bound + 1, 2), range(e_start, bound * n + 1, 2 * n)
+
+
+def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
+    a, b, c2 = stanton_quadratic(s)
+    return QuadPoly(a, b, c2, Fraction(d2, 2), Fraction(e2, 2 * s.n), Fraction(f))
+
+
+def _search_detail(
+    s: Sector, params: SearchParams, shear: Optional[_ShearClass] = None
+) -> tuple[list[QuadPoly], list[QuadPoly]]:
+    """(all survivors, raw-grid survivors), each certified to prefix_n.
+
+    The candidates form one list of rows: a row (d2, E) per d2 of the raw
+    grid, and a single-pair row for each structured pair off the grid,
+    stably sorted by d2; a sector with no integer-valued lattice has none
+    and builds no screen.  _screen screens and certifies them once, so a
+    survivor is a raw-grid survivor iff its pair lies on the grid's axes.
+    The survivors come in the order of the polynomials' step d*u + e*v
+    (its size, then ascending first), f and coefficients: in integers,
+    Delta = n*d2*u + e2*v = 2n*(d*u + e*v), which is never 0 on a
+    survivor, then f, d2 and e2.
+
+    The screen's state is ``shear``, a _ShearClass of the sector's shear
+    class certifying at prefix_n with params' offset range, which a sweep
+    shares among the sectors of the class.  None gives a fresh class, so
+    a lone search shares nothing.
+    """
+    D, E = _grid_axes(s, params.raw_grid_bound)
+    rows = [(d2, E) for d2 in D]
+    rows += [
+        (d2, range(e2, e2 + 1))
+        for d2, e2 in _structured_candidates(s, params.max_k)
+        if not (d2 in D and e2 in E)
+    ]
+    if not rows:  # no integer-valued lattice, or nothing on it to screen
+        return [], []
+    rows.sort(key=lambda row: row[0])
+    if shear is None:
+        shear = _shear_class(s, params.prefix_n, params.offset_range)
+    n, u, v = s.n, s.lines.u, s.lines.v
+
+    def order(triple: tuple[int, int, int]) -> tuple[int, bool, int, int, int]:
+        d2, e2, f = triple
+        delta = n * d2 * u + e2 * v
+        return abs(delta), delta < 0, f, d2, e2
+
+    found: list[QuadPoly] = []
+    raw_found: list[QuadPoly] = []
+    for d2, e2, f in sorted(_screen(shear, s.m, rows), key=order):
+        p = _poly_from_scaled(s, d2, e2, f)
+        found.append(p)
+        if d2 in D and e2 in E:
+            raw_found.append(p)
+    return found, raw_found
+
+
+def search(s: Sector, params: SearchParams) -> list[QuadPoly]:
+    """Rediscover every packing polynomial on S(n/m) by brute force.
+
+    The candidates are the stair coefficient families for every
+    admissible-residue k <= max_k and, if enabled, the raw (d, e) grid
+    with only the homogeneous part pinned.  Integral sectors are no
+    exception: their staircases are the columns.  Both join one list of
+    integer rows, which one screen at the small depth _PREFILTER_N (8, or
+    prefix_n if less) walks only around each row's passing band.  Each
+    pair that passes it gets prefix_check's verdict once, read in
+    integers on the screen's line table, so every returned polynomial is
+    "verified to prefix_n".  Depth 8 is only a cheap reject: the result
+    equals a single filter pass at prefix_n.
+    """
+    return _search_detail(s, params)[0]

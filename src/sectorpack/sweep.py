@@ -1,7 +1,7 @@
 """Brute-force search against the classification on a range of sectors.
 
-This is the only module that brings the two together; verify, the oracle,
-never imports the classification.
+This is the only module that brings the two together: neither the
+search nor verify, the oracle, imports the classification.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import Optional
 
 from .classify import Classification, _classify
 from .polynomials import QuadPoly, _exact_key
+from .search import SearchParams, _m0, _search_detail, _shear_class
 from .sectors import sector
-from .verify import SearchParams, _search_detail, _ShearClass
 
 __all__ = ["sweep", "SweepRow", "SweepReport"]
 
@@ -53,28 +53,24 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_rows(
-    tasks: list[_Task],
-    known: Optional[dict[tuple[int, int], Classification]] = None,
-    screens: Optional[dict[tuple[int, int, int, int], _ShearClass]] = None,
-) -> list[SweepRow]:
-    """The rows of (n, m, params) tasks, in task order.
+def _class_rows(group: list[_Task]) -> list[SweepRow]:
+    """The rows of one shear class's (n, m, params) tasks, in task order.
 
-    The tasks share ``known``, a dict of classifications, so a slope < 1
-    sector reads its reduced target's when an earlier task has already
-    classified it, and ``screens``, a dict of search states, one
-    verify._ShearClass per shear class, so the sectors of a class screen
-    each reduced pair once and certify it once if it passes the screen,
-    and every later sector of the class reads the pair's final outcome.
-    Either dict left out starts empty.
+    The tasks share one fresh search._ShearClass, so the sectors of the
+    class screen each reduced pair once and certify it once if it passes
+    the screen, and every later sector reads the pair's final outcome.
+    They also share one dict of classifications, so a slope < 1 sector
+    reads its reduced target's, S(n/m0) of the same class, when an
+    earlier task has already classified it.  Both go with the class.
     """
-    known = {} if known is None else known
-    screens = {} if screens is None else screens
+    n, m, params = group[0]
+    shear = _shear_class(sector(n, m), params.prefix_n, params.offset_range)
+    known: dict[tuple[int, int], Classification] = {}
     rows = []
-    for n, m, params in tasks:
+    for n, m, params in group:
         classified = _classify(n, m, known).polynomials()
         own = {_exact_key(p): p for p in classified}
-        found, raw_found = _search_detail(sector(n, m), params, screens)
+        found, raw_found = _search_detail(sector(n, m), params, shear)
         keys = [_exact_key(p) for p in found]
         # classify's own object wherever the search found the same
         # polynomial, so that a pooled row pickles each polynomial once
@@ -91,23 +87,20 @@ def _sweep_rows(
 
 def _shear_classes(tasks: list[_Task]) -> list[list[_Task]]:
     """The tasks grouped by shear class, the sectors with one n and one
-    m0 = (m - 1) mod n + 1 (verify._shear_class's key, as every task
-    shares its params), in task order within a class; the class with the
-    most tasks first, ties in order of their first task."""
+    search._m0 (every task shares its params), in task order within a
+    class; the class with the most tasks first, ties in order of their
+    first task."""
     classes: dict[tuple[int, int], list[_Task]] = {}
     for task in tasks:
         n, m, _ = task
-        classes.setdefault((n, (m - 1) % n + 1), []).append(task)
+        classes.setdefault((n, _m0(n, m)), []).append(task)
     return sorted(classes.values(), key=len, reverse=True)
 
 
 def _share(classes: list[list[_Task]], counter) -> list[SweepRow]:
     """The rows of every class this process claims.  It claims the next
     class off ``counter``, a multiprocessing.Value that the sweep's
-    processes share, until none is left, and keeps one dict of
-    classifications and one of search states across its classes."""
-    known: dict[tuple[int, int], Classification] = {}
-    screens: dict[tuple[int, int, int, int], _ShearClass] = {}
+    processes share, until none is left."""
     rows: list[SweepRow] = []
     while True:
         with counter.get_lock():
@@ -115,7 +108,7 @@ def _share(classes: list[list[_Task]], counter) -> list[SweepRow]:
             counter.value += 1
         if claimed >= len(classes):
             return rows
-        rows += _sweep_rows(classes[claimed], known, screens)
+        rows += _class_rows(classes[claimed])
 
 
 def _child(classes: list[list[_Task]], counter, conn) -> None:
@@ -129,50 +122,9 @@ def _child(classes: list[list[_Task]], counter, conn) -> None:
     conn.close()
 
 
-def sweep(
-    max_n: int,
-    max_m: int,
-    params: Optional[SearchParams] = None,
-    workers: Optional[int] = None,
-) -> SweepReport:
-    """Compare search against classify on every coprime (n, m) in range.
-
-    Rows are ordered by (n, m) regardless of how many workers evaluate
-    them.  A zero bound gives an empty report; a negative one raises
-    ValueError, and so does a worker count below 1 (None means one worker
-    per CPU).
-
-    The unit of work is a shear class: the sectors S(n/m) with one n and
-    one m0 = (m - 1) mod n + 1, which share one search state (see
-    verify._ShearClass), so no class is ever split.  The calling process
-    is one of the workers: it starts workers - 1 child processes, never
-    more than there are classes less one, and it and the children each
-    claim the next class, the class with the most sectors first, off one
-    shared counter until none is left.  Each process keeps one dict of
-    classifications and one of search states across the classes it
-    claims, and each child sends its rows back once, through its own
-    pipe; the caller sorts all rows into (n, m) order.  An exception in a
-    child's share is re-raised in the caller, and every child is joined
-    before sweep returns or raises, terminated first if it raises.  One
-    worker, one class or fewer than 4 sectors run in this process alone.
-    A row is the one its sector gives searched alone, whichever sectors
-    came before it in its process, so the split changes no row.
-    """
-    if max_n < 0 or max_m < 0:
-        raise ValueError(f"max_n and max_m must be nonnegative, got {max_n} and {max_m}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    params = params or SearchParams()
-    tasks = [
-        (n, m, params)
-        for n in range(1, max_n + 1)
-        for m in range(1, max_m + 1)
-        if math.gcd(n, m) == 1
-    ]
-    classes = _shear_classes(tasks)
-    workers = min(workers if workers is not None else (os.cpu_count() or 1), len(classes))
-    if workers <= 1 or len(tasks) < 4:
-        return SweepReport(rows=tuple(_sweep_rows(tasks)))
+def _pooled(classes: list[list[_Task]], workers: int) -> list[SweepRow]:
+    """The rows of every class, shared out among this process and
+    workers - 1 children (see sweep)."""
     # imported here, so that only a pooled sweep loads multiprocessing and
     # the ctypes behind its shared counter, which take several times as
     # long to import as `import sectorpack` does
@@ -206,5 +158,56 @@ def sweep(
             child.join()
         for receive in pipes:
             receive.close()
+    return rows
+
+
+def sweep(
+    max_n: int,
+    max_m: int,
+    params: Optional[SearchParams] = None,
+    workers: Optional[int] = None,
+) -> SweepReport:
+    """Compare search against classify on every coprime (n, m) in range.
+
+    Rows are ordered by (n, m) regardless of how many workers evaluate
+    them.  A zero bound gives an empty report; a negative one raises
+    ValueError, and so does a worker count below 1 (None means one worker
+    per CPU).
+
+    The unit of work is a shear class: the sectors S(n/m) with one n and
+    one m0 = (m - 1) mod n + 1, which share one search state (see
+    search._ShearClass), so no class is ever split.  The calling process
+    is one of the workers: it starts workers - 1 child processes, never
+    more than there are classes less one, and it and the children each
+    claim the next class, the class with the most sectors first, off one
+    shared counter until none is left.  A process builds one class state,
+    a search state and a dict of classifications, per class it claims,
+    and releases it after the class's rows; no state crosses a class.
+    Each child sends its rows back once, through its own pipe, and the
+    caller sorts all rows into (n, m) order.  An exception in a child's
+    share is re-raised in the caller, and every child is joined before
+    sweep returns or raises, terminated first if it raises.  One worker,
+    one class or fewer than 4 sectors run in this process alone, class by
+    class in the same order.  A row is the one its sector gives searched
+    alone, whichever sectors of its class came before it, so the split
+    changes no row.
+    """
+    if max_n < 0 or max_m < 0:
+        raise ValueError(f"max_n and max_m must be nonnegative, got {max_n} and {max_m}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    params = params or SearchParams()
+    tasks = [
+        (n, m, params)
+        for n in range(1, max_n + 1)
+        for m in range(1, max_m + 1)
+        if math.gcd(n, m) == 1
+    ]
+    classes = _shear_classes(tasks)
+    workers = min(workers if workers is not None else (os.cpu_count() or 1), len(classes))
+    if workers <= 1 or len(tasks) < 4:
+        rows = [row for group in classes for row in _class_rows(group)]
+    else:
+        rows = _pooled(classes, workers)
     rows.sort(key=lambda row: (row.n, row.m))
     return SweepReport(rows=tuple(rows))

@@ -26,7 +26,8 @@ from sectorpack import (
     construct,
     t_dual,
 )
-from sectorpack.verify import _grid_axes, _LineTable
+from sectorpack.search import _grid_axes
+from sectorpack.verify import _LineTable
 
 
 def run_fresh(code: str) -> str:
@@ -125,10 +126,11 @@ def chain_gaps(s: Sector, p: QuadPoly, k: int, c_max: int) -> list[Fraction]:
 
 
 def offset_reference(s: Sector, p0: QuadPoly, k: int) -> int:
-    """determine_offset with Fraction values from start_value_scan: each of
-    staircases 0..k-1 in turn must start at an integer that repeats no
-    earlier one and keeps them within k consecutive integers, or it raises
-    determine_offset's NotConsecutive message."""
+    """The offset -min(_start_values(...)) gives, with Fraction values from
+    start_value_scan: each of staircases 0..k-1 in turn must start at an
+    integer that repeats no earlier one and keeps them within k
+    consecutive integers, or it raises _start_values's NotConsecutive
+    message."""
     values: list[Fraction] = []
     for c in range(k):
         w = start_value_scan(s, p0, c)

@@ -150,7 +150,7 @@ def depth8_listing(screen) -> str:
 
 
 def test_criterion_03_depth8_survivors_pinned():
-    from sectorpack.verify import _screen, _shear_class
+    from sectorpack.search import _screen, _shear_class
 
     def pair_by_pair(s, bound, depth, offset_range):
         return filter_candidates(s, raw_candidates(s, bound), depth, offset_range)

@@ -32,9 +32,10 @@ def test_import_leaves_out_the_process_pool():
     assert loaded_after("import sectorpack") == set()
 
 
-NO_CLASSIFY = ("classify", "render", "sweep")
-NO_VERIFY = ("verify", *NO_CLASSIFY)
-NO_ORACLE = ("verify", "codec", "classify", "render", "sweep")
+# the oracle's commands load neither the classification nor the search
+NO_SEARCH = ("search", "classify", "render", "sweep")
+NO_VERIFY = ("verify", *NO_SEARCH)
+NO_ORACLE = ("verify", "codec", *NO_SEARCH)
 
 
 @pytest.mark.parametrize(
@@ -42,7 +43,7 @@ NO_ORACLE = ("verify", "codec", "classify", "render", "sweep")
     [
         pytest.param(["decode", "8/5", "--poly", "4 -4 1 -1 1 0", "--value", "1000"], NO_VERIFY, id="decode"),
         pytest.param(["encode", "8/5", "--poly", "4 -4 1 -1 1 0", "--point", "4,5"], NO_VERIFY, id="encode"),
-        pytest.param(["verify", "8/5", "--poly", "4 -4 1 -1 1 0"], NO_CLASSIFY, id="verify"),
+        pytest.param(["verify", "8/5", "--poly", "4 -4 1 -1 1 0"], NO_SEARCH, id="verify"),
         pytest.param(["reduce", "3/7"], NO_ORACLE, id="reduce"),
         pytest.param(["dual", "8/5"], NO_ORACLE, id="dual"),
     ],
@@ -59,7 +60,7 @@ def test_refused_decode_loads_the_oracle():
     argv = ["decode", "8/5", "--poly", "4 -4 1 -1 3 0", "--value", "5"]
     loaded = loaded_after(f"from sectorpack.cli import main\nassert main({argv!r}) == 1")
     assert "sectorpack.verify" in loaded
-    assert not loaded & {f"sectorpack.{name}" for name in NO_CLASSIFY}
+    assert not loaded & {f"sectorpack.{name}" for name in NO_SEARCH}
 
 
 class TestClassifyCmd:
@@ -251,15 +252,16 @@ class TestSearchSweepCmds:
         from dataclasses import replace
         from importlib import import_module
 
-        sweep, verify = (import_module(f"sectorpack.{m}") for m in ("sweep", "verify"))
+        # import_module: the package's `search` and `sweep` are the functions
+        sweep, search = (import_module(f"sectorpack.{m}") for m in ("sweep", "search"))
         used = []
-        monkeypatch.setattr(verify, "search", lambda s, params: used.append(params) or [])
+        monkeypatch.setattr(search, "search", lambda s, params: used.append(params) or [])
         monkeypatch.setattr(
             sweep, "sweep", lambda n, m, params, workers: used.append(params) or sweep.SweepReport(())
         )
         assert run(capsys, "search", "8/5")[0] == 0
         assert run(capsys, "sweep", "--max-n", "1", "--max-m", "1")[0] == 0
-        defaults = verify.SearchParams()
+        defaults = search.SearchParams()
         assert used == [replace(defaults, raw_grid_bound=0), replace(defaults, raw_grid_bound=40)]
 
     def test_sweep_without_raw_grid(self, capsys):
@@ -611,15 +613,20 @@ class TestFuzz:
             ["verify", "8/5", "--poly", "4 -4 1 -1 1 1." + "9" * 5000],
             ["verify", "8/5", "--poly", "4 -4 1 -1 1 " + "9" * 4000 + "/0"],
             ["encode", "8/5", "--poly", POLY, "--point", "1;" + "9" * 5000],
+            ["encode", "8/5", "--poly", POLY, "--point", "x" * 5000 + ",1"],
             ["classify", "1/" + "9" * 5000],
             ["render", "8/5", "--poly", POLY, "--max-x", "2", "--color", "#" + "9" * 5000],
+            ["construct", "8/5", "--k", "1", "--direction", "x" * 5000],
+            ["render", "8/5", "--poly", POLY, "--max-x", "2", "--format", "x" * 5000],
+            ["x" * 5000],
         ],
         ids=_argv_id,
     )
     def test_long_argument_is_not_repeated(self, capsys, monkeypatch, argv):
         # an int option's type, the polynomial's count, coefficient and
-        # zero-denominator messages, the point's, the sector's and the
-        # color's name a long argument by its ends and its length; at
+        # zero-denominator messages, the point's and its coordinates', the
+        # sector's, the color's, a rejected choice's and an unknown
+        # command's name a long argument by its ends and its length; at
         # argparse's 80 columns even sweep's three usage lines and its
         # error line stay under 300 bytes
         monkeypatch.setenv("COLUMNS", "80")
@@ -628,6 +635,23 @@ class TestFuzz:
         assert len(err.encode()) < 300, err
         assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
         assert "characters)" in err
+
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            ("abc,1", "coordinate x 'abc' is not an integer"),
+            ("1, 1.5", "coordinate y ' 1.5' is not an integer"),
+            ("x" * 5000 + ",1", "coordinate x xxxxxxxx...xxxxxxxx (5000 characters) is not an integer"),
+            ("1,+-" + "9" * 5000, "coordinate y +-999999...99999999 (5002 characters) is not an integer"),
+            ("1,²", "coordinate y '²' is not an integer"),
+        ],
+        ids=lambda arg: arg if len(arg) <= 40 else f"{arg[:12]}...({len(arg)} chars)",
+    )
+    def test_coordinate_not_an_integer(self, capsys, point, message):
+        # a coordinate int() refuses is named, not int()'s own message;
+        # only digits past the digit limit read as a number too long
+        code, out, err = self._run(capsys, ["encode", "8/5", "--poly", POLY, "--point", point])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", REFUSED, ids=repr)
     def test_refusal_exits_1(self, capsys, argv):

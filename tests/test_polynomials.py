@@ -24,7 +24,6 @@ from sectorpack import (
     cantor_polys,
     classify,
     construct,
-    determine_offset,
     kstair_extract,
     nathanson_polys,
     necessary_coefficients,
@@ -34,7 +33,7 @@ from sectorpack import (
     stanton_quadratic,
     t_dual,
 )
-from sectorpack.polynomials import _stair_pair, _start_stairs
+from sectorpack.polynomials import _stair_pair, _start_stairs, _start_values
 from helpers import compose_reference, construct_via_dual, eval_raw, offset_reference, stairs_scan
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
@@ -205,48 +204,46 @@ class TestNecessaryCoefficients:
             necessary_coefficients(sector(7, 3), 1, Direction.ASCENDING)
 
 
-class TestDetermineOffset:
+def start_offset(s, p0: QuadPoly, k: int) -> int:
+    """The offset that places p0's start-stair values on staircases 0..k-1
+    onto {0..k-1}, as construct reads it off _start_values."""
+    return -min(_start_values(s, p0.d, p0.e, p0.f, k), default=0)
+
+
+class TestStartValues:
     def test_examples(self):
-        s = sector(8, 5)
-        p0 = QuadPoly(*stanton_quadratic(s), -1, 1, 0)
-        assert determine_offset(s, p0, 1) == 0
-
-        s = sector(12, 7)
-        p0 = QuadPoly(*stanton_quadratic(s), -8, Fraction(11, 2), 0)
-        assert determine_offset(s, p0, 3) == 2
-
-        s = sector(36, 25)
-        p0 = QuadPoly(*stanton_quadratic(s), -11, 8, 0)
-        assert determine_offset(s, p0, 2) == 1
+        # construct's offset is -min of its k start values
+        p3625 = QuadPoly.from_string("18 -24 8 -11 8 1")
+        for (n, m), k, want in [((8, 5), 1, P_PLUS), ((12, 7), 3, P127), ((36, 25), 2, p3625)]:
+            poly, form = construct(sector(n, m), k, Direction.ASCENDING)
+            assert poly == want and form.offset_f == want.f
 
     def test_descending_reads_last_stairs(self):
         # a negative stair step d*u + e*v makes the last stair of each
         # staircase its start; the first stairs of S(12/7) carry 0, 5, 16
         s = sector(12, 7)
-        d, e = necessary_coefficients(s, 3, Direction.DESCENDING)
-        assert determine_offset(s, QuadPoly(*stanton_quadratic(s), d, e, 0), 3) == 2
-        s = sector(4, 9)
-        assert determine_offset(s, QuadPoly(*stanton_quadratic(s), 5, -12, 0), 2) == 1
+        poly, form = construct(s, 3, Direction.DESCENDING)
+        assert poly == QuadPoly.from_string("6 -6 3/2 10 -13/2 2") and form.offset_f == 2
+        assert sorted(_start_values(s, poly.d, poly.e, Fraction(0), 3)) == [-2, -1, 0]
+        poly, form = construct(sector(4, 9), 2, Direction.DESCENDING)
+        assert (poly.d, poly.e, form.offset_f) == (5, -12, 1)
 
     def test_not_consecutive(self):
         s = sector(8, 5)
         d, e = necessary_coefficients(s, 3, Direction.ASCENDING)
-        p0 = QuadPoly(*stanton_quadratic(s), d, e, 0)
         with pytest.raises(NotConsecutive, match="staircase 1 repeats start-stair value 0"):
-            determine_offset(s, p0, 3)
+            _start_values(s, d, e, Fraction(0), 3)
 
     def test_stops_at_the_first_bad_staircase(self):
         s = sector(8, 5)
-        p0 = QuadPoly(*stanton_quadratic(s), Fraction(1, 3), 0, 0)
         with pytest.raises(NotConsecutive, match="value 4/3 of staircase 1 is not an integer"):
-            determine_offset(s, p0, 3)
+            _start_values(s, Fraction(1, 3), Fraction(0), Fraction(0), 3)
         # staircase 2 already spreads the values past k = 10**9 + 1, so
         # the other 10**9 staircases are never evaluated
         k = 10**9 + 1
         d, e = necessary_coefficients(s, k, Direction.ASCENDING)
-        p0 = QuadPoly(*stanton_quadratic(s), d, e, 0)
         with pytest.raises(NotConsecutive, match="of staircase 2 spreads") as info:
-            determine_offset(s, p0, k)
+            _start_values(s, d, e, Fraction(0), k)
         assert len(str(info.value)) < 200
 
     def test_descending_empty_staircase(self):
@@ -255,11 +252,7 @@ class TestDetermineOffset:
         s = sector(7, 3)
         assert s.stair_count(1) == 0
         with pytest.raises(ValueError, match=r"^staircase 1 has no point in S\(7/3\)$"):
-            determine_offset(s, QuadPoly(*stanton_quadratic(s), 1, -1, 0), 3)
-
-    def test_requires_forced_part(self):
-        with pytest.raises(ValueError, match="forced homogeneous part"):
-            determine_offset(sector(8, 5), QuadPoly(1, 0, 0, -1, 1, 0), 1)
+            _start_values(s, Fraction(1), Fraction(-1), Fraction(0), 3)
 
     @given(st.data())
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -277,7 +270,7 @@ class TestDetermineOffset:
         d = Fraction(d2, 2) + data.draw(moves)
         e = Fraction(e2, 2 * n) + data.draw(moves)
         p0 = QuadPoly(*stanton_quadratic(s), d, e, 0)
-        assert _result(determine_offset, s, p0, k) == _result(offset_reference, s, p0, k)
+        assert _result(start_offset, s, p0, k) == _result(offset_reference, s, p0, k)
 
 
 class TestStartStairs:

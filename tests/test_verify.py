@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
 import itertools
 import math
 import multiprocessing
@@ -42,21 +43,19 @@ from sectorpack import (
     stanton_quadratic,
     sweep,
 )
-from sectorpack.sweep import SweepRow, _share, _shear_classes, _sweep_rows
-from sectorpack.verify import (
+from sectorpack.search import (
     _PREFILTER_N,
-    _LineTable,
     _edge_threshold,
     _grid_axes,
     _lattice_residues,
     _poly_from_scaled,
-    _prefix_verdict,
-    _scaled,
     _screen,
     _search_detail,
     _shear_class,
     _structured_candidates,
 )
+from sectorpack.sweep import SweepRow, _class_rows, _share, _shear_classes
+from sectorpack.verify import _LineTable, _prefix_verdict, _scaled
 
 from helpers import (
     box_rows,
@@ -74,7 +73,12 @@ P3625 = QuadPoly.from_string("18 -24 8 -11 8 1")
 
 PARAMS = SearchParams(prefix_n=300, max_k=6, offset_range=10, raw_grid_bound=40)
 
-# tests that patch sweep's _sweep_rows for its children, which inherit it
+# the modules whose names tests patch; `import sectorpack.search as ...`
+# would bind the package's function `search`, as with classify and sweep
+search_mod = importlib.import_module("sectorpack.search")
+sweep_mod = importlib.import_module("sectorpack.sweep")
+
+# tests that patch sweep's _class_rows for its children, which inherit it
 # only when they are forked
 FORKED_CHILDREN = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="needs forked children"
@@ -700,18 +704,30 @@ class TestOracleDigest:
         assert hashlib.sha256("\n".join(listing).encode()).hexdigest() == NEAR_MISS_DIGEST
 
 
-def test_verify_imports_neither_classify_nor_sweep():
-    # the oracle must not lean on the classification it checks
-    import sectorpack.verify as verify_mod
-
-    tree = ast.parse(Path(verify_mod.__file__).read_text())
-    parts = set()  # every dotted component of every import, lazy ones too
+def _imports(module: str) -> list[tuple[list[str], set[str]]]:
+    """(dotted parts of the module, names bound from it) for every import
+    in sectorpack.<module>'s source, lazy ones too."""
+    tree = ast.parse(Path(importlib.import_module(f"sectorpack.{module}").__file__).read_text())
+    found = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            parts.update((getattr(node, "module", None) or "").split("."))
-            parts.update(part for alias in node.names for part in alias.name.split("."))
-    assert "polynomials" in parts
-    assert not parts & {"classify", "sweep"}
+        if isinstance(node, ast.ImportFrom):
+            found.append(((node.module or "").split("."), {alias.name for alias in node.names}))
+        elif isinstance(node, ast.Import):
+            found += [(alias.name.split("."), set()) for alias in node.names]
+    return found
+
+
+def test_verify_imports_neither_classify_nor_sweep():
+    # the oracle must not lean on the classification it checks, nor on the
+    # search it certifies: of polynomials it reads QuadPoly alone.  The
+    # search leans on the oracle and on no part of the classification.
+    verify = _imports("verify")
+    parts = {part for module, names in verify for part in [*module, *names]}
+    assert not parts & {"classify", "sweep", "search"}
+    assert [names for module, names in verify if "polynomials" in module] == [{"QuadPoly"}]
+    search = _imports("search")
+    assert not {part for module, _ in search for part in module} & {"classify", "sweep"}
+    assert ["verify"] in [module for module, _ in search]
 
 
 def signed_step(s: Sector, p: QuadPoly) -> int:
@@ -842,9 +858,7 @@ def _one_pass(s: Sector, candidates, params: SearchParams):
 def _screened(s: Sector, candidates, params: SearchParams):
     """The search's own screen-then-certify pipeline run on ``candidates``
     fed in as the structured pairs, with no raw grid."""
-    import sectorpack.verify as verify_mod
-
-    with mock.patch.object(verify_mod, "_structured_candidates", lambda *_: candidates):
+    with mock.patch.object(search_mod, "_structured_candidates", lambda *_: candidates):
         found, raw = _search_detail(s, replace(params, raw_grid_bound=0))
     assert raw == []
     return sorted(p.coefficients() for p in found)
@@ -853,9 +867,7 @@ def _screened(s: Sector, candidates, params: SearchParams):
 def _grid_searched(s: Sector, params: SearchParams):
     """The search's pipeline on the raw grid of params.raw_grid_bound
     alone, with no structured pairs."""
-    import sectorpack.verify as verify_mod
-
-    with mock.patch.object(verify_mod, "_structured_candidates", lambda *_: []):
+    with mock.patch.object(search_mod, "_structured_candidates", lambda *_: []):
         found, raw = _search_detail(s, params)
     assert raw == found
     return sorted(p.coefficients() for p in found)
@@ -1040,21 +1052,6 @@ class TestScreenThenCertify:
             d_res, e_res = _lattice_residues(s)
             _screen(shear, s.m, [(d_res, range(e_res, e_res + 1))])
 
-    @pytest.mark.parametrize("nm", [(8, 5), (8, 13), (1, 14)])
-    def test_shear_class_key(self, nm):
-        # one class per (n, m0, prefix_n, offset_range): S(n/m) and
-        # S(n/(m + n)) share it, another depth or offset range does not
-        n, m = nm
-        classes = {}
-        shear = _shear_class(sector(n, m), 300, 10, classes)
-        m0 = (m - 1) % n + 1
-        assert list(classes) == [(n, m0, 300, 10)] and shear.table.lines.m == m0
-        assert _shear_class(sector(n, m + n), 300, 10, classes) is shear
-        assert _shear_class(sector(n, m), 20, 10, classes) is not shear
-        assert _shear_class(sector(n, m), 300, 9, classes) is not shear
-        assert _shear_class(sector(n, m), 300, 10) is not shear
-        assert len(classes) == 3
-
     def test_grid_screen_walks_band_and_boundary(self):
         s = sector(8, 5)
         D, E = _grid_axes(s, 40)
@@ -1082,16 +1079,14 @@ class TestScreenThenCertify:
         assert _grid_searched(s, params) == shallow
 
     def test_one_screen_per_search(self, monkeypatch):
-        import sectorpack.verify as verify_mod
-
         depths = []
-        real = verify_mod._screen
+        real = search_mod._screen
 
         def screen(shear, m, rows):
             depths.append((shear.depth, shear.prefix_n))
             return real(shear, m, rows)
 
-        monkeypatch.setattr(verify_mod, "_screen", screen)
+        monkeypatch.setattr(search_mod, "_screen", screen)
         for prefix_n in (0, 5, 8, 300):
             depths.clear()
             _search_detail(sector(8, 5), replace(PARAMS, prefix_n=prefix_n))
@@ -1106,10 +1101,8 @@ class TestScreenThenCertify:
         # certifications, one per computed outcome that packs at depth 8;
         # every other walked pair was a reduced pair that an earlier sector
         # of the class had met, and read its final outcome
-        import sectorpack.verify as verify_mod
-
         screens, verdicts = [], []
-        real, real_verdict = verify_mod._screen, verify_mod._prefix_verdict
+        real, real_verdict = search_mod._screen, search_mod._prefix_verdict
 
         def counting(shear, m, rows):
             screens.append(shear)
@@ -1119,8 +1112,8 @@ class TestScreenThenCertify:
             verdicts.append(args)
             return real_verdict(*args)
 
-        monkeypatch.setattr(verify_mod, "_screen", counting)
-        monkeypatch.setattr(verify_mod, "_prefix_verdict", verdict)
+        monkeypatch.setattr(search_mod, "_screen", counting)
+        monkeypatch.setattr(search_mod, "_prefix_verdict", verdict)
         assert sweep(30, 30, PARAMS, workers=1).ok
         assert len(screens) == 170
         shears = list({id(shear): shear for shear in screens}.values())
@@ -1134,7 +1127,6 @@ class TestScreenThenCertify:
     def test_structured_pairs_are_the_integer_valued_ones(self, monkeypatch):
         # the lattice test keeps exactly the pairs whose polynomial is
         # integer-valued, with no QuadPoly built
-        import sectorpack.verify as verify_mod
         from sectorpack.polynomials import _residue
 
         def reference(s, max_k):
@@ -1156,7 +1148,7 @@ class TestScreenThenCertify:
             if math.gcd(n, m) == 1
         ]
         assert sum(map(len, (pairs for _, pairs in cases))) > 500
-        monkeypatch.setattr(verify_mod, "QuadPoly", None)
+        monkeypatch.setattr(search_mod, "QuadPoly", None)
         for s, pairs in cases:
             assert _structured_candidates(s, 12) == pairs, s
 
@@ -1188,7 +1180,7 @@ class TestScreenThenCertify:
         triples = filter_candidates(s, candidates, _PREFILTER_N, PARAMS.offset_range)
 
         screens, calls = [], []
-        real_screen, real_verdict = verify_mod._screen, verify_mod._prefix_verdict
+        real_screen, real_verdict = search_mod._screen, search_mod._prefix_verdict
 
         def screen(shear, m, rows):
             screens.append((shear, m))
@@ -1201,8 +1193,8 @@ class TestScreenThenCertify:
         def no_prefix_check(*args):
             raise AssertionError("the search called prefix_check")
 
-        monkeypatch.setattr(verify_mod, "_screen", screen)
-        monkeypatch.setattr(verify_mod, "_prefix_verdict", verdict)
+        monkeypatch.setattr(search_mod, "_screen", screen)
+        monkeypatch.setattr(search_mod, "_prefix_verdict", verdict)
         monkeypatch.setattr(verify_mod, "prefix_check", no_prefix_check)
         ordered, raw = _search_detail(s, PARAMS)
         assert len(ordered) == 2 and raw == ordered
@@ -1286,7 +1278,7 @@ class TestScreenThenCertify:
 
 class TestSweep:
     def test_single_sector_row(self):
-        (row,) = _sweep_rows([(8, 5, PARAMS)])
+        (row,) = _class_rows([(8, 5, PARAMS)])
         assert row.match
         assert len(row.classified) == 2 and len(row.searched) == 2
 
@@ -1330,36 +1322,31 @@ class TestSweep:
 
     def test_shear_classes_split_no_class(self):
         # each task lies in exactly one class, and a class is exactly the
-        # tasks that verify._shear_class gives one search state
+        # tasks whose sectors _shear_class puts on one S(n/m0)
         tasks = [(n, m, PARAMS) for n in range(1, 31) for m in range(1, 61) if math.gcd(n, m) == 1]
         classes = _shear_classes(tasks)
         grouped = sorted((n, m) for group in classes for n, m, _ in group)
         assert grouped == [(n, m) for n, m, _ in tasks]
-        states = {}
+        bases = set()
         for group in classes:
-            shared = {
-                id(_shear_class(sector(n, m), params.prefix_n, params.offset_range, states))
+            (base,) = {
+                (n, _shear_class(sector(n, m), params.prefix_n, params.offset_range).table.lines.m)
                 for n, m, params in group
             }
-            assert len(shared) == 1
+            bases.add(base)
             assert group == sorted(group, key=lambda task: task[:2])
         # one class per n and m0 <= n coprime to n: 278 for n <= 30
-        assert len(states) == len(classes) == 278
+        assert len(bases) == len(classes) == 278
 
     def test_classes_are_handed_out_largest_first(self, monkeypatch):
         # the classes go largest first, ties in (n, m0) order, and the
         # counter hands them out in that order from wherever it stands
-        import importlib
-
-        sweep_mod = importlib.import_module("sectorpack.sweep")
         tasks = [(n, m, PARAMS) for n in range(1, 9) for m in range(1, 9) if math.gcd(n, m) == 1]
         classes = _shear_classes(tasks)
         sizes = [len(group) for group in classes]
         assert sizes == sorted(sizes, reverse=True) and sizes[:3] == [8, 4, 3]
         claimed = []
-        monkeypatch.setattr(
-            sweep_mod, "_sweep_rows", lambda group, known, screens: claimed.append(group) or []
-        )
+        monkeypatch.setattr(sweep_mod, "_class_rows", lambda group: claimed.append(group) or [])
         counter = multiprocessing.Value("i", 0)
         assert _share(classes, counter) == [] and claimed == classes
         claimed.clear()
@@ -1392,14 +1379,11 @@ class TestSweep:
         assert len(sweep(1, 6, params, workers=4).rows) == 6 and started == []
 
     def test_sweep_classifies_each_sector_once(self, monkeypatch):
-        # a serial sweep shares one dict of classifications, so each of
-        # its 555 sectors is classified once, also where it is a slope < 1
-        # sector's reduced target
-        import importlib
-
-        # the package's `classify` and `sweep` are the functions, not the modules
+        # the sectors of a shear class share one dict of classifications,
+        # and a slope < 1 sector's reduced target S(n/m0) lies in its
+        # class, so each of the 555 sectors is classified once, also where
+        # it is a reduced target
         classify_mod = importlib.import_module("sectorpack.classify")
-        sweep_mod = importlib.import_module("sectorpack.sweep")
 
         computed = []
         real = classify_mod._classify
@@ -1417,17 +1401,16 @@ class TestSweep:
             assert tuple(classify(row.n, row.m).polynomials()) == row.classified
 
     def test_rows_do_not_depend_on_class_fill_order(self):
-        # the tasks of one _sweep_rows call share one screen state per
-        # shear class, filled by whichever sector of the class comes first: in (n, m) order,
+        # the tasks of a shear class share one search state, filled by
+        # whichever sector of the class comes first: in (n, m) order,
         # reversed or shuffled, every row is the one that a search of its
-        # sector alone, on a fresh dict, gives
+        # sector alone, on a fresh state, gives
         tasks = [(n, m, PARAMS) for n in range(1, 31) for m in range(1, 31) if math.gcd(n, m) == 1]
-        fresh = {(n, m): _sweep_rows([(n, m, params)])[0] for n, m, params in tasks}
-        shuffled = tasks[:]
-        random.Random(27).shuffle(shuffled)
-        for order in (tasks, tasks[::-1], shuffled):
-            rows = _sweep_rows(order)
-            assert rows == [fresh[(n, m)] for n, m, _ in order]
+        fresh = {(n, m): _class_rows([(n, m, params)])[0] for n, m, params in tasks}
+        rng = random.Random(27)
+        for group in _shear_classes(tasks):
+            for order in (group, group[::-1], rng.sample(group, len(group))):
+                assert _class_rows(order) == [fresh[(n, m)] for n, m, _ in order]
 
     def test_stair_row_off_the_grid_on_a_shared_class(self):
         # S(1/14) and S(1/29) are sheared onto S(1/1), not onto the
@@ -1435,26 +1418,28 @@ class TestSweep:
         # (3, -41) lies off its bound-40 grid, yet its reduced pair (3, -2)
         # is on S(1/1)'s; in every order the three rows are their own
         tasks = [(1, 14, PARAMS), (1, 29, PARAMS), (1, 1, PARAMS)]
-        fresh = [_sweep_rows([task])[0] for task in tasks]
+        fresh = [_class_rows([task])[0] for task in tasks]
         assert "1/2 -13 169/2 3/2 -41/2 0" in [p.to_string() for p in fresh[0].searched]
         for order in itertools.permutations(range(3)):
-            assert _sweep_rows([tasks[k] for k in order]) == [fresh[k] for k in order]
-        classes = {}
-        for n, m, params in tasks:
-            _search_detail(sector(n, m), params, classes)
-        assert list(classes) == [(1, 1, PARAMS.prefix_n, PARAMS.offset_range)]
+            assert _class_rows([tasks[k] for k in order]) == [fresh[k] for k in order]
+        assert _shear_class(sector(1, 14), 300, 10).table.lines.m == 1
 
-    def test_shared_classes_keep_parameters_apart(self):
-        # one dict across parameter sets: prefix_n and the offset range
-        # key each class state, so every search is the one a fresh dict
-        # gives.  Prefix 9 keeps more
-        # on S(11/m) than prefix 300, and offset range 0 less on S(3/m)
-        classes = {}
-        for params in (PARAMS, replace(PARAMS, prefix_n=9), replace(PARAMS, offset_range=0)):
-            for nm in [(11, 1), (11, 12), (11, 23), (3, 1), (3, 4), (3, 7)]:
+    @pytest.mark.parametrize(
+        "params", [PARAMS, replace(PARAMS, prefix_n=9), replace(PARAMS, offset_range=0)]
+    )
+    def test_shared_class_gives_each_sector_a_fresh_search(self, params):
+        # one _ShearClass, on S(n/m0), built from the class's first sector
+        # and shared by the others in turn, gives each sector the search
+        # that a fresh class gives.  Prefix 9 keeps more on S(11/m) than
+        # prefix 300, and offset range 0 less on S(3/m)
+        for group in [(11, 1), (11, 12), (11, 23)], [(3, 7), (3, 1), (3, 4)], [(8, 13), (8, 5)]:
+            n, m = group[0]
+            shear = _shear_class(sector(n, m), params.prefix_n, params.offset_range)
+            assert shear.table.lines.m == (m - 1) % n + 1
+            for nm in group:
                 s = sector(*nm)
-                assert _search_detail(s, params, classes) == _search_detail(s, params), (nm, params)
-        assert len(classes) == 6
+                assert _search_detail(s, params, shear) == _search_detail(s, params), (nm, params)
+            assert shear.outcomes  # the searches read the shared class
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("params", [SearchParams(), PARAMS], ids=["raw0", "raw40"])
@@ -1478,21 +1463,18 @@ class TestSweep:
 
     @FORKED_CHILDREN
     def test_child_exception_reaches_the_caller(self, monkeypatch):
-        import importlib
-
-        sweep_mod = importlib.import_module("sectorpack.sweep")
-        real, caller = sweep_mod._sweep_rows, os.getpid()
+        real, caller = sweep_mod._class_rows, os.getpid()
         child_claimed = multiprocessing.Event()
 
-        def failing(tasks, known, screens):
+        def failing(group):
             if os.getpid() != caller:
                 child_claimed.set()
                 raise ValueError("raised in a child's share")
             # the caller works on until the child has claimed a class
             assert child_claimed.wait(30)
-            return real(tasks, known, screens)
+            return real(group)
 
-        monkeypatch.setattr(sweep_mod, "_sweep_rows", failing)
+        monkeypatch.setattr(sweep_mod, "_class_rows", failing)
         with pytest.raises(ValueError, match="child's share"):
             sweep(8, 8, PARAMS, workers=2)
         assert multiprocessing.active_children() == []
@@ -1502,19 +1484,16 @@ class TestSweep:
         # after a sweep that succeeds, and after one whose caller's share
         # raises while its children still work: sweep terminates them
         # rather than wait out their shares
-        import importlib
-
         assert len(sweep(8, 8, PARAMS, workers=3).rows) == 43
         assert multiprocessing.active_children() == []
-        sweep_mod = importlib.import_module("sectorpack.sweep")
         caller = os.getpid()
 
-        def failing(tasks, known, screens):
+        def failing(group):
             if os.getpid() == caller:
                 raise ValueError("raised in the caller's share")
             time.sleep(60)
 
-        monkeypatch.setattr(sweep_mod, "_sweep_rows", failing)
+        monkeypatch.setattr(sweep_mod, "_class_rows", failing)
         start = time.perf_counter()
         with pytest.raises(ValueError, match="caller's share"):
             sweep(8, 8, PARAMS, workers=3)
