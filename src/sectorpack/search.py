@@ -22,12 +22,12 @@ one shear class.  With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the
 lattice points of S(n/m0) one to one onto those of S(n/m) and keeps
 every staircase index, so a search pair (d2, e2) takes on S(n/m) the
 values that the reduced pair (d2, e2 + q*n*d2) takes on S(n/m0), at
-every depth (_ShearClass proves it).  The search's one state object is
-a _ShearClass: its tables, each pair's outcome and its counters are kept
-once per class.  _shear_class builds a fresh one; a sweep builds one per
-class, shares it among the sectors of the class and releases it after
-them.  A pair's outcome is final: the screen certifies a pair on the
-class's table when it finds that the pair packs.
+every depth (_ShearClass proves it).  So the class is the search's unit:
+_search_class maps the rows of every sector it is given to reduced pairs
+on S(n/m0), merges them into disjoint runs, screens the union once on
+one fresh _ShearClass, the search's one state object, and reads each
+sector's survivors off the kept triples.  A lone search is the
+one-sector case, and a sweep makes one class search per shear class.
 """
 
 from __future__ import annotations
@@ -122,14 +122,10 @@ class _ShearClass:
     holds the line table of S(n/m0), on which the screen reads its base
     tables and certifies each pair that packs, and the base tables of one
     reference lattice pair with the stop line of each k_lo met (see
-    _screen).  ``outcomes`` maps a reduced pair, as d2 -> {j: outcome}
-    with j its offset from the reference e2 in steps of 2n, to its final
-    outcome: _NEGATIVE, _SHORT, _UNPACKED (a band pair that does not pack
-    at the screen depth, or that fails its certification) or, for a
-    certified pair, its forced offset f = -vmin >= 0.  ``walked`` and
-    ``band`` count the pairs _screen walks, over every sector of the class
-    it screens, and those in the sectors' bands, whether or not the class
-    had met them before.
+    _screen).  It keeps no outcome per pair: _search_class screens each
+    reduced pair of the class at most once, as its runs are disjoint.
+    ``walked`` and ``band`` count the pairs _screen walks, over every call
+    on the class, and those in the rows' bands.
     """
 
     def __init__(self, s0: Sector, prefix_n: int, offset_range: int):
@@ -152,7 +148,6 @@ class _ShearClass:
         self.firsts: list[tuple[int, int, int, int]] = []
         self.lasts: list[tuple[int, int, int, int]] = []
         self.stops: dict[int, int] = {}  # k_lo -> its stop line
-        self.outcomes: dict[int, dict[int, int]] = {}
         self.walked = self.band = 0
 
     def stop_line(self, k_lo: int) -> int:
@@ -209,13 +204,6 @@ def _shear_class(s: Sector, prefix_n: int, offset_range: int) -> _ShearClass:
     return _ShearClass(s if m0 == s.m else Sector(s.n, m0, s.l), prefix_n, offset_range)
 
 
-# _ShearClass.outcomes: a pair with a value below -offset_range, one with
-# too few values <= the screen depth, and a band pair that does not pack or
-# fails its certification (a certified pair maps to its forced offset,
-# which is >= 0)
-_NEGATIVE, _SHORT, _UNPACKED = -1, -2, -3
-
-
 def _screen(
     shear: _ShearClass, m: int, rows: list[tuple[int, range]]
 ) -> list[tuple[int, int, int]]:
@@ -227,27 +215,27 @@ def _screen(
     sector's integer-valued lattice, each range stepping by 2n; a row off
     it is a ValueError.  The rows are screened at the class's depth,
     min(prefix_n, _PREFILTER_N), and a pair that packs there is certified
-    at prefix_n.  P0 grows with d2 (x >= 0) and
-    with e2 (y >= 0) everywhere, so "negative" is a down-set of the
-    lattice, and so is "at least depth + 1 values <= depth", which on a
-    pair that is not negative is the window's size.  ``top`` is an e2
-    value: every pair above it, on this row and every later one, has too
-    few values.  Each row is sliced to e2 <= top and scanned down: a pair
-    with too few values lowers ``top`` for good, and the pairs below it
-    down to the first negative one, the row's band, are the only ones
-    tested for a zero step and distinct values.  On the rows of a box the
-    screen thus walks at most |D| + |E| pairs outside the bands.  A step-0
-    pair is never kept, but its window counts every point, so it lowers
-    ``top`` as any other does.  The down-set argument holds on the sector's
-    own coordinates, so rows, ``top`` and the kept triples are the
-    sector's.
+    at prefix_n.  P0 grows with d2 (x >= 0) and with e2 (y >= 0)
+    everywhere, so "negative" is a down-set of the lattice, and so is "at
+    least depth + 1 values <= depth", which on a pair that is not negative
+    is the window's size.  ``top`` is an e2 value: every pair above it, on
+    this row and every later one, has too few values.  Each row is sliced
+    to e2 <= top and scanned down: a pair with too few values lowers
+    ``top`` for good, and the pairs below it down to the first negative
+    one, the row's band, are the only ones tested for a zero step and
+    distinct values.  Outside the bands the screen thus walks at most one
+    pair per row, the negative one that ends it, and one short pair per e2
+    value of the rows: |D| + |E| on the rows of a box, and on a shear
+    class's union rows (_search_class) the runs plus the e2 values they
+    span.  A step-0 pair is never kept, but its window counts every point,
+    so it lowers ``top`` as any other does.  The down-set argument holds
+    on the sector's own coordinates, so rows, ``top`` and the kept triples
+    are the sector's.
 
     Each pair is read as its reduced pair (d2, e2 + q*n*d2) on S(n/m0), q
-    = (m - m0)/n, whose values are the pair's (see _ShearClass), and its
-    outcome is computed once per shear class: a pair the class has met, on
-    this sector or on another, reads its outcome off ``outcomes``.  A pair
-    computed here reads the lines and values that _LineTable.walk(n*d2,
-    e2, 0, 2n, -offset_range, depth) would, but off the class's base
+    = (m - m0)/n, whose values are the pair's (see _ShearClass).  It
+    reads the lines and values that _LineTable.walk(n*d2, e2 + q*n*d2, 0,
+    2n, -offset_range, depth) on S(n/m0) would, but off the class's base
     tables, with no call per pair.  Every reduced lattice pair is d2 =
     d_ref + 2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref),
     the lattice's residues on S(n/m0), and P0 is linear in (d2, e2): P0
@@ -280,8 +268,6 @@ def _screen(
     e2/(2n) have denominators dividing 2n, and f is an integer, so
     prefix_check's own scale D is exactly 2n: its walk reads Q = 1 (the
     table's), (A, B, F) = (n*d2, e2 + q*n*d2, 2n*f) and unit 2n, as here.
-    The verdict is kept as the pair's outcome, so each reduced pair is
-    certified once per class.
 
     The result is that of one screen at full depth prefix_n.  In the
     integer values P0 over 2n, a line the screen cuts off early has every
@@ -301,7 +287,6 @@ def _screen(
     need = hi + 1
     full = (1 << need) - 1
     s_min, firsts, lasts, stops = shear.s_min, shear.firsts, shear.lasts, shear.stops
-    outcomes = shear.outcomes
     survivors = []
     top = max((E.stop for _, E in rows), default=0)
     d_ref, e_ref = shear.ref or (0, 0)
@@ -312,9 +297,6 @@ def _screen(
             raise ValueError(f"row ({d2}, {E}) is off the integer-valued lattice")
         A = n * d2
         row_step = shear.step_ref + i * u
-        memo = outcomes.get(d2)
-        if memo is None:
-            memo = outcomes[d2] = {}
         band = []
         walked = banded = 0
         for e2 in reversed(range(E.start, min(E.stop, top + 1), E.step)):
@@ -323,71 +305,61 @@ def _screen(
                 break
             walked += 1
             j = (e2 + e_off) // unit
-            out = memo.get(j)
-            if out is None:
-                step = row_step + j * v
-                k_lo = A if A < S else S
-                stop = stops.get(k_lo)
-                if stop is None:
-                    stop = shear.stop_line(k_lo)
-                window = []  # (least, width) per line that meets the window
-                total = vmin = 0
-                gap = step if step >= 0 else -step
-                if step:
-                    for K, x, y, count in (firsts if step > 0 else lasts)[:stop]:
-                        least = K + i * x + j * y
-                        if least < vmin:
-                            vmin = least
-                            if vmin < lo:
-                                break
-                        if least <= hi:
-                            width = (hi - least) // gap + 1
-                            if width > count:
-                                width = count
-                            window.append((least, width))
-                            total += width
-                else:
-                    for K, x0, z, count in firsts[:stop]:
-                        value = K + i * x0 + j * z
-                        if value < vmin:
-                            vmin = value
-                            if vmin < lo:
-                                break
-                        if value <= hi:
-                            total += count
-                if vmin < lo:
-                    out = _NEGATIVE
-                elif total < need:
-                    out = _SHORT
-                else:
-                    out = _UNPACKED
-                    if step:
-                        seen = marked = 0
-                        for least, width in window:
-                            first = least - vmin
-                            if first < need:
-                                w = (need - 1 - first) // gap + 1
-                                if w > width:
-                                    w = width
-                                marked += w
-                                # bits first, first + gap, ..., first + (w - 1)*gap
-                                seen |= ((1 << gap * w) - 1) // ((1 << gap) - 1) << first
-                        if seen == full and marked == need:
-                            # the reduced pair (d2, e_ref + 2n*j), certified
-                            verdict = _prefix_verdict(
-                                shear.table, A, e_ref + unit * j, -unit * vmin, unit, prefix_n
-                            )
-                            if verdict.ok:
-                                out = -vmin
-                memo[j] = out
-            if out == _NEGATIVE:
+            step = row_step + j * v
+            k_lo = A if A < S else S
+            stop = stops.get(k_lo)
+            if stop is None:
+                stop = shear.stop_line(k_lo)
+            window = []  # (least, width) per line that meets the window
+            total = vmin = 0
+            gap = step if step >= 0 else -step
+            if step:
+                for K, x, y, count in (firsts if step > 0 else lasts)[:stop]:
+                    least = K + i * x + j * y
+                    if least < vmin:
+                        vmin = least
+                        if vmin < lo:
+                            break
+                    if least <= hi:
+                        width = (hi - least) // gap + 1
+                        if width > count:
+                            width = count
+                        window.append((least, width))
+                        total += width
+            else:
+                for K, x0, z, count in firsts[:stop]:
+                    value = K + i * x0 + j * z
+                    if value < vmin:
+                        vmin = value
+                        if vmin < lo:
+                            break
+                    if value <= hi:
+                        total += count
+            if vmin < lo:  # negative: so is every pair below it on the row
                 break
-            if out == _SHORT:
+            if total < need:  # short: so is every pair above it
                 top = e2 - 1
                 continue
             banded += 1
-            if out >= 0:
-                band.append((d2, e2, out))
+            if not step:
+                continue
+            seen = marked = 0
+            for least, width in window:
+                first = least - vmin
+                if first < need:
+                    w = (need - 1 - first) // gap + 1
+                    if w > width:
+                        w = width
+                    marked += w
+                    # bits first, first + gap, ..., first + (w - 1)*gap
+                    seen |= ((1 << gap * w) - 1) // ((1 << gap) - 1) << first
+            if seen == full and marked == need:
+                # the reduced pair (d2, e_ref + 2n*j), certified
+                verdict = _prefix_verdict(
+                    shear.table, A, e_ref + unit * j, -unit * vmin, unit, prefix_n
+                )
+                if verdict.ok:
+                    band.append((d2, e2, -vmin))
         shear.walked += walked
         shear.band += banded
         survivors += reversed(band)
@@ -442,53 +414,96 @@ def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
     return QuadPoly(a, b, c2, Fraction(d2, 2), Fraction(e2, 2 * s.n), Fraction(f))
 
 
-def _search_detail(
-    s: Sector, params: SearchParams, shear: Optional[_ShearClass] = None
-) -> tuple[list[QuadPoly], list[QuadPoly]]:
-    """(all survivors, raw-grid survivors), each certified to prefix_n.
+def _search_class(
+    sectors: list[Sector], params: SearchParams
+) -> list[tuple[list[QuadPoly], list[QuadPoly]]]:
+    """(all survivors, raw-grid survivors) of each of ``sectors``, which
+    share one shear class, each certified to prefix_n.
 
-    The candidates form one list of rows: a row (d2, E) per d2 of the raw
-    grid, and a single-pair row for each structured pair off the grid,
-    stably sorted by d2; a sector with no integer-valued lattice has none
-    and builds no screen.  _screen screens and certifies them once, so a
+    A sector's candidates are a row (d2, E) per d2 of its raw grid and a
+    single pair for each structured pair off the grid; a class with no
+    integer-valued lattice has none and builds no screen.  A pair (d2,
+    e2) of S(n/m) is read as its reduced pair (d2, e2 + q*n*d2) on
+    S(n/m0), q = (m - m0)/n, which takes the pair's values (_ShearClass).
+    The reduced candidates of every sector are merged, per d2, into
+    disjoint ascending runs: each sector's grid has the same d2 axis and
+    an e2 axis 2n*bound wide, which consecutive q shift by n*|d2| <=
+    n*bound, so on a sweep's class, whose q are 0, 1, 2, ..., the grids
+    make one run per grid d2, and a structured pair joins a run or makes
+    its own.  One _screen call on a fresh _ShearClass of the class then
+    walks each reduced pair at most once and keeps exactly the pairs of
+    the runs that pack and pass their certification.  So a sector's
+    survivors are the kept triples in its own rows, mapped back by e2 =
+    e2' - q*n*d2: those on its grid's axes and those among its structured
+    pairs, tested in O(kept triples + structured pairs) per sector.  A
     survivor is a raw-grid survivor iff its pair lies on the grid's axes.
+
     The survivors come in the order of the polynomials' step d*u + e*v
     (its size, then ascending first), f and coefficients: in integers,
     Delta = n*d2*u + e2*v = 2n*(d*u + e*v), which is never 0 on a
-    survivor, then f, d2 and e2.
-
-    The screen's state is ``shear``, a _ShearClass of the sector's shear
-    class certifying at prefix_n with params' offset range, which a sweep
-    shares among the sectors of the class.  None gives a fresh class, so
-    a lone search shares nothing.
+    survivor, then f, d2 and e2.  Delta is the reduced pair's on S(n/m0),
+    as u = u0 + q*v, and the pairs of one d2 keep their e2 order, so the
+    kept triples, sorted once on S(n/m0), come in every sector's order.
     """
-    D, E = _grid_axes(s, params.raw_grid_bound)
-    rows = [(d2, E) for d2 in D]
-    rows += [
-        (d2, range(e2, e2 + 1))
-        for d2, e2 in _structured_candidates(s, params.max_k)
-        if not (d2 in D and e2 in E)
-    ]
-    if not rows:  # no integer-valued lattice, or nothing on it to screen
-        return [], []
-    rows.sort(key=lambda row: row[0])
-    if shear is None:
-        shear = _shear_class(s, params.prefix_n, params.offset_range)
-    n, u, v = s.n, s.lines.u, s.lines.v
+    first = sectors[0]
+    n, m0 = first.n, _m0(first.n, first.m)
+    unit = 2 * n
+    plans = []  # (sector, shift, D, E, structured pairs off the grid)
+    spans: dict[int, list[tuple[int, int]]] = {}  # d2 -> (least, greatest) reduced e2
+    for s in sectors:
+        shift = s.m - m0  # q*n: the reduced e2 is e2 + shift*d2
+        D, E = _grid_axes(s, params.raw_grid_bound)
+        singles = {
+            (d2, e2)
+            for d2, e2 in _structured_candidates(s, params.max_k)
+            if not (d2 in D and e2 in E)
+        }
+        plans.append((s, shift, D, E, singles))
+        for d2 in D:
+            spans.setdefault(d2, []).append((E[0] + shift * d2, E[-1] + shift * d2))
+        for d2, e2 in singles:
+            e2 += shift * d2
+            spans.setdefault(d2, []).append((e2, e2))
+    if not spans:  # no integer-valued lattice, or nothing on it to screen
+        return [([], []) for _ in sectors]
+    rows: list[tuple[int, range]] = []
+    for d2 in sorted(spans):
+        runs: list[list[int]] = []
+        for lo, hi in sorted(spans[d2]):
+            if runs and lo <= runs[-1][1] + unit:
+                runs[-1][1] = max(runs[-1][1], hi)
+            else:
+                runs.append([lo, hi])
+        rows += [(d2, range(lo, hi + 1, unit)) for lo, hi in runs]
+    shear = _shear_class(first, params.prefix_n, params.offset_range)
+    u, v = shear.table.lines.u, shear.table.lines.v
 
     def order(triple: tuple[int, int, int]) -> tuple[int, bool, int, int, int]:
         d2, e2, f = triple
         delta = n * d2 * u + e2 * v
         return abs(delta), delta < 0, f, d2, e2
 
-    found: list[QuadPoly] = []
-    raw_found: list[QuadPoly] = []
-    for d2, e2, f in sorted(_screen(shear, s.m, rows), key=order):
-        p = _poly_from_scaled(s, d2, e2, f)
-        found.append(p)
-        if d2 in D and e2 in E:
-            raw_found.append(p)
-    return found, raw_found
+    kept = sorted(_screen(shear, m0, rows), key=order)
+    results = []
+    for s, shift, D, E, singles in plans:
+        found: list[QuadPoly] = []
+        raw_found: list[QuadPoly] = []
+        for d2, e2, f in kept:
+            e2 -= shift * d2
+            on_grid = d2 in D and e2 in E
+            if on_grid or (d2, e2) in singles:
+                p = _poly_from_scaled(s, d2, e2, f)
+                found.append(p)
+                if on_grid:
+                    raw_found.append(p)
+        results.append((found, raw_found))
+    return results
+
+
+def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:
+    """(all survivors, raw-grid survivors) of s alone: the one-sector
+    class search."""
+    return _search_class([s], params)[0]
 
 
 def search(s: Sector, params: SearchParams) -> list[QuadPoly]:

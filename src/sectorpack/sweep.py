@@ -13,7 +13,7 @@ from typing import Optional
 
 from .classify import Classification, _classify
 from .polynomials import QuadPoly, _exact_key
-from .search import SearchParams, _m0, _search_detail, _shear_class
+from .search import SearchParams, _m0, _search_class
 from .sectors import sector
 
 __all__ = ["sweep", "SweepRow", "SweepReport"]
@@ -56,21 +56,21 @@ class SweepReport:
 def _class_rows(group: list[_Task]) -> list[SweepRow]:
     """The rows of one shear class's (n, m, params) tasks, in task order.
 
-    The tasks share one fresh search._ShearClass, so the sectors of the
-    class screen each reduced pair once and certify it once if it passes
-    the screen, and every later sector reads the pair's final outcome.
-    They also share one dict of classifications, so a slope < 1 sector
-    reads its reduced target's, S(n/m0) of the same class, when an
-    earlier task has already classified it.  Both go with the class.
+    One search._search_class call searches every sector of the class: it
+    screens the union of their candidates once, so each reduced pair is
+    walked and certified at most once per class, and reads each sector's
+    survivors off the class.  The tasks also share one dict of
+    classifications, so a slope < 1 sector reads its reduced target's,
+    S(n/m0) of the same class, when an earlier task has already
+    classified it.  Both go with the class.
     """
-    n, m, params = group[0]
-    shear = _shear_class(sector(n, m), params.prefix_n, params.offset_range)
+    params = group[0][2]
+    searched = _search_class([sector(n, m) for n, m, _ in group], params)
     known: dict[tuple[int, int], Classification] = {}
     rows = []
-    for n, m, params in group:
+    for (n, m, _), (found, raw_found) in zip(group, searched):
         classified = _classify(n, m, known).polynomials()
         own = {_exact_key(p): p for p in classified}
-        found, raw_found = _search_detail(sector(n, m), params, shear)
         keys = [_exact_key(p) for p in found]
         # classify's own object wherever the search found the same
         # polynomial, so that a pooled row pickles each polynomial once
@@ -175,13 +175,13 @@ def sweep(
     per CPU).
 
     The unit of work is a shear class: the sectors S(n/m) with one n and
-    one m0 = (m - 1) mod n + 1, which share one search state (see
-    search._ShearClass), so no class is ever split.  The calling process
-    is one of the workers: it starts workers - 1 child processes, never
-    more than there are classes less one, and it and the children each
-    claim the next class, the class with the most sectors first, off one
-    shared counter until none is left.  A process builds one class state,
-    a search state and a dict of classifications, per class it claims,
+    one m0 = (m - 1) mod n + 1, which one class search screens at once
+    (see search._search_class), so no class is ever split.  The calling
+    process is one of the workers: it starts workers - 1 child processes,
+    never more than there are classes less one, and it and the children
+    each claim the next class, the class with the most sectors first, off
+    one shared counter until none is left.  A process builds one class state,
+    a class search and a dict of classifications, per class it claims,
     and releases it after the class's rows; no state crosses a class.
     Each child sends its rows back once, through its own pipe, and the
     caller sorts all rows into (n, m) order.  An exception in a child's
@@ -189,8 +189,20 @@ def sweep(
     sweep returns or raises, terminated first if it raises.  One worker,
     one class or fewer than 4 sectors run in this process alone, class by
     class in the same order.  A row is the one its sector gives searched
-    alone, whichever sectors of its class came before it, so the split
+    alone, whichever sectors of its class share its search, so the split
     changes no row.
+
+    With max_m >= max_n the sweep holds S(n/m0) of every shear class of
+    every n <= max_n, so a full match covers every m, not only m <=
+    max_m.  With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the lattice
+    points of S(n/m0) one to one onto those of S(n/m), so p packs S(n/m)
+    iff p o T packs S(n/m0); and classify(n, m) is classify(n, m0) with x
+    replaced by x - q*y (a test checks it on every sector with an
+    integer-valued lattice, n <= 100, m <= 400 and q >= 1), so classify
+    is complete on S(n/m) iff it is complete on S(n/m0).  Only that
+    completeness transports: each sector's raw grid is its own, so a
+    row's ``searched`` and ``raw_survivors`` are not its S(n/m0)'s
+    sheared.
     """
     if max_n < 0 or max_m < 0:
         raise ValueError(f"max_n and max_m must be nonnegative, got {max_n} and {max_m}")

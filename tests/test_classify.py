@@ -28,6 +28,8 @@ from sectorpack import (
     w_reduce,
 )
 
+from helpers import shear_x
+
 ASC, DESC = Direction.ASCENDING, Direction.DESCENDING
 # sha256 of classification_listing(60), recorded when descending polynomials
 # were still built on the dual sector.  It pins every entry on the coprime
@@ -277,3 +279,24 @@ class TestTransportKeepsPacking:
                 carried = entry.poly.compose(mapping.inverse())
                 report = prefix_check(target, carried, 300)
                 assert report.ok, (nm, str(target), entry.poly.to_string(), report.describe())
+
+
+class TestShearClass:
+    def test_classify_commutes_with_the_shear(self):
+        # T(x, y) = (x + q*y, y), q = (m - m0)/n and m0 = (m - 1) mod n + 1,
+        # maps the lattice points of S(n/m0) one to one onto those of
+        # S(n/m), so p packs S(n/m) iff p o T packs S(n/m0).  classify's
+        # list on S(n/m) is its list on S(n/m0) with x replaced by x - q*y,
+        # so classify is complete on S(n/m) iff it is on S(n/m0)
+        checked = polys = 0
+        for n in range(1, 101):
+            for m in range(n + 1, 401):
+                if math.gcd(n, m) != 1 or (m - 1) ** 2 % n:
+                    continue  # not coprime, or no integer-valued lattice
+                m0 = (m - 1) % n + 1
+                q = (m - m0) // n
+                want = {shear_x(p, q).coefficients() for p in classify(n, m0).polynomials()}
+                assert {p.coefficients() for p in classify(n, m).polynomials()} == want, (n, m)
+                checked += 1
+                polys += len(want)
+        assert (checked, polys) == (2_999, 5_824)

@@ -49,7 +49,9 @@ from sectorpack.search import (
     _grid_axes,
     _lattice_residues,
     _poly_from_scaled,
+    _m0,
     _screen,
+    _search_class,
     _search_detail,
     _shear_class,
     _structured_candidates,
@@ -64,6 +66,7 @@ from helpers import (
     pair_window,
     prefix_report_reference,
     raw_candidates,
+    run_fresh,
     stair_steps_scan,
 )
 
@@ -1094,13 +1097,12 @@ class TestScreenThenCertify:
 
     def test_sweep_walk_budget(self, monkeypatch):
         # the serial 30x30 sweep at raw 40 walked 140,756 pairs when the
-        # screen walked every grid pair; it walks exactly 14,444, 8,197 of
-        # them in bands, whatever the line loops look like, summed over
-        # the shear classes.  Its 170 screened sectors fall into 49 shear
-        # classes, which compute 6,272 pair outcomes and run 132
-        # certifications, one per computed outcome that packs at depth 8;
-        # every other walked pair was a reduced pair that an earlier sector
-        # of the class had met, and read its final outcome
+        # screen walked every grid pair.  Its 170 sectors with candidates
+        # fall into 49 shear classes, and one screen per class walks the
+        # union of the class's reduced rows: exactly 4,495 pairs, 3,161 of
+        # them in bands, whatever the line loops look like, each reduced
+        # pair at most once, and 132 certifications, one per walked pair
+        # that packs at depth 8
         screens, verdicts = [], []
         real, real_verdict = search_mod._screen, search_mod._prefix_verdict
 
@@ -1115,13 +1117,10 @@ class TestScreenThenCertify:
         monkeypatch.setattr(search_mod, "_screen", counting)
         monkeypatch.setattr(search_mod, "_prefix_verdict", verdict)
         assert sweep(30, 30, PARAMS, workers=1).ok
-        assert len(screens) == 170
-        shears = list({id(shear): shear for shear in screens}.values())
-        assert len(shears) == 49
-        assert sum(shear.walked for shear in shears) <= 20_000
-        assert sum(shear.walked for shear in shears) == 14_444
-        assert sum(shear.band for shear in shears) == 8_197
-        assert sum(len(row) for shear in shears for row in shear.outcomes.values()) == 6_272
+        assert len(screens) == len({id(shear) for shear in screens}) == 49
+        assert sum(shear.walked for shear in screens) <= 5_000
+        assert sum(shear.walked for shear in screens) == 4_495
+        assert sum(shear.band for shear in screens) == 3_161
         assert len(verdicts) == 132
 
     def test_structured_pairs_are_the_integer_valued_ones(self, monkeypatch):
@@ -1425,21 +1424,51 @@ class TestSweep:
         assert _shear_class(sector(1, 14), 300, 10).table.lines.m == 1
 
     @pytest.mark.parametrize(
-        "params", [PARAMS, replace(PARAMS, prefix_n=9), replace(PARAMS, offset_range=0)]
+        "params",
+        [
+            PARAMS,
+            replace(PARAMS, prefix_n=9),
+            replace(PARAMS, offset_range=0),
+            replace(PARAMS, raw_grid_bound=0),
+            replace(PARAMS, raw_grid_bound=7),
+        ],
+        ids=["raw40", "prefix9", "offset0", "raw0", "raw7"],
     )
-    def test_shared_class_gives_each_sector_a_fresh_search(self, params):
-        # one _ShearClass, on S(n/m0), built from the class's first sector
-        # and shared by the others in turn, gives each sector the search
-        # that a fresh class gives.  Prefix 9 keeps more on S(11/m) than
-        # prefix 300, and offset range 0 less on S(3/m)
-        for group in [(11, 1), (11, 12), (11, 23)], [(3, 7), (3, 1), (3, 4)], [(8, 13), (8, 5)]:
-            n, m = group[0]
-            shear = _shear_class(sector(n, m), params.prefix_n, params.offset_range)
-            assert shear.table.lines.m == (m - 1) % n + 1
-            for nm in group:
-                s = sector(*nm)
-                assert _search_detail(s, params, shear) == _search_detail(s, params), (nm, params)
-            assert shear.outcomes  # the searches read the shared class
+    def test_class_search_equals_lone_searches(self, params):
+        # one class search screens the union of its sectors' reduced rows
+        # once and gives each sector what it gets searched alone.  Prefix
+        # 9 keeps more on S(11/m) than prefix 300, and offset range 0 less
+        # on S(3/m).  At raw 0 every row is a structured pair; with a grid,
+        # some structured pairs lie off their own sector's grid, and some
+        # of those inside the run that another sector's grid makes
+        off_grid = inside_run = 0
+        for n in (1, 2, 3, 4, 8, 11, 12):
+            ms = [m for m in range(1, 81) if math.gcd(n, m) == 1]
+            for m0 in sorted({_m0(n, m) for m in ms}):
+                group = [sector(n, m) for m in ms if _m0(n, m) == m0]
+                assert _search_class(group, params) == [_search_detail(s, params) for s in group]
+                grids = [(s.m - m0, *_grid_axes(s, params.raw_grid_bound)) for s in group]
+                for s, (qn, D, E) in zip(group, grids):
+                    for d2, e2 in _structured_candidates(s, params.max_k):
+                        if d2 in D and e2 in E:
+                            continue
+                        off_grid += 1
+                        e2 += qn * d2  # the reduced pair's e2
+                        inside_run += any(d2 in D2 and e2 - qn2 * d2 in E2 for qn2, D2, E2 in grids)
+        assert inside_run < off_grid and (inside_run > 0) is (params.raw_grid_bound > 0)
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_pooled_rows_match_serial_under_every_start_method(self, method):
+        # a fresh interpreter sets the start method before its pooled
+        # sweep; spawn and forkserver children import sectorpack afresh
+        # and get the classes and the counter pickled, not inherited
+        pooled = run_fresh(
+            "import multiprocessing\n"
+            "from sectorpack import SearchParams, sweep\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            f"print(repr(sweep(12, 24, {PARAMS!r}, workers=2).rows))\n"
+        )
+        assert pooled == repr(sweep(12, 24, PARAMS, workers=1).rows) + "\n"
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("params", [SearchParams(), PARAMS], ids=["raw0", "raw40"])
