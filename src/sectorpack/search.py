@@ -122,7 +122,7 @@ class _ShearClass:
     holds the line table of S(n/m0), on which the screen reads its base
     tables and certifies each pair that packs, and the base tables of one
     reference lattice pair with the stop line of each k_lo met (see
-    _screen).  It keeps no outcome per pair: _search_class screens each
+    _screen).  It needs no state per pair: _search_class screens each
     reduced pair of the class at most once, as its runs are disjoint.
     ``walked`` and ``band`` count the pairs _screen walks, over every call
     on the class, and those in the rows' bands.
@@ -426,13 +426,17 @@ def _search_class(
     e2) of S(n/m) is read as its reduced pair (d2, e2 + q*n*d2) on
     S(n/m0), q = (m - m0)/n, which takes the pair's values (_ShearClass).
     The reduced candidates of every sector are merged, per d2, into
-    disjoint ascending runs: each sector's grid has the same d2 axis and
-    an e2 axis 2n*bound wide, which consecutive q shift by n*|d2| <=
-    n*bound, so on a sweep's class, whose q are 0, 1, 2, ..., the grids
-    make one run per grid d2, and a structured pair joins a run or makes
-    its own.  One _screen call on a fresh _ShearClass of the class then
-    walks each reduced pair at most once and keeps exactly the pairs of
-    the runs that pack and pass their certification.  So a sector's
+    disjoint ascending runs.  The sectors share the grid's d2 axis, and a
+    grid row's reduced e2 are the lattice's in [-n*bound, n*bound] +
+    q*n*d2, so its least and greatest grow with q*d2, and consecutive q
+    shift that interval, 2n*bound wide, by n*|d2| <= n*bound.  So the
+    grids of a block of sectors with consecutive q make one run per grid
+    d2, from the least e2 of the block's sector with the least q*d2 to the
+    greatest of the one with the greatest: one run per grid d2 on a
+    sweep's class, whose q are 0, 1, 2, ....  A structured pair joins a
+    run or makes its own.  One _screen call on a fresh _ShearClass of the class
+    then walks each reduced pair at most once and keeps exactly the pairs
+    of the runs that pack and pass their certification.  So a sector's
     survivors are the kept triples in its own rows, mapped back by e2 =
     e2' - q*n*d2: those on its grid's axes and those among its structured
     pairs, tested in O(kept triples + structured pairs) per sector.  A
@@ -448,33 +452,48 @@ def _search_class(
     first = sectors[0]
     n, m0 = first.n, _m0(first.n, first.m)
     unit = 2 * n
-    plans = []  # (sector, shift, D, E, structured pairs off the grid)
-    spans: dict[int, list[tuple[int, int]]] = {}  # d2 -> (least, greatest) reduced e2
+    plans = []  # (sector, shift, E, structured pairs off the grid)
+    grids = []  # (shift, least e2, greatest e2) of each sector's grid
+    singles_at: dict[int, list[int]] = {}  # d2 -> reduced e2 of pairs off a grid
     for s in sectors:
         shift = s.m - m0  # q*n: the reduced e2 is e2 + shift*d2
+        # D depends on n and the bound alone: the class's sectors share it
         D, E = _grid_axes(s, params.raw_grid_bound)
         singles = {
             (d2, e2)
             for d2, e2 in _structured_candidates(s, params.max_k)
             if not (d2 in D and e2 in E)
         }
-        plans.append((s, shift, D, E, singles))
-        for d2 in D:
-            spans.setdefault(d2, []).append((E[0] + shift * d2, E[-1] + shift * d2))
+        plans.append((s, shift, E, singles))
+        if E:
+            grids.append((shift, E[0], E[-1]))
         for d2, e2 in singles:
-            e2 += shift * d2
-            spans.setdefault(d2, []).append((e2, e2))
-    if not spans:  # no integer-valued lattice, or nothing on it to screen
-        return [([], []) for _ in sectors]
+            singles_at.setdefault(d2, []).append(e2 + shift * d2)
+    blocks = []  # [least q, greatest q] grids of each block of consecutive q
+    for grid in sorted(grids):
+        if blocks and grid[0] == blocks[-1][1][0] + n:
+            blocks[-1][1] = grid
+        else:
+            blocks.append([grid, grid])
     rows: list[tuple[int, range]] = []
-    for d2 in sorted(spans):
-        runs: list[list[int]] = []
-        for lo, hi in sorted(spans[d2]):
-            if runs and lo <= runs[-1][1] + unit:
-                runs[-1][1] = max(runs[-1][1], hi)
-            else:
-                runs.append([lo, hi])
-        rows += [(d2, range(lo, hi + 1, unit)) for lo, hi in runs]
+    for d2 in sorted(set(D).union(singles_at)):
+        spans = [(e2, e2) for e2 in singles_at.get(d2, ())]
+        if d2 in D:
+            for low, high in blocks:
+                if d2 < 0:
+                    low, high = high, low
+                spans.append((low[1] + low[0] * d2, high[2] + high[0] * d2))
+        spans.sort()
+        lo, hi = spans[0]
+        for a, b in spans:
+            if a > hi + unit:  # a gap ends the run
+                rows.append((d2, range(lo, hi + 1, unit)))
+                lo, hi = a, b
+            elif b > hi:
+                hi = b
+        rows.append((d2, range(lo, hi + 1, unit)))
+    if not rows:  # no integer-valued lattice, or nothing on it to screen
+        return [([], []) for _ in sectors]
     shear = _shear_class(first, params.prefix_n, params.offset_range)
     u, v = shear.table.lines.u, shear.table.lines.v
 
@@ -485,7 +504,7 @@ def _search_class(
 
     kept = sorted(_screen(shear, m0, rows), key=order)
     results = []
-    for s, shift, D, E, singles in plans:
+    for s, shift, E, singles in plans:
         found: list[QuadPoly] = []
         raw_found: list[QuadPoly] = []
         for d2, e2, f in kept:

@@ -1434,28 +1434,51 @@ class TestSweep:
         ],
         ids=["raw40", "prefix9", "offset0", "raw0", "raw7"],
     )
-    def test_class_search_equals_lone_searches(self, params):
+    def test_class_search_equals_lone_searches(self, params, monkeypatch):
         # one class search screens the union of its sectors' reduced rows
-        # once and gives each sector what it gets searched alone.  Prefix
-        # 9 keeps more on S(11/m) than prefix 300, and offset range 0 less
-        # on S(3/m).  At raw 0 every row is a structured pair; with a grid,
-        # some structured pairs lie off their own sector's grid, and some
-        # of those inside the run that another sector's grid makes
+        # once and gives each sector what it gets searched alone, on a
+        # class's sectors with consecutive q and on ones with gaps.  The
+        # rows hold each reduced candidate once, d2 ascending, and no other
+        # pair.  Prefix 9 keeps more on S(11/m) than prefix 300, and offset
+        # range 0 less on S(3/m).  At raw 0 every row is a structured pair;
+        # with a grid, some structured pairs lie off their own sector's
+        # grid, and some of those inside another sector's grid
+        screened = []
+        real = search_mod._screen
+
+        def screen(shear, m, rows):
+            screened.append(rows)
+            return real(shear, m, rows)
+
+        monkeypatch.setattr(search_mod, "_screen", screen)
+        bound = params.raw_grid_bound
         off_grid = inside_run = 0
         for n in (1, 2, 3, 4, 8, 11, 12):
             ms = [m for m in range(1, 81) if math.gcd(n, m) == 1]
             for m0 in sorted({_m0(n, m) for m in ms}):
                 group = [sector(n, m) for m in ms if _m0(n, m) == m0]
-                assert _search_class(group, params) == [_search_detail(s, params) for s in group]
-                grids = [(s.m - m0, *_grid_axes(s, params.raw_grid_bound)) for s in group]
-                for s, (qn, D, E) in zip(group, grids):
-                    for d2, e2 in _structured_candidates(s, params.max_k):
-                        if d2 in D and e2 in E:
-                            continue
-                        off_grid += 1
-                        e2 += qn * d2  # the reduced pair's e2
-                        inside_run += any(d2 in D2 and e2 - qn2 * d2 in E2 for qn2, D2, E2 in grids)
-        assert inside_run < off_grid and (inside_run > 0) is (params.raw_grid_bound > 0)
+                lone = {s.m: _search_detail(s, params) for s in group}
+                grids = {  # m -> the sector's grid, reduced
+                    s.m: {(d2, e2 + (s.m - m0) * d2) for d2, e2 in raw_candidates(s, bound)}
+                    for s in group
+                }
+                reduced = {}  # m -> the sector's candidates, reduced
+                for s in group:
+                    off = {
+                        (d2, e2 + (s.m - m0) * d2)
+                        for d2, e2 in _structured_candidates(s, params.max_k)
+                    } - grids[s.m]
+                    reduced[s.m] = grids[s.m] | off
+                    off_grid += len(off)
+                    inside_run += sum(any(pair in grid for grid in grids.values()) for pair in off)
+                for sectors in (group, group[::-2], group[1::3]):
+                    screened.clear()
+                    assert _search_class(sectors, params) == [lone[s.m] for s in sectors]
+                    pairs = [(d2, e2) for rows in screened for d2, E in rows for e2 in E]
+                    assert [d2 for d2, _ in pairs] == sorted(d2 for d2, _ in pairs)
+                    assert len(pairs) == len(set(pairs))
+                    assert set(pairs) == set().union(*(reduced[s.m] for s in sectors))
+        assert inside_run < off_grid and (inside_run > 0) is (bound > 0)
 
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
     def test_pooled_rows_match_serial_under_every_start_method(self, method):
