@@ -48,8 +48,8 @@ from sectorpack.search import (
     _edge_threshold,
     _grid_axes,
     _lattice_residues,
-    _poly_from_scaled,
     _m0,
+    _poly_from_scaled,
     _screen,
     _search_class,
     _search_detail,
