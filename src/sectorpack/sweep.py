@@ -180,9 +180,10 @@ def sweep(
     process is one of the workers: it starts workers - 1 child processes,
     never more than there are classes less one, and it and the children
     each claim the next class, the class with the most sectors first, off
-    one shared counter until none is left.  A process builds one class state,
-    a class search and a dict of classifications, per class it claims,
-    and releases it after the class's rows; no state crosses a class.
+    one shared counter until none is left.  A process builds one class
+    state, the class search's _ShearClass and a dict of classifications,
+    per class it claims, and releases it after the class's rows; no state
+    crosses a class.
     Each child sends its rows back once, through its own pipe, and the
     caller sorts all rows into (n, m) order.  An exception in a child's
     share is re-raised in the caller, and every child is joined before
