@@ -172,19 +172,6 @@ def compose_reference(p: QuadPoly, mapping: LatticeMap) -> QuadPoly:
     )
 
 
-def shear_x(p: QuadPoly, q: int) -> QuadPoly:
-    """p with x replaced by x - q*y, expanded by hand: a*(x - q*y)**2 +
-    b*(x - q*y)*y + d*(x - q*y) moves terms into xy, y*y and y."""
-    return QuadPoly(
-        a=p.a,
-        b=p.b - 2 * q * p.a,
-        c2=p.c2 - q * p.b + q * q * p.a,
-        d=p.d,
-        e=p.e - q * p.d,
-        f=p.f,
-    )
-
-
 def prefix_report_reference(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:
     """prefix_check's verdict for an integer-valued p whose homogeneous part
     is lam*(n*x - (m-1)*y)**2, lam > 0, built point by point off

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sectorpack import (
     Direction,
+    LatticeMap,
     LatticePoint,
     NotCoprime,
     Provenance,
@@ -28,7 +29,7 @@ from sectorpack import (
     w_reduce,
 )
 
-from helpers import shear_x
+from helpers import compose_reference
 
 ASC, DESC = Direction.ASCENDING, Direction.DESCENDING
 # sha256 of classification_listing(60), recorded when descending polynomials
@@ -287,7 +288,8 @@ class TestShearClass:
         # maps the lattice points of S(n/m0) one to one onto those of
         # S(n/m), so p packs S(n/m) iff p o T packs S(n/m0).  classify's
         # list on S(n/m) is its list on S(n/m0) with x replaced by x - q*y,
-        # so classify is complete on S(n/m) iff it is on S(n/m0)
+        # each substituted term by term (not by QuadPoly.compose), so
+        # classify is complete on S(n/m) iff it is on S(n/m0)
         checked = polys = 0
         for n in range(1, 101):
             for m in range(n + 1, 401):
@@ -295,7 +297,12 @@ class TestShearClass:
                     continue  # not coprime, or no integer-valued lattice
                 m0 = (m - 1) % n + 1
                 q = (m - m0) // n
-                want = {shear_x(p, q).coefficients() for p in classify(n, m0).polynomials()}
+                # (x, y) -> (x - q*y, y), from S(n/m) onto S(n/m0)
+                back = LatticeMap(1, -q, 0, 1, source=sector(n, m), target=sector(n, m0))
+                want = {
+                    compose_reference(p, back).coefficients()
+                    for p in classify(n, m0).polynomials()
+                }
                 assert {p.coefficients() for p in classify(n, m).polynomials()} == want, (n, m)
                 checked += 1
                 polys += len(want)
