@@ -139,11 +139,12 @@ def cmd_construct(args) -> int:
     return 0
 
 
-# prefix_check holds up to about 350 bytes per line it walks: a tracemalloc
-# peak of 9.0 MB for the 31,624 lines of 8/5 "4 -4 1 -1 1 0" at depth 10**9,
-# and 11.1 MB for 8/5 "4 -4 1 -1 3 0", a duplicate, which sorts its lines
+# prefix_check holds up to about 240 bytes per line it walks, one record
+# each: a tracemalloc peak of 7.22 MB (228 bytes a line) for the 31,624
+# lines of 8/5 "4 -4 1 -1 1 0" at depth 10**9, and 7.37 MB (233 bytes a
+# line) for 8/5 "4 -4 1 -1 3 0", a duplicate, which sorts the same records
 # into scan order.
-_BYTES_PER_LINE = 350
+_BYTES_PER_LINE = 240
 
 
 def _check_depth(s, poly, n_max: int) -> None:

@@ -13,7 +13,11 @@ own, sectorpack.search on its shear class's table.  The walk reads the
 lines a class mod the period v at a time: line c + v is line c shifted by
 one x and l points, so along a class each line's base is the previous
 one's plus an increment that grows by a constant, whole numbers checked
-exactly once per class.
+exactly once per class.  It keeps one record per line, (residue, least,
+greatest, c, t, points), and records a line whose values all lie inside
+the window directly, with no division; only a line that crosses an edge
+of the window, holds a negative value or has step 0 takes the general
+path.
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -191,8 +195,7 @@ class _LineTable:
     def walk(
         self, A: int, B: int, F: int, unit: int, lo: int, hi: int
     ) -> tuple[
-        list[tuple[int, int, int]],
-        list[tuple[int, int, int]],
+        list[tuple[int, int, int, int, int, int]],
         int,
         int,
         int,
@@ -205,17 +208,25 @@ class _LineTable:
         and a line whose scaled base or step is not a multiple is a
         ValueError.
 
-        Returns (bounds, spans, step, total, vmin, negative), with one
-        bound and one span per line that meets the window, class by class
-        (see classes), so not in scan order.  bounds[i] is (least % mod,
-        least, greatest) of the line's window values, mod = |step| (1 if
-        the step is 0), and spans[i] is the line's (c, first t, point
-        count); step is the values' step along every line.  total is the
-        window's point count; vmin is the minimum of 0 and every line's
-        values; negative is (c, t, value) of the first point in scan order
-        (c, then t ascending) with value < 0.  When the step is 0 a line
-        holds one value at every point: its bound holds that value and its
-        span counts the points.
+        Returns (records, step, total, vmin, negative), with one record
+        per line that meets the window, class by class (see classes), so
+        not in scan order.  A record is (least % mod, least, greatest, c,
+        t, points): the least and greatest of line c's window values, mod
+        = |step| (1 if the step is 0), and the line's first window point t
+        and window point count; step is the values' step along every line.
+        total is the window's point count; vmin is the minimum of 0 and
+        every line's values; negative is (c, t, value) of the first point
+        in scan order (c, then t ascending) with value < 0.  When the step
+        is 0 a line holds one value at every point: its record holds that
+        value and counts the points.
+
+        A line whose values all lie in [max(lo, 0), hi], as almost every
+        line of a deep window does, is recorded whole, t = 0 and points =
+        its count: its least value is not negative and no division finds
+        where it meets the window.  Every other line (one that crosses an
+        edge of the window, one with a negative value, or a step-0 line)
+        goes through the one general path, which alone finds t from the
+        window's edges and records the line's negative values.
 
         On line c the sector's points lie on the segment from (c*l/n, 0)
         to (m*c*l/n, c*l), and the linear A*x + B*y is least at an end, so
@@ -232,40 +243,46 @@ class _LineTable:
         stop = self.stop(min(A, A * lines.m + B * lines.n), F, unit, hi)
         l, v = lines.l, lines.v
         mod = abs(step) or 1
-        bounds: list[tuple[int, int, int]] = []
-        spans: list[tuple[int, int, int]] = []
+        inside = max(lo, 0)
+        records: list[tuple[int, int, int, int, int, int]] = []
         total = vmin = 0
         negative: Optional[tuple[int, int, int]] = None
         for c, _, _, count, base, delta, dd in self.classes(A, B, F, unit, 0, stop):
             for c in range(c, stop, v):
                 last = base + step * (count - 1)
-                line_min = base if step >= 0 else last
-                if line_min < 0:
-                    vmin = min(vmin, line_min)
-                    if negative is None or c < negative[0]:
-                        t = 0 if step >= 0 or base < 0 else base // -step + 1
-                        negative = (c, t, base + t * step)
-                if step:
-                    if step > 0:
-                        t_lo = 0 if base >= lo else -((base - lo) // step)
-                        t_hi = count - 1 if last <= hi else (hi - base) // step
-                    else:
-                        t_lo = 0 if base <= hi else -((hi - base) // -step)
-                        t_hi = count - 1 if last >= lo else (base - lo) // -step
-                    if t_lo <= t_hi:
-                        first = base + t_lo * step
-                        end = base + t_hi * step
-                        bounds.append((first % mod, first, end) if step > 0 else (end % mod, end, first))
-                        spans.append((c, t_lo, t_hi - t_lo + 1))
-                        total += t_hi - t_lo + 1
-                elif lo <= base <= hi:
-                    bounds.append((0, base, base))
-                    spans.append((c, 0, count))
+                if step > 0 and inside <= base and last <= hi:
+                    records.append((base % mod, base, last, c, 0, count))
                     total += count
+                elif step < 0 and inside <= last and base <= hi:
+                    records.append((last % mod, last, base, c, 0, count))
+                    total += count
+                else:
+                    least = base if step >= 0 else last
+                    if least < 0:
+                        vmin = min(vmin, least)
+                        if negative is None or c < negative[0]:
+                            t = 0 if step >= 0 or base < 0 else base // -step + 1
+                            negative = (c, t, base + t * step)
+                    if step:
+                        if step > 0:
+                            t_lo = 0 if base >= lo else -((base - lo) // step)
+                            t_hi = count - 1 if last <= hi else (hi - base) // step
+                        else:
+                            t_lo = 0 if base <= hi else -((hi - base) // -step)
+                            t_hi = count - 1 if last >= lo else (base - lo) // -step
+                        if t_lo <= t_hi:
+                            first, end = base + t_lo * step, base + t_hi * step
+                            if step < 0:
+                                first, end = end, first
+                            records.append((first % mod, first, end, c, t_lo, t_hi - t_lo + 1))
+                            total += t_hi - t_lo + 1
+                    elif lo <= base <= hi:
+                        records.append((0, base, base, c, 0, count))
+                        total += count
                 count += l
                 base += delta
                 delta += dd
-        return bounds, spans, step, total, vmin, negative
+        return records, step, total, vmin, negative
 
 
 def _scaled(s: Sector, p: QuadPoly) -> tuple[_LineTable, int, int, int, int]:
@@ -288,10 +305,10 @@ def enumerate_upto(
     if not p.is_integer_valued():
         raise ValueError("polynomial is not integer-valued")
     table, A, B, F, D = _scaled(s, p)
-    bounds, spans, step, *_ = table.walk(A, B, F, D, 0, n_max)
+    records, step, *_ = table.walk(A, B, F, D, 0, n_max)
     u, v = s.lines.u, s.lines.v
     items: list[tuple[int, int, int]] = []
-    for (c, t, count), (_, least, greatest) in zip(spans, bounds):
+    for _, least, greatest, c, t, count in records:
         x, y = table.point(c, t)
         start = least if step >= 0 else greatest
         items += [(start + i * step, x + i * u, y + i * v) for i in range(count)]
@@ -309,22 +326,27 @@ _PROBE_POINTS = [
 ]
 
 
-def _first_gap(bounds: list[tuple[int, int, int]], mod: int, n_max: int) -> Optional[int]:
-    """The least value in [0, n_max] that no line's bound holds (n_max + 1
-    if each is held), or None if two lines share a value.
+def _first_gap(
+    records: list[tuple[int, int, int, int, int, int]], mod: int, n_max: int
+) -> Optional[int]:
+    """The least value in [0, n_max] that no line's record holds (n_max +
+    1 if each is held), or None if two lines share a value.  Sorts the
+    records in place.
 
     The lines' values share the walk's one step k, so each line's window
-    values, a bound (least % mod, least, greatest) of _LineTable.walk, are
-    an interval of one residue class mod |k| (mod 1 for a step-0 walk,
-    whose lines hold one value each).  Sorted, the lines are disjoint iff
-    each starts past the end of the one before it in its class.  A class
-    r first misses r, r + |k|, ... at the first of these its sorted lines
-    skip, and a class that no line touches misses r itself; the smallest
-    missing value is the least of these.
+    values, a record (least % mod, least, greatest, c, t, points) of
+    _LineTable.walk, are an interval of one residue class mod |k| (mod 1
+    for a step-0 walk, whose lines hold one value each).  Sorted, the
+    records run class by class and by least value, and the lines are
+    disjoint iff each starts past the end of the one before it in its
+    class.  A class r first misses r, r + |k|, ... at the first of these
+    its sorted lines skip, and a class that no line touches misses r
+    itself; the smallest missing value is the least of these.
     """
     gap = n_max + 1
     cls, nxt = -1, gap  # the class being read, and the next value it must hold
-    for r, lo, hi in sorted(bounds):
+    records.sort()
+    for r, lo, hi, c, t, points in records:
         if r != cls:
             # class cls misses nxt, and each class skipped misses its residue
             gap = min(gap, nxt, cls + 1) if r > cls + 1 else min(gap, nxt)
@@ -338,27 +360,29 @@ def _first_gap(bounds: list[tuple[int, int, int]], mod: int, n_max: int) -> Opti
 
 
 def _first_repeat(
-    bounds: list[tuple[int, int, int]], spans: list[tuple[int, int, int]], step: int
+    records: list[tuple[int, int, int, int, int, int]], step: int
 ) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """(value, (c0, t0), (c, t)) for the lines of a walk: the first point
     in scan order (c, then t ascending) whose value an earlier point holds
     is t on line c, and the value's first holder is t0 on line c0.  Some
     value must repeat.
 
-    Reads the lines in scan order, the spans sorted by c, keeping those
-    read so far sorted by least value in one list per residue class mod
-    the step (see _first_gap); they are disjoint until the first line
-    that overlaps one of them, so bisect finds the overlapped lines of
-    that line.  The line's values are distinct and run in scan order, so
-    its first repeat is the smallest value it shares on an ascending line
-    (shared with the leftmost line it overlaps) and the largest on a
-    descending one (the rightmost).  The earlier lines being disjoint,
-    that line is the value's only, so first, holder.  A step-0 line whose
-    span counts more than one point repeats its value at its second
-    point, unless an earlier line holds it.
+    Reads the lines in scan order, the walk's records sorted by c in
+    place, keeping those read so far sorted by least value in one list
+    per residue class mod the step (see _first_gap); they are disjoint
+    until the first line that overlaps one of them, so bisect finds the
+    overlapped lines of that line.  The line's values are distinct and
+    run in scan order, so its first repeat is the smallest value it
+    shares on an ascending line (shared with the leftmost line it
+    overlaps) and the largest on a descending one (the rightmost).  The
+    earlier lines being disjoint, that line is the value's only, so
+    first, holder.  A step-0 line whose record counts more than one
+    point repeats its value at its second point, unless an earlier line
+    holds it.
     """
     classes: dict[int, tuple[list[int], list[int], list[tuple[int, int, int]]]] = {}
-    for (c, t, count), (r, lo, hi) in sorted(zip(spans, bounds), key=itemgetter(0)):
+    records.sort(key=itemgetter(3))
+    for r, lo, hi, c, t, count in records:
         start = hi if step < 0 else lo  # the value at t
         lows, highs, holders = classes.setdefault(r, ([], [], []))
         k = bisect_left(highs, lo)  # the first line read that ends at lo or past it
@@ -415,23 +439,25 @@ def _prefix_verdict(
     + B*y + F, in units of ``unit``; prefix_check and the search's
     certification both read it here.
 
-    The walk yields the window's values as one bound (residue, least,
-    greatest) per line, all lines with one step, and counts the window's
-    points.  More points than the n_max + 1 values, or than the values
-    the lines hold (a step-0 line holds one value at all its points),
-    must repeat a value (pigeonhole).  Otherwise _first_gap sorts the L
-    bounds and reads both distinctness and the smallest missing value off
-    them.  A duplicate then pays for sorting the lines into scan order
-    and one pass, which stops at the first line that repeats a value.
+    The walk yields the window's values as one record (residue, least,
+    greatest, c, t, points) per line, all lines with one step, and counts
+    the window's points; a line wholly inside the window takes the walk's
+    direct path, which needs no division.  More points than the n_max + 1
+    values, or than the values the lines hold (a step-0 line holds one
+    value at all its points), must repeat a value (pigeonhole).  Otherwise
+    _first_gap sorts the L records in place and reads both distinctness
+    and the smallest missing value off them.  A duplicate then pays for
+    sorting the same records into scan order and one pass, which stops at
+    the first line that repeats a value.
     Each pass costs O(L log L) time and O(L) memory; on a sector L grows
     about as sqrt(n_max), and nothing is sized by n_max itself.
     """
-    bounds, spans, step, total, _, negative = table.walk(A, B, F, unit, 0, n_max)
+    records, step, total, _, negative = table.walk(A, B, F, unit, 0, n_max)
     gap = None
-    if total <= n_max + 1 and (step or len(spans) == total):
-        gap = _first_gap(bounds, abs(step) or 1, n_max)
+    if total <= n_max + 1 and (step or len(records) == total):
+        gap = _first_gap(records, abs(step) or 1, n_max)
     if gap is None:
-        value, first, second = _first_repeat(bounds, spans, step)
+        value, first, second = _first_repeat(records, step)
         return PrefixReport(
             PrefixStatus.DUPLICATE,
             checked_upto=n_max,

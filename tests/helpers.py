@@ -324,11 +324,11 @@ def pair_window(s: Sector, d2: int, e2: int, prefix_n: int, offset_range: int):
     A, B = n * d2, e2
     if edge_negative(n, A, offset_range) or edge_negative(n, A * s.m + B * n, offset_range):
         return None
-    bounds, _, step, total, vmin, _ = _LineTable(s, 1).walk(A, B, 0, 2 * n, -offset_range, prefix_n)
+    records, step, total, vmin, _ = _LineTable(s, 1).walk(A, B, 0, 2 * n, -offset_range, prefix_n)
     # each line's window values from its least to its greatest, or back
     ranges = [
         range(lo, hi + 1, step) if step > 0 else range(hi, lo - 1, step or -1)
-        for _, lo, hi in bounds
+        for _, lo, hi, _, _, _ in records
     ]
     return None if vmin < -offset_range else (ranges, total, vmin)
 

@@ -13,6 +13,7 @@ import tracemalloc
 from bisect import bisect_left, bisect_right
 from dataclasses import fields, replace
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -293,6 +294,43 @@ def test_prefix_check_matches_reference_on_lattice(
     assert prefix_check(s, p, n_max) == prefix_report_reference(s, p, n_max)
 
 
+def _stair_poly(n: int, m: int, k: int, direction: Direction) -> QuadPoly:
+    return next(
+        e.poly for e in classify(n, m).entries if (e.form.k, e.form.direction) == (k, direction)
+    )
+
+
+def test_prefix_check_at_every_window_edge():
+    # depths 0..200 on the verify-deep packing cases (ascending, descending
+    # and column families) put the window's edge on every value, so on a
+    # line's end as well as inside lines; each near-miss fails with its
+    # own status at depth 200, and agrees with the reference at every depth
+    asc, desc = Direction.ASCENDING, Direction.DESCENDING
+    packing = [
+        (sector(8, 5), _stair_poly(8, 5, 1, asc)),
+        (sector(12, 7), _stair_poly(12, 7, 3, asc)),
+        (sector(36, 25), _stair_poly(36, 25, 2, asc)),
+        (sector(48, 37), _stair_poly(48, 37, 1, desc)),
+        (sector(3, 1), nathanson_polys(3)[0]),
+    ]
+    near_misses = [
+        (packing[0], "e", 2, PrefixStatus.DUPLICATE),
+        (packing[3], "f", -1, PrefixStatus.NEGATIVE_VALUE),
+        (packing[4], "d", 2, PrefixStatus.MISSING_VALUE),
+        (packing[1], "f", Fraction(1, 2), PrefixStatus.NON_INTEGER_VALUE),
+    ]
+    cases = [(s, p, PrefixStatus.OK) for s, p in packing]
+    for (s, p), name, delta, status in near_misses:
+        cases.append((s, replace(p, **{name: getattr(p, name) + delta}), status))
+    for s, p, status in cases:
+        assert prefix_check(s, p, 200).status is status, (s, p)
+        for n_max in range(201):
+            if status is PrefixStatus.NON_INTEGER_VALUE:
+                assert prefix_check(s, p, n_max).status is status
+            else:
+                assert prefix_check(s, p, n_max) == prefix_report_reference(s, p, n_max)
+
+
 def _stop_by_scan(s, Q, k_lo, F, unit, hi):
     """The stop line found line by line: the first c >= 0 past the vertex
     estimate (-k_lo//n)//(2*Q*l) + 2 whose bound Q*(c*l)**2 +
@@ -327,22 +365,22 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
     stop = table.stop(k_lo, F, 1, hi)
     assert stop == _stop_by_scan(s, Q, k_lo, F, 1, hi)
     # the walk reads exactly the lines below stop, and on them it finds
-    # every value in [lo, hi] at its point: in scan order once its lines
-    # are stably sorted by c, each line's values in t order
-    bounds, spans, step, total, _, _ = table.walk(A, B, F, 1, lo, hi)
+    # every value in [lo, hi] at its point: in scan order once its records
+    # are sorted by c, each line's values in t order
+    records, step, total, vmin, negative = table.walk(A, B, F, 1, lo, hi)
     assert step == A * lines.u + B * lines.v
     mod = abs(step) or 1
-    got = []
-    for (c, t, count), (r, least, greatest) in sorted(
-        zip(spans, bounds), key=lambda line: line[0][0]
-    ):
-        assert r == least % mod and least <= greatest
+    got, got_points = [], {}
+    for r, least, greatest, c, t, points in sorted(records, key=itemgetter(3)):
+        assert r == least % mod and least <= greatest and c not in got_points
         start = least if step >= 0 else greatest
-        got += [(c, t + i, start + i * step) for i in range(count)]
+        got += [(c, t + i, start + i * step) for i in range(points)]
+        got_points[c] = points
         assert got[-1][2] == (greatest if step >= 0 else least)
     # the value is linear in t along a line, so bisect over the line's
-    # points finds where its values enter and leave [lo, hi]
-    want = []
+    # points finds where its values enter and leave [lo, hi], and its
+    # least value is at an end
+    want, want_points, want_vmin, want_negative = [], {}, 0, None
     for c in range(stop):
         x0, z, count = lines.line(c)
 
@@ -354,7 +392,16 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
         first = bisect_left(ts, min(sign * lo, sign * hi), key=lambda t: sign * value(t))
         end = bisect_right(ts, max(sign * lo, sign * hi), key=lambda t: sign * value(t))
         want += [(c, t, value(t)) for t in range(first, end)]
-    assert got == want and total == len(want)
+        if end > first:
+            want_points[c] = end - first
+        if count:
+            want_vmin = min(want_vmin, value(0), value(count - 1))
+            if want_negative is None and want_vmin < 0:
+                t = next(t for t in ts if value(t) < 0)
+                want_negative = (c, t, value(t))
+    assert got == want and total == len(want) and got_points == want_points
+    # every line's negative values count, those inside the window too
+    assert (vmin, negative) == (want_vmin, want_negative)
     # every value on the stop line and the 50 lines past it exceeds hi; the
     # value is linear in t along a line, so its minimum is at an end
     for c in range(stop, stop + 51):
@@ -539,8 +586,8 @@ class TestPrefixCheck:
         # the range of a descending line whose last value is 0 has stop -1
         s, p = sector(12, 7), QuadPoly.from_string("6 -6 3/2 10 -13/2 2")
         table, A, B, F, D = _scaled(s, p)
-        bounds, _, step, *_ = table.walk(A, B, F, D, 0, 20)
-        assert step == -3 and (0, 0, 18) in bounds
+        records, step, *_ = table.walk(A, B, F, D, 0, 20)
+        assert step == -3 and (0, 0, 18) in [record[:3] for record in records]
         report = prefix_check(s, p, 20)
         assert report.ok and report.points == 21
         assert report == prefix_report_reference(s, p, 20)
@@ -889,8 +936,8 @@ def _count_upto(s: Sector, d2: int, e2: int, hi: int) -> int:
     """How many sector points have filter value P0/2n <= hi, read off two
     walks: the first finds the least value, the second counts from it."""
     table = _LineTable(s, 1)
-    vmin = table.walk(s.n * d2, e2, 0, 2 * s.n, 0, hi)[4]
-    return table.walk(s.n * d2, e2, 0, 2 * s.n, vmin, hi)[3]
+    vmin = table.walk(s.n * d2, e2, 0, 2 * s.n, 0, hi)[3]
+    return table.walk(s.n * d2, e2, 0, 2 * s.n, vmin, hi)[2]
 
 
 class TestScreenThenCertify:
@@ -1011,14 +1058,14 @@ class TestScreenThenCertify:
         d_ref, e_ref = shear.ref
         d2 = d_ref + 2 * i
         e2 = e_ref + 2 * n * j - q * n * d2
-        bounds, spans, step, *_ = table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
+        records, step, *_ = table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
         assert step == shear.step_ref + i * lines0.u + j * lines0.v
-        if spans:
-            shear._read_to(max(c for c, _, _ in spans) + 1)
+        if records:
+            shear._read_to(max(record[3] for record in records) + 1)
         # on the lattice no line is empty
         assert all(count for *_, count in shear.firsts)
         assert len(shear.lasts) == len(shear.firsts)
-        for (c, t, points), (_, least, greatest) in zip(spans, bounds):
+        for _, least, greatest, c, t, points in records:
             K, x0, z, count = shear.firsts[c]
             assert (x0 + q * z, z, count) == s.lines.line(c)
             base = K + i * x0 + j * z
