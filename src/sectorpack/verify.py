@@ -308,10 +308,10 @@ def enumerate_upto(
     records, step, *_ = table.walk(A, B, F, D, 0, n_max)
     u, v = s.lines.u, s.lines.v
     items: list[tuple[int, int, int]] = []
-    for _, least, greatest, c, t, count in records:
+    for _, least, greatest, c, t, points in records:
         x, y = table.point(c, t)
         start = least if step >= 0 else greatest
-        items += [(start + i * step, x + i * u, y + i * v) for i in range(count)]
+        items += [(start + i * step, x + i * u, y + i * v) for i in range(points)]
     items.sort()
     return [(LatticePoint(x, y), value) for value, x, y in items]
 
@@ -382,7 +382,7 @@ def _first_repeat(
     """
     classes: dict[int, tuple[list[int], list[int], list[tuple[int, int, int]]]] = {}
     records.sort(key=itemgetter(3))
-    for r, lo, hi, c, t, count in records:
+    for r, lo, hi, c, t, points in records:
         start = hi if step < 0 else lo  # the value at t
         lows, highs, holders = classes.setdefault(r, ([], [], []))
         k = bisect_left(highs, lo)  # the first line read that ends at lo or past it
@@ -396,7 +396,7 @@ def _first_repeat(
             if step:
                 t0, t = t0 + (value - start0) // step, t + (value - start) // step
             return value, (c0, t0), (c, t)
-        if count > 1 and not step:  # a step-0 line repeats its own value
+        if points > 1 and not step:  # a step-0 line repeats its own value
             return lo, (c, t), (c, t + 1)
         lows.insert(k, lo)
         highs.insert(k, hi)
