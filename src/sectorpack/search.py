@@ -23,11 +23,12 @@ lattice points of S(n/m0) one to one onto those of S(n/m) and keeps
 every staircase index, so a search pair (d2, e2) takes on S(n/m) the
 values that the reduced pair (d2, e2 + q*n*d2) takes on S(n/m0), at
 every depth (_ShearClass proves it).  So the class is the search's unit:
-_search_class maps the rows of every sector it is given to reduced pairs
+_class_triples maps the rows of every sector it is given to reduced pairs
 on S(n/m0), merges them into disjoint runs, screens the union once on
 one fresh _ShearClass, the search's one state object, and reads each
-sector's survivors off the kept triples.  A lone search is the
-one-sector case, and a sweep makes one class search per shear class.
+sector's survivors off the kept triples, in integers; _search_class
+reads them as polynomials.  A lone search is the one-sector case, and a
+sweep makes one class search per shear class.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class _ShearClass:
     holds the line table of S(n/m0), on which the screen reads its base
     tables and certifies each pair that packs, and the base tables of one
     reference lattice pair with the stop line of each k_lo met (see
-    _screen).  It needs no state per pair: _search_class screens each
+    _screen).  It needs no state per pair: _class_triples screens each
     reduced pair of the class at most once, as its runs are disjoint.
     ``walked`` and ``band`` count the pairs _screen walks, over every call
     on the class, and those in the rows' bands.
@@ -226,7 +227,7 @@ def _screen(
     distinct values.  Outside the bands the screen thus walks at most one
     pair per row, the negative one that ends it, and one short pair per e2
     value of the rows: |D| + |E| on the rows of a box, and on a shear
-    class's union rows (_search_class) the runs plus the e2 values they
+    class's union rows (_class_triples) the runs plus the e2 values they
     span.  A step-0 pair is never kept, but its window counts every point,
     so it lowers ``top`` as any other does.  The down-set argument holds
     on the sector's own coordinates, so rows, ``top`` and the kept triples
@@ -414,33 +415,34 @@ def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
     return QuadPoly(a, b, c2, Fraction(d2, 2), Fraction(e2, 2 * s.n), Fraction(f))
 
 
-def _search_class(
-    sectors: list[Sector], params: SearchParams
-) -> list[tuple[list[QuadPoly], list[QuadPoly]]]:
-    """(all survivors, raw-grid survivors) of each of ``sectors``, which
-    share one shear class, each certified to prefix_n.
+def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tuple[int, int, int]]]:
+    """The survivors of each of ``sectors``, which share one shear class,
+    each certified to prefix_n, as (d2, e2, f) triples in the sector's own
+    coordinates: plain integers, from which _poly_from_scaled builds each
+    polynomial.
 
     A sector's candidates are a row (d2, E) per d2 of its raw grid and a
-    single pair for each structured pair off the grid; a class with no
-    integer-valued lattice has none and builds no screen.  A pair (d2,
-    e2) of S(n/m) is read as its reduced pair (d2, e2 + q*n*d2) on
-    S(n/m0), q = (m - m0)/n, which takes the pair's values (_ShearClass).
-    The reduced candidates of every sector are merged, per d2, into
-    disjoint ascending runs.  The sectors share the grid's d2 axis, and a
-    grid row's reduced e2 are the lattice's in [-n*bound, n*bound] +
-    q*n*d2, so its least and greatest grow with q*d2, and consecutive q
-    shift that interval, 2n*bound wide, by n*|d2| <= n*bound.  So the
-    grids of a block of sectors with consecutive q make one run per grid
-    d2, from the least e2 of the block's sector with the least q*d2 to the
-    greatest of the one with the greatest: one run per grid d2 on a
-    sweep's class, whose q are 0, 1, 2, ....  A structured pair joins a
-    run or makes its own.  One _screen call on a fresh _ShearClass of the class
-    then walks each reduced pair at most once and keeps exactly the pairs
-    of the runs that pack and pass their certification.  So a sector's
-    survivors are the kept triples in its own rows, mapped back by e2 =
-    e2' - q*n*d2: those on its grid's axes and those among its structured
-    pairs, tested in O(kept triples + structured pairs) per sector.  A
-    survivor is a raw-grid survivor iff its pair lies on the grid's axes.
+    single pair for each structured pair off the grid.  A class with no
+    integer-valued lattice has none, and that is a class invariant, as
+    (m-1)**2 = (m0-1)**2 mod n: it returns at once, with no candidates
+    built and no screen.  A pair (d2, e2) of S(n/m) is read as its reduced
+    pair (d2, e2 + q*n*d2) on S(n/m0), q = (m - m0)/n, which takes the
+    pair's values (_ShearClass).  The reduced candidates of every sector
+    are merged, per d2, into disjoint ascending runs.  The sectors share
+    the grid's d2 axis, and a grid row's reduced e2 are the lattice's in
+    [-n*bound, n*bound] + q*n*d2, so its least and greatest grow with
+    q*d2, and consecutive q shift that interval, 2n*bound wide, by n*|d2|
+    <= n*bound.  So the grids of a block of sectors with consecutive q
+    make one run per grid d2, from the least e2 of the block's sector with
+    the least q*d2 to the greatest of the one with the greatest: one run
+    per grid d2 on a sweep's class, whose q are 0, 1, 2, ....  A
+    structured pair joins a run or makes its own.  One _screen call on a
+    fresh _ShearClass of the class then walks each reduced pair at most
+    once and keeps exactly the pairs of the runs that pack and pass their
+    certification.  So a sector's survivors are the kept triples in its
+    own rows, mapped back by e2 = e2' - q*n*d2: those on its grid's axes
+    and those among its structured pairs, tested in O(kept triples +
+    structured pairs) per sector.
 
     The survivors come in the order of the polynomials' step d*u + e*v
     (its size, then ascending first), f and coefficients: in integers,
@@ -450,9 +452,11 @@ def _search_class(
     kept triples, sorted once on S(n/m0), come in every sector's order.
     """
     first = sectors[0]
+    if _lattice_residues(first) is None:
+        return [[] for _ in sectors]
     n, m0 = first.n, _m0(first.n, first.m)
     unit = 2 * n
-    plans = []  # (sector, shift, E, structured pairs off the grid)
+    plans = []  # (shift, E, structured pairs off the grid) of each sector
     grids = []  # (shift, least e2, greatest e2) of each sector's grid
     singles_at: dict[int, list[int]] = {}  # d2 -> reduced e2 of pairs off a grid
     for s in sectors:
@@ -464,7 +468,7 @@ def _search_class(
             for d2, e2 in _structured_candidates(s, params.max_k)
             if not (d2 in D and e2 in E)
         }
-        plans.append((s, shift, E, singles))
+        plans.append((shift, E, singles))
         if E:
             grids.append((shift, E[0], E[-1]))
         for d2, e2 in singles:
@@ -492,8 +496,8 @@ def _search_class(
             elif b > hi:
                 hi = b
         rows.append((d2, range(lo, hi + 1, unit)))
-    if not rows:  # no integer-valued lattice, or nothing on it to screen
-        return [([], []) for _ in sectors]
+    if not rows:  # nothing on the lattice to screen
+        return [[] for _ in sectors]
     shear = _shear_class(first, params.prefix_n, params.offset_range)
     u, v = shear.table.lines.u, shear.table.lines.v
 
@@ -504,19 +508,50 @@ def _search_class(
 
     kept = sorted(_screen(shear, m0, rows), key=order)
     results = []
-    for s, shift, E, singles in plans:
-        found: list[QuadPoly] = []
-        raw_found: list[QuadPoly] = []
+    for shift, E, singles in plans:
+        triples = []
         for d2, e2, f in kept:
             e2 -= shift * d2
-            on_grid = d2 in D and e2 in E
-            if on_grid or (d2, e2) in singles:
-                p = _poly_from_scaled(s, d2, e2, f)
-                found.append(p)
-                if on_grid:
-                    raw_found.append(p)
-        results.append((found, raw_found))
+            if d2 in D and e2 in E or (d2, e2) in singles:
+                triples.append((d2, e2, f))
+        results.append(triples)
     return results
+
+
+def _polys(
+    s: Sector,
+    triples: list[tuple[int, int, int]],
+    bound: int,
+    listed: Optional[dict[tuple[int, int, int], QuadPoly]] = None,
+) -> tuple[list[QuadPoly], list[QuadPoly]]:
+    """(all survivors, raw-grid survivors) of s, from its survivor
+    triples: a survivor is a raw-grid survivor iff its pair lies on the
+    axes of s's grid at ``bound``.  A triple's polynomial is ``listed``'s
+    where that has the triple, and _poly_from_scaled's otherwise."""
+    D, E = _grid_axes(s, bound)
+    listed = listed or {}
+    found: list[QuadPoly] = []
+    raw_found: list[QuadPoly] = []
+    for triple in triples:
+        p = listed.get(triple)
+        if p is None:
+            p = _poly_from_scaled(s, *triple)
+        found.append(p)
+        if triple[0] in D and triple[1] in E:
+            raw_found.append(p)
+    return found, raw_found
+
+
+def _search_class(
+    sectors: list[Sector], params: SearchParams
+) -> list[tuple[list[QuadPoly], list[QuadPoly]]]:
+    """(all survivors, raw-grid survivors) of each of ``sectors``, which
+    share one shear class, as polynomials: _class_triples, read by
+    _polys."""
+    return [
+        _polys(s, triples, params.raw_grid_bound)
+        for s, triples in zip(sectors, _class_triples(sectors, params))
+    ]
 
 
 def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:

@@ -6,20 +6,26 @@ search nor verify, the oracle, imports the classification.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
+from typing import Iterator, Optional
 
 from .classify import Classification, _classify
-from .polynomials import QuadPoly, _exact_key
-from .search import SearchParams, _m0, _search_class
+from .polynomials import QuadPoly, stanton_quadratic
+from .search import SearchParams, _class_triples, _m0, _polys
 from .sectors import sector
 
 __all__ = ["sweep", "SweepRow", "SweepReport"]
 
 # one sector to sweep: (n, m, params)
 _Task = tuple[int, int, SearchParams]
+# one survivor of the search, in integers: (2d, 2n*e, f)
+_Triple = tuple[int, int, int]
+# classify's polynomials of one sector, each with its _Triple (or None)
+_Classified = tuple[list[QuadPoly], list[Optional[_Triple]]]
 
 
 @dataclass(frozen=True)
@@ -53,36 +59,75 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _class_rows(group: list[_Task]) -> list[SweepRow]:
-    """The rows of one shear class's (n, m, params) tasks, in task order.
+def _scaled_key(p: QuadPoly, n: int, forced: tuple[Fraction, ...]) -> Optional[_Triple]:
+    """The survivor triple (2d, 2n*e, f) that p would be found as: None
+    unless p has the forced homogeneous part and those are integers."""
+    if (p.a, p.b, p.c2) != forced:
+        return None
+    key = []
+    for c, scale in ((p.d, 2), (p.e, 2 * n), (p.f, 1)):
+        scaled, rem = divmod(c.numerator * scale, c.denominator)
+        if rem:
+            return None
+        key.append(scaled)
+    return key[0], key[1], key[2]
 
-    One search._search_class call searches every sector of the class: it
-    screens the union of their candidates once, so each reduced pair is
-    walked and certified at most once per class, and reads each sector's
-    survivors off the class.  The tasks also share one dict of
-    classifications, so a slope < 1 sector reads its reduced target's,
-    S(n/m0) of the same class, when an earlier task has already
-    classified it.  Both go with the class.
-    """
-    params = group[0][2]
-    searched = _search_class([sector(n, m) for n, m, _ in group], params)
+
+def _classified(group: list[_Task]) -> list[_Classified]:
+    """classify's polynomials of each of one shear class's tasks, with the
+    survivor triple that each would be found as (_scaled_key).  The tasks
+    share one dict of classifications, so a slope < 1 sector reads its
+    reduced target's, S(n/m0) of the same class, when an earlier task has
+    already classified it."""
     known: dict[tuple[int, int], Classification] = {}
+    classified = []
+    for n, m, _ in group:
+        polys = _classify(n, m, known).polynomials()
+        forced = stanton_quadratic(sector(n, m)) if polys else ()
+        classified.append((polys, [_scaled_key(p, n, forced) for p in polys]))
+    return classified
+
+
+def _class_survivors(group: list[_Task]) -> list[list[_Triple]]:
+    """The survivor triples of each of one shear class's tasks, from one
+    search._class_triples call: the unit of work that a process claims."""
+    return _class_triples([sector(n, m) for n, m, _ in group], group[0][2])
+
+
+def _rows(
+    group: list[_Task], classified: list[_Classified], survivors: list[list[_Triple]]
+) -> list[SweepRow]:
+    """The rows of one shear class's tasks, in task order, from each
+    task's classified polynomials with their triples and its survivor
+    triples.
+
+    A survivor that classify lists, matched by its triple, is classify's
+    own object, so _poly_from_scaled builds only the others.  A row
+    matches iff every classified polynomial has a triple and the two sets
+    of triples are equal: the search finds only polynomials with the
+    forced homogeneous part and integer triples, so one without either can
+    never be found."""
+    bound = group[0][2].raw_grid_bound
     rows = []
-    for (n, m, _), (found, raw_found) in zip(group, searched):
-        classified = _classify(n, m, known).polynomials()
-        own = {_exact_key(p): p for p in classified}
-        keys = [_exact_key(p) for p in found]
-        # classify's own object wherever the search found the same
-        # polynomial, so that a pooled row pickles each polynomial once
+    for (n, m, _), (polys, keys), triples in zip(group, classified, survivors):
+        found, raw_found = [], []
+        if triples:
+            found, raw_found = _polys(sector(n, m), triples, bound, dict(zip(keys, polys)))
         rows.append(SweepRow(
             n=n,
             m=m,
-            classified=tuple(classified),
-            searched=tuple(own.get(key, p) for key, p in zip(keys, found)),
-            raw_survivors=tuple(own.get(_exact_key(p), p) for p in raw_found),
-            match=set(own) == set(keys),
+            classified=tuple(polys),
+            searched=tuple(found),
+            raw_survivors=tuple(raw_found),
+            match=None not in keys and set(keys) == set(triples),
         ))
     return rows
+
+
+def _class_rows(group: list[_Task]) -> list[SweepRow]:
+    """The rows of one shear class's tasks, in task order: a serial
+    sweep's unit of work."""
+    return _rows(group, _classified(group), _class_survivors(group))
 
 
 def _shear_classes(tasks: list[_Task]) -> list[list[_Task]]:
@@ -97,34 +142,47 @@ def _shear_classes(tasks: list[_Task]) -> list[list[_Task]]:
     return sorted(classes.values(), key=len, reverse=True)
 
 
-def _share(classes: list[list[_Task]], counter) -> list[SweepRow]:
-    """The rows of every class this process claims.  It claims the next
-    class off ``counter``, a multiprocessing.Value that the sweep's
-    processes share, until none is left."""
-    rows: list[SweepRow] = []
+def _share(classes: list[list[_Task]], counter) -> Iterator[tuple[int, list[list[_Triple]]]]:
+    """(index, survivor triples) of every class this process claims.  It
+    claims the next class off ``counter``, a multiprocessing.Value that
+    the sweep's processes share, until none is left."""
     while True:
         with counter.get_lock():
             claimed = counter.value
             counter.value += 1
         if claimed >= len(classes):
-            return rows
-        rows += _class_rows(classes[claimed])
+            return
+        yield claimed, _class_survivors(classes[claimed])
 
 
 def _child(classes: list[list[_Task]], counter, conn) -> None:
-    """A child process's share, sent once through ``conn``: its rows, or
-    the exception that its share raised."""
+    """A child process's share, sent once through ``conn``: a dict of its
+    classes' survivor triples by class index, or the exception that its
+    share raised."""
     try:
-        result = _share(classes, counter)
+        result = dict(_share(classes, counter))
     except Exception as exc:
         result = exc
     conn.send(result)
     conn.close()
 
 
+def _received(pipes: list) -> Iterator[tuple[int, list[list[_Triple]]]]:
+    """(index, survivor triples) of every class the children claimed,
+    read off their pipes in turn; a child's exception is raised here."""
+    for receive in pipes:
+        try:
+            result = receive.recv()
+        except EOFError:  # the child died before it could send
+            raise RuntimeError("a sweep worker exited without sending its survivors") from None
+        if isinstance(result, BaseException):
+            raise result
+        yield from result.items()
+
+
 def _pooled(classes: list[list[_Task]], workers: int) -> list[SweepRow]:
-    """The rows of every class, shared out among this process and
-    workers - 1 children (see sweep)."""
+    """The rows of every class, the class searches shared out among this
+    process and workers - 1 children (see sweep)."""
     # imported here, so that only a pooled sweep loads multiprocessing and
     # the ctypes behind its shared counter, which take several times as
     # long to import as `import sectorpack` does
@@ -140,15 +198,10 @@ def _pooled(classes: list[list[_Task]], workers: int) -> list[SweepRow]:
             child.start()
             send.close()
             children.append(child)
-        rows = _share(classes, counter)
-        for receive in pipes:
-            try:
-                result = receive.recv()
-            except EOFError:  # the child died before it could send
-                raise RuntimeError("a sweep worker exited without sending its rows") from None
-            if isinstance(result, BaseException):
-                raise result
-            rows += result
+        classified = [_classified(group) for group in classes]
+        rows = []
+        for index, survivors in itertools.chain(_share(classes, counter), _received(pipes)):
+            rows += _rows(classes[index], classified[index], survivors)
     except BaseException:
         for child in children:
             child.terminate()
@@ -176,22 +229,26 @@ def sweep(
 
     The unit of work is a shear class: the sectors S(n/m) with one n and
     one m0 = (m - 1) mod n + 1, which one class search screens at once
-    (see search._search_class), so no class is ever split.  The calling
-    process is one of the workers: it starts workers - 1 child processes,
-    never more than there are classes less one, and it and the children
-    each claim the next class, the class with the most sectors first, off
-    one shared counter until none is left.  A process builds one class
-    state, the class search's _ShearClass and a dict of classifications,
-    per class it claims, and releases it after the class's rows; no state
-    crosses a class.
-    Each child sends its rows back once, through its own pipe, and the
-    caller sorts all rows into (n, m) order.  An exception in a child's
-    share is re-raised in the caller, and every child is joined before
-    sweep returns or raises, terminated first if it raises.  One worker,
-    one class or fewer than 4 sectors run in this process alone, class by
-    class in the same order.  A row is the one its sector gives searched
-    alone, whichever sectors of its class share its search, so the split
-    changes no row.
+    (see search._class_triples), so no class is ever split.  A pooled
+    sweep divides the work by layer.  The calling process is one of the
+    workers: it starts workers - 1 child processes, never more than there
+    are classes less one, classifies every sector, with one dict of
+    classifications per class, and then it and the children each claim
+    the next class, the class with the most sectors first, off one shared
+    counter until none is left.  A claimed class's search builds one
+    _ShearClass, released after the class; no state crosses a class.  The
+    children only search: each sends back once, through its own pipe, a
+    dict of plain integers, its classes' survivor triples (2d, 2n*e, f)
+    per sector by class index.  The caller builds a class's rows as soon
+    as its triples are known, its own classes' at once and a child's when
+    they arrive, and sorts all rows into (n, m) order.  An exception in a
+    child's share is re-raised in the caller, and every child is joined
+    before sweep returns or raises, terminated first if it raises.  One
+    worker, one class or fewer than 4 sectors run in this process alone,
+    class by class in the same order, each class classified, searched and
+    built into rows in turn.  Both paths build rows with one builder, and
+    a row is the one its sector gives searched alone, whichever sectors of
+    its class share its search, so the split changes no row.
 
     With max_m >= max_n the sweep holds S(n/m0) of every shear class of
     every n <= max_n, so a full match covers every m, not only m <=

@@ -10,7 +10,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 import sectorpack
 from sectorpack import (
@@ -30,12 +30,17 @@ from sectorpack.search import _grid_axes
 from sectorpack.verify import _LineTable
 
 
-def run_fresh(code: str) -> str:
+def run_fresh(code: str, script: Optional[Path] = None) -> str:
     """Run code in a fresh interpreter that imports this checkout's
-    sectorpack; return its stdout, failing on a nonzero exit."""
+    sectorpack; return its stdout, failing on a nonzero exit.  Given
+    ``script``, the code is written there and run as that file, so a
+    spawn or forkserver child imports it as __mp_main__ and runs its top
+    level too."""
     src = Path(sectorpack.__file__).resolve().parent.parent
+    if script is not None:
+        script.write_text(code)
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *([str(script)] if script is not None else ["-c", code])],
         capture_output=True,
         text=True,
         check=True,

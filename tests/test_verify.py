@@ -7,8 +7,9 @@ import itertools
 import math
 import multiprocessing
 import os
+import pickle
 import random
-import time
+import textwrap
 import tracemalloc
 from bisect import bisect_left, bisect_right
 from dataclasses import fields, replace
@@ -57,7 +58,7 @@ from sectorpack.search import (
     _shear_class,
     _structured_candidates,
 )
-from sectorpack.sweep import SweepRow, _class_rows, _share, _shear_classes
+from sectorpack.sweep import SweepRow, _child, _class_rows, _share, _shear_classes
 from sectorpack.verify import _LineTable, _prefix_verdict, _scaled
 
 from helpers import (
@@ -81,12 +82,6 @@ PARAMS = SearchParams(prefix_n=300, max_k=6, offset_range=10, raw_grid_bound=40)
 # would bind the package's function `search`, as with classify and sweep
 search_mod = importlib.import_module("sectorpack.search")
 sweep_mod = importlib.import_module("sectorpack.sweep")
-
-# tests that patch sweep's _class_rows for its children, which inherit it
-# only when they are forked
-FORKED_CHILDREN = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="needs forked children"
-)
 
 
 class TestEnumerate:
@@ -1328,6 +1323,28 @@ class TestSweep:
         assert row.match
         assert len(row.classified) == 2 and len(row.searched) == 2
 
+    @pytest.mark.parametrize("change", ["drop", "extra", "homogeneous", "off_grid"])
+    def test_row_matches_exact_polynomials_only(self, change, monkeypatch):
+        # the row builder matches classify's polynomials to the survivors
+        # by their triple (2d, 2n*e, f); one that shares a survivor's
+        # triple but not the forced homogeneous part, or one off the
+        # integer grid, has no triple: the row is a mismatch, and its
+        # searched polynomials are the search's, not classify's
+        real = _class_rows([(8, 5, PARAMS)])[0]
+        p, *rest = real.classified
+        listed = {
+            "drop": rest,
+            "extra": [p, *rest, replace(p, f=p.f + 1)],
+            "homogeneous": [replace(p, a=p.a + 1), *rest],
+            "off_grid": [replace(p, d=p.d + Fraction(1, 3)), *rest],
+        }[change]
+        fake = mock.Mock(polynomials=lambda: list(listed))
+        monkeypatch.setattr(sweep_mod, "_classify", lambda n, m, known: fake)
+        (row,) = _class_rows([(8, 5, PARAMS)])
+        assert real.match and not row.match
+        assert row.classified == tuple(listed)
+        assert row.searched == real.searched and row.raw_survivors == real.raw_survivors
+
     def test_tiny_sweep(self):
         report = sweep(2, 2, SearchParams(200, 6, 10, 20), workers=1)
         assert report.ok
@@ -1392,12 +1409,13 @@ class TestSweep:
         sizes = [len(group) for group in classes]
         assert sizes == sorted(sizes, reverse=True) and sizes[:3] == [8, 4, 3]
         claimed = []
-        monkeypatch.setattr(sweep_mod, "_class_rows", lambda group: claimed.append(group) or [])
+        monkeypatch.setattr(sweep_mod, "_class_survivors", lambda group: claimed.append(group) or [])
         counter = multiprocessing.Value("i", 0)
-        assert _share(classes, counter) == [] and claimed == classes
+        assert dict(_share(classes, counter)) == dict.fromkeys(range(len(classes)), [])
+        assert claimed == classes
         claimed.clear()
         counter.value = 3
-        _share(classes, counter)
+        assert [index for index, _ in _share(classes, counter)] == list(range(3, len(classes)))
         assert claimed == classes[3:]
 
     def test_workers_never_outnumber_classes(self, monkeypatch):
@@ -1554,47 +1572,127 @@ class TestSweep:
             for field in fields(SweepRow):
                 assert getattr(a, field.name) == getattr(b, field.name), (a.n, a.m, field.name)
         # searched and raw survivors are classify's own objects where the
-        # polynomials agree, so pickling a pooled row writes each once
+        # polynomials agree
         for row in pooled:
             for p in row.searched + row.raw_survivors:
                 assert all(q is p for q in row.classified if q == p)
         assert any(row.raw_survivors for row in pooled) is (params is PARAMS)
 
-    @FORKED_CHILDREN
-    def test_child_exception_reaches_the_caller(self, monkeypatch):
-        real, caller = sweep_mod._class_rows, os.getpid()
-        child_claimed = multiprocessing.Event()
+    def test_child_payload_is_plain_data(self):
+        # a child sends its classes' survivor triples, plain ints, not rows
+        # of Fraction coefficients: on 30x60 at raw 40 the rows of every
+        # class pickle to 98,084 bytes
+        tasks = [(n, m, PARAMS) for n in range(1, 31) for m in range(1, 61) if math.gcd(n, m) == 1]
+        classes = _shear_classes(tasks)
 
-        def failing(group):
-            if os.getpid() != caller:
-                child_claimed.set()
-                raise ValueError("raised in a child's share")
-            # the caller works on until the child has claimed a class
-            assert child_claimed.wait(30)
-            return real(group)
+        class Conn:
+            def send(self, obj):
+                sent.append(obj)
 
-        monkeypatch.setattr(sweep_mod, "_class_rows", failing)
-        with pytest.raises(ValueError, match="child's share"):
-            sweep(8, 8, PARAMS, workers=2)
-        assert multiprocessing.active_children() == []
+            def close(self):
+                pass
 
-    @FORKED_CHILDREN
-    def test_no_child_outlives_sweep(self, monkeypatch):
+        sent = []
+        _child(classes, multiprocessing.Value("i", 0), Conn())
+        (payload,) = sent
+        assert sorted(payload) == list(range(len(classes)))
+        assert [len(payload[k]) for k in payload] == [len(classes[k]) for k in payload]
+
+        def leaves(x):
+            if isinstance(x, dict):
+                x = [*x, *x.values()]
+            if not isinstance(x, (list, tuple)):
+                return [x]
+            return [leaf for item in x for leaf in leaves(item)]
+
+        ints = leaves(payload)
+        assert all(type(leaf) is int for leaf in ints) and len(ints) > 3 * len(classes)
+        assert len(pickle.dumps(payload)) < 25_000
+
+    # The two failure tests run a script file in a fresh interpreter under
+    # each start method.  Its top level replaces _class_survivors, the unit
+    # that the sweep's processes claim, so it is replaced in every child: a
+    # forked child inherits it, and a spawn or forkserver child imports the
+    # script as __mp_main__.  multiprocessing.parent_process() tells the
+    # caller from a child.
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_child_exception_reaches_the_caller(self, method, tmp_path):
+        out = run_fresh(
+            textwrap.dedent(f"""\
+                import importlib, multiprocessing, time
+                from pathlib import Path
+                from sectorpack import SearchParams
+                sweep_mod = importlib.import_module("sectorpack.sweep")
+                real = sweep_mod._class_survivors
+                claimed = Path(__file__).with_name("claimed")
+
+                def failing(group):
+                    if multiprocessing.parent_process() is not None:
+                        claimed.touch()
+                        raise ValueError("raised in a child's share")
+                    # the caller works on until a child has claimed a class
+                    deadline = time.monotonic() + 30
+                    while not claimed.exists():
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    return real(group)
+
+                sweep_mod._class_survivors = failing
+                if __name__ == "__main__":
+                    multiprocessing.set_start_method({method!r})
+                    try:
+                        sweep_mod.sweep(8, 8, {PARAMS!r}, workers=2)
+                    except ValueError as exc:
+                        print(exc)
+                    print(multiprocessing.active_children())
+            """),
+            tmp_path / "child_fails.py",
+        )
+        assert out == "raised in a child's share\n[]\n"
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_no_child_outlives_sweep(self, method, tmp_path):
         # after a sweep that succeeds, and after one whose caller's share
         # raises while its children still work: sweep terminates them
-        # rather than wait out their shares
-        assert len(sweep(8, 8, PARAMS, workers=3).rows) == 43
-        assert multiprocessing.active_children() == []
-        caller = os.getpid()
+        # rather than wait out their shares.  The file "failing" turns the
+        # failure on
+        out = run_fresh(
+            textwrap.dedent(f"""\
+                import importlib, multiprocessing, time
+                from pathlib import Path
+                from sectorpack import SearchParams
+                sweep_mod = importlib.import_module("sectorpack.sweep")
+                real = sweep_mod._class_survivors
+                here = Path(__file__).parent
 
-        def failing(group):
-            if os.getpid() == caller:
-                raise ValueError("raised in the caller's share")
-            time.sleep(60)
+                def failing(group):
+                    if not (here / "failing").exists():
+                        return real(group)
+                    if multiprocessing.parent_process() is not None:
+                        (here / "claimed").touch()
+                        time.sleep(60)
+                        return real(group)
+                    # the caller raises once a child has claimed a class
+                    deadline = time.monotonic() + 30
+                    while not (here / "claimed").exists():
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    raise ValueError("raised in the caller's share")
 
-        monkeypatch.setattr(sweep_mod, "_class_rows", failing)
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="caller's share"):
-            sweep(8, 8, PARAMS, workers=3)
-        assert time.perf_counter() - start < 30
-        assert multiprocessing.active_children() == []
+                sweep_mod._class_survivors = failing
+                if __name__ == "__main__":
+                    multiprocessing.set_start_method({method!r})
+                    rows = sweep_mod.sweep(8, 8, {PARAMS!r}, workers=3).rows
+                    print(len(rows), multiprocessing.active_children())
+                    (here / "failing").touch()
+                    start = time.perf_counter()
+                    try:
+                        sweep_mod.sweep(8, 8, {PARAMS!r}, workers=3)
+                    except ValueError as exc:
+                        print(exc)
+                    print(time.perf_counter() - start < 30, multiprocessing.active_children())
+            """),
+            tmp_path / "caller_fails.py",
+        )
+        assert out == "43 []\nraised in the caller's share\nTrue []\n"
