@@ -164,6 +164,33 @@ def classify(n: int, m: int) -> Classification:
     Entries are deterministic: sorted by stair count, ascending before
     descending.  No two entries share a (k, direction), and a stair form
     is read off its polynomial, so no polynomial repeats.
+
+    classify commutes with the shear.  Let m0 = (m - 1) mod n + 1 and q =
+    (m - m0)/n, so that T(x, y) = (x + q*y, y) maps the lattice points of
+    S(n/m0) one to one onto those of S(n/m).  Then classify(n, m) is
+    classify(n, m0) with x replaced by x - q*y, entry for entry.  For q =
+    0 there is nothing to prove; let q >= 1, so m > n and m != 1, and
+    classify(n, m) takes the slope < 1 branch.
+
+    - n >= 2: coprimality rules out m0 = n, so m0 < n, m // n = q and m mod
+      n = m0 != 0.  So w_reduce maps S(n/m) onto S(n/m0) by (x - q*y, y),
+      and the branch composes each of S(n/m0)'s entries with exactly that
+      map and keeps its form, so the sort keys, and with them the order,
+      are S(n/m0)'s.
+    - n = 1: m0 = 1 and q = m - 1.  w_reduce maps S(1/m) onto the quadrant
+      by (x - m*y, y), and the branch composes the Cantor pair with it.
+      The Cantor pair is S(1/1)'s Nathanson pair after (X, y) -> (X + y,
+      y): cantor_f(X, y) = f_1(X + y, y) and cantor_g(X, y) = g_1(X + y,
+      y), as both sides are X**2/2 + X*y + y**2/2 + X/2 + 3*y/2 and
+      X**2/2 + X*y + y**2/2 + 3*X/2 + y/2.  With X = x - m*y, the point
+      (X + y, y) is (x - (m-1)*y, y) = T^-1(x, y), so S(1/m)'s entries are
+      f_1 and g_1 with x replaced by x - q*y.  Their forms are read off
+      the polynomials, and T keeps every staircase, so they sort as f_1
+      and g_1 do on S(1/1).
+
+    So classify is complete on S(n/m) iff it is complete on S(n/m0);
+    tests/test_classify.py checks the commuting on every sector with an
+    integer-valued lattice, n <= 100, m <= 400 and q >= 1.
     """
     return _classify(n, m, {})
 

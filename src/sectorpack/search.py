@@ -22,13 +22,14 @@ one shear class.  With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the
 lattice points of S(n/m0) one to one onto those of S(n/m) and keeps
 every staircase index, so a search pair (d2, e2) takes on S(n/m) the
 values that the reduced pair (d2, e2 + q*n*d2) takes on S(n/m0), at
-every depth (_ShearClass proves it).  So the class is the search's unit:
-_class_triples maps the rows of every sector it is given to reduced pairs
-on S(n/m0), merges them into disjoint runs, screens the union once on
-one fresh _ShearClass, the search's one state object, and reads each
-sector's survivors off the kept triples, in integers; _search_class
-reads them as polynomials.  A lone search is the one-sector case, and a
-sweep makes one class search per shear class.
+every depth (_ShearClass proves it).  So the class is the search's unit,
+and _class_triples is the one place that shears: it maps the candidates
+of every sector it is given to reduced pairs on S(n/m0), one run per
+grid d2 and the structured pairs, screens them once on one fresh
+_ShearClass, the search's one state object, whose _screen reads only
+S(n/m0), and reads each sector's survivors off the kept triples, in
+integers.  _polys reads them as polynomials.  A lone search is the
+one-sector case, and a sweep makes one class search per shear class.
 """
 
 from __future__ import annotations
@@ -98,9 +99,11 @@ _PREFILTER_N = 8
 class _ShearClass:
     """The search's state for one shear class, certifying at prefix_n:
     the sectors S(n/m), m = m0 + q*n for q >= 0, that share n and m0 =
-    (m - 1) mod n + 1, each screened and certified on S(n/m0).  For n = 1
-    the class's sector is S(1/1), where w_reduce gives the quadrant.
-    _shear_class builds one from any sector of the class.
+    (m - 1) mod n + 1, each screened and certified on S(n/m0):
+    _class_triples shears each sector's pairs onto S(n/m0), and _screen
+    reads S(n/m0) alone.  For n = 1 the class's sector is S(1/1), where
+    w_reduce gives the quadrant.  _shear_class builds one from any sector
+    of the class.
 
     With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the lattice points of
     S(n/m0) one to one onto those of S(n/m): m*y <= n*(x + q*y) iff m0*y
@@ -126,7 +129,8 @@ class _ShearClass:
     _screen).  It needs no state per pair: _class_triples screens each
     reduced pair of the class at most once, as its runs are disjoint.
     ``walked`` and ``band`` count the pairs _screen walks, over every call
-    on the class, and those in the rows' bands.
+    on the class, and those in the rows' bands; a step-0 pair, skipped
+    before any line is read, counts in neither.
     """
 
     def __init__(self, s0: Sector, prefix_n: int, offset_range: int):
@@ -205,15 +209,15 @@ def _shear_class(s: Sector, prefix_n: int, offset_range: int) -> _ShearClass:
     return _ShearClass(s if m0 == s.m else Sector(s.n, m0, s.l), prefix_n, offset_range)
 
 
-def _screen(
-    shear: _ShearClass, m: int, rows: list[tuple[int, range]]
-) -> list[tuple[int, int, int]]:
-    """Keep the (d2, e2) pairs of ``rows`` on S(n/m), a sector of the
-    shear class, that pack to the class's prefix_n for some offset, as
-    (d2, e2, f) triples in row order, f the forced offset.
+def _screen(shear: _ShearClass, rows: list[tuple[int, range]]) -> list[tuple[int, int, int]]:
+    """Keep the (d2, e2) pairs of ``rows`` on S(n/m0), the shear class's
+    sector, that pack to the class's prefix_n for some offset, as (d2, e2,
+    f) triples in row order, f the forced offset.  A pair of another
+    sector of the class is screened as its reduced pair on S(n/m0), whose
+    values are its own (see _ShearClass); _class_triples shears the rows.
 
     ``rows`` is a d2-ascending list of (d2, ascending e2 range) on the
-    sector's integer-valued lattice, each range stepping by 2n; a row off
+    integer-valued lattice of S(n/m0), each range stepping by 2n; a row off
     it is a ValueError.  The rows are screened at the class's depth,
     min(prefix_n, _PREFILTER_N), and a pair that packs there is certified
     at prefix_n.  P0 grows with d2 (x >= 0) and with e2 (y >= 0)
@@ -221,54 +225,49 @@ def _screen(
     least depth + 1 values <= depth", which on a pair that is not negative
     is the window's size.  ``top`` is an e2 value: every pair above it, on
     this row and every later one, has too few values.  Each row is sliced
-    to e2 <= top and scanned down: a pair with too few values lowers
-    ``top`` for good, and the pairs below it down to the first negative
-    one, the row's band, are the only ones tested for a zero step and
-    distinct values.  Outside the bands the screen thus walks at most one
-    pair per row, the negative one that ends it, and one short pair per e2
-    value of the rows: |D| + |E| on the rows of a box, and on a shear
-    class's union rows (_class_triples) the runs plus the e2 values they
-    span.  A step-0 pair is never kept, but its window counts every point,
-    so it lowers ``top`` as any other does.  The down-set argument holds
-    on the sector's own coordinates, so rows, ``top`` and the kept triples
-    are the sector's.
+    to e2 <= top and scanned down.  A pair whose step is 0 is skipped
+    before any line is read: it takes one value along each whole line, so
+    it never packs, and as ``top`` and the negative break only prune the
+    scan, skipping it drops no survivor.  Every other pair is walked: a
+    pair with too few values lowers ``top`` for good, and the pairs below
+    it down to the first negative one, the row's band, are the only ones
+    tested for distinct values.  Outside the bands the screen thus walks at
+    most one pair per row, the negative one that ends it, and one short
+    pair per e2 value of the rows: |D| + |E| on the rows of a box, and on a
+    shear class's rows (_class_triples) the runs plus the e2 values they
+    span.
 
-    Each pair is read as its reduced pair (d2, e2 + q*n*d2) on S(n/m0), q
-    = (m - m0)/n, whose values are the pair's (see _ShearClass).  It
-    reads the lines and values that _LineTable.walk(n*d2, e2 + q*n*d2, 0,
-    2n, -offset_range, depth) on S(n/m0) would, but off the class's base
-    tables, with no call per pair.  Every reduced lattice pair is d2 =
-    d_ref + 2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref),
-    the lattice's residues on S(n/m0), and P0 is linear in (d2, e2): P0
-    moves by 2n*i*x + 2n*j*y.  So in units of 2n, line c's base (its value
-    at (x0(c), z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref
-    + i*u + j*v.  Only K(c), the reference pair's base, needs a division by
-    2n, read exactly per line class per shear class (see _read_to); the
-    rest is integer products and sums, so every value is exactly the
-    walk's.  The walk's stop line depends on the pair only through k_lo =
-    min(A, A*m + B*n), so each k_lo's count of lines is computed once, in
-    closed form (_LineTable.stop).  A line whose least value is below
-    -offset_range ends the pair's walk, which is then negative.
+    It reads the lines and values that _LineTable.walk(n*d2, e2, 0, 2n,
+    -offset_range, depth) on S(n/m0) would, but off the class's base
+    tables, with no call per pair.  Every lattice pair is d2 = d_ref + 2i,
+    e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref), the lattice's
+    residues, and P0 is linear in (d2, e2): P0 moves by 2n*i*x + 2n*j*y.
+    So in units of 2n, line c's base (its value at (x0(c), z(c))) is K(c) +
+    i*x0(c) + j*z(c) and the step is step_ref + i*u + j*v.  Only K(c), the
+    reference pair's base, needs a division by 2n, read exactly per line
+    class per shear class (see _read_to); the rest is integer products and
+    sums, so every value is exactly the walk's.  The walk's stop line
+    depends on the pair only through k_lo = min(A, A*m0 + B*n), so each
+    k_lo's count of lines is computed once, in closed form
+    (_LineTable.stop).  A line whose least value is below -offset_range
+    ends the pair's walk, which is then negative.
 
     A line's least value is its base on an ascending line and its last
     value on a descending one, read the same way off ``lasts``, so one
-    loop serves both signs of the step; a step-0 pair has a loop of its
-    own.  A line's window is the ``width`` values least, least + |step|,
-    ... that are at most depth; a step-0 line holds one value and counts
-    every point.  A band pair that steps packs iff marking each window
-    value below vmin + depth + 1 as bit value - vmin sets all depth + 1
-    bits with exactly depth + 1 marks: a value marked twice would leave a
-    bit unset.
+    loop serves both signs of the step.  A line's window is the ``width``
+    values least, least + |step|, ... that are at most depth.  A band pair
+    packs iff marking each window value below vmin + depth + 1 as bit value
+    - vmin sets all depth + 1 bits with exactly depth + 1 marks: a value
+    marked twice would leave a bit unset.
 
     A pair that packs is certified at once with prefix_check's verdict,
-    read by _prefix_verdict on the class's line table: the reduced pair
-    with f = -vmin is a polynomial on S(n/m0) whose values are the
-    pair's.  It lies on the integer-valued lattice, so prefix_check's
-    probe passes, and its homogeneous part is the forced one, so
-    _check_family passes.  Its lambda = a/n**2 = 1/(2n), d = d2/2 and e =
-    e2/(2n) have denominators dividing 2n, and f is an integer, so
-    prefix_check's own scale D is exactly 2n: its walk reads Q = 1 (the
-    table's), (A, B, F) = (n*d2, e2 + q*n*d2, 2n*f) and unit 2n, as here.
+    read by _prefix_verdict on the class's line table: the pair with f =
+    -vmin is a polynomial on S(n/m0).  It lies on the integer-valued
+    lattice, so prefix_check's probe passes, and its homogeneous part is
+    the forced one, so _check_family passes.  Its lambda = a/n**2 = 1/(2n),
+    d = d2/2 and e = e2/(2n) have denominators dividing 2n, and f is an
+    integer, so prefix_check's own scale D is exactly 2n: its walk reads Q
+    = 1 (the table's), (A, B, F) = (n*d2, e2, 2n*f) and unit 2n, as here.
 
     The result is that of one screen at full depth prefix_n.  In the
     integer values P0 over 2n, a line the screen cuts off early has every
@@ -281,8 +280,7 @@ def _screen(
     is negative, or misses or repeats a value below vmin + depth + 1.
     """
     lines = shear.table.lines
-    n, u, v = lines.n, lines.u, lines.v
-    q = (m - lines.m) // n  # S(n/m) = T(S(n/m0)), m0 = lines.m
+    n, m0, u, v = lines.n, lines.m, lines.u, lines.v
     unit = 2 * n
     lo, hi, prefix_n = -shear.offset_range, shear.depth, shear.prefix_n
     need = hi + 1
@@ -293,57 +291,46 @@ def _screen(
     d_ref, e_ref = shear.ref or (0, 0)
     for d2, E in rows:
         i, d_off = divmod(d2 - d_ref, 2)
-        e_off = q * n * d2 - e_ref  # e2 + e_off is 2n*j
-        if shear.ref is None or d_off or (E.start + e_off) % unit or len(E) > 1 and E.step != unit:
+        if shear.ref is None or d_off or (E.start - e_ref) % unit or len(E) > 1 and E.step != unit:
             raise ValueError(f"row ({d2}, {E}) is off the integer-valued lattice")
         A = n * d2
         row_step = shear.step_ref + i * u
         band = []
         walked = banded = 0
         for e2 in reversed(range(E.start, min(E.stop, top + 1), E.step)):
-            S = A * m + e2 * n
+            S = A * m0 + e2 * n
             if A < s_min or S < s_min:
                 break
-            walked += 1
-            j = (e2 + e_off) // unit
+            j = (e2 - e_ref) // unit
             step = row_step + j * v
+            if not step:
+                continue
+            walked += 1
             k_lo = A if A < S else S
             stop = stops.get(k_lo)
             if stop is None:
                 stop = shear.stop_line(k_lo)
             window = []  # (least, width) per line that meets the window
             total = vmin = 0
-            gap = step if step >= 0 else -step
-            if step:
-                for K, x, y, count in (firsts if step > 0 else lasts)[:stop]:
-                    least = K + i * x + j * y
-                    if least < vmin:
-                        vmin = least
-                        if vmin < lo:
-                            break
-                    if least <= hi:
-                        width = (hi - least) // gap + 1
-                        if width > count:
-                            width = count
-                        window.append((least, width))
-                        total += width
-            else:
-                for K, x0, z, count in firsts[:stop]:
-                    value = K + i * x0 + j * z
-                    if value < vmin:
-                        vmin = value
-                        if vmin < lo:
-                            break
-                    if value <= hi:
-                        total += count
+            gap = step if step > 0 else -step
+            for K, x, y, count in (firsts if step > 0 else lasts)[:stop]:
+                least = K + i * x + j * y
+                if least < vmin:
+                    vmin = least
+                    if vmin < lo:
+                        break
+                if least <= hi:
+                    width = (hi - least) // gap + 1
+                    if width > count:
+                        width = count
+                    window.append((least, width))
+                    total += width
             if vmin < lo:  # negative: so is every pair below it on the row
                 break
             if total < need:  # short: so is every pair above it
                 top = e2 - 1
                 continue
             banded += 1
-            if not step:
-                continue
             seen = marked = 0
             for least, width in window:
                 first = least - vmin
@@ -355,11 +342,7 @@ def _screen(
                     # bits first, first + gap, ..., first + (w - 1)*gap
                     seen |= ((1 << gap * w) - 1) // ((1 << gap) - 1) << first
             if seen == full and marked == need:
-                # the reduced pair (d2, e_ref + 2n*j), certified
-                verdict = _prefix_verdict(
-                    shear.table, A, e_ref + unit * j, -unit * vmin, unit, prefix_n
-                )
-                if verdict.ok:
+                if _prefix_verdict(shear.table, A, e2, -unit * vmin, unit, prefix_n).ok:
                     band.append((d2, e2, -vmin))
         shear.walked += walked
         shear.band += banded
@@ -411,8 +394,25 @@ def _grid_axes(s: Sector, bound: int) -> tuple[range, range]:
 
 
 def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
+    """The polynomial of the survivor triple (d2, e2, f) = (2d, 2n*e, f)
+    on s, with the forced homogeneous part: the inverse of _scaled_key."""
     a, b, c2 = stanton_quadratic(s)
     return QuadPoly(a, b, c2, Fraction(d2, 2), Fraction(e2, 2 * s.n), Fraction(f))
+
+
+def _scaled_key(
+    p: QuadPoly, n: int, forced: tuple[Fraction, ...]
+) -> Optional[tuple[int, int, int]]:
+    """The survivor triple (2d, 2n*e, f) that p would be found as, on a
+    sector S(n/m) whose forced homogeneous part is ``forced``: None unless
+    p has that part and the three are integers.  The inverse of
+    _poly_from_scaled."""
+    if (p.a, p.b, p.c2) != forced:
+        return None
+    d2, e2, f = 2 * p.d, 2 * n * p.e, p.f
+    if d2.denominator == e2.denominator == f.denominator == 1:
+        return d2.numerator, e2.numerator, f.numerator
+    return None
 
 
 def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tuple[int, int, int]]]:
@@ -425,24 +425,25 @@ def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tup
     single pair for each structured pair off the grid.  A class with no
     integer-valued lattice has none, and that is a class invariant, as
     (m-1)**2 = (m0-1)**2 mod n: it returns at once, with no candidates
-    built and no screen.  A pair (d2, e2) of S(n/m) is read as its reduced
-    pair (d2, e2 + q*n*d2) on S(n/m0), q = (m - m0)/n, which takes the
-    pair's values (_ShearClass).  The reduced candidates of every sector
-    are merged, per d2, into disjoint ascending runs.  The sectors share
-    the grid's d2 axis, and a grid row's reduced e2 are the lattice's in
-    [-n*bound, n*bound] + q*n*d2, so its least and greatest grow with
-    q*d2, and consecutive q shift that interval, 2n*bound wide, by n*|d2|
-    <= n*bound.  So the grids of a block of sectors with consecutive q
-    make one run per grid d2, from the least e2 of the block's sector with
-    the least q*d2 to the greatest of the one with the greatest: one run
-    per grid d2 on a sweep's class, whose q are 0, 1, 2, ....  A
-    structured pair joins a run or makes its own.  One _screen call on a
-    fresh _ShearClass of the class then walks each reduced pair at most
-    once and keeps exactly the pairs of the runs that pack and pass their
-    certification.  So a sector's survivors are the kept triples in its
-    own rows, mapped back by e2 = e2' - q*n*d2: those on its grid's axes
-    and those among its structured pairs, tested in O(kept triples +
-    structured pairs) per sector.
+    built and no screen.  This is the one place that shears: a pair (d2,
+    e2) of S(n/m) is read as its reduced pair (d2, e2 + q*n*d2) on
+    S(n/m0), q = (m - m0)/n, which takes the pair's values (_ShearClass).
+    The sectors share the grid's d2 axis, and a grid row's reduced e2 are
+    the lattice's in [-n*bound, n*bound] + q*n*d2, so its least and
+    greatest grow with q*d2, and consecutive q shift that interval,
+    2n*bound wide, by n*|d2| <= n*bound.  So each grid d2 makes one run,
+    from the least e2 of the sector with the least q*d2 to the greatest of
+    the one with the greatest: on a sweep's class, whose q are 0, 1, 2,
+    ..., exactly the union of the sectors' reduced grid rows, and on a
+    class with gaps in q that union and the pairs between, which are
+    screened too and kept by no sector.  A reduced structured pair joins a
+    run or makes its own.  One _screen call on a fresh _ShearClass of the
+    class then walks each reduced pair at most once and keeps exactly the
+    pairs of the runs that pack and pass their certification.  So a
+    sector's survivors are the kept triples in its own rows, mapped back by
+    e2 = e2' - q*n*d2: those on its grid's axes and those among its
+    structured pairs, tested in O(kept triples + structured pairs) per
+    sector.
 
     The survivors come in the order of the polynomials' step d*u + e*v
     (its size, then ascending first), f and coefficients: in integers,
@@ -457,7 +458,6 @@ def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tup
     n, m0 = first.n, _m0(first.n, first.m)
     unit = 2 * n
     plans = []  # (shift, E, structured pairs off the grid) of each sector
-    grids = []  # (shift, least e2, greatest e2) of each sector's grid
     singles_at: dict[int, list[int]] = {}  # d2 -> reduced e2 of pairs off a grid
     for s in sectors:
         shift = s.m - m0  # q*n: the reduced e2 is e2 + shift*d2
@@ -469,24 +469,18 @@ def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tup
             if not (d2 in D and e2 in E)
         }
         plans.append((shift, E, singles))
-        if E:
-            grids.append((shift, E[0], E[-1]))
         for d2, e2 in singles:
             singles_at.setdefault(d2, []).append(e2 + shift * d2)
-    blocks = []  # [least q, greatest q] grids of each block of consecutive q
-    for grid in sorted(grids):
-        if blocks and grid[0] == blocks[-1][1][0] + n:
-            blocks[-1][1] = grid
-        else:
-            blocks.append([grid, grid])
+    # (shift, least e2, greatest e2) of each sector's grid, by q
+    grids = sorted((shift, E[0], E[-1]) for shift, E, _ in plans if E)
     rows: list[tuple[int, range]] = []
     for d2 in sorted(set(D).union(singles_at)):
         spans = [(e2, e2) for e2 in singles_at.get(d2, ())]
         if d2 in D:
-            for low, high in blocks:
-                if d2 < 0:
-                    low, high = high, low
-                spans.append((low[1] + low[0] * d2, high[2] + high[0] * d2))
+            low, high = grids[0], grids[-1]
+            if d2 < 0:
+                low, high = high, low
+            spans.append((low[1] + low[0] * d2, high[2] + high[0] * d2))
         spans.sort()
         lo, hi = spans[0]
         for a, b in spans:
@@ -506,7 +500,7 @@ def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tup
         delta = n * d2 * u + e2 * v
         return abs(delta), delta < 0, f, d2, e2
 
-    kept = sorted(_screen(shear, m0, rows), key=order)
+    kept = sorted(_screen(shear, rows), key=order)
     results = []
     for shift, E, singles in plans:
         triples = []
@@ -542,22 +536,10 @@ def _polys(
     return found, raw_found
 
 
-def _search_class(
-    sectors: list[Sector], params: SearchParams
-) -> list[tuple[list[QuadPoly], list[QuadPoly]]]:
-    """(all survivors, raw-grid survivors) of each of ``sectors``, which
-    share one shear class, as polynomials: _class_triples, read by
-    _polys."""
-    return [
-        _polys(s, triples, params.raw_grid_bound)
-        for s, triples in zip(sectors, _class_triples(sectors, params))
-    ]
-
-
 def _search_detail(s: Sector, params: SearchParams) -> tuple[list[QuadPoly], list[QuadPoly]]:
     """(all survivors, raw-grid survivors) of s alone: the one-sector
-    class search."""
-    return _search_class([s], params)[0]
+    class search, read by _polys."""
+    return _polys(s, _class_triples([s], params)[0], params.raw_grid_bound)
 
 
 def search(s: Sector, params: SearchParams) -> list[QuadPoly]:

@@ -10,12 +10,11 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .classify import Classification, _classify
 from .polynomials import QuadPoly, stanton_quadratic
-from .search import SearchParams, _class_triples, _m0, _polys
+from .search import SearchParams, _class_triples, _m0, _polys, _scaled_key
 from .sectors import sector
 
 __all__ = ["sweep", "SweepRow", "SweepReport"]
@@ -59,26 +58,12 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _scaled_key(p: QuadPoly, n: int, forced: tuple[Fraction, ...]) -> Optional[_Triple]:
-    """The survivor triple (2d, 2n*e, f) that p would be found as: None
-    unless p has the forced homogeneous part and those are integers."""
-    if (p.a, p.b, p.c2) != forced:
-        return None
-    key = []
-    for c, scale in ((p.d, 2), (p.e, 2 * n), (p.f, 1)):
-        scaled, rem = divmod(c.numerator * scale, c.denominator)
-        if rem:
-            return None
-        key.append(scaled)
-    return key[0], key[1], key[2]
-
-
 def _classified(group: list[_Task]) -> list[_Classified]:
     """classify's polynomials of each of one shear class's tasks, with the
-    survivor triple that each would be found as (_scaled_key).  The tasks
-    share one dict of classifications, so a slope < 1 sector reads its
-    reduced target's, S(n/m0) of the same class, when an earlier task has
-    already classified it."""
+    survivor triple that each would be found as (search._scaled_key).  The
+    tasks share one dict of classifications, so a slope < 1 sector reads
+    its reduced target's, S(n/m0) of the same class, when an earlier task
+    has already classified it."""
     known: dict[tuple[int, int], Classification] = {}
     classified = []
     for n, m, _ in group:
@@ -255,9 +240,10 @@ def sweep(
     max_m.  With q = (m - m0)/n, T(x, y) = (x + q*y, y) maps the lattice
     points of S(n/m0) one to one onto those of S(n/m), so p packs S(n/m)
     iff p o T packs S(n/m0); and classify(n, m) is classify(n, m0) with x
-    replaced by x - q*y (a test checks it on every sector with an
-    integer-valued lattice, n <= 100, m <= 400 and q >= 1), so classify
-    is complete on S(n/m) iff it is complete on S(n/m0).  Only that
+    replaced by x - q*y (classify's docstring proves it, and a test checks
+    it on every sector with an integer-valued lattice, n <= 100, m <= 400
+    and q >= 1), so classify is complete on S(n/m) iff it is complete on
+    S(n/m0).  Only that
     completeness transports: each sector's raw grid is its own, so a
     row's ``searched`` and ``raw_survivors`` are not its S(n/m0)'s
     sheared.

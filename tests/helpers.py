@@ -26,7 +26,7 @@ from sectorpack import (
     construct,
     t_dual,
 )
-from sectorpack.search import _grid_axes
+from sectorpack.search import _ShearClass, _grid_axes, _screen
 from sectorpack.verify import _LineTable
 
 
@@ -342,6 +342,18 @@ def box_rows(s: Sector, bound: int) -> list[tuple[int, range]]:
     """The raw grid of ``bound`` as _screen rows: one (d2, E) per d2."""
     D, E = _grid_axes(s, bound)
     return [(d2, E) for d2 in D]
+
+
+def sector_screen(
+    shear: _ShearClass, s: Sector, rows: list[tuple[int, range]]
+) -> list[tuple[int, int, int]]:
+    """_screen on the rows of s, a sector of ``shear``'s class, in s's own
+    coordinates: each row is shifted onto S(n/m0) by e2 -> e2 + q*n*d2,
+    q = (m - m0)/n, as the class search shifts it, and the kept triples
+    are shifted back."""
+    shift = s.m - shear.table.lines.m  # q*n
+    reduced = [(d2, range(E.start + shift * d2, E.stop + shift * d2, E.step)) for d2, E in rows]
+    return [(d2, e2 - shift * d2, f) for d2, e2, f in _screen(shear, reduced)]
 
 
 def raw_candidates(s: Sector, bound: int) -> list[tuple[int, int]]:

@@ -30,7 +30,7 @@ from sectorpack import (
     t_dual,
     w_reduce,
 )
-from helpers import box_rows, filter_candidates, first_stair_scan, raw_candidates
+from helpers import box_rows, filter_candidates, first_stair_scan, raw_candidates, sector_screen
 
 ASC, DESC = Direction.ASCENDING, Direction.DESCENDING
 
@@ -150,13 +150,13 @@ def depth8_listing(screen) -> str:
 
 
 def test_criterion_03_depth8_survivors_pinned():
-    from sectorpack.search import _screen, _shear_class
+    from sectorpack.search import _shear_class
 
     def pair_by_pair(s, bound, depth, offset_range):
         return filter_candidates(s, raw_candidates(s, bound), depth, offset_range)
 
     def box_screen(s, bound, depth, offset_range):
-        return _screen(_shear_class(s, depth, offset_range), s.m, box_rows(s, bound))
+        return sector_screen(_shear_class(s, depth, offset_range), s, box_rows(s, bound))
 
     for screen in (pair_by_pair, box_screen):
         digest = hashlib.sha256(depth8_listing(screen).encode()).hexdigest()

@@ -51,9 +51,11 @@ from sectorpack.search import (
     _grid_axes,
     _lattice_residues,
     _m0,
+    _class_triples,
     _poly_from_scaled,
+    _polys,
+    _scaled_key,
     _screen,
-    _search_class,
     _search_detail,
     _shear_class,
     _structured_candidates,
@@ -69,6 +71,7 @@ from helpers import (
     prefix_report_reference,
     raw_candidates,
     run_fresh,
+    sector_screen,
     stair_steps_scan,
 )
 
@@ -975,8 +978,10 @@ class TestScreenThenCertify:
     @settings(max_examples=80, deadline=None, derandomize=True)
     def test_screen_equals_pair_screen(self, nm, prefix_n, offset_range, bound, extra):
         # The box rows of a bound plus lattice rows off the box, below,
-        # inside and above its d2 range, stably sorted by d2: the screen
-        # keeps what the pair-by-pair reference keeps, in row order.
+        # inside and above its d2 range, stably sorted by d2: the screen of
+        # the rows shifted onto S(n/m0), its triples shifted back, keeps
+        # what the pair-by-pair reference keeps on the sector's own lines,
+        # in row order.
         s = sector(*nm)
         D, E = _grid_axes(s, bound)
         d_res, e_res = _lattice_residues(s)
@@ -989,7 +994,7 @@ class TestScreenThenCertify:
         rows.sort(key=lambda row: row[0])
         pairs = [(d2, e2) for d2, row in rows for e2 in row]
         shear = _shear_class(s, prefix_n, offset_range)
-        assert _screen(shear, s.m, rows) == filter_candidates(s, pairs, prefix_n, offset_range)
+        assert sector_screen(shear, s, rows) == filter_candidates(s, pairs, prefix_n, offset_range)
 
     @given(
         st.sampled_from(GRID_SECTORS),
@@ -1091,24 +1096,28 @@ class TestScreenThenCertify:
         s = sector(*nm)
         shear = _shear_class(s, _PREFILTER_N, PARAMS.offset_range)
         with pytest.raises(ValueError, match="off the integer-valued lattice"):
-            _screen(shear, s.m, [row])
+            _screen(shear, [row])
         # a lattice row of one pair steps by 1 and is screened
         if _lattice_residues(s) is not None:
             d_res, e_res = _lattice_residues(s)
-            _screen(shear, s.m, [(d_res, range(e_res, e_res + 1))])
+            _screen(shear, [(d_res, range(e_res, e_res + 1))])
 
     def test_grid_screen_walks_band_and_boundary(self):
+        # the band is the pairs with a nonzero step that are neither
+        # negative nor short; a step-0 pair is skipped unwalked
         s = sector(8, 5)
         D, E = _grid_axes(s, 40)
         need = _PREFILTER_N + 1
         band = 0
         for d2, e2 in raw_candidates(s, 40):
+            if s.n * d2 * s.lines.u + e2 * s.lines.v == 0:
+                continue
             window = pair_window(s, d2, e2, _PREFILTER_N, PARAMS.offset_range)
             band += window is not None and window[1] >= need
         assert band
 
         shear = _shear_class(s, _PREFILTER_N, PARAMS.offset_range)
-        _screen(shear, s.m, box_rows(s, 40))
+        sector_screen(shear, s, box_rows(s, 40))
         assert shear.band == band
         assert band <= shear.walked <= len(D) + len(E) + band
 
@@ -1127,9 +1136,9 @@ class TestScreenThenCertify:
         depths = []
         real = search_mod._screen
 
-        def screen(shear, m, rows):
+        def screen(shear, rows):
             depths.append((shear.depth, shear.prefix_n))
-            return real(shear, m, rows)
+            return real(shear, rows)
 
         monkeypatch.setattr(search_mod, "_screen", screen)
         for prefix_n in (0, 5, 8, 300):
@@ -1141,16 +1150,16 @@ class TestScreenThenCertify:
         # the serial 30x30 sweep at raw 40 walked 140,756 pairs when the
         # screen walked every grid pair.  Its 170 sectors with candidates
         # fall into 49 shear classes, and one screen per class walks the
-        # union of the class's reduced rows: exactly 4,495 pairs, 3,161 of
-        # them in bands, whatever the line loops look like, each reduced
-        # pair at most once, and 132 certifications, one per walked pair
-        # that packs at depth 8
+        # union of the class's reduced rows: exactly 3,871 pairs with a
+        # nonzero step, 2,567 of them in bands, whatever the line loops
+        # look like, each reduced pair at most once, and 132
+        # certifications, one per walked pair that packs at depth 8
         screens, verdicts = [], []
         real, real_verdict = search_mod._screen, search_mod._prefix_verdict
 
-        def counting(shear, m, rows):
+        def counting(shear, rows):
             screens.append(shear)
-            return real(shear, m, rows)
+            return real(shear, rows)
 
         def verdict(*args):
             verdicts.append(args)
@@ -1161,8 +1170,8 @@ class TestScreenThenCertify:
         assert sweep(30, 30, PARAMS, workers=1).ok
         assert len(screens) == len({id(shear) for shear in screens}) == 49
         assert sum(shear.walked for shear in screens) <= 5_000
-        assert sum(shear.walked for shear in screens) == 4_495
-        assert sum(shear.band for shear in screens) == 3_161
+        assert sum(shear.walked for shear in screens) == 3_871
+        assert sum(shear.band for shear in screens) == 2_567
         assert len(verdicts) == 132
 
     def test_structured_pairs_are_the_integer_valued_ones(self, monkeypatch):
@@ -1223,9 +1232,9 @@ class TestScreenThenCertify:
         screens, calls = [], []
         real_screen, real_verdict = search_mod._screen, search_mod._prefix_verdict
 
-        def screen(shear, m, rows):
-            screens.append((shear, m))
-            return real_screen(shear, m, rows)
+        def screen(shear, rows):
+            screens.append(shear)
+            return real_screen(shear, rows)
 
         def verdict(table, A, B, F, unit, n_max):
             calls.append((table, (A, B, F, unit), n_max))
@@ -1239,9 +1248,8 @@ class TestScreenThenCertify:
         monkeypatch.setattr(verify_mod, "prefix_check", no_prefix_check)
         ordered, raw = _search_detail(s, PARAMS)
         assert len(ordered) == 2 and raw == ordered
-        ((shear, m),) = screens
-        table, q = shear.table, (m - shear.table.lines.m) // n
-        assert m == s.m
+        (shear,) = screens
+        table, q = shear.table, (s.m - shear.table.lines.m) // n
         assert all(called is table and n_max == PARAMS.prefix_n for called, _, n_max in calls)
         scaled = [args for _, args, _ in calls]
         assert len(scaled) == len(set(scaled))
@@ -1310,8 +1318,8 @@ class TestScreenThenCertify:
         s = sector(*nm)
         n = s.n
         rows = box_rows(s, PARAMS.raw_grid_bound)
-        assert triple in _screen(_shear_class(s, _PREFILTER_N, PARAMS.offset_range), s.m, rows)
-        assert triple not in _screen(_shear_class(s, 300, PARAMS.offset_range), s.m, rows)
+        assert triple in sector_screen(_shear_class(s, _PREFILTER_N, PARAMS.offset_range), s, rows)
+        assert triple not in sector_screen(_shear_class(s, 300, PARAMS.offset_range), s, rows)
         d2, e2, f = triple
         assert _prefix_verdict(_LineTable(s, 1), n * d2, e2, 2 * n * f, 2 * n, 300) == want
         assert prefix_check(s, _poly_from_scaled(s, d2, e2, f), 300) == want
@@ -1322,6 +1330,28 @@ class TestSweep:
         (row,) = _class_rows([(8, 5, PARAMS)])
         assert row.match
         assert len(row.classified) == 2 and len(row.searched) == 2
+
+    def test_triple_writer_and_reader_invert(self):
+        # search._poly_from_scaled builds a survivor triple's polynomial and
+        # search._scaled_key reads a polynomial's triple (2d, 2n*e, f): on
+        # the serial 30x30 sweep's classes at raw 40 each inverts the other
+        # on every survivor triple and on every classified polynomial that
+        # has a triple
+        tasks = [(n, m, PARAMS) for n in range(1, 31) for m in range(1, 31) if math.gcd(n, m) == 1]
+        triples_seen = keyed = 0
+        for group in _shear_classes(tasks):
+            sectors = [sector(n, m) for n, m, _ in group]
+            for s, triples in zip(sectors, _class_triples(sectors, PARAMS)):
+                forced = stanton_quadratic(s)
+                for triple in triples:
+                    assert _scaled_key(_poly_from_scaled(s, *triple), s.n, forced) == triple
+                triples_seen += len(triples)
+                for p in classify(s.n, s.m).polynomials():
+                    key = _scaled_key(p, s.n, forced)
+                    if key is not None:
+                        assert _poly_from_scaled(s, *key) == p
+                        keyed += 1
+        assert (triples_seen, keyed) == (359, 359)
 
     @pytest.mark.parametrize("change", ["drop", "extra", "homogeneous", "off_grid"])
     def test_row_matches_exact_polynomials_only(self, change, monkeypatch):
@@ -1500,20 +1530,22 @@ class TestSweep:
         ids=["raw40", "prefix9", "offset0", "raw0", "raw7"],
     )
     def test_class_search_equals_lone_searches(self, params, monkeypatch):
-        # one class search screens the union of its sectors' reduced rows
-        # once and gives each sector what it gets searched alone, on a
-        # class's sectors with consecutive q and on ones with gaps.  The
-        # rows hold each reduced candidate once, d2 ascending, and no other
-        # pair.  Prefix 9 keeps more on S(11/m) than prefix 300, and offset
-        # range 0 less on S(3/m).  At raw 0 every row is a structured pair;
-        # with a grid, some structured pairs lie off their own sector's
-        # grid, and some of those inside another sector's grid
+        # one class search screens its sectors' reduced rows once and gives
+        # each sector what it gets searched alone, on a class's sectors
+        # with consecutive q and on ones with gaps.  The rows hold each
+        # reduced candidate once, d2 ascending: on a whole class and on a
+        # contiguous slice of it, no other pair; with gaps in q, the pairs
+        # between the grids too.  Prefix 9 keeps more on S(11/m) than
+        # prefix 300, and offset range 0 less on S(3/m).  At raw 0 every
+        # row is a structured pair; with a grid, some structured pairs lie
+        # off their own sector's grid, and some of those inside another
+        # sector's grid
         screened = []
         real = search_mod._screen
 
-        def screen(shear, m, rows):
+        def screen(shear, rows):
             screened.append(rows)
-            return real(shear, m, rows)
+            return real(shear, rows)
 
         monkeypatch.setattr(search_mod, "_screen", screen)
         bound = params.raw_grid_bound
@@ -1536,13 +1568,27 @@ class TestSweep:
                     reduced[s.m] = grids[s.m] | off
                     off_grid += len(off)
                     inside_run += sum(any(pair in grid for grid in grids.values()) for pair in off)
-                for sectors in (group, group[::-2], group[1::3]):
+                subsets = [  # (sectors, whether their q are consecutive)
+                    (group, True),
+                    (group[1:3], True),
+                    (group[len(group) // 2 :], True),
+                    (group[::-2], False),
+                    (group[1::3], False),
+                ]
+                for sectors, consecutive in subsets:
                     screened.clear()
-                    assert _search_class(sectors, params) == [lone[s.m] for s in sectors]
+                    triples = _class_triples(sectors, params)
+                    assert [_polys(s, t, bound) for s, t in zip(sectors, triples)] == [
+                        lone[s.m] for s in sectors
+                    ]
                     pairs = [(d2, e2) for rows in screened for d2, E in rows for e2 in E]
                     assert [d2 for d2, _ in pairs] == sorted(d2 for d2, _ in pairs)
                     assert len(pairs) == len(set(pairs))
-                    assert set(pairs) == set().union(*(reduced[s.m] for s in sectors))
+                    union = set().union(*(reduced[s.m] for s in sectors))
+                    if consecutive:
+                        assert set(pairs) == union
+                    else:
+                        assert set(pairs) >= union
         assert inside_run < off_grid and (inside_run > 0) is (bound > 0)
 
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
