@@ -6,8 +6,9 @@ none of the classification theorems.  Every candidate takes the forced
 homogeneous part from polynomials.stanton_quadratic.  Only the candidate
 stage uses the construction's formulas: _structured_candidates proposes
 the (d, e) pairs of the stair coefficient families, in integers, with
-polynomials._stair_pair and _residue, and they join the raw grid as
-single-pair rows.  The screen and the certification use none of them.
+polynomials._stair_pair and _residue, and each one off the raw grid's
+rows is a row of its own.  The screen and the certification use none of
+them.
 A pair that passes the screen is certified with the oracle's own
 verdict, verify._prefix_verdict, read on its shear class's line table
 (below).  The screen reads the lines the oracle's walk reads, without a
@@ -23,9 +24,10 @@ lattice points of S(n/m0) one to one onto those of S(n/m) and keeps
 every staircase index, so a search pair (d2, e2) takes on S(n/m) the
 values that the reduced pair (d2, e2 + q*n*d2) takes on S(n/m0), at
 every depth (_ShearClass proves it).  So the class is the search's unit,
-and _class_triples is the one place that shears: it maps the candidates
-of every sector it is given to reduced pairs on S(n/m0), one run per
-grid d2 and the structured pairs, screens them once on one fresh
+and _class_triples is the one place that shears: it maps the raw grids
+of every sector it is given onto S(n/m0), one run per grid d2, and the
+stair pairs, which reduce to one set for the whole class, with one row
+for each pair off its d2's run.  It screens them once on one fresh
 _ShearClass, the search's one state object, whose _screen reads only
 S(n/m0), and reads each sector's survivors off the kept triples, in
 integers.  _polys reads them as polynomials.  A lone search is the
@@ -127,7 +129,7 @@ class _ShearClass:
     tables and certifies each pair that packs, and the base tables of one
     reference lattice pair with the stop line of each k_lo met (see
     _screen).  It needs no state per pair: _class_triples screens each
-    reduced pair of the class at most once, as its runs are disjoint.
+    reduced pair of the class at most once, as its rows are disjoint.
     ``walked`` and ``band`` count the pairs _screen walks, over every call
     on the class, and those in the rows' bands; a step-0 pair, skipped
     before any line is read, counts in neither.
@@ -216,19 +218,20 @@ def _screen(shear: _ShearClass, rows: list[tuple[int, range]]) -> list[tuple[int
     sector of the class is screened as its reduced pair on S(n/m0), whose
     values are its own (see _ShearClass); _class_triples shears the rows.
 
-    ``rows`` is a d2-ascending list of (d2, ascending e2 range) on the
-    integer-valued lattice of S(n/m0), each range stepping by 2n; a row off
-    it is a ValueError.  The rows are screened at the class's depth,
-    min(prefix_n, _PREFILTER_N), and a pair that packs there is certified
-    at prefix_n.  P0 grows with d2 (x >= 0) and with e2 (y >= 0)
-    everywhere, so "negative" is a down-set of the lattice, and so is "at
-    least depth + 1 values <= depth", which on a pair that is not negative
-    is the window's size.  ``top`` is an e2 value: every pair above it, on
-    this row and every later one, has too few values.  Each row is sliced
-    to e2 <= top and scanned down.  A pair whose step is 0 is skipped
-    before any line is read: it takes one value along each whole line, so
-    it never packs, and as ``top`` and the negative break only prune the
-    scan, skipping it drops no survivor.  Every other pair is walked: a
+    ``rows`` is a d2-ascending list of (d2, ascending e2 range), several
+    of them for one d2 if need be, on the integer-valued lattice of
+    S(n/m0), each range stepping by 2n; a row off it is a ValueError.  The
+    rows are screened at the class's depth, min(prefix_n, _PREFILTER_N),
+    and a pair that packs there is certified at prefix_n.  P0 grows with
+    d2 (x >= 0) and with e2 (y >= 0) everywhere, so "negative" is a
+    down-set of the lattice, and so is "at least depth + 1 values <=
+    depth", which on a pair that is not negative is the window's size.
+    ``top`` is an e2 value: every pair above it, on this row and every
+    later one, of its d2 or a greater one, has too few values.  Each row
+    is sliced to e2 <= top and scanned down.  A pair whose step is 0 is
+    skipped before any line is read: it takes one value along each whole
+    line, so it never packs, and as ``top`` and the negative break only
+    prune the scan, skipping it drops no survivor.  Every other pair is walked: a
     pair with too few values lowers ``top`` for good, and the pairs below
     it down to the first negative one, the row's band, are the only ones
     tested for distinct values.  Outside the bands the screen thus walks at
@@ -237,16 +240,17 @@ def _screen(shear: _ShearClass, rows: list[tuple[int, range]]) -> list[tuple[int
     shear class's rows (_class_triples) the runs plus the e2 values they
     span.
 
-    It reads the lines and values that _LineTable.walk(n*d2, e2, 0, 2n,
-    -offset_range, depth) on S(n/m0) would, but off the class's base
-    tables, with no call per pair.  Every lattice pair is d2 = d_ref + 2i,
-    e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref), the lattice's
-    residues, and P0 is linear in (d2, e2): P0 moves by 2n*i*x + 2n*j*y.
-    So in units of 2n, line c's base (its value at (x0(c), z(c))) is K(c) +
-    i*x0(c) + j*z(c) and the step is step_ref + i*u + j*v.  Only K(c), the
-    reference pair's base, needs a division by 2n, read exactly per line
-    class per shear class (see _read_to); the rest is integer products and
-    sums, so every value is exactly the walk's.  The walk's stop line
+    It reads the lines and values of the window [-offset_range, depth]
+    that _LineTable.walk(n*d2, e2, 2n*offset_range, 2n, depth +
+    offset_range) on S(n/m0) would, less offset_range, but off the class's
+    base tables, with no call per pair.  Every lattice pair is d2 = d_ref
+    + 2i, e2 = e_ref + 2n*j for the reference pair (d_ref, e_ref), the
+    lattice's residues, and P0 is linear in (d2, e2): P0 moves by 2n*i*x +
+    2n*j*y.  So in units of 2n, line c's base (its value at (x0(c),
+    z(c))) is K(c) + i*x0(c) + j*z(c) and the step is step_ref + i*u +
+    j*v.  Only K(c), the reference pair's base, needs a division by 2n,
+    read exactly per line class per shear class (see _read_to); the rest
+    is integer products and sums, so every value is exactly the walk's.  The walk's stop line
     depends on the pair only through k_lo = min(A, A*m0 + B*n), so each
     k_lo's count of lines is computed once, in closed form
     (_LineTable.stop).  A line whose least value is below -offset_range
@@ -421,13 +425,24 @@ def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tup
     coordinates: plain integers, from which _poly_from_scaled builds each
     polynomial.
 
-    A sector's candidates are a row (d2, E) per d2 of its raw grid and a
-    single pair for each structured pair off the grid.  A class with no
-    integer-valued lattice has none, and that is a class invariant, as
-    (m-1)**2 = (m0-1)**2 mod n: it returns at once, with no candidates
-    built and no screen.  This is the one place that shears: a pair (d2,
-    e2) of S(n/m) is read as its reduced pair (d2, e2 + q*n*d2) on
-    S(n/m0), q = (m - m0)/n, which takes the pair's values (_ShearClass).
+    A sector's candidates are its raw grid and its stair pairs.  A class
+    with no integer-valued lattice has none, and that is a class
+    invariant, as (m-1)**2 = (m0-1)**2 mod n: it returns at once, with no
+    candidates built and no screen.  This is the one place that shears: a
+    pair (d2, e2) of S(n/m) is read as its reduced pair (d2, e2 + q*n*d2)
+    on S(n/m0), q = (m - m0)/n, which takes the pair's values
+    (_ShearClass).
+
+    The stair pairs are one set per class.  With kl = k*l, or -k*l
+    descending, a stair pair of S(n/m) is (2 - kl, 2*(1 - m) + kl*(m + 1)),
+    and its reduced pair is (2 - kl, 2*(1 - m0) + kl*(m0 + 1)), the stair
+    pair of S(n/m0): l = gcd(n, m - 1), the residue classes of k (u = u0
+    mod v) and the lattice's residues are the class's too.  So the first
+    sector's stair pairs, reduced, are every sector's.  Each has the edge
+    sum n*(2 - k*l), A ascending and A*m + B*n descending, which the
+    screen's first test drops below s_min: so k stops at k_cap = (2n -
+    s_min) // (n*l), past which no stair pair can survive, whatever max_k.
+
     The sectors share the grid's d2 axis, and a grid row's reduced e2 are
     the lattice's in [-n*bound, n*bound] + q*n*d2, so its least and
     greatest grow with q*d2, and consecutive q shift that interval,
@@ -436,14 +451,14 @@ def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tup
     the one with the greatest: on a sweep's class, whose q are 0, 1, 2,
     ..., exactly the union of the sectors' reduced grid rows, and on a
     class with gaps in q that union and the pairs between, which are
-    screened too and kept by no sector.  A reduced structured pair joins a
-    run or makes its own.  One _screen call on a fresh _ShearClass of the
-    class then walks each reduced pair at most once and keeps exactly the
-    pairs of the runs that pack and pass their certification.  So a
-    sector's survivors are the kept triples in its own rows, mapped back by
-    e2 = e2' - q*n*d2: those on its grid's axes and those among its
-    structured pairs, tested in O(kept triples + structured pairs) per
-    sector.
+    screened too and kept by no sector.  A stair pair outside its d2's run
+    is a row of its own, and the rows are sorted stably by d2.  The screen
+    needs no more for several rows of one d2: "short" is an up-set, and
+    the negative break ends one row.  One _screen call on a fresh _ShearClass
+    then walks each reduced pair at most once and keeps the pairs that
+    pack and pass their certification.  A sector keeps a kept triple iff
+    it lies on the sector's grid, mapped back by e2 = e2' - q*n*d2, or is
+    a stair pair.
 
     The survivors come in the order of the polynomials' step d*u + e*v
     (its size, then ascending first), f and coefficients: in integers,
@@ -457,41 +472,23 @@ def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tup
         return [[] for _ in sectors]
     n, m0 = first.n, _m0(first.n, first.m)
     unit = 2 * n
-    plans = []  # (shift, E, structured pairs off the grid) of each sector
-    singles_at: dict[int, list[int]] = {}  # d2 -> reduced e2 of pairs off a grid
-    for s in sectors:
-        shift = s.m - m0  # q*n: the reduced e2 is e2 + shift*d2
-        # D depends on n and the bound alone: the class's sectors share it
-        D, E = _grid_axes(s, params.raw_grid_bound)
-        singles = {
-            (d2, e2)
-            for d2, e2 in _structured_candidates(s, params.max_k)
-            if not (d2 in D and e2 in E)
-        }
-        plans.append((shift, E, singles))
-        for d2, e2 in singles:
-            singles_at.setdefault(d2, []).append(e2 + shift * d2)
-    # (shift, least e2, greatest e2) of each sector's grid, by q
-    grids = sorted((shift, E[0], E[-1]) for shift, E, _ in plans if E)
-    rows: list[tuple[int, range]] = []
-    for d2 in sorted(set(D).union(singles_at)):
-        spans = [(e2, e2) for e2 in singles_at.get(d2, ())]
-        if d2 in D:
-            low, high = grids[0], grids[-1]
-            if d2 < 0:
-                low, high = high, low
-            spans.append((low[1] + low[0] * d2, high[2] + high[0] * d2))
-        spans.sort()
-        lo, hi = spans[0]
-        for a, b in spans:
-            if a > hi + unit:  # a gap ends the run
-                rows.append((d2, range(lo, hi + 1, unit)))
-                lo, hi = a, b
-            elif b > hi:
-                hi = b
-        rows.append((d2, range(lo, hi + 1, unit)))
+    k_cap = (unit - _edge_threshold(n, -unit * params.offset_range)) // (n * first.l)
+    axes = [(s.m - m0, _grid_axes(s, params.raw_grid_bound)) for s in sectors]  # (q*n, (D, E))
+    D = axes[0][1][0]  # the d2 axis depends on n and the bound alone
+    shift = first.m - m0  # the first sector's q*n: its reduced e2 is e2 + shift*d2
+    stairs = {
+        (d2, e2 + shift * d2) for d2, e2 in _structured_candidates(first, min(params.max_k, k_cap))
+    }
+    grids = sorted((qn, E[0], E[-1]) for qn, (_, E) in axes if E)
+    runs = {}
+    for d2 in D:
+        low, high = (grids[0], grids[-1]) if d2 >= 0 else (grids[-1], grids[0])
+        runs[d2] = range(low[1] + low[0] * d2, high[2] + high[0] * d2 + 1, unit)
+    rows = list(runs.items())
+    rows += [(d2, range(e2, e2 + 1)) for d2, e2 in sorted(stairs) if e2 not in runs.get(d2, ())]
     if not rows:  # nothing on the lattice to screen
         return [[] for _ in sectors]
+    rows.sort(key=lambda row: row[0])
     shear = _shear_class(first, params.prefix_n, params.offset_range)
     u, v = shear.table.lines.u, shear.table.lines.v
 
@@ -502,13 +499,9 @@ def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tup
 
     kept = sorted(_screen(shear, rows), key=order)
     results = []
-    for shift, E, singles in plans:
-        triples = []
-        for d2, e2, f in kept:
-            e2 -= shift * d2
-            if d2 in D and e2 in E or (d2, e2) in singles:
-                triples.append((d2, e2, f))
-        results.append(triples)
+    for qn, (_, E) in axes:
+        back = [(d2, e2 - qn * d2, f, (d2, e2) in stairs) for d2, e2, f in kept]
+        results.append([(d2, e2, f) for d2, e2, f, stair in back if stair or d2 in D and e2 in E])
     return results
 
 

@@ -170,7 +170,7 @@ class _LineTable:
             yield c, x0, z, count, base, delta, dd
 
     def stop(self, k_lo: int, F: int, unit: int, hi: int) -> int:
-        """The number of lines walk(A, B, F, unit, lo, hi) reads, for k_lo =
+        """The number of lines walk(A, B, F, unit, hi) reads, for k_lo =
         min(A, A*m + B*n): the first c >= 0 past the vertex with
         Q*(c*l)**2 + (k_lo*c*l)//n > hi*unit - F, with no line read.
 
@@ -193,35 +193,31 @@ class _LineTable:
         return c
 
     def walk(
-        self, A: int, B: int, F: int, unit: int, lo: int, hi: int
+        self, A: int, B: int, F: int, unit: int, hi: int
     ) -> tuple[
-        list[tuple[int, int, int, int, int, int]],
-        int,
-        int,
-        int,
-        Optional[tuple[int, int, int]],
+        list[tuple[int, int, int, int, int, int]], int, int, Optional[tuple[int, int, int]]
     ]:
-        """Walk the lines for (A, B, F), collecting the values in [lo, hi].
+        """Walk the lines for (A, B, F), collecting the values in [0, hi].
 
         Every scaled value Q*(c*l)**2 + A*x + B*y + F must be a multiple
-        of ``unit``; values, lo, hi and vmin are all in units of ``unit``,
-        and a line whose scaled base or step is not a multiple is a
-        ValueError.
+        of ``unit``; values and hi are in units of ``unit``, and a line
+        whose scaled base or step is not a multiple is a ValueError.  A
+        window [-R, hi] is the walk of (A, B, F + R*unit) to hi + R, which
+        stops on the same line, its values each raised by R.
 
-        Returns (records, step, total, vmin, negative), with one record
-        per line that meets the window, class by class (see classes), so
-        not in scan order.  A record is (least % mod, least, greatest, c,
-        t, points): the least and greatest of line c's window values, mod
-        = |step| (1 if the step is 0), and the line's first window point t
+        Returns (records, step, total, negative), with one record per line
+        that meets the window, class by class (see classes), so not in
+        scan order.  A record is (least % mod, least, greatest, c, t,
+        points): the least and greatest of line c's window values, mod =
+        |step| (1 if the step is 0), and the line's first window point t
         and window point count; step is the values' step along every line.
-        total is the window's point count; vmin is the minimum of 0 and
-        every line's values; negative is (c, t, value) of the first point
-        in scan order (c, then t ascending) with value < 0.  When the step
-        is 0 a line holds one value at every point: its record holds that
-        value and counts the points.
+        total is the window's point count; negative is (c, t, value) of the
+        first point in scan order (c, then t ascending) with value < 0.
+        When the step is 0 a line holds one value at every point: its
+        record holds that value and counts the points.
 
-        A line whose values all lie in [max(lo, 0), hi], as almost every
-        line of a deep window does, is recorded whole, t = 0 and points =
+        A line whose values all lie in [0, hi], as almost every line of a
+        deep window does, is recorded whole, t = 0 and points =
         its count: its least value is not negative and no division finds
         where it meets the window.  Every other line (one that crosses an
         edge of the window, one with a negative value, or a step-0 line)
@@ -243,46 +239,42 @@ class _LineTable:
         stop = self.stop(min(A, A * lines.m + B * lines.n), F, unit, hi)
         l, v = lines.l, lines.v
         mod = abs(step) or 1
-        inside = max(lo, 0)
         records: list[tuple[int, int, int, int, int, int]] = []
-        total = vmin = 0
+        total = 0
         negative: Optional[tuple[int, int, int]] = None
         for c, _, _, count, base, delta, dd in self.classes(A, B, F, unit, 0, stop):
             for c in range(c, stop, v):
                 last = base + step * (count - 1)
-                if step > 0 and inside <= base and last <= hi:
+                if step > 0 and 0 <= base and last <= hi:
                     records.append((base % mod, base, last, c, 0, count))
                     total += count
-                elif step < 0 and inside <= last and base <= hi:
+                elif step < 0 and 0 <= last and base <= hi:
                     records.append((last % mod, last, base, c, 0, count))
                     total += count
                 else:
-                    least = base if step >= 0 else last
-                    if least < 0:
-                        vmin = min(vmin, least)
-                        if negative is None or c < negative[0]:
-                            t = 0 if step >= 0 or base < 0 else base // -step + 1
-                            negative = (c, t, base + t * step)
+                    if (base if step >= 0 else last) < 0 and (negative is None or c < negative[0]):
+                        t = 0 if step >= 0 or base < 0 else base // -step + 1
+                        negative = (c, t, base + t * step)
                     if step:
                         if step > 0:
-                            t_lo = 0 if base >= lo else -((base - lo) // step)
+                            t_lo = 0 if base >= 0 else -(base // step)
                             t_hi = count - 1 if last <= hi else (hi - base) // step
                         else:
                             t_lo = 0 if base <= hi else -((hi - base) // -step)
-                            t_hi = count - 1 if last >= lo else (base - lo) // -step
+                            t_hi = count - 1 if last >= 0 else base // -step
                         if t_lo <= t_hi:
                             first, end = base + t_lo * step, base + t_hi * step
                             if step < 0:
                                 first, end = end, first
                             records.append((first % mod, first, end, c, t_lo, t_hi - t_lo + 1))
                             total += t_hi - t_lo + 1
-                    elif lo <= base <= hi:
+                    elif 0 <= base <= hi:
                         records.append((0, base, base, c, 0, count))
                         total += count
                 count += l
                 base += delta
                 delta += dd
-        return records, step, total, vmin, negative
+        return records, step, total, negative
 
 
 def _scaled(s: Sector, p: QuadPoly) -> tuple[_LineTable, int, int, int, int]:
@@ -305,7 +297,7 @@ def enumerate_upto(
     if not p.is_integer_valued():
         raise ValueError("polynomial is not integer-valued")
     table, A, B, F, D = _scaled(s, p)
-    records, step, *_ = table.walk(A, B, F, D, 0, n_max)
+    records, step, *_ = table.walk(A, B, F, D, n_max)
     u, v = s.lines.u, s.lines.v
     items: list[tuple[int, int, int]] = []
     for _, least, greatest, c, t, points in records:
@@ -452,7 +444,7 @@ def _prefix_verdict(
     Each pass costs O(L log L) time and O(L) memory; on a sector L grows
     about as sqrt(n_max), and nothing is sized by n_max itself.
     """
-    records, step, total, _, negative = table.walk(A, B, F, unit, 0, n_max)
+    records, step, total, negative = table.walk(A, B, F, unit, n_max)
     gap = None
     if total <= n_max + 1 and (step or len(records) == total):
         gap = _first_gap(records, abs(step) or 1, n_max)

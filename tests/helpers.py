@@ -329,13 +329,18 @@ def pair_window(s: Sector, d2: int, e2: int, prefix_n: int, offset_range: int):
     A, B = n * d2, e2
     if edge_negative(n, A, offset_range) or edge_negative(n, A * s.m + B * n, offset_range):
         return None
-    records, step, total, vmin, _ = _LineTable(s, 1).walk(A, B, 0, 2 * n, -offset_range, prefix_n)
-    # each line's window values from its least to its greatest, or back
+    # the window [-R, prefix_n], R = offset_range, with each value raised by R
+    R = offset_range
+    records, step, total, negative = _LineTable(s, 1).walk(A, B, 2 * n * R, 2 * n, prefix_n + R)
+    if negative is not None:
+        return None
+    # each line's window values from its least to its greatest, or back; a
+    # line with a value in [-R, 0) meets the window, so its least is there
     ranges = [
-        range(lo, hi + 1, step) if step > 0 else range(hi, lo - 1, step or -1)
+        range(lo - R, hi - R + 1, step) if step > 0 else range(hi - R, lo - R - 1, step or -1)
         for _, lo, hi, _, _, _ in records
     ]
-    return None if vmin < -offset_range else (ranges, total, vmin)
+    return ranges, total, min([0] + [lo - R for _, lo, _, _, _, _ in records])
 
 
 def box_rows(s: Sector, bound: int) -> list[tuple[int, range]]:

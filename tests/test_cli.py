@@ -246,6 +246,16 @@ class TestSearchSweepCmds:
         assert code == 0
         assert "  1/2 -13 169/2 3/2 -41/2 0" in out.splitlines()
 
+    def test_search_max_k_past_the_cap(self, capsys):
+        # a stair pair's edge sum n*(2 - k*l) fails the screen's first test
+        # once k passes k_cap, so the search stops k there: a max_k of 10**6
+        # lists the default's 4 polynomials at once, with no pair per k
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "search", "12/7", "--max-k", "1000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == run(capsys, "search", "12/7")[:2]
+        assert "4 polynomial(s)" in out
+
     def test_search_defaults(self, capsys, monkeypatch):
         # options left out take SearchParams' defaults when the command
         # runs; --raw is the CLI's own, 0 for search and 40 for sweep

@@ -353,6 +353,10 @@ def _stop_by_scan(s, Q, k_lo, F, unit, hi):
     st.integers(-300, 0),
     st.integers(0, 300),
 )
+# the origin, alone on line 0, takes value lo - 1 just below the window, on
+# an ascending and on a descending family
+@example((8, 5), 1, 0, 1, -6, -5, 10)
+@example((8, 5), -1, 0, 1, -1, 0, 10)
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
     s = sector(*nm)
@@ -364,21 +368,23 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
     assert stop == _stop_by_scan(s, Q, k_lo, F, 1, hi)
     # the walk reads exactly the lines below stop, and on them it finds
     # every value in [lo, hi] at its point: in scan order once its records
-    # are sorted by c, each line's values in t order
-    records, step, total, vmin, negative = table.walk(A, B, F, 1, lo, hi)
+    # are sorted by c, each line's values in t order.  It walks the window
+    # [0, hi - lo] of F - lo, whose values are raised by -lo, to the same
+    # stop line
+    records, step, total, negative = table.walk(A, B, F - lo, 1, hi - lo)
     assert step == A * lines.u + B * lines.v
     mod = abs(step) or 1
     got, got_points = [], {}
     for r, least, greatest, c, t, points in sorted(records, key=itemgetter(3)):
         assert r == least % mod and least <= greatest and c not in got_points
         start = least if step >= 0 else greatest
-        got += [(c, t + i, start + i * step) for i in range(points)]
+        got += [(c, t + i, start + i * step + lo) for i in range(points)]
         got_points[c] = points
-        assert got[-1][2] == (greatest if step >= 0 else least)
+        assert got[-1][2] == (greatest if step >= 0 else least) + lo
     # the value is linear in t along a line, so bisect over the line's
     # points finds where its values enter and leave [lo, hi], and its
     # least value is at an end
-    want, want_points, want_vmin, want_negative = [], {}, 0, None
+    want, want_points, want_negative = [], {}, None
     for c in range(stop):
         x0, z, count = lines.line(c)
 
@@ -392,14 +398,12 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
         want += [(c, t, value(t)) for t in range(first, end)]
         if end > first:
             want_points[c] = end - first
-        if count:
-            want_vmin = min(want_vmin, value(0), value(count - 1))
-            if want_negative is None and want_vmin < 0:
-                t = next(t for t in ts if value(t) < 0)
-                want_negative = (c, t, value(t))
+        if want_negative is None and count and min(value(0), value(count - 1)) < lo:
+            t = next(t for t in ts if value(t) < lo)
+            want_negative = (c, t, value(t) - lo)
     assert got == want and total == len(want) and got_points == want_points
-    # every line's negative values count, those inside the window too
-    assert (vmin, negative) == (want_vmin, want_negative)
+    # the first value below the window is found on any line, raised by -lo
+    assert negative == want_negative
     # every value on the stop line and the 50 lines past it exceeds hi; the
     # value is linear in t along a line, so its minimum is at an end
     for c in range(stop, stop + 51):
@@ -584,7 +588,7 @@ class TestPrefixCheck:
         # the range of a descending line whose last value is 0 has stop -1
         s, p = sector(12, 7), QuadPoly.from_string("6 -6 3/2 10 -13/2 2")
         table, A, B, F, D = _scaled(s, p)
-        records, step, *_ = table.walk(A, B, F, D, 0, 20)
+        records, step, *_ = table.walk(A, B, F, D, 20)
         assert step == -3 and (0, 0, 18) in [record[:3] for record in records]
         report = prefix_check(s, p, 20)
         assert report.ok and report.points == 21
@@ -931,11 +935,15 @@ GRID_SECTORS = [
 
 
 def _count_upto(s: Sector, d2: int, e2: int, hi: int) -> int:
-    """How many sector points have filter value P0/2n <= hi, read off two
-    walks: the first finds the least value, the second counts from it."""
-    table = _LineTable(s, 1)
-    vmin = table.walk(s.n * d2, e2, 0, 2 * s.n, 0, hi)[3]
-    return table.walk(s.n * d2, e2, 0, 2 * s.n, vmin, hi)[2]
+    """How many sector points have filter value P0/2n <= hi, read off
+    walks of the window [-R, hi]: R grows past each value below -R that a
+    walk finds, until none is left."""
+    table, R = _LineTable(s, 1), 0
+    while True:
+        _, _, total, negative = table.walk(s.n * d2, e2, 2 * s.n * R, 2 * s.n, hi + R)
+        if negative is None:
+            return total
+        R -= negative[2]
 
 
 class TestScreenThenCertify:
@@ -1058,7 +1066,8 @@ class TestScreenThenCertify:
         d_ref, e_ref = shear.ref
         d2 = d_ref + 2 * i
         e2 = e_ref + 2 * n * j - q * n * d2
-        records, step, *_ = table.walk(n * d2, e2, 0, 2 * n, -hi, hi)
+        # the window [-hi, hi], each value raised by hi
+        records, step, *_ = table.walk(n * d2, e2, 2 * n * hi, 2 * n, 2 * hi)
         assert step == shear.step_ref + i * lines0.u + j * lines0.v
         if records:
             shear._read_to(max(record[3] for record in records) + 1)
@@ -1066,6 +1075,7 @@ class TestScreenThenCertify:
         assert all(count for *_, count in shear.firsts)
         assert len(shear.lasts) == len(shear.firsts)
         for _, least, greatest, c, t, points in records:
+            least, greatest = least - hi, greatest - hi
             K, x0, z, count = shear.firsts[c]
             assert (x0 + q * z, z, count) == s.lines.line(c)
             base = K + i * x0 + j * z
@@ -1201,6 +1211,29 @@ class TestScreenThenCertify:
         monkeypatch.setattr(search_mod, "QuadPoly", None)
         for s, pairs in cases:
             assert _structured_candidates(s, 12) == pairs, s
+
+    def test_stair_pairs_are_a_shear_class_invariant(self):
+        # shifted by e2 -> e2 + q*n*d2, q*n = m - m0, the stair pair (2 -
+        # kl, 2*(1 - m) + kl*(m + 1)) of S(n/m) is (2 - kl, 2*(1 - m0) +
+        # kl*(m0 + 1)), S(n/m0)'s, and the residue classes of k and of the
+        # lattice are the class's: so _class_triples reads one sector's
+        # stair pairs for the whole class.  The grid's d2 axis depends on n
+        # and the bound alone, so the class's sectors share it too
+        pairs = 0
+        for n in range(1, 101):
+            for m in range(1, 301):
+                if math.gcd(n, m) != 1:
+                    continue
+                m0 = _m0(n, m)
+                s, s0 = sector(n, m), sector(n, m0)
+                assert _grid_axes(s, 40)[0] == _grid_axes(s0, 40)[0], (n, m)
+                for max_k in (0, 1, 6, 15):
+                    shifted = [
+                        (d2, e2 + (m - m0) * d2) for d2, e2 in _structured_candidates(s, max_k)
+                    ]
+                    assert shifted == _structured_candidates(s0, max_k), (n, m, max_k)
+                    pairs += len(shifted)
+        assert pairs == 63_621
 
     def test_survivors_in_fraction_order(self):
         # the integer sort key orders the polynomials by their step d*u + e*v
@@ -1533,13 +1566,14 @@ class TestSweep:
         # one class search screens its sectors' reduced rows once and gives
         # each sector what it gets searched alone, on a class's sectors
         # with consecutive q and on ones with gaps.  The rows hold each
-        # reduced candidate once, d2 ascending: on a whole class and on a
-        # contiguous slice of it, no other pair; with gaps in q, the pairs
-        # between the grids too.  Prefix 9 keeps more on S(11/m) than
-        # prefix 300, and offset range 0 less on S(3/m).  At raw 0 every
-        # row is a structured pair; with a grid, some structured pairs lie
-        # off their own sector's grid, and some of those inside another
-        # sector's grid
+        # reduced candidate once, d2 ascending, a stair pair only up to
+        # k_cap, past which its edge sum n*(2 - k*l) fails the screen's
+        # first test: on a whole class and on a contiguous slice of it, no
+        # other pair; with gaps in q, the pairs between the grids too.
+        # Prefix 9 keeps more on S(11/m) than prefix 300, and offset range
+        # 0 less on S(3/m).  At raw 0 every row is a structured pair; with
+        # a grid, some structured pairs lie off their own sector's grid,
+        # and some of those inside another sector's grid
         screened = []
         real = search_mod._screen
 
@@ -1560,10 +1594,12 @@ class TestSweep:
                     for s in group
                 }
                 reduced = {}  # m -> the sector's candidates, reduced
+                s_min = edge_threshold_loop(n, -2 * n * params.offset_range)
                 for s in group:
+                    k_cap = (2 * n - s_min) // (n * s.l)
                     off = {
                         (d2, e2 + (s.m - m0) * d2)
-                        for d2, e2 in _structured_candidates(s, params.max_k)
+                        for d2, e2 in _structured_candidates(s, min(params.max_k, k_cap))
                     } - grids[s.m]
                     reduced[s.m] = grids[s.m] | off
                     off_grid += len(off)
@@ -1589,7 +1625,11 @@ class TestSweep:
                         assert set(pairs) == union
                     else:
                         assert set(pairs) >= union
-        assert inside_run < off_grid and (inside_run > 0) is (bound > 0)
+        # at raw 40 each capped stair pair off its own grid lies on another
+        # sector's grid; at raw 0 and raw 7 some lie off every grid and make
+        # rows of their own
+        assert (inside_run > 0) is (bound > 0)
+        assert (inside_run < off_grid) is (bound != 40)
 
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
     def test_pooled_rows_match_serial_under_every_start_method(self, method):
