@@ -139,12 +139,14 @@ def cmd_construct(args) -> int:
     return 0
 
 
-# prefix_check holds up to about 240 bytes per line it walks, one record
-# each: a tracemalloc peak of 7.22 MB (228 bytes a line) for the 31,624
-# lines of 8/5 "4 -4 1 -1 1 0" at depth 10**9, and 7.37 MB (233 bytes a
-# line) for 8/5 "4 -4 1 -1 3 0", a duplicate, which sorts the same records
-# into scan order.
-_BYTES_PER_LINE = 240
+# prefix_check holds up to about 280 bytes per line it walks.  At depth
+# 10**9 on the 31,624 lines of S(8/5), tracemalloc peaks at 3.27 MB (103
+# bytes a line) both for "4 -4 1 -1 1 0" and for "4 -4 1 -1 3 0", a
+# duplicate, whose lines lie in runs of two integer lists; at 6.07 MB (192
+# bytes a line) for "4 -4 1 -1 2 0", a duplicate whose repeat is read off
+# the lists keyed by residue; and at 8.74 MB (276 bytes a line) for
+# "4 -4 1 -2 1 0", whose step is 0, so every line is a record.
+_BYTES_PER_LINE = 280
 
 
 def _check_depth(s, poly, n_max: int) -> None:

@@ -268,9 +268,9 @@ def _screen(shear: _ShearClass, rows: list[tuple[int, range]]) -> list[tuple[int
     read by _prefix_verdict on the class's line table: the pair with f =
     -vmin is a polynomial on S(n/m0).  It lies on the integer-valued
     lattice, so prefix_check's probe passes, and its homogeneous part is
-    the forced one, so _check_family passes.  Its lambda = a/n**2 = 1/(2n),
-    d = d2/2 and e = e2/(2n) have denominators dividing 2n, and f is an
-    integer, so prefix_check's own scale D is exactly 2n: its walk reads Q
+    the forced one, so _scaled's family test passes.  Its lambda = a/n**2
+    = 1/(2n), d = d2/2 and e = e2/(2n) have denominators dividing 2n, and f
+    is an integer, so prefix_check's own scale D is exactly 2n: its walk reads Q
     = 1 (the table's), (A, B, F) = (n*d2, e2, 2n*f) and unit 2n, as here.
 
     The result is that of one screen at full depth prefix_n.  In the

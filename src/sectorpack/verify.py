@@ -13,11 +13,15 @@ own, sectorpack.search on its shear class's table.  The walk reads the
 lines a class mod the period v at a time: line c + v is line c shifted by
 one x and l points, so along a class each line's base is the previous
 one's plus an increment that grows by a constant, whole numbers checked
-exactly once per class.  It keeps one record per line, (residue, least,
-greatest, c, t, points), and records a line whose values all lie inside
-the window directly, with no division; only a line that crosses an edge
-of the window, holds a negative value or has step 0 takes the general
-path.
+exactly once per class.  A long class is built in bulk, as integer lists:
+the run of its lines whose values all lie inside the window keeps each
+line's least value and its end (greatest value plus the step's size),
+with no division and no tuple per line.  Only a line that crosses an edge
+of the window, holds a negative value, has step 0 or lies in a short class
+takes the per-line path and keeps a record (least, end, c, t, points).
+The verdict is OK when the sorted least values equal the sorted ends,
+each list with one sentinel per residue class of the step (see
+_prefix_verdict).
 
 Enumeration terminates because the homogeneous part is constant on each
 line and grows quadratically with the line index: past an explicit vertex
@@ -34,8 +38,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from operator import itemgetter
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter, lt, ne
 from typing import Iterator, Optional
 
 from .errors import NonTerminatingShape
@@ -94,23 +98,17 @@ class PrefixReport:
 # Line-family walk
 # ---------------------------------------------------------------------------
 
+# A class of at least this many lines below the stop line is built in bulk
+# (see _LineTable.walk); a shorter one, as the search's certifications
+# mostly read, is read line by line, which costs it less.
+_RUN_MIN = 32
 
-def _check_family(s: Sector, p: QuadPoly) -> None:
-    """Check that the homogeneous part is constant along the line family.
-
-    p2 must be a positive multiple of (n*x - (m-1)*y)**2, which is constant
-    on every line (a*x**2 on an integral sector).  Anything else
-    admits no finite sweep bound.
-    """
-    n, m = s.n, s.m
-    if not (
-        p.a > 0
-        and p.b == Fraction(-2 * (m - 1)) * p.a / n
-        and p.c2 == p.a * (m - 1) ** 2 / (n * n)
-    ):
-        raise NonTerminatingShape(
-            f"homogeneous part of {p} is not constant along the line family of S({s})"
-        )
+# A walk's lines, each with its least value and its end (greatest value +
+# |step|, or + 1 for step 0): runs, each (c, count, lows, ends) for the
+# lines c, c + v, ... with counts count, count + l, ..., and records, one
+# (least, end, c, t, points) per line read one at a time.
+_Run = tuple[int, int, list[int], list[int]]
+_Record = tuple[int, int, int, int, int]
 
 
 class _LineTable:
@@ -194,9 +192,7 @@ class _LineTable:
 
     def walk(
         self, A: int, B: int, F: int, unit: int, hi: int
-    ) -> tuple[
-        list[tuple[int, int, int, int, int, int]], int, int, Optional[tuple[int, int, int]]
-    ]:
+    ) -> tuple[list[_Run], list[_Record], int, int, Optional[tuple[int, int, int]]]:
         """Walk the lines for (A, B, F), collecting the values in [0, hi].
 
         Every scaled value Q*(c*l)**2 + A*x + B*y + F must be a multiple
@@ -205,24 +201,39 @@ class _LineTable:
         window [-R, hi] is the walk of (A, B, F + R*unit) to hi + R, which
         stops on the same line, its values each raised by R.
 
-        Returns (records, step, total, negative), with one record per line
-        that meets the window, class by class (see classes), so not in
-        scan order.  A record is (least % mod, least, greatest, c, t,
-        points): the least and greatest of line c's window values, mod =
-        |step| (1 if the step is 0), and the line's first window point t
-        and window point count; step is the values' step along every line.
-        total is the window's point count; negative is (c, t, value) of the
-        first point in scan order (c, then t ascending) with value < 0.
-        When the step is 0 a line holds one value at every point: its
-        record holds that value and counts the points.
+        Returns (runs, records, step, total, negative); step is the
+        values' step along every line, mod = |step| (1 if the step is 0),
+        total is the window's point count and negative is (c, t, value) of
+        the first point in scan order (c, then t ascending) with value < 0.
+        Every line that meets the window is in one run or has one record,
+        class by class (see classes), so not in scan order; expand lists
+        them all as records, in scan order.
 
-        A line whose values all lie in [0, hi], as almost every line of a
-        deep window does, is recorded whole, t = 0 and points =
-        its count: its least value is not negative and no division finds
-        where it meets the window.  Every other line (one that crosses an
-        edge of the window, one with a negative value, or a step-0 line)
-        goes through the one general path, which alone finds t from the
-        window's edges and records the line's negative values.
+        A class of _RUN_MIN or more lines with a nonzero step is built in
+        bulk: its bases from two accumulate passes over delta and dd, the
+        increments classes checked, and the other end of each line from
+        one map(add) of the bases and the range of step*count.  Its run is
+        the lines from one index to another whose values all lie in [0,
+        hi], least >= 0 and end = greatest + mod <= hi + mod, kept as
+        (c, count, lows, ends): its first line c and that line's count,
+        and two integer lists, each line's least value and its end.  A
+        run's line holds every point t = 0 .. count - 1, and both lists
+        are convex in the line index (their second difference is dd > 0),
+        so the ends of the run's first and last lines bound every end in
+        between, and past its least point the lows ascend: bisect finds
+        the run's first line after a dip below 0.
+
+        Every other line, of a short class, before or after the run, or
+        with step 0, is read one at a time and kept as a record (least,
+        end, c, t, points): the least of line c's window values and its
+        end, the greatest + mod, and the line's first window point t and
+        window point count.  A line whose values all lie in [0, hi] is
+        recorded whole, t = 0 and points = its count, with no division;
+        every other line (one that crosses an edge of the window, one with
+        a negative value, or a step-0 line) goes through the one general
+        path, which alone finds t from the window's edges and records the
+        line's negative values.  When the step is 0 a line holds one value
+        at every point: its record holds that value and counts the points.
 
         On line c the sector's points lie on the segment from (c*l/n, 0)
         to (m*c*l/n, c*l), and the linear A*x + B*y is least at an end, so
@@ -239,17 +250,56 @@ class _LineTable:
         stop = self.stop(min(A, A * lines.m + B * lines.n), F, unit, hi)
         l, v = lines.l, lines.v
         mod = abs(step) or 1
-        records: list[tuple[int, int, int, int, int, int]] = []
+        top = hi + mod
+        shift = 0 if step > 0 else mod  # a line's first end, less its base
+        runs: list[_Run] = []
+        # (c, below, count, base, delta): the lines c, c + v, ... before
+        # line below are read one at a time, from line c's count, base and
+        # delta on
+        single: list[tuple[int, int, int, int, int]] = []
         total = 0
-        negative: Optional[tuple[int, int, int]] = None
         for c, _, _, count, base, delta, dd in self.classes(A, B, F, unit, 0, stop):
-            for c in range(c, stop, v):
+            if not step or c + (_RUN_MIN - 1) * v >= stop:
+                single.append((c, stop, count, base, delta))
+                continue
+            size = (stop - 1 - c) // v + 1
+            deltas = accumulate(repeat(dd, size - 2), initial=delta)
+            firsts = list(accumulate(deltas, initial=base + shift))
+            counts = range(step * count, step * (count + size * l), step * l)
+            seconds = list(map(add, firsts, counts))
+            lows, ends = (firsts, seconds) if step > 0 else (seconds, firsts)
+            j = size
+            while j and ends[j - 1] > top:
+                j -= 1
+            i = 0
+            while i < j and (lows[i] < 0 or ends[i] > top):
+                i += 1
+            if i < j:
+                # the lows descend up to the first index whose difference
+                # lows[k + 1] - lows[k] = lows[1] - lows[0] + k*dd is >= 0
+                vertex = max(0, -((lows[1] - lows[0]) // dd))
+                k = min(max(vertex, i), j - 1)
+                if lows[k] < 0:
+                    i = bisect_left(lows, 0, k, j) if vertex <= k else j
+            if i:
+                single.append((c, c + i * v, count, base, delta))
+            if j < size:
+                single.append((c + j * v, stop, count + j * l, firsts[j] - shift, delta + j * dd))
+            if i < j:
+                del lows[j:], ends[j:]
+                del lows[:i], ends[:i]
+                runs.append((c + i * v, count + i * l, lows, ends))
+                total += (j - i) * count + l * (i + j - 1) * (j - i) // 2
+        records: list[_Record] = []
+        negative: Optional[tuple[int, int, int]] = None
+        for c, below, count, base, delta in single:
+            for c in range(c, below, v):
                 last = base + step * (count - 1)
                 if step > 0 and 0 <= base and last <= hi:
-                    records.append((base % mod, base, last, c, 0, count))
+                    records.append((base, last + mod, c, 0, count))
                     total += count
                 elif step < 0 and 0 <= last and base <= hi:
-                    records.append((last % mod, last, base, c, 0, count))
+                    records.append((last, base + mod, c, 0, count))
                     total += count
                 else:
                     if (base if step >= 0 else last) < 0 and (negative is None or c < negative[0]):
@@ -266,26 +316,68 @@ class _LineTable:
                             first, end = base + t_lo * step, base + t_hi * step
                             if step < 0:
                                 first, end = end, first
-                            records.append((first % mod, first, end, c, t_lo, t_hi - t_lo + 1))
+                            records.append((first, end + mod, c, t_lo, t_hi - t_lo + 1))
                             total += t_hi - t_lo + 1
                     elif 0 <= base <= hi:
-                        records.append((0, base, base, c, 0, count))
+                        records.append((base, base + 1, c, 0, count))
                         total += count
                 count += l
                 base += delta
                 delta += dd
-        return records, step, total, negative
+        return runs, records, step, total, negative
+
+    def expand(
+        self, runs: list[_Run], records: list[_Record], step: int
+    ) -> list[tuple[int, int, int, int, int, int]]:
+        """A walk's lines as (least % mod, least, greatest, c, t, points),
+        one per line, in scan order: each run's lines as the per-line path
+        reads a line wholly inside the window, and the walk's records."""
+        v, l = self.lines.v, self.lines.l
+        mod = abs(step) or 1
+        out = [(lo % mod, lo, end - mod, c, t, points) for lo, end, c, t, points in records]
+        for c, count, lows, ends in runs:
+            out += [
+                (least % mod, least, end - mod, c + i * v, 0, count + i * l)
+                for i, (least, end) in enumerate(zip(lows, ends))
+            ]
+        out.sort(key=itemgetter(3))
+        return out
 
 
 def _scaled(s: Sector, p: QuadPoly) -> tuple[_LineTable, int, int, int, int]:
     """(table, A, B, F, D): p scaled by D, the lcm of the denominators of
-    a/n**2, d, e and f, so that a walk of the table with (A, B, F, D) runs
-    in integers.  p's homogeneous part must be constant along the line
-    family (NonTerminatingShape otherwise)."""
-    _check_family(s, p)
-    lam = p.a / (s.n * s.n)
-    D = math.lcm(lam.denominator, p.d.denominator, p.e.denominator, p.f.denominator)
-    return _LineTable(s, int(lam * D)), int(p.d * D), int(p.e * D), int(p.f * D), D
+    lambda = a/n**2, d, e and f, so that a walk of the table with (A, B, F,
+    D) runs in integers; Q = lambda*D.  Computed on the coefficients'
+    numerators and denominators.
+
+    p's homogeneous part must be constant along the line family,
+    NonTerminatingShape otherwise: a positive multiple lambda*(n*x -
+    (m-1)*y)**2, so b = -2*(m-1)*a/n and c2 = a*(m-1)**2/n**2, which is
+    constant on every line (a*x**2 on an integral sector).  Anything else
+    admits no finite sweep bound.
+    """
+    n, m1 = s.n, s.m - 1
+    a_num, a_den = p.a.numerator, p.a.denominator
+    b, c2 = p.b, p.c2
+    if not (
+        a_num > 0
+        and b.numerator * a_den * n == -2 * m1 * a_num * b.denominator
+        and c2.numerator * a_den * n * n == a_num * m1 * m1 * c2.denominator
+    ):
+        raise NonTerminatingShape(
+            f"homogeneous part of {p} is not constant along the line family of S({s})"
+        )
+    g = math.gcd(a_num, a_den * n * n)
+    lam_num, lam_den = a_num // g, a_den * n * n // g
+    d, e, f = p.d, p.e, p.f
+    D = math.lcm(lam_den, d.denominator, e.denominator, f.denominator)
+    return (
+        _LineTable(s, lam_num * (D // lam_den)),
+        d.numerator * (D // d.denominator),
+        e.numerator * (D // e.denominator),
+        f.numerator * (D // f.denominator),
+        D,
+    )
 
 
 def enumerate_upto(
@@ -297,10 +389,10 @@ def enumerate_upto(
     if not p.is_integer_valued():
         raise ValueError("polynomial is not integer-valued")
     table, A, B, F, D = _scaled(s, p)
-    records, step, *_ = table.walk(A, B, F, D, n_max)
+    runs, records, step, *_ = table.walk(A, B, F, D, n_max)
     u, v = s.lines.u, s.lines.v
     items: list[tuple[int, int, int]] = []
-    for _, least, greatest, c, t, points in records:
+    for _, least, greatest, c, t, points in table.expand(runs, records, step):
         x, y = table.point(c, t)
         start = least if step >= 0 else greatest
         items += [(start + i * step, x + i * u, y + i * v) for i in range(points)]
@@ -318,50 +410,77 @@ _PROBE_POINTS = [
 ]
 
 
-def _first_gap(
-    records: list[tuple[int, int, int, int, int, int]], mod: int, n_max: int
-) -> Optional[int]:
-    """The least value in [0, n_max] that no line's record holds (n_max +
-    1 if each is held), or None if two lines share a value.  Sorts the
-    records in place.
+def _first_gap(runs: list[_Run], records: list[_Record], k: int, n_max: int) -> Optional[int]:
+    """The least value in [0, n_max] that no line of a walk holds (n_max +
+    1 if each is held), or None if two lines share a value, for the runs
+    and records of a walk with step size k (1 for step 0).
 
-    The lines' values share the walk's one step k, so each line's window
-    values, a record (least % mod, least, greatest, c, t, points) of
-    _LineTable.walk, are an interval of one residue class mod |k| (mod 1
-    for a step-0 walk, whose lines hold one value each).  Sorted, the
-    records run class by class and by least value, and the lines are
-    disjoint iff each starts past the end of the one before it in its
-    class.  A class r first misses r, r + |k|, ... at the first of these
-    its sorted lines skip, and a class that no line touches misses r
-    itself; the smallest missing value is the least of these.
+    Lists each line's least value among the lows and its end, greatest +
+    k, among the ends, with one sentinel pair for each residue r below
+    held = min(k, n_max + 1) that gets one: r's first value past n_max
+    among the lows and r among the ends.  When the lines number at least
+    held, every such residue gets one, in two ranges, as the first values
+    past n_max are one of each residue.  Otherwise only the residues that
+    some line holds get one, and the least residue below held that none
+    holds, unheld, is missed.  Either way the sentinels are no more than
+    the lines, so nothing is sized by n_max or by k.
+
+    Sorted, equal lists chain every residue that has a sentinel pair
+    (_prefix_verdict proves it), so only unheld can be missed.  Otherwise
+    the lists agree index by index below their first difference and above
+    their last one, and at the first, a low below the end is a repeat and
+    an end below the low is the least missing value of every residue with
+    a sentinel pair; at the last, an end above the low is a repeat.
+    Between the two, keyed r*w + value, w = n_max + k + 1, by the value's
+    residue r mod k, each list's entries sort residue by residue, with as
+    many keys of each residue in one as in the other, and a key of the
+    lows below the key of the ends at the same index is a repeat.
     """
-    gap = n_max + 1
-    cls, nxt = -1, gap  # the class being read, and the next value it must hold
-    records.sort()
-    for r, lo, hi, c, t, points in records:
-        if r != cls:
-            # class cls misses nxt, and each class skipped misses its residue
-            gap = min(gap, nxt, cls + 1) if r > cls + 1 else min(gap, nxt)
-            cls, nxt = r, r
-        if lo < nxt:
-            return None
-        if lo > nxt:
-            gap = min(gap, nxt)
-        nxt = hi + mod
-    return min(gap, nxt, cls + 1) if cls + 1 < mod else min(gap, nxt)
+    lows = [record[0] for record in records]
+    ends = [record[1] for record in records]
+    for _, _, run_lows, run_ends in runs:
+        lows += run_lows
+        ends += run_ends
+    held = k if k <= n_max else n_max + 1
+    if len(lows) >= held:
+        past = n_max + 1 if k <= n_max else k
+        lows += range(past, past + held)
+        ends += range(held)
+        unheld = n_max + 1
+    else:
+        residues = {x % k for x in lows}
+        lows += [r + k * ((n_max - r) // k + 1) for r in residues]
+        ends += residues
+        unheld = next(r for r in range(held) if r not in residues)
+    lows.sort()
+    ends.sort()
+    if lows == ends:
+        return unheld
+    first = next(compress(range(len(lows)), map(ne, lows, ends)))
+    if lows[first] < ends[first]:
+        return None
+    last = next(compress(range(len(lows) - 1, -1, -1), map(ne, reversed(lows), reversed(ends))))
+    if ends[last] > lows[last]:
+        return None
+    w = n_max + k + 1
+    starts, stops = (sorted([x % k * w + x for x in xs[first : last + 1]]) for xs in (lows, ends))
+    if any(map(lt, starts, stops)):
+        return None
+    return min(unheld, ends[first])
 
 
 def _first_repeat(
-    records: list[tuple[int, int, int, int, int, int]], step: int
+    table: _LineTable, runs: list[_Run], records: list[_Record], step: int
 ) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """(value, (c0, t0), (c, t)) for the lines of a walk: the first point
     in scan order (c, then t ascending) whose value an earlier point holds
     is t on line c, and the value's first holder is t0 on line c0.  Some
     value must repeat.
 
-    Reads the lines in scan order, the walk's records sorted by c in
-    place, keeping those read so far sorted by least value in one list
-    per residue class mod the step (see _first_gap); they are disjoint
+    Reads the lines in scan order, each off its record or off its class's
+    run (line c is in the run of class c mod v), and stops at the first
+    line that repeats a value, keeping those read so far sorted by least
+    value in one list per residue class mod the step; they are disjoint
     until the first line that overlaps one of them, so bisect finds the
     overlapped lines of that line.  The line's values are distinct and
     run in scan order, so its first repeat is the smallest value it
@@ -372,9 +491,27 @@ def _first_repeat(
     point repeats its value at its second point, unless an earlier line
     holds it.
     """
+    v, l = table.lines.v, table.lines.l
+    mod = abs(step) or 1
+    alone = {record[2]: record for record in records}
+    last = max(alone, default=-1)
+    by_class: dict[int, _Run] = {}
+    for run in runs:
+        by_class[run[0] % v] = run
+        last = max(last, run[0] + (len(run[2]) - 1) * v)
     classes: dict[int, tuple[list[int], list[int], list[tuple[int, int, int]]]] = {}
-    records.sort(key=itemgetter(3))
-    for r, lo, hi, c, t, points in records:
+    for c in range(last + 1):
+        record = alone.get(c)
+        if record is not None:
+            lo, end, _, t, points = record
+        else:
+            run = by_class.get(c % v)
+            if run is None or c < run[0] or c - run[0] >= len(run[2]) * v:
+                continue
+            c0, count0, run_lows, run_ends = run
+            i = (c - c0) // v
+            lo, end, t, points = run_lows[i], run_ends[i], 0, count0 + i * l
+        r, hi = lo % mod, end - mod
         start = hi if step < 0 else lo  # the value at t
         lows, highs, holders = classes.setdefault(r, ([], [], []))
         k = bisect_left(highs, lo)  # the first line read that ends at lo or past it
@@ -431,25 +568,69 @@ def _prefix_verdict(
     + B*y + F, in units of ``unit``; prefix_check and the search's
     certification both read it here.
 
-    The walk yields the window's values as one record (residue, least,
-    greatest, c, t, points) per line, all lines with one step, and counts
-    the window's points; a line wholly inside the window takes the walk's
-    direct path, which needs no division.  More points than the n_max + 1
-    values, or than the values the lines hold (a step-0 line holds one
-    value at all its points), must repeat a value (pigeonhole).  Otherwise
-    _first_gap sorts the L records in place and reads both distinctness
-    and the smallest missing value off them.  A duplicate then pays for
-    sorting the same records into scan order and one pass, which stops at
-    the first line that repeats a value.
-    Each pass costs O(L log L) time and O(L) memory; on a sector L grows
-    about as sqrt(n_max), and nothing is sized by n_max itself.
+    The walk yields the window's values line by line, all lines with one
+    step k (size 1 for step 0), in runs of integer lists and records, and
+    counts the window's points.  More points than the n_max + 1 values,
+    or than the values the lines hold (a step-0 line holds one value at
+    all its points), must repeat a value (pigeonhole).  Otherwise each
+    line is the values lo, lo + k, ..., hi of one residue r mod k, with 0
+    <= lo <= hi <= n_max, and _first_gap lists every line's least value
+    lo and end hi + k, with a sentinel pair for residue r: P_r, r's first
+    value past n_max, among the lows and r among the ends.
+
+    OK, by one comparison.  When every residue below min(k, n_max + 1)
+    has a sentinel pair, the values 0..n_max are each attained once iff
+    the sorted lows equal the sorted ends.
+    Read each line as an edge lo -> hi + k and each sentinel pair as an
+    edge P_r -> r; the lists are equal as multisets iff every value has
+    as many edges out as in.  A line's edge goes strictly up inside r's
+    values r .. P_r and P_r -> r is r's only edge down, so its lines must
+    chain r -> ... -> P_r: the first starts at r, each starts at the end
+    of the one before it, and the last ends at P_r, since no edge up
+    leaves P_r and none can close a cycle.  Those are exactly the lines
+    that cover r's values in [0, n_max] once each, with no gap or
+    overlap.  Conversely such a chain balances every value.
+
+    Otherwise, by coverage counts.  _first_gap keys each entry r*w +
+    value, w = n_max + k + 1 > P_r, so each list sorts residue by
+    residue, with as many entries of each residue in one as in the other
+    (one per line plus its sentinel).  For a value x of residue r in [0,
+    n_max], the lines holding x number cover(x) = #{lo <= x} - #{hi + k
+    <= x} = 1 + S(x) - E(x), where S(x) and E(x) count the lows and the
+    ends of r up to x, the sentinel r counted in E(x) and P_r > x in
+    neither.  With the sorted lists s and e of residue r: s[i] < e[i] for
+    some i iff some value repeats, for then x = s[i], a line's least
+    value (P_r is r's greatest entry, and no end exceeds it), has S(x) >=
+    i + 1 > E(x), so cover(x) >= 2; and a value x with cover(x) >= 2 has
+    S(x) > E(x) = i, so s[i] <= x < e[i].  In the same way e[i] < s[i]
+    says that x = e[i] <= n_max has cover(x) <= 0, and when no value
+    repeats, the least missing value x* of residue r has S(x*) = E(x*) -
+    1 = i, so e[i] <= x* < s[i] and x* is that e[i]: the smallest missing
+    value is the least e[i] < s[i] over all residues, or a residue that
+    no line holds and gets no sentinel, whichever is less.
+
+    The unkeyed sorted lists need no key where they agree.  Below their
+    first difference, at value x, every value has as many lows as ends,
+    so by the same count every value below x of every residue is held
+    once, and a low at x in excess is a repeat (cover(x) >= 2), an end at
+    x in excess the smallest missing value.  Above their last difference,
+    at value z, the same holds counted down from P_r, cover(y) = 1 + #{e
+    > y} - #{s > y}, so an end at z in excess is a repeat at z - k.
+    Between the two, each residue's entries are as many in one list as in
+    the other, and the keyed comparison runs on that slice alone.
+
+    The first repeat in scan order, the duplicate's witness, is then read
+    off the lines in scan order by _first_repeat, which stops at the first
+    line that repeats a value.  The sorts cost O(L log L) time and O(L)
+    memory on L lines; on a sector L grows about as sqrt(n_max), and
+    nothing is sized by n_max itself or by k.
     """
-    records, step, total, negative = table.walk(A, B, F, unit, n_max)
+    runs, records, step, total, negative = table.walk(A, B, F, unit, n_max)
     gap = None
     if total <= n_max + 1 and (step or len(records) == total):
-        gap = _first_gap(records, abs(step) or 1, n_max)
+        gap = _first_gap(runs, records, abs(step) or 1, n_max)
     if gap is None:
-        value, first, second = _first_repeat(records, step)
+        value, first, second = _first_repeat(table, runs, records, step)
         return PrefixReport(
             PrefixStatus.DUPLICATE,
             checked_upto=n_max,

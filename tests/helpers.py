@@ -9,6 +9,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, product
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -18,6 +19,7 @@ from sectorpack import (
     KStairForm,
     LatticeMap,
     LatticePoint,
+    NonTerminatingShape,
     NotConsecutive,
     PrefixReport,
     PrefixStatus,
@@ -331,9 +333,11 @@ def pair_window(s: Sector, d2: int, e2: int, prefix_n: int, offset_range: int):
         return None
     # the window [-R, prefix_n], R = offset_range, with each value raised by R
     R = offset_range
-    records, step, total, negative = _LineTable(s, 1).walk(A, B, 2 * n * R, 2 * n, prefix_n + R)
+    table = _LineTable(s, 1)
+    runs, records, step, total, negative = table.walk(A, B, 2 * n * R, 2 * n, prefix_n + R)
     if negative is not None:
         return None
+    records = table.expand(runs, records, step)
     # each line's window values from its least to its greatest, or back; a
     # line with a value in [-R, 0) meets the window, so its least is there
     ranges = [
@@ -364,3 +368,147 @@ def sector_screen(
 def raw_candidates(s: Sector, bound: int) -> list[tuple[int, int]]:
     """The raw grid's (d2, e2) pairs, d2 then e2 ascending."""
     return list(product(*_grid_axes(s, bound)))
+
+
+def scaled_reference(s: Sector, p: QuadPoly) -> tuple[int, int, int, int, int]:
+    """(Q, A, B, F, D) of verify._scaled, in Fraction arithmetic: p scaled
+    by D, the lcm of the denominators of lambda = a/n**2, d, e and f, and
+    Q = lambda*D; NonTerminatingShape unless p's homogeneous part is
+    lambda*(n*x - (m-1)*y)**2 with lambda > 0."""
+    n, m = s.n, s.m
+    if not (
+        p.a > 0
+        and p.b == Fraction(-2 * (m - 1)) * p.a / n
+        and p.c2 == p.a * (m - 1) ** 2 / (n * n)
+    ):
+        raise NonTerminatingShape(
+            f"homogeneous part of {p} is not constant along the line family of S({s})"
+        )
+    lam = p.a / (n * n)
+    D = math.lcm(lam.denominator, p.d.denominator, p.e.denominator, p.f.denominator)
+    return int(lam * D), int(p.d * D), int(p.e * D), int(p.f * D), D
+
+
+def walk_reference(table: _LineTable, A: int, B: int, F: int, unit: int, hi: int):
+    """(records, step, total, negative) of _LineTable.walk, every line read
+    one at a time: one record (least % mod, least, greatest, c, t, points)
+    per line that meets the window [0, hi], class by class, where mod =
+    |step| (1 for step 0), total is the window's point count and negative
+    is (c, t, value) of the first point in scan order with value < 0."""
+    lines = table.lines
+    step, rem = divmod(A * lines.u + B * lines.v, unit)
+    if rem:
+        raise ValueError("stair step is not an integer; polynomial is not integer-valued")
+    stop = table.stop(min(A, A * lines.m + B * lines.n), F, unit, hi)
+    l, v = lines.l, lines.v
+    mod = abs(step) or 1
+    records = []
+    total = 0
+    negative = None
+    for c, _, _, count, base, delta, dd in table.classes(A, B, F, unit, 0, stop):
+        for c in range(c, stop, v):
+            last = base + step * (count - 1)
+            if step > 0 and 0 <= base and last <= hi:
+                records.append((base % mod, base, last, c, 0, count))
+                total += count
+            elif step < 0 and 0 <= last and base <= hi:
+                records.append((last % mod, last, base, c, 0, count))
+                total += count
+            else:
+                if (base if step >= 0 else last) < 0 and (negative is None or c < negative[0]):
+                    t = 0 if step >= 0 or base < 0 else base // -step + 1
+                    negative = (c, t, base + t * step)
+                if step:
+                    if step > 0:
+                        t_lo = 0 if base >= 0 else -(base // step)
+                        t_hi = count - 1 if last <= hi else (hi - base) // step
+                    else:
+                        t_lo = 0 if base <= hi else -((hi - base) // -step)
+                        t_hi = count - 1 if last >= 0 else base // -step
+                    if t_lo <= t_hi:
+                        first, end = base + t_lo * step, base + t_hi * step
+                        if step < 0:
+                            first, end = end, first
+                        records.append((first % mod, first, end, c, t_lo, t_hi - t_lo + 1))
+                        total += t_hi - t_lo + 1
+                elif 0 <= base <= hi:
+                    records.append((0, base, base, c, 0, count))
+                    total += count
+            count += l
+            base += delta
+            delta += dd
+    return records, step, total, negative
+
+
+def first_gap_reference(records: list, mod: int, n_max: int) -> Optional[int]:
+    """The least value in [0, n_max] that no record holds (n_max + 1 if
+    each is held), or None if two records share a value, read off the
+    records (least % mod, least, greatest, c, t, points) of walk_reference
+    sorted by residue and least value: the lines are disjoint iff each
+    starts past the end of the one before it in its residue class, a
+    class r first misses the first of r, r + mod, ... its lines skip, and
+    a class that no line touches misses r itself."""
+    gap = n_max + 1
+    cls, nxt = -1, gap  # the class being read, and the next value it must hold
+    for r, lo, hi, c, t, points in sorted(records):
+        if r != cls:
+            # class cls misses nxt, and each class skipped misses its residue
+            gap = min(gap, nxt, cls + 1) if r > cls + 1 else min(gap, nxt)
+            cls, nxt = r, r
+        if lo < nxt:
+            return None
+        if lo > nxt:
+            gap = min(gap, nxt)
+        nxt = hi + mod
+    return min(gap, nxt, cls + 1) if cls + 1 < mod else min(gap, nxt)
+
+
+def first_repeat_reference(records: list, step: int):
+    """(value, (c0, t0), (c, t)): the first point in scan order (c, then t)
+    whose value an earlier point holds is t on line c, first held at t0
+    on line c0; read off walk_reference's records sorted by c, keeping the
+    lines read so far sorted by least value in one list per residue."""
+    classes: dict = {}
+    for r, lo, hi, c, t, points in sorted(records, key=itemgetter(3)):
+        start = hi if step < 0 else lo  # the value at t
+        lows, highs, holders = classes.setdefault(r, ([], [], []))
+        k = bisect_left(highs, lo)
+        if k < len(lows) and lows[k] <= hi:
+            if step < 0:
+                k = bisect_right(lows, hi) - 1
+                value = min(hi, highs[k])
+            else:
+                value = max(lo, lows[k])
+            c0, t0, start0 = holders[k]
+            if step:
+                t0, t = t0 + (value - start0) // step, t + (value - start) // step
+            return value, (c0, t0), (c, t)
+        if points > 1 and not step:
+            return lo, (c, t), (c, t + 1)
+        lows.insert(k, lo)
+        highs.insert(k, hi)
+        holders.insert(k, (c, t, start))
+    raise AssertionError("no value repeats")
+
+
+def verdict_reference(
+    table: _LineTable, A: int, B: int, F: int, unit: int, n_max: int
+) -> PrefixReport:
+    """verify._prefix_verdict built on walk_reference, first_gap_reference
+    and first_repeat_reference: a repeat by pigeonhole or off the sorted
+    records, then the first negative value, then the least missing one."""
+    records, step, total, negative = walk_reference(table, A, B, F, unit, n_max)
+    gap = None
+    if total <= n_max + 1 and (step or len(records) == total):
+        gap = first_gap_reference(records, abs(step) or 1, n_max)
+    if gap is None:
+        value, first, second = first_repeat_reference(records, step)
+        return PrefixReport(
+            PrefixStatus.DUPLICATE, n_max, total, value, table.point(*first), table.point(*second)
+        )
+    if negative is not None:
+        c, t, value = negative
+        return PrefixReport(PrefixStatus.NEGATIVE_VALUE, n_max, total, value, table.point(c, t))
+    if gap <= n_max:
+        return PrefixReport(PrefixStatus.MISSING_VALUE, n_max, total, gap)
+    return PrefixReport(PrefixStatus.OK, n_max, total)

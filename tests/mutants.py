@@ -122,6 +122,31 @@ MUTANTS = [
         (f"{VERIFY}::TestSweep::test_class_search_equals_lone_searches",),
     ),
     Mutant(
+        "verify.py",
+        "        lows += range(past, past + held)\n        ends += range(held)\n",
+        "",
+        "the OK comparison drops the sentinel pairs, each residue's first value past n_max "
+        "among the lows and the residue among the ends",
+        (f"{VERIFY}::TestPrefixCheck::test_ok", f"{VERIFY}::test_runs_are_the_reference_walk"),
+    ),
+    Mutant(
+        "verify.py",
+        "            while j and ends[j - 1] > top:\n",
+        "            while j and ends[j - 1] > top + mod:\n",
+        "a run takes in a line whose end passes hi + |step|, a line that crosses the window",
+        (
+            f"{VERIFY}::test_runs_are_the_reference_walk",
+            f"{VERIFY}::TestPrefixCheck::test_memory_not_sized_by_depth",
+        ),
+    ),
+    Mutant(
+        "verify.py",
+        "sorted([x % k * w + x for x in xs[first : last + 1]])",
+        "sorted(xs[first : last + 1])",
+        "the gap and repeat finder's key drops the residue, so residues mix when |step| > 1",
+        (f"{VERIFY}::test_runs_are_the_reference_walk",),
+    ),
+    Mutant(
         "search.py",
         "    if (p.a, p.b, p.c2) != forced:\n        return None\n",
         "",

@@ -61,18 +61,22 @@ from sectorpack.search import (
     _structured_candidates,
 )
 from sectorpack.sweep import SweepRow, _child, _class_rows, _share, _shear_classes
-from sectorpack.verify import _LineTable, _prefix_verdict, _scaled
+from sectorpack.verify import _first_gap, _LineTable, _prefix_verdict, _scaled
 
 from helpers import (
     box_rows,
     edge_threshold_loop,
     filter_candidates,
+    first_gap_reference,
     pair_window,
     prefix_report_reference,
     raw_candidates,
     run_fresh,
+    scaled_reference,
     sector_screen,
     stair_steps_scan,
+    verdict_reference,
+    walk_reference,
 )
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
@@ -367,15 +371,15 @@ def test_walk_skips_no_window_value(nm, A, B, Q, F, lo, hi):
     stop = table.stop(k_lo, F, 1, hi)
     assert stop == _stop_by_scan(s, Q, k_lo, F, 1, hi)
     # the walk reads exactly the lines below stop, and on them it finds
-    # every value in [lo, hi] at its point: in scan order once its records
-    # are sorted by c, each line's values in t order.  It walks the window
-    # [0, hi - lo] of F - lo, whose values are raised by -lo, to the same
-    # stop line
-    records, step, total, negative = table.walk(A, B, F - lo, 1, hi - lo)
+    # every value in [lo, hi] at its point: in scan order, as expand lists
+    # its runs and records, each line's values in t order.  It walks the
+    # window [0, hi - lo] of F - lo, whose values are raised by -lo, to the
+    # same stop line
+    runs, records, step, total, negative = table.walk(A, B, F - lo, 1, hi - lo)
     assert step == A * lines.u + B * lines.v
     mod = abs(step) or 1
     got, got_points = [], {}
-    for r, least, greatest, c, t, points in sorted(records, key=itemgetter(3)):
+    for r, least, greatest, c, t, points in table.expand(runs, records, step):
         assert r == least % mod and least <= greatest and c not in got_points
         start = least if step >= 0 else greatest
         got += [(c, t + i, start + i * step + lo) for i in range(points)]
@@ -445,6 +449,72 @@ def test_stop_is_the_walks_stop_line(nm, A, B, Q, F, unit, hi):
     k_lo = min(A, A * s.m + B * s.n)
     stop = table.stop(k_lo, F, unit, hi)
     assert stop == _stop_by_scan(s, Q * unit, k_lo, F, unit, hi)
+
+
+@given(
+    st.sampled_from(
+        [(n, m) for n in range(1, 61) for m in range(1, 61) if math.gcd(n, m) == 1]
+    ),
+    st.integers(-500, 500),
+    st.integers(-500, 500),
+    st.integers(1, 10),
+    st.integers(-300, 300),
+    st.integers(1, 12),
+    st.one_of(st.integers(0, 300), st.integers(1_000, 100_000)),
+)
+# step 0 on a stair family (u = 1, v = 2) and on the columns of S(3)
+@example((8, 5), 2, -1, 1, 0, 1, 300)
+@example((3, 1), 5, 0, 1, 0, 3, 300)
+# a deep window on one class of lines, both step signs
+@example((1, 1), 0, 1, 1, 0, 1, 100_000)
+@example((1, 1), 0, -1, 1, 0, 2, 100_000)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_runs_are_the_reference_walk(nm, A, B, Q, F, unit, hi):
+    # the bulk walk's runs, expanded, plus its records are the per-line
+    # walk's records, record for record, and the verdict and the gap and
+    # repeat finder read off them are those read off the records; Q, A, B
+    # and F are scaled by the unit so that every line is whole
+    s = sector(*nm)
+    table = _LineTable(s, Q * unit)
+    A, B, F = A * unit, B * unit, F * unit
+    runs, records, step, total, negative = table.walk(A, B, F, unit, hi)
+    want, want_step, want_total, want_negative = walk_reference(table, A, B, F, unit, hi)
+    assert (step, total, negative) == (want_step, want_total, want_negative)
+    assert table.expand(runs, records, step) == sorted(want, key=itemgetter(3))
+    mod = abs(step) or 1
+    assert _first_gap(runs, records, mod, hi) == first_gap_reference(want, mod, hi)
+    assert _prefix_verdict(table, A, B, F, unit, hi) == verdict_reference(table, A, B, F, unit, hi)
+
+
+@given(
+    st.sampled_from([(n, m) for n in range(1, 31) for m in range(1, 31) if math.gcd(n, m) == 1]),
+    st.fractions(-3, 3, max_denominator=60),
+    st.sampled_from(["family", "b", "c2"]),
+    st.fractions(-50, 50, max_denominator=60),
+    st.fractions(-50, 50, max_denominator=60),
+    st.fractions(-50, 50, max_denominator=60),
+)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_scaled_is_the_fraction_reference(nm, lam, bend, d, e, f):
+    # the set-up on numerators and denominators scales p as the Fraction
+    # reference does, and refuses the same homogeneous parts: lambda <= 0,
+    # or b or c2 moved off the line family
+    s = sector(*nm)
+    n, m = nm
+    a, b, c2 = lam * n * n, -2 * n * (m - 1) * lam, (m - 1) ** 2 * lam
+    if bend == "b":
+        b += Fraction(1, 3)
+    elif bend == "c2":
+        c2 += 1
+    p = QuadPoly(a, b, c2, d, e, f)
+    try:
+        want = scaled_reference(s, p)
+    except NonTerminatingShape:
+        with pytest.raises(NonTerminatingShape):
+            _scaled(s, p)
+        return
+    table, A, B, F, D = _scaled(s, p)
+    assert (table.Q, A, B, F, D) == want
 
 
 def test_period_shift():
@@ -588,7 +658,8 @@ class TestPrefixCheck:
         # the range of a descending line whose last value is 0 has stop -1
         s, p = sector(12, 7), QuadPoly.from_string("6 -6 3/2 10 -13/2 2")
         table, A, B, F, D = _scaled(s, p)
-        records, step, *_ = table.walk(A, B, F, D, 20)
+        runs, records, step, *_ = table.walk(A, B, F, D, 20)
+        records = table.expand(runs, records, step)
         assert step == -3 and (0, 0, 18) in [record[:3] for record in records]
         report = prefix_check(s, p, 20)
         assert report.ok and report.points == 21
@@ -700,6 +771,19 @@ class TestPrefixCheck:
                 tracemalloc.stop()
             assert report == want, text
             assert peak < 4_000_000, (text, peak)
+
+    def test_memory_not_sized_by_step(self):
+        # step 2,000,001 at depth 10**6: only the residues of the lines'
+        # values get a sentinel pair, not one per residue below the depth
+        s, text = sector(8, 5), "4 -4 1 -1 1000001 0"
+        tracemalloc.start()
+        try:
+            report = prefix_check(s, QuadPoly.from_string(text), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.describe() == "missing value 1 (checked up to 1000000)"
+        assert peak < 1_000_000, peak
 
     def test_duplicate_first_held_on_earlier_line(self):
         # on S(8/5) value 0 is first held on line 0 at (0, 0), then on line 2
@@ -940,7 +1024,7 @@ def _count_upto(s: Sector, d2: int, e2: int, hi: int) -> int:
     walk finds, until none is left."""
     table, R = _LineTable(s, 1), 0
     while True:
-        _, _, total, negative = table.walk(s.n * d2, e2, 2 * s.n * R, 2 * s.n, hi + R)
+        *_, total, negative = table.walk(s.n * d2, e2, 2 * s.n * R, 2 * s.n, hi + R)
         if negative is None:
             return total
         R -= negative[2]
@@ -1067,7 +1151,8 @@ class TestScreenThenCertify:
         d2 = d_ref + 2 * i
         e2 = e_ref + 2 * n * j - q * n * d2
         # the window [-hi, hi], each value raised by hi
-        records, step, *_ = table.walk(n * d2, e2, 2 * n * hi, 2 * n, 2 * hi)
+        runs, records, step, *_ = table.walk(n * d2, e2, 2 * n * hi, 2 * n, 2 * hi)
+        records = table.expand(runs, records, step)
         assert step == shear.step_ref + i * lines0.u + j * lines0.v
         if records:
             shear._read_to(max(record[3] for record in records) + 1)
