@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .polynomials import Direction, KStairForm, QuadPoly, construct, kstair_extract
-from .sectors import LatticeMap, Quadrant, Sector, sector, w_reduce
+from .polynomials import Direction, KStairForm, QuadPoly, _sheared, construct, kstair_extract
+from .sectors import LatticeMap, Sector, sector, w_reduce
 
 
 class Provenance(enum.Enum):
@@ -78,17 +78,17 @@ def nathanson_polys(n: int) -> tuple[QuadPoly, QuadPoly]:
     """The two classical packing polynomials on the integral sector S(n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    half = Fraction(n, 2)
-    f_n = QuadPoly(half, 0, 0, 1 - half, 1, 0)
-    g_n = QuadPoly(half, 0, 0, 1 + half, -1, 0)
+    half, zero = Fraction(n, 2), Fraction(0)
+    f_n = QuadPoly(half, zero, zero, Fraction(2 - n, 2), Fraction(1), zero)
+    g_n = QuadPoly(half, zero, zero, Fraction(2 + n, 2), Fraction(-1), zero)
     return f_n, g_n
 
 
 def cantor_polys() -> tuple[QuadPoly, QuadPoly]:
     """The two diagonal pairing polynomials on the full first quadrant."""
-    half = Fraction(1, 2)
-    f = QuadPoly(half, 1, half, half, Fraction(3, 2), 0)
-    g = QuadPoly(half, 1, half, Fraction(3, 2), half, 0)
+    half, one, three_halves, zero = Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(0)
+    f = QuadPoly(half, one, half, half, three_halves, zero)
+    g = QuadPoly(half, one, half, three_halves, half, zero)
     return f, g
 
 
@@ -197,14 +197,34 @@ def classify(n: int, m: int) -> Classification:
 
 def _classify(n: int, m: int, known: dict[tuple[int, int], Classification]) -> Classification:
     """classify(n, m), read from ``known`` under (n, m) if it is there
-    and stored there if not.  A slope < 1 sector reads its reduced
-    target's classification the same way, so callers that share one dict
-    classify each sector once.
+    and stored there if not.  A slope < 1 sector with n >= 2 reads its
+    reduced target's classification the same way, under (n, m mod n),
+    w_reduce's target, so callers that share one dict classify each sector
+    once.  When that target has no entries, neither has the sector, and
+    neither w_reduce nor a map is built: such a sector costs one lookup
+    besides its own Sector and Classification.
     """
     result = known.get((n, m))
     if result is not None:
         return result
     s = sector(n, m)
+    if m > n > 1:
+        target = (n, m % n)
+        reduced = known.get(target) or _classify(*target, known)
+        transported: tuple[Entry, ...] = ()
+        if reduced.entries:
+            _, shear = w_reduce(s)  # the shear (x, y) -> (x - q*y, y), q = m // n
+            # a shear keeps l, v, u mod v and the stair step, so each entry
+            # keeps its form, and the entries keep their order
+            transported = tuple(
+                Entry(poly, entry.form, entry.provenance,
+                      entry.transport.compose(shear) if entry.transport else shear)
+                for entry, poly in zip(
+                    reduced.entries, _sheared(reduced.polynomials(), shear.a12)
+                )
+            )
+        known[(n, m)] = result = Classification(s, transported)
+        return result
     entries: list[Entry]
     if m == 1:
         entries = _classify_integral(s)
@@ -218,22 +238,13 @@ def _classify(n: int, m: int, known: dict[tuple[int, int], Classification]) -> C
                 else Provenance.STAIR_DESC
             )
             entries.append(Entry(poly, form, provenance))
-    else:
-        target, shear = w_reduce(s)
-        if isinstance(target, Quadrant):
-            cf, cg = (poly.compose(shear) for poly in cantor_polys())
-            entries = [
-                Entry(cf, kstair_extract(s, cf), Provenance.CANTOR_F, shear),
-                Entry(cg, kstair_extract(s, cg), Provenance.CANTOR_G, shear),
-            ]
-        else:
-            reduced = _classify(target.n, target.m, known)
-            # a shear keeps l, v, u mod v and the stair step, so each entry keeps its form
-            entries = [
-                Entry(entry.poly.compose(shear), entry.form, entry.provenance,
-                      entry.transport.compose(shear) if entry.transport else shear)
-                for entry in reduced.entries
-            ]
+    else:  # n = 1 < m: w_reduce's target is the quadrant
+        _, shear = w_reduce(s)
+        cf, cg = _sheared(cantor_polys(), shear.a12)
+        entries = [
+            Entry(cf, kstair_extract(s, cf), Provenance.CANTOR_F, shear),
+            Entry(cg, kstair_extract(s, cg), Provenance.CANTOR_G, shear),
+        ]
     entries.sort(key=lambda entry: (entry.form.k, _SORT_ORDER[entry.form.direction]))
-    known[(n, m)] = result = Classification(sector=s, entries=tuple(entries))
+    known[(n, m)] = result = Classification(s, tuple(entries))
     return result

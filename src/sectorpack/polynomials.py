@@ -82,6 +82,15 @@ class QuadPoly:
     f: Fraction
 
     def __post_init__(self) -> None:
+        if (
+            isinstance(self.a, Fraction)
+            and isinstance(self.b, Fraction)
+            and isinstance(self.c2, Fraction)
+            and isinstance(self.d, Fraction)
+            and isinstance(self.e, Fraction)
+            and isinstance(self.f, Fraction)
+        ):
+            return
         for name in ("a", "b", "c2", "d", "e", "f"):
             value = getattr(self, name)
             if not isinstance(value, Fraction):
@@ -112,26 +121,31 @@ class QuadPoly:
 
         For degree <= 2 this is equivalent to integrality of the six
         binomial-basis coefficients, i.e. integrality at the probe points
-        (0,0), (1,0), (2,0), (0,1), (0,2), (1,1).
+        (0,0), (1,0), (2,0), (0,1), (0,2), (1,1).  Read on the reduced
+        numerators and denominators: once 2*a is an integer, a's
+        denominator is 1 or 2, and a + d is an integer iff d has the same
+        denominator (two odd halves sum to an integer); c2 + e likewise.
         """
-        binomial = (
-            2 * self.a,
-            self.b,
-            2 * self.c2,
-            self.a + self.d,
-            self.c2 + self.e,
-            self.f,
+        a, c2 = self.a, self.c2
+        return (
+            2 * a.numerator % a.denominator == 0
+            and self.b.denominator == 1
+            and 2 * c2.numerator % c2.denominator == 0
+            and self.d.denominator == a.denominator
+            and self.e.denominator == c2.denominator
+            and self.f.denominator == 1
         )
-        return all(coeff.denominator == 1 for coeff in binomial)
 
     def compose(self, mapping: LatticeMap) -> "QuadPoly":
         """The polynomial p(M(x, y)) — exact coefficient composition.
 
         The composition runs in integers on the coefficients scaled by the
         lcm of their denominators, and each new coefficient is built once,
-        as one reduced Fraction over that lcm.
+        as one reduced Fraction over that lcm.  A shear goes to _sheared.
         """
         a11, a12, a21, a22 = mapping.a11, mapping.a12, mapping.a21, mapping.a22
+        if a11 == a22 == 1 and a21 == 0:
+            return _sheared([self], a12)[0]
         coeffs = (self.a, self.b, self.c2, self.d, self.e)
         den = lcm(*(c.denominator for c in coeffs))
         a, b, c2, d, e = (c.numerator * (den // c.denominator) for c in coeffs)
@@ -200,6 +214,30 @@ class QuadPoly:
         return self.to_string()
 
 
+def _sheared(polys: Iterable[QuadPoly], t: int) -> list[QuadPoly]:
+    """p.compose of each of polys with the shear (x, y) -> (x + t*y, y).
+
+    The shear keeps a, d and f.  The new b + 2*a*t and c2 + (b + a*t)*t
+    are built once for each run of polys with one homogeneous part, and
+    e + d*t for each, each from the numerators and denominators as one
+    reduced Fraction.
+    """
+    out = []
+    last = None
+    for p in polys:
+        a, b, c2, d, e = p.a, p.b, p.c2, p.d, p.e
+        part = an, ad, bn, bd, cn, cd = (
+            a.numerator, a.denominator, b.numerator, b.denominator, c2.numerator, c2.denominator
+        )
+        if part != last:
+            last, bt = part, an * t * bd + bn * ad  # (b + a*t)*ad*bd
+            new_b = Fraction(an * t * bd + bt, ad * bd)
+            new_c2 = Fraction(bt * t * cd + cn * ad * bd, ad * bd * cd)
+        dn, dd, en, ed = d.numerator, d.denominator, e.numerator, e.denominator
+        out.append(QuadPoly(a, new_b, new_c2, d, Fraction(dn * ed * t + en * dd, dd * ed), p.f))
+    return out
+
+
 @dataclass(frozen=True)
 class KStairForm:
     """Stair metadata of a polynomial: |step| k, direction, and the residue
@@ -217,11 +255,24 @@ def stanton_quadratic(s: Sector) -> tuple[Fraction, Fraction, Fraction]:
     return (Fraction(n, 2), Fraction(-(m - 1)), Fraction((m - 1) ** 2, 2 * n))
 
 
+def _forced_part(s: Sector, p: QuadPoly) -> bool:
+    """True iff p's homogeneous part is stanton_quadratic(s), read on the
+    numerators and denominators: a = n/2, b = 1 - m and c2 = (m-1)**2/(2n)."""
+    n, m1 = s.n, s.m - 1
+    a, b, c2 = p.a, p.b, p.c2
+    return (
+        b.denominator == 1
+        and b.numerator == -m1
+        and 2 * a.numerator == n * a.denominator
+        and 2 * n * c2.numerator == m1 * m1 * c2.denominator
+    )
+
+
 def stanton_check(s: Sector, p: QuadPoly) -> bool:
     """True iff n | (m-1)**2 and the homogeneous part is the forced one."""
     if (s.m - 1) ** 2 % s.n != 0:
         return False
-    return (p.a, p.b, p.c2) == stanton_quadratic(s)
+    return _forced_part(s, p)
 
 
 def _residue(s: Sector, direction: Direction) -> tuple[int, int]:
@@ -235,18 +286,22 @@ def kstair_extract(s: Sector, p: QuadPoly) -> KStairForm:
     """Read off (k, direction, q, f) from a Stanton-form integer polynomial.
 
     The stair-to-stair difference is d*(m-1)/l + e*n/l, constant on every
-    staircase because the homogeneous part is.
+    staircase because the homogeneous part is.  It is read in integers, as
+    num/den over the product of d's and e's denominators; a Fraction is
+    built only to name a non-integral step.
     """
     if not stanton_check(s, p):
         raise ValueError("polynomial does not have the forced homogeneous part")
     u, v = s.lines.u, s.lines.v
-    delta = p.d * u + p.e * v
-    if delta == 0:
+    d, e = p.d, p.e
+    den = d.denominator * e.denominator
+    num = d.numerator * e.denominator * u + e.numerator * d.denominator * v
+    if num == 0:
         raise ZeroStep("stair difference is zero")
-    if delta.denominator != 1:
-        raise NonIntegralStep(f"stair difference {delta} is not an integer")
-    k = abs(delta.numerator)
-    direction = Direction.ASCENDING if delta > 0 else Direction.DESCENDING
+    k, rest = divmod(abs(num), den)
+    if rest:
+        raise NonIntegralStep(f"stair difference {Fraction(num, den)} is not an integer")
+    direction = Direction.ASCENDING if num > 0 else Direction.DESCENDING
     res, v = _residue(s, direction)
     if (k - res) % v != 0:
         raise CongruenceViolation(

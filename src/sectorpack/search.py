@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .polynomials import Direction, QuadPoly, _residue, _stair_pair, stanton_quadratic
+from .polynomials import Direction, QuadPoly, _forced_part, _residue, _stair_pair, stanton_quadratic
 from .sectors import Sector
 from .verify import _LineTable, _prefix_verdict
 
@@ -404,19 +404,19 @@ def _poly_from_scaled(s: Sector, d2: int, e2: int, f: int) -> QuadPoly:
     return QuadPoly(a, b, c2, Fraction(d2, 2), Fraction(e2, 2 * s.n), Fraction(f))
 
 
-def _scaled_key(
-    p: QuadPoly, n: int, forced: tuple[Fraction, ...]
-) -> Optional[tuple[int, int, int]]:
-    """The survivor triple (2d, 2n*e, f) that p would be found as, on a
-    sector S(n/m) whose forced homogeneous part is ``forced``: None unless
-    p has that part and the three are integers.  The inverse of
+def _scaled_key(s: Sector, p: QuadPoly) -> Optional[tuple[int, int, int]]:
+    """The survivor triple (2d, 2n*e, f) that p would be found as on s:
+    None unless p has s's forced homogeneous part and the three are
+    integers, read on the numerators and denominators.  The inverse of
     _poly_from_scaled."""
-    if (p.a, p.b, p.c2) != forced:
+    if not _forced_part(s, p):
         return None
-    d2, e2, f = 2 * p.d, 2 * n * p.e, p.f
-    if d2.denominator == e2.denominator == f.denominator == 1:
-        return d2.numerator, e2.numerator, f.numerator
-    return None
+    d, e, f = p.d, p.e, p.f
+    d2, d_rest = divmod(2 * d.numerator, d.denominator)
+    e2, e_rest = divmod(2 * s.n * e.numerator, e.denominator)
+    if d_rest or e_rest or f.denominator != 1:
+        return None
+    return d2, e2, f.numerator
 
 
 def _class_triples(sectors: list[Sector], params: SearchParams) -> list[list[tuple[int, int, int]]]:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .classify import Classification, _classify
-from .polynomials import QuadPoly, stanton_quadratic
+from .polynomials import QuadPoly
 from .search import SearchParams, _class_triples, _m0, _polys, _scaled_key
-from .sectors import sector
+from .sectors import Sector, sector
 
 __all__ = ["sweep", "SweepRow", "SweepReport"]
 
@@ -23,8 +23,8 @@ __all__ = ["sweep", "SweepRow", "SweepReport"]
 _Task = tuple[int, int, SearchParams]
 # one survivor of the search, in integers: (2d, 2n*e, f)
 _Triple = tuple[int, int, int]
-# classify's polynomials of one sector, each with its _Triple (or None)
-_Classified = tuple[list[QuadPoly], list[Optional[_Triple]]]
+# one sector, classify's polynomials of it and each one's _Triple (or None)
+_Classified = tuple[Sector, list[QuadPoly], list[Optional[_Triple]]]
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ class SweepReport:
 
 
 def _classified(group: list[_Task]) -> list[_Classified]:
-    """classify's polynomials of each of one shear class's tasks, with the
+    """The sector of each of one shear class's tasks, as its
+    classification holds it, with classify's polynomials of it and the
     survivor triple that each would be found as (search._scaled_key).  The
     tasks share one dict of classifications, so a slope < 1 sector reads
     its reduced target's, S(n/m0) of the same class, when an earlier task
@@ -67,9 +68,9 @@ def _classified(group: list[_Task]) -> list[_Classified]:
     known: dict[tuple[int, int], Classification] = {}
     classified = []
     for n, m, _ in group:
-        polys = _classify(n, m, known).polynomials()
-        forced = stanton_quadratic(sector(n, m)) if polys else ()
-        classified.append((polys, [_scaled_key(p, n, forced) for p in polys]))
+        found = _classify(n, m, known)
+        s, polys = found.sector, found.polynomials()
+        classified.append((s, polys, [_scaled_key(s, p) for p in polys]))
     return classified
 
 
@@ -83,36 +84,35 @@ def _rows(
     group: list[_Task], classified: list[_Classified], survivors: list[list[_Triple]]
 ) -> list[SweepRow]:
     """The rows of one shear class's tasks, in task order, from each
-    task's classified polynomials with their triples and its survivor
-    triples.
+    task's sector and classified polynomials with their triples, and its
+    survivor triples.
 
     A survivor that classify lists, matched by its triple, is classify's
     own object, so _poly_from_scaled builds only the others.  A row
     matches iff every classified polynomial has a triple and the two sets
     of triples are equal: the search finds only polynomials with the
     forced homogeneous part and integer triples, so one without either can
-    never be found."""
+    never be found.  A sector with no survivor matches iff classify lists
+    nothing on it."""
     bound = group[0][2].raw_grid_bound
     rows = []
-    for (n, m, _), (polys, keys), triples in zip(group, classified, survivors):
-        found, raw_found = [], []
+    for (n, m, _), (s, polys, keys), triples in zip(group, classified, survivors):
         if triples:
-            found, raw_found = _polys(sector(n, m), triples, bound, dict(zip(keys, polys)))
-        rows.append(SweepRow(
-            n=n,
-            m=m,
-            classified=tuple(polys),
-            searched=tuple(found),
-            raw_survivors=tuple(raw_found),
-            match=None not in keys and set(keys) == set(triples),
-        ))
+            found, raw_found = _polys(s, triples, bound, dict(zip(keys, polys)))
+            match = None not in keys and set(keys) == set(triples)
+            rows.append(SweepRow(n, m, tuple(polys), tuple(found), tuple(raw_found), match))
+        else:
+            rows.append(SweepRow(n, m, tuple(polys), (), (), not polys))
     return rows
 
 
 def _class_rows(group: list[_Task]) -> list[SweepRow]:
     """The rows of one shear class's tasks, in task order: a serial
-    sweep's unit of work."""
-    return _rows(group, _classified(group), _class_survivors(group))
+    sweep's unit of work.  The class search reads the sectors that the
+    classifications hold, so each task's Sector is built once."""
+    classified = _classified(group)
+    survivors = _class_triples([s for s, _, _ in classified], group[0][2])
+    return _rows(group, classified, survivors)
 
 
 def _shear_classes(tasks: list[_Task]) -> list[list[_Task]]:

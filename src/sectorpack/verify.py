@@ -462,8 +462,13 @@ def _first_gap(runs: list[_Run], records: list[_Record], k: int, n_max: int) -> 
     last = next(compress(range(len(lows) - 1, -1, -1), map(ne, reversed(lows), reversed(ends))))
     if ends[last] > lows[last]:
         return None
-    w = n_max + k + 1
-    starts, stops = (sorted([x % k * w + x for x in xs[first : last + 1]]) for xs in (lows, ends))
+    if k == 1:  # one residue: the keyed slices are the sorted slices themselves
+        starts, stops = lows[first : last + 1], ends[first : last + 1]
+    else:
+        w = n_max + k + 1
+        starts, stops = (
+            sorted([x % k * w + x for x in xs[first : last + 1]]) for xs in (lows, ends)
+        )
     if any(map(lt, starts, stops)):
         return None
     return min(unheld, ends[first])

@@ -13,21 +13,29 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
+from hypothesis import strategies as st
+
 import sectorpack
 from sectorpack import (
+    CongruenceViolation,
     Direction,
     KStairForm,
     LatticeMap,
     LatticePoint,
+    NonIntegralOffset,
+    NonIntegralStep,
     NonTerminatingShape,
     NotConsecutive,
     PrefixReport,
     PrefixStatus,
     QuadPoly,
     Sector,
+    ZeroStep,
     construct,
+    stanton_quadratic,
     t_dual,
 )
+from sectorpack.polynomials import _stair_pair
 from sectorpack.search import _ShearClass, _grid_axes, _screen
 from sectorpack.verify import _LineTable
 
@@ -177,6 +185,90 @@ def compose_reference(p: QuadPoly, mapping: LatticeMap) -> QuadPoly:
         e=p.d * a12 + p.e * a22,
         f=p.f,
     )
+
+
+COPRIME_40 = [(n, m) for n in range(1, 41) for m in range(1, 41) if math.gcd(n, m) == 1]
+LATTICE_40 = [(n, m) for n, m in COPRIME_40 if (m - 1) ** 2 % n == 0]
+
+
+@st.composite
+def near_forced(draw) -> tuple[Sector, QuadPoly]:
+    """(s, p): a sector S(n/m) with n, m <= 40, three times in four one
+    with n | (m-1)**2, and a polynomial with random rational coefficients
+    near its forced form.  Three times in four a, b and c2 are the forced
+    ones, and otherwise one of them is moved by a small rational.  (d, e)
+    starts at the stair pair of some k <= 12 in either direction, whose
+    stair step d*u + e*v is +-k; e then moves by j/v, which moves the step
+    by the integer j, and d and e each by a small rational or not at all;
+    one time in four e is then set so that the step is 0.  f is a small
+    integer or rational.  So the step is integral or not, congruent or
+    not, and zero."""
+    n, m = draw(st.sampled_from(LATTICE_40 if draw(st.integers(0, 3)) else COPRIME_40))
+    s = sectorpack.sector(n, m)
+    u, v = s.lines.u, s.lines.v
+    small = st.fractions(-3, 3, max_denominator=2 * n).filter(bool)
+    moved = st.just(Fraction(0)) | small
+    forced = list(stanton_quadratic(s))
+    if draw(st.integers(0, 3)) == 0:
+        forced[draw(st.integers(0, 2))] += draw(small)
+    d2, e2 = _stair_pair(s, draw(st.integers(1, 12)), draw(st.sampled_from(Direction)))
+    d = Fraction(d2, 2) + draw(moved)
+    e = Fraction(e2, 2 * n) + Fraction(draw(st.integers(-3, 3)), v) + draw(moved)
+    if draw(st.integers(0, 3)) == 0:
+        e = -d * u / v
+    f = draw(st.integers(-5, 5).map(Fraction) | st.fractions(-5, 5, max_denominator=6))
+    return s, QuadPoly(*forced, d, e, f)
+
+
+def stanton_check_reference(s: Sector, p: QuadPoly) -> bool:
+    """stanton_check in Fraction arithmetic: n | (m-1)**2 and p's
+    homogeneous part equals the Fractions of stanton_quadratic."""
+    if (s.m - 1) ** 2 % s.n != 0:
+        return False
+    return (p.a, p.b, p.c2) == stanton_quadratic(s)
+
+
+def is_integer_valued_reference(p: QuadPoly) -> bool:
+    """QuadPoly.is_integer_valued in Fraction arithmetic: the six
+    binomial-basis coefficients 2a, b, 2c2, a + d, c2 + e and f are
+    integers."""
+    binomial = (2 * p.a, p.b, 2 * p.c2, p.a + p.d, p.c2 + p.e, p.f)
+    return all(coeff.denominator == 1 for coeff in binomial)
+
+
+def kstair_extract_reference(s: Sector, p: QuadPoly) -> KStairForm:
+    """kstair_extract in Fraction arithmetic, raising the same errors with
+    the same messages: the stair step d*u + e*v is one Fraction."""
+    if not stanton_check_reference(s, p):
+        raise ValueError("polynomial does not have the forced homogeneous part")
+    u, v = s.lines.u, s.lines.v
+    delta = p.d * u + p.e * v
+    if delta == 0:
+        raise ZeroStep("stair difference is zero")
+    if delta.denominator != 1:
+        raise NonIntegralStep(f"stair difference {delta} is not an integer")
+    k = abs(delta.numerator)
+    direction = Direction.ASCENDING if delta > 0 else Direction.DESCENDING
+    res = u % v if direction is Direction.ASCENDING else (-u) % v
+    if (k - res) % v != 0:
+        raise CongruenceViolation(
+            f"k={k} is not congruent to {res} mod {v} for {direction.value}"
+        )
+    if p.f.denominator != 1:
+        raise NonIntegralOffset(f"offset {p.f} is not an integer")
+    return KStairForm(k=k, direction=direction, q=(k - res) // v, offset_f=p.f.numerator)
+
+
+def scaled_key_reference(s: Sector, p: QuadPoly) -> Optional[tuple[int, int, int]]:
+    """search._scaled_key in Fraction arithmetic: (2d, 2n*e, f) when p's
+    homogeneous part equals stanton_quadratic(s) and the three are
+    integers, None otherwise."""
+    if (p.a, p.b, p.c2) != stanton_quadratic(s):
+        return None
+    d2, e2, f = 2 * p.d, 2 * s.n * p.e, p.f
+    if d2.denominator == e2.denominator == f.denominator == 1:
+        return d2.numerator, e2.numerator, f.numerator
+    return None
 
 
 def prefix_report_reference(s: Sector, p: QuadPoly, n_max: int) -> PrefixReport:

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY = "tests/test_verify.py"
+POLYNOMIALS = "tests/test_polynomials.py"
 
 
 class Mutant(NamedTuple):
@@ -148,10 +149,24 @@ MUTANTS = [
     ),
     Mutant(
         "search.py",
-        "    if (p.a, p.b, p.c2) != forced:\n        return None\n",
+        "    if not _forced_part(s, p):\n        return None\n",
         "",
         "_scaled_key matches a polynomial to a survivor triple whatever its homogeneous part",
         (f"{VERIFY}::TestSweep::test_row_matches_exact_polynomials_only",),
+    ),
+    Mutant(
+        "polynomials.py",
+        "    if rest:\n        raise NonIntegralStep(",
+        "    if False:\n        raise NonIntegralStep(",
+        "kstair_extract drops the step's integrality test and reads k off the step's floor",
+        (f"{POLYNOMIALS}::TestKStairExtract::test_matches_fraction_reference",),
+    ),
+    Mutant(
+        "polynomials.py",
+        "Fraction(dn * ed * t + en * dd, dd * ed)",
+        "Fraction(-dn * ed * t + en * dd, dd * ed)",
+        "a shear transports e with the wrong sign of q: e - d*t for e + d*t",
+        (f"{POLYNOMIALS}::TestTransport::test_shear_matches_reference",),
     ),
 ]
 

@@ -16,6 +16,7 @@ from sectorpack import (
     LatticeMap,
     LatticePoint,
     NonIntegralOffset,
+    NonIntegralStep,
     NotAdmissible,
     NotConsecutive,
     QuadPoly,
@@ -33,13 +34,29 @@ from sectorpack import (
     stanton_quadratic,
     t_dual,
 )
-from sectorpack.polynomials import _stair_pair, _start_stairs, _start_values
-from helpers import compose_reference, construct_via_dual, eval_raw, offset_reference, stairs_scan
+from sectorpack.polynomials import _sheared, _stair_pair, _start_stairs, _start_values
+from helpers import (
+    compose_reference,
+    construct_via_dual,
+    eval_raw,
+    is_integer_valued_reference,
+    kstair_extract_reference,
+    near_forced,
+    offset_reference,
+    stairs_scan,
+    stanton_check_reference,
+)
 
 P_PLUS = QuadPoly.from_string("4 -4 1 -1 1 0")
 P_MINUS = QuadPoly.from_string("4 -4 1 3 -2 0")
 P127 = QuadPoly.from_string("6 -6 3/2 -8 11/2 2")
 COPRIME_40 = [(n, m) for n in range(1, 41) for m in range(1, 41) if gcd(n, m) == 1]
+FRACTIONS = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 60))
+# a polynomial near its sector's forced form, or one of random rational coefficients
+NEAR_OR_RANDOM = near_forced() | st.tuples(
+    st.sampled_from(COPRIME_40).map(lambda nm: sector(*nm)),
+    st.lists(FRACTIONS, min_size=6, max_size=6).map(lambda cs: QuadPoly(*cs)),
+)
 
 
 class TestEval:
@@ -131,6 +148,14 @@ class TestIntegerValued:
             assert p.is_integer_valued() == grid_ok
             cases += 1
 
+    @given(NEAR_OR_RANDOM)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_fraction_reference(self, case):
+        # read on numerators and denominators, as the six binomial-basis
+        # coefficients in Fraction arithmetic
+        _, p = case
+        assert p.is_integer_valued() == is_integer_valued_reference(p)
+
 
 class TestStantonCheck:
     def test_examples(self):
@@ -145,6 +170,14 @@ class TestStantonCheck:
     def test_quadratic_helper(self):
         assert stanton_quadratic(sector(8, 5)) == (4, -4, 1)
         assert stanton_quadratic(sector(12, 7)) == (6, -6, Fraction(3, 2))
+
+    @given(NEAR_OR_RANDOM)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_fraction_reference(self, case):
+        # read on numerators and denominators, as a comparison with
+        # stanton_quadratic's Fractions
+        s, p = case
+        assert stanton_check(s, p) == stanton_check_reference(s, p)
 
 
 class TestKStairExtract:
@@ -174,6 +207,26 @@ class TestKStairExtract:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             kstair_extract(sector(8, 5), QuadPoly.from_string("1 0 0 1 1 0"))
+
+    def test_non_integral_and_incongruent_steps(self):
+        # on S(8/5), u = 1 and v = 2: the step is d + 2e
+        with pytest.raises(NonIntegralStep, match=r"^stair difference 1/2 is not an integer$"):
+            kstair_extract(sector(8, 5), QuadPoly.from_string("4 -4 1 -1 3/4 0"))
+        with pytest.raises(NonIntegralStep, match=r"^stair difference -5/3 is not an integer$"):
+            kstair_extract(sector(8, 5), QuadPoly.from_string("4 -4 1 -1 -1/3 0"))
+        # on S(12/7), u = 1 and v = 2: step 2 is not congruent to 1 mod 2
+        with pytest.raises(CongruenceViolation, match=r"^k=2 is not congruent to 1 mod 2 for asc$"):
+            kstair_extract(sector(12, 7), QuadPoly.from_string("6 -6 3/2 0 1 0"))
+
+    @given(near_forced())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_matches_fraction_reference(self, case):
+        # the step read in integers gives the form, or the error class and
+        # message, that the step built as one Fraction gives: a wrong
+        # homogeneous part, a zero, non-integral or incongruent step, or a
+        # non-integral f
+        s, p = case
+        assert _result(kstair_extract, s, p) == _result(kstair_extract_reference, s, p)
 
 
 class TestNecessaryCoefficients:
@@ -483,3 +536,31 @@ class TestTransport:
         got = p.compose(mapping)
         assert got == compose_reference(p, mapping)
         assert all(type(c) is Fraction for c in got.coefficients())
+
+    @given(st.lists(FRACTIONS, min_size=6, max_size=6), st.integers(-60, 60))
+    @settings(max_examples=400, derandomize=True)
+    def test_shear_matches_reference(self, coeffs, t):
+        # compose's shear path, (x, y) -> (x + t*y, y), builds only b, c2
+        # and e, and keeps the other three objects
+        s = sector(1, 1)
+        p = QuadPoly(*coeffs)
+        got = p.compose(LatticeMap(1, t, 0, 1, source=s, target=s))
+        assert got == compose_reference(p, LatticeMap(1, t, 0, 1, source=s, target=s))
+        assert all(type(c) is Fraction for c in got.coefficients())
+        assert (got.a, got.d, got.f) == (p.a, p.d, p.f)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.lists(FRACTIONS, min_size=3, max_size=3)),
+                 max_size=6),
+        st.lists(st.lists(FRACTIONS, min_size=3, max_size=3), min_size=3, max_size=3),
+        st.integers(-60, 60),
+    )
+    @settings(max_examples=300, derandomize=True)
+    def test_sheared_runs_match_reference(self, linear, parts, t):
+        # _sheared builds b and c2 once for each run of polynomials with one
+        # homogeneous part (equal values, not only the same objects): each
+        # result is still compose_reference's
+        s = sector(1, 1)
+        polys = [QuadPoly(*[Fraction(c) for c in parts[i]], *rest) for i, rest in linear]
+        shear = LatticeMap(1, t, 0, 1, source=s, target=s)
+        assert _sheared(polys, t) == [compose_reference(p, shear) for p in polys]

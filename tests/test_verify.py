@@ -68,10 +68,12 @@ from helpers import (
     edge_threshold_loop,
     filter_candidates,
     first_gap_reference,
+    near_forced,
     pair_window,
     prefix_report_reference,
     raw_candidates,
     run_fresh,
+    scaled_key_reference,
     scaled_reference,
     sector_screen,
     stair_steps_scan,
@@ -484,6 +486,35 @@ def test_runs_are_the_reference_walk(nm, A, B, Q, F, unit, hi):
     mod = abs(step) or 1
     assert _first_gap(runs, records, mod, hi) == first_gap_reference(want, mod, hi)
     assert _prefix_verdict(table, A, B, F, unit, hi) == verdict_reference(table, A, B, F, unit, hi)
+
+
+@pytest.mark.parametrize(
+    "nm, poly, n_max",
+    [
+        # Nathanson f on S(3) with d + 1 and d + 2, and g with d + 1: steps
+        # 1 and -1 on the columns, the deep check's missing-value near-misses
+        ((3, 1), "3/2 0 0 1/2 1 0", 2000),
+        ((3, 1), "3/2 0 0 3/2 1 0", 2000),
+        ((3, 1), "3/2 0 0 7/2 -1 0", 2000),
+        # steps 1 and -1 on a stair family, a missing and a negative value
+        ((4, 3), "2 -2 1/2 2 -1/2 1", 2000),
+        ((4, 3), "2 -2 1/2 2 -1/2 -1", 2000),
+        ((4, 3), "2 -2 1/2 4 -5/2 1", 2000),
+        ((4, 3), "2 -2 1/2 4 -5/2 -1", 2000),
+        # step 0, one point of each column in the window
+        ((7, 1), "7/2 0 0 9/2 0 3", 10),
+        ((8, 1), "4 0 0 4 0 3", 10),
+    ],
+)
+def test_unit_step_failures_match_reference(nm, poly, n_max):
+    # a step of size 1 or 0 has one residue, so the gap finder compares
+    # the sorted slices between the first and the last difference as they
+    # are, unkeyed; each of these failing walks reaches that comparison
+    s = sector(*nm)
+    p = QuadPoly.from_string(poly)
+    report = prefix_check(s, p, n_max)
+    assert report.status is not PrefixStatus.OK
+    assert report == prefix_report_reference(s, p, n_max)
 
 
 @given(
@@ -1460,16 +1491,23 @@ class TestSweep:
         for group in _shear_classes(tasks):
             sectors = [sector(n, m) for n, m, _ in group]
             for s, triples in zip(sectors, _class_triples(sectors, PARAMS)):
-                forced = stanton_quadratic(s)
                 for triple in triples:
-                    assert _scaled_key(_poly_from_scaled(s, *triple), s.n, forced) == triple
+                    assert _scaled_key(s, _poly_from_scaled(s, *triple)) == triple
                 triples_seen += len(triples)
                 for p in classify(s.n, s.m).polynomials():
-                    key = _scaled_key(p, s.n, forced)
+                    key = _scaled_key(s, p)
                     if key is not None:
                         assert _poly_from_scaled(s, *key) == p
                         keyed += 1
         assert (triples_seen, keyed) == (359, 359)
+
+    @given(near_forced())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_scaled_key_matches_fraction_reference(self, case):
+        # the triple (2d, 2n*e, f), or None, read on numerators and
+        # denominators is the one that Fraction arithmetic reads
+        s, p = case
+        assert _scaled_key(s, p) == scaled_key_reference(s, p)
 
     @pytest.mark.parametrize("change", ["drop", "extra", "homogeneous", "off_grid"])
     def test_row_matches_exact_polynomials_only(self, change, monkeypatch):
@@ -1486,7 +1524,7 @@ class TestSweep:
             "homogeneous": [replace(p, a=p.a + 1), *rest],
             "off_grid": [replace(p, d=p.d + Fraction(1, 3)), *rest],
         }[change]
-        fake = mock.Mock(polynomials=lambda: list(listed))
+        fake = mock.Mock(polynomials=lambda: list(listed), sector=sector(8, 5))
         monkeypatch.setattr(sweep_mod, "_classify", lambda n, m, known: fake)
         (row,) = _class_rows([(8, 5, PARAMS)])
         assert real.match and not row.match
